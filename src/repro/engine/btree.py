@@ -26,42 +26,35 @@ class _Node:
 
     __slots__ = ("keys", "node_id")
 
+    #: Class-level flag (not a property): descents test it once per level.
+    is_leaf: bool
+
     def __init__(self) -> None:
         self.keys: list[Any] = []
         self.node_id: int = -1
-
-    @property
-    def is_leaf(self) -> bool:
-        raise NotImplementedError
 
 
 class _Leaf(_Node):
     """Leaf node: keys[i] maps to values[i] (a list of row ids)."""
 
     __slots__ = ("values", "next")
+    is_leaf = True
 
     def __init__(self) -> None:
         super().__init__()
         self.values: list[list[int]] = []
         self.next: Optional["_Leaf"] = None
 
-    @property
-    def is_leaf(self) -> bool:
-        return True
-
 
 class _Internal(_Node):
     """Internal node: children[i] holds keys < keys[i] <= children[i+1]."""
 
     __slots__ = ("children",)
+    is_leaf = False
 
     def __init__(self) -> None:
         super().__init__()
         self.children: list[_Node] = []
-
-    @property
-    def is_leaf(self) -> bool:
-        return False
 
 
 class BPlusTree:
@@ -110,43 +103,46 @@ class BPlusTree:
 
     def insert(self, key: Any, row_id: int) -> None:
         """Insert one (key, row_id) entry; duplicate keys are appended."""
-        split = self._insert(self._root, key, row_id)
-        if split is not None:
-            sep_key, right = split
-            new_root = self._register(_Internal())
-            new_root.keys = [sep_key]
-            new_root.children = [self._root, right]
-            self._root = new_root
-            self._height += 1
+        leaf, pos = self._find_leaf(key)
+        keys = leaf.keys
+        self._num_entries += 1
+        if pos < len(keys) and keys[pos] == key:
+            leaf.values[pos].append(row_id)
+            return
+        keys.insert(pos, key)
+        leaf.values.insert(pos, [row_id])
+        self._num_keys += 1
+        if len(keys) > self.order:
+            self._split_toward(key)
 
-    def _insert(self, node: _Node, key: Any, row_id: int):
-        """Recursive insert; returns (separator, new right sibling) on split."""
-        if node.is_leaf:
-            leaf: _Leaf = node  # type: ignore[assignment]
-            pos = bisect.bisect_left(leaf.keys, key)
-            if pos < len(leaf.keys) and leaf.keys[pos] == key:
-                leaf.values[pos].append(row_id)
-                self._num_entries += 1
-                return None
-            leaf.keys.insert(pos, key)
-            leaf.values.insert(pos, [row_id])
-            self._num_keys += 1
-            self._num_entries += 1
-            if len(leaf.keys) > self.order:
-                return self._split_leaf(leaf)
-            return None
+    def _split_toward(self, key: Any) -> None:
+        """Split the overfull leaf holding *key*, then overfull ancestors.
 
-        internal: _Internal = node  # type: ignore[assignment]
-        pos = bisect.bisect_right(internal.keys, key)
-        split = self._insert(internal.children[pos], key, row_id)
-        if split is None:
-            return None
-        sep_key, right = split
-        internal.keys.insert(pos, sep_key)
-        internal.children.insert(pos + 1, right)
-        if len(internal.keys) > self.order:
-            return self._split_internal(internal)
-        return None
+        Only the rare overflowing insert pays for recording the descent
+        path.  Nodes are created in the order leaf split, internal splits
+        bottom-up, new root: node ids are buffer-pool page identities, so
+        that order (and with it the tree's shape) is part of the
+        simulated system's behaviour.
+        """
+        path: list[tuple[_Internal, int]] = []
+        node = self._root
+        while not node.is_leaf:
+            pos = bisect.bisect_right(node.keys, key)
+            path.append((node, pos))  # type: ignore[arg-type]
+            node = node.children[pos]  # type: ignore[attr-defined]
+        sep_key, right = self._split_leaf(node)  # type: ignore[arg-type]
+        while path:
+            parent, pos = path.pop()
+            parent.keys.insert(pos, sep_key)
+            parent.children.insert(pos + 1, right)
+            if len(parent.keys) <= self.order:
+                return
+            sep_key, right = self._split_internal(parent)
+        new_root = self._register(_Internal())
+        new_root.keys = [sep_key]
+        new_root.children = [self._root, right]
+        self._root = new_root
+        self._height += 1
 
     def _split_leaf(self, leaf: _Leaf):
         mid = len(leaf.keys) // 2

@@ -54,9 +54,9 @@ class Index:
         self._build()
 
     def _build(self) -> None:
-        pos = self.table.schema.position(self.column_name)
-        for row_id, row in enumerate(self.table.rows()):
-            self._tree.insert(row[pos], row_id)
+        insert = self._tree.insert
+        for row_id, key in enumerate(self.table.column_values(self.column_name)):
+            insert(key, row_id)
 
     # -- lookups ------------------------------------------------------------
 

@@ -336,6 +336,19 @@ def conjuncts(pred: Predicate) -> list[Predicate]:
     return [pred]
 
 
+def map_columns(pred: Predicate, rename) -> Predicate:
+    """A copy of *pred* with every column name passed through *rename*."""
+    if isinstance(pred, Comparison):
+        return Comparison(rename(pred.column), pred.op, pred.value)
+    if isinstance(pred, (And, Or)):
+        return type(pred)(
+            map_columns(pred.left, rename), map_columns(pred.right, rename)
+        )
+    if isinstance(pred, Not):
+        return Not(map_columns(pred.operand, rename))
+    return pred
+
+
 def conjoin(terms: list[Predicate]) -> Predicate:
     """Rebuild a predicate from conjunct terms (TRUE when empty)."""
     if not terms:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import QueryError
-from .predicate import Predicate, TRUE
+from .predicate import Predicate, TRUE, map_columns
 from .schema import TableSchema
 
 
@@ -175,11 +175,16 @@ class JoinQuery:
             f"SELECT {cols} FROM {self.left} JOIN {self.right} "
             f"ON {self.left}.{self.left_column} = {self.right}.{self.right_column}"
         )
-        wheres = []
-        if str(self.left_predicate) != "TRUE":
-            wheres.append(str(self.left_predicate))
-        if str(self.right_predicate) != "TRUE":
-            wheres.append(str(self.right_predicate))
+        # Predicate columns are qualified: both operands may have the
+        # column, and the parser must hand each term back to its side.
+        wheres = [
+            str(map_columns(predicate, lambda column: f"{table}.{column}"))
+            for table, predicate in (
+                (self.left, self.left_predicate),
+                (self.right, self.right_predicate),
+            )
+            if str(predicate) != "TRUE"
+        ]
         if wheres:
             sql += " WHERE " + " AND ".join(wheres)
         return sql

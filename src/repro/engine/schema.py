@@ -8,7 +8,9 @@ single source of truth for tuple length.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Iterable, Sequence
 
 from .errors import SchemaError
@@ -111,6 +113,30 @@ class TableSchema:
             )
         return tuple(c.validate(v) for c, v in zip(self.columns, row))
 
+    def validate_rows(self, rows: Iterable[Sequence[Any]]) -> list[Row]:
+        """Validate a whole batch, returning canonical tuples.
+
+        The batch is verified by column: when every row is a plain tuple
+        of the schema's arity and every value already has its column's
+        exact Python type, :meth:`validate_row` would return each row
+        unchanged, so the rows are taken as they are.  Any other batch
+        (lists as rows, ints into FLOAT, ``None``, ``bool``, subclasses,
+        wrong arity) goes through :meth:`validate_row` row by row, which
+        coerces or raises exactly as a single insert would.  Nothing is
+        returned unless every row is valid.
+        """
+        batch = rows if isinstance(rows, list) else list(rows)
+        if (
+            set(map(type, batch)) == {tuple}
+            and set(map(len, batch)) == {len(self.columns)}
+            and all(
+                set(map(type, map(itemgetter(pos), batch))) == {column.dtype.python_type}
+                for pos, column in enumerate(self.columns)
+            )
+        ):
+            return batch
+        return [self.validate_row(row) for row in batch]
+
     def project(self, column_names: Sequence[str]) -> "TableSchema":
         """Schema of the projection of this table onto *column_names*."""
         return TableSchema(self.name, [self.column(n) for n in column_names])
@@ -140,39 +166,32 @@ class ColumnStatistics:
     def from_values(
         cls, values: Iterable[Any], build_histogram: bool = False, buckets: int = 16
     ) -> "ColumnStatistics":
-        """Compute statistics over *values* in one pass.
+        """Compute statistics over *values*.
 
-        With ``build_histogram=True`` (numeric columns only), an
-        equi-depth histogram is attached as well.
+        Minimum, maximum and distinct count come from the ``min`` /
+        ``max`` / ``set`` builtins, which keep the first of equal values
+        (``1`` before ``1.0``) just as a one-pass scan would.  With
+        ``build_histogram=True`` (numeric columns only), an equi-depth
+        histogram is attached as well.
         """
-        minimum = None
-        maximum = None
-        distinct: set[Any] = set()
-        collected: list[Any] = []
-        for v in values:
-            if minimum is None or v < minimum:
-                minimum = v
-            if maximum is None or v > maximum:
-                maximum = v
-            distinct.add(v)
-            if build_histogram:
-                collected.append(v)
-        import numbers
-
+        if not isinstance(values, (list, tuple)):
+            values = list(values)
+        if not values:
+            return cls()
+        minimum = min(values)
         histogram = None
         if (
             build_histogram
-            and collected
             and isinstance(minimum, numbers.Real)
             and not isinstance(minimum, bool)
         ):
             from .histogram import EquiDepthHistogram
 
-            histogram = EquiDepthHistogram.build(collected, num_buckets=buckets)
+            histogram = EquiDepthHistogram.build(values, num_buckets=buckets)
         return cls(
             minimum=minimum,
-            maximum=maximum,
-            distinct_count=len(distinct),
+            maximum=max(values),
+            distinct_count=len(set(values)),
             histogram=histogram,
         )
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import SQLSyntaxError
-from .predicate import And, Comparison, Not, Or, Predicate, TRUE
+from .predicate import And, Comparison, Not, Or, Predicate, TRUE, conjoin, map_columns
 from .query import JoinQuery, Query, SelectQuery
 from .schema import TableSchema
 
@@ -333,41 +333,38 @@ class _Resolver:
 
 
 def _split_join_predicate(where: Predicate, left: str, right: str, resolve):
-    """Attribute each top-level conjunct of *where* to one operand.
+    """Attribute each conjunct of *where* to one operand.
 
-    Inside a conjunct all columns must belong to a single table; column
-    names are rewritten to their unqualified form for per-table evaluation.
+    A subtree whose columns all belong to one table goes to that operand
+    whole, so ``str(JoinQuery)`` parses back to an equal query; an AND
+    that mixes tables is split further.  Below AND all columns must
+    belong to a single table.  Column names are rewritten to their
+    unqualified form for per-table evaluation.
     """
-    from .predicate import conjoin, conjuncts
+    terms: dict[str, list[Predicate]] = {left: [], right: []}
 
-    left_terms: list[Predicate] = []
-    right_terms: list[Predicate] = []
-    for term in conjuncts(where):
-        owners = set()
-        rewritten = _rewrite(term, resolve, owners)
-        if len(owners) != 1:
+    def attribute(term: Predicate) -> None:
+        owners: set[str] = set()
+
+        def unqualified(name: str) -> str:
+            qualifier, _, column = name.rpartition(".")
+            table, column = resolve((qualifier or None, column), "WHERE clause")
+            owners.add(table)
+            return column
+
+        rewritten = map_columns(term, unqualified)
+        if len(owners) == 1:
+            terms[owners.pop()].append(rewritten)
+        elif isinstance(term, And):
+            attribute(term.left)
+            attribute(term.right)
+        elif owners:
             raise SQLSyntaxError(
                 f"WHERE term {term} must reference exactly one operand table"
             )
-        (owner,) = owners
-        (left_terms if owner == left else right_terms).append(rewritten)
-    return conjoin(left_terms), conjoin(right_terms)
 
-
-def _rewrite(pred: Predicate, resolve, owners: set[str]) -> Predicate:
-    """Strip qualifiers from column names, recording owning tables."""
-    if isinstance(pred, Comparison):
-        qualifier, _, column = pred.column.rpartition(".")
-        table, column = resolve((qualifier or None, column), "WHERE clause")
-        owners.add(table)
-        return Comparison(column, pred.op, pred.value)
-    if isinstance(pred, And):
-        return And(_rewrite(pred.left, resolve, owners), _rewrite(pred.right, resolve, owners))
-    if isinstance(pred, Or):
-        return Or(_rewrite(pred.left, resolve, owners), _rewrite(pred.right, resolve, owners))
-    if isinstance(pred, Not):
-        return Not(_rewrite(pred.operand, resolve, owners))
-    return pred
+    attribute(where)
+    return conjoin(terms[left]), conjoin(terms[right])
 
 
 def parse_query(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numbers
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -94,13 +95,16 @@ class Table:
         return len(self._rows) - 1
 
     def bulk_load(self, rows: Iterable[Sequence[Any]]) -> int:
-        """Validate and append many rows; returns number inserted."""
-        count = 0
-        for row in rows:
-            self._rows.append(self.schema.validate_row(row))
-            count += 1
+        """Validate and append many rows; returns number inserted.
+
+        All or nothing: the whole batch is validated (by column, see
+        :meth:`TableSchema.validate_rows`) before any row is stored, so
+        a bad row leaves the table and its derived views as they were.
+        """
+        validated = self.schema.validate_rows(rows)
+        self._rows.extend(validated)
         self._invalidate_caches()
-        return count
+        return len(validated)
 
     def cluster_on(self, column_name: str) -> None:
         """Physically sort rows on *column_name* (clustered-index order).
@@ -127,11 +131,10 @@ class Table:
         unchanged table never re-sorts its columns.
         """
         stats = TableStatistics(cardinality=self.cardinality)
-        for i, col in enumerate(self.schema.columns):
-            col_stats = ColumnStatistics.from_values(r[i] for r in self._rows)
+        for col in self.schema.columns:
+            col_stats = ColumnStatistics.from_values(self.column_values(col.name))
             if (
                 build_histograms
-                and self._rows
                 and isinstance(col_stats.minimum, numbers.Real)
                 and not isinstance(col_stats.minimum, bool)
             ):
@@ -165,8 +168,7 @@ class Table:
 
     def column_values(self, column_name: str) -> list[Any]:
         """All values of one column, in physical row order."""
-        pos = self.schema.position(column_name)
-        return [r[pos] for r in self._rows]
+        return list(map(itemgetter(self.schema.position(column_name)), self._rows))
 
     def column_array(self, column_name: str) -> np.ndarray:
         """Columnar (numpy) view of one column, cached until mutation.
@@ -180,13 +182,13 @@ class Table:
             self._column_arrays = {}
         array = self._column_arrays.get(column_name)
         if array is None:
-            pos = self.schema.position(column_name)
+            values = self.column_values(column_name)
             try:
-                array = np.array([r[pos] for r in self._rows])
+                array = np.array(values)
             except (OverflowError, ValueError):
                 # e.g. integers beyond int64: keep an object array, whose
                 # dtype kind makes the batch paths fall back to scalar.
-                array = np.array([r[pos] for r in self._rows], dtype=object)
+                array = np.array(values, dtype=object)
             self._column_arrays[column_name] = array
         return array
 

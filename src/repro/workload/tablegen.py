@@ -132,13 +132,11 @@ def small_workload(num_tables: int = 4, base_rows: int = 2_000, seed: int = 0) -
 def generate_rows(spec: TableSpec, rng: np.random.Generator) -> list[tuple]:
     """Random rows for *spec* (uniform integers per column range)."""
     ranges = spec.resolved_ranges()
-    matrix = np.column_stack(
-        [
-            rng.integers(0, ranges[col], size=spec.cardinality)
-            for col in COLUMN_NAMES
-        ]
-    )
-    return [tuple(int(v) for v in row) for row in matrix]
+    columns = [
+        rng.integers(0, ranges[col], size=spec.cardinality).tolist()
+        for col in COLUMN_NAMES
+    ]
+    return list(zip(*columns))
 
 
 def populate_database(

@@ -1,11 +1,13 @@
 """Unit and property tests for the B+-tree."""
 
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.btree import BPlusTree
+from repro.engine.btree import BPlusTree, _Internal
 
 
 class TestBasics:
@@ -120,3 +122,119 @@ def test_property_point_lookup(keys):
     for probe in set(keys):
         assert tree.search(probe) == [i for i, k in enumerate(keys) if k == probe]
     assert tree.search(max(keys) + 1) == []
+
+
+# -- shape identity with the recursive insert the iterative one replaced ------
+
+
+class RecursiveTree(BPlusTree):
+    """Test-only reference: the original recursive insert.
+
+    Node ids are buffer-pool page identities and the height is a
+    simulated cost, so the production insert must build the very same
+    tree, node for node, in the same creation order.
+    """
+
+    def insert(self, key, row_id):
+        split = self._insert(self._root, key, row_id)
+        if split is not None:
+            sep_key, right = split
+            new_root = self._register(_Internal())
+            new_root.keys = [sep_key]
+            new_root.children = [self._root, right]
+            self._root = new_root
+            self._height += 1
+
+    def _insert(self, node, key, row_id):
+        if node.is_leaf:
+            pos = bisect.bisect_left(node.keys, key)
+            if pos < len(node.keys) and node.keys[pos] == key:
+                node.values[pos].append(row_id)
+                self._num_entries += 1
+                return None
+            node.keys.insert(pos, key)
+            node.values.insert(pos, [row_id])
+            self._num_keys += 1
+            self._num_entries += 1
+            if len(node.keys) > self.order:
+                return self._split_leaf(node)
+            return None
+        pos = bisect.bisect_right(node.keys, key)
+        split = self._insert(node.children[pos], key, row_id)
+        if split is None:
+            return None
+        sep_key, right = split
+        node.keys.insert(pos, sep_key)
+        node.children.insert(pos + 1, right)
+        if len(node.keys) > self.order:
+            return self._split_internal(node)
+        return None
+
+
+def tree_shape(tree):
+    """Everything observable about the structure, node by node."""
+    nodes = []
+    frontier = [tree._root]
+    while frontier:
+        node = frontier.pop(0)
+        if node.is_leaf:
+            nodes.append((node.node_id, list(node.keys), [list(v) for v in node.values]))
+        else:
+            nodes.append((node.node_id, list(node.keys), [c.node_id for c in node.children]))
+            frontier.extend(node.children)
+    chain = []
+    leaf = tree._leftmost_leaf()
+    while leaf is not None:
+        chain.append(leaf.node_id)
+        leaf = leaf.next
+    return {
+        "nodes": nodes,
+        "leaf_chain": chain,
+        "height": tree.height,
+        "num_keys": tree.num_keys,
+        "len": len(tree),
+        "next_node_id": tree._next_node_id,
+    }
+
+
+def key_sequence(kind, n, seed=5):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.integers(0, 10 * n, size=n).tolist()
+    if kind == "ascending":
+        return list(range(n))
+    if kind == "descending":
+        return list(range(n, 0, -1))
+    assert kind == "duplicates"
+    return rng.integers(0, max(2, n // 40), size=n).tolist()
+
+
+@pytest.mark.parametrize("order, n", [(3, 400), (4, 700), (64, 9000)])
+@pytest.mark.parametrize("kind", ["random", "ascending", "descending", "duplicates"])
+def test_iterative_insert_builds_the_recursive_tree(kind, order, n):
+    keys = key_sequence(kind, n)
+    tree, reference = BPlusTree(order=order), RecursiveTree(order=order)
+    for rid, key in enumerate(keys):
+        tree.insert(key, rid)
+        reference.insert(key, rid)
+    assert tree_shape(tree) == tree_shape(reference)
+    assert tree.height >= 2
+    for key in [None, *set(keys), -1, max(keys) + 1]:
+        assert tree.traversal_path(key) == reference.traversal_path(key)
+        assert len(tree.traversal_path(key)) == tree.height
+    tree.check_invariants()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    keys=st.lists(st.integers(-40, 40), max_size=250),
+    order=st.sampled_from([3, 4, 5, 64]),
+)
+def test_property_same_shape_after_every_insert(keys, order):
+    tree, reference = BPlusTree(order=order), RecursiveTree(order=order)
+    for rid, key in enumerate(keys):
+        tree.insert(key, rid)
+        reference.insert(key, rid)
+        assert tree._next_node_id == reference._next_node_id
+    assert tree_shape(tree) == tree_shape(reference)
+    tree.check_invariants()

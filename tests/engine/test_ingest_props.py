@@ -1,0 +1,192 @@
+"""Property tests: the columnar ingest path equals the per-row reference.
+
+``Table.bulk_load`` verifies a batch column by column and falls through
+to ``TableSchema.validate_row`` for anything not already canonical;
+``Table.analyze`` computes statistics with builtins over extracted
+columns.  Both are pinned here against the loops they replaced: same
+stored rows (values *and* types), same count, same exception type and
+message, same minimum/maximum object on ties.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.engine.errors import EngineError
+from repro.engine.histogram import EquiDepthHistogram
+from repro.engine.schema import Column, ColumnStatistics, TableSchema
+from repro.engine.table import Table
+from repro.engine.types import DataType
+
+
+class MyInt(int):
+    """An int subclass: valid for INT columns, stored as it is."""
+
+
+CANONICAL = {
+    DataType.INT: st.integers(-5, 5),
+    DataType.FLOAT: st.floats(-5, 5, allow_nan=False).map(float),
+    DataType.STR: st.sampled_from(["", "a", "b", "zz"]),
+}
+
+#: One valid value per type, for the row a table holds before the batch.
+CANONICAL_ROW = {DataType.INT: 0, DataType.FLOAT: 0.0, DataType.STR: ""}
+
+#: Values the per-row path must coerce or reject, whatever the column.
+ODD = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-5, 5),
+    st.floats(-5, 5, allow_nan=False),
+    st.sampled_from(["a", "7"]),
+    st.integers(-5, 5).map(np.int64),
+    st.floats(-5, 5, allow_nan=False).map(np.float64),
+    st.integers(-5, 5).map(MyInt),
+)
+
+schemas = st.lists(st.sampled_from(list(DataType)), min_size=1, max_size=4).map(
+    lambda dtypes: TableSchema(
+        "t", [Column(f"c{i}", dtype, 8) for i, dtype in enumerate(dtypes)]
+    )
+)
+
+
+@st.composite
+def batches(draw):
+    """(schema, rows): canonical rows, salted with a drawn set of odd shapes.
+
+    The salts are drawn per batch, so batches whose only oddity is a
+    near-miss value (all tuples, right arity) are common: those are the
+    ones a sloppier column check would wrongly take whole.
+    """
+    schema = draw(schemas)
+    clean = st.tuples(*(CANONICAL[c.dtype] for c in schema.columns))
+    salts = draw(st.sets(st.sampled_from(["list", "value", "arity"])))
+    rows = []
+    for row in draw(st.lists(clean, max_size=12)):
+        kind = draw(st.sampled_from(["keep", *sorted(salts)]))
+        if kind == "list":
+            row = list(row)
+        elif kind == "value":
+            pos = draw(st.integers(0, len(row) - 1))
+            row = row[:pos] + (draw(ODD),) + row[pos + 1 :]
+        elif kind == "arity":
+            row = row + (0,) if draw(st.booleans()) else row[:-1]
+        rows.append(row)
+    return schema, rows
+
+
+def typed(rows):
+    """Rows as (exact type, repr) pairs: 1, 1.0, True, -0.0 and NaN stay apart."""
+    return [[(type(v), repr(v)) for v in row] for row in rows]
+
+
+def reference_load(schema, rows):
+    """The loop ``bulk_load`` replaced: one ``validate_row`` per row."""
+    stored = []
+    for row in rows:
+        stored.append(schema.validate_row(row))
+    return stored
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=batches(), container=st.sampled_from([list, tuple, iter]))
+def test_bulk_load_equals_per_row_validation(batch, container):
+    schema, rows = batch
+    table = Table(schema)
+    table.bulk_load([tuple(CANONICAL_ROW[c.dtype] for c in schema.columns)])
+    before = list(table)
+    try:
+        expected = reference_load(schema, rows)
+    except EngineError as error:
+        with pytest.raises(type(error)) as raised:
+            table.bulk_load(container(rows))
+        assert str(raised.value) == str(error)
+        assert list(table) == before
+        return
+    assert table.bulk_load(container(rows)) == len(expected)
+    stored = list(table)[len(before) :]
+    assert typed(stored) == typed(expected)
+    assert all(type(row) is tuple for row in stored)
+
+
+def test_bulk_load_of_nothing():
+    table = Table(TableSchema("t", [Column("a", DataType.INT)]))
+    assert table.bulk_load([]) == 0
+    assert table.bulk_load(iter(())) == 0
+    assert table.cardinality == 0
+    assert table.analyze().column("a") == ColumnStatistics()
+
+
+def one_pass_statistics(values):
+    """The scan ``from_values`` replaced: strict comparisons keep the first."""
+    minimum = maximum = None
+    distinct = set()
+    for v in values:
+        if minimum is None or v < minimum:
+            minimum = v
+        if maximum is None or v > maximum:
+            maximum = v
+        distinct.add(v)
+    return minimum, maximum, len(distinct)
+
+
+#: Small range, ints and floats mixed: ties such as 1 / 1.0 and 0 / -0.0.
+tied_numbers = st.lists(
+    st.one_of(
+        st.integers(-2, 2),
+        st.integers(-2, 2).map(float),
+        st.sampled_from([-0.0, 0.5, float("inf"), float("nan")]),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=tied_numbers, container=st.sampled_from([list, tuple, iter]))
+def test_from_values_equals_one_pass_scan(values, container):
+    stats = ColumnStatistics.from_values(container(values))
+    minimum, maximum, distinct = one_pass_statistics(values)
+    assert typed([[stats.minimum, stats.maximum]]) == typed([[minimum, maximum]])
+    assert stats.distinct_count == distinct
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.integers(-3, 3),
+            st.floats(-3, 3, allow_nan=False).map(float),
+            st.sampled_from(["a", "b", "c"]),
+        ),
+        max_size=40,
+    ),
+    buckets=st.integers(1, 6),
+)
+def test_analyze_equals_per_column_scan(rows, buckets):
+    schema = TableSchema(
+        "t",
+        [
+            Column("i", DataType.INT),
+            Column("f", DataType.FLOAT),
+            Column("s", DataType.STR, 4),
+        ],
+    )
+    table = Table(schema)
+    table.bulk_load(rows)
+    stats = table.analyze(build_histograms=True, histogram_buckets=buckets)
+    assert stats.cardinality == len(rows)
+    for pos, column in enumerate(schema.columns):
+        values = [row[pos] for row in rows]
+        got = stats.column(column.name)
+        assert (got.minimum, got.maximum, got.distinct_count) == one_pass_statistics(
+            values
+        )
+        if rows and column.dtype is not DataType.STR:
+            assert got.histogram == EquiDepthHistogram.build(values, buckets)
+            assert got.histogram is table.histogram_for(column.name, buckets)
+        else:
+            assert got.histogram is None
+        assert table.column_values(column.name) == values
+        assert table.column_array(column.name).tolist() == values

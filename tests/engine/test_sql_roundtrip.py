@@ -8,8 +8,9 @@ identically (same predicate decisions on every row).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.database import LocalDatabase
 from repro.engine.predicate import And, Comparison, Or, Predicate, TRUE
-from repro.engine.query import SelectQuery
+from repro.engine.query import JoinQuery, SelectQuery
 from repro.engine.schema import Column, TableSchema
 from repro.engine.sql import parse_query
 from repro.engine.types import DataType
@@ -69,3 +70,24 @@ def test_predicate_free_query_roundtrip(columns):
     assert isinstance(reparsed.predicate, Predicate)
     row = (1, 2, 3)
     assert reparsed.predicate.evaluate(row, SCHEMA)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    left_predicate=st.one_of(st.just(TRUE), predicates()),
+    right_predicate=st.one_of(st.just(TRUE), predicates()),
+    columns=st.lists(
+        st.sampled_from(["t.a", "t.c", "u.a", "u.b"]), unique=True, max_size=4
+    ),
+)
+def test_join_query_roundtrips_through_database_parse(
+    left_predicate, right_predicate, columns
+):
+    """Both operands have every column, as on R1..R12: unqualified
+    predicate columns would be ambiguous, so the rendering qualifies them
+    and the parser hands each operand its predicate back whole."""
+    database = LocalDatabase("site")
+    database.create_table("t", SCHEMA.columns)
+    database.create_table("u", SCHEMA.columns)
+    query = JoinQuery("t", "u", "a", "b", columns, left_predicate, right_predicate)
+    assert database.parse(str(query)) == query

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.errors import SchemaError
+from repro.engine.errors import SchemaError, TypeError_
 from repro.engine.schema import Column, TableSchema
 from repro.engine.table import ResultTable, Table
 from repro.engine.types import DataType
@@ -37,6 +37,36 @@ class TestTableBasics:
         table = simple_table()
         assert table.bulk_load([(i, i) for i in range(10)]) == 10
         assert table.cardinality == 10
+
+    @pytest.mark.parametrize(
+        "bad_row, error", [((3, 3.5), TypeError_), ((3,), SchemaError)]
+    )
+    def test_bulk_load_is_all_or_nothing(self, bad_row, error):
+        table = simple_table()
+        table.bulk_load([(1, 10), (2, 20)])
+        stats = table.statistics
+        array = table.column_array("a")
+        histogram = table.histogram_for("a", 4)
+        with pytest.raises(error):
+            table.bulk_load([(7, 70), bad_row, (8, 80)])
+        assert table.cardinality == 2
+        assert list(table) == [(1, 10), (2, 20)]
+        assert table.statistics is stats
+        assert table.column_array("a") is array
+        assert table.histogram_for("a", 4) is histogram
+
+    def test_bulk_load_consumes_a_generator_once(self):
+        table = simple_table()
+        pulled = []
+
+        def rows():
+            for i in range(4):
+                pulled.append(i)
+                yield [i, i * 10]  # lists: the per-row path canonicalises them
+
+        assert table.bulk_load(rows()) == 4
+        assert pulled == [0, 1, 2, 3]
+        assert list(table) == [(0, 0), (1, 10), (2, 20), (3, 30)]
 
     def test_iteration_order(self):
         table = simple_table()

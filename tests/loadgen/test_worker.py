@@ -1,5 +1,8 @@
 """Shard-level behaviour: training payloads, pure reruns, round records."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.loadgen import (
@@ -34,6 +37,36 @@ def test_universe_is_reproducible(micro_config):
         var_b.database.catalog.table(table)
     )
     assert universe_seed(micro_config) == universe_seed(micro_config)
+
+
+#: sha256 of every index's height, clustering ratio and root-to-leaf page
+#: keys (toward each distinct key), taken at the commit before the B+-tree
+#: insert became iterative.  Page keys are buffer-pool identities and the
+#: height is a simulated cost: a faster build may not move either.
+INDEX_DIGESTS = {
+    VAR_SITE: "c8c5e5682ee6d3389613acde2fd61920f484d3f7439c600842e6a3983d505639",
+    STEADY_SITE: "6b93c14e66cd200afaf0da3c151c8959b2bde904acc6d93c7dd0a1eb5139e963",
+}
+
+
+def test_universe_index_shapes_match_committed_digest(micro_config):
+    for site in make_universe(micro_config):
+        catalog = site.database.catalog
+        records = []
+        for table in catalog.tables():
+            for index in catalog.indexes_for(table.name):
+                keys = sorted(set(table.column_values(index.column_name)))
+                records.append(
+                    [
+                        index.name,
+                        index.height,
+                        repr(index.clustering_ratio()),
+                        [index.traversal_page_keys(key) for key in [None, *keys]],
+                    ]
+                )
+        assert len(records) == 16
+        digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+        assert digest == INDEX_DIGESTS[site.name]
 
 
 def test_trained_payload_covers_both_sites(trained_payload):
