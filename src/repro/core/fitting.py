@@ -33,11 +33,16 @@ class QualitativeFit:
     ols: OLSResult
     form: ModelForm
     variable_names: tuple[str, ...]
-    #: Training design matrix and response, kept so alternative model-form
-    #: strategies (:mod:`repro.core.strategy`) can re-derive coefficients
-    #: from the same selected design without re-running selection.
-    design: np.ndarray | None = field(default=None, repr=False, compare=False)
+    #: Training response, kept (with :attr:`design`) so alternative
+    #: model-form strategies (:mod:`repro.core.strategy`) can re-derive
+    #: coefficients from the same selected design without re-running
+    #: selection.
     response: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def design(self) -> np.ndarray:
+        """Training design matrix — the one array the regression holds."""
+        return self.ols.design
 
     @property
     def num_states(self) -> int:
@@ -109,7 +114,6 @@ def fit_qualitative(
         ols=ols,
         form=form,
         variable_names=tuple(variable_names),
-        design=design,
         response=y,
     )
 

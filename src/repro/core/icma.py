@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .clustering import agglomerate, cluster_extents, merge_small_clusters
+from .clustering import Dendrogram, cluster_extents, merge_small_clusters
 from .iupma import StateDeterminationResult, StatesConfig, determine_states
 from .partition import ContentionStates, partition_from_intervals
 
@@ -31,13 +31,16 @@ def clustered_partitioner(probing: np.ndarray, floor: int):
     probing_arr = np.asarray(probing, dtype=float).reshape(-1)
     cmin = float(probing_arr.min())
     cmax = float(probing_arr.max())
+    # The merge order does not depend on m: one tree, cut per candidate
+    # (a constant sample admits no m > 1, so it needs no tree).
+    dendrogram = Dendrogram(probing_arr.tolist()) if cmin < cmax else None
 
     def partitioner(m: int) -> Optional[ContentionStates]:
         if m == 1:
             return ContentionStates(cmin, cmax)
         if cmin == cmax:
             return None
-        clusters = agglomerate(probing_arr.tolist(), m)
+        clusters = dendrogram.cut(m)
         clusters = merge_small_clusters(clusters, floor)
         if len(clusters) != m:
             return None  # the sample does not support m well-filled clusters

@@ -83,32 +83,19 @@ class MultiStateCostModel:
         """
         if self.coef_covariance is None:
             raise ValueError("model carries no coefficient covariance")
-        from ..mlr.intervals import prediction_interval
-        from ..mlr.ols import OLSResult
+        from ..mlr.intervals import interval_from_covariance
 
         state = self.state_for(probing_cost)
         x = [float(values[n]) for n in self.variable_names]
         row = design_row(x, state, self.num_states, self.form).reshape(1, -1)
-        # Rebuild the minimal OLSResult surface the interval math needs.
-        p = len(self.coefficients)
-        shim = OLSResult(
-            coefficients=self.coefficients,
-            term_names=self.term_names,
-            fitted=np.empty(0),
-            residuals=np.empty(0),
-            n_observations=self.n_observations,
-            n_parameters=p,
-            r_squared=self.r_squared,
-            adjusted_r_squared=self.r_squared,
-            standard_error=self.standard_error,
-            f_statistic=self.f_statistic,
-            f_pvalue=self.f_pvalue,
-            coef_std_errors=np.sqrt(np.clip(np.diag(self.coef_covariance), 0, None)),
-            t_statistics=np.empty(p),
-            t_pvalues=np.empty(p),
-            coef_covariance=self.coef_covariance,
+        point, lower, upper = interval_from_covariance(
+            self.coefficients,
+            self.coef_covariance,
+            self.standard_error,
+            self.n_observations - len(self.coefficients),
+            row,
+            confidence,
         )
-        point, lower, upper = prediction_interval(shim, row, confidence)
         return float(point[0]), float(lower[0]), float(upper[0])
 
     def is_significant(self, alpha: float = 0.01) -> bool:

@@ -25,11 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..mlr.correlation import (
-    average_abs_state_correlation,
-    max_abs_state_correlation,
-)
-from ..mlr.diagnostics import DEFAULT_VIF_LIMIT, max_state_vif
+from ..mlr.correlation import average_abs_state_correlation, per_state_correlations
+from ..mlr.diagnostics import DEFAULT_VIF_LIMIT, max_state_vif, max_state_vifs
 from .fitting import QualitativeFit, fit_qualitative
 from .partition import ContentionStates
 from .qualitative import ModelForm
@@ -117,15 +114,26 @@ def select_variables(
     probing_arr = np.asarray(probing, dtype=float).reshape(-1)
     cols = {k: np.asarray(v, dtype=float).reshape(-1) for k, v in columns.items()}
     data = _Data(cols, y, probing_arr)
-    assignment = states.assign(probing_arr.tolist())
+    assignment = np.asarray(states.assign(probing_arr.tolist()))
     m = states.num_states
     steps: list[SelectionStep] = []
+
+    # Per-state |r| with the response.  Sample and states are fixed for
+    # the whole procedure, so each candidate's are computed once and serve
+    # both the screen (max) and every backward round's ranking (mean).
+    response_r = {
+        n: [abs(r) for r in per_state_correlations(cols[n], y, assignment, m)]
+        for n in (*basic, *secondary)
+    }
+
+    def average_response_r(name: str) -> float:
+        return sum(response_r[name]) / m
 
     # ---- screen: no linear relationship with the response in ANY state.
     def screened(names: tuple[str, ...]) -> tuple[str, ...]:
         kept = []
         for n in names:
-            r_max = max_abs_state_correlation(cols[n], y, assignment, m)
+            r_max = max(response_r[n])
             if r_max < config.correlation_floor:
                 steps.append(
                     SelectionStep("screen", n, f"max state |r|={r_max:.3f} below floor")
@@ -139,10 +147,7 @@ def select_variables(
     if not basic_kept:
         # Degenerate sample; keep the strongest basic variable anyway so
         # a model always exists.
-        strongest = max(
-            basic,
-            key=lambda n: max_abs_state_correlation(cols[n], y, assignment, m),
-        )
+        strongest = max(basic, key=lambda n: max(response_r[n]))
         basic_kept = (strongest,)
         steps.append(SelectionStep("keep", strongest, "forced: all basics screened"))
 
@@ -150,7 +155,7 @@ def select_variables(
     basic_list = list(basic_kept)
     while len(basic_list) > 1:
         X = data.matrix(tuple(basic_list))
-        vifs = [max_state_vif(X, assignment, m, j) for j in range(len(basic_list))]
+        vifs = max_state_vifs(X, assignment, m)
         worst = int(np.argmax(vifs))
         if vifs[worst] <= config.vif_limit:
             break
@@ -163,11 +168,7 @@ def select_variables(
 
     # ---- backward elimination over the basic model.
     while len(current_names) > 1:
-        ranked = sorted(
-            current_names,
-            key=lambda n: average_abs_state_correlation(cols[n], y, assignment, m),
-        )
-        candidate = ranked[0]
+        candidate = min(current_names, key=average_response_r)
         reduced_names = tuple(n for n in current_names if n != candidate)
         reduced = _fit(data, reduced_names, states, form)
         if reduced.standard_error <= current.standard_error * (
@@ -188,14 +189,12 @@ def select_variables(
     remaining = [n for n in secondary_kept if n not in current_names]
     while remaining:
         residuals = current.ols.residuals
-        ranked = sorted(
+        candidate = max(
             remaining,
             key=lambda n: average_abs_state_correlation(
                 cols[n], residuals, assignment, m
             ),
-            reverse=True,
         )
-        candidate = ranked[0]
         augmented_names = current_names + (candidate,)
         X_aug = data.matrix(augmented_names)
         vif = max_state_vif(X_aug, assignment, m, len(augmented_names) - 1)

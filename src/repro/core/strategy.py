@@ -153,7 +153,7 @@ class CostModelStrategy(abc.ABC):
     ) -> MultiStateCostModel:
         """Install *theta* into *model* and refresh the training stats."""
         model.coefficients = np.asarray(theta, dtype=float)
-        if fit.design is not None and fit.response is not None:
+        if fit.response is not None:
             y = np.asarray(fit.response, dtype=float)
             residuals = y - fit.design @ model.coefficients
             sse = float(residuals @ residuals)
@@ -196,7 +196,7 @@ class RLSStrategy(CostModelStrategy):
         return {"forgetting": self.forgetting, "delta": self.delta}
 
     def fit(self, fit: QualitativeFit) -> np.ndarray:
-        if fit.design is None or fit.response is None:
+        if fit.response is None:
             return np.asarray(fit.ols.coefficients, dtype=float)
         # Batch derivation uses no forgetting: with lambda = 1 the
         # recursion converges to the (ridge-stabilised) OLS solution.
@@ -234,7 +234,7 @@ class SGDStrategy(CostModelStrategy):
 
     def fit(self, fit: QualitativeFit) -> np.ndarray:
         theta = np.asarray(fit.ols.coefficients, dtype=float)
-        if fit.design is None or fit.response is None:
+        if fit.response is None:
             return theta
         return sgd_fit(
             fit.design,

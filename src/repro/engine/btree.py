@@ -181,8 +181,25 @@ class BPlusTree:
         low_inclusive: bool = True,
         high_inclusive: bool = True,
     ) -> list[int]:
-        """Row ids with keys in the interval [low, high] (bounds optional)."""
-        return [rid for _, rid in self.range_items(low, high, low_inclusive, high_inclusive)]
+        """Row ids with keys in the interval [low, high] (bounds optional).
+
+        Collected a leaf at a time: one bisection finds where the interval
+        ends inside the leaf, and the row-id lists before it are appended
+        whole.
+        """
+        leaf, pos = self._range_start(low, low_inclusive)
+        end_of = bisect.bisect_right if high_inclusive else bisect.bisect_left
+        row_ids: list[int] = []
+        while leaf is not None:
+            keys = leaf.keys
+            end = len(keys) if high is None else end_of(keys, high)
+            for ids in leaf.values[pos:end]:
+                row_ids.extend(ids)
+            if end < len(keys):
+                break
+            leaf = leaf.next
+            pos = 0
+        return row_ids
 
     def range_items(
         self,
@@ -192,16 +209,7 @@ class BPlusTree:
         high_inclusive: bool = True,
     ) -> Iterator[tuple[Any, int]]:
         """Iterate (key, row_id) pairs with keys in the interval, in key order."""
-        if low is None:
-            leaf = self._leftmost_leaf()
-            pos = 0
-        else:
-            leaf, pos = self._find_leaf(low)
-            if not low_inclusive:
-                while leaf is not None:
-                    if pos < len(leaf.keys) and leaf.keys[pos] == low:
-                        pos += 1
-                    break
+        leaf, pos = self._range_start(low, low_inclusive)
         while leaf is not None:
             while pos < len(leaf.keys):
                 key = leaf.keys[pos]
@@ -213,6 +221,15 @@ class BPlusTree:
                 pos += 1
             leaf = leaf.next
             pos = 0
+
+    def _range_start(self, low: Any, low_inclusive: bool) -> tuple[_Leaf, int]:
+        """Leaf and in-leaf position of the first key of an interval from *low*."""
+        if low is None:
+            return self._leftmost_leaf(), 0
+        leaf, pos = self._find_leaf(low)
+        if not low_inclusive and pos < len(leaf.keys) and leaf.keys[pos] == low:
+            pos += 1
+        return leaf, pos
 
     def items(self) -> Iterator[tuple[Any, int]]:
         """Iterate all (key, row_id) pairs in key order."""

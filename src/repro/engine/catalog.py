@@ -2,19 +2,50 @@
 
 from __future__ import annotations
 
-from typing import Iterable
+from bisect import insort
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping
 
 from .errors import CatalogError
 from .index import Index
+from .schema import TableSchema
 from .table import Table
 
 
+class _SchemaView(Mapping[str, TableSchema]):
+    """Live read-only table name → schema view over a catalog's tables."""
+
+    def __init__(self, tables: dict[str, Table]) -> None:
+        self._tables = tables
+
+    def __getitem__(self, name: str) -> TableSchema:
+        return self._tables[name].schema
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._tables
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._tables)
+
+    def __len__(self) -> int:
+        return len(self._tables)
+
+
 class LocalCatalog:
-    """Name-keyed registry of tables and their indexes."""
+    """Name-keyed registry of tables and their indexes.
+
+    The planner asks for a table's indexes on every query, so each
+    table's list is kept ready, ordered by index name, and edited by
+    :meth:`add_index`, :meth:`drop_index` and :meth:`drop_table` — the
+    only ways the index set changes.
+    """
 
     def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
         self._indexes: dict[str, Index] = {}
+        self._table_indexes: dict[str, list[Index]] = {}
+        #: What the SQL parser resolves column names against.
+        self.schemas: Mapping[str, TableSchema] = _SchemaView(self._tables)
 
     # -- tables ---------------------------------------------------------
 
@@ -27,8 +58,8 @@ class LocalCatalog:
         if name not in self._tables:
             raise CatalogError(f"no such table: {name}")
         del self._tables[name]
-        for index_name in [n for n, i in self._indexes.items() if i.table.name == name]:
-            del self._indexes[index_name]
+        for index in self._table_indexes.pop(name, ()):
+            del self._indexes[index.name]
 
     def table(self, name: str) -> Table:
         try:
@@ -54,11 +85,17 @@ class LocalCatalog:
         if index.table.name not in self._tables:
             raise CatalogError(f"index {index.name} references unknown table")
         self._indexes[index.name] = index
+        insort(
+            self._table_indexes.setdefault(index.table.name, []),
+            index,
+            key=attrgetter("name"),
+        )
 
     def drop_index(self, name: str) -> None:
         if name not in self._indexes:
             raise CatalogError(f"no such index: {name}")
-        del self._indexes[name]
+        index = self._indexes.pop(name)
+        self._table_indexes[index.table.name].remove(index)
 
     def index(self, name: str) -> Index:
         try:
@@ -68,11 +105,7 @@ class LocalCatalog:
 
     def indexes_for(self, table_name: str) -> list[Index]:
         """All indexes on *table_name* (order: by index name, stable)."""
-        return [
-            self._indexes[n]
-            for n in sorted(self._indexes)
-            if self._indexes[n].table.name == table_name
-        ]
+        return list(self._table_indexes.get(table_name, ()))
 
     def index_on(self, table_name: str, column_name: str) -> Index | None:
         """An index on *table_name.column_name*, if one exists."""

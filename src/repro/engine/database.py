@@ -156,8 +156,7 @@ class LocalDatabase:
 
     def parse(self, sql: str) -> Query:
         """Parse SQL text against this database's schemas."""
-        schemas = {t.name: t.schema for t in self.catalog.tables()}
-        return parse_query(sql, schemas)
+        return parse_query(sql, self.catalog.schemas)
 
     def plan(self, query: Query | str) -> UnaryPlan | JoinPlan:
         """Let the local optimizer choose a plan (without executing)."""

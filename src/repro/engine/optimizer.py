@@ -46,7 +46,7 @@ from .joins import (
     nested_loop_join,
     sort_merge_join,
 )
-from .predicate import Comparison, extract_key_range
+from .predicate import Comparison, KeyRange, extract_key_range
 from .query import JoinQuery, SelectQuery
 from .table import Table
 
@@ -127,12 +127,11 @@ def _swap(left: Table, right: Table, query: JoinQuery):
     return right, left, mirrored
 
 
-def _selectivity_for_range(table: Table, query: SelectQuery, column: str) -> float:
-    """Estimated selectivity of the sargable range on *column*."""
-    key_range, _ = extract_key_range(query.predicate, column)
-    if key_range is None or not key_range.is_bounded:
-        return 1.0
+def _selectivity_for_range(table: Table, key_range: KeyRange, column: str) -> float:
+    """Estimated selectivity of a bounded sargable *key_range* on *column*."""
     stats = table.statistics
+    if key_range.is_point:
+        return Comparison(column, "=", key_range.low).selectivity(stats)
     selectivity = 1.0
     if key_range.low is not None:
         op = ">=" if key_range.low_inclusive else ">"
@@ -140,8 +139,6 @@ def _selectivity_for_range(table: Table, query: SelectQuery, column: str) -> flo
     if key_range.high is not None:
         op = "<=" if key_range.high_inclusive else "<"
         selectivity *= Comparison(column, op, key_range.high).selectivity(stats)
-    if key_range.is_point:
-        selectivity = Comparison(column, "=", key_range.low).selectivity(stats)
     return selectivity
 
 
@@ -155,7 +152,7 @@ def choose_unary_plan(
         key_range, _ = extract_key_range(query.predicate, index.column_name)
         if key_range is None or not key_range.is_bounded:
             continue
-        selectivity = _selectivity_for_range(table, query, index.column_name)
+        selectivity = _selectivity_for_range(table, key_range, index.column_name)
         if index.kind is IndexKind.CLUSTERED:
             clustered_candidates.append((selectivity, index))
         elif selectivity <= NONCLUSTERED_SELECTIVITY_LIMIT:

@@ -76,7 +76,7 @@ class Predicate:
 
     def validate(self, schema: TableSchema) -> None:
         """Raise :class:`QueryError` if a referenced column is missing."""
-        missing = self.columns() - set(schema.column_names)
+        missing = {name for name in self.columns() if name not in schema}
         if missing:
             raise QueryError(
                 f"predicate references unknown column(s): {sorted(missing)}"

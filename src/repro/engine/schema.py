@@ -51,7 +51,12 @@ class Column:
 
 
 class TableSchema:
-    """An ordered collection of :class:`Column` objects with name lookup."""
+    """An ordered collection of :class:`Column` objects with name lookup.
+
+    Immutable once built, so the facts every query reads — the column
+    names, the tuple length, each column's width — are computed here
+    once, not per access.
+    """
 
     def __init__(self, name: str, columns: Sequence[Column]) -> None:
         if not name or not name.isidentifier():
@@ -63,7 +68,11 @@ class TableSchema:
             raise SchemaError(f"table {name}: duplicate column names")
         self.name = name
         self.columns: tuple[Column, ...] = tuple(columns)
+        self.column_names: tuple[str, ...] = tuple(names)
+        #: Tuple length in bytes — the paper's ``tuple length of operand table``.
+        self.tuple_length: int = sum(c.width for c in columns)
         self._index: dict[str, int] = {c.name: i for i, c in enumerate(columns)}
+        self._widths: dict[str, int] = {c.name: c.width for c in columns}
 
     # -- lookup ---------------------------------------------------------
 
@@ -87,20 +96,16 @@ class TableSchema:
         except KeyError:
             raise SchemaError(f"table {self.name}: no column {name!r}") from None
 
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns)
-
     # -- derived statistics ----------------------------------------------
-
-    @property
-    def tuple_length(self) -> int:
-        """Tuple length in bytes — the paper's ``tuple length of operand table``."""
-        return sum(c.width for c in self.columns)
 
     def projected_tuple_length(self, column_names: Iterable[str]) -> int:
         """Tuple length of a projection — the paper's result tuple length."""
-        return sum(self.column(n).width for n in column_names)
+        try:
+            return sum(map(self._widths.__getitem__, column_names))
+        except KeyError as exc:
+            raise SchemaError(
+                f"table {self.name}: no column {exc.args[0]!r}"
+            ) from None
 
     # -- row handling -----------------------------------------------------
 

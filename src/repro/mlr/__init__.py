@@ -15,6 +15,7 @@ from .diagnostics import (
     DEFAULT_VIF_LIMIT,
     collinear_columns,
     max_state_vif,
+    max_state_vifs,
     variance_inflation_factor,
     variance_inflation_factors,
 )
@@ -45,6 +46,7 @@ __all__ = [
     "leverages",
     "max_abs_state_correlation",
     "max_state_vif",
+    "max_state_vifs",
     "outlier_indices",
     "partial_f_test",
     "per_state_correlations",

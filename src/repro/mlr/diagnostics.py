@@ -34,12 +34,14 @@ def variance_inflation_factor(X: np.ndarray, column: int) -> float:
     if p == 1 or n < 3:
         return 1.0
     target = X[:, column]
-    others = np.delete(X, column, axis=1)
-    if np.allclose(target, target[0]):
-        # A constant column is degenerate with the intercept.
+    if target.min() == target.max():
+        # A constant column is degenerate with the intercept.  Only exact
+        # constancy counts: a large-magnitude variable that barely varies
+        # is for the auxiliary regression to judge.
         return float("inf")
-    result = fit_ols(add_intercept(others), target, has_intercept=True)
-    r2 = result.r_squared
+    others = np.delete(X, column, axis=1)
+    # Only R² is read, so the fit's deferred inference never runs.
+    r2 = fit_ols(add_intercept(others), target, has_intercept=True).r_squared
     if r2 >= 1.0 - 1e-12:
         return float("inf")
     return 1.0 / (1.0 - r2)
@@ -51,27 +53,42 @@ def variance_inflation_factors(X: np.ndarray) -> list[float]:
     return [variance_inflation_factor(X, j) for j in range(X.shape[1])]
 
 
-def max_state_vif(
-    X: np.ndarray, states: Sequence[int], num_states: int, column: int
-) -> float:
-    """max over states of the within-state VIF of one variable.
+def _state_blocks(
+    X: np.ndarray, states: Sequence[int], num_states: int
+) -> list[np.ndarray]:
+    """Rows of X per state, for the states that can fit an auxiliary regression."""
+    states_arr = np.asarray(states)
+    if states_arr.shape[0] != X.shape[0]:
+        raise ValueError("states must have one entry per observation")
+    blocks = (X[states_arr == s] for s in range(num_states))
+    return [sub for sub in blocks if sub.shape[0] > sub.shape[1] + 1]
+
+
+def _worst_vif(blocks: list[np.ndarray], column: int) -> float:
+    return max([1.0] + [variance_inflation_factor(sub, column) for sub in blocks])
+
+
+def max_state_vifs(
+    X: np.ndarray, states: Sequence[int], num_states: int
+) -> list[float]:
+    """max over states of the within-state VIF, for every variable.
 
     This is the paper's screen: a variable collinear with the others *in
     any state* is excluded.  States with too few observations to fit the
     auxiliary regression contribute 1.0 (no evidence of collinearity).
+    Each state's rows are sliced out once for all columns.
     """
     X = as_design_matrix(X)
-    states_arr = np.asarray(states)
-    if states_arr.shape[0] != X.shape[0]:
-        raise ValueError("states must have one entry per observation")
-    worst = 1.0
-    for s in range(num_states):
-        mask = states_arr == s
-        sub = X[mask]
-        if sub.shape[0] <= sub.shape[1] + 1:
-            continue
-        worst = max(worst, variance_inflation_factor(sub, column))
-    return worst
+    blocks = _state_blocks(X, states, num_states)
+    return [_worst_vif(blocks, j) for j in range(X.shape[1])]
+
+
+def max_state_vif(
+    X: np.ndarray, states: Sequence[int], num_states: int, column: int
+) -> float:
+    """:func:`max_state_vifs` for one variable."""
+    X = as_design_matrix(X)
+    return _worst_vif(_state_blocks(X, states, num_states), column)
 
 
 def collinear_columns(
@@ -81,9 +98,5 @@ def collinear_columns(
     limit: float = DEFAULT_VIF_LIMIT,
 ) -> list[int]:
     """Indices of columns whose max-over-states VIF exceeds *limit*."""
-    X = as_design_matrix(X)
-    return [
-        j
-        for j in range(X.shape[1])
-        if max_state_vif(X, states, num_states, j) > limit
-    ]
+    vifs = max_state_vifs(X, states, num_states)
+    return [j for j, vif in enumerate(vifs) if vif > limit]

@@ -45,22 +45,45 @@ def prediction_interval(
     confidence:
         Two-sided coverage level in (0, 1).
     """
+    return interval_from_covariance(
+        result.coefficients,
+        _covariance(result),
+        result.standard_error,
+        result.degrees_of_freedom,
+        rows,
+        confidence,
+    )
+
+
+def interval_from_covariance(
+    coefficients: np.ndarray,
+    covariance: np.ndarray,
+    standard_error: float,
+    degrees_of_freedom: int,
+    rows: np.ndarray,
+    confidence: float = 0.95,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`prediction_interval` from the stored parts of a fit.
+
+    A shipped cost model keeps the coefficients, their covariance, the
+    SEE and the sample size, not the training fit.
+    """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
     X = as_design_matrix(rows)
-    cov = _covariance(result)
-    if X.shape[1] != cov.shape[0]:
+    if X.shape[1] != covariance.shape[0]:
         raise ValueError(
-            f"rows have {X.shape[1]} columns, model has {cov.shape[0]} parameters"
+            f"rows have {X.shape[1]} columns, model has {covariance.shape[0]} parameters"
         )
-    df = result.degrees_of_freedom
-    if df <= 0:
+    if degrees_of_freedom <= 0:
         raise ValueError("no degrees of freedom for intervals")
-    point = X @ result.coefficients
-    s2 = result.standard_error**2
+    point = X @ coefficients
+    s2 = standard_error**2
     # Var(new y - prediction) = s^2 + x' Cov(beta) x.
-    var = s2 + np.einsum("ij,jk,ik->i", X, cov, X)
-    margin = stats.t.ppf(0.5 + confidence / 2.0, df) * np.sqrt(np.maximum(var, 0.0))
+    var = s2 + np.einsum("ij,jk,ik->i", X, covariance, X)
+    margin = stats.t.ppf(0.5 + confidence / 2.0, degrees_of_freedom) * np.sqrt(
+        np.maximum(var, 0.0)
+    )
     return point, point - margin, point + margin
 
 

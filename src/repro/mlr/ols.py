@@ -4,14 +4,20 @@ The paper validates cost models with the coefficient of (total/multiple)
 determination R², the standard error of estimation (its eq. (3)), and
 the overall F-test at significance level alpha = 0.01.  All three are
 computed here, along with per-coefficient standard errors and t tests
-(used by the merging adjustment's relative-error comparison and by
+(used by the probing-cost estimator's significance screen and by
 diagnostics).
+
+Deriving one cost model solves dozens of regressions (IUPMA/ICMA
+candidates, merge refits, selection steps, VIF auxiliaries) and ships
+one.  :func:`fit_ols` therefore computes what those loops compare; the
+p-values and coefficient covariance are evaluated when first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy import stats
@@ -24,9 +30,26 @@ from .linalg import (
 )
 
 
+class _Inference(NamedTuple):
+    """The significance tests and coefficient inference of one fit."""
+
+    f_pvalue: Optional[float]
+    coef_covariance: Optional[np.ndarray]
+    coef_std_errors: np.ndarray
+    t_statistics: np.ndarray
+    t_pvalues: np.ndarray
+
+
 @dataclass
 class OLSResult:
-    """A fitted least-squares model plus its goodness-of-fit statistics."""
+    """A fitted least-squares model plus its goodness-of-fit statistics.
+
+    :func:`fit_ols` computes the solve — everything the determination and
+    selection loops compare.  The significance tests and coefficient
+    inference (``f_pvalue``, ``coef_covariance``, ``coef_std_errors``,
+    ``t_statistics``, ``t_pvalues``) are evaluated together from the kept
+    design matrix on first read of any of them, then cached.
+    """
 
     coefficients: np.ndarray
     term_names: tuple[str, ...]
@@ -34,6 +57,8 @@ class OLSResult:
     residuals: np.ndarray
     n_observations: int
     n_parameters: int
+    #: Error sum of squares.
+    sse: float
     #: Coefficient of total determination R².
     r_squared: float
     #: Adjusted R² (penalizes parameter count).
@@ -42,23 +67,42 @@ class OLSResult:
     standard_error: float
     #: Overall F statistic (None when degenerate, e.g. saturated fit).
     f_statistic: Optional[float]
-    f_pvalue: Optional[float]
-    #: Per-coefficient standard errors (NaN when df <= 0).
-    coef_std_errors: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
-    t_statistics: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
-    t_pvalues: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
-    #: Coefficient covariance matrix s^2 (X'X)^-1 (None when df <= 0),
-    #: used for prediction intervals and leverage diagnostics.
-    coef_covariance: np.ndarray | None = field(repr=False, default=None)
+    #: The fitted design matrix (a reference, not a copy) and whether its
+    #: column span includes the constant — what the inference needs.
+    design: np.ndarray = field(repr=False)
+    has_intercept: bool
 
     @property
     def degrees_of_freedom(self) -> int:
         return self.n_observations - self.n_parameters
 
+    @cached_property
+    def _inference(self) -> _Inference:
+        return _infer(self)
+
     @property
-    def sse(self) -> float:
-        """Error sum of squares."""
-        return float(np.sum(self.residuals**2))
+    def f_pvalue(self) -> Optional[float]:
+        """p-value of the overall F test (None when ``f_statistic`` is)."""
+        return self._inference.f_pvalue
+
+    @property
+    def coef_covariance(self) -> Optional[np.ndarray]:
+        """Coefficient covariance matrix s^2 (X'X)^-1 (None when df <= 0),
+        used for prediction intervals and leverage diagnostics."""
+        return self._inference.coef_covariance
+
+    @property
+    def coef_std_errors(self) -> np.ndarray:
+        """Per-coefficient standard errors (NaN when df <= 0)."""
+        return self._inference.coef_std_errors
+
+    @property
+    def t_statistics(self) -> np.ndarray:
+        return self._inference.t_statistics
+
+    @property
+    def t_pvalues(self) -> np.ndarray:
+        return self._inference.t_pvalues
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predict responses for new design-matrix rows."""
@@ -164,16 +208,42 @@ def fit_ols(
         adjusted = r_squared
 
     f_statistic: Optional[float] = None
-    f_pvalue: Optional[float] = None
     if df_model > 0 and df_error > 0 and mse > 0:
         ssr = sst - sse
         f_statistic = max(0.0, (ssr / df_model) / mse)
-        f_pvalue = float(stats.f.sf(f_statistic, df_model, df_error))
 
-    # Coefficient inference.
+    return OLSResult(
+        coefficients=beta,
+        term_names=term_names,
+        fitted=fitted,
+        residuals=residuals,
+        n_observations=n,
+        n_parameters=p,
+        sse=sse,
+        r_squared=r_squared,
+        adjusted_r_squared=adjusted,
+        standard_error=see,
+        f_statistic=f_statistic,
+        design=X,
+        has_intercept=has_intercept,
+    )
+
+
+def _infer(result: OLSResult) -> _Inference:
+    """F-test p-value and coefficient inference of a solved fit."""
+    beta = result.coefficients
+    p = result.n_parameters
+    df_error = result.degrees_of_freedom
+    df_model = p - 1 if result.has_intercept else p
+    mse = result.sse / df_error if df_error > 0 else 0.0
+
+    f_pvalue: Optional[float] = None
+    if result.f_statistic is not None:
+        f_pvalue = float(stats.f.sf(result.f_statistic, df_model, df_error))
+
     cov = None
     if df_error > 0 and mse > 0:
-        cov = mse * xtx_inverse(X)
+        cov = mse * xtx_inverse(result.design)
         variances = np.clip(np.diag(cov), 0.0, None)
         std_errors = np.sqrt(variances)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -183,21 +253,4 @@ def fit_ols(
         std_errors = np.full(p, np.nan)
         t_stats = np.full(p, np.nan)
         t_pvals = np.full(p, np.nan)
-
-    return OLSResult(
-        coefficients=beta,
-        term_names=term_names,
-        fitted=fitted,
-        residuals=residuals,
-        n_observations=n,
-        n_parameters=p,
-        r_squared=r_squared,
-        adjusted_r_squared=adjusted,
-        standard_error=see,
-        f_statistic=f_statistic,
-        f_pvalue=f_pvalue,
-        coef_std_errors=std_errors,
-        t_statistics=t_stats,
-        t_pvalues=t_pvals,
-        coef_covariance=cov,
-    )
+    return _Inference(f_pvalue, cov, std_errors, t_stats, t_pvals)

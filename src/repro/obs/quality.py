@@ -56,25 +56,8 @@ VERY_GOOD_RELATIVE_ERROR = 0.30
 #: "Good" (§5): within one time larger or smaller (a factor of 2).
 GOOD_FACTOR = 2.0
 
-
-def _relative_error(predicted: float, actual: float) -> float:
-    if actual == 0.0:
-        return float("inf") if predicted != 0.0 else 0.0
-    return abs(predicted - actual) / abs(actual)
-
-
-def _signed_relative_error(predicted: float, actual: float) -> float:
-    if actual == 0.0:
-        return 0.0 if predicted == 0.0 else float("inf")
-    return (predicted - actual) / abs(actual)
-
-
-def _within_factor(predicted: float, actual: float, factor: float) -> bool:
-    if actual <= 0.0:
-        return predicted == actual
-    if predicted <= 0.0:
-        return False
-    return max(predicted / actual, actual / predicted) <= factor
+_INF = float("inf")
+_new_tuple = tuple.__new__
 
 
 #: A window's state key: the paper's contention-state ordinal, or a
@@ -120,15 +103,31 @@ class AccuracySample(NamedTuple):
 
     @classmethod
     def make(cls, predicted: float, actual: float, at_time: float) -> "AccuracySample":
-        rel = _relative_error(predicted, actual)
-        return cls(
-            float(predicted),
-            float(actual),
-            float(at_time),
-            rel,
-            _signed_relative_error(predicted, actual),
-            rel <= VERY_GOOD_RELATIVE_ERROR,
-            _within_factor(predicted, actual, GOOD_FACTOR),
+        # §5 error terms and bands in one straight-line pass — one sample
+        # is built per recorded plan step (tests/obs/test_overhead);
+        # tests/obs/test_quality pins every field to core.validation.
+        predicted = float(predicted)
+        actual = float(actual)
+        if actual == 0.0:
+            rel = signed = _INF if predicted != 0.0 else 0.0
+        else:
+            diff = predicted - actual
+            magnitude = abs(actual)
+            rel = abs(diff) / magnitude
+            signed = diff / magnitude
+        if actual <= 0.0:
+            good = predicted == actual
+        elif predicted <= 0.0:
+            good = False
+        else:
+            good = (
+                predicted / actual <= GOOD_FACTOR
+                and actual / predicted <= GOOD_FACTOR
+            )
+        return _new_tuple(
+            cls,
+            (predicted, actual, float(at_time), rel, signed,
+             rel <= VERY_GOOD_RELATIVE_ERROR, good),
         )
 
 
@@ -196,8 +195,8 @@ class AccuracyWindow:
         """Append an already-classified sample (shared across windows).
 
         The serving path calls this for every recorded plan step, so the
-        eviction arithmetic is inlined rather than routed via
-        :meth:`_apply` (tests/obs/test_overhead budgets this path).
+        eviction arithmetic is inlined (tests/obs/test_overhead budgets
+        this path).
         """
         self._samples.append(sample)
         self._n_very_good += sample.very_good
@@ -207,15 +206,13 @@ class AccuracyWindow:
         self._sum_predicted += sample.predicted
         self._sum_actual += sample.actual
         if len(self._samples) > self.window_size:
-            self._apply(self._samples.popleft(), -1)
-
-    def _apply(self, sample: AccuracySample, sign: int) -> None:
-        self._n_very_good += sign * sample.very_good
-        self._n_good += sign * sample.good
-        self._sum_rel += sign * sample.relative_error
-        self._sum_signed += sign * sample.signed_error
-        self._sum_predicted += sign * sample.predicted
-        self._sum_actual += sign * sample.actual
+            evicted = self._samples.popleft()
+            self._n_very_good -= evicted.very_good
+            self._n_good -= evicted.good
+            self._sum_rel -= evicted.relative_error
+            self._sum_signed -= evicted.signed_error
+            self._sum_predicted -= evicted.predicted
+            self._sum_actual -= evicted.actual
 
     def stats(self) -> WindowStats:
         n = len(self._samples)

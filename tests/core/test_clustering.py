@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.clustering import (
     Cluster,
+    Dendrogram,
     agglomerate,
     cluster_extents,
     merge_small_clusters,
@@ -133,3 +134,58 @@ def test_property_merge_small_respects_floor_or_collapses(values, k, floor):
     assert sum(c.count for c in clusters) == len(values)
     if len(clusters) > 1:
         assert all(c.count >= floor for c in clusters)
+
+
+def restart_agglomerate(values, num_clusters):
+    """The textbook loop ``agglomerate`` shipped as: restart from the
+    singletons for every cluster count, rescan every gap for every merge.
+    Kept as the reference the one-tree cut is pinned to."""
+    clusters = [Cluster(1, v, v, v) for v in sorted(float(v) for v in values)]
+    while len(clusters) > num_clusters:
+        best_idx = 0
+        best_gap = clusters[1].centroid - clusters[0].centroid
+        for i in range(1, len(clusters) - 1):
+            gap = clusters[i + 1].centroid - clusters[i].centroid
+            if gap < best_gap:
+                best_gap = gap
+                best_idx = i
+        merged = clusters[best_idx].merged_with(clusters[best_idx + 1])
+        clusters[best_idx : best_idx + 2] = [merged]
+    return clusters
+
+
+#: Few distinct values on a coarse grid: duplicates and tied gaps galore.
+GRID_SAMPLES = st.lists(st.integers(0, 12), min_size=1, max_size=40).map(
+    lambda ks: [k * 0.25 for k in ks]
+)
+SAMPLES = st.one_of(
+    GRID_SAMPLES,
+    st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=60),
+)
+
+
+class TestDendrogramCuts:
+    @settings(max_examples=120, deadline=None)
+    @given(values=SAMPLES)
+    def test_every_cut_is_the_restart_from_singletons_result(self, values):
+        """Same clusters — counts, float totals, extents — at every m."""
+        tree = Dendrogram(values)
+        assert len(tree) == len(values)
+        for m in range(1, len(values) + 2):
+            expected = restart_agglomerate(values, m)
+            assert tree.cut(m) == expected
+            assert agglomerate(values, m) == expected
+
+    def test_tied_gaps_merge_leftmost_first(self):
+        tree = Dendrogram([0.0, 1.0, 2.0, 3.0])
+        assert [c.extent for c in tree.cut(3)] == [(0.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
+
+    def test_cuts_do_not_disturb_the_tree(self):
+        values = [5.0, 1.0, 1.0, 9.0, 2.5, 2.5, 7.0]
+        tree = Dendrogram(values)
+        first = [tree.cut(m) for m in (3, 1, 7, 2)]
+        assert [tree.cut(m) for m in (3, 1, 7, 2)] == first
+
+    def test_invalid_cut_rejected(self):
+        with pytest.raises(ValueError):
+            Dendrogram([1.0, 2.0]).cut(0)

@@ -113,6 +113,34 @@ def test_property_tree_matches_sorted_reference(keys, order):
         assert got == want
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    keys=st.lists(st.integers(0, 40), min_size=0, max_size=200),
+    order=st.integers(3, 8),
+    low=st.none() | st.integers(-2, 42),
+    high=st.none() | st.integers(-2, 42),
+    low_inclusive=st.booleans(),
+    high_inclusive=st.booleans(),
+)
+def test_property_range_search_is_the_item_stream(
+    keys, order, low, high, low_inclusive, high_inclusive
+):
+    """The leaf-at-a-time ``range_search`` returns exactly the row ids
+    ``range_items`` yields — open, exclusive, inverted and empty
+    intervals, duplicates, bounds on leaf edges."""
+    tree = BPlusTree(order=order)
+    for rid, key in enumerate(keys):
+        tree.insert(key, rid)
+    bounds = (low, high, low_inclusive, high_inclusive)
+    assert tree.range_search(*bounds) == [rid for _, rid in tree.range_items(*bounds)]
+    assert tree.range_search(*bounds) == [
+        rid
+        for key, rid in tree.items()
+        if (low is None or key > low or (low_inclusive and key == low))
+        and (high is None or key < high or (high_inclusive and key == high))
+    ]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(0, 50), min_size=1, max_size=200))
 def test_property_point_lookup(keys):

@@ -96,3 +96,26 @@ class TestTempTables:
         assert table.schema.column("x").dtype.value == "int"
         assert table.schema.column("s").dtype.value == "str"
         agent.drop_temp_table("_tmp")
+
+    def test_create_join_drop_cycle_never_sees_a_stale_table(self, agent):
+        """The shipped-intermediate cycle under one reused name: every
+        round's join must read that round's rows, schema and (absent)
+        indexes, whatever the previous round left behind."""
+        database = agent.database
+        for round_, width in enumerate((3, 5, 2)):
+            rows = [(k, k + round_) for k in range(width)]
+            columns = ("k", f"v{round_}")
+            agent.create_temp_table("_ship", columns, (8, 8), rows)
+            if round_ == 1:
+                database.create_index("_ship_k", "_ship", "k")
+            expected = 0 if round_ != 1 else 1
+            assert len(database.catalog.indexes_for("_ship")) == expected
+            result = agent.execute(
+                f"select _ship.{columns[1]}, t1.a from _ship join t1 on _ship.k = t1.b"
+            )
+            keys = [row[1] for row in database.catalog.table("t1").rows()]
+            assert result.cardinality == sum(keys.count(k) for k in range(width))
+            assert result.result.column_names[0].endswith(columns[1])
+            agent.drop_temp_table("_ship")
+            assert database.catalog.indexes_for("_ship") == []
+            assert "_ship" not in database.catalog.schemas

@@ -40,6 +40,22 @@ class TestAccuracySample:
             assert sample.very_good == validation.is_very_good(predicted, actual)
             assert sample.good == validation.is_good(predicted, actual)
 
+    def test_every_field_matches_offline_validator_on_edge_inputs(self):
+        values = [0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 1.3, 1e-300, 1e300,
+                  float("inf"), 3, 7]
+        for predicted in values:
+            for actual in values:
+                sample = AccuracySample.make(predicted, actual, at_time=2)
+                assert sample[:3] == (float(predicted), float(actual), 2.0)
+                assert all(type(v) is float for v in sample[:5])
+                rel = validation.relative_error(predicted, actual)
+                signed = rel if actual == 0.0 else (predicted - actual) / abs(actual)
+                # repr: inf/inf is nan on both sides, and nan != nan.
+                assert repr(sample.relative_error) == repr(rel)
+                assert repr(sample.signed_error) == repr(signed)
+                assert sample.very_good is validation.is_very_good(predicted, actual)
+                assert sample.good is validation.is_good(predicted, actual)
+
     def test_zero_actual(self):
         perfect = AccuracySample.make(0.0, 0.0, at_time=0.0)
         assert perfect.relative_error == 0.0 and perfect.good
