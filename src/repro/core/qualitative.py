@@ -173,6 +173,26 @@ def adjusted_coefficients(
 def design_row(
     values: Sequence[float], state: int, num_states: int, form: ModelForm
 ) -> np.ndarray:
-    """One design-matrix row for prediction at a known state."""
-    X = np.asarray(values, dtype=float).reshape(1, -1)
-    return build_design(X, [state], num_states, form)[0]
+    """One design-matrix row for prediction at a known state.
+
+    Equal, element for element, to ``build_design([values], [state],
+    num_states, form)[0]`` — the same ``x * 1.0`` / ``x * 0.0`` products
+    in :func:`term_names` order, so non-finite values and signed zeros
+    come out as they do there — without building a matrix for one row.
+    """
+    if num_states < 1:
+        raise ValueError("num_states must be at least 1")
+    state = int(state)
+    if not 0 <= state < num_states:
+        raise ValueError("state index out of range")
+    indicators = [1.0 if i == state else 0.0 for i in range(1, num_states)]
+    row = [1.0]
+    if form in (ModelForm.PARALLEL, ModelForm.GENERAL):
+        row += indicators
+    state_slopes = form in (ModelForm.CONCURRENT, ModelForm.GENERAL)
+    for value in values:
+        x = float(value)
+        row.append(x)
+        if state_slopes:
+            row.extend([x * z for z in indicators])
+    return np.array(row)

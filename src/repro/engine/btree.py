@@ -76,6 +76,15 @@ class BPlusTree:
         self._height = 1
         self._num_keys = 0
         self._num_entries = 0
+        self._frozen = False
+
+    def freeze(self) -> None:
+        """Make the tree read-only: a later :meth:`insert` raises.
+
+        An index freezes its tree once built, because forked catalogs
+        share built trees (see :meth:`repro.engine.index.Index.fork`).
+        """
+        self._frozen = True
 
     def _register(self, node: _Node) -> _Node:
         """Assign the next deterministic node id (creation order)."""
@@ -103,6 +112,8 @@ class BPlusTree:
 
     def insert(self, key: Any, row_id: int) -> None:
         """Insert one (key, row_id) entry; duplicate keys are appended."""
+        if self._frozen:
+            raise RuntimeError("insert into a frozen B+-tree")
         leaf, pos = self._find_leaf(key)
         keys = leaf.keys
         self._num_entries += 1

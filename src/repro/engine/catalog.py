@@ -47,6 +47,18 @@ class LocalCatalog:
         #: What the SQL parser resolves column names against.
         self.schemas: Mapping[str, TableSchema] = _SchemaView(self._tables)
 
+    def fork_into(self, target: "LocalCatalog") -> None:
+        """Add a fork of every table and index of this catalog to *target*.
+
+        *target* gets its own :class:`Table` and :class:`Index` objects
+        (see :meth:`Table.fork`, :meth:`Index.fork`), so whatever it does
+        to them afterwards is invisible here and to every other fork.
+        """
+        for table in self._tables.values():
+            target.add_table(table.fork())
+        for index in self._indexes.values():
+            target.add_index(index.fork(target.table(index.table.name)))
+
     # -- tables ---------------------------------------------------------
 
     def add_table(self, table: Table) -> None:

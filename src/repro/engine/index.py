@@ -13,8 +13,11 @@ An index is a B+-tree on one column.  Two kinds exist:
 
 from __future__ import annotations
 
+import copy
 import enum
 from typing import Any
+
+import numpy as np
 
 from .btree import BPlusTree
 from .errors import CatalogError
@@ -27,7 +30,15 @@ class IndexKind(enum.Enum):
 
 
 class Index:
-    """A single-column B+-tree index."""
+    """A single-column B+-tree index.
+
+    Immutable once constructed: the tree is built and frozen and the
+    clustering ratio measured in ``__init__``; nothing edits either
+    afterwards.  A table change is followed by
+    ``LocalDatabase._rebuild_indexes``, which constructs new ``Index``
+    objects — which is what lets :meth:`fork` share the built tree
+    between any number of catalogs.
+    """
 
     def __init__(
         self,
@@ -50,13 +61,25 @@ class Index:
         self.column_name = column_name
         self.kind = kind
         self._tree = BPlusTree(order=order)
-        self._clustering_ratio: float | None = None
         self._build()
+        self._clustering_ratio = self._measure_clustering_ratio()
 
     def _build(self) -> None:
         insert = self._tree.insert
         for row_id, key in enumerate(self.table.column_values(self.column_name)):
             insert(key, row_id)
+        self._tree.freeze()
+
+    def fork(self, table: Table) -> "Index":
+        """This index over *table*, a fork of the table it was built on.
+
+        The fork's ``table`` is *table*; the frozen B+-tree (node ids and
+        all) and the measured clustering ratio are shared, since equal
+        rows in equal physical order index identically.
+        """
+        fork = copy.copy(self)
+        fork.table = table
+        return fork
 
     # -- lookups ------------------------------------------------------------
 
@@ -94,25 +117,20 @@ class Index:
         """Fraction of index-order-adjacent row pairs that share a page.
 
         1.0 for a freshly clustered index; near 0 for an index over a
-        randomly ordered heap with many pages.  Computed once per build
-        (the index is rebuilt whenever the table changes).
+        randomly ordered heap with many pages.  Measured once, when the
+        index is built (the index is rebuilt whenever the table changes).
         """
+        return self._clustering_ratio
+
+    def _measure_clustering_ratio(self) -> float:
         if self.kind is IndexKind.CLUSTERED:
             return 1.0
-        if self._clustering_ratio is not None:
-            return self._clustering_ratio
-        rows_per_page = self.table.layout.rows_per_page(self.table.tuple_length)
-        ids = [rid for _, rid in self._tree.items()]
+        ids = self._tree.range_search()
         if len(ids) < 2:
-            self._clustering_ratio = 1.0
             return 1.0
-        same_page = sum(
-            1
-            for a, b in zip(ids, ids[1:])
-            if a // rows_per_page == b // rows_per_page
-        )
-        self._clustering_ratio = same_page / (len(ids) - 1)
-        return self._clustering_ratio
+        rows_per_page = self.table.layout.rows_per_page(self.table.tuple_length)
+        pages = np.array(ids) // rows_per_page
+        return int(np.count_nonzero(pages[1:] == pages[:-1])) / (len(ids) - 1)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

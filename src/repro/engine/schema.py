@@ -9,7 +9,7 @@ single source of truth for tuple length.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Any, Iterable, Sequence
 
@@ -207,6 +207,13 @@ class TableStatistics:
 
     cardinality: int = 0
     columns: dict[str, ColumnStatistics] = field(default_factory=dict)
+
+    def copy(self) -> "TableStatistics":
+        """Independent statistics objects over the same (immutable) values."""
+        return TableStatistics(
+            self.cardinality,
+            {name: replace(stats) for name, stats in self.columns.items()},
+        )
 
     def column(self, name: str) -> ColumnStatistics:
         """Statistics for *name*, or empty statistics if never analyzed."""

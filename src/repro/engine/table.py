@@ -79,6 +79,21 @@ class Table:
         """The full row sequence (read-only by convention)."""
         return self._rows
 
+    def fork(self) -> "Table":
+        """A table with the same contents that shares nothing mutable.
+
+        The fork owns its row *list*, its statistics and its (empty,
+        lazily rebuilt) column arrays and histograms; it shares the
+        schema, the layout and the row tuples, all immutable.  Every
+        mutator rebinds or edits only what the fork owns, so neither
+        side can observe the other's inserts, loads or re-clustering.
+        """
+        fork = Table(self.schema, self.layout)
+        fork._rows = list(self._rows)
+        fork._stats = None if self._stats is None else self._stats.copy()
+        fork.clustered_on = self.clustered_on
+        return fork
+
     # -- mutation -------------------------------------------------------------
 
     def _invalidate_caches(self) -> None:

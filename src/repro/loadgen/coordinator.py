@@ -22,6 +22,7 @@ The coordinator owns the three phases of a run:
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -33,7 +34,13 @@ from ..experiments.runner import hermetic_worker_obs
 from ..workload.scenarios import SCENARIO_KINDS
 from .faults import FaultSchedule, named_fault_plan
 from .report import aggregate_reports, deterministic_json, percentile
-from .worker import ShardReport, ShardTask, run_shard, train_model_payloads
+from .worker import (
+    ShardReport,
+    ShardTask,
+    make_universe,
+    run_shard,
+    train_model_payloads,
+)
 
 #: Default simulated seconds between served rounds (matches the
 #: drift-detection experiment's cadence).
@@ -109,6 +116,13 @@ class LoadGenConfig:
         ]
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def default_loadgen_config(
     experiment: ExperimentConfig,
     fault_plan: str = "mixed",
@@ -133,9 +147,14 @@ class LoadGenReport:
     """Everything one coordinator run produced."""
 
     config: LoadGenConfig
+    #: Parallelism asked for; ``pool_size`` is what the machine allowed.
     workers: int
     shard_reports: list[ShardReport]
     wall_seconds: float = 0.0
+    #: CPUs the coordinator's process could run on.
+    cpu_count: int = 1
+    #: Processes that actually ran shards (1 = in the coordinator's own).
+    pool_size: int = 1
 
     def aggregate(self) -> dict:
         """The deterministic cross-shard payload (worker-count invariant)."""
@@ -186,6 +205,8 @@ class LoadGenReport:
         requests = sum(r.requests for r in self.shard_reports)
         return {
             "workers": self.workers,
+            "cpu_count": self.cpu_count,
+            "pool_size": self.pool_size,
             "wall_seconds": self.wall_seconds,
             "qps": requests / self.wall_seconds if self.wall_seconds else 0.0,
             "latency_wall_seconds": {
@@ -231,20 +252,30 @@ class Coordinator:
         return self.payloads[strategies[0]]
 
     def run(self, workers: int = 1) -> LoadGenReport:
-        """Execute every shard with *workers* processes and merge."""
+        """Execute every shard with up to *workers* processes and merge.
+
+        The pool never outgrows the CPUs the process may run on: extra
+        workers there only take turns (the shards are CPU-bound).
+        """
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.train()
         tasks = self.config.tasks()
+        cpus = available_cpus()
+        pool_size = min(workers, len(tasks), cpus)
         started = time.perf_counter()
-        if workers == 1 or len(tasks) == 1:
+        if pool_size == 1:
             reports = [
                 run_shard(task, self.payloads[task.strategy]) for task in tasks
             ]
         else:
+            # Build the universe's templates here, before the pool forks:
+            # workers started by fork() inherit them (spawned ones build
+            # once, on their first shard).
+            make_universe(self.config.experiment)
             by_index: dict[int, ShardReport] = {}
             with ProcessPoolExecutor(
-                max_workers=min(workers, len(tasks)),
+                max_workers=pool_size,
                 initializer=hermetic_worker_obs,
             ) as pool:
                 futures = {
@@ -261,4 +292,6 @@ class Coordinator:
             workers=workers,
             shard_reports=reports,
             wall_seconds=time.perf_counter() - started,
+            cpu_count=cpus,
+            pool_size=pool_size,
         )

@@ -2,12 +2,13 @@
 
 A **shard** is the unit of determinism.  Given its :class:`ShardTask`
 and the coordinator's trained-model payload, :func:`run_shard` is a pure
-function: it builds a fresh two-site universe from seeds derived only
-from (config seed, shard index), imports the models through the registry
-payload, and serves a scripted timeline of global joins through its own
-single-worker serving front end — so the report it returns is
-byte-identical whether the shard runs in the coordinator's process, in a
-pool worker, or alone in a test.
+function: it makes its own two-site universe from seeds derived only
+from the config seed (the databases are forks of the process's site
+templates, see :func:`repro.workload.tablegen.populate_database`),
+imports the models through the registry payload, and serves a scripted
+timeline of global joins through its own single-worker serving front
+end — so the report it returns is byte-identical whether the shard runs
+in the coordinator's process, in a pool worker, or alone in a test.
 
 Per round the shard:
 
@@ -228,7 +229,8 @@ def make_universe(config: ExperimentConfig) -> tuple[Site, Site]:
 
     Seeded from :func:`universe_seed` only, so the coordinator (which
     trains on one copy) and every shard (which serves on its own copy)
-    hold byte-identical databases and generators.
+    hold byte-identical databases and generators.  The first call in a
+    process builds the two site templates; every later one forks them.
     """
     useed = universe_seed(config)
     return make_two_site_universe(

@@ -12,15 +12,26 @@ give a spread of distinct counts (hence selectivities), a non-clustered
 index on ``a1``, and a clustered index on ``a2`` for every third table.
 A ``scale`` knob shrinks cardinalities proportionally so tests and
 benchmarks stay fast; experiments record the scale they used.
+
+The paper's testbed held its local databases fixed and varied only the
+load.  Likewise here: a populated catalog is a pure function of its
+:class:`WorkloadSpec` and page layout, so a process builds it once (a
+*template*) and :func:`populate_database` hands every database its own
+*fork* — see DESIGN.md, "Site templates and forks".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
+from ..engine.catalog import LocalCatalog
 from ..engine.database import LocalDatabase
+from ..engine.pages import PageLayout
 from ..engine.profiles import DBMSProfile, ORACLE_LIKE
 from ..engine.schema import Column
 from ..engine.types import DataType
@@ -66,16 +77,22 @@ class TableSpec:
 
     name: str
     cardinality: int
-    #: Column name -> exclusive upper bound on its uniform values.
-    ranges: dict[str, int] = field(default_factory=dict)
+    #: Column name -> exclusive upper bound on its uniform values.  Pass
+    #: any mapping; it is kept as a sorted tuple of items, so the spec is
+    #: immutable all the way down and hashes by value.
+    ranges: Mapping[str, int] | tuple[tuple[str, int], ...] = ()
     nonclustered_index_on: str | None = "a1"
     clustered_index_on: str | None = None
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ranges", tuple(sorted(dict(self.ranges).items())))
+
     def resolved_ranges(self) -> dict[str, int]:
+        overrides = dict(self.ranges)
         out = {}
         for col, rng in COLUMN_RANGES.items():
-            if col in self.ranges:
-                out[col] = self.ranges[col]
+            if col in overrides:
+                out[col] = overrides[col]
             elif rng is None:
                 out[col] = max(1_000, self.cardinality)
             else:
@@ -139,29 +156,75 @@ def generate_rows(spec: TableSpec, rng: np.random.Generator) -> list[tuple]:
     return list(zip(*columns))
 
 
-def populate_database(
-    database: LocalDatabase, workload: WorkloadSpec
-) -> LocalDatabase:
-    """Create and load every table (plus indexes) of *workload*."""
+#: Most templates a process keeps; the least recently used goes first.
+#: A template costs one catalog's rows, statistics and B+-trees, a fork
+#: one more pointer list per table (see DESIGN.md, "Site templates and
+#: forks").
+TEMPLATE_STORE_SIZE = 8
+
+_templates: OrderedDict[tuple[WorkloadSpec, PageLayout], LocalCatalog] = OrderedDict()
+_templates_lock = threading.Lock()
+
+
+def _build_template(workload: WorkloadSpec, layout: PageLayout) -> LocalCatalog:
+    """Generate, load, cluster, index and analyze every table of *workload*.
+
+    The populated catalog is a pure function of the spec and the page
+    layout (which decides the measured clustering ratios): one seeded
+    generator, a fixed table order, deterministic tree builds.
+    """
+    scratch = LocalDatabase("template", layout=layout)
     rng = np.random.default_rng(workload.seed)
     columns = [Column(name, DataType.INT) for name in COLUMN_NAMES]
     for spec in workload.tables:
-        database.create_table(spec.name, columns, generate_rows(spec, rng))
+        scratch.create_table(spec.name, columns, generate_rows(spec, rng))
         if spec.clustered_index_on:
-            database.create_index(
+            scratch.create_index(
                 f"{spec.name}_c_{spec.clustered_index_on}",
                 spec.name,
                 spec.clustered_index_on,
                 clustered=True,
             )
         if spec.nonclustered_index_on:
-            database.create_index(
+            scratch.create_index(
                 f"{spec.name}_nc_{spec.nonclustered_index_on}",
                 spec.name,
                 spec.nonclustered_index_on,
                 clustered=False,
             )
-    database.analyze()
+    scratch.analyze()
+    return scratch.catalog
+
+
+def _template_for(workload: WorkloadSpec, layout: PageLayout) -> LocalCatalog:
+    """The process's one populated catalog for (*workload*, *layout*).
+
+    Never handed out: callers fork it.  Built under the lock, so racing
+    threads wait for one build instead of each making their own.
+    """
+    key = (workload, layout)
+    with _templates_lock:
+        template = _templates.get(key)
+        if template is None:
+            template = _templates[key] = _build_template(workload, layout)
+            while len(_templates) > TEMPLATE_STORE_SIZE:
+                _templates.popitem(last=False)
+        else:
+            _templates.move_to_end(key)
+        return template
+
+
+def populate_database(
+    database: LocalDatabase, workload: WorkloadSpec
+) -> LocalDatabase:
+    """Add every table (plus indexes, analyzed) of *workload* to *database*.
+
+    The tables are a fork of the process-wide template for the spec —
+    the first request builds it — so identically specified databases
+    share their row tuples and built B+-trees yet stay fully
+    independent under every mutation (see :meth:`LocalCatalog.fork_into`).
+    """
+    _template_for(workload, database.layout).fork_into(database.catalog)
     return database
 
 

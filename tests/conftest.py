@@ -6,13 +6,24 @@ models) are session-scoped: many tests read them, none mutate them.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
 from repro.core import CostModelBuilder, G1
 from repro.engine import Column, DataType, LocalDatabase, Table, TableSchema
 from repro.env import dynamic_uniform_environment
-from repro.workload import make_site, small_workload
+from repro.workload import make_site, small_workload, tablegen
+
+
+@pytest.fixture
+def template_store(monkeypatch):
+    """An empty site-template store for one test; the session's own
+    (and its warm templates) comes back afterwards."""
+    store = OrderedDict()
+    monkeypatch.setattr(tablegen, "_templates", store)
+    return store
 
 
 @pytest.fixture

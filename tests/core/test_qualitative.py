@@ -1,5 +1,7 @@
 """Unit and property tests for indicator encoding and the Table-2 forms."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,3 +155,33 @@ class TestDesignRow:
         D = build_design(X, [0, 1], 2, ModelForm.GENERAL)
         row = design_row([3.0, 4.0], 1, 2, ModelForm.GENERAL)
         assert row == pytest.approx(D[1])
+
+    @pytest.mark.parametrize("form", list(ModelForm))
+    @pytest.mark.parametrize("m", range(1, 6))
+    @pytest.mark.parametrize("n", range(0, 5))
+    def test_equals_the_design_matrix_row_exactly(self, form, m, n):
+        """The direct row is bit-for-bit ``build_design(...)[0]`` — same
+        products, so inf * 0 is nan and -x * 0 is -0.0 in both."""
+        pool = [-3.5, 0.0, -0.0, 7.0, 1e308, -1e308, 5e-324, np.inf, -np.inf, np.nan]
+        rng = np.random.default_rng(1000 * n + m)
+        for state, _ in itertools.product(range(m), range(4)):
+            values = [pool[i] for i in rng.integers(0, len(pool), n)]
+            with np.errstate(all="ignore"):
+                expected = build_design(
+                    np.asarray(values, dtype=float).reshape(1, -1), [state], m, form
+                )[0]
+                row = design_row(values, state, m, form)
+                beta = rng.normal(0, 1, len(row))
+                dot, reference = row @ beta, expected @ beta
+            assert row.dtype == expected.dtype and row.shape == expected.shape
+            assert len(row) == len(term_names([f"x{j}" for j in range(n)], m, form))
+            assert np.array_equal(row, expected, equal_nan=True)
+            assert np.array_equal(np.signbit(row), np.signbit(expected))
+            assert dot == reference or (np.isnan(dot) and np.isnan(reference))
+
+    def test_rejects_what_the_matrix_path_rejects(self):
+        for state, m in [(-1, 3), (3, 3), (1, 1)]:
+            with pytest.raises(ValueError, match="state index out of range"):
+                design_row([1.0], state, m, ModelForm.GENERAL)
+        with pytest.raises(ValueError, match="num_states must be at least 1"):
+            design_row([1.0], 0, 0, ModelForm.GENERAL)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.config import tiny
+from repro.loadgen import coordinator as coordinator_module
 from repro.loadgen import (
     Coordinator,
     FaultEvent,
@@ -100,6 +101,9 @@ class TestCoordinator:
         serial = coordinator.run(workers=1)
         pooled = coordinator.run(workers=2)
         assert serial.deterministic_payload() == pooled.deterministic_payload()
+        assert (serial.workers, serial.pool_size) == (1, 1)
+        assert pooled.workers == 2
+        assert pooled.pool_size == min(2, coordinator_module.available_cpus())
 
         aggregate = serial.aggregate()
         expected = config.shards * config.rounds * config.queries_per_round
@@ -119,10 +123,34 @@ class TestCoordinator:
         report = Coordinator(config, payload=trained_payload).run(workers=1)
         stats = report.wall_stats()
         assert stats["workers"] == 1
+        assert stats["pool_size"] == 1
+        assert stats["cpu_count"] == coordinator_module.available_cpus() >= 1
         assert stats["wall_seconds"] > 0
         assert stats["qps"] > 0
         assert stats["latency_wall_seconds"]["count"] == config.shards * 9
         assert "wall_seconds" not in report.deterministic_payload()
+        assert "pool_size" not in report.deterministic_payload()
+        assert "cpu_count" not in report.deterministic_payload()
+
+    @pytest.mark.slow
+    def test_pool_never_outgrows_the_cpus(
+        self, micro_config, trained_payload, monkeypatch
+    ):
+        """Eight workers asked for on a one-CPU box: no pool at all, the
+        request still on record, the simulated side untouched."""
+        config = micro_loadgen(micro_config, shards=2, rounds=3, faults=FaultSchedule())
+        coordinator = Coordinator(config, payload=trained_payload)
+        serial = coordinator.run(workers=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool on a one-CPU machine")
+
+        monkeypatch.setattr(coordinator_module, "available_cpus", lambda: 1)
+        monkeypatch.setattr(coordinator_module, "ProcessPoolExecutor", no_pool)
+        capped = coordinator.run(workers=8)
+        stats = capped.wall_stats()
+        assert (stats["workers"], stats["cpu_count"], stats["pool_size"]) == (8, 1, 1)
+        assert capped.deterministic_payload() == serial.deterministic_payload()
 
 
 class TestStrategyMix:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.workload import tablegen
 from repro.loadgen import (
     STEADY_SITE,
     VAR_SITE,
@@ -49,24 +50,37 @@ INDEX_DIGESTS = {
 }
 
 
+def index_digest(site) -> str:
+    catalog = site.database.catalog
+    records = []
+    for table in catalog.tables():
+        for index in catalog.indexes_for(table.name):
+            keys = sorted(set(table.column_values(index.column_name)))
+            records.append(
+                [
+                    index.name,
+                    index.height,
+                    repr(index.clustering_ratio()),
+                    [index.traversal_page_keys(key) for key in [None, *keys]],
+                ]
+            )
+    assert len(records) == 16
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
 def test_universe_index_shapes_match_committed_digest(micro_config):
     for site in make_universe(micro_config):
-        catalog = site.database.catalog
-        records = []
-        for table in catalog.tables():
-            for index in catalog.indexes_for(table.name):
-                keys = sorted(set(table.column_values(index.column_name)))
-                records.append(
-                    [
-                        index.name,
-                        index.height,
-                        repr(index.clustering_ratio()),
-                        [index.traversal_page_keys(key) for key in [None, *keys]],
-                    ]
-                )
-        assert len(records) == 16
-        digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
-        assert digest == INDEX_DIGESTS[site.name]
+        assert index_digest(site) == INDEX_DIGESTS[site.name]
+
+
+def test_index_digest_holds_for_first_build_and_tenth_fork(
+    micro_config, template_store
+):
+    universes = [make_universe(micro_config) for _ in range(10)]
+    assert len(template_store) == 2  # one build per site, nine forks each
+    for universe in (universes[0], universes[-1]):
+        for site in universe:
+            assert index_digest(site) == INDEX_DIGESTS[site.name]
 
 
 def test_trained_payload_covers_both_sites(trained_payload):
@@ -105,6 +119,30 @@ def test_run_shard_is_a_pure_function(micro_config, trained_payload):
     assert deterministic_json(first.deterministic_dict()) == deterministic_json(
         second.deterministic_dict()
     )
+
+
+@pytest.mark.slow
+def test_run_shard_is_identical_on_cold_warm_and_rebuilt_templates(
+    micro_config, trained_payload, template_store, monkeypatch
+):
+    task = calm_task(micro_config, rounds=4, index=1)
+
+    def served() -> str:
+        return deterministic_json(run_shard(task, trained_payload).deterministic_dict())
+
+    cold = served()
+    built = list(template_store.values())
+    assert len(built) == 2
+    warm = served()
+    assert list(template_store.values()) == built
+    # A store of one: another spec pushes both templates out, then each
+    # site's rebuild evicts the other's.
+    monkeypatch.setattr(tablegen, "TEMPLATE_STORE_SIZE", 1)
+    tablegen.build_local_database("elsewhere")
+    rebuilt = served()
+    assert len(template_store) == 1
+    assert not any(t is b for t in template_store.values() for b in built)
+    assert cold == warm == rebuilt
 
 
 @pytest.mark.slow
