@@ -1,49 +1,18 @@
-"""Shared benchmark configuration.
+"""Shared configuration for the paper-artifact shape tests.
 
-Each benchmark regenerates one table or figure of the paper.  Experiments
-are deterministic, seeded, and far heavier than micro-benchmarks, so
-every bench runs exactly once (``rounds=1``) — pytest-benchmark then
-reports the wall-clock cost of regenerating that artifact, and the bench
-body asserts the paper's qualitative shape and prints the reproduced
-rows/series.
+Each file regenerates one table or figure of the paper at the quick
+preset — the preset EXPERIMENTS.md quotes — asserts the paper's
+qualitative shape and prints the reproduced rows/series (``pytest -s``
+to see them).  The runs are deterministic and share class experiments
+through the harness memo, so the whole directory takes seconds.
 """
-
-import os
 
 import pytest
 
 from repro.experiments.config import quick
-from repro.experiments.harness import set_disk_cache
 
 
 @pytest.fixture(scope="session")
 def config():
     """The quick experiment preset shared by all benches."""
     return quick(seed=7)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _experiment_disk_cache():
-    """Attach the on-disk result cache when REPRO_CACHE_DIR is set.
-
-    Lets repeated bench sessions (and `python -m repro.experiments`
-    runs against the same directory) share class-experiment results
-    across processes; without the env var the benches keep their
-    historical in-process-only behaviour.
-    """
-    path = os.environ.get("REPRO_CACHE_DIR")
-    if not path:
-        yield
-        return
-    from repro.experiments.cache import DiskCache
-
-    previous = set_disk_cache(DiskCache(path))
-    try:
-        yield
-    finally:
-        set_disk_cache(previous)
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run an experiment exactly once under pytest-benchmark."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)

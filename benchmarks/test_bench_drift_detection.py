@@ -15,11 +15,9 @@ from repro.experiments.drift_detection import (
     run_drift_detection,
 )
 
-from .conftest import run_once
 
-
-def test_bench_drift_detection(benchmark, config):
-    result = run_once(benchmark, run_drift_detection, config)
+def test_bench_drift_detection(config):
+    result = run_drift_detection(config)
 
     print()
     print(render_drift_detection(result))

@@ -9,11 +9,9 @@ same order (absolute costs differ — simulated engine, scaled tables).
 from repro.experiments.figure1 import FIGURE1_SQL, run_figure1
 from repro.experiments.report import format_series
 
-from .conftest import run_once
 
-
-def test_bench_figure1(benchmark, config):
-    result = run_once(benchmark, run_figure1, config, num_points=9, repeats=3)
+def test_bench_figure1(config):
+    result = run_figure1(config, num_points=9, repeats=3)
 
     print()
     print(f"query: {FIGURE1_SQL}")

@@ -11,11 +11,9 @@ import numpy as np
 
 from repro.experiments.table6 import render_figure10, run_table6
 
-from .conftest import run_once
 
-
-def test_bench_figure10(benchmark, config):
-    result = run_once(benchmark, run_table6, config)
+def test_bench_figure10(config):
+    result = run_table6(config)
 
     print()
     print(render_figure10(result, bins=16))

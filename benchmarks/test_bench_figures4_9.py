@@ -16,12 +16,10 @@ from repro.experiments.figures4_9 import (
     tracking_error,
 )
 
-from .conftest import run_once
-
 
 @pytest.mark.parametrize("figure_number", sorted(FIGURE_LAYOUT))
-def test_bench_figure(benchmark, config, figure_number):
-    figure = run_once(benchmark, run_figure, figure_number, config)
+def test_bench_figure(config, figure_number):
+    figure = run_figure(figure_number, config)
 
     print()
     print(render_figure(figure, max_rows=12))

@@ -10,11 +10,9 @@ worst.  This is a design-choice ablation DESIGN.md calls out.
 from repro.core.qualitative import ModelForm
 from repro.experiments.model_forms import render_model_forms, run_model_forms
 
-from .conftest import run_once
 
-
-def test_bench_model_forms(benchmark, config):
-    result = run_once(benchmark, run_model_forms, config)
+def test_bench_model_forms(config):
+    result = run_model_forms(config)
 
     print()
     print(render_model_forms(result))
@@ -29,7 +27,8 @@ def test_bench_model_forms(benchmark, config):
     assert general.r_squared >= parallel.r_squared
     assert parallel.r_squared > coincident.r_squared
     assert concurrent.r_squared > coincident.r_squared
-    assert general.standard_error < coincident.standard_error
+    # (general vs coincident on R^2 and SEE: tests/experiments/test_runners.py,
+    # at this preset and at tiny.)
 
     # Parameter counts follow Table 2's structure.
     assert coincident.n_parameters < parallel.n_parameters

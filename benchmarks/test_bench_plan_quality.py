@@ -11,11 +11,9 @@ its chosen plans land close to the per-round oracle.
 
 from repro.experiments.plan_quality import render_plan_quality, run_plan_quality
 
-from .conftest import run_once
 
-
-def test_bench_plan_quality(benchmark, config):
-    result = run_once(benchmark, run_plan_quality, config, rounds=24)
+def test_bench_plan_quality(config):
+    result = run_plan_quality(config, rounds=24)
 
     print()
     print(render_plan_quality(result))

@@ -13,11 +13,9 @@ from repro.experiments.probing_estimation import (
     run_probing_estimation,
 )
 
-from .conftest import run_once
 
-
-def test_bench_probing_estimation(benchmark, config):
-    result = run_once(benchmark, run_probing_estimation, config)
+def test_bench_probing_estimation(config):
+    result = run_probing_estimation(config)
 
     print()
     print(render_probing_estimation(result))

@@ -11,11 +11,9 @@ from repro.experiments.sample_size_ablation import (
     run_sample_size_ablation,
 )
 
-from .conftest import run_once
 
-
-def test_bench_sample_size(benchmark, config):
-    result = run_once(benchmark, run_sample_size_ablation, config)
+def test_bench_sample_size(config):
+    result = run_sample_size_ablation(config)
 
     print()
     print(render_sample_size_ablation(result))

@@ -11,11 +11,9 @@ from repro.experiments.states_ablation import (
     run_states_ablation,
 )
 
-from .conftest import run_once
 
-
-def test_bench_states_ablation(benchmark, config):
-    result = run_once(benchmark, run_states_ablation, config, max_states=6)
+def test_bench_states_ablation(config):
+    result = run_states_ablation(config, max_states=6)
 
     print()
     print(render_states_ablation(result))

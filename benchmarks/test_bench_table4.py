@@ -10,11 +10,9 @@ import numpy as np
 
 from repro.experiments.table4 import render_table4, run_table4
 
-from .conftest import run_once
 
-
-def test_bench_table4(benchmark, config):
-    rows = run_once(benchmark, run_table4, config)
+def test_bench_table4(config):
+    rows = run_table4(config)
 
     print()
     print("Table 4: multi-state cost models")

@@ -13,11 +13,9 @@ Reproduction target: the ordering and the gaps, checked by
 
 from repro.experiments.table5 import render_table5, run_table5, shape_violations
 
-from .conftest import run_once
 
-
-def test_bench_table5(benchmark, config):
-    rows = run_once(benchmark, run_table5, config)
+def test_bench_table5(config):
+    rows = run_table5(config)
 
     print()
     print(render_table5(rows))

@@ -8,11 +8,9 @@ target: ICMA >= IUPMA on R^2 and on the good-estimate percentage.
 
 from repro.experiments.table6 import render_table6, run_table6
 
-from .conftest import run_once
 
-
-def test_bench_table6(benchmark, config):
-    result = run_once(benchmark, run_table6, config)
+def test_bench_table6(config):
+    result = run_table6(config)
 
     print()
     print(render_table6(result))

@@ -64,16 +64,14 @@ class BuilderConfig:
 class BuildOutcome:
     """A derived model plus everything produced along the way.
 
-    ``selection`` and ``determination`` are derivation provenance: they
-    are populated by a live build, but outcomes restored from the
-    on-disk experiment cache carry ``None`` there (only the model,
-    observations, and timings are persisted — see
-    :mod:`repro.experiments.serialize`).
+    ``selection`` and ``determination`` are derivation provenance;
+    ``determination`` is ``None`` for the static algorithm, which has
+    one state and nothing to partition.
     """
 
     model: MultiStateCostModel
     observations: list[Observation]
-    selection: SelectionResult | None
+    selection: SelectionResult
     determination: StateDeterminationResult | None
     #: Real (wall-clock) seconds spent in each pipeline phase, in
     #: pipeline order — the model's derivation cost.

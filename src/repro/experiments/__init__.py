@@ -4,7 +4,6 @@ One module per experiment (see DESIGN.md's per-experiment index); the
 benchmarks under ``benchmarks/`` are thin drivers over these runners.
 """
 
-from .cache import DiskCache, default_cache_dir, task_digest
 from .config import ExperimentConfig, full, quick, tiny
 from .figure1 import FIGURE1_SQL, Figure1Result, run_figure1
 from .figures4_9 import (
@@ -24,7 +23,6 @@ from .harness import (
     clear_cache,
     collect_for_algorithm,
     run_class_experiment,
-    set_disk_cache,
     stable_seed,
 )
 from .model_forms import ModelFormsResult, render_model_forms, run_model_forms
@@ -42,13 +40,6 @@ from .probing_estimation import (
     run_probing_estimation,
 )
 from .report import ascii_histogram, format_series, format_table
-from .runner import (
-    ExperimentTask,
-    RunnerReport,
-    enumerate_class_tasks,
-    run_experiments,
-    task_seed,
-)
 from .sample_size_ablation import (
     SampleSizeAblationResult,
     render_sample_size_ablation,
@@ -71,9 +62,7 @@ from .table6 import (
 
 __all__ = [
     "ClassExperimentResult",
-    "DiskCache",
     "ExperimentConfig",
-    "ExperimentTask",
     "FIGURE1_SQL",
     "FIGURE_LAYOUT",
     "Figure1Result",
@@ -86,7 +75,6 @@ __all__ = [
     "StatesAblationResult",
     "TABLE4_CLASSES",
     "TABLE4_PROFILES",
-    "RunnerReport",
     "Table4Row",
     "Table5Row",
     "Table6Result",
@@ -98,17 +86,11 @@ __all__ = [
     "cached_class_experiment",
     "clear_cache",
     "collect_for_algorithm",
-    "default_cache_dir",
-    "enumerate_class_tasks",
     "format_series",
     "format_table",
     "full",
     "quick",
-    "run_experiments",
-    "set_disk_cache",
     "stable_seed",
-    "task_digest",
-    "task_seed",
     "tiny",
     "render_figure",
     "render_figure10",

@@ -2,69 +2,43 @@
 
 Usage::
 
-    python -m repro.experiments                  # quick preset (minutes)
-    python -m repro.experiments --preset full    # paper-sized preset (slower)
-    python -m repro.experiments --jobs 4         # fan class experiments out
+    python -m repro.experiments                  # quick preset (~4 s)
+    python -m repro.experiments --preset full    # paper-sized preset (~20 s)
     python -m repro.experiments --seed 42        # different random universe
     python -m repro.experiments --only table4 --only table5
     python -m repro.experiments --trace-out trace.jsonl --verbose
 
 Prints each artifact in order — Figure 1, Tables 4–6, Figures 4–10, the
 state-count / model-form / probing-estimation / sample-size ablations,
-and the end-to-end plan-quality experiment — with the paper's reference
-numbers alongside, so the output can be diffed against EXPERIMENTS.md.
-Artifacts go to **stdout**; every diagnostic (cache summaries, runner
-progress, wall time) goes to **stderr**, so stdout is byte-identical
-across ``--jobs`` settings and cache temperatures.
-
-``--jobs N`` runs the expensive class experiments (the unit behind
-Tables 4–5 and Figures 4–9) across an N-worker process pool before the
-benches print; each task is seeded from its stable key, so the output
-matches ``--jobs 1`` exactly.  Results persist in a content-addressed
-cache under ``~/.cache/repro-experiments`` (override with
-``--cache-dir``; disable with ``--no-cache``; drop stale entries with
-``--clear-cache``), so interrupted runs resume for free.
+the end-to-end plan-quality, probe-cache and drift-detection experiments
+and the model-form race — with the paper's reference numbers alongside,
+so the output can be diffed against EXPERIMENTS.md.  Artifacts go to
+**stdout** and are a pure function of (preset, seed, ``--only``); every
+diagnostic (memo summaries, wall time) goes to **stderr**.
 
 ``--trace-out PATH`` records a full observability trace of the run and
 writes it as JSONL at exit; ``--verbose`` prints the per-span summary
-table and the metrics registry at the end.
+table and the metrics registry at the end.  Performance numbers are not
+this module's job: see ``python -m bench``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from .. import obs
-from ..loadgen import FAULT_PLANS
 from . import drift_detection as drift_detection_mod
-from .cache import DiskCache, default_cache_dir
-from .config import full, quick, tiny
+from .config import ExperimentConfig, full, quick, tiny
 from .drift_detection import render_drift_detection, run_drift_detection
-from .engine_hotpaths import (
-    engine_hotpaths_payload,
-    render_engine_hotpaths,
-    render_engine_timings,
-    run_engine_hotpaths,
-)
-from .figure1 import FIGURE1_SQL, run_figure1
-from .figures4_9 import FIGURE_LAYOUT, render_figure, run_figure, tracking_error
-from .harness import cache_summary, set_disk_cache
-from .loadgen_scale import (
-    loadgen_scale_payload,
-    render_loadgen_scale,
-    render_loadgen_timings,
-    run_loadgen_scale,
-)
+from .figure1 import FIGURE1_SQL, Figure1Result, run_figure1
+from .figures4_9 import FigureResult, render_figure, run_all_figures, tracking_error
+from .harness import cache_summary
 from .model_forms import render_model_forms, run_model_forms
-from .model_race import (
-    model_race_payload,
-    render_model_race,
-    render_race_timings,
-    run_model_race,
-)
+from .model_race import render_model_race, run_model_race
 from .plan_quality import (
     render_plan_quality,
     render_probe_cache_quality,
@@ -73,36 +47,99 @@ from .plan_quality import (
 )
 from .probing_estimation import render_probing_estimation, run_probing_estimation
 from .report import format_series
-from .runner import enumerate_class_tasks, run_experiments
-from .sample_size_ablation import (
-    render_sample_size_ablation,
-    run_sample_size_ablation,
-)
-from .serving_throughput import (
-    render_serving_throughput,
-    render_serving_timings,
-    run_serving_throughput,
-    serving_throughput_payload,
-)
+from .sample_size_ablation import render_sample_size_ablation, run_sample_size_ablation
 from .states_ablation import render_states_ablation, run_states_ablation
-from .trace_overhead import (
-    render_trace_overhead,
-    render_trace_overhead_timings,
-    run_trace_overhead,
-    trace_overhead_payload,
-)
 from .table4 import render_table4, run_table4
-from .table5 import render_table5, run_table5, shape_violations
-from .table6 import render_figure10, render_table6, run_table6
+from .table5 import Table5Row, render_table5, run_table5, shape_violations
+from .table6 import Table6Result, render_figure10, render_table6, run_table6
 
 _PRESETS = {"tiny": tiny, "quick": quick, "full": full}
 
 
-def _banner(title: str) -> None:
-    print()
-    print("=" * 72)
-    print(title)
-    print("=" * 72)
+@dataclass(frozen=True)
+class Artifact:
+    """One row of the run: what ``--only`` calls it and how to print it."""
+
+    name: str
+    banner: str
+    run: Callable[[ExperimentConfig], object]
+    #: Turns ``run``'s result into the text under the banner.
+    render: Callable[..., str]
+    #: The paper's own numbers, printed verbatim after the text.
+    reference: tuple[str, ...] = ()
+
+
+def _render_figure1(fig1: Figure1Result) -> str:
+    series = format_series(
+        [float(p) for p in fig1.process_counts],
+        {"cost_seconds": fig1.costs},
+        x_label="concurrent_processes",
+    )
+    return (
+        f"query: {FIGURE1_SQL}\n{series}\n"
+        f"swing: {fig1.swing:.1f}x   (paper: 3.80 s -> 124.02 s, ~33x)"
+    )
+
+
+def _render_table5(rows: list[Table5Row]) -> str:
+    return f"{render_table5(rows)}\nshape violations: {shape_violations(rows) or 'none'}"
+
+
+def _render_figures4_9(figures: list[FigureResult]) -> str:
+    chunks = []
+    for figure in figures:
+        series = figure.series()
+        err_multi = tracking_error(series["observed"], series["multi_states"])
+        err_one = tracking_error(series["observed"], series["one_state"])
+        chunks.append(
+            f"{render_figure(figure, max_rows=10)}\n"
+            f"normalized RMS error: multi-states {err_multi:.3f} vs "
+            f"one-state {err_one:.3f}\n"
+        )
+    return "\n".join(chunks)
+
+
+def _render_table6(table6: Table6Result) -> str:
+    return f"{render_table6(table6)}\n\n{render_figure10(table6)}"
+
+
+#: Every artifact, in print order.  Names are the ``--only`` vocabulary;
+#: adding an artifact is one row here.
+ARTIFACTS: tuple[Artifact, ...] = (
+    Artifact("figure1", "Figure 1: effect of dynamic factor on query cost",
+             run_figure1, _render_figure1),
+    Artifact("table4", "Table 4: multi-state cost models", run_table4, render_table4),
+    Artifact("table5", "Table 5: statistics for cost models", run_table5, _render_table5),
+    Artifact("figures4_9", "Figures 4-9: observed vs estimated costs for test queries",
+             run_all_figures, _render_figures4_9),
+    Artifact("table6", "Table 6 + Figure 10: IUPMA vs ICMA under clustered contention",
+             run_table6, _render_table6),
+    Artifact("states_ablation", "Ablation: number of contention states (§5 observation 4)",
+             run_states_ablation, render_states_ablation,
+             ("paper (G2/Oracle, 1..6 states): 0.7788 0.9636 0.9674 0.9899 0.9922",)),
+    Artifact("model_forms", "Ablation: qualitative model forms (paper Table 2 / §3.2)",
+             run_model_forms, render_model_forms),
+    Artifact("probing_estimation", "Ablation: observed vs estimated probing costs (§3.3 eq. (2))",
+             run_probing_estimation, render_probing_estimation),
+    Artifact("plan_quality", "End-to-end: plan quality with multi-states vs one-state models",
+             run_plan_quality, render_plan_quality),
+    Artifact("probe_cache", "End-to-end: plan quality with fresh vs TTL-cached probing",
+             run_probe_cache_quality, render_probe_cache_quality),
+    Artifact("sample_size_ablation", "Ablation: sample size (Proposition 4.1 / eq. (4))",
+             run_sample_size_ablation, render_sample_size_ablation),
+    Artifact("drift_detection", "End-to-end: drift detection -> targeted re-derivation",
+             run_drift_detection, render_drift_detection),
+    Artifact("model_race", "Race: multi-states OLS re-derivation vs online RLS/SGD forms",
+             run_model_race, render_model_race),
+)
+
+#: ``PATH`` outputs written at exit; each path is checked before the run.
+_OUTPUTS: tuple[tuple[str, str], ...] = (
+    ("--trace-out", "enable tracing and write the JSONL trace here at exit"),
+    ("--snapshot-out", "write a combined obs snapshot (metrics + accuracy windows + model "
+                       "versions) at exit, for `python -m repro.obs`"),
+    ("--drift-out", "write every raised DriftEvent as JSONL at exit"),
+)
 
 
 def _note(message: str) -> None:
@@ -110,342 +147,27 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _bench_done(name: str) -> None:
-    """One-line cache report after each bench run."""
-    _note(f"[{name} done] {cache_summary()}")
-
-
-def _bench_figure1(config) -> None:
-    _banner("Figure 1: effect of dynamic factor on query cost")
-    fig1 = run_figure1(config)
-    print(f"query: {FIGURE1_SQL}")
-    print(
-        format_series(
-            [float(p) for p in fig1.process_counts],
-            {"cost_seconds": fig1.costs},
-            x_label="concurrent_processes",
-        )
-    )
-    print(f"swing: {fig1.swing:.1f}x   (paper: 3.80 s -> 124.02 s, ~33x)")
-
-
-def _bench_table4(config) -> None:
-    _banner("Table 4: multi-state cost models")
-    print(render_table4(run_table4(config)))
-
-
-def _bench_table5(config) -> None:
-    _banner("Table 5: statistics for cost models")
-    rows = run_table5(config)
-    print(render_table5(rows))
-    violations = shape_violations(rows)
-    print(f"shape violations: {violations or 'none'}")
-
-
-def _bench_figures4_9(config) -> None:
-    _banner("Figures 4-9: observed vs estimated costs for test queries")
-    for number in sorted(FIGURE_LAYOUT):
-        figure = run_figure(number, config)
-        series = figure.series()
-        err_multi = tracking_error(series["observed"], series["multi_states"])
-        err_one = tracking_error(series["observed"], series["one_state"])
-        print(render_figure(figure, max_rows=10))
-        print(
-            f"normalized RMS error: multi-states {err_multi:.3f} vs "
-            f"one-state {err_one:.3f}\n"
-        )
-
-
-def _bench_table6(config) -> None:
-    _banner("Table 6 + Figure 10: IUPMA vs ICMA under clustered contention")
-    table6 = run_table6(config)
-    print(render_table6(table6))
-    print()
-    print(render_figure10(table6))
-
-
-def _bench_states_ablation(config) -> None:
-    _banner("Ablation: number of contention states (§5 observation 4)")
-    print(render_states_ablation(run_states_ablation(config)))
-    print("paper (G2/Oracle, 1..6 states): 0.7788 0.9636 0.9674 0.9899 0.9922")
-
-
-def _bench_model_forms(config) -> None:
-    _banner("Ablation: qualitative model forms (paper Table 2 / §3.2)")
-    print(render_model_forms(run_model_forms(config)))
-
-
-def _bench_probing_estimation(config) -> None:
-    _banner("Ablation: observed vs estimated probing costs (§3.3 eq. (2))")
-    print(render_probing_estimation(run_probing_estimation(config)))
-
-
-def _bench_plan_quality(config) -> None:
-    _banner("End-to-end: plan quality with multi-states vs one-state models")
-    print(render_plan_quality(run_plan_quality(config)))
-
-
-def _bench_probe_cache(config) -> None:
-    _banner("End-to-end: plan quality with fresh vs TTL-cached probing")
-    print(render_probe_cache_quality(run_probe_cache_quality(config)))
-
-
-def _bench_sample_size(config) -> None:
-    _banner("Ablation: sample size (Proposition 4.1 / eq. (4))")
-    print(render_sample_size_ablation(run_sample_size_ablation(config)))
-
-
-def _bench_drift_detection(config) -> None:
-    _banner("End-to-end: drift detection -> targeted re-derivation")
-    print(render_drift_detection(run_drift_detection(config)))
-
-
-#: The most recent serving-throughput result (for ``--bench-out``).
-LAST_SERVING_RESULT = None
-
-#: The most recent engine-hotpaths result (for ``--engine-bench-out``).
-LAST_ENGINE_RESULT = None
-
-#: The most recent loadgen-scale result (for ``--loadgen-bench-out``).
-LAST_LOADGEN_RESULT = None
-
-#: The most recent model-race result (for ``--model-race-out``).
-LAST_MODEL_RACE_RESULT = None
-
-#: The most recent trace-overhead result (for ``--trace-overhead-out``).
-LAST_TRACE_OVERHEAD_RESULT = None
-
-
-def _bench_engine_hotpaths(config) -> None:
-    global LAST_ENGINE_RESULT
-    _banner("Engine: scalar vs vectorized hot paths, cold vs warm buffer")
-    result = run_engine_hotpaths(config)
-    LAST_ENGINE_RESULT = result
-    # Sizes and page ledgers are byte-stable; timings go to stderr.
-    print(render_engine_hotpaths(result))
-    _note(render_engine_timings(result))
-
-
-#: ``--workers`` / ``--fault-plan`` / ``--trace-sample-rate`` for the
-#: loadgen bench (set by main).
-_LOADGEN_OPTIONS = {"workers": None, "fault_plan": "mixed", "trace_sample_rate": 0.0}
-
-
-def _bench_loadgen_scale(config) -> None:
-    global LAST_LOADGEN_RESULT
-    _banner("Loadgen: coordinator/worker scale ladder with fault injection")
-    result = run_loadgen_scale(
-        config,
-        workers=_LOADGEN_OPTIONS["workers"],
-        fault_plan=_LOADGEN_OPTIONS["fault_plan"],
-        trace_sample_rate=_LOADGEN_OPTIONS["trace_sample_rate"],
-    )
-    LAST_LOADGEN_RESULT = result
-    # The aggregate is worker-count invariant; QPS/wall latency are not.
-    print(render_loadgen_scale(result))
-    _note(render_loadgen_timings(result))
-
-
-def _bench_serving_throughput(config) -> None:
-    global LAST_SERVING_RESULT
-    _banner("Serving: concurrent front end throughput vs serial baseline")
-    result = run_serving_throughput(config)
-    LAST_SERVING_RESULT = result
-    # The table is scheduling-independent; the wall-clock side (QPS,
-    # latency percentiles) varies run to run and goes to stderr.
-    print(render_serving_throughput(result))
-    _note(render_serving_timings(result))
-
-
-def _bench_model_race(config) -> None:
-    global LAST_MODEL_RACE_RESULT
-    _banner("Race: multi-states OLS re-derivation vs online RLS/SGD forms")
-    result = run_model_race(config)
-    LAST_MODEL_RACE_RESULT = result
-    # The frontier table is simulated-facts-only; wall time to stderr.
-    print(render_model_race(result))
-    _note(render_race_timings(result))
-
-
-def _bench_trace_overhead(config) -> None:
-    global LAST_TRACE_OVERHEAD_RESULT
-    _banner("Tracing: QPS cost of off vs sampled vs full request tracing")
-    result = run_trace_overhead(config)
-    LAST_TRACE_OVERHEAD_RESULT = result
-    # Counts are deterministic; QPS and the overhead guard go to stderr.
-    print(render_trace_overhead(result))
-    _note(render_trace_overhead_timings(result))
-
-
-#: Bench registry, in print order.  Names are the ``--only`` vocabulary.
-BENCHES: tuple[tuple[str, object], ...] = (
-    ("figure1", _bench_figure1),
-    ("table4", _bench_table4),
-    ("table5", _bench_table5),
-    ("figures4_9", _bench_figures4_9),
-    ("table6", _bench_table6),
-    ("states_ablation", _bench_states_ablation),
-    ("model_forms", _bench_model_forms),
-    ("probing_estimation", _bench_probing_estimation),
-    ("plan_quality", _bench_plan_quality),
-    ("probe_cache", _bench_probe_cache),
-    ("sample_size_ablation", _bench_sample_size),
-    ("drift_detection", _bench_drift_detection),
-    ("serving_throughput", _bench_serving_throughput),
-    ("engine_hotpaths", _bench_engine_hotpaths),
-    ("loadgen_scale", _bench_loadgen_scale),
-    ("model_race", _bench_model_race),
-    ("trace_overhead", _bench_trace_overhead),
-)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments", description=__doc__
-    )
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(prog="python -m repro.experiments", description=__doc__)
     parser.add_argument(
         "--preset",
         choices=sorted(_PRESETS),
         default=None,
         help="experiment scale (default: quick)",
     )
-    parser.add_argument(
-        "--full",
-        action="store_true",
-        help="shorthand for --preset full",
-    )
+    parser.add_argument("--full", action="store_true", help="shorthand for --preset full")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run class experiments across N worker processes (default 1)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="PATH",
-        default=None,
-        help=f"experiment result cache root (default {default_cache_dir()})",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="skip the on-disk result cache entirely",
-    )
-    parser.add_argument(
-        "--clear-cache",
-        action="store_true",
-        help="drop every cached experiment result before running",
-    )
     parser.add_argument(
         "--only",
         action="append",
-        choices=[name for name, _ in BENCHES],
+        choices=[artifact.name for artifact in ARTIFACTS],
         metavar="BENCH",
         help="run only the named bench (repeatable)",
     )
-    parser.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        default=None,
-        help="enable tracing and write the JSONL trace here at exit",
-    )
-    parser.add_argument(
-        "--snapshot-out",
-        metavar="PATH",
-        default=None,
-        help=(
-            "write a combined obs snapshot (metrics + accuracy windows "
-            "+ model versions) at exit, for `python -m repro.obs`"
-        ),
-    )
-    parser.add_argument(
-        "--drift-out",
-        metavar="PATH",
-        default=None,
-        help="write every raised DriftEvent as JSONL at exit",
-    )
-    parser.add_argument(
-        "--bench-out",
-        metavar="PATH",
-        default=None,
-        help=(
-            "write the serving-throughput JSON payload (QPS + latency "
-            "percentiles, BENCH_serving_throughput.json schema) at exit"
-        ),
-    )
-    parser.add_argument(
-        "--engine-bench-out",
-        metavar="PATH",
-        default=None,
-        help=(
-            "write the engine-hotpaths JSON payload (scalar vs vectorized "
-            "timings, BENCH_engine_hotpaths.json schema) at exit"
-        ),
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "cap the loadgen_scale worker ladder at N processes "
-            "(default: the full 1/2/4/8 ladder)"
-        ),
-    )
-    parser.add_argument(
-        "--fault-plan",
-        choices=list(FAULT_PLANS),
-        default="mixed",
-        help="scripted fault schedule for loadgen_scale (default mixed)",
-    )
-    parser.add_argument(
-        "--loadgen-bench-out",
-        metavar="PATH",
-        default=None,
-        help=(
-            "write the loadgen-scale JSON payload (worker ladder QPS + "
-            "drift loops, BENCH_loadgen_scale.json schema) at exit"
-        ),
-    )
-    parser.add_argument(
-        "--model-race-out",
-        metavar="PATH",
-        default=None,
-        help=(
-            "write the model-race JSON payload (per-form recovery scores, "
-            "BENCH_model_race.json schema) at exit"
-        ),
-    )
-    parser.add_argument(
-        "--trace-sample-rate",
-        type=float,
-        default=0.0,
-        metavar="RATE",
-        help=(
-            "per-shard trace sampling rate for loadgen_scale "
-            "(0 disables tracing, the default)"
-        ),
-    )
-    parser.add_argument(
-        "--loadgen-trace-out",
-        metavar="PATH",
-        default=None,
-        help=(
-            "write the loadgen_scale merged trace (JSONL, first rung) at "
-            "exit; requires --trace-sample-rate > 0"
-        ),
-    )
-    parser.add_argument(
-        "--trace-overhead-out",
-        metavar="PATH",
-        default=None,
-        help=(
-            "write the trace-overhead JSON payload (off/sampled/full QPS, "
-            "BENCH_trace_overhead.json schema) at exit"
-        ),
-    )
+    outputs = [
+        parser.add_argument(option, metavar="PATH", default=None, help=text)
+        for option, text in _OUTPUTS
+    ]
     parser.add_argument(
         "--verbose",
         action="store_true",
@@ -454,50 +176,24 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.full and args.preset not in (None, "full"):
         parser.error("--full contradicts --preset " + args.preset)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    if args.workers is not None and args.workers < 1:
-        parser.error("--workers must be >= 1")
-    if not 0.0 <= args.trace_sample_rate <= 1.0:
-        parser.error("--trace-sample-rate must be within [0, 1]")
-    if args.loadgen_trace_out and args.trace_sample_rate <= 0.0:
-        parser.error("--loadgen-trace-out requires --trace-sample-rate > 0")
-    _LOADGEN_OPTIONS["workers"] = args.workers
-    _LOADGEN_OPTIONS["fault_plan"] = args.fault_plan
-    _LOADGEN_OPTIONS["trace_sample_rate"] = args.trace_sample_rate
-    preset = "full" if args.full else (args.preset or "quick")
-    make_config = _PRESETS[preset]
-    config = make_config(args.seed) if args.seed is not None else make_config()
-
-    for option, path in (
-        ("--trace-out", args.trace_out),
-        ("--snapshot-out", args.snapshot_out),
-        ("--drift-out", args.drift_out),
-        ("--bench-out", args.bench_out),
-        ("--engine-bench-out", args.engine_bench_out),
-        ("--loadgen-bench-out", args.loadgen_bench_out),
-        ("--model-race-out", args.model_race_out),
-        ("--loadgen-trace-out", args.loadgen_trace_out),
-        ("--trace-overhead-out", args.trace_overhead_out),
-    ):
+    for output in outputs:
+        path = getattr(args, output.dest)
         if not path:
             continue
-        # Fail now, not after a multi-minute run, if the path is bad.
+        # Fail now, not after the run, if the path is bad.
         try:
             with open(path, "w"):
                 pass
         except OSError as exc:
-            parser.error(f"{option} {path}: {exc}")
+            parser.error(f"{output.option_strings[0]} {path}: {exc}")
+    return args
 
-    disk = None
-    if not args.no_cache:
-        disk = DiskCache(args.cache_dir)
-        if args.clear_cache:
-            removed = disk.clear()
-            _note(f"[cache] cleared {removed} entries under {disk.root}")
-        set_disk_cache(disk)
-    elif args.clear_cache:
-        parser.error("--clear-cache contradicts --no-cache")
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parse_args(argv)
+    preset = "full" if args.full else (args.preset or "quick")
+    make_config = _PRESETS[preset]
+    config = make_config(args.seed) if args.seed is not None else make_config()
 
     tracer = obs.enable() if (args.trace_out or args.verbose) else None
     started = time.time()
@@ -506,24 +202,16 @@ def main(argv: list[str] | None = None) -> int:
         f"scale={config.scale} train={config.unary_train}/{config.join_train} "
         f"test={config.test_count}"
     )
-    if disk is not None:
-        _note(f"[cache] {disk.root} ({len(disk)} entries)")
-
     try:
-        if args.jobs > 1:
-            report = run_experiments(
-                config,
-                tasks=enumerate_class_tasks(),
-                jobs=args.jobs,
-                progress=lambda t: _note(
-                    f"[runner] {t.task.key}: {t.source} in {t.seconds:.1f}s"
-                ),
-            )
-            _note(report.summary())
-        _run_benches(args, config)
+        for artifact in ARTIFACTS:
+            if args.only and artifact.name not in args.only:
+                continue
+            print(f"\n{'=' * 72}\n{artifact.banner}\n{'=' * 72}")
+            print(artifact.render(artifact.run(config)))
+            for line in artifact.reference:
+                print(line)
+            _note(f"[{artifact.name} done] {cache_summary()}")
     finally:
-        if disk is not None:
-            set_disk_cache(None)
         if args.snapshot_out:
             obs.write_snapshot(
                 args.snapshot_out,
@@ -533,94 +221,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.drift_out:
             count = obs.write_drift_jsonl(obs.get_tracker(), args.drift_out)
             _note(f"wrote {count} drift events to {args.drift_out}")
-        if args.bench_out:
-            if LAST_SERVING_RESULT is None:
-                _note(
-                    "--bench-out: serving_throughput did not run; "
-                    "writing nothing"
-                )
-            else:
-                with open(args.bench_out, "w") as handle:
-                    json.dump(
-                        serving_throughput_payload(LAST_SERVING_RESULT),
-                        handle,
-                        indent=2,
-                    )
-                _note(f"wrote serving bench payload to {args.bench_out}")
-        if args.engine_bench_out:
-            if LAST_ENGINE_RESULT is None:
-                _note(
-                    "--engine-bench-out: engine_hotpaths did not run; "
-                    "writing nothing"
-                )
-            else:
-                with open(args.engine_bench_out, "w") as handle:
-                    json.dump(
-                        engine_hotpaths_payload(LAST_ENGINE_RESULT),
-                        handle,
-                        indent=2,
-                    )
-                _note(f"wrote engine bench payload to {args.engine_bench_out}")
-        if args.loadgen_bench_out:
-            if LAST_LOADGEN_RESULT is None:
-                _note(
-                    "--loadgen-bench-out: loadgen_scale did not run; "
-                    "writing nothing"
-                )
-            else:
-                with open(args.loadgen_bench_out, "w") as handle:
-                    json.dump(
-                        loadgen_scale_payload(LAST_LOADGEN_RESULT),
-                        handle,
-                        indent=2,
-                    )
-                _note(
-                    f"wrote loadgen bench payload to {args.loadgen_bench_out}"
-                )
-        if args.model_race_out:
-            if LAST_MODEL_RACE_RESULT is None:
-                _note(
-                    "--model-race-out: model_race did not run; "
-                    "writing nothing"
-                )
-            else:
-                with open(args.model_race_out, "w") as handle:
-                    json.dump(
-                        model_race_payload(LAST_MODEL_RACE_RESULT),
-                        handle,
-                        indent=2,
-                    )
-                _note(f"wrote model race payload to {args.model_race_out}")
-        if args.loadgen_trace_out:
-            if LAST_LOADGEN_RESULT is None:
-                _note(
-                    "--loadgen-trace-out: loadgen_scale did not run; "
-                    "writing nothing"
-                )
-            else:
-                count = LAST_LOADGEN_RESULT.reports[0].write_merged_trace(
-                    args.loadgen_trace_out
-                )
-                _note(
-                    f"wrote {count} merged trace spans to "
-                    f"{args.loadgen_trace_out}"
-                )
-        if args.trace_overhead_out:
-            if LAST_TRACE_OVERHEAD_RESULT is None:
-                _note(
-                    "--trace-overhead-out: trace_overhead did not run; "
-                    "writing nothing"
-                )
-            else:
-                with open(args.trace_overhead_out, "w") as handle:
-                    json.dump(
-                        trace_overhead_payload(LAST_TRACE_OVERHEAD_RESULT),
-                        handle,
-                        indent=2,
-                    )
-                _note(
-                    f"wrote trace overhead payload to {args.trace_overhead_out}"
-                )
         if tracer is not None:
             if args.trace_out:
                 count = obs.write_jsonl(tracer, args.trace_out)
@@ -634,15 +234,6 @@ def main(argv: list[str] | None = None) -> int:
 
     _note(f"\ntotal wall time: {time.time() - started:.1f}s")
     return 0
-
-
-def _run_benches(args, config) -> None:
-    selected = set(args.only) if args.only else None
-    for name, bench in BENCHES:
-        if selected is not None and name not in selected:
-            continue
-        bench(config)
-        _bench_done(name)
 
 
 if __name__ == "__main__":

@@ -2,11 +2,11 @@
 
 Three presets:
 
-* :func:`tiny` — seconds-long smoke preset for CI pool smokes and
+* :func:`tiny` — seconds-long smoke preset for CI smokes and
   determinism guards;
 * :func:`quick` — the default for tests and benchmarks: scaled-down
   tables and Proposition-4.1-sized-for-fewer-states samples, so the whole
-  suite runs in minutes while preserving every qualitative shape;
+  suite runs in seconds while preserving every qualitative shape;
 * :func:`full` — paper-sized sampling (370 unary / 550 join observations,
   the eq. (4) numbers for m = 6) on larger tables, for the
   EXPERIMENTS.md record runs.
@@ -43,13 +43,12 @@ class ExperimentConfig:
     #: None means all tables.
     join_tables: tuple[str, ...] | None = ("R1", "R2", "R3", "R4", "R5", "R6")
     #: Buffer-pool capacity in pages for every site built by the harness;
-    #: None (the default) runs without the simulated memory hierarchy, so
-    #: existing experiments and their cached results are unchanged.
+    #: None (the default) runs without the simulated memory hierarchy.
     buffer_pages: int | None = None
     #: Load-generation fleet shape (:mod:`repro.loadgen`): shards are the
-    #: unit of determinism — ``--workers`` only changes how many run at
-    #: once, never how many exist — and rounds is each shard's served
-    #: timeline length.
+    #: unit of determinism — ``Coordinator.run(workers=…)`` only changes
+    #: how many run at once, never how many exist — and rounds is each
+    #: shard's served timeline length.
     loadgen_shards: int = 8
     loadgen_rounds: int = 24
     #: Pipeline tunables (state determination, selection, sampling pauses).
@@ -65,9 +64,9 @@ class ExperimentConfig:
 def tiny(seed: int = 13) -> ExperimentConfig:
     """Smallest preset that still exercises every pipeline stage.
 
-    Used by smoke tests (including the CI ``--jobs 2`` pool smoke) and
-    the cross-process determinism guard; the qualitative shapes survive
-    but the absolute numbers are noisier than :func:`quick`.
+    Used by smoke tests and the cross-process determinism guard; the
+    qualitative shapes survive but the absolute numbers are noisier than
+    :func:`quick`.
     """
     return ExperimentConfig(
         scale=0.008,

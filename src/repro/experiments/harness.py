@@ -28,7 +28,7 @@ from ..core.model import MultiStateCostModel
 from ..core.validation import ValidationReport, validate_model
 from ..core.variables import Observation
 from ..engine.profiles import DBMSProfile
-from ..workload.scenarios import Site, make_site
+from ..workload.scenarios import make_site
 from .config import ExperimentConfig
 
 
@@ -80,9 +80,9 @@ def stable_seed(base: int, *parts: str) -> int:
 
     Every site a class experiment builds seeds its RNGs from
     ``stable_seed(config.seed, profile_name)``, so a task's random
-    universe is a pure function of its identity — the contract that lets
-    the parallel runner execute tasks in any order, on any worker, and
-    still reproduce the serial run bit for bit.
+    universe is a pure function of its identity: benches can run in any
+    order, alone (``--only``) or together, in any process, and reproduce
+    the same artifacts bit for bit.
     """
     return base + (zlib.crc32("/".join(parts).encode()) % 1000)
 
@@ -95,30 +95,6 @@ def stable_rng(base: int, *parts: str) -> np.random.Generator:
     no matter which worker process runs it.
     """
     return np.random.default_rng(stable_seed(base, *parts))
-
-
-def _sites_for_profile(
-    profile: DBMSProfile, config: ExperimentConfig
-) -> tuple[Site, Site]:
-    """A dynamic site and a static twin holding the identical database."""
-    seed = stable_seed(config.seed, profile.name)
-    dynamic = make_site(
-        f"{profile.name}_dyn",
-        profile=profile,
-        environment_kind="uniform",
-        scale=config.scale,
-        seed=seed,
-        buffer_pages=config.buffer_pages,
-    )
-    static = make_site(
-        f"{profile.name}_static",
-        profile=profile,
-        environment_kind="static",
-        scale=config.scale,
-        seed=seed,  # same seed -> identical tables
-        buffer_pages=config.buffer_pages,
-    )
-    return dynamic, static
 
 
 def _tables_for(query_class: QueryClass, config: ExperimentConfig):
@@ -233,54 +209,34 @@ def _run_class_experiment(
 
 
 # ---------------------------------------------------------------------------
-# Cross-bench cache: in-process memo over an optional on-disk layer
+# Cross-bench memo: one class experiment shared by Tables 4-5 and Figures 4-9
 # ---------------------------------------------------------------------------
 
 
 class ExperimentCache:
-    """In-process memo over an optional content-addressed disk cache.
+    """In-process memo of class-experiment results.
 
     Hit/miss counts live on the cache object itself — the source of
     truth for :func:`cache_stats` — and are only *mirrored* into the
-    :mod:`repro.obs` registry.  Reading them back from global obs
-    counters would misreport after a registry reset and double-count
-    when pooled workers merge their metrics into the parent's registry.
+    :mod:`repro.obs` registry, so they survive a registry reset.
     """
 
-    def __init__(self, disk=None) -> None:
-        #: Optional :class:`repro.experiments.cache.DiskCache`.
-        self.disk = disk
+    def __init__(self) -> None:
         self._memory: dict[tuple, ClassExperimentResult] = {}
         self.hits = 0
         self.misses = 0
-        self.disk_hits = 0
 
-    def reset_memory(self) -> None:
-        """Forget memoized results and zero the counters (disk untouched)."""
+    def reset(self) -> None:
+        """Forget memoized results and zero the counters."""
         self._memory.clear()
         self.hits = 0
         self.misses = 0
-        self.disk_hits = 0
 
     def __len__(self) -> int:
         return len(self._memory)
 
 
 _cache = ExperimentCache()
-
-
-def get_cache() -> ExperimentCache:
-    return _cache
-
-
-def set_disk_cache(disk) -> object:
-    """Attach a :class:`~repro.experiments.cache.DiskCache` (or None).
-
-    Returns the previously attached disk cache so callers can restore it.
-    """
-    previous = _cache.disk
-    _cache.disk = disk
-    return previous
 
 
 def _memory_key(
@@ -306,19 +262,6 @@ def _memory_key(
     )
 
 
-def seed_cache(
-    profile: DBMSProfile,
-    query_class: QueryClass,
-    config: ExperimentConfig,
-    result: ClassExperimentResult,
-    environment_kind: str = "uniform",
-    algorithm: str = "iupma",
-) -> None:
-    """Hand a precomputed result to the memo (used by the parallel runner)."""
-    key = _memory_key(profile, query_class, config, environment_kind, algorithm)
-    _cache._memory[key] = result
-
-
 def cached_class_experiment(
     profile: DBMSProfile,
     query_class: QueryClass,
@@ -326,48 +269,25 @@ def cached_class_experiment(
     environment_kind: str = "uniform",
     algorithm: str = "iupma",
 ) -> ClassExperimentResult:
-    """Memoized :func:`run_class_experiment` (shared across benches).
-
-    Lookup order: in-process memo, then the attached disk cache (if
-    any), then compute — and a computed result is written back to disk
-    so interrupted or future runs resume for free.
-    """
+    """Memoized :func:`run_class_experiment` (shared across benches)."""
     key = _memory_key(profile, query_class, config, environment_kind, algorithm)
     result = _cache._memory.get(key)
     if result is not None:
         _cache.hits += 1
         obs.inc("experiments.cache.hits")
         return result
-
-    digest = None
-    if _cache.disk is not None:
-        from .cache import task_digest
-
-        digest = task_digest(
-            profile.name, query_class.label, config, environment_kind, algorithm
-        )
-        result = _cache.disk.get(digest)
-        if result is not None:
-            _cache.hits += 1
-            _cache.disk_hits += 1
-            obs.inc("experiments.cache.hits")
-            _cache._memory[key] = result
-            return result
-
     _cache.misses += 1
     obs.inc("experiments.cache.misses")
     result = run_class_experiment(
         profile, query_class, config, environment_kind, algorithm
     )
     _cache._memory[key] = result
-    if _cache.disk is not None:
-        _cache.disk.put(digest, result)
     return result
 
 
 def clear_cache() -> None:
-    """Reset the in-process memo and its counters (disk entries persist)."""
-    _cache.reset_memory()
+    """Reset the in-process memo and its counters."""
+    _cache.reset()
 
 
 def cache_stats() -> tuple[int, int]:
@@ -380,13 +300,10 @@ def cache_summary() -> str:
     hits, misses = cache_stats()
     lookups = hits + misses
     rate = 100.0 * hits / lookups if lookups else 0.0
-    line = (
+    return (
         f"[experiment cache] {hits} hits / {misses} misses "
-        f"({lookups} lookups, {rate:.0f}% hit rate, {len(_cache)} entries"
+        f"({lookups} lookups, {rate:.0f}% hit rate, {len(_cache)} entries)"
     )
-    if _cache.disk is not None:
-        line += f", {_cache.disk_hits} from disk"
-    return line + ")"
 
 
 def collect_for_algorithm(
@@ -419,8 +336,3 @@ def collect_for_algorithm(
     outcome = builder.build_from_observations(train, query_class, algorithm)
     report = validate_model(outcome.model, test)
     return outcome, report, test
-
-
-def rng_for(config: ExperimentConfig, salt: int = 0) -> np.random.Generator:
-    """A seeded generator derived from the experiment seed."""
-    return np.random.default_rng(config.seed * 10_007 + salt)

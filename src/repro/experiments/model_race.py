@@ -31,14 +31,11 @@ ladder and lets the drift telemetry referee the outcome:
    policy uses: how many served queries until the trailing good-band
    percentage is back over the floor.
 
-The rendered frontier table is deterministic (simulated facts only);
-wall-clock timings go to stderr and the JSON payload
-(``BENCH_model_race.json``).
+The rendered frontier table is deterministic (simulated facts only).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,9 +120,6 @@ class StrategyRun:
     rebuilds: int = 0
     #: Per-query coefficient updates folded in (the online mechanism).
     online_updates: int = 0
-    plan_cache_hits: int = 0
-    plan_cache_misses: int = 0
-    wall_seconds: float = 0.0
 
 
 @dataclass
@@ -262,7 +256,6 @@ def _run_strategy(
     gap_seconds: float,
 ) -> StrategyRun:
     """One racer's ladder in its own cloned universe."""
-    started = time.perf_counter()
     var, steady = _make_universe(config)
     tracker = AccuracyTracker(probe_window_size=8, export=False)
     # A sub-round probe TTL gives every round a fresh contention reading
@@ -341,7 +334,6 @@ def _run_strategy(
                     ).version,
                 )
             )
-        front_stats = frontend.stats()
 
     for site_name, label in registry.keys():
         entry = registry.active_version(site_name, label)
@@ -349,13 +341,10 @@ def _run_strategy(
             if entry.provenance.trigger is not None:
                 run.rebuilds += 1
             run.online_updates += entry.provenance.online_updates
-    run.plan_cache_hits = front_stats.plan_cache_hits
-    run.plan_cache_misses = front_stats.plan_cache_misses
     referee = DriftDetector(_race_policy(gap_seconds))
     run.score = referee.score_recovery(
         [r.timeline_entry() for r in rounds], floor_pct=FLOOR_PCT
     )
-    run.wall_seconds = time.perf_counter() - started
     return run
 
 
@@ -453,52 +442,3 @@ def render_model_race(result: ModelRaceResult) -> str:
     else:
         lines.append("no online form beat re-derivation")
     return "\n".join(lines)
-
-
-def render_race_timings(result: ModelRaceResult) -> str:
-    """Wall-clock diagnostics (NOT byte-stable across runs)."""
-    return "\n".join(
-        f"{run.strategy}: wall {run.wall_seconds:.2f}s  "
-        f"cache {run.plan_cache_hits}h/{run.plan_cache_misses}m"
-        for run in result.runs
-    )
-
-
-def model_race_payload(result: ModelRaceResult) -> dict:
-    """The ``BENCH_model_race.json`` payload (see EXPERIMENTS.md)."""
-    return {
-        "bench": "model_race",
-        "schema_version": 1,
-        "calm_rounds": result.calm_rounds,
-        "shifted_rounds": result.shifted_rounds,
-        "queries_per_round": result.queries_per_round,
-        "floor_pct": result.floor_pct,
-        "ols_queries_to_recover": result.ols_queries_to_recover,
-        "online_winners": result.online_winners(),
-        "strategies": [
-            {
-                "strategy": run.strategy,
-                "requests": run.requests,
-                "completed": run.completed,
-                "failed": run.failed,
-                "rebuilds": run.rebuilds,
-                "online_updates": run.online_updates,
-                "plan_cache_hits": run.plan_cache_hits,
-                "plan_cache_misses": run.plan_cache_misses,
-                "wall_seconds": run.wall_seconds,
-                "score": run.score.to_dict(),
-                "rounds": [
-                    {
-                        "index": r.index,
-                        "phase": r.phase,
-                        "good_pct": r.good_pct,
-                        "samples": r.samples,
-                        "queries": r.queries,
-                        "active_version": r.active_version,
-                    }
-                    for r in run.rounds
-                ],
-            }
-            for run in result.runs
-        ],
-    }

@@ -1,12 +1,11 @@
 """Distributed load generation: coordinator, shard workers, faults.
 
-The harness behind the ``loadgen_scale`` bench: a
-:class:`~repro.loadgen.coordinator.Coordinator` trains the shared cost
+A :class:`~repro.loadgen.coordinator.Coordinator` trains the shared cost
 models once, fans a fixed set of scenario **shards** out to a process
 pool, injects scripted site faults
 (:class:`~repro.loadgen.faults.FaultSchedule`), and merges the shard
 reports into one aggregate whose canonical JSON is byte-identical at
-any ``--workers`` count.
+any ``Coordinator.run(workers=…)``.
 """
 
 from .coordinator import (

@@ -9,8 +9,7 @@ The coordinator owns the three phases of a run:
    plus the payload to a process pool.  The *shard list* is fixed by the
    experiment config; ``workers`` only sets how many run concurrently,
    so the work is identical at any parallelism.  Pool workers get fresh
-   observability state via the parallel runner's
-   :func:`~repro.experiments.runner.hermetic_worker_obs` initializer;
+   observability state via the :func:`hermetic_worker_obs` initializer;
    ``workers=1`` runs every shard in-process — the reference ordering
    the pool must reproduce;
 3. **merge** — reassemble shard reports in index order and aggregate
@@ -28,9 +27,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .. import obs
 from ..core.strategy import DEFAULT_STRATEGY
 from ..experiments.config import ExperimentConfig
-from ..experiments.runner import hermetic_worker_obs
 from ..workload.scenarios import SCENARIO_KINDS
 from .faults import FaultSchedule, named_fault_plan
 from .report import aggregate_reports, deterministic_json, percentile
@@ -123,6 +122,17 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def hermetic_worker_obs() -> None:
+    """Give a pool worker fresh observability state.
+
+    A forked worker must not keep recording into a copy of the parent's
+    registry/tracker, or cross-process aggregates would silently
+    double-count whatever the parent had accumulated.
+    """
+    obs.set_registry(obs.MetricsRegistry())
+    obs.set_tracker(obs.AccuracyTracker())
+
+
 def default_loadgen_config(
     experiment: ExperimentConfig,
     fault_plan: str = "mixed",
@@ -173,7 +183,7 @@ class LoadGenReport:
 
         Shards merge in index order and each span renders as canonical
         JSON (sorted keys, compact separators), so the merged trace is
-        byte-identical at any ``--workers`` count — the same determinism
+        byte-identical at any ``run(workers=…)`` — the same determinism
         contract as :meth:`deterministic_payload`.
         """
         lines = []
@@ -225,8 +235,8 @@ class Coordinator:
         self.config = config
         #: Trained registry payloads, one per model-form strategy in the
         #: mix.  Pass ``payload`` (a single registry export) to share
-        #: training across runs (the scale bench trains once for the
-        #: whole worker ladder); it seeds the default-strategy slot.
+        #: training across runs (train once, then compare worker
+        #: counts); it seeds the default-strategy slot.
         self.payloads: dict[str, dict] = {}
         if payload is not None:
             self.payloads[DEFAULT_STRATEGY] = payload

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from ..env.loadbuilder import LoadBuilder
 from ..mdbs.agent import MDBSAgent
 
-#: ``--fault-plan`` vocabulary (see :func:`named_fault_plan`).
+#: Named fault plans (see :func:`named_fault_plan`).
 FAULT_PLANS = ("none", "outage", "slowdown", "mixed")
 
 #: Kinds an event may carry.
@@ -104,7 +104,7 @@ class FaultSchedule:
 def named_fault_plan(
     name: str, shards: int, rounds: int, gap_seconds: float
 ) -> FaultSchedule:
-    """The canned ``--fault-plan`` schedules, sized to the run shape.
+    """The canned fault schedules, sized to the run shape.
 
     Faults start about a quarter of the way through the timeline and
     last another quarter, leaving roughly half the rounds for the drift

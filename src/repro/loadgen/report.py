@@ -10,8 +10,8 @@ Two concerns live here:
 * :func:`aggregate_reports` — merge every shard's deterministic facts
   into one payload.  Shards merge in index order regardless of which
   worker ran them, which is the whole determinism argument for
-  ``--workers N``: :func:`deterministic_json` of the aggregate is
-  byte-identical for any worker count.
+  ``Coordinator.run(workers=N)``: :func:`deterministic_json` of the
+  aggregate is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from ..obs.quality import merge_accuracy_snapshots
 
-#: Aggregate-payload schema version (BENCH_loadgen_scale.json).
+#: Aggregate-payload schema version.
 REPORT_SCHEMA_VERSION = 1
 
 

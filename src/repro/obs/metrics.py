@@ -119,7 +119,7 @@ class Histogram:
     fewer values than that have been recorded).  The reservoir RNG is a
     per-instance ``random.Random`` seeded from a stable digest of the
     metric name (``hash()`` is salted per process, which would make
-    quantiles differ between ``--jobs N`` workers and their parent), so
+    quantiles differ between pool workers and their parent), so
     identically named histograms fed identical values sample
     identically in every process.
     """
@@ -294,17 +294,6 @@ class MetricsRegistry:
             for name, metric in sorted(metrics.items())
             if isinstance(metric, Counter)
         }
-
-    def merge_counters(self, totals: dict[str, float]) -> None:
-        """Add *totals* into this registry's counters (by name).
-
-        The aggregation primitive for pooled workers: each worker ships
-        its counter deltas back and the parent folds them in, so process
-        boundaries don't lose cache hit rates or per-layer work counts.
-        """
-        for name, value in totals.items():
-            if value:
-                self.inc(name, value)
 
     def names(self) -> list[str]:
         with self._lock:

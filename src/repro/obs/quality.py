@@ -693,21 +693,6 @@ class RecoveryScore:
     queries_to_recover: int | None
     floor_pct: float
 
-    @property
-    def recovered(self) -> bool:
-        return self.recovered_round is not None
-
-    def to_dict(self) -> dict:
-        return {
-            "calm_good_pct": self.calm_good_pct,
-            "shift_round": self.shift_round,
-            "degraded_round": self.degraded_round,
-            "recovered_round": self.recovered_round,
-            "queries_to_recover": self.queries_to_recover,
-            "floor_pct": self.floor_pct,
-            "recovered": self.recovered,
-        }
-
 
 class DriftDetector:
     """Evaluates a :class:`DriftPolicy` against tracker windows.

@@ -12,9 +12,10 @@ cache, and cross-request probe sharing in front of the synchronous
                                  probing through the ProbingService)
              → per-site-locked execution on the MDBS server
 
-See DESIGN.md ("Serving") for the architecture diagram and
-``benchmarks/test_bench_serving_throughput.py`` for the recorded
-QPS / latency baseline (``BENCH_serving_throughput.json``).
+See DESIGN.md ("Serving") for the architecture diagram; the probe and
+plan-cache work a request may cost is pinned in
+``tests/serving/test_frontend.py``, and ``python -m bench``
+(``serve_hot`` / ``serve_cold``) holds the throughput numbers.
 """
 
 from .config import ADMISSION_POLICIES, ServingConfig

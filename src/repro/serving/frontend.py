@@ -279,8 +279,8 @@ class ServingFrontEnd:
             # (children suppressed, root materialized lazily at finish
             # only if the request must be force-kept), so sampling saves
             # the recording cost instead of discarding spans already
-            # paid for (BENCH_trace_overhead's <5% sampled-vs-off guard
-            # depends on this).
+            # paid for (tests/serving/test_frontend.py::TestTracing::
+            # test_unsampled_requests_record_nothing guards this).
             ticket.trace_sampled = self.sampler.keep(ticket.trace_id)
             if ticket.trace_sampled:
                 root = tracer.span(

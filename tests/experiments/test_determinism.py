@@ -1,17 +1,17 @@
-"""Cross-process determinism and CLI parallel-equivalence guards.
+"""Cross-process determinism and CLI artifact-stream guards.
 
-The parallel runner's whole correctness story rests on one contract:
-a class experiment's result is a pure function of its task identity and
-config, never of process, worker order, or hash randomization.  These
-tests enforce it from the outside — fresh interpreters, different
-``PYTHONHASHSEED`` values, and the real ``python -m repro.experiments``
-entry point.
+The artifacts' whole correctness story rests on one contract: a bench's
+output is a pure function of (preset, seed), never of process, bench
+order, or hash randomization.  These tests enforce it from the outside —
+fresh interpreters, different ``PYTHONHASHSEED`` values, and the real
+``python -m repro.experiments`` entry point.
 """
 
 import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -48,18 +48,21 @@ print(json.dumps(payload, sort_keys=True))
 """
 
 
-def _run_python(code: str, hashseed: str, extra_env: dict | None = None) -> str:
+def _fresh_interpreter(argv: list[str], hashseed: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     env["PYTHONHASHSEED"] = hashseed
-    env.update(extra_env or {})
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
+    return subprocess.run(
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env=env,
         cwd=REPO_ROOT,
     )
+
+
+def _run_python(code: str, hashseed: str) -> str:
+    proc = _fresh_interpreter(["-c", code], hashseed)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -72,39 +75,63 @@ class TestCrossProcessDeterminism:
         assert first == second
 
 
-def _run_cli(args: list[str], cache_dir: Path) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    env.pop("REPRO_CACHE_DIR", None)
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.experiments", "--preset", "tiny",
-         "--cache-dir", str(cache_dir), *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=REPO_ROOT,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc
+GOLDEN_CLI = Path(__file__).parent / "golden" / "cli_quick_seed7.txt"
+
+#: Flags earlier versions accepted; there is no shim that swallows them.
+REMOVED_FLAGS = (
+    "--bench-out",
+    "--engine-bench-out",
+    "--loadgen-bench-out",
+    "--model-race-out",
+    "--trace-overhead-out",
+    "--loadgen-trace-out",
+    "--workers",
+    "--fault-plan",
+    "--trace-sample-rate",
+    "--jobs",
+    "--cache-dir",
+    "--no-cache",
+    "--clear-cache",
+)
+
+
+def _run_cli(args: list[str], hashseed: str = "0") -> subprocess.CompletedProcess:
+    return _fresh_interpreter(["-m", "repro.experiments", *args], hashseed)
 
 
 @pytest.mark.slow
-class TestParallelCLIEquivalence:
-    """`--jobs N` must never change the artifact stream (stdout)."""
+class TestCLI:
+    def test_quick_seed7_stdout_matches_golden(self):
+        """All 13 artifacts, byte for byte, as the pre-refactor CLI printed them.
 
-    def test_jobs4_matches_jobs1_and_warm_cache_recomputes_nothing(self, tmp_path):
-        serial = _run_cli(["--jobs", "1"], tmp_path / "serial")
-        parallel = _run_cli(["--jobs", "4"], tmp_path / "parallel")
-        assert parallel.stdout == serial.stdout
+        Two fresh interpreters under different hash seeds, side by side.
+        Regenerate after an *intentional* change with
+        ``PYTHONPATH=src python -m repro.experiments --preset quick --seed 7
+        > tests/experiments/golden/cli_quick_seed7.txt``.
+        """
+        args = ["--preset", "quick", "--seed", "7"]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            procs = list(pool.map(lambda seed: _run_cli(args, seed), ("0", "12345")))
+        golden = GOLDEN_CLI.read_text()
+        for proc in procs:
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == golden
 
-        # Same cache dir again: the pool loads every task from disk.
-        warm = _run_cli(["--jobs", "4"], tmp_path / "parallel")
-        assert warm.stdout == serial.stdout
-        assert "computed=0" in warm.stderr
-        assert "cached=6" in warm.stderr
-
-    def test_only_flag_limits_benches(self, tmp_path):
-        proc = _run_cli(["--only", "table4"], tmp_path / "only")
+    def test_only_flag_limits_benches(self):
+        proc = _run_cli(["--preset", "tiny", "--only", "table4"])
+        assert proc.returncode == 0, proc.stderr
         assert "Table 4" in proc.stdout
         assert "Table 5" not in proc.stdout
         assert "Figure 1" not in proc.stdout
+
+
+@pytest.mark.parametrize("flag", REMOVED_FLAGS + ("--no-such-flag",))
+def test_unknown_or_removed_flag_is_an_argparse_error(flag, capsys):
+    from repro.experiments.__main__ import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--preset", "tiny", "--only", "table4", flag])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: " + flag in captured.err
+    assert captured.out == ""

@@ -1,15 +1,17 @@
 """Smoke tests for the experiment runners (small configurations).
 
-The benchmarks run the full quick-preset experiments; here we only check
-that each runner produces structurally correct output and the headline
-shape holds, using deliberately tiny sample sizes.
+``benchmarks/`` asserts the paper's shapes on the full quick-preset
+experiments; here we only check that each runner produces structurally
+correct output and the headline shape holds, using deliberately tiny
+sample sizes — plus the quick preset where the assertion is the same
+one, so it lives in one place.
 """
 
 import pytest
 
 from repro.core.classification import G1
 from repro.engine.profiles import ORACLE_LIKE
-from repro.experiments.config import tiny
+from repro.experiments.config import quick, tiny
 from repro.experiments.figure1 import run_figure1
 from repro.experiments.figures4_9 import FIGURE_LAYOUT, run_figure, tracking_error
 from repro.experiments.harness import run_class_experiment
@@ -64,13 +66,16 @@ class TestStatesAblation:
 
 class TestModelForms:
     def test_general_form_wins(self):
-        result = run_model_forms(TINY)
         from repro.core.qualitative import ModelForm
 
-        general = result.result_for(ModelForm.GENERAL)
-        coincident = result.result_for(ModelForm.COINCIDENT)
-        assert general.r_squared > coincident.r_squared
-        assert general.standard_error < coincident.standard_error
+        # Tiny, and the quick preset benchmarks/ checks the rest of the
+        # ordering at (one test id: a loop, not a parametrize).
+        for config in (TINY, quick(seed=7)):
+            result = run_model_forms(config)
+            general = result.result_for(ModelForm.GENERAL)
+            coincident = result.result_for(ModelForm.COINCIDENT)
+            assert general.r_squared > coincident.r_squared, config
+            assert general.standard_error < coincident.standard_error, config
 
 
 class TestFigureRunners:

@@ -117,6 +117,16 @@ class TestMergedTrace:
         # (same seed, same ids, lower threshold) — plus force-keeps,
         # which retain full span trees of their own.
         assert sampled_ids < full_ids
+        # Every exemplar trace id a shard's drift events embed resolves
+        # to spans the sampled merge retained: the postmortem handle
+        # never dangles, whatever the head-sampling rate.
+        exemplars = {
+            trace_id
+            for shard in report.shard_reports
+            for event in shard.drift_events
+            for trace_id in event.get("stats", {}).get("exemplar_traces", [])
+        }
+        assert exemplars and exemplars <= sampled_ids
 
     @pytest.mark.slow
     def test_merged_trace_is_byte_identical_across_worker_counts(

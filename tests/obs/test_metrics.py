@@ -180,15 +180,6 @@ class TestMetricsRegistry:
         registry.observe("h", 1.0)
         assert registry.counters() == {"a": 3.0, "b": 2.0}
 
-    def test_merge_counters_folds_worker_deltas_in(self):
-        parent = MetricsRegistry()
-        parent.inc("shared", 1)
-        parent.merge_counters({"shared": 4.0, "worker_only": 2.0, "zero": 0.0})
-        assert parent.counter_value("shared") == 5.0
-        assert parent.counter_value("worker_only") == 2.0
-        # Zero deltas create no metric at all.
-        assert "zero" not in parent.names()
-
     def test_reset_clears_everything(self):
         registry = MetricsRegistry()
         registry.inc("c")

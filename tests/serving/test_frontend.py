@@ -7,6 +7,8 @@ The tracing tests pin the other acceptance criterion: one *connected*
 span tree per request, across the submit→worker thread hop.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro import obs
@@ -83,15 +85,41 @@ class TestConcurrentServing:
             site = ticket.execution.plan.join_site
             assert by_query.setdefault(key, site) == site
 
-    def test_cache_and_optimizer_sources_are_labelled(self, serving_mdbs):
-        server, _ = serving_mdbs
+    def test_cache_and_optimizer_sources_are_labelled(self, serving_mdbs, monkeypatch):
+        server, sites = serving_mdbs
         queries = query_mix()
+        start = {n: s.database.save_state() for n, s in sites.items()}
+        probes = server.probing.probes_executed
+
+        def probes_run():
+            return sum(probes.get(name, 0) for name in sites)
+
+        before = probes_run()
         config = ServingConfig(workers=1)
         with ServingFrontEnd(server, config) as frontend:
             first = frontend.serve(queries)
             second = frontend.serve(queries)
         assert [t.plan_source for t in first] == ["optimizer"] * len(queries)
         assert [t.plan_source for t in second] == ["cache"] * len(queries)
+        # Pinned probe TTL + plan cache: one probing query per site,
+        # however many requests follow.
+        assert probes_run() - before == len(sites)
+
+        # The same stream from the same state with the plan cache off and
+        # probe TTL 0: every request probes both sites and re-plans, and
+        # the fresh optimizer splits the joins across sites exactly as
+        # the cached run did.
+        for name, site in sites.items():
+            site.database.restore_state(start[name])
+        server.probing.invalidate()
+        monkeypatch.setattr(server.probing, "ttl", 0.0)
+        before = probes_run()
+        with ServingFrontEnd(server, ServingConfig(workers=1, plan_cache=False)) as frontend:
+            fresh = frontend.serve(queries * 2)
+        assert probes_run() - before == 2 * len(fresh)
+        cached_split = Counter(t.execution.plan.join_site for t in first + second)
+        assert Counter(t.execution.plan.join_site for t in fresh) == cached_split
+        assert set(cached_split) == {"left", "right"}
 
     def test_tickets_expose_real_latency(self, serving_mdbs):
         server, _ = serving_mdbs
