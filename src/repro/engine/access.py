@@ -1,6 +1,7 @@
 """Unary access methods: sequential scan and index scans.
 
-Each access method returns the materialized result *and* the physical
+Each access method returns the result — the ids of the qualifying rows,
+gathered into tuples only when somebody reads them — *and* the physical
 work it performed, plus an :class:`~repro.engine.metrics.AccessInfo`
 describing the globally observable facts (operand / intermediate sizes)
 that the paper's cost-model variables are built from.
@@ -14,8 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
-from operator import itemgetter
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .buffer import (
 from .errors import ExecutionError
 from .index import Index, IndexKind
 from .metrics import AccessInfo, ExecutionMetrics, sort_comparisons_for
-from .predicate import KeyRange, Predicate, extract_key_range
+from .predicate import KeyRange, Predicate, TruePredicate, extract_key_range
 from .query import SelectQuery
 from .table import ResultTable, Table
 
@@ -43,58 +42,59 @@ class UnaryExecution:
     info: AccessInfo
 
 
-def _project(table: Table, query: SelectQuery, rows) -> ResultTable:
-    """Apply the query's projection to matching rows."""
-    out_cols = query.output_columns(table.schema)
-    positions = [table.schema.position(c) for c in out_cols]
-    tuple_length = table.schema.projected_tuple_length(out_cols)
-    if vectorize.enabled() and rows:
-        # Columnar gather: one C-level itemgetter call per row instead
-        # of an interpreted tuple(genexpr) — same tuples, same order.
-        if len(positions) == 1:
-            projected = [(v,) for v in map(itemgetter(positions[0]), rows)]
-        else:
-            projected = list(map(itemgetter(*positions), rows))
-    else:
-        projected = [tuple(r[p] for p in positions) for r in rows]
-    return ResultTable(out_cols, tuple_length, projected)
+def selection_mask(
+    table: Table, predicate: Predicate, ids: np.ndarray | None = None
+) -> np.ndarray:
+    """Which of the rows *ids* (default: every row) satisfy *predicate*.
+
+    One boolean per candidate, in candidate order.  The batched path
+    evaluates the predicate over the table's column arrays (already
+    there, or needed by the next query anyway) and picks the candidates
+    out; a predicate with no batch form on this data — and every
+    predicate under :func:`vectorize.force_scalar` — is evaluated row
+    at a time.  The logical work is the same either way and is charged
+    by the caller, once per candidate.
+    """
+    count = len(table) if ids is None else len(ids)
+    if isinstance(predicate, TruePredicate):
+        return np.ones(count, dtype=bool)
+    if vectorize.enabled() and count:
+        mask = predicate.evaluate_batch(table)
+        if mask is not None:
+            return mask if ids is None else mask[ids]
+    rows, schema = table.rows(), table.schema
+    candidates = rows if ids is None else map(rows.__getitem__, ids.tolist())
+    return np.fromiter(
+        (predicate.evaluate(row, schema) for row in candidates), dtype=bool, count=count
+    )
 
 
 def _finalize(
-    table: Table, query: SelectQuery, matching: list, metrics: ExecutionMetrics
+    table: Table, query: SelectQuery, ids: np.ndarray, metrics: ExecutionMetrics
 ) -> ResultTable:
-    """ORDER BY, LIMIT, and projection over the matching rows.
+    """ORDER BY, LIMIT, and projection over the matching row ids.
 
     Sorting is charged as n·log2(n) comparisons on the *matching* set
-    (sorting precedes LIMIT, as in SQL semantics); the limit then caps
-    the output-tuple count.
+    (sorting precedes LIMIT, as in SQL semantics) and done by Python's
+    stable sort on the key values, one pass per key; the limit then
+    caps the output-tuple count.  The projection is a gather per output
+    column that the result performs when its rows are first read.
     """
     if query.order_by:
-        metrics.sort_comparisons += sort_comparisons_for(len(matching))
+        metrics.sort_comparisons += sort_comparisons_for(len(ids))
         for column, ascending in reversed(query.order_by):
-            pos = table.schema.position(column)
-            matching = sorted(matching, key=lambda r: r[pos], reverse=not ascending)
+            keys = table.column_array(column)[ids].tolist()
+            ids = ids[sorted(range(len(keys)), key=keys.__getitem__, reverse=not ascending)]
     if query.limit is not None:
-        matching = matching[: query.limit]
-    result = _project(table, query, matching)
+        ids = ids[: query.limit]
+    out_cols = query.output_columns(table.schema)
+    result = ResultTable(
+        out_cols,
+        table.schema.projected_tuple_length(out_cols),
+        gathers=[(table.column_array(name), ids) for name in out_cols],
+    )
     metrics.tuples_output = result.cardinality
     return result
-
-
-def _filter_table(
-    table: Table, predicate: Predicate, metrics: ExecutionMetrics
-) -> list:
-    """Predicate over every row, vectorized when possible.
-
-    Charges one predicate evaluation per row either way — the batched
-    path does the same logical work, just without the interpreter loop.
-    """
-    metrics.tuples_evaluated += table.cardinality
-    if vectorize.enabled():
-        mask = predicate.evaluate_batch(table)
-        if mask is not None:
-            return list(compress(table.rows(), mask.tolist()))
-    return [row for row in table if predicate.evaluate(row, table.schema)]
 
 
 def seq_scan(
@@ -106,7 +106,8 @@ def seq_scan(
     charge_sequential_pages(metrics, pool, table.name, table.num_pages)
     metrics.tuples_read = table.cardinality
 
-    matching = _filter_table(table, query.predicate, metrics)
+    metrics.tuples_evaluated += table.cardinality
+    matching = np.flatnonzero(selection_mask(table, query.predicate))
     result = _finalize(table, query, matching, metrics)
     info = AccessInfo(
         method="seq_scan",
@@ -121,27 +122,11 @@ def seq_scan(
 
 def _filter_row_ids(
     table: Table, row_ids: list[int], residual: Predicate, metrics: ExecutionMetrics
-) -> list:
-    """Residual predicate over the indexed row ids, vectorized when possible.
-
-    The batched path evaluates the residual over the *whole* table once
-    (columnar views are already materialized) and intersects with the
-    fetched ids — per-row work identical, charged per fetched id.
-    """
+) -> np.ndarray:
+    """The fetched row ids that pass the residual, charged per fetched id."""
     metrics.tuples_evaluated += len(row_ids)
-    if vectorize.enabled() and row_ids:
-        mask = residual.evaluate_batch(table)
-        if mask is not None:
-            ids = np.asarray(row_ids, dtype=np.intp)
-            keep = ids[mask[ids]]
-            rows = table.rows()
-            return [rows[i] for i in keep]
-    matching = []
-    for rid in row_ids:
-        row = table.row(rid)
-        if residual.evaluate(row, table.schema):
-            matching.append(row)
-    return matching
+    ids = np.asarray(row_ids, dtype=np.intp)
+    return ids[selection_mask(table, residual, ids)]
 
 
 def clustered_index_scan(

@@ -32,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 from collections import OrderedDict, deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Hashable, Iterable
 
 #: Pages examined from the cold end of the LRU chain at eviction time.
@@ -119,62 +120,56 @@ class BufferPool:
         return key in self._pages
 
     def access(self, key: PageKey) -> bool:
-        """Touch one page; returns True on a hit, False on a miss.
-
-        A miss installs the page, evicting (if the pool is full) the
-        candidate among the :attr:`evict_scan` least-recently-used
-        resident pages with the smallest windowed refcount.
-        """
-        self.stats.logical_reads += 1
-        self._note_access(key)
-        if key in self._pages:
-            self._pages.move_to_end(key)
-            self.stats.hits += 1
-            return True
-        self.stats.misses += 1
-        if len(self._pages) >= self.capacity_pages:
-            self._evict_one()
-        self._pages[key] = None
-        return False
+        """Touch one page; returns True on a hit, False on a miss."""
+        return self.access_many((key,))[0] == 1
 
     def access_many(self, keys: Iterable[PageKey]) -> tuple[int, int]:
-        """Touch *keys* in order; returns ``(hits, misses)``."""
-        hits = misses = 0
-        for key in keys:
-            if self.access(key):
-                hits += 1
-            else:
-                misses += 1
-        return hits, misses
+        """Touch *keys* in order; returns ``(hits, misses)``.
 
-    def _note_access(self, key: PageKey) -> None:
-        self._recent.append(key)
-        self._refcounts[key] = self._refcounts.get(key, 0) + 1
-        if len(self._recent) > self.window:
-            old = self._recent.popleft()
-            remaining = self._refcounts[old] - 1
-            if remaining:
-                self._refcounts[old] = remaining
-            else:
-                del self._refcounts[old]
-
-    def _evict_one(self) -> None:
-        """Drop the coldest of the first *evict_scan* LRU candidates.
-
-        Deterministic: candidates are taken in LRU order, and the scan
-        keeps the *first* minimum, so ties evict the least recently used.
+        Every touch enters the sliding window.  A miss installs the
+        page, evicting (if the pool is full) the candidate among the
+        :attr:`evict_scan` least-recently-used resident pages with the
+        smallest windowed refcount; candidates are taken in LRU order
+        and the scan keeps the *first* minimum, so ties evict the least
+        recently used.  This is the only place the policy lives: one
+        loop, with the pool's state in locals.
         """
-        victim: PageKey | None = None
-        victim_refs = -1
-        for i, key in enumerate(self._pages):
-            if i >= self.evict_scan:
-                break
-            refs = self._refcounts.get(key, 0)
-            if victim is None or refs < victim_refs:
-                victim, victim_refs = key, refs
-        assert victim is not None
-        del self._pages[victim]
-        self.stats.evictions += 1
+        pages, recent, refcounts = self._pages, self._recent, self._refcounts
+        capacity, window, evict_scan = self.capacity_pages, self.window, self.evict_scan
+        hits = misses = evictions = 0
+        try:
+            for key in keys:
+                recent.append(key)
+                refcounts[key] = refcounts.get(key, 0) + 1
+                if len(recent) > window:
+                    old = recent.popleft()
+                    remaining = refcounts[old] - 1
+                    if remaining:
+                        refcounts[old] = remaining
+                    else:
+                        del refcounts[old]
+                if key in pages:
+                    pages.move_to_end(key)
+                    hits += 1
+                    continue
+                misses += 1
+                if len(pages) >= capacity:
+                    victim = None
+                    victim_refs = -1
+                    for candidate in islice(pages, evict_scan):
+                        refs = refcounts.get(candidate, 0)
+                        if victim is None or refs < victim_refs:
+                            victim, victim_refs = candidate, refs
+                    del pages[victim]
+                    evictions += 1
+                pages[key] = None
+        finally:
+            stats = self.stats
+            stats.logical_reads += hits + misses
+            stats.hits += hits
+            stats.misses += misses
+            stats.evictions += evictions
+        return hits, misses
 
     # -- management -------------------------------------------------------
 
@@ -254,11 +249,11 @@ def charge_sequential_pages(
     if pool is None:
         metrics.sequential_page_reads += num_pages
         return
-    for page in range(start_page, start_page + num_pages):
-        if pool.access(("T", table_name, page)):
-            metrics.buffer_hits += 1
-        else:
-            metrics.sequential_page_reads += 1
+    hits, misses = pool.access_many(
+        table_page_keys(table_name, range(start_page, start_page + num_pages))
+    )
+    metrics.buffer_hits += hits
+    metrics.sequential_page_reads += misses
 
 
 def charge_random_pages(
@@ -279,9 +274,7 @@ def charge_random_pages(
         metrics.logical_page_reads += count
         return
     assert keys is not None, "pool-backed charging needs concrete page keys"
-    for key in keys:
-        metrics.logical_page_reads += 1
-        if pool.access(key):
-            metrics.buffer_hits += 1
-        else:
-            metrics.random_page_reads += 1
+    hits, misses = pool.access_many(keys)
+    metrics.logical_page_reads += hits + misses
+    metrics.buffer_hits += hits
+    metrics.random_page_reads += misses

@@ -2,10 +2,10 @@
 
 Every method produces the identical (bag-equivalent) result; they differ
 in the physical work they report, which is what drives the simulated
-elapsed times the cost models are trained on.  To keep large joins fast
-in pure Python, the actual matching always uses a hash table internally —
-the *metrics* are what model each algorithm, and correctness tests verify
-all methods agree with a naive reference join.
+elapsed times the cost models are trained on.  To keep large joins fast,
+the actual matching is one shared matcher over the operands' key arrays
+(:func:`_match_pairs`) — the *metrics* are what model each algorithm, and
+correctness tests verify all methods agree with a naive reference join.
 
 Per the paper's Table 3, each operand's *intermediate table* is the
 operand reduced by its local selection; join variables include both
@@ -17,12 +17,11 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import compress
-from operator import itemgetter
 
 import numpy as np
 
 from . import vectorize
+from .access import selection_mask
 from .buffer import (
     BufferPool,
     charge_random_pages,
@@ -32,7 +31,7 @@ from .buffer import (
 from .errors import ExecutionError
 from .index import Index, IndexKind
 from .metrics import AccessInfo, ExecutionMetrics, sort_comparisons_for
-from .predicate import TRUE
+from .predicate import FLOAT_EXACT_INT
 from .query import JoinQuery
 from .table import ResultTable, Table
 
@@ -59,197 +58,108 @@ def _reduce_operand(
     predicate,
     metrics: ExecutionMetrics,
     pool: BufferPool | None = None,
-) -> list:
-    """Apply a local selection by scanning the operand, charging the work."""
+) -> np.ndarray:
+    """Apply a local selection by scanning the operand, charging the work.
+
+    Returns the ids of the surviving rows — the intermediate table, as
+    a selection vector over the operand's column arrays.
+    """
     charge_sequential_pages(metrics, pool, table.name, table.num_pages)
     metrics.tuples_read += table.cardinality
     metrics.tuples_evaluated += table.cardinality
-    if predicate is TRUE:
-        # No local selection: the intermediate IS the operand.  Return
-        # the table's own row list so downstream projection can detect
-        # the identity and gather straight from cached column arrays.
-        reduced = table.rows()
-        metrics.intermediate_tuples += len(reduced)
-        return reduced
-    if vectorize.enabled():
-        mask = predicate.evaluate_batch(table)
-        if mask is not None:
-            reduced = list(compress(table.rows(), mask.tolist()))
-            metrics.intermediate_tuples += len(reduced)
-            return reduced
-    reduced = [row for row in table if predicate.evaluate(row, table.schema)]
-    metrics.intermediate_tuples += len(reduced)
-    return reduced
+    selected = np.flatnonzero(selection_mask(table, predicate))
+    metrics.intermediate_tuples += len(selected)
+    return selected
 
 
-def _match_pairs_scalar(left_rows, right_rows, lpos: int, rpos: int):
-    """Reference pair matching: hash buckets over the right rows."""
-    buckets: dict = defaultdict(list)
-    for row in right_rows:
-        buckets[row[rpos]].append(row)
-    pairs = []
-    for lrow in left_rows:
-        for rrow in buckets.get(lrow[lpos], ()):
-            pairs.append((lrow, rrow))
-    return pairs
+def _numpy_orders_like_python(lkeys: np.ndarray, rkeys: np.ndarray) -> bool:
+    """Whether sorting and searching these keys in numpy matches ``==``.
 
-
-class _MatchedPairs:
-    """Join matches kept as parallel index lists (the columnar fast path).
-
-    Quacks like the scalar matcher's list of ``(left_row, right_row)``
-    pairs — same length, order, iteration, and equality — while letting
-    :func:`_project_join` gather output columns by numpy fancy index
-    (or C-level ``map``) instead of one generator-driven ``tuple()``
-    call per pair.  Index arrays stay numpy; the Python-list mirrors
-    materialize lazily for iteration.
+    Unicode against unicode and same-kind numbers do.  Mixed int/float
+    keys are compared as float64, which is exact only while every
+    integer is within ±2**53 (the rule ``Comparison`` applies to its
+    constant).  NaN equals nothing in Python but sorts as one value, and
+    object arrays hold whatever the typed arrays could not.
     """
-
-    __slots__ = (
-        "left_rows",
-        "right_rows",
-        "left_idx_array",
-        "right_idx_array",
-        "_left_idx",
-        "_right_idx",
-    )
-
-    def __init__(self, left_rows, right_rows, left_idx_array, right_idx_array):
-        self.left_rows = left_rows
-        self.right_rows = right_rows
-        self.left_idx_array = left_idx_array
-        self.right_idx_array = right_idx_array
-        self._left_idx = None
-        self._right_idx = None
-
-    @property
-    def left_idx(self) -> list:
-        if self._left_idx is None:
-            self._left_idx = self.left_idx_array.tolist()
-        return self._left_idx
-
-    @property
-    def right_idx(self) -> list:
-        if self._right_idx is None:
-            self._right_idx = self.right_idx_array.tolist()
-        return self._right_idx
-
-    def __len__(self) -> int:
-        return len(self.left_idx_array)
-
-    def __iter__(self):
-        lrows, rrows = self.left_rows, self.right_rows
-        return (
-            (lrows[i], rrows[j]) for i, j in zip(self.left_idx, self.right_idx)
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (list, _MatchedPairs)):
-            return list(self) == list(other)
-        return NotImplemented
+    kinds = {lkeys.dtype.kind, rkeys.dtype.kind}
+    if kinds == {"U"}:
+        return True
+    if not kinds <= {"i", "f"}:
+        return False
+    for keys in (lkeys, rkeys):
+        if keys.dtype.kind == "f":
+            if np.isnan(keys).any():
+                return False
+        elif len(kinds) == 2 and not (
+            -FLOAT_EXACT_INT < keys.min() and keys.max() < FLOAT_EXACT_INT
+        ):
+            return False
+    return True
 
 
-def _match_pairs_vectorized(left_rows, right_rows, lpos: int, rpos: int):
-    """numpy pair matching, or None when the key dtypes don't allow it.
+def _match_pairs(lkeys: np.ndarray, rkeys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All pairs of equal join keys, as positions into *lkeys* and *rkeys*.
 
-    A stable argsort of the right keys plus two ``searchsorted`` calls
-    yields, for every left row, the right matches in right-scan order —
-    the exact pair order the scalar hash path produces (left-row major,
-    right-scan order within a key).
+    Pairs come left-position major, right positions ascending within a
+    key, whichever branch finds them.  The numpy branch — a stable
+    argsort of the right keys plus two ``searchsorted`` calls — is taken
+    when the key dtypes allow it; hash buckets over the Python values
+    decide everything else, and everything under
+    :func:`vectorize.force_scalar`.
     """
-    try:
-        lkeys = np.array([r[lpos] for r in left_rows])
-        rkeys = np.array([r[rpos] for r in right_rows])
-    except (OverflowError, ValueError):
-        # e.g. integers beyond int64 — scalar hashing handles those.
-        return None
-    numeric = ("i", "u", "f")
-    if lkeys.dtype.kind in numeric and rkeys.dtype.kind in numeric:
-        pass
-    elif lkeys.dtype.kind == "U" and rkeys.dtype.kind == "U":
-        pass
-    else:
-        return None
+    empty = np.empty(0, dtype=np.intp)
+    if not len(lkeys) or not len(rkeys):
+        return empty, empty
+    if not (vectorize.enabled() and _numpy_orders_like_python(lkeys, rkeys)):
+        buckets: dict = defaultdict(list)
+        for position, key in enumerate(rkeys.tolist()):
+            buckets[key].append(position)
+        lpos: list[int] = []
+        rpos: list[int] = []
+        for position, key in enumerate(lkeys.tolist()):
+            matches = buckets.get(key, ())
+            lpos.extend([position] * len(matches))
+            rpos.extend(matches)
+        return np.asarray(lpos, dtype=np.intp), np.asarray(rpos, dtype=np.intp)
     order = np.argsort(rkeys, kind="stable")
     rsorted = rkeys[order]
     starts = np.searchsorted(rsorted, lkeys, side="left")
-    ends = np.searchsorted(rsorted, lkeys, side="right")
-    counts = ends - starts
+    counts = np.searchsorted(rsorted, lkeys, side="right") - starts
     total = int(counts.sum())
     if total == 0:
-        empty = np.empty(0, dtype=np.intp)
-        return _MatchedPairs(left_rows, right_rows, empty, empty)
-    left_idx = np.repeat(np.arange(len(left_rows)), counts)
+        return empty, empty
+    lpos = np.repeat(np.arange(len(lkeys)), counts)
     # Concatenated ranges starts[i]..ends[i]: position within each
     # segment plus the segment's start.
     segment_firsts = np.cumsum(counts) - counts
     offsets = np.arange(total) - np.repeat(segment_firsts, counts)
-    right_idx = order[np.repeat(starts, counts) + offsets]
-    return _MatchedPairs(left_rows, right_rows, left_idx, right_idx)
+    return lpos, order[np.repeat(starts, counts) + offsets]
 
 
-def _match_pairs(left_rows, right_rows, lpos: int, rpos: int):
-    """All (left, right) pairs with equal join keys.
-
-    Dispatches to the vectorized matcher when enabled and the key dtypes
-    are comparable under numpy with Python-identical semantics; the two
-    paths produce pairs in the same order.
-    """
-    if vectorize.enabled() and left_rows and right_rows:
-        pairs = _match_pairs_vectorized(left_rows, right_rows, lpos, rpos)
-        if pairs is not None:
-            return pairs
-    return _match_pairs_scalar(left_rows, right_rows, lpos, rpos)
+def _match_operands(
+    left: Table, right: Table, query: JoinQuery, li: np.ndarray, ri: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row ids (left, right) of the matching pairs of two intermediates."""
+    lpos, rpos = _match_pairs(
+        left.column_array(query.left_column)[li],
+        right.column_array(query.right_column)[ri],
+    )
+    return li[lpos], ri[rpos]
 
 
-def _project_join(
-    left: Table, right: Table, query: JoinQuery, pairs
+def _join_result(
+    left: Table, right: Table, query: JoinQuery, lids: np.ndarray, rids: np.ndarray
 ) -> ResultTable:
-    """Project matched row pairs onto the query's qualified output columns."""
+    """The query's qualified output columns over the matched row-id pairs."""
     out_cols = query.output_columns(left.schema, right.schema)
-    extractors = []
+    gathers = []
     tuple_length = 0
     for qualified in out_cols:
         tname, _, cname = qualified.partition(".")
-        if tname == query.left:
-            pos = left.schema.position(cname)
-            extractors.append(("l", pos, cname))
-            tuple_length += left.schema.column(cname).width
-        else:
-            pos = right.schema.position(cname)
-            extractors.append(("r", pos, cname))
-            tuple_length += right.schema.column(cname).width
-    if isinstance(pairs, _MatchedPairs) and len(pairs):
-        # Columnar projection: build one output column at a time and let
-        # zip assemble the row tuples.  When a side's matched rows ARE
-        # the table's own rows (no local selection reduced them), gather
-        # the column by numpy fancy index straight from the table's
-        # cached column array; otherwise fall back to a fused C-level
-        # map over the index list.  Both produce the identical Python
-        # values (int64/float64/unicode round-trip exactly).
-        columns = []
-        for side, pos, cname in extractors:
-            table_, rows_, idx_array = (
-                (left, pairs.left_rows, pairs.left_idx_array)
-                if side == "l"
-                else (right, pairs.right_rows, pairs.right_idx_array)
-            )
-            if rows_ is table_.rows():
-                array = table_.column_array(cname)
-                if array.dtype.kind in "iufU":
-                    columns.append(array[idx_array].tolist())
-                    continue
-            idx = pairs.left_idx if side == "l" else pairs.right_idx
-            columns.append(
-                list(map(itemgetter(pos), map(rows_.__getitem__, idx)))
-            )
-        rows = list(zip(*columns))
-    else:
-        rows = [
-            tuple(lrow[p] if side == "l" else rrow[p] for side, p, _ in extractors)
-            for lrow, rrow in pairs
-        ]
-    return ResultTable(out_cols, tuple_length, rows)
+        table, ids = (left, lids) if tname == query.left else (right, rids)
+        gathers.append((table.column_array(cname), ids))
+        tuple_length += table.schema.column(cname).width
+    return ResultTable(out_cols, tuple_length, gathers=gathers)
 
 
 def _operand_info(
@@ -293,10 +203,7 @@ def nested_loop_join(
     metrics.tuples_read += (blocks - 1) * inner_table.cardinality
     metrics.tuples_evaluated += len(li) * len(ri)
 
-    lpos = left.schema.position(query.left_column)
-    rpos = right.schema.position(query.right_column)
-    pairs = _match_pairs(li, ri, lpos, rpos)
-    result = _project_join(left, right, query, pairs)
+    result = _join_result(left, right, query, *_match_operands(left, right, query, li, ri))
     metrics.tuples_output = result.cardinality
     return JoinExecution(
         result,
@@ -333,15 +240,16 @@ def index_nested_loop_join(
     metrics = ExecutionMetrics()
     li = _reduce_operand(left, query.left_predicate, metrics, pool)
 
-    lpos = left.schema.position(query.left_column)
     ratio = inner_index.clustering_ratio()
     rows_per_page = right.layout.rows_per_page(right.tuple_length)
     kind_is_clustered = inner_index.kind is IndexKind.CLUSTERED
 
-    pairs = []
-    matched_inner_ids: set[int] = set()
-    for lrow in li:
-        key = lrow[lpos]
+    # One index probe per outer tuple, in outer order (the pool sees the
+    # probes in that order); the fetched ids are collected and the right
+    # local selection is applied to all of them afterwards.
+    fanout: list[int] = []
+    fetched: list[int] = []
+    for key in left.column_array(query.left_column)[li].tolist():
         row_ids = inner_index.lookup(key)
         k = len(row_ids)
         if pool is None:
@@ -361,27 +269,28 @@ def index_nested_loop_join(
             charge_random_pages(
                 metrics,
                 pool,
-                keys=(
+                keys=[
                     ("T", right.name, data_page_of(rid, rows_per_page))
                     for rid in row_ids
-                ),
+                ],
             )
-        metrics.tuples_read += k
-        for rid in row_ids:
-            rrow = right.row(rid)
-            metrics.tuples_evaluated += 1
-            if query.right_predicate.evaluate(rrow, right.schema):
-                pairs.append((lrow, rrow))
-                matched_inner_ids.add(rid)
-    metrics.intermediate_tuples += len(matched_inner_ids)
+        fanout.append(k)
+        fetched.extend(row_ids)
+    metrics.tuples_read += len(fetched)
+    metrics.tuples_evaluated += len(fetched)
+    rids = np.asarray(fetched, dtype=np.intp)
+    keep = selection_mask(right, query.right_predicate, rids)
+    lids, rids = np.repeat(li, fanout)[keep], rids[keep]
+    matched_inner = len(np.unique(rids))
+    metrics.intermediate_tuples += matched_inner
 
-    result = _project_join(left, right, query, pairs)
+    result = _join_result(left, right, query, lids, rids)
     metrics.tuples_output = result.cardinality
     return JoinExecution(
         result,
         metrics,
         _operand_info(left, len(li), "index_nested_loop_join"),
-        _operand_info(right, len(matched_inner_ids), "index_nested_loop_join"),
+        _operand_info(right, matched_inner, "index_nested_loop_join"),
         "index_nested_loop_join",
     )
 
@@ -401,12 +310,10 @@ def sort_merge_join(
     metrics.sort_comparisons += _sort_comparisons(len(li)) + _sort_comparisons(len(ri))
     # Merge pass touches each intermediate tuple once (plus duplicate-key
     # rescans, charged through the pair evaluations below).
-    lpos = left.schema.position(query.left_column)
-    rpos = right.schema.position(query.right_column)
-    pairs = _match_pairs(li, ri, lpos, rpos)
-    metrics.tuples_evaluated += len(li) + len(ri) + len(pairs)
+    lids, rids = _match_operands(left, right, query, li, ri)
+    metrics.tuples_evaluated += len(li) + len(ri) + len(lids)
 
-    result = _project_join(left, right, query, pairs)
+    result = _join_result(left, right, query, lids, rids)
     metrics.tuples_output = result.cardinality
     return JoinExecution(
         result,
@@ -432,12 +339,10 @@ def hash_join(
     build, probe = (li, ri) if len(li) <= len(ri) else (ri, li)
     metrics.hash_operations += len(build) + len(probe)
 
-    lpos = left.schema.position(query.left_column)
-    rpos = right.schema.position(query.right_column)
-    pairs = _match_pairs(li, ri, lpos, rpos)
-    metrics.tuples_evaluated += len(pairs)
+    lids, rids = _match_operands(left, right, query, li, ri)
+    metrics.tuples_evaluated += len(lids)
 
-    result = _project_join(left, right, query, pairs)
+    result = _join_result(left, right, query, lids, rids)
     metrics.tuples_output = result.cardinality
     return JoinExecution(
         result,
@@ -470,29 +375,30 @@ def naive_join(
     charge_sequential_pages(metrics, pool, left.name, left.num_pages)
     metrics.tuples_read += left.cardinality
 
-    pairs = []
+    pairs: list[tuple[int, int]] = []
     left_qualifying = 0
     right_qualifying = 0
     first_rescan = True
-    for lrow in left:
+    for lid, lrow in enumerate(left):
         metrics.tuples_evaluated += 1
         if not query.left_predicate.evaluate(lrow, left.schema):
             continue
         left_qualifying += 1
         charge_sequential_pages(metrics, pool, right.name, right.num_pages)
         metrics.tuples_read += right.cardinality
-        for rrow in right:
+        for rid, rrow in enumerate(right):
             metrics.tuples_evaluated += 1
             if not query.right_predicate.evaluate(rrow, right.schema):
                 continue
             if first_rescan:
                 right_qualifying += 1
             if lrow[lpos] == rrow[rpos]:
-                pairs.append((lrow, rrow))
+                pairs.append((lid, rid))
         first_rescan = False
     metrics.intermediate_tuples += left_qualifying + right_qualifying
 
-    result = _project_join(left, right, query, pairs)
+    ids = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    result = _join_result(left, right, query, ids[:, 0], ids[:, 1])
     metrics.tuples_output = result.cardinality
     return JoinExecution(
         result,

@@ -36,6 +36,10 @@ _OPS = {
     ">=": lambda a, b: a >= b,
 }
 
+#: Integers of smaller magnitude convert to float64 exactly, so numpy may
+#: compare them with floats; beyond it only Python's exact comparison will do.
+FLOAT_EXACT_INT = 2**53
+
 #: Default selectivity guesses when statistics are unavailable
 #: (System R's classic magic numbers).
 _DEFAULT_SELECTIVITY = {
@@ -120,20 +124,21 @@ class Comparison(Predicate):
     def _batch_compatible(dtype_kind: str, value: Any) -> bool:
         """Whether numpy comparison semantics match Python's exactly.
 
-        Int columns compared to floats promote to float64, which is only
-        exact below 2**53 — the engine's validated INT values stay far
-        under that, but an out-of-range constant forces the scalar path.
+        An int compared with a float — column against constant, either
+        way round — is compared as float64, which is exact only while
+        the integer side stays within ±2**53: an out-of-range constant
+        forces the scalar path.
         """
-        if dtype_kind in "iu":
+        if dtype_kind in "iuf":
             if not isinstance(value, numbers.Real) or isinstance(value, bool):
                 return False
             if isinstance(value, numbers.Integral):
-                return -(2**53) < int(value) < 2**53
-            return abs(float(value)) < 2.0**53
-        if dtype_kind == "f":
-            return isinstance(value, numbers.Real) and not isinstance(value, bool)
+                return -FLOAT_EXACT_INT < int(value) < FLOAT_EXACT_INT
+            return dtype_kind == "f" or abs(float(value)) < FLOAT_EXACT_INT
         if dtype_kind == "U":
-            return isinstance(value, str)
+            # Fixed-width unicode drops a trailing NUL, on the constant
+            # as on a column (see Table.column_array).
+            return isinstance(value, str) and not value.endswith("\x00")
         return False
 
     def columns(self) -> set[str]:

@@ -1,4 +1,10 @@
-"""In-memory row tables with page accounting and catalog statistics."""
+"""In-memory tables with page accounting and catalog statistics.
+
+A table's content has two views — a list of row tuples and one numpy
+array per column — each derivable from the other and each built only
+when something asks for it.  Query results reference the column arrays
+and build their own tuples on first read (:class:`ResultTable`).
+"""
 
 from __future__ import annotations
 
@@ -12,28 +18,41 @@ from .errors import SchemaError
 from .histogram import EquiDepthHistogram
 from .pages import PageLayout
 from .schema import ColumnStatistics, TableSchema, TableStatistics
-from .types import Row
+from .types import DataType, Row
+
+#: Array dtype of each column type.  Values these cannot hold exactly
+#: (integers beyond int64, strings ending in NUL) go to object arrays.
+_ARRAY_DTYPES = {
+    DataType.INT: np.dtype(np.int64),
+    DataType.FLOAT: np.dtype(np.float64),
+    DataType.STR: np.dtype(np.str_),
+}
 
 
 class Table:
-    """A heap (or clustered) table: schema + rows + statistics.
+    """A heap (or clustered) table: schema + content + statistics.
 
-    Rows are stored in a Python list; the *physical order* of that list is
-    meaningful — a clustered index keeps the rows sorted on its key column
-    (see :meth:`cluster_on`), which is what makes clustered-index range
-    scans cheap in the cost accounting.
+    The *physical order* of the rows is meaningful — a clustered index
+    keeps them sorted on its key column (see :meth:`cluster_on`), which
+    is what makes clustered-index range scans cheap in the cost
+    accounting.  Row ids are positions in that order, in the row list
+    and in every column array alike.
     """
 
     def __init__(self, schema: TableSchema, layout: PageLayout | None = None) -> None:
         self.schema = schema
         self.layout = layout or PageLayout()
-        self._rows: list[Row] = []
+        #: Row view; ``None`` on a table loaded by column until something
+        #: reads a row (every column then has its array, see bulk_load).
+        self._rows: list[Row] | None = []
+        self._cardinality = 0
         self._stats: TableStatistics | None = None
-        #: Columnar (numpy) views of the rows, built lazily for the
-        #: vectorized hot paths and dropped on any mutation.
-        self._column_arrays: dict[str, np.ndarray] | None = None
+        #: Column view, filled per column on first use.  The arrays are
+        #: read-only and results and forks hold references to them, so a
+        #: mutation rebinds this dict and never writes into an array.
+        self._column_arrays: dict[str, np.ndarray] = {}
         #: Built equi-depth histograms keyed by (column, num_buckets),
-        #: dropped on any mutation — building one re-sorts the column,
+        #: rebound on any mutation — building one re-sorts the column,
         #: so repeated ``analyze(build_histograms=True)`` calls must not
         #: pay it twice for unchanged data.
         self._histograms: dict[tuple[str, int], EquiDepthHistogram] = {}
@@ -49,7 +68,7 @@ class Table:
     @property
     def cardinality(self) -> int:
         """Number of rows — the paper's ``size of operand table`` variable."""
-        return len(self._rows)
+        return self._cardinality
 
     @property
     def tuple_length(self) -> int:
@@ -58,68 +77,109 @@ class Table:
     @property
     def num_pages(self) -> int:
         """Pages occupied by the table under the configured page layout."""
-        return self.layout.pages_for(self.cardinality, self.tuple_length)
+        return self.layout.pages_for(self._cardinality, self.tuple_length)
 
     @property
     def table_length(self) -> int:
         """Total bytes — the paper's ``operand table length`` (cardinality x tuple length)."""
-        return self.cardinality * self.tuple_length
+        return self._cardinality * self.tuple_length
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._cardinality
 
     def __iter__(self) -> Iterator[Row]:
-        return iter(self._rows)
+        return iter(self.rows())
 
     def row(self, row_id: int) -> Row:
         """Fetch a row by id (its current physical position)."""
-        return self._rows[row_id]
+        return self.rows()[row_id]
 
     def rows(self) -> Sequence[Row]:
         """The full row sequence (read-only by convention)."""
+        if self._rows is None:
+            arrays = self._column_arrays
+            self._rows = list(
+                zip(*[arrays[name].tolist() for name in self.schema.column_names])
+            )
         return self._rows
 
     def fork(self) -> "Table":
         """A table with the same contents that shares nothing mutable.
 
-        The fork owns its row *list*, its statistics and its (empty,
-        lazily rebuilt) column arrays and histograms; it shares the
-        schema, the layout and the row tuples, all immutable.  Every
-        mutator rebinds or edits only what the fork owns, so neither
-        side can observe the other's inserts, loads or re-clustering.
+        The fork owns its row *list* and its statistics; it shares the
+        schema, the layout, the row tuples, the column arrays and the
+        histograms, all immutable.  The two cache dicts are shared as
+        objects, so an array or histogram any fork builds serves all of
+        them; every mutator rebinds them (and edits only the row list
+        the fork owns), so neither side can observe the other's
+        inserts, loads or re-clustering.
         """
         fork = Table(self.schema, self.layout)
-        fork._rows = list(self._rows)
+        fork._rows = None if self._rows is None else list(self._rows)
+        fork._cardinality = self._cardinality
         fork._stats = None if self._stats is None else self._stats.copy()
+        fork._column_arrays = self._column_arrays
+        fork._histograms = self._histograms
         fork.clustered_on = self.clustered_on
         return fork
 
     # -- mutation -------------------------------------------------------------
 
     def _invalidate_caches(self) -> None:
-        """Drop every derived view after a mutation."""
+        """Drop every derived view after a mutation of the row list."""
         self._stats = None
-        self._column_arrays = None
-        self._histograms.clear()
+        self._column_arrays = {}
+        self._histograms = {}
 
     def insert(self, row: Sequence[Any]) -> int:
         """Validate and append one row; returns its row id."""
         validated = self.schema.validate_row(row)
-        self._rows.append(validated)
+        self.rows().append(validated)
+        self._cardinality += 1
         self._invalidate_caches()
-        return len(self._rows) - 1
+        return self._cardinality - 1
 
-    def bulk_load(self, rows: Iterable[Sequence[Any]]) -> int:
+    def bulk_load(self, rows: Iterable[Sequence[Any]] | ResultTable) -> int:
         """Validate and append many rows; returns number inserted.
 
         All or nothing: the whole batch is validated (by column, see
         :meth:`TableSchema.validate_rows`) before any row is stored, so
         a bad row leaves the table and its derived views as they were.
+
+        A :class:`ResultTable` is a batch that arrives by column.  When
+        the table is empty and every gathered array has exactly its
+        column's numeric dtype, the arrays already are the validated
+        content: the table adopts them as its column view and derives
+        row tuples only if something asks.  Any other result is loaded
+        through its rows.
         """
+        if isinstance(rows, ResultTable):
+            arrays = rows.column_arrays()
+            if self._cardinality == 0 and self._adoptable(arrays):
+                self._invalidate_caches()
+                for name, array in zip(self.schema.column_names, arrays):
+                    array.setflags(write=False)
+                    self._column_arrays[name] = array
+                self._rows = None
+                self._cardinality = len(rows)
+                return len(rows)
+            rows = rows.rows
         validated = self.schema.validate_rows(rows)
-        self._rows.extend(validated)
+        self.rows().extend(validated)
+        self._cardinality += len(validated)
         self._invalidate_caches()
         return len(validated)
+
+    def _adoptable(self, arrays: list[np.ndarray] | None) -> bool:
+        columns = self.schema.columns
+        return (
+            arrays is not None
+            and len(arrays) == len(columns)
+            and all(
+                array.dtype.kind in "if" and array.dtype == _ARRAY_DTYPES[column.dtype]
+                for array, column in zip(arrays, columns)
+            )
+        )
 
     def cluster_on(self, column_name: str) -> None:
         """Physically sort rows on *column_name* (clustered-index order).
@@ -129,7 +189,7 @@ class Table:
         that ordering for callers.
         """
         pos = self.schema.position(column_name)
-        self._rows.sort(key=lambda r: r[pos])
+        self.rows().sort(key=lambda r: r[pos])
         self.clustered_on = column_name
         self._invalidate_caches()
 
@@ -183,27 +243,32 @@ class Table:
 
     def column_values(self, column_name: str) -> list[Any]:
         """All values of one column, in physical row order."""
+        if self._rows is None:
+            return self._column_arrays[column_name].tolist()
         return list(map(itemgetter(self.schema.position(column_name)), self._rows))
 
     def column_array(self, column_name: str) -> np.ndarray:
-        """Columnar (numpy) view of one column, cached until mutation.
+        """Read-only numpy view of one column, cached until mutation.
 
-        INT columns become int64, FLOAT float64, STR fixed-width
-        unicode — all dtypes whose comparison semantics match Python's
-        row-at-a-time comparisons, which is what keeps the vectorized
-        predicate path byte-identical to the scalar reference.
+        INT columns are int64, FLOAT float64, STR fixed-width unicode —
+        dtypes that compare as Python compares and whose ``tolist()``
+        returns the stored values, type for type.  A column they cannot
+        hold exactly (an integer beyond int64; a string ending in NUL,
+        which fixed-width unicode drops) is an object array of the
+        values themselves, and every batch path treats object dtype as
+        "evaluate row at a time".
         """
-        if self._column_arrays is None:
-            self._column_arrays = {}
         array = self._column_arrays.get(column_name)
         if array is None:
             values = self.column_values(column_name)
+            dtype = _ARRAY_DTYPES[self.schema.column(column_name).dtype]
             try:
-                array = np.array(values)
-            except (OverflowError, ValueError):
-                # e.g. integers beyond int64: keep an object array, whose
-                # dtype kind makes the batch paths fall back to scalar.
+                array = np.array(values, dtype=dtype)
+            except OverflowError:
+                array = None
+            if array is None or (dtype.kind == "U" and array.tolist() != values):
                 array = np.array(values, dtype=object)
+            array.setflags(write=False)
             self._column_arrays[column_name] = array
         return array
 
@@ -212,29 +277,66 @@ class Table:
 
 
 class ResultTable:
-    """A lightweight materialized query result.
+    """A query result: column gathers, with row tuples built on first read.
 
-    Carries just enough structure for the cost-model variables: result
-    cardinality and result tuple length.
+    The engine's operators hand over, per output column, a table's
+    column array and the ids of the qualifying rows (*gathers*).  That
+    is enough for the cost-model variables — ``cardinality``,
+    ``tuple_length``, ``table_length`` and ``len()`` never touch a
+    value.  :attr:`rows` gathers the columns, converts them to Python
+    values and zips them into tuples once, then keeps the list.  A
+    result can also be made directly from a row list.
     """
 
-    def __init__(self, column_names: Sequence[str], tuple_length: int, rows: list[Row]):
+    def __init__(
+        self,
+        column_names: Sequence[str],
+        tuple_length: int,
+        rows: list[Row] | None = None,
+        gathers: Sequence[tuple[np.ndarray, np.ndarray]] = (),
+    ):
         if len(set(column_names)) != len(column_names):
             raise SchemaError("duplicate column names in result")
         self.column_names = tuple(column_names)
         self.tuple_length = tuple_length
-        self.rows = rows
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.rows)
+        self._rows = rows
+        self._gathers = gathers
+        self.cardinality = len(gathers[0][1]) if rows is None else len(rows)
 
     @property
     def table_length(self) -> int:
         return self.cardinality * self.tuple_length
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self.cardinality
+
+    def column_arrays(self) -> list[np.ndarray] | None:
+        """The gathered output columns, or None for a result made from rows."""
+        if not self._gathers:
+            return None
+        return [array[ids] for array, ids in self._gathers]
+
+    def columns(self) -> list[list[Any]]:
+        """Python values of each output column, in row order."""
+        arrays = self.column_arrays()
+        if arrays is None:
+            return [
+                list(map(itemgetter(p), self._rows))
+                for p in range(len(self.column_names))
+            ]
+        return [array.tolist() for array in arrays]
+
+    @property
+    def rows(self) -> list[Row]:
+        if self._rows is None:
+            self._rows = list(zip(*self.columns()))
+        return self._rows
+
+    def __getitem__(self, index: int) -> Row:
+        """One row; on an unread result this builds no other."""
+        if self._rows is None:
+            return tuple(array[ids[[index]]].tolist()[0] for array, ids in self._gathers)
+        return self._rows[index]
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self.rows)

@@ -1,22 +1,23 @@
-"""The scalar/vectorized execution switch.
+"""The switch that forces the engine's row-at-a-time kernels.
 
-The engine's hot loops — predicate evaluation in scans, join operand
-reduction and matching, histogram construction — exist twice: a
-row-at-a-time pure-Python *scalar* path (the reference implementation)
-and a numpy-batched *vectorized* path over columnar views of
-:class:`~repro.engine.table.Table`.  Both produce byte-identical rows,
-metrics, and statistics; a hypothesis property suite
-(``tests/engine/test_vectorized_props.py``) pins them together.
+Every operator has one implementation, over selection vectors and
+column arrays (see DESIGN.md §7).  Inside it, two kinds of decision —
+does this row satisfy the predicate, do these two keys match — are made
+by numpy over typed arrays where numpy agrees with Python exactly, and
+by Python over the values otherwise (object-dtype columns, NaN keys,
+integers float64 cannot hold); histogram construction has the same two
+kernels.  The data picks the kernel.  This switch overrides the data:
+with it off, every predicate is evaluated row at a time and every join
+key matched through hash buckets — the reference the property suite
+(``tests/engine/test_vectorized_props.py``) compares against.
 
-Vectorized execution is the default.  Disable it globally with
+numpy kernels are the default.  Disable them globally with
 :func:`set_enabled` (or the ``REPRO_SCALAR_ENGINE=1`` environment
-variable, read once at import), or locally with :func:`force_scalar` —
-the benchmark harness uses the context manager to measure both paths in
-one process.
+variable, read once at import), or locally with :func:`force_scalar`.
 
 The flag is intentionally process-global rather than per-database:
-the two paths are semantically identical, so the only reasons to switch
-are benchmarking and debugging, and a single switch keeps every call
+the two kernels are semantically identical, so the only reasons to
+switch are testing and debugging, and a single switch keeps every call
 site (including module-level helpers with no database in scope) honest.
 """
 

@@ -23,6 +23,7 @@ from ..core.probing import ProbingCostEstimator, ProbingQuery, default_probing_q
 from ..engine.database import LocalDatabase, QueryResult
 from ..engine.query import Query
 from ..engine.schema import Column
+from ..engine.table import ResultTable
 from ..engine.types import DataType
 from ..env.loadbuilder import LoadBuilder
 from ..env.monitor import EnvironmentMonitor
@@ -170,20 +171,24 @@ class MDBSAgent:
         name: str,
         column_names: Sequence[str],
         column_widths: Sequence[int],
-        rows: Sequence[Sequence[Any]],
+        rows: Sequence[Sequence[Any]] | ResultTable,
     ) -> None:
         """Materialize shipped rows as a local temporary table.
 
-        Incoming values are stored as-is; columns are typed from the first
-        row (INT/FLOAT/STR), defaulting to FLOAT for empty shipments.
+        *rows* is a sequence of row tuples or a shipped query result; a
+        result is loaded by column where its columns allow it (see
+        :meth:`Table.bulk_load`).  Incoming values are stored as-is;
+        columns are typed from the first row (INT/FLOAT/STR), defaulting
+        to FLOAT for empty shipments.
         """
         if self.database.catalog.has_table(name):
             self.drop_temp_table(name)
+        first = rows[0] if len(rows) else None
         columns = []
         for i, (col, width) in enumerate(zip(column_names, column_widths)):
             dtype = DataType.FLOAT
-            if rows:
-                value = rows[0][i]
+            if first is not None:
+                value = first[i]
                 if isinstance(value, bool):
                     raise TypeError("boolean values are not supported")
                 if isinstance(value, int):

@@ -584,13 +584,13 @@ class MDBSServer:
         right_facts = self.catalog.table(query.right_site, query.right_table)
         left_widths = [left_facts.column_widths[c] for c in components.left.columns]
         right_widths = [right_facts.column_widths[c] for c in components.right.columns]
-        left_rows = left_result.result.rows
-        right_rows = right_result.result.rows
+        # The results go over as they are: by column, no tuple is built
+        # for an intermediate that only the join reads.
         join_agent.create_temp_table(
-            _TEMP_LEFT, components.left.columns, left_widths, left_rows
+            _TEMP_LEFT, components.left.columns, left_widths, left_result.result
         )
         join_agent.create_temp_table(
-            _TEMP_RIGHT, components.right.columns, right_widths, right_rows
+            _TEMP_RIGHT, components.right.columns, right_widths, right_result.result
         )
         try:
             join_query = JoinQuery(
@@ -659,5 +659,5 @@ class MDBSServer:
             table, _, column = qualified.partition(".")
             temp = _TEMP_LEFT if table == query.left_table else _TEMP_RIGHT
             positions.append(produced.index(f"{temp}.{column}"))
-        rows = [tuple(row[p] for p in positions) for row in join_result.result.rows]
-        return tuple(wanted), rows
+        columns = join_result.result.columns()
+        return tuple(wanted), list(zip(*[columns[p] for p in positions]))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import CostModelBuilder, G1
-from repro.engine import Column, DataType, LocalDatabase, Table, TableSchema
+from repro.engine import Column, DataType, LocalDatabase, ResultTable, Table, TableSchema
 from repro.env import dynamic_uniform_environment
 from repro.workload import make_site, small_workload, tablegen
 
@@ -24,6 +24,26 @@ def template_store(monkeypatch):
     store = OrderedDict()
     monkeypatch.setattr(tablegen, "_templates", store)
     return store
+
+
+@pytest.fixture
+def rows_built(monkeypatch):
+    """The results whose row tuples get built while the test runs.
+
+    A result builds its tuples on the first read of ``rows``; this
+    records each such first read, so a test can pin down which traffic
+    pays for tuples and which never does.
+    """
+    built = []
+    build = ResultTable.rows.fget
+
+    def recording(result):
+        if result._rows is None:
+            built.append(result)
+        return build(result)
+
+    monkeypatch.setattr(ResultTable, "rows", property(recording))
+    return built
 
 
 @pytest.fixture

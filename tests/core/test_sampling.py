@@ -102,6 +102,37 @@ class TestCollection:
             )
 
 
+class TestNoResultRowIsRead:
+    """The global level consumes elapsed times and sizes, never rows
+    (paper §3.3, §4, Table 3) — so derivation traffic must not pay for
+    building result tuples."""
+
+    def test_sampling_and_probing_build_no_rows(self, dynamic_database, rows_built):
+        probe = ProbingQuery(dynamic_database, SelectQuery("t1", ("a",)))
+        assert probe.observe() > 0
+        queries = [SelectQuery("t1", ("a", "b"))] * 5
+        observations = collect_observations(dynamic_database, queries, probe)
+        assert all(o.values["nr"] == 400 for o in observations)
+        assert rows_built == []
+        # ... while a client that reads a result builds it, once.
+        result = dynamic_database.execute(queries[0]).result
+        assert len(result.rows) == len(result.rows) == 400
+        assert rows_built == [result]
+
+    def test_building_a_model_builds_no_rows(self, rows_built):
+        from repro.core import CostModelBuilder
+        from repro.workload import make_site
+
+        site = make_site("traffic_site", environment_kind="uniform", scale=0.01, seed=17)
+        for query_class in (G1, G3):
+            queries = site.generator.queries_for(query_class, 60)
+            outcome = CostModelBuilder(site.database).build(
+                query_class, queries, algorithm="iupma"
+            )
+            assert outcome.model.num_states >= 1
+        assert rows_built == []
+
+
 class TestSplit:
     def make(self, n):
         return [

@@ -1,4 +1,5 @@
-"""Property tests for the buffer pool's snapshot/restore round-trip.
+"""Property tests for the buffer pool: snapshot/restore round-trips, and
+the one policy loop (``access_many``) against the policy written out.
 
 The engine-hotpaths bench and the hermetic serving fixtures both lean on
 ``snapshot()``/``restore()`` rewinding a pool *exactly*: after a rewind,
@@ -79,3 +80,63 @@ def test_two_pools_fed_the_same_sequence_agree(pool, sequence):
     )
     assert ledger(pool, sequence) == ledger(twin, sequence)
     assert observable_state(pool) == observable_state(twin)
+
+
+class ReferencePool:
+    """The policy one touch at a time, as the pool's module doc states it:
+    note the access in the window, hit or install, evict the first
+    minimum-refcount page among the ``evict_scan`` coldest.  Written for
+    reading, not speed — ``access_many`` is the loop that has to agree."""
+
+    def __init__(self, capacity_pages, window, evict_scan):
+        self.capacity_pages, self.window, self.evict_scan = capacity_pages, window, evict_scan
+        self.pages, self.recent, self.refcounts = [], [], {}
+        self.logical_reads = self.hits = self.misses = self.evictions = 0
+
+    def access(self, key) -> bool:
+        self.logical_reads += 1
+        self.recent.append(key)
+        self.refcounts[key] = self.refcounts.get(key, 0) + 1
+        if len(self.recent) > self.window:
+            old = self.recent.pop(0)
+            self.refcounts[old] -= 1
+            if not self.refcounts[old]:
+                del self.refcounts[old]
+        if key in self.pages:
+            self.pages.remove(key)
+            self.pages.append(key)
+            self.hits += 1
+            return True
+        self.misses += 1
+        if len(self.pages) >= self.capacity_pages:
+            candidates = self.pages[: self.evict_scan]
+            fewest = min(self.refcounts.get(page, 0) for page in candidates)
+            self.pages.remove(
+                next(p for p in candidates if self.refcounts.get(p, 0) == fewest)
+            )
+            self.evictions += 1
+        self.pages.append(key)
+        return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(pool=pools, batches=st.lists(sequences, max_size=4))
+def test_access_many_is_access_key_by_key(pool, batches):
+    """One sweep per batch ≡ one touch per key ≡ the policy as written:
+    same hits and misses, residents in the same LRU order, same stats,
+    same snapshot — so charging a sweep at a time changes no ledger."""
+    config = (pool.capacity_pages, pool.window, pool.evict_scan)
+    one_by_one, reference = BufferPool(*config), ReferencePool(*config)
+    for batch in batches:
+        hits, misses = pool.access_many(iter(batch))
+        touched = [one_by_one.access(key) for key in batch]
+        assert touched == [reference.access(key) for key in batch]
+        assert (hits, misses) == (touched.count(True), touched.count(False))
+    assert pool.resident_keys() == one_by_one.resident_keys() == reference.pages
+    assert pool.stats == one_by_one.stats
+    assert dataclasses.astuple(pool.stats) == (
+        reference.logical_reads, reference.hits, reference.misses, reference.evictions
+    )
+    assert pool.snapshot() == one_by_one.snapshot()
+    assert pool.snapshot()["recent"] == reference.recent
+    assert pool.snapshot()["refcounts"] == reference.refcounts

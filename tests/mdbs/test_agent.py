@@ -5,7 +5,10 @@ import pytest
 from repro.core.classification import G1
 from repro.core.probing import ProbingCostEstimator
 from repro.engine.errors import CatalogError
+from repro.engine.predicate import Comparison
 from repro.engine.query import SelectQuery
+from repro.engine.schema import Column
+from repro.engine.types import DataType
 from repro.mdbs.agent import MDBSAgent
 
 
@@ -96,6 +99,48 @@ class TestTempTables:
         assert table.schema.column("x").dtype.value == "int"
         assert table.schema.column("s").dtype.value == "str"
         agent.drop_temp_table("_tmp")
+
+    def test_shipped_result_loads_by_column_or_by_row_as_its_values_allow(self, agent):
+        """A shipped query result gives the same temp table as its row
+        list: by column when every column is a typed numeric array, by
+        row for strings and integers int64 cannot hold."""
+        database = agent.database
+        database.create_table(
+            "src",
+            [Column("i", DataType.INT), Column("f", DataType.FLOAT),
+             Column("s", DataType.STR, 8), Column("w", DataType.INT)],
+            [(1, 0.5, "a\x00", 2**70), (2, -0.0, "b ", 5), (3, 2.0**53, "", -1)],
+        )
+        cases = {
+            ("i", "f"): True,        # typed arrays: adopted
+            ("f", "i", "s"): False,  # a string column
+            ("i", "w"): False,       # an integer beyond int64
+        }
+        try:
+            for columns, by_column in cases.items():
+                shipped = agent.execute(SelectQuery("src", columns)).result
+                widths = (8,) * len(columns)
+                agent.create_temp_table("_tmp", columns, widths, shipped)
+                table = database.catalog.table("_tmp")
+                assert (table._rows is None) == by_column
+                from_result = (table.schema.columns, table.statistics, table.rows())
+                agent.create_temp_table("_tmp", columns, widths, list(shipped.rows))
+                table = database.catalog.table("_tmp")
+                assert (table.schema.columns, table.statistics) == from_result[:2]
+                assert [[(type(v), repr(v)) for v in row] for row in table.rows()] == [
+                    [(type(v), repr(v)) for v in row] for row in from_result[2]
+                ]
+            # An empty shipment has no first row to type from: FLOAT columns.
+            empty = agent.execute(
+                SelectQuery("src", ("i", "s"), Comparison("i", "<", 0))
+            ).result
+            agent.create_temp_table("_tmp", ("i", "s"), (8, 8), empty)
+            table = database.catalog.table("_tmp")
+            assert [c.dtype for c in table.schema.columns] == [DataType.FLOAT] * 2
+            assert table.cardinality == 0 and list(table) == []
+        finally:
+            agent.drop_temp_table("_tmp")
+            database.catalog.drop_table("src")
 
     def test_create_join_drop_cycle_never_sees_a_stale_table(self, agent):
         """The shipped-intermediate cycle under one reused name: every

@@ -97,6 +97,46 @@ class TestExecution:
             execution = server.execute(globalq, plan)
             assert sorted(execution.rows) == expected
 
+    @pytest.mark.parametrize("left_bound", [600, -1], ids=["rows", "empty_shipment"])
+    def test_column_born_temp_tables_serve_what_row_born_ones_do(
+        self, mini_mdbs, globalq, monkeypatch, left_bound
+    ):
+        """The shipped results load by column (all-INT tables); refusing
+        the adoption makes the same request load them by row.  Same
+        rows, same Python types, same order, same step times."""
+        from dataclasses import replace
+
+        from repro.engine.table import Table
+        from repro.mdbs.agent import MDBSAgent
+
+        server, sites = mini_mdbs
+        query = replace(globalq, left_predicate=Comparison("a3", "<", left_bound))
+        plan = server.optimizer().plans(query)[0]
+        states = {name: site.database.save_state() for name, site in sites.items()}
+        loaded_by_column = []
+        drop = MDBSAgent.drop_temp_table
+
+        def recording_drop(agent, name):
+            loaded_by_column.append(agent.database.catalog.table(name)._rows is None)
+            drop(agent, name)
+
+        monkeypatch.setattr(MDBSAgent, "drop_temp_table", recording_drop)
+        by_column = server.execute(query, plan)
+        for name, site in sites.items():
+            site.database.restore_state(states[name])
+        monkeypatch.setattr(Table, "_adoptable", lambda table, arrays: False)
+        by_row = server.execute(query, plan)
+
+        # An empty shipment is typed FLOAT, so its INT arrays are not adopted.
+        assert loaded_by_column == [left_bound > 0, True, False, False]
+        assert by_column.column_names == by_row.column_names
+        assert by_column.steps == by_row.steps
+        assert isinstance(by_column.rows, list)
+        assert [[(type(v), v) for v in row] for row in by_column.rows] == [
+            [(type(v), v) for v in row] for row in by_row.rows
+        ]
+        assert bool(by_column.rows) == (left_bound > 0)
+
     def test_refresh_site_facts(self, mini_mdbs):
         server, sites = mini_mdbs
         server.refresh_site_facts("oracle_site")
