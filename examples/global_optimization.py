@@ -75,29 +75,6 @@ def main() -> None:
         f"estimated {execution.estimated_seconds:.2f}s"
     )
 
-    # -- and a three-way chain across both sites -------------------------
-    from repro.mdbs import JoinLink, MultiJoinQuery, MultiwayExecutor, Operand
-
-    chain = MultiJoinQuery(
-        operands=(
-            Operand("oracle_site", "R1", Comparison("a3", "<", 600)),
-            Operand("db2_site", "R2"),
-            Operand("oracle_site", "R5", Comparison("a7", ">", 25000)),
-        ),
-        links=(
-            JoinLink("R1", "a4", "R2", "a4"),
-            JoinLink("R2", "a4", "R5", "a4"),
-        ),
-        columns=("R1.a1", "R2.a2", "R5.a5"),
-    )
-    print("\nthree-way chain join R1 ⋈ R2 ⋈ R5 across the two sites:")
-    multi = MultiwayExecutor(server).execute(chain)
-    print(multi.plan.describe())
-    print(
-        f"executed: {multi.cardinality} rows, observed "
-        f"{multi.observed_seconds:.2f}s vs estimated {multi.estimated_seconds:.2f}s"
-    )
-
 
 if __name__ == "__main__":
     main()

@@ -63,10 +63,8 @@ from .sampling import (
     collect_observations,
     minimum_observations,
     recommended_sample_size,
-    split_train_test,
 )
 from .selection import SelectionConfig, SelectionResult, SelectionStep, select_variables
-from .static_method import StaticQuerySampling, derive_static_cost_model
 from .strategy import (
     DEFAULT_STRATEGY,
     STRATEGY_NAMES,
@@ -94,7 +92,6 @@ from .variables import (
     VariableSet,
     extract_variables,
     observation_from_result,
-    variables_for,
 )
 
 __all__ = [
@@ -141,7 +138,6 @@ __all__ = [
     "SignificantChange",
     "StateDeterminationResult",
     "StatesConfig",
-    "StaticQuerySampling",
     "TableSnapshot",
     "UNARY_VARIABLES",
     "ValidationReport",
@@ -158,7 +154,6 @@ __all__ = [
     "collect_observations",
     "default_probing_query",
     "derivation_report",
-    "derive_static_cost_model",
     "design_row",
     "determine_states",
     "determine_states_icma",
@@ -182,9 +177,7 @@ __all__ = [
     "resolve_strategy",
     "select_variables",
     "strategy_for",
-    "split_train_test",
     "term_names",
     "uniform_partition",
     "validate_model",
-    "variables_for",
 ]

@@ -16,7 +16,7 @@ actually moves between samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..engine.buffer import hit_state_label
 from ..engine.database import LocalDatabase
@@ -110,18 +110,3 @@ def collect_observations(
         )
         database.environment.advance(plan.pause_seconds)
     return observations
-
-
-def split_train_test(
-    observations: Iterable[Observation], test_fraction: float, rng
-) -> tuple[list[Observation], list[Observation]]:
-    """Random train/test split of observations (order-independent)."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
-    items = list(observations)
-    indices = rng.permutation(len(items))
-    n_test = max(1, int(round(test_fraction * len(items))))
-    test_idx = set(int(i) for i in indices[:n_test])
-    train = [obs for i, obs in enumerate(items) if i not in test_idx]
-    test = [obs for i, obs in enumerate(items) if i in test_idx]
-    return train, test

@@ -72,15 +72,6 @@ JOIN_VARIABLES = VariableSet(
 )
 
 
-def variables_for(query) -> VariableSet:
-    """The variable set matching a query's shape."""
-    if isinstance(query, SelectQuery):
-        return UNARY_VARIABLES
-    if isinstance(query, JoinQuery):
-        return JOIN_VARIABLES
-    raise TypeError(f"unsupported query type: {type(query).__name__}")
-
-
 @dataclass
 class Observation:
     """One sample-query execution, reduced to regression inputs.
@@ -163,23 +154,6 @@ def observation_from_result(
         contention_level=result.contention_level,
         metadata=dict(metadata),
     )
-
-
-def design_columns(
-    observations: list[Observation], names: tuple[str, ...]
-) -> list[list[float]]:
-    """Column-major variable values for *names* over *observations*."""
-    return [[obs.values[n] for obs in observations] for n in names]
-
-
-def values_matrix(observations, names) -> "list[list[float]]":
-    """Row-major (t x n) variable matrix for *names* over *observations*."""
-    return [obs.vector(tuple(names)) for obs in observations]
-
-
-def responses(observations: list[Observation]) -> list[float]:
-    """The observed costs (regression response)."""
-    return [obs.cost for obs in observations]
 
 
 def probing_costs(observations: list[Observation]) -> list[float]:

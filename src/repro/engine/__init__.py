@@ -14,7 +14,6 @@ from .buffer import (
     BUFFER_HIT_STATES,
     BufferPool,
     BufferPoolStats,
-    hit_state_index,
     hit_state_label,
 )
 from .catalog import LocalCatalog
@@ -32,7 +31,6 @@ from .index import Index, IndexKind
 from .joins import (
     hash_join,
     index_nested_loop_join,
-    naive_join,
     nested_loop_join,
     sort_merge_join,
 )
@@ -40,7 +38,7 @@ from .metrics import AccessInfo, ExecutionMetrics
 from .optimizer import JoinPlan, UnaryPlan, choose_join_plan, choose_unary_plan
 from .pages import PageLayout
 from .predicate import And, Comparison, KeyRange, Not, Or, Predicate, TRUE
-from .profiles import DB2_LIKE, DBMSProfile, ORACLE_LIKE, get_profile
+from .profiles import DB2_LIKE, DBMSProfile, ORACLE_LIKE
 from .query import JoinQuery, Query, SelectQuery
 from .schema import Column, TableSchema
 from .sql import parse_query
@@ -90,12 +88,9 @@ __all__ = [
     "choose_join_plan",
     "choose_unary_plan",
     "clustered_index_scan",
-    "get_profile",
     "hash_join",
-    "hit_state_index",
     "hit_state_label",
     "index_nested_loop_join",
-    "naive_join",
     "nested_loop_join",
     "nonclustered_index_scan",
     "parse_query",

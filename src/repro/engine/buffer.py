@@ -66,11 +66,6 @@ def hit_state_label(hit_rate: float) -> str:
     return BUFFER_HIT_STATES[2]
 
 
-def hit_state_index(hit_rate: float) -> int:
-    """Ordinal of :func:`hit_state_label` (0 = cold)."""
-    return BUFFER_HIT_STATES.index(hit_state_label(hit_rate))
-
-
 @dataclass
 class BufferPoolStats:
     """Cumulative counters over the pool's lifetime (or since reset)."""

@@ -78,15 +78,3 @@ DB2_LIKE = DBMSProfile(
     t_sort_cmp=1.8e-6,
     t_hash_op=2.0e-6,
 )
-
-_BUILTIN = {p.name: p for p in (ORACLE_LIKE, DB2_LIKE)}
-
-
-def get_profile(name: str) -> DBMSProfile:
-    """Look up a built-in profile by name."""
-    try:
-        return _BUILTIN[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown DBMS profile {name!r}; available: {sorted(_BUILTIN)}"
-        ) from None

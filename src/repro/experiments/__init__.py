@@ -20,7 +20,6 @@ from .harness import (
     cache_stats,
     cache_summary,
     cached_class_experiment,
-    clear_cache,
     collect_for_algorithm,
     run_class_experiment,
     stable_seed,
@@ -84,7 +83,6 @@ __all__ = [
     "cache_stats",
     "cache_summary",
     "cached_class_experiment",
-    "clear_cache",
     "collect_for_algorithm",
     "format_series",
     "format_table",

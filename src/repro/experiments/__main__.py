@@ -148,14 +148,17 @@ def _note(message: str) -> None:
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(prog="python -m repro.experiments", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     parser.add_argument(
         "--preset",
         choices=sorted(_PRESETS),
-        default=None,
+        default="quick",
         help="experiment scale (default: quick)",
     )
-    parser.add_argument("--full", action="store_true", help="shorthand for --preset full")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(
         "--only",
@@ -174,8 +177,6 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
         help="print the span summary table and metrics at the end",
     )
     args = parser.parse_args(argv)
-    if args.full and args.preset not in (None, "full"):
-        parser.error("--full contradicts --preset " + args.preset)
     for output in outputs:
         path = getattr(args, output.dest)
         if not path:
@@ -191,14 +192,13 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse_args(argv)
-    preset = "full" if args.full else (args.preset or "quick")
-    make_config = _PRESETS[preset]
+    make_config = _PRESETS[args.preset]
     config = make_config(args.seed) if args.seed is not None else make_config()
 
     tracer = obs.enable() if (args.trace_out or args.verbose) else None
     started = time.time()
     print(
-        f"preset={preset} seed={config.seed} "
+        f"preset={args.preset} seed={config.seed} "
         f"scale={config.scale} train={config.unary_train}/{config.join_train} "
         f"test={config.test_count}"
     )

@@ -226,12 +226,6 @@ class ExperimentCache:
         self.hits = 0
         self.misses = 0
 
-    def reset(self) -> None:
-        """Forget memoized results and zero the counters."""
-        self._memory.clear()
-        self.hits = 0
-        self.misses = 0
-
     def __len__(self) -> int:
         return len(self._memory)
 
@@ -283,11 +277,6 @@ def cached_class_experiment(
     )
     _cache._memory[key] = result
     return result
-
-
-def clear_cache() -> None:
-    """Reset the in-process memo and its counters."""
-    _cache.reset()
 
 
 def cache_stats() -> tuple[int, int]:

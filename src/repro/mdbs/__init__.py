@@ -11,16 +11,6 @@ plan choice, with probing centralized in the
 from .agent import MDBSAgent
 from .catalog import GlobalCatalog, GlobalCatalogError, MODEL_SCHEMA_VERSION, TableFacts
 from .gquery import ComponentQueries, GlobalJoinQuery, decompose
-from .multiway import (
-    JoinLink,
-    MultiJoinQuery,
-    MultiwayExecution,
-    MultiwayExecutor,
-    MultiwayOptimizer,
-    MultiwayPlan,
-    MultiwayStep,
-    Operand,
-)
 from .network import NetworkModel
 from .optimizer import (
     CostEstimate,
@@ -52,20 +42,12 @@ __all__ = [
     "GlobalJoinQuery",
     "GlobalPlan",
     "GlobalQueryOptimizer",
-    "JoinLink",
     "MDBSAgent",
     "MDBSServer",
     "MODEL_SCHEMA_VERSION",
     "ModelProvenance",
     "ModelVersion",
-    "MultiJoinQuery",
-    "MultiwayExecution",
-    "MultiwayExecutor",
-    "MultiwayOptimizer",
-    "MultiwayPlan",
-    "MultiwayStep",
     "NetworkModel",
-    "Operand",
     "PROBE_SOURCES",
     "ProbeReading",
     "ProbingService",

@@ -61,14 +61,6 @@ def per_state_correlations(
     return out
 
 
-def max_abs_state_correlation(
-    x: Sequence[float], y: Sequence[float], states: Sequence[int], num_states: int
-) -> float:
-    """max_i |r_i| over states — the paper's screen for useless variables."""
-    rs = per_state_correlations(x, y, states, num_states)
-    return max(abs(r) for r in rs)
-
-
 def average_abs_state_correlation(
     x: Sequence[float], y: Sequence[float], states: Sequence[int], num_states: int
 ) -> float:

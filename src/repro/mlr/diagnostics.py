@@ -47,12 +47,6 @@ def variance_inflation_factor(X: np.ndarray, column: int) -> float:
     return 1.0 / (1.0 - r2)
 
 
-def variance_inflation_factors(X: np.ndarray) -> list[float]:
-    """VIF of every column of X (no intercept column in X)."""
-    X = as_design_matrix(X)
-    return [variance_inflation_factor(X, j) for j in range(X.shape[1])]
-
-
 def _state_blocks(
     X: np.ndarray, states: Sequence[int], num_states: int
 ) -> list[np.ndarray]:
@@ -89,14 +83,3 @@ def max_state_vif(
     """:func:`max_state_vifs` for one variable."""
     X = as_design_matrix(X)
     return _worst_vif(_state_blocks(X, states, num_states), column)
-
-
-def collinear_columns(
-    X: np.ndarray,
-    states: Sequence[int],
-    num_states: int,
-    limit: float = DEFAULT_VIF_LIMIT,
-) -> list[int]:
-    """Indices of columns whose max-over-states VIF exceeds *limit*."""
-    vifs = max_state_vifs(X, states, num_states)
-    return [j for j, vif in enumerate(vifs) if vif > limit]

@@ -88,7 +88,7 @@ class OLSResult:
     @property
     def coef_covariance(self) -> Optional[np.ndarray]:
         """Coefficient covariance matrix s^2 (X'X)^-1 (None when df <= 0),
-        used for prediction intervals and leverage diagnostics."""
+        used for prediction intervals."""
         return self._inference.coef_covariance
 
     @property

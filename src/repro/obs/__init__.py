@@ -41,12 +41,9 @@ from __future__ import annotations
 
 from .export import (
     metrics_table,
-    read_jsonl,
-    span_from_dict,
     span_to_dict,
     summary_table,
     to_jsonl,
-    tree_lines,
     write_jsonl,
 )
 from .expose import (
@@ -152,13 +149,10 @@ __all__ = [
     "set_tracker",
     # export
     "span_to_dict",
-    "span_from_dict",
     "to_jsonl",
     "write_jsonl",
-    "read_jsonl",
     "summary_table",
     "metrics_table",
-    "tree_lines",
     # trace analysis
     "group_traces",
     "load_trace_file",

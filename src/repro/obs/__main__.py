@@ -75,7 +75,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] == "trace":
         return trace_main(argv[1:])
-    parser = argparse.ArgumentParser(prog="python -m repro.obs", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.obs",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     parser.add_argument(
         "--snapshot",
         metavar="PATH",

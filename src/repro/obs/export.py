@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from .metrics import MetricsRegistry, quantile
 from .tracing import Span, Tracer
@@ -41,31 +41,6 @@ def span_to_dict(span: Span) -> dict[str, Any]:
         "thread": span.thread,
         "attributes": dict(span.attributes),
     }
-
-
-def span_from_dict(data: dict[str, Any]) -> Span:
-    """Rebuild a :class:`Span` from its :func:`span_to_dict` form."""
-    return Span(
-        name=data["name"],
-        attributes=dict(data.get("attributes", {})),
-        span_id=data["span_id"],
-        parent_id=data.get("parent_id"),
-        trace_id=data.get("trace_id"),
-        start=data.get("start", 0.0),
-        end=data.get("end"),
-        thread=data.get("thread", ""),
-    )
-
-
-def read_jsonl(path: str | Path) -> list[Span]:
-    """Load a JSONL trace dump back into spans (inverse of
-    :func:`write_jsonl`)."""
-    spans = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line:
-            spans.append(span_from_dict(json.loads(line)))
-    return spans
 
 
 def to_jsonl(source: Tracer | Iterable[Span]) -> str:
@@ -170,25 +145,3 @@ def _fmt(value: float | None) -> str:
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return f"{value:.6g}"
-
-
-def tree_lines(spans: Sequence[Span]) -> list[str]:
-    """Render a finished span list as an indented call tree (debug aid)."""
-    spans = list(spans)
-    children: dict[int | None, list[Span]] = {}
-    for span in sorted(spans, key=lambda s: s.start):
-        children.setdefault(span.parent_id, []).append(span)
-    ids = {span.span_id for span in spans}
-    lines: list[str] = []
-
-    def walk(parent: int | None, depth: int) -> None:
-        for span in children.get(parent, []):
-            lines.append(f"{'  ' * depth}{span.name}  {span.duration:.6f}s")
-            walk(span.span_id, depth + 1)
-
-    # Roots: spans with no parent, or whose parent is not in this batch.
-    for span in sorted(spans, key=lambda s: s.start):
-        if span.parent_id is None or span.parent_id not in ids:
-            lines.append(f"{span.name}  {span.duration:.6f}s")
-            walk(span.span_id, 1)
-    return lines

@@ -15,7 +15,6 @@ from .scenarios import (
     install_scenario_trace,
     make_environment,
     make_site,
-    paper_sites,
     scenario_shift_round,
 )
 from .tablegen import (
@@ -24,18 +23,9 @@ from .tablegen import (
     PAPER_CARDINALITIES,
     TableSpec,
     WorkloadSpec,
-    build_local_database,
     generate_rows,
     paper_workload,
     populate_database,
-    small_workload,
-)
-from .trace import (
-    ReplayRecord,
-    ReplayReport,
-    TraceEntry,
-    WorkloadTrace,
-    replay_trace,
 )
 
 __all__ = [
@@ -46,26 +36,18 @@ __all__ = [
     "GenerationError",
     "PAPER_CARDINALITIES",
     "QueryGenerator",
-    "ReplayRecord",
-    "ReplayReport",
     "SCENARIO_CALM_RANGE",
     "SCENARIO_KINDS",
     "SCENARIO_SHIFTED_LEVEL",
     "SelectivityRange",
     "Site",
     "TableSpec",
-    "TraceEntry",
     "WorkloadSpec",
-    "WorkloadTrace",
-    "build_local_database",
     "generate_rows",
     "install_scenario_trace",
     "make_environment",
     "make_site",
-    "paper_sites",
     "paper_workload",
     "populate_database",
-    "replay_trace",
     "scenario_shift_round",
-    "small_workload",
 ]

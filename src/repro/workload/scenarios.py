@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..engine.database import LocalDatabase
-from ..engine.profiles import DB2_LIKE, DBMSProfile, ORACLE_LIKE
+from ..engine.profiles import DBMSProfile, ORACLE_LIKE
 from ..env.environment import (
     Environment,
     dynamic_clustered_environment,
@@ -183,24 +183,3 @@ def make_two_site_universe(
         first.load_builder.uniform(*calm_range)
         second.load_builder.uniform(*calm_range)
     return first, second
-
-
-def paper_sites(
-    environment_kind: str = "uniform", scale: float = 0.05, seed: int = 0
-) -> tuple[Site, Site]:
-    """The paper's two local systems: an Oracle-like and a DB2-like site."""
-    oracle = make_site(
-        "oracle_site",
-        profile=ORACLE_LIKE,
-        environment_kind=environment_kind,
-        scale=scale,
-        seed=seed,
-    )
-    db2 = make_site(
-        "db2_site",
-        profile=DB2_LIKE,
-        environment_kind=environment_kind,
-        scale=scale,
-        seed=seed + 100,
-    )
-    return oracle, db2

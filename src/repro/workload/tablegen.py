@@ -32,10 +32,8 @@ import numpy as np
 from ..engine.catalog import LocalCatalog
 from ..engine.database import LocalDatabase
 from ..engine.pages import PageLayout
-from ..engine.profiles import DBMSProfile, ORACLE_LIKE
 from ..engine.schema import Column
 from ..engine.types import DataType
-from ..env.environment import Environment
 
 #: Paper-scale cardinalities for R1..R12 (3,000 – 250,000).
 PAPER_CARDINALITIES = (
@@ -131,21 +129,6 @@ def paper_workload(scale: float = 1.0, seed: int = 0) -> WorkloadSpec:
     return WorkloadSpec(tables=tuple(tables), seed=seed)
 
 
-def small_workload(num_tables: int = 4, base_rows: int = 2_000, seed: int = 0) -> WorkloadSpec:
-    """A compact workload for unit/integration tests."""
-    if num_tables < 1:
-        raise ValueError("num_tables must be at least 1")
-    tables = tuple(
-        TableSpec(
-            name=f"R{i}",
-            cardinality=base_rows * i,
-            clustered_index_on="a2" if i % 3 == 0 else None,
-        )
-        for i in range(1, num_tables + 1)
-    )
-    return WorkloadSpec(tables=tables, seed=seed)
-
-
 def generate_rows(spec: TableSpec, rng: np.random.Generator) -> list[tuple]:
     """Random rows for *spec* (uniform integers per column range)."""
     ranges = spec.resolved_ranges()
@@ -226,22 +209,3 @@ def populate_database(
     """
     _template_for(workload, database.layout).fork_into(database.catalog)
     return database
-
-
-def build_local_database(
-    name: str,
-    profile: DBMSProfile = ORACLE_LIKE,
-    environment: Environment | None = None,
-    workload: WorkloadSpec | None = None,
-    noise_sigma: float = 0.05,
-    seed: int = 0,
-) -> LocalDatabase:
-    """Convenience: a fully populated local DBS in one call."""
-    database = LocalDatabase(
-        name,
-        profile=profile,
-        environment=environment,
-        noise_sigma=noise_sigma,
-        seed=seed,
-    )
-    return populate_database(database, workload or small_workload(seed=seed))

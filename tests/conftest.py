@@ -14,7 +14,7 @@ import pytest
 from repro.core import CostModelBuilder, G1
 from repro.engine import Column, DataType, LocalDatabase, ResultTable, Table, TableSchema
 from repro.env import dynamic_uniform_environment
-from repro.workload import make_site, small_workload, tablegen
+from repro.workload import TableSpec, WorkloadSpec, make_site, tablegen
 
 
 @pytest.fixture
@@ -148,4 +148,11 @@ def session_g1_build(session_site):
 
 @pytest.fixture
 def tiny_workload():
-    return small_workload(num_tables=3, base_rows=400, seed=2)
+    return WorkloadSpec(
+        tables=(
+            TableSpec("R1", 400),
+            TableSpec("R2", 800),
+            TableSpec("R3", 1200, clustered_index_on="a2"),
+        ),
+        seed=2,
+    )

@@ -1,6 +1,5 @@
 """Unit and property tests for sampling rules and collection."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,9 +12,8 @@ from repro.core.sampling import (
     collect_observations,
     minimum_observations,
     recommended_sample_size,
-    split_train_test,
 )
-from repro.core.variables import Observation, UNARY_VARIABLES
+from repro.core.variables import UNARY_VARIABLES
 from repro.engine.query import SelectQuery
 
 
@@ -131,34 +129,3 @@ class TestNoResultRowIsRead:
             )
             assert outcome.model.num_states >= 1
         assert rows_built == []
-
-
-class TestSplit:
-    def make(self, n):
-        return [
-            Observation(cost=float(i), probing_cost=0.1, values={}) for i in range(n)
-        ]
-
-    def test_partition_is_exact(self, rng):
-        observations = self.make(40)
-        train, test = split_train_test(observations, 0.25, rng)
-        assert len(train) + len(test) == 40
-        assert len(test) == 10
-        ids = {id(o) for o in observations}
-        assert {id(o) for o in train} | {id(o) for o in test} == ids
-
-    def test_at_least_one_test_row(self, rng):
-        train, test = split_train_test(self.make(3), 0.01, rng)
-        assert len(test) == 1
-
-    def test_invalid_fraction_rejected(self, rng):
-        with pytest.raises(ValueError):
-            split_train_test(self.make(5), 0.0, rng)
-        with pytest.raises(ValueError):
-            split_train_test(self.make(5), 1.0, rng)
-
-    def test_deterministic_given_rng(self):
-        observations = self.make(20)
-        a = split_train_test(observations, 0.3, np.random.default_rng(1))
-        b = split_train_test(observations, 0.3, np.random.default_rng(1))
-        assert [o.cost for o in a[1]] == [o.cost for o in b[1]]

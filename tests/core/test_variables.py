@@ -10,9 +10,6 @@ from repro.core.variables import (
     extract_variables,
     observation_from_result,
     probing_costs,
-    responses,
-    values_matrix,
-    variables_for,
 )
 from repro.engine.predicate import Comparison
 from repro.engine.query import JoinQuery, SelectQuery
@@ -31,12 +28,6 @@ class TestVariableSets:
         assert "no" in UNARY_VARIABLES
         assert "nixni" in JOIN_VARIABLES
         assert "zz" not in UNARY_VARIABLES
-
-    def test_variables_for_query_shape(self):
-        assert variables_for(SelectQuery("t")) is UNARY_VARIABLES
-        assert variables_for(JoinQuery("a", "b", "x", "y")) is JOIN_VARIABLES
-        with pytest.raises(TypeError):
-            variables_for("select * from t")
 
 
 class TestExtraction:
@@ -88,10 +79,8 @@ class TestObservationHelpers:
         with pytest.raises(KeyError):
             self.make_obs(no=1.0).vector(("nr",))
 
-    def test_matrix_and_responses(self):
+    def test_probing_costs(self):
         observations = [self.make_obs(cost=float(i), no=float(i)) for i in range(3)]
-        assert values_matrix(observations, ("no",)) == [[0.0], [1.0], [2.0]]
-        assert responses(observations) == [0.0, 1.0, 2.0]
         assert probing_costs(observations) == [0.1, 0.1, 0.1]
 
     def test_check_observations_passes(self):

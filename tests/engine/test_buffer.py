@@ -10,7 +10,6 @@ from repro.engine.buffer import (
     charge_random_pages,
     charge_sequential_pages,
     data_page_of,
-    hit_state_index,
     hit_state_label,
     table_page_keys,
 )
@@ -28,10 +27,6 @@ class TestHitStates:
         assert hit_state_label(HOT_THRESHOLD - 1e-9) == "warm"
         assert hit_state_label(HOT_THRESHOLD) == "hot"
         assert hit_state_label(1.0) == "hot"
-
-    def test_index_matches_label_order(self):
-        for rate in (0.0, 0.5, 1.0):
-            assert BUFFER_HIT_STATES[hit_state_index(rate)] == hit_state_label(rate)
 
     def test_rejects_rates_outside_unit_interval(self):
         with pytest.raises(ValueError):

@@ -4,18 +4,10 @@ import pytest
 
 from repro.engine.costing import base_components, simulate_elapsed
 from repro.engine.metrics import AccessInfo, ExecutionMetrics
-from repro.engine.profiles import DB2_LIKE, ORACLE_LIKE, get_profile
+from repro.engine.profiles import DB2_LIKE, ORACLE_LIKE
 
 
 class TestProfiles:
-    def test_builtin_lookup(self):
-        assert get_profile("oracle_like") is ORACLE_LIKE
-        assert get_profile("db2_like") is DB2_LIKE
-
-    def test_unknown_profile(self):
-        with pytest.raises(KeyError):
-            get_profile("postgres_like")
-
     def test_profiles_validate(self):
         ORACLE_LIKE.validate()
         DB2_LIKE.validate()

@@ -7,6 +7,7 @@ fresh interpreters, different ``PYTHONHASHSEED`` values, and the real
 ``python -m repro.experiments`` entry point.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -92,6 +93,7 @@ REMOVED_FLAGS = (
     "--cache-dir",
     "--no-cache",
     "--clear-cache",
+    "--full",
 )
 
 
@@ -135,3 +137,15 @@ def test_unknown_or_removed_flag_is_an_argparse_error(flag, capsys):
     captured = capsys.readouterr()
     assert "unrecognized arguments: " + flag in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("package", ["repro.experiments", "repro.obs"])
+def test_help_prints_each_usage_example_on_its_own_line(package, capsys):
+    cli = importlib.import_module(package + ".__main__")
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["--help"])
+    assert exit_info.value.code == 0
+    help_lines = capsys.readouterr().out.splitlines()
+    examples = [line for line in cli.__doc__.splitlines() if line.startswith("    python -m")]
+    assert len(examples) == 5
+    assert all(example in help_lines for example in examples)

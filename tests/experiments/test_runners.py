@@ -161,22 +161,22 @@ class TestHarnessCache:
             cache_stats,
             cache_summary,
             cached_class_experiment,
-            clear_cache,
         )
 
         registry = obs.MetricsRegistry()
         previous = obs.set_registry(registry)
+        hits, misses = cache_stats()
         try:
-            clear_cache()
-            a = cached_class_experiment(ORACLE_LIKE, G1, TINY)
-            b = cached_class_experiment(ORACLE_LIKE, G1, TINY)
+            # Seeds no other test uses: the memo is process-wide.
+            a = cached_class_experiment(ORACLE_LIKE, G1, TINY.with_seed(98))
+            b = cached_class_experiment(ORACLE_LIKE, G1, TINY.with_seed(98))
             assert a is b
             different = cached_class_experiment(ORACLE_LIKE, G1, TINY.with_seed(99))
             assert different is not a
             # Cache behaviour is no longer silent: 1 hit, 2 misses.
-            assert cache_stats() == (1, 2)
+            assert cache_stats() == (hits + 1, misses + 2)
             line = cache_summary()
-            assert "1 hits / 2 misses" in line and "3 lookups" in line
+            assert f"{hits + 1} hits / {misses + 2} misses" in line
+            assert f"{hits + misses + 3} lookups" in line
         finally:
             obs.set_registry(previous)
-            clear_cache()

@@ -1,6 +1,5 @@
 """Integration tests: the full pipeline, cross-checked end to end."""
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -9,7 +8,6 @@ from repro.core import (
     MultiStateCostModel,
     classify,
     extract_variables,
-    split_train_test,
     validate_model,
 )
 from repro.engine import Comparison
@@ -20,8 +18,8 @@ from repro.workload import make_site
 class TestPipeline:
     def test_derived_model_beats_one_state_on_holdout(self, session_g1_build):
         builder, outcome = session_g1_build
-        rng = np.random.default_rng(0)
-        train, test = split_train_test(outcome.observations, 0.25, rng)
+        test = outcome.observations[::4]
+        train = [o for i, o in enumerate(outcome.observations) if i % 4]
         multi = builder.build_from_observations(train, G1, "iupma").model
         one = builder.build_from_observations(train, G1, "static").model
         report_multi = validate_model(multi, test)

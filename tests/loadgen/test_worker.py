@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.workload import tablegen
+from repro.engine import LocalDatabase
 from repro.loadgen import (
     STEADY_SITE,
     VAR_SITE,
@@ -15,6 +15,7 @@ from repro.loadgen import (
     run_shard,
     universe_seed,
 )
+from repro.workload import tablegen
 
 GAP = 600.0
 
@@ -138,7 +139,8 @@ def test_run_shard_is_identical_on_cold_warm_and_rebuilt_templates(
     # A store of one: another spec pushes both templates out, then each
     # site's rebuild evicts the other's.
     monkeypatch.setattr(tablegen, "TEMPLATE_STORE_SIZE", 1)
-    tablegen.build_local_database("elsewhere")
+    elsewhere = tablegen.WorkloadSpec(tables=(tablegen.TableSpec("T", 200),))
+    tablegen.populate_database(LocalDatabase("elsewhere"), elsewhere)
     rebuilt = served()
     assert len(template_store) == 1
     assert not any(t is b for t in template_store.values() for b in built)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.mlr.correlation import (
     average_abs_state_correlation,
-    max_abs_state_correlation,
     per_state_correlations,
     simple_correlation,
 )
@@ -59,12 +58,6 @@ class TestPerStateCorrelations:
     def test_empty_state_reports_zero(self):
         rs = per_state_correlations([1, 2], [1, 2], [0, 0], 3)
         assert rs == [pytest.approx(1.0), 0.0, 0.0]
-
-    def test_max_abs(self):
-        x = [1, 2, 3, 1, 2, 3]
-        y = [1, 2, 3, 3, 2, 1]
-        states = [0, 0, 0, 1, 1, 1]
-        assert max_abs_state_correlation(x, y, states, 2) == pytest.approx(1.0)
 
     def test_average_abs(self):
         x = [1, 2, 3, 5, 5, 5]

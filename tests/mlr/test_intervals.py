@@ -1,26 +1,31 @@
-"""Unit tests for prediction intervals and outlier diagnostics."""
+"""Unit tests for prediction intervals."""
 
 import numpy as np
 import pytest
 
-from repro.mlr.intervals import (
-    leverages,
-    outlier_indices,
-    prediction_interval,
-    studentized_residuals,
-)
+from repro.mlr.intervals import interval_from_covariance
 from repro.mlr.linalg import add_intercept
 from repro.mlr.ols import fit_ols
 
 
-def make_fit(n=100, noise=0.5, seed=0, outlier_at=None):
+def make_fit(n=100, noise=0.5, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.uniform(0, 10, n)
     y = 1.0 + 2.0 * x + rng.normal(0, noise, n)
-    if outlier_at is not None:
-        y[outlier_at] += 30.0
     X = add_intercept(x.reshape(-1, 1))
     return fit_ols(X, y), X, x, y
+
+
+def prediction_interval(result, rows, confidence=0.95):
+    """The interval of a fit, from the parts a shipped model stores."""
+    return interval_from_covariance(
+        result.coefficients,
+        result.coef_covariance,
+        result.standard_error,
+        result.degrees_of_freedom,
+        rows,
+        confidence,
+    )
 
 
 class TestPredictionInterval:
@@ -66,45 +71,6 @@ class TestPredictionInterval:
         result, _, *_ = make_fit()
         with pytest.raises(ValueError):
             prediction_interval(result, np.ones((1, 5)))
-
-
-class TestLeverages:
-    def test_bounds_and_sum(self):
-        result, X, *_ = make_fit()
-        h = leverages(result, X)
-        assert np.all(h >= 0) and np.all(h <= 1)
-        # Sum of leverages equals the parameter count.
-        assert h.sum() == pytest.approx(result.n_parameters, rel=0.01)
-
-    def test_extreme_point_has_high_leverage(self):
-        rng = np.random.default_rng(3)
-        x = np.concatenate([rng.uniform(0, 1, 50), [100.0]])
-        y = x * 2 + rng.normal(0, 0.1, 51)
-        X = add_intercept(x.reshape(-1, 1))
-        result = fit_ols(X, y)
-        h = leverages(result, X)
-        assert h[-1] > 0.9
-
-
-class TestOutliers:
-    def test_injected_outlier_found(self):
-        result, X, *_ = make_fit(outlier_at=17)
-        flagged = outlier_indices(result, X, threshold=3.0)
-        assert 17 in flagged
-
-    def test_clean_data_mostly_unflagged(self):
-        result, X, *_ = make_fit(seed=4)
-        assert len(outlier_indices(result, X, threshold=4.0)) == 0
-
-    def test_studentized_residuals_standardized(self):
-        result, X, *_ = make_fit(n=500, seed=5)
-        r = studentized_residuals(result, X)
-        assert np.std(r) == pytest.approx(1.0, abs=0.15)
-
-    def test_threshold_validated(self):
-        result, X, *_ = make_fit()
-        with pytest.raises(ValueError):
-            outlier_indices(result, X, threshold=0.0)
 
 
 class TestModelIntegration:

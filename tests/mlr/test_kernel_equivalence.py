@@ -14,7 +14,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.mlr.diagnostics import (
-    collinear_columns,
     max_state_vif,
     max_state_vifs,
     variance_inflation_factor,
@@ -110,9 +109,6 @@ class TestVifIsTheEagerVif:
         expected = [eager_max_state_vif(X, states, m, j) for j in range(p)]
         assert max_state_vifs(X, states, m) == expected
         assert [max_state_vif(X, states.tolist(), m, j) for j in range(p)] == expected
-        assert collinear_columns(X, states, m, limit=5.0) == [
-            j for j, vif in enumerate(expected) if vif > 5.0
-        ]
 
     def test_states_must_cover_the_rows(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ coefficients, consistent fitted values/residuals, sane statistics — and
 on rank-deficient systems, where it must return the same minimum-norm
 solution.  The diagnostics layer's rank-deficiency *rejection* behaviour
 is checked too: exactly collinear columns must be flagged with infinite
-VIF and excluded by :func:`~repro.mlr.diagnostics.collinear_columns`.
+VIF, in every state, so the selection screen's VIF limit excludes them.
 """
 
 import numpy as np
@@ -15,9 +15,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.mlr.diagnostics import (
-    collinear_columns,
+    DEFAULT_VIF_LIMIT,
+    max_state_vifs,
     variance_inflation_factor,
-    variance_inflation_factors,
 )
 from repro.mlr.linalg import add_intercept
 from repro.mlr.ols import fit_ols
@@ -90,8 +90,8 @@ class TestVIFProperties:
     def test_vif_at_least_one_on_random_designs(self, seed, n, p):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(n, p))
-        for vif in variance_inflation_factors(X):
-            assert vif >= 1.0
+        for column in range(p):
+            assert variance_inflation_factor(X, column) >= 1.0
 
     @settings(max_examples=25, deadline=None)
     @given(seed=SEEDS, n=st.integers(12, 60), p=st.integers(1, 4))
@@ -101,8 +101,7 @@ class TestVIFProperties:
         X = np.column_stack([X, X @ rng.normal(size=p)])  # exact combination
         assert variance_inflation_factor(X, X.shape[1] - 1) == float("inf")
         states = np.zeros(n, dtype=int)
-        rejected = collinear_columns(X, states, num_states=1)
-        assert X.shape[1] - 1 in rejected
+        assert max_state_vifs(X, states, num_states=1)[-1] > DEFAULT_VIF_LIMIT
 
     @settings(max_examples=20, deadline=None)
     @given(seed=SEEDS, n=st.integers(20, 60), p=st.integers(2, 4))

@@ -9,15 +9,13 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.obs.export import (
     metrics_table,
-    read_jsonl,
-    span_from_dict,
     span_to_dict,
     summary_table,
     to_jsonl,
-    tree_lines,
     write_jsonl,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace_analysis import load_trace_file
 from repro.obs.tracing import Span
 
 
@@ -107,21 +105,11 @@ class TestJsonlRoundTripProperties:
     @settings(max_examples=50, deadline=None)
     @given(spans=st.lists(_spans, max_size=8))
     def test_export_import_round_trip(self, spans, tmp_path_factory):
-        """write_jsonl -> read_jsonl preserves every span field exactly
+        """write_jsonl -> load_trace_file preserves every span field exactly
         (the contract cross-process trace merging rests on)."""
         path = tmp_path_factory.mktemp("trace") / "roundtrip.jsonl"
         assert write_jsonl(spans, path) == len(spans)
-        recovered = read_jsonl(path)
-        assert [span_to_dict(s) for s in recovered] == [
-            span_to_dict(s) for s in spans
-        ]
-
-    @settings(max_examples=50, deadline=None)
-    @given(span=_spans)
-    def test_dict_round_trip_is_exact(self, span):
-        assert span_to_dict(span_from_dict(span_to_dict(span))) == span_to_dict(
-            span
-        )
+        assert load_trace_file(path) == [span_to_dict(s) for s in spans]
 
 
 class TestSummaryTable:
@@ -170,12 +158,3 @@ class TestMetricsTable:
 
     def test_empty_registry(self):
         assert metrics_table(MetricsRegistry()) == "(no metrics recorded)"
-
-
-class TestTreeLines:
-    def test_indentation_follows_parentage(self, tracer):
-        record_small_trace(tracer)
-        lines = tree_lines(tracer.finished())
-        assert lines[0].startswith("outer")
-        assert lines[1].startswith("  inner")
-        assert lines[2].startswith("  inner")

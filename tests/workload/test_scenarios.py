@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.engine.profiles import DB2_LIKE, ORACLE_LIKE
 from repro.env.contention import ClusteredContention, ConstantContention, UniformContention
-from repro.workload.scenarios import make_environment, make_site, paper_sites
+from repro.workload.scenarios import make_environment, make_site
 
 
 class TestMakeEnvironment:
@@ -45,15 +44,6 @@ class TestMakeSite:
         assert a.database.catalog.table("R1").rows() == b.database.catalog.table(
             "R1"
         ).rows()
-
-
-class TestPaperSites:
-    def test_two_profiles(self):
-        oracle, db2 = paper_sites(scale=0.01)
-        assert oracle.database.profile is ORACLE_LIKE
-        assert db2.database.profile is DB2_LIKE
-        assert oracle.name == "oracle_site"
-        assert db2.name == "db2_site"
 
 
 class TestScenarioTraces:

@@ -3,16 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.engine.database import LocalDatabase
 from repro.engine.index import IndexKind
 from repro.workload.tablegen import (
     COLUMN_NAMES,
     PAPER_CARDINALITIES,
     TableSpec,
-    build_local_database,
     generate_rows,
     paper_workload,
     populate_database,
-    small_workload,
 )
 
 
@@ -50,10 +49,6 @@ class TestSpecs:
         spec = TableSpec("T", 100, ranges={"a4": 7})
         assert spec.resolved_ranges()["a4"] == 7
 
-    def test_small_workload_validates(self):
-        with pytest.raises(ValueError):
-            small_workload(num_tables=0)
-
 
 class TestRowGeneration:
     def test_rows_respect_ranges(self):
@@ -75,7 +70,7 @@ class TestRowGeneration:
 
 class TestPopulation:
     def test_populate_creates_tables_and_indexes(self, tiny_workload):
-        db = build_local_database("db", workload=tiny_workload)
+        db = populate_database(LocalDatabase("db"), tiny_workload)
         assert db.catalog.table_names == ["R1", "R2", "R3"]
         # Non-clustered a1 index everywhere.
         for name in db.catalog.table_names:
@@ -87,17 +82,15 @@ class TestPopulation:
         assert db.catalog.table("R3").clustered_on == "a2"
 
     def test_statistics_analyzed(self, tiny_workload):
-        db = build_local_database("db", workload=tiny_workload)
+        db = populate_database(LocalDatabase("db"), tiny_workload)
         stats = db.catalog.table("R1").statistics
         assert stats.column("a1").distinct_count > 0
 
     def test_same_seed_same_content(self, tiny_workload):
-        a = build_local_database("a", workload=tiny_workload)
-        b = build_local_database("b", workload=tiny_workload)
+        a = populate_database(LocalDatabase("a"), tiny_workload)
+        b = populate_database(LocalDatabase("b"), tiny_workload)
         assert a.catalog.table("R1").rows() == b.catalog.table("R1").rows()
 
     def test_populate_returns_database(self, tiny_workload):
-        from repro.engine.database import LocalDatabase
-
         db = LocalDatabase("x")
         assert populate_database(db, tiny_workload) is db
