@@ -7,7 +7,9 @@ query to gauge the system contention level." (§3.3)
 Two ways to obtain a probing cost are implemented, mirroring the paper:
 
 * **observed** — actually execute the probing query and time it
-  (:meth:`ProbingQuery.observe`);
+  (:meth:`ProbingQuery.observe`; the probe's work is re-run only when
+  the catalog changed, its cost is charged at the current contention
+  on every call);
 * **estimated** — regress the probing cost once on a few major system
   statistics (CPU load, I/O utilization, used memory — paper eq. (2)),
   then *estimate* it from a cheap statistics snapshot instead of
@@ -22,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..engine.database import LocalDatabase
+from ..engine.database import LocalDatabase, QueryRun
 from ..engine.query import Query, SelectQuery
 from ..env.monitor import EnvironmentMonitor
 from ..env.stats import MAJOR_CONTENTION_PARAMETERS, SystemStatistics
@@ -41,10 +43,25 @@ class ProbingQuery:
     def __init__(self, database: LocalDatabase, query: Query | str) -> None:
         self.database = database
         self.query = database.parse(query) if isinstance(query, str) else query
+        #: The probe's last run.  Its work depends on the catalog, not on
+        #: the contention level, so it is charged again for as long as
+        #: the database says it is current — the one query whose run is
+        #: ever kept.
+        self._run: QueryRun | None = None
 
     def observe(self) -> float:
-        """Execute the probing query; return its elapsed time."""
-        return self.database.execute(self.query).elapsed
+        """Execute the probing query; return its elapsed time.
+
+        The cost is charged afresh each time — contention, noise, clock,
+        metrics — while the work is re-run only when
+        :meth:`LocalDatabase.is_current` says the last run no longer is
+        (a catalog change, or any site with a buffer pool).
+        """
+        database = self.database
+        run = self._run
+        if run is None or not database.is_current(run):
+            run = self._run = database.run(self.query)
+        return database.charge(run).elapsed
 
     def describe(self) -> str:
         return f"{self.database.name}: {self.query}"

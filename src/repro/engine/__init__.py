@@ -18,7 +18,7 @@ from .buffer import (
 )
 from .catalog import LocalCatalog
 from .costing import ElapsedBreakdown, simulate_elapsed
-from .database import LocalDatabase, QueryResult
+from .database import LocalDatabase, QueryResult, QueryRun
 from .errors import (
     CatalogError,
     EngineError,
@@ -77,6 +77,7 @@ __all__ = [
     "Query",
     "QueryError",
     "QueryResult",
+    "QueryRun",
     "ResultTable",
     "SQLSyntaxError",
     "SchemaError",

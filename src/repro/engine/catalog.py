@@ -37,7 +37,8 @@ class LocalCatalog:
     The planner asks for a table's indexes on every query, so each
     table's list is kept ready, ordered by index name, and edited by
     :meth:`add_index`, :meth:`drop_index` and :meth:`drop_table` — the
-    only ways the index set changes.
+    only ways the index set changes, and so the only places that bump
+    the table's :attr:`~repro.engine.table.Table.version` for it.
     """
 
     def __init__(self) -> None:
@@ -69,7 +70,7 @@ class LocalCatalog:
     def drop_table(self, name: str) -> None:
         if name not in self._tables:
             raise CatalogError(f"no such table: {name}")
-        del self._tables[name]
+        self._tables.pop(name).version += 1
         for index in self._table_indexes.pop(name, ()):
             del self._indexes[index.name]
 
@@ -102,12 +103,14 @@ class LocalCatalog:
             index,
             key=attrgetter("name"),
         )
+        self._tables[index.table.name].version += 1
 
     def drop_index(self, name: str) -> None:
         if name not in self._indexes:
             raise CatalogError(f"no such index: {name}")
         index = self._indexes.pop(name)
         self._table_indexes[index.table.name].remove(index)
+        self._tables[index.table.name].version += 1
 
     def index(self, name: str) -> Index:
         try:

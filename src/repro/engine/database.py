@@ -2,8 +2,10 @@
 
 A :class:`LocalDatabase` bundles a catalog, a DBMS cost profile, and the
 :class:`~repro.env.environment.Environment` it runs in.  Executing a
-query (1) lets the local optimizer pick a plan, (2) runs the plan to get
-both the result and the physical work counters, and (3) converts work to
+query is two steps.  :meth:`~LocalDatabase.run` (1) lets the local
+optimizer pick a plan and (2) runs the plan to get both the result and
+the physical work counters — a :class:`QueryRun`, which depends on the
+catalog alone.  :meth:`~LocalDatabase.charge` (3) converts that work to
 a simulated elapsed time under the contention level *at execution time*,
 advancing the simulated clock.  The elapsed time is all the global level
 ever observes — local cost constants stay hidden behind local autonomy,
@@ -34,6 +36,24 @@ from .query import Query, SelectQuery
 from .schema import Column, TableSchema
 from .sql import parse_query
 from .table import ResultTable, Table
+
+
+@dataclass
+class QueryRun:
+    """The work of one execution, before any of it is charged to the clock.
+
+    Everything here is a function of the query and the catalog: plan,
+    result, work counters and access facts.  *tables* holds each table
+    the run read, with its :attr:`~repro.engine.table.Table.version`
+    taken after the run (planning may analyze a table lazily).
+    """
+
+    query: Query
+    result: ResultTable
+    metrics: ExecutionMetrics
+    plan: str
+    infos: tuple[AccessInfo, ...]
+    tables: tuple[tuple[Table, int], ...]
 
 
 @dataclass
@@ -179,57 +199,95 @@ class LocalDatabase:
 
     def execute(self, query: Query | str) -> QueryResult:
         """Execute *query*, returning result rows plus timing under load."""
+        return self.charge(self.run(query))
+
+    def run(self, query: Query | str) -> QueryRun:
+        """Plan and run *query*: its result and the work it did.
+
+        Reads neither the clock nor the noise generator and records no
+        metric, so the run can be charged (:meth:`charge`) afterwards —
+        once, or again for as long as :meth:`is_current` holds.  With a
+        buffer pool the run touches the pool: what it holds is part of
+        the work.
+        """
+        if isinstance(query, str):
+            query = self.parse(query)
+        if isinstance(query, SelectQuery):
+            plan = self.plan(query)
+            assert isinstance(plan, UnaryPlan)
+            table = self.catalog.table(query.table)
+            execution: UnaryExecution = plan.execute(table, query, self.buffer_pool)
+            infos: tuple[AccessInfo, ...] = (execution.info,)
+            plan_desc = execution.info.method
+            tables: tuple[tuple[Table, int], ...] = ((table, table.version),)
+        else:
+            plan = self.plan(query)
+            assert isinstance(plan, JoinPlan)
+            left = self.catalog.table(query.left)
+            right = self.catalog.table(query.right)
+            jexec: JoinExecution = plan.execute(left, right, query, self.buffer_pool)
+            execution = jexec  # type: ignore[assignment]
+            infos = (jexec.left_info, jexec.right_info)
+            plan_desc = jexec.method
+            tables = ((left, left.version), (right, right.version))
+        return QueryRun(
+            query=query,
+            result=execution.result,
+            metrics=execution.metrics,
+            plan=plan_desc,
+            infos=infos,
+            tables=tables,
+        )
+
+    def charge(self, run: QueryRun) -> QueryResult:
+        """Charge *run*'s work at the current contention level.
+
+        Draws one noise value, converts the work to simulated elapsed
+        time, advances the clock by it and records the execution — all
+        that makes one execution of the same work differ from another.
+        """
         with obs.span("engine.execute") as sp:
-            if isinstance(query, str):
-                query = self.parse(query)
             started_at = self.environment.now
             level = self.environment.level()
             slowdown = self.environment.slowdown()
             noise = self._noise()
-
-            if isinstance(query, SelectQuery):
-                plan = self.plan(query)
-                assert isinstance(plan, UnaryPlan)
-                execution: UnaryExecution = plan.execute(
-                    self.catalog.table(query.table), query, self.buffer_pool
-                )
-                infos: tuple[AccessInfo, ...] = (execution.info,)
-                plan_desc = execution.info.method
-            else:
-                plan = self.plan(query)
-                assert isinstance(plan, JoinPlan)
-                jexec: JoinExecution = plan.execute(
-                    self.catalog.table(query.left),
-                    self.catalog.table(query.right),
-                    query,
-                    self.buffer_pool,
-                )
-                execution = jexec  # type: ignore[assignment]
-                infos = (jexec.left_info, jexec.right_info)
-                plan_desc = jexec.method
-
-            breakdown = simulate_elapsed(execution.metrics, self.profile, slowdown, noise)
+            breakdown = simulate_elapsed(run.metrics, self.profile, slowdown, noise)
             self.environment.advance(breakdown.elapsed)
-            self._record_execution(plan_desc, execution.metrics, breakdown)
+            self._record_execution(run.plan, run.metrics, breakdown)
             if sp.recording:
                 sp.set_attributes(
                     database=self.name,
-                    plan=plan_desc,
-                    rows=execution.result.cardinality,
-                    pages_read=execution.metrics.total_page_reads,
+                    plan=run.plan,
+                    rows=run.result.cardinality,
+                    pages_read=run.metrics.total_page_reads,
                     simulated_seconds=breakdown.elapsed,
                     contention_level=level,
                 )
         return QueryResult(
-            query=query,
-            result=execution.result,
-            metrics=execution.metrics,
+            query=run.query,
+            result=run.result,
+            metrics=run.metrics,
             breakdown=breakdown,
-            plan=plan_desc,
-            infos=infos,
+            plan=run.plan,
+            infos=run.infos,
             contention_level=level,
             started_at=started_at,
         )
+
+    def is_current(self, run: QueryRun) -> bool:
+        """Whether running *run*'s query now would do exactly *run*'s work.
+
+        True when the site has no buffer pool — with one, a run's page
+        reads depend on what the pool holds, and the run itself is how
+        the pool's state gets into its cost — and every table the run
+        read is still the catalog's table of that name, at the same
+        version.  A table gone from the catalog raises the
+        :class:`CatalogError` running the query would raise.
+        """
+        if self.buffer_pool is not None:
+            return False
+        table = self.catalog.table
+        return all(table(t.name) is t and t.version == version for t, version in run.tables)
 
     def _record_execution(
         self, plan_desc: str, metrics: ExecutionMetrics, breakdown: ElapsedBreakdown

@@ -58,6 +58,11 @@ class Table:
         self._histograms: dict[tuple[str, int], EquiDepthHistogram] = {}
         #: Name of the column the rows are physically sorted on, if any.
         self.clustered_on: str | None = None
+        #: Bumped by every change that can alter what a query over this
+        #: table reads or how it is planned: a content mutation, an
+        #: :meth:`analyze`, and (through the catalog) an index added or
+        #: dropped.  Equal object and equal version mean equal work.
+        self.version = 0
 
     # -- basic accessors ---------------------------------------------------
 
@@ -127,6 +132,7 @@ class Table:
 
     def _invalidate_caches(self) -> None:
         """Drop every derived view after a mutation of the row list."""
+        self.version += 1
         self._stats = None
         self._column_arrays = {}
         self._histograms = {}
@@ -216,6 +222,7 @@ class Table:
                 col_stats.histogram = self.histogram_for(col.name, histogram_buckets)
             stats.columns[col.name] = col_stats
         self._stats = stats
+        self.version += 1
         return stats
 
     def histogram_for(self, column_name: str, num_buckets: int = 16) -> EquiDepthHistogram:

@@ -150,7 +150,7 @@ class ProbingService:
                     sp.set_attributes(source=reading.source, cost=reading.cost)
                 return reading
             obs.inc("mdbs.probing.cache_misses")
-            reading = self._acquire(agent, now, prefer_estimated)
+            reading = self._acquire(agent, now, prefer_estimated, sp)
             if sp.recording:
                 sp.set_attributes(
                     outcome="executed", source=reading.source, cost=reading.cost
@@ -186,7 +186,7 @@ class ProbingService:
         return self._locks.setdefault(site, threading.RLock())
 
     def _acquire(
-        self, agent: MDBSAgent, now: float, prefer_estimated: bool | None
+        self, agent: MDBSAgent, now: float, prefer_estimated: bool | None, sp
     ) -> ProbeReading:
         prefer = self.prefer_estimated if prefer_estimated is None else prefer_estimated
         modes = ("estimated", "observed") if prefer else ("observed", "estimated")
@@ -196,10 +196,13 @@ class ProbingService:
                     cost = agent.observed_probing_cost()
                 else:
                     cost = agent.estimated_probing_cost()
-            except Exception:
+            except Exception as exc:
                 # Degradation is the contract here: a failed probe (the
                 # probe table vanished, the estimator is uncalibrated)
-                # must not fail the optimization that asked for it.
+                # must not fail the optimization that asked for it — but
+                # the trace says what each failed mode raised.
+                if sp.recording:
+                    sp.set_attribute(f"{mode}_error", type(exc).__name__)
                 continue
             self.probes_executed[agent.site] = (
                 self.probes_executed.get(agent.site, 0) + 1

@@ -148,18 +148,25 @@ class Histogram:
     def record(self, value: float, exemplar: str | None = None) -> None:
         value = float(value)
         with self._lock:
-            self._count += 1
+            count = self._count = self._count + 1
             self._sum += value
             if value < self._min:
                 self._min = value
             if value > self._max:
                 self._max = value
-            if len(self._reservoir) < self.reservoir_size:
-                self._reservoir.append(value)
+            reservoir = self._reservoir
+            if len(reservoir) < self.reservoir_size:
+                reservoir.append(value)
             else:
-                slot = self._rng.randrange(self._count)
+                # ``self._rng.randrange(count)``, draw for draw, without
+                # its two Python-level calls: rejection-sample k-bit ints.
+                getrandbits = self._rng.getrandbits
+                bits = count.bit_length()
+                slot = getrandbits(bits)
+                while slot >= count:
+                    slot = getrandbits(bits)
                 if slot < self.reservoir_size:
-                    self._reservoir[slot] = value
+                    reservoir[slot] = value
             if exemplar is not None:
                 exemplars = self._exemplars
                 # Fast path: once full, the list is sorted largest
@@ -257,17 +264,29 @@ class MetricsRegistry:
         return self._get_or_create(name, Histogram, reservoir_size)
 
     # -- recording shortcuts (the hot-path API) -----------------------------
+    #
+    # Each inlines _get_or_create's lock-free hit, so recording into an
+    # existing metric costs one dict read and the metric's own method.
 
     def inc(self, name: str, amount: float = 1.0) -> None:
-        self.counter(name).add(amount)
+        metric = self._metrics.get(name)
+        if type(metric) is not Counter:
+            metric = self.counter(name)
+        metric.add(amount)
 
     def set_gauge(self, name: str, value: float) -> None:
-        self.gauge(name).set(value)
+        metric = self._metrics.get(name)
+        if type(metric) is not Gauge:
+            metric = self.gauge(name)
+        metric.set(value)
 
     def observe(
         self, name: str, value: float, exemplar: str | None = None
     ) -> None:
-        self.histogram(name).record(value, exemplar=exemplar)
+        metric = self._metrics.get(name)
+        if type(metric) is not Histogram:
+            metric = self.histogram(name)
+        metric.record(value, exemplar)
 
     # -- inspection -------------------------------------------------------
 

@@ -111,10 +111,9 @@ class AccuracySample(NamedTuple):
         if actual == 0.0:
             rel = signed = _INF if predicted != 0.0 else 0.0
         else:
-            diff = predicted - actual
-            magnitude = abs(actual)
-            rel = abs(diff) / magnitude
-            signed = diff / magnitude
+            # Rounding is sign-symmetric, so |d / m| == |d| / m exactly.
+            signed = (predicted - actual) / abs(actual)
+            rel = abs(signed)
         if actual <= 0.0:
             good = predicted == actual
         elif predicted <= 0.0:
@@ -158,6 +157,36 @@ class WindowStats:
 _EMPTY_STATS = WindowStats(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
+def _push(windows: "tuple[AccuracyWindow, ...]", sample: AccuracySample) -> None:
+    """Append *sample* to each window, adjusting its running sums.
+
+    The serving path lands every recorded plan step in two windows, so
+    the sample is unpacked once for both and the eviction arithmetic is
+    inlined (tests/obs/test_overhead budgets this path).
+    """
+    predicted, actual, _, rel, signed, very_good, good = sample
+    for window in windows:
+        samples = window._samples
+        samples.append(sample)
+        if len(samples) > window.window_size:
+            e_predicted, e_actual, _, e_rel, e_signed, e_very_good, e_good = (
+                samples.popleft()
+            )
+            window._n_very_good += very_good - e_very_good
+            window._n_good += good - e_good
+            window._sum_rel = window._sum_rel + rel - e_rel
+            window._sum_signed = window._sum_signed + signed - e_signed
+            window._sum_predicted = window._sum_predicted + predicted - e_predicted
+            window._sum_actual = window._sum_actual + actual - e_actual
+        else:
+            window._n_very_good += very_good
+            window._n_good += good
+            window._sum_rel += rel
+            window._sum_signed += signed
+            window._sum_predicted += predicted
+            window._sum_actual += actual
+
+
 class AccuracyWindow:
     """A bounded rolling window of accuracy samples with O(1) stats.
 
@@ -192,27 +221,8 @@ class AccuracyWindow:
         return sample
 
     def push(self, sample: AccuracySample) -> None:
-        """Append an already-classified sample (shared across windows).
-
-        The serving path calls this for every recorded plan step, so the
-        eviction arithmetic is inlined (tests/obs/test_overhead budgets
-        this path).
-        """
-        self._samples.append(sample)
-        self._n_very_good += sample.very_good
-        self._n_good += sample.good
-        self._sum_rel += sample.relative_error
-        self._sum_signed += sample.signed_error
-        self._sum_predicted += sample.predicted
-        self._sum_actual += sample.actual
-        if len(self._samples) > self.window_size:
-            evicted = self._samples.popleft()
-            self._n_very_good -= evicted.very_good
-            self._n_good -= evicted.good
-            self._sum_rel -= evicted.relative_error
-            self._sum_signed -= evicted.signed_error
-            self._sum_predicted -= evicted.predicted
-            self._sum_actual -= evicted.actual
+        """Append an already-classified sample (shared across windows)."""
+        _push((self,), sample)
 
     def stats(self) -> WindowStats:
         n = len(self._samples)
@@ -297,7 +307,10 @@ class AccuracyTracker:
         self.export = export
         self._lock = threading.Lock()
         #: Third key element is a plain or composite state (see record()).
-        self._state_windows: dict[tuple, AccuracyWindow] = {}
+        #: Each state window is stored beside its class window, so a
+        #: recording finds both with one lookup; :meth:`reset` drops a
+        #: (site, class) from both dicts at once, which keeps pairs current.
+        self._state_windows: dict[tuple, tuple[AccuracyWindow, AccuracyWindow]] = {}
         self._class_windows: dict[tuple[str, str], AccuracyWindow] = {}
         self._probes: dict[str, deque[tuple[float, float]]] = {}
         #: Trace ids of recent exemplar-slot winners (insertion-ordered).
@@ -333,17 +346,17 @@ class AccuracyTracker:
         """
         # Classify once; both windows share the frozen sample.
         sample = AccuracySample.make(predicted, actual, at_time)
+        key = (site, class_label, state)
         with self._lock:
-            state_window = self._state_windows.get((site, class_label, state))
-            if state_window is None:
-                state_window = AccuracyWindow(self.window_size)
-                self._state_windows[(site, class_label, state)] = state_window
-            class_window = self._class_windows.get((site, class_label))
-            if class_window is None:
-                class_window = AccuracyWindow(self.window_size)
-                self._class_windows[(site, class_label)] = class_window
-            state_window.push(sample)
-            class_window.push(sample)
+            windows = self._state_windows.get(key)
+            if windows is None:
+                class_window = self._class_windows.get((site, class_label))
+                if class_window is None:
+                    class_window = AccuracyWindow(self.window_size)
+                    self._class_windows[(site, class_label)] = class_window
+                windows = (AccuracyWindow(self.window_size), class_window)
+                self._state_windows[key] = windows
+            _push(windows, sample)
             if trace_id is not None and not sample.good:
                 # Out-of-band samples compete for the worst-error
                 # exemplar slots; only samples that *win a slot* flag
@@ -382,7 +395,7 @@ class AccuracyTracker:
                         while len(self._flagged) > self.FLAGGED_CAPACITY:
                             self._flagged.popitem(last=False)
             if self.export:
-                stats = class_window.stats()
+                stats = windows[1].stats()
         if self.export:
             registry = get_registry()
             registry.inc(f"{self.metric_prefix}.samples")
@@ -425,7 +438,8 @@ class AccuracyTracker:
             if state is None:
                 window = self._class_windows.get((site, class_label))
             else:
-                window = self._state_windows.get((site, class_label, state))
+                windows = self._state_windows.get((site, class_label, state))
+                window = windows[0] if windows is not None else None
         return window.stats() if window is not None else _EMPTY_STATS
 
     def recent_stats(self, site: str, class_label: str, k: int) -> WindowStats:
@@ -507,7 +521,7 @@ class AccuracyTracker:
                 (key, list(links)) for key, links in self._exemplars.items()
             )
         rows = []
-        for (site, label, state), window in state_items:
+        for (site, label, state), (window, _) in state_items:
             rows.append(
                 {"site": site, "class": label, "state": state}
                 | window.stats().to_dict()

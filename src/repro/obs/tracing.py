@@ -538,6 +538,10 @@ def span(
     **attributes: Any,
 ) -> Span | _NoopSpan:
     """A span from the global tracer (the one instrumentation calls)."""
+    if _active_tracer is NOOP_TRACER:
+        # Disabled tracing is the common case on every hot path: skip
+        # re-forwarding the keyword arguments to a method that ignores them.
+        return NOOP_SPAN
     return _active_tracer.span(
         name, parent=parent, trace_id=trace_id, detached=detached, **attributes
     )

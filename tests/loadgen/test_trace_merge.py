@@ -11,6 +11,8 @@ import json
 import pytest
 
 from repro.loadgen import Coordinator, FaultSchedule, LoadGenConfig
+from repro.loadgen.coordinator import DEFAULT_GAP_SECONDS
+from repro.loadgen.faults import named_fault_plan
 from repro.obs.trace_analysis import (
     ROOT_SPAN_NAME,
     group_traces,
@@ -127,6 +129,37 @@ class TestMergedTrace:
             for trace_id in event.get("stats", {}).get("exemplar_traces", [])
         }
         assert exemplars and exemplars <= sampled_ids
+
+    def test_outage_trace_names_the_failure_behind_each_degraded_probe(
+        self, micro_config, trained_payload
+    ):
+        """A degraded reading says why: the service span records what the
+        failed probe raised, identically at any worker count."""
+        config = traced_loadgen(
+            micro_config,
+            rounds=8,
+            faults=named_fault_plan("outage", 2, 8, DEFAULT_GAP_SECONDS),
+        )
+        report = Coordinator(config, payload=trained_payload).run(workers=1)
+        spans = [json.loads(line) for line in report.merged_trace().splitlines()]
+        degraded = [
+            span["attributes"]
+            for span in spans
+            if span["name"] == "mdbs.probe.service"
+            and span["attributes"].get("outcome") == "executed"
+            and span["attributes"]["source"] != "observed"
+        ]
+        assert degraded
+        assert all(a["observed_error"] == "SiteOutageError" for a in degraded)
+        healthy = [
+            span["attributes"]
+            for span in spans
+            if span["name"] == "mdbs.probe.service"
+            and span["attributes"].get("source") == "observed"
+        ]
+        assert healthy and not any("observed_error" in a for a in healthy)
+        pooled = Coordinator(config, payload=trained_payload).run(workers=2)
+        assert pooled.merged_trace() == report.merged_trace()
 
     @pytest.mark.slow
     def test_merged_trace_is_byte_identical_across_worker_counts(

@@ -1,6 +1,8 @@
 """Unit tests for the metrics registry: counters, gauges, histograms."""
 
+import random
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -103,12 +105,23 @@ class TestHistogram:
 
     def test_reservoir_bounds_memory(self, rng):
         h = Histogram("h", reservoir_size=64)
-        for v in rng.uniform(0.0, 1.0, size=10_000):
+        values = rng.uniform(0.0, 1.0, size=10_000)
+        for v in values:
             h.record(v)
         assert h.count == 10_000
         assert len(h._reservoir) == 64
         # Quantiles still land inside the observed range.
         assert 0.0 <= h.quantile(0.5) <= 1.0
+        # Algorithm R on the name-seeded RNG, slot for slot: the same
+        # reservoir in every process and every version.
+        draws = random.Random(zlib.crc32(b"h"))
+        reference = []
+        for count, v in enumerate(values, start=1):
+            if len(reference) < 64:
+                reference.append(float(v))
+            elif (slot := draws.randrange(count)) < 64:
+                reference[slot] = float(v)
+        assert h._reservoir == reference
 
     def test_empty_histogram(self):
         h = Histogram("h")
