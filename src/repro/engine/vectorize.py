@@ -24,23 +24,21 @@ site (including module-level helpers with no database in scope) honest.
 from __future__ import annotations
 
 import os
-import threading
 from contextlib import contextmanager
 
-_STATE = threading.local()
-
-#: Import-time default: vectorized unless REPRO_SCALAR_ENGINE is set.
-_DEFAULT = os.environ.get("REPRO_SCALAR_ENGINE", "") not in ("1", "true", "yes")
+#: Vectorized unless REPRO_SCALAR_ENGINE is set at import.
+_enabled = os.environ.get("REPRO_SCALAR_ENGINE", "") not in ("1", "true", "yes")
 
 
 def enabled() -> bool:
-    """Whether the vectorized hot paths are active on this thread."""
-    return getattr(_STATE, "enabled", _DEFAULT)
+    """Whether the vectorized hot paths are active."""
+    return _enabled
 
 
 def set_enabled(flag: bool) -> None:
-    """Switch this thread between vectorized (True) and scalar (False)."""
-    _STATE.enabled = bool(flag)
+    """Switch the process between vectorized (True) and scalar (False)."""
+    global _enabled
+    _enabled = bool(flag)
 
 
 @contextmanager

@@ -297,12 +297,7 @@ def _run_strategy(
     # ~3 rounds of watched-class samples: long enough to be stable,
     # short enough that recovery shows while the shift is still serving.
     window = max(6, 3 * per_round)
-    serving = ServingConfig(
-        workers=1,
-        queue_depth=max(16, per_round * 2),
-        admission_policy="block",
-        plan_cache=True,
-    )
+    serving = ServingConfig(plan_cache=True)
     rounds: list[RaceRound] = []
     run = StrategyRun(strategy=strategy, rounds=rounds, score=None)
     with ServingFrontEnd(server, serving) as frontend:

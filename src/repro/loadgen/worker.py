@@ -385,9 +385,6 @@ def run_shard(task: ShardTask, payload: dict) -> ShardReport:
     shift_seen = False
 
     serving = ServingConfig(
-        workers=1,
-        queue_depth=max(16, task.queries_per_round * 2),
-        admission_policy="block",
         plan_cache=True,
         trace_sample_rate=task.trace_sample_rate,
         trace_seed=stable_seed(config.seed, "loadgen/trace"),

@@ -20,7 +20,7 @@ from .optimizer import (
     estimate_unary_variables,
     facts_to_statistics,
 )
-from .probing_service import PROBE_SOURCES, ProbeReading, ProbingService
+from .probing_service import ProbeReading, ProbingService
 from .registry import (
     CostModelRegistry,
     CostModelRegistryError,
@@ -48,7 +48,6 @@ __all__ = [
     "ModelProvenance",
     "ModelVersion",
     "NetworkModel",
-    "PROBE_SOURCES",
     "ProbeReading",
     "ProbingService",
     "StepTiming",

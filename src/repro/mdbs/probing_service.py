@@ -1,4 +1,4 @@
-"""The probing service: cached, coalesced, degradation-tolerant probing.
+"""The probing service: cached, shared, degradation-tolerant probing.
 
 The multi-states method resolves a model's contention state from a
 *current* probing cost (§3.3), which in the seed architecture meant the
@@ -11,16 +11,12 @@ This service centralizes that serving-side concern:
   TTL semantics are a **closed interval**: a reading whose age satisfies
   ``0 <= age <= ttl`` is a hit — a probe exactly at ``age == ttl`` is
   still served from cache (tests pin this boundary);
-* **coalescing** — callers fetch a site's reading once per optimization
+* **sharing** — callers fetch a site's reading once per optimization
   and share it across candidate plans, so one ``choose()`` executes at
-  most one probing query per site.  *Across* requests, a per-site
-  single-flight lock extends the same guarantee to concurrent
-  optimizations: when many pool workers need the same site's reading
-  within one TTL window, exactly one executes the probe and the rest
-  wait and share it (``mdbs.probing.coalesced`` counts the sharers).
-  Because only the executing acquisition feeds the accuracy tracker,
-  a shared probe lands in the tracker's probe window exactly once — no
-  double-counted samples however many requests it served;
+  most one probing query per site; within the TTL, later requests share
+  the cached reading too.  Only an executed probe feeds the accuracy
+  tracker, so a shared reading lands in the tracker's probe window
+  exactly once;
 * **graceful degradation** — when a probe cannot be executed the
   service falls back, in order: observed probe → monitor-estimated
   probe (paper eq. (2)) → last-known reading → *no reading*
@@ -31,15 +27,10 @@ This service centralizes that serving-side concern:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .. import obs
 from .agent import MDBSAgent
-
-#: Fallback levels, in degradation order.
-PROBE_SOURCES = ("observed", "estimated", "last_known", "static")
-
 
 @dataclass(frozen=True)
 class ProbeReading:
@@ -51,19 +42,13 @@ class ProbeReading:
     """
 
     cost: float | None
-    source: str  # one of PROBE_SOURCES
+    #: Fallback level: "observed", "estimated", "last_known" or "static".
+    source: str
     at_time: float  # simulated time of the determination
 
 
 class ProbingService:
-    """Per-site probing costs with a simulated-time TTL cache.
-
-    *locks* optionally shares a per-site lock table with the owning
-    server: the same lock then serializes a site's probe execution with
-    plan execution at that site, keeping the simulated clock and the
-    engine single-writer per site.  When omitted the service keeps a
-    private table (single-flight behavior is identical either way).
-    """
+    """Per-site probing costs with a simulated-time TTL cache."""
 
     def __init__(
         self,
@@ -71,7 +56,6 @@ class ProbingService:
         ttl: float = 0.0,
         prefer_estimated: bool = False,
         tracker=None,
-        locks: dict[str, threading.RLock] | None = None,
     ) -> None:
         if ttl < 0:
             raise ValueError("ttl must be >= 0 (0 disables the cache)")
@@ -83,21 +67,16 @@ class ProbingService:
         #: Optional :class:`~repro.obs.quality.AccuracyTracker` fed every
         #: executed reading, so drift rules can watch the probing-cost
         #: distribution against the models' partitioned state ranges.
-        #: Cache hits and coalesced sharers do NOT re-feed the tracker:
-        #: one executed probe = one tracker sample, idempotent however
-        #: many concurrent requests share the reading.
+        #: Cache hits do NOT re-feed the tracker: one executed probe =
+        #: one tracker sample, however many requests share the reading.
         self.tracker = tracker
         self._cache: dict[str, ProbeReading] = {}
-        #: Per-site single-flight locks (possibly shared with the server).
-        self._locks = locks if locks is not None else {}
         #: Probes actually executed (observed or estimated), per site —
         #: local bookkeeping for experiments; obs counters carry the
         #: global view.
         self.probes_executed: dict[str, int] = {}
         self.cache_hits = 0
-        #: Cache hits served to callers that blocked on the site lock
-        #: while another request refreshed the reading — cross-request
-        #: probe sharing at work.
+        #: Always 0: one caller at a time never waits on another's probe.
         self.coalesced = 0
 
     # -- the serving API -------------------------------------------------
@@ -110,45 +89,19 @@ class ProbingService:
         """Current :class:`ProbeReading` for *site*, cached within the TTL.
 
         A cached reading is served while ``0 <= now - at_time <= ttl``
-        (closed interval: ``age == ttl`` is a hit).  Concurrent callers
-        single-flight behind a per-site lock, so at most one probing
-        query per site is in flight at any moment.
+        (closed interval: ``age == ttl`` is a hit).
         """
         try:
             agent = self.agents[site]
         except KeyError:
             raise KeyError(f"no agent registered for site {site!r}") from None
-        # Fast path: a fresh reading needs no lock (dict reads are atomic
-        # under the GIL, and readings are immutable).
-        before = self._cache.get(site)
-        reading = self._fresh(before, agent.database.environment.now)
+        now = agent.database.environment.now
+        reading = self._fresh(self._cache.get(site), now)
         if reading is not None:
             self.cache_hits += 1
             obs.inc("mdbs.probing.cache_hits")
             return reading
-        # The span opens *before* the lock: its duration includes any
-        # single-flight wait, so traces attribute time blocked behind
-        # another request's probe as probe time (outcome says which).
-        # The lock-free fresh-cache fast path above stays span-free.
-        with obs.span("mdbs.probe.service", site=site) as sp, self._site_lock(site):
-            now = agent.database.environment.now
-            cached = self._cache.get(site)
-            reading = self._fresh(cached, now)
-            if reading is not None:
-                # Refreshed while we waited for the lock: this caller
-                # shares the probe another request just executed.
-                self.cache_hits += 1
-                obs.inc("mdbs.probing.cache_hits")
-                if cached is not before:
-                    self.coalesced += 1
-                    obs.inc("mdbs.probing.coalesced")
-                    if sp.recording:
-                        sp.set_attributes(outcome="coalesced")
-                elif sp.recording:
-                    sp.set_attributes(outcome="cached")
-                if sp.recording:
-                    sp.set_attributes(source=reading.source, cost=reading.cost)
-                return reading
+        with obs.span("mdbs.probe.service", site=site) as sp:
             obs.inc("mdbs.probing.cache_misses")
             reading = self._acquire(agent, now, prefer_estimated, sp)
             if sp.recording:
@@ -179,11 +132,6 @@ class ProbingService:
         ):
             return cached
         return None
-
-    def _site_lock(self, site: str) -> threading.RLock:
-        # dict.setdefault is atomic under the GIL, so concurrent first
-        # probes of a site agree on one lock without a meta-lock.
-        return self._locks.setdefault(site, threading.RLock())
 
     def _acquire(
         self, agent: MDBSAgent, now: float, prefer_estimated: bool | None, sp

@@ -25,7 +25,6 @@ version.
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
@@ -182,13 +181,10 @@ class CostModelRegistry:
     of the MDBS — go through :meth:`active_model`.
 
     Serving-side consumers can :meth:`subscribe` to the write path: every
-    publish / activate / rollback / drop fires
+    publish / activate / rollback fires
     ``callback(action, site, class_label, version)`` after the change is
     applied, which is how the plan cache evicts exactly the entries a
-    model-version change invalidates.  Writes are serialized behind a
-    lock; reads stay lock-free (versions are append-only and the active
-    pointer is a single atomic dict write), so worker threads can resolve
-    models while maintenance publishes.
+    model-version change invalidates.
     """
 
     def __init__(self) -> None:
@@ -197,15 +193,13 @@ class CostModelRegistry:
         self._active: dict[tuple[str, str], int] = {}
         #: Previously active version numbers, newest last (rollback stack).
         self._previous: dict[tuple[str, str], list[int]] = {}
-        #: Write-path serialization (reads are lock-free, see class doc).
-        self._write_lock = threading.RLock()
         self._subscribers: list[Callable[[str, str, str, int], None]] = []
 
     # -- change notification ---------------------------------------------
 
     def subscribe(self, callback: Callable[[str, str, str, int], None]) -> None:
         """Call ``callback(action, site, class_label, version)`` after
-        every write (actions: "publish", "activate", "rollback", "drop")."""
+        every write (actions: "publish", "activate", "rollback")."""
         self._subscribers.append(callback)
 
     def unsubscribe(self, callback: Callable[[str, str, str, int], None]) -> None:
@@ -230,35 +224,33 @@ class CostModelRegistry:
     ) -> ModelVersion:
         """Append *model* as the next version for its (site, class)."""
         key = (site, model.class_label)
-        with self._write_lock:
-            versions = self._versions.setdefault(key, [])
-            number = versions[-1].version + 1 if versions else 1
-            entry = ModelVersion(
-                site=site,
-                class_label=model.class_label,
-                version=number,
-                model=model,
-                provenance=provenance or ModelProvenance.from_model(model),
-            )
-            versions.append(entry)
-            obs.inc("mdbs.registry.published")
-            self._notify("publish", site, model.class_label, number)
-            if activate:
-                self.activate(site, model.class_label, number)
-            self._update_gauges()
+        versions = self._versions.setdefault(key, [])
+        number = versions[-1].version + 1 if versions else 1
+        entry = ModelVersion(
+            site=site,
+            class_label=model.class_label,
+            version=number,
+            model=model,
+            provenance=provenance or ModelProvenance.from_model(model),
+        )
+        versions.append(entry)
+        obs.inc("mdbs.registry.published")
+        self._notify("publish", site, model.class_label, number)
+        if activate:
+            self.activate(site, model.class_label, number)
+        self._update_gauges()
         return entry
 
     def activate(self, site: str, class_label: str, version: int) -> ModelVersion:
         """Make *version* the one :meth:`active_model` serves."""
         key = (site, class_label)
-        with self._write_lock:
-            entry = self.version(site, class_label, version)
-            current = self._active.get(key)
-            if current is not None and current != version:
-                self._previous.setdefault(key, []).append(current)
-            self._active[key] = version
-            obs.inc("mdbs.registry.activations")
-            self._notify("activate", site, class_label, version)
+        entry = self.version(site, class_label, version)
+        current = self._active.get(key)
+        if current is not None and current != version:
+            self._previous.setdefault(key, []).append(current)
+        self._active[key] = version
+        obs.inc("mdbs.registry.activations")
+        self._notify("activate", site, class_label, version)
         return entry
 
     def rollback(self, site: str, class_label: str) -> ModelVersion:
@@ -268,26 +260,25 @@ class CostModelRegistry:
         history exists (e.g. right after an import).
         """
         key = (site, class_label)
-        with self._write_lock:
-            current = self._active.get(key)
-            if current is None:
+        current = self._active.get(key)
+        if current is None:
+            raise CostModelRegistryError(
+                f"no active cost model for {class_label!r} at {site!r}"
+            )
+        stack = self._previous.get(key, [])
+        if stack:
+            target = stack.pop()
+        else:
+            older = [v.version for v in self._versions[key] if v.version < current]
+            if not older:
                 raise CostModelRegistryError(
-                    f"no active cost model for {class_label!r} at {site!r}"
+                    f"no earlier version of {class_label!r} at {site!r} "
+                    "to roll back to"
                 )
-            stack = self._previous.get(key, [])
-            if stack:
-                target = stack.pop()
-            else:
-                older = [v.version for v in self._versions[key] if v.version < current]
-                if not older:
-                    raise CostModelRegistryError(
-                        f"no earlier version of {class_label!r} at {site!r} "
-                        "to roll back to"
-                    )
-                target = max(older)
-            self._active[key] = target
-            obs.inc("mdbs.registry.rollbacks")
-            self._notify("rollback", site, class_label, target)
+            target = max(older)
+        self._active[key] = target
+        obs.inc("mdbs.registry.rollbacks")
+        self._notify("rollback", site, class_label, target)
         return self.version(site, class_label, target)
 
     def record_online_update(
@@ -306,38 +297,26 @@ class CostModelRegistry:
         update history.  The log keeps the most recent *max_log* entries;
         ``online_updates`` counts all of them.
         """
-        with self._write_lock:
-            current = self.version(site, class_label, version)
-            provenance = current.provenance
-            log = provenance.update_log + (dict(entry),)
-            if len(log) > max_log:
-                log = log[-max_log:]
-            updated = replace(
-                current,
-                provenance=replace(
-                    provenance,
-                    update_log=log,
-                    online_updates=provenance.online_updates + 1,
-                ),
-            )
-            versions = self._versions[(site, class_label)]
-            for index, candidate in enumerate(versions):
-                if candidate.version == version:
-                    versions[index] = updated
-                    break
-            obs.inc("mdbs.registry.online_updates")
+        current = self.version(site, class_label, version)
+        provenance = current.provenance
+        log = provenance.update_log + (dict(entry),)
+        if len(log) > max_log:
+            log = log[-max_log:]
+        updated = replace(
+            current,
+            provenance=replace(
+                provenance,
+                update_log=log,
+                online_updates=provenance.online_updates + 1,
+            ),
+        )
+        versions = self._versions[(site, class_label)]
+        for index, candidate in enumerate(versions):
+            if candidate.version == version:
+                versions[index] = updated
+                break
+        obs.inc("mdbs.registry.online_updates")
         return updated
-
-    def drop_site(self, site: str) -> None:
-        """Forget every version for *site* (e.g. a deregistered site)."""
-        with self._write_lock:
-            for key in [k for k in self._versions if k[0] == site]:
-                dropped = self._active.get(key, 0)
-                self._versions.pop(key, None)
-                self._active.pop(key, None)
-                self._previous.pop(key, None)
-                self._notify("drop", key[0], key[1], dropped)
-            self._update_gauges()
 
     # -- read path -------------------------------------------------------
 
@@ -409,23 +388,22 @@ class CostModelRegistry:
         not (after an import, :meth:`rollback` falls back to the
         next-lower version number).
         """
-        with self._write_lock:
-            for key, record in payload.items():
-                site, _, label = key.partition("/")
-                versions = [
-                    ModelVersion.from_dict(site, label, entry)
-                    for entry in record["versions"]
-                ]
-                versions.sort(key=lambda entry: entry.version)
-                self._versions[(site, label)] = versions
-                active = record.get("active")
-                if active is None and versions:
-                    active = versions[-1].version
-                if active is not None:
-                    self._active[(site, label)] = int(active)
-                    self._notify("activate", site, label, int(active))
-                self._previous.pop((site, label), None)
-            self._update_gauges()
+        for key, record in payload.items():
+            site, _, label = key.partition("/")
+            versions = [
+                ModelVersion.from_dict(site, label, entry)
+                for entry in record["versions"]
+            ]
+            versions.sort(key=lambda entry: entry.version)
+            self._versions[(site, label)] = versions
+            active = record.get("active")
+            if active is None and versions:
+                active = versions[-1].version
+            if active is not None:
+                self._active[(site, label)] = int(active)
+                self._notify("activate", site, label, int(active))
+            self._previous.pop((site, label), None)
+        self._update_gauges()
         return len(payload)
 
     # -- observability ---------------------------------------------------

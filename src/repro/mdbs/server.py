@@ -30,8 +30,6 @@ provenance.
 
 from __future__ import annotations
 
-import threading
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -123,18 +121,10 @@ class MDBSServer:
         #: (and every executed probe, via the probing service).  Defaults
         #: to the process-global tracker so obs snapshots include it.
         self.accuracy = accuracy if accuracy is not None else obs.get_tracker()
-        #: One re-entrant lock per site: everything that advances a
-        #: site's simulated clock or touches its engine state (plan
-        #: steps, temp tables, probing queries) runs under its lock, so
-        #: serving-layer worker threads interleave safely.  Shared with
-        #: the probing service, whose single-flight probes take the same
-        #: locks.
-        self.site_locks: dict[str, threading.RLock] = {}
         #: Shared by every optimizer this server hands out; ttl=0 keeps
         #: the pre-lifecycle always-fresh-probe behavior.
         self.probing = ProbingService(
-            self.agents, ttl=probe_ttl, tracker=self.accuracy,
-            locks=self.site_locks,
+            self.agents, ttl=probe_ttl, tracker=self.accuracy
         )
         self.maintainers: dict[str, ModelMaintainer] = {}
         #: Drift policy per site (:meth:`configure_maintenance`'s
@@ -156,7 +146,6 @@ class MDBSServer:
     def register_agent(self, agent: MDBSAgent) -> None:
         """Attach a local site and import its globally visible facts."""
         self.agents[agent.site] = agent
-        self.site_locks.setdefault(agent.site, threading.RLock())
         self.catalog.register_site(agent.site)
         for facts in agent.export_table_facts():
             self.catalog.register_table(facts)
@@ -372,8 +361,7 @@ class MDBSServer:
             right=f"{query.right_site}.{query.right_table}",
         ) as root:
             plan = plan or self.optimize(query)
-            with self._locked_sites(query.left_site, query.right_site):
-                execution = self._execute_plan(query, plan)
+            execution = self._execute_plan(query, plan)
             self._record_accuracy(plan, execution)
             obs.inc("mdbs.global_queries")
             obs.set_gauge("mdbs.last_estimated_seconds", execution.estimated_seconds)
@@ -386,22 +374,6 @@ class MDBSServer:
                     cardinality=execution.cardinality,
                 )
         return execution
-
-    def _locked_sites(self, *sites: str) -> ExitStack:
-        """Acquire the named sites' locks in sorted order (dedup'd).
-
-        Sorted acquisition is the deadlock-freedom argument: every code
-        path that takes more than one site lock (only plan execution
-        does; probes take exactly one) takes them in the same global
-        order, and the locks are re-entrant so a worker may probe a site
-        it already holds for execution.
-        """
-        stack = ExitStack()
-        for site in sorted(set(sites)):
-            stack.enter_context(
-                self.site_locks.setdefault(site, threading.RLock())
-            )
-        return stack
 
     def _record_accuracy(self, plan: GlobalPlan, execution: GlobalExecution) -> None:
         """Feed each model-backed estimate/observation pair to the tracker.

@@ -8,7 +8,7 @@ and the work actually go?*  Three pieces:
   streaming histograms, cheap enough to record from per-query hot
   paths;
 * :mod:`repro.obs.tracing` — nested, context-managed spans recorded by
-  a thread-safe :class:`~repro.obs.tracing.Tracer`.  The global default
+  a :class:`~repro.obs.tracing.Tracer`, one request one ``with`` tree.  The global default
   is a no-op tracer, so the instrumentation baked into the engine,
   builder, and MDBS layers costs ~nothing until :func:`enable` (or the
   scoped :func:`recording`) installs a real one;
@@ -94,7 +94,6 @@ from .tracing import (
     NOOP_TRACER,
     NoopTracer,
     Span,
-    TraceContext,
     Tracer,
     TraceSampler,
     current_trace_id,
@@ -110,7 +109,6 @@ from .tracing import (
 __all__ = [
     # tracing
     "Span",
-    "TraceContext",
     "Tracer",
     "TraceSampler",
     "NoopTracer",

@@ -38,7 +38,6 @@ def span_to_dict(span: Span) -> dict[str, Any]:
         "start": span.start,
         "end": span.end,
         "duration": span.duration,
-        "thread": span.thread,
         "attributes": dict(span.attributes),
     }
 

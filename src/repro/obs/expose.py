@@ -168,9 +168,7 @@ def read_snapshot(path: str | Path) -> dict:
 _DASH_COUNTERS = (
     ("mdbs.global_queries", "global queries"),
     ("serving.completed", "served requests"),
-    ("serving.rejected", "rejected"),
     ("serving.plan_cache.hits", "plan-cache hits"),
-    ("mdbs.probing.coalesced", "probes coalesced"),
     ("mdbs.accuracy.samples", "accuracy samples"),
     ("mdbs.maintenance_runs", "maintenance runs"),
     ("maintenance.rebuilds", "model rebuilds"),

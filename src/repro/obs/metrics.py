@@ -11,21 +11,17 @@ use so call sites never need registration boilerplate:
   sum / min / max plus quantiles over a bounded reservoir sample, so
   memory stays constant no matter how many values are recorded.
 
-All metrics are individually lock-protected, safe for concurrent
-recording.  Lookup of an *existing* metric is lock-free (a plain dict
-read, atomic under the GIL; metrics are never replaced once created),
-so the hot path is one unlocked ``dict.get`` plus one locked add —
-cheap enough for per-query serving paths with many worker threads, and
-it keeps always-useful totals such as cache hit rates available without
-opting in.  The concurrency stress test in ``tests/obs`` pins the
-no-lost-increments guarantee.
+Recording into an existing metric is one ``dict.get`` plus the
+metric's own update — cheap enough for per-query serving paths, and it
+keeps always-useful totals such as cache hit rates available without
+opting in.  A registry belongs to one process and is recorded into
+from that process's one thread.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import threading
 import zlib
 from typing import Iterable, Sequence
 
@@ -64,18 +60,16 @@ def quantile(sorted_values: Sequence[float], q: float) -> float:
 class Counter:
     """A monotonically increasing counter."""
 
-    __slots__ = ("name", "_value", "_lock")
+    __slots__ = ("name", "_value")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._value = 0.0
-        self._lock = threading.Lock()
 
     def add(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError("counters only go up; use a Gauge instead")
-        with self._lock:
-            self._value += amount
+        self._value += amount
 
     @property
     def value(self) -> float:
@@ -88,20 +82,17 @@ class Counter:
 class Gauge:
     """A last-written value."""
 
-    __slots__ = ("name", "_value", "_lock")
+    __slots__ = ("name", "_value")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._value: float | None = None
-        self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
+        self._value = float(value)
 
     def add(self, delta: float) -> None:
-        with self._lock:
-            self._value = (self._value or 0.0) + delta
+        self._value = (self._value or 0.0) + delta
 
     @property
     def value(self) -> float | None:
@@ -125,7 +116,7 @@ class Histogram:
     """
 
     __slots__ = ("name", "reservoir_size", "_count", "_sum", "_min", "_max",
-                 "_reservoir", "_rng", "_lock", "_exemplars")
+                 "_reservoir", "_rng", "_exemplars")
 
     #: How many (value, exemplar) links a histogram retains — the
     #: worst-valued observations keep their trace ids for drill-down.
@@ -142,51 +133,48 @@ class Histogram:
         self._max = -math.inf
         self._reservoir: list[float] = []
         self._rng = random.Random(zlib.crc32(name.encode("utf-8")))
-        self._lock = threading.Lock()
         self._exemplars: list[tuple[float, str]] = []
 
     def record(self, value: float, exemplar: str | None = None) -> None:
         value = float(value)
-        with self._lock:
-            count = self._count = self._count + 1
-            self._sum += value
-            if value < self._min:
-                self._min = value
-            if value > self._max:
-                self._max = value
-            reservoir = self._reservoir
-            if len(reservoir) < self.reservoir_size:
-                reservoir.append(value)
-            else:
-                # ``self._rng.randrange(count)``, draw for draw, without
-                # its two Python-level calls: rejection-sample k-bit ints.
-                getrandbits = self._rng.getrandbits
-                bits = count.bit_length()
+        count = self._count = self._count + 1
+        self._sum += value
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
+        reservoir = self._reservoir
+        if len(reservoir) < self.reservoir_size:
+            reservoir.append(value)
+        else:
+            # ``self._rng.randrange(count)``, draw for draw, without
+            # its two Python-level calls: rejection-sample k-bit ints.
+            getrandbits = self._rng.getrandbits
+            bits = count.bit_length()
+            slot = getrandbits(bits)
+            while slot >= count:
                 slot = getrandbits(bits)
-                while slot >= count:
-                    slot = getrandbits(bits)
-                if slot < self.reservoir_size:
-                    reservoir[slot] = value
-            if exemplar is not None:
-                exemplars = self._exemplars
-                # Fast path: once full, the list is sorted largest
-                # first, so a value at or under the smallest retained
-                # one could never survive the sort-and-truncate (ties
-                # keep the earliest link) — skip the append entirely.
-                if (
-                    len(exemplars) < self.EXEMPLAR_SLOTS
-                    or value > exemplars[-1][0]
-                ):
-                    exemplars.append((value, exemplar))
-                    if len(exemplars) > self.EXEMPLAR_SLOTS:
-                        # Keep the largest values; ties keep the earliest.
-                        exemplars.sort(key=lambda pair: -pair[0])
-                        del exemplars[self.EXEMPLAR_SLOTS:]
+            if slot < self.reservoir_size:
+                reservoir[slot] = value
+        if exemplar is not None:
+            exemplars = self._exemplars
+            # Fast path: once full, the list is sorted largest
+            # first, so a value at or under the smallest retained
+            # one could never survive the sort-and-truncate (ties
+            # keep the earliest link) — skip the append entirely.
+            if (
+                len(exemplars) < self.EXEMPLAR_SLOTS
+                or value > exemplars[-1][0]
+            ):
+                exemplars.append((value, exemplar))
+                if len(exemplars) > self.EXEMPLAR_SLOTS:
+                    # Keep the largest values; ties keep the earliest.
+                    exemplars.sort(key=lambda pair: -pair[0])
+                    del exemplars[self.EXEMPLAR_SLOTS:]
 
     def exemplars(self) -> list[tuple[float, str]]:
         """The retained (value, trace id) links, largest value first."""
-        with self._lock:
-            return sorted(self._exemplars, key=lambda pair: -pair[0])
+        return sorted(self._exemplars, key=lambda pair: -pair[0])
 
     @property
     def count(self) -> int:
@@ -209,13 +197,10 @@ class Histogram:
         return None if self._count == 0 else self._sum / self._count
 
     def quantile(self, q: float) -> float:
-        with self._lock:
-            values = sorted(self._reservoir)
-        return quantile(values, q)
+        return quantile(sorted(self._reservoir), q)
 
     def quantiles(self, qs: Iterable[float]) -> list[float]:
-        with self._lock:
-            values = sorted(self._reservoir)
+        values = sorted(self._reservoir)
         return [quantile(values, q) for q in qs]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -230,29 +215,19 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
 
     def _get_or_create(self, name: str, kind, *args):
-        # Lock-free fast path: once a metric exists it is never replaced,
-        # and ``dict.get`` is atomic under the GIL, so the common case
-        # (every recording after the first) skips the registry lock
-        # entirely.  Per-metric locks still guarantee no lost updates —
-        # the concurrency stress test in tests/obs pins both properties.
         metric = self._metrics.get(name)
-        if type(metric) is kind:
-            return metric
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = kind(name, *args)
-                self._metrics[name] = metric
-            elif not isinstance(metric, kind):
-                raise TypeError(
-                    f"metric {name!r} is a {type(metric).__name__}, "
-                    f"not a {kind.__name__}"
-                )
-            return metric
+        if metric is None:
+            metric = kind(name, *args)
+            self._metrics[name] = metric
+        elif not isinstance(metric, kind):
+            raise TypeError(
+                f"metric {name!r} is a {type(metric).__name__}, "
+                f"not a {kind.__name__}"
+            )
+        return metric
 
     def counter(self, name: str) -> Counter:
         return self._get_or_create(name, Counter)
@@ -265,8 +240,8 @@ class MetricsRegistry:
 
     # -- recording shortcuts (the hot-path API) -----------------------------
     #
-    # Each inlines _get_or_create's lock-free hit, so recording into an
-    # existing metric costs one dict read and the metric's own method.
+    # Each inlines _get_or_create's hit, so recording into an existing
+    # metric costs one dict read and the metric's own method.
 
     def inc(self, name: str, amount: float = 1.0) -> None:
         metric = self._metrics.get(name)
@@ -292,36 +267,30 @@ class MetricsRegistry:
 
     def counter_value(self, name: str, default: float = 0.0) -> float:
         """A counter's total without creating it as a side effect."""
-        with self._lock:
-            metric = self._metrics.get(name)
+        metric = self._metrics.get(name)
         return metric.value if isinstance(metric, Counter) else default
 
     def gauge_value(self, name: str, default: float | None = None) -> float | None:
         """A gauge's last-written value without creating it as a side effect."""
-        with self._lock:
-            metric = self._metrics.get(name)
+        metric = self._metrics.get(name)
         if isinstance(metric, Gauge) and metric.value is not None:
             return metric.value
         return default
 
     def counters(self) -> dict[str, float]:
         """Every counter's current total, by name."""
-        with self._lock:
-            metrics = dict(self._metrics)
         return {
             name: metric.value
-            for name, metric in sorted(metrics.items())
+            for name, metric in sorted(self._metrics.items())
             if isinstance(metric, Counter)
         }
 
     def names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._metrics)
+        return sorted(self._metrics)
 
     def snapshot(self) -> dict[str, dict]:
         """A JSON-serializable dump of every metric's current state."""
-        with self._lock:
-            metrics = dict(self._metrics)
+        metrics = self._metrics
         out: dict[str, dict] = {}
         for name in sorted(metrics):
             metric = metrics[name]
@@ -350,8 +319,7 @@ class MetricsRegistry:
         return out
 
     def reset(self) -> None:
-        with self._lock:
-            self._metrics.clear()
+        self._metrics.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ test pins the two modules together.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
@@ -305,7 +304,6 @@ class AccuracyTracker:
         self.probe_window_size = probe_window_size
         self.metric_prefix = metric_prefix
         self.export = export
-        self._lock = threading.Lock()
         #: Third key element is a plain or composite state (see record()).
         #: Each state window is stored beside its class window, so a
         #: recording finds both with one lookup; :meth:`reset` drops a
@@ -347,56 +345,54 @@ class AccuracyTracker:
         # Classify once; both windows share the frozen sample.
         sample = AccuracySample.make(predicted, actual, at_time)
         key = (site, class_label, state)
-        with self._lock:
-            windows = self._state_windows.get(key)
-            if windows is None:
-                class_window = self._class_windows.get((site, class_label))
-                if class_window is None:
-                    class_window = AccuracyWindow(self.window_size)
-                    self._class_windows[(site, class_label)] = class_window
-                windows = (AccuracyWindow(self.window_size), class_window)
-                self._state_windows[key] = windows
-            _push(windows, sample)
-            if trace_id is not None and not sample.good:
-                # Out-of-band samples compete for the worst-error
-                # exemplar slots; only samples that *win a slot* flag
-                # their trace.  In the steady state — even a chronically
-                # misestimated workload — the slots converge and almost
-                # nothing flags, so force-keeps stay rare instead of
-                # flooding the sampler with stub traces; and because
-                # every exemplar's trace was flagged at the moment it
-                # won its slot, exemplar links always resolve to
-                # retained spans.
-                links = self._exemplars.setdefault((site, class_label), [])
-                # Fast path for the serving flood: a full exemplar list
-                # whose smallest retained error already beats this
-                # sample needs no scan/sort (links stay sorted worst
-                # first, so links[-1] is the cutoff; a trace already
-                # holding a slot has err >= cutoff, so a sample at or
-                # under the cutoff could never raise it).
-                if (
-                    len(links) < self.EXEMPLAR_SLOTS
-                    or sample.relative_error > links[-1][0]
-                ):
-                    for i, (err, tid) in enumerate(links):
-                        if tid == trace_id:
-                            # One slot per trace; keep its worst step.
-                            if sample.relative_error > err:
-                                links[i] = (sample.relative_error, trace_id)
-                            break
-                    else:
-                        links.append((sample.relative_error, trace_id))
-                    # Keep the worst errors; ties keep the smaller id.
-                    links.sort(key=lambda pair: (-pair[0], pair[1]))
-                    del links[self.EXEMPLAR_SLOTS:]
-                    if trace_id not in self._flagged:
-                        # Eviction is insertion-ordered (oldest first).
-                        self._flagged[trace_id] = None
-                        while len(self._flagged) > self.FLAGGED_CAPACITY:
-                            self._flagged.popitem(last=False)
-            if self.export:
-                stats = windows[1].stats()
+        windows = self._state_windows.get(key)
+        if windows is None:
+            class_window = self._class_windows.get((site, class_label))
+            if class_window is None:
+                class_window = AccuracyWindow(self.window_size)
+                self._class_windows[(site, class_label)] = class_window
+            windows = (AccuracyWindow(self.window_size), class_window)
+            self._state_windows[key] = windows
+        _push(windows, sample)
+        if trace_id is not None and not sample.good:
+            # Out-of-band samples compete for the worst-error
+            # exemplar slots; only samples that *win a slot* flag
+            # their trace.  In the steady state — even a chronically
+            # misestimated workload — the slots converge and almost
+            # nothing flags, so force-keeps stay rare instead of
+            # flooding the sampler with stub traces; and because
+            # every exemplar's trace was flagged at the moment it
+            # won its slot, exemplar links always resolve to
+            # retained spans.
+            links = self._exemplars.setdefault((site, class_label), [])
+            # Fast path for the serving flood: a full exemplar list
+            # whose smallest retained error already beats this
+            # sample needs no scan/sort (links stay sorted worst
+            # first, so links[-1] is the cutoff; a trace already
+            # holding a slot has err >= cutoff, so a sample at or
+            # under the cutoff could never raise it).
+            if (
+                len(links) < self.EXEMPLAR_SLOTS
+                or sample.relative_error > links[-1][0]
+            ):
+                for i, (err, tid) in enumerate(links):
+                    if tid == trace_id:
+                        # One slot per trace; keep its worst step.
+                        if sample.relative_error > err:
+                            links[i] = (sample.relative_error, trace_id)
+                        break
+                else:
+                    links.append((sample.relative_error, trace_id))
+                # Keep the worst errors; ties keep the smaller id.
+                links.sort(key=lambda pair: (-pair[0], pair[1]))
+                del links[self.EXEMPLAR_SLOTS:]
+                if trace_id not in self._flagged:
+                    # Eviction is insertion-ordered (oldest first).
+                    self._flagged[trace_id] = None
+                    while len(self._flagged) > self.FLAGGED_CAPACITY:
+                        self._flagged.popitem(last=False)
         if self.export:
+            stats = windows[1].stats()
             registry = get_registry()
             registry.inc(f"{self.metric_prefix}.samples")
             registry.observe(f"{self.metric_prefix}.rel_error", sample.relative_error)
@@ -408,72 +404,56 @@ class AccuracyTracker:
 
     def record_probe(self, site: str, cost: float, at_time: float = 0.0) -> None:
         """Note one probing-cost reading for *site* (drift rule input)."""
-        with self._lock:
-            window = self._probes.get(site)
-            if window is None:
-                window = deque(maxlen=self.probe_window_size)
-                self._probes[site] = window
-            window.append((float(cost), float(at_time)))
+        window = self._probes.get(site)
+        if window is None:
+            window = deque(maxlen=self.probe_window_size)
+            self._probes[site] = window
+        window.append((float(cost), float(at_time)))
 
     def record_drift_event(self, event: "DriftEvent") -> None:
-        with self._lock:
-            self.drift_events.append(event)
+        self.drift_events.append(event)
 
     # -- inspection -------------------------------------------------------
 
     def keys(self) -> list[tuple]:
-        with self._lock:
-            return sorted(
-                self._state_windows,
-                key=lambda k: (k[0], k[1], _state_sort_key(k[2])),
-            )
+        return sorted(
+            self._state_windows,
+            key=lambda k: (k[0], k[1], _state_sort_key(k[2])),
+        )
 
     def class_keys(self) -> list[tuple[str, str]]:
-        with self._lock:
-            return sorted(self._class_windows)
+        return sorted(self._class_windows)
 
     def stats(self, site: str, class_label: str, state=None) -> WindowStats:
         """Window stats for one key; ``state=None`` = the class aggregate."""
-        with self._lock:
-            if state is None:
-                window = self._class_windows.get((site, class_label))
-            else:
-                windows = self._state_windows.get((site, class_label, state))
-                window = windows[0] if windows is not None else None
+        if state is None:
+            window = self._class_windows.get((site, class_label))
+        else:
+            windows = self._state_windows.get((site, class_label, state))
+            window = windows[0] if windows is not None else None
         return window.stats() if window is not None else _EMPTY_STATS
 
     def recent_stats(self, site: str, class_label: str, k: int) -> WindowStats:
-        with self._lock:
-            window = self._class_windows.get((site, class_label))
+        window = self._class_windows.get((site, class_label))
         return window.recent_stats(k) if window is not None else _EMPTY_STATS
 
     def probe_readings(self, site: str) -> list[tuple[float, float]]:
         """Recent (cost, at_time) probing readings for *site*."""
-        with self._lock:
-            return list(self._probes.get(site, ()))
+        return list(self._probes.get(site, ()))
 
     def is_flagged(self, trace_id: str | None) -> bool:
-        """Did any recent out-of-band sample come from *trace_id*?
-
-        Lock-free on purpose: dict membership is atomic under the GIL,
-        the serving front end asks once per finished request, and a
-        request's own flags are set earlier on the same thread — a
-        racing *other* thread's flag arriving a beat late only changes
-        which already-borderline trace gets force-kept.
-        """
+        """Did any recent out-of-band sample come from *trace_id*?"""
         if trace_id is None:
             return False
         return trace_id in self._flagged
 
     def exemplar_trace_ids(self, site: str, class_label: str) -> list[str]:
         """Worst-error trace ids for one (site, class), worst first."""
-        with self._lock:
-            links = self._exemplars.get((site, class_label), ())
-            return [trace_id for _, trace_id in links]
+        links = self._exemplars.get((site, class_label), ())
+        return [trace_id for _, trace_id in links]
 
     def sample_count(self) -> int:
-        with self._lock:
-            return sum(len(w) for w in self._class_windows.values())
+        return sum(len(w) for w in self._class_windows.values())
 
     def reset(self, site: str | None = None, class_label: str | None = None) -> None:
         """Drop windows (all, one site's, or one (site, class)'s).
@@ -483,43 +463,41 @@ class AccuracyTracker:
         stale model's misses; the site's probe window resets too, since
         the new model's state ranges re-anchor what "in range" means.
         """
-        with self._lock:
-            def keep(key_site: str, key_label: str) -> bool:
-                if site is not None and key_site != site:
-                    return True
-                if class_label is not None and key_label != class_label:
-                    return True
-                return False
+        def keep(key_site: str, key_label: str) -> bool:
+            if site is not None and key_site != site:
+                return True
+            if class_label is not None and key_label != class_label:
+                return True
+            return False
 
-            self._state_windows = {
-                k: w for k, w in self._state_windows.items() if keep(k[0], k[1])
-            }
-            self._class_windows = {
-                k: w for k, w in self._class_windows.items() if keep(k[0], k[1])
-            }
-            self._exemplars = {
-                k: links
-                for k, links in self._exemplars.items()
-                if keep(k[0], k[1])
-            }
-            if site is None:
-                self._probes.clear()
-            else:
-                self._probes.pop(site, None)
+        self._state_windows = {
+            k: w for k, w in self._state_windows.items() if keep(k[0], k[1])
+        }
+        self._class_windows = {
+            k: w for k, w in self._class_windows.items() if keep(k[0], k[1])
+        }
+        self._exemplars = {
+            k: links
+            for k, links in self._exemplars.items()
+            if keep(k[0], k[1])
+        }
+        if site is None:
+            self._probes.clear()
+        else:
+            self._probes.pop(site, None)
 
     def snapshot(self) -> dict:
         """A JSON-serializable dump of every window's current stats."""
-        with self._lock:
-            state_items = sorted(
-                self._state_windows.items(),
-                key=lambda item: (item[0][0], item[0][1], _state_sort_key(item[0][2])),
-            )
-            class_items = sorted(self._class_windows.items())
-            probe_items = sorted(self._probes.items())
-            events = list(self.drift_events)
-            exemplar_items = sorted(
-                (key, list(links)) for key, links in self._exemplars.items()
-            )
+        state_items = sorted(
+            self._state_windows.items(),
+            key=lambda item: (item[0][0], item[0][1], _state_sort_key(item[0][2])),
+        )
+        class_items = sorted(self._class_windows.items())
+        probe_items = sorted(self._probes.items())
+        events = list(self.drift_events)
+        exemplar_items = sorted(
+            (key, list(links)) for key, links in self._exemplars.items()
+        )
         rows = []
         for (site, label, state), (window, _) in state_items:
             rows.append(

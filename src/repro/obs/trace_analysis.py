@@ -9,10 +9,9 @@ exists for:
 * *which requests were slow?* — :func:`slowest_table` ranks traces by
   their root span's duration;
 * *where does latency come from overall?* — :func:`stage_breakdown`
-  attributes every request's time to pipeline stages (queue vs plan vs
-  probe vs probe-wait vs execute vs other), splitting probe time out of
-  the stage it ran under so a single-flight wait is visible as waiting,
-  not planning.
+  attributes every request's time to pipeline stages (plan vs probe vs
+  execute vs other), splitting probe time out of the stage it ran
+  under.
 
 Everything operates on plain span dicts (the :func:`~repro.obs.export.
 span_to_dict` shape), so a file merged from many worker processes needs
@@ -27,7 +26,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 #: The stages latency is attributed to, in pipeline order.
-STAGES = ("queue", "plan", "probe", "probe_wait", "execute", "other")
+STAGES = ("plan", "probe", "execute", "other")
 
 #: The span name a request's root carries (the frontend's ticket span).
 ROOT_SPAN_NAME = "serving.request"
@@ -85,9 +84,9 @@ def _duration(span: dict[str, Any]) -> float:
 
 
 def _is_probe(name: str) -> bool:
-    """Probe spans: the service-level acquisition (``mdbs.probe.service``,
-    whose duration includes any single-flight wait) and the agent-level
-    probe executions (``mdbs.probe``) nested inside it."""
+    """Probe spans: the service-level acquisition (``mdbs.probe.service``)
+    and the agent-level probe executions (``mdbs.probe``) nested inside
+    it."""
     return name.startswith("mdbs.probe")
 
 
@@ -115,10 +114,9 @@ def _probe_context(
 def trace_stage_seconds(spans: Sequence[dict[str, Any]]) -> dict[str, float]:
     """One trace's latency attributed to :data:`STAGES`.
 
-    ``queue`` is the explicit queue-wait span; ``probe``/``probe_wait``
-    are probe executions vs single-flight waits (``outcome`` attribute),
-    subtracted from whichever of plan/execute they ran under; ``other``
-    is the root's time not covered by any stage span.
+    ``probe`` is probe time, subtracted from whichever of plan/execute
+    it ran under; ``other`` is the root's time not covered by any stage
+    span.
     """
     by_id = {span["span_id"]: span for span in spans}
     root = trace_root(spans)
@@ -127,9 +125,7 @@ def trace_stage_seconds(spans: Sequence[dict[str, Any]]) -> dict[str, float]:
     for span in spans:
         name = span["name"]
         duration = _duration(span)
-        if name == "serving.queue":
-            totals["queue"] += duration
-        elif name == "serving.plan":
+        if name == "serving.plan":
             totals["plan"] += duration
             raw_plan += duration
         elif name == "serving.execute":
@@ -139,19 +135,13 @@ def trace_stage_seconds(spans: Sequence[dict[str, Any]]) -> dict[str, float]:
             enclosing, nested = _probe_context(span, by_id)
             if nested:
                 continue  # only the outermost probe span is attributed
-            attrs = span.get("attributes", {})
-            stage = (
-                "probe_wait"
-                if attrs.get("outcome") == "coalesced"
-                else "probe"
-            )
-            totals[stage] += duration
+            totals["probe"] += duration
             if enclosing == "serving.plan":
                 totals["plan"] -= duration
             elif enclosing == "serving.execute":
                 totals["execute"] -= duration
     if root is not None:
-        covered = totals["queue"] + raw_plan + raw_execute
+        covered = raw_plan + raw_execute
         totals["other"] = max(0.0, _duration(root) - covered)
     return totals
 

@@ -1,8 +1,8 @@
 """Span tracing: nested, context-managed spans with attributes.
 
 A :class:`Tracer` records :class:`Span` trees — one span per unit of
-work, nested via a per-thread stack so a span started while another is
-open becomes its child.  The module-level default tracer is a
+work, nested on one stack so a span started while another is open
+becomes its child.  The module-level default tracer is a
 :class:`NoopTracer` whose :meth:`~NoopTracer.span` returns a shared
 do-nothing singleton, so instrumentation left in hot paths costs a
 single function call and an empty ``with`` block when tracing is
@@ -10,19 +10,15 @@ disabled.  Enable recording globally with :func:`enable` (or scoped with
 :func:`recording`), then export the finished spans with
 :mod:`repro.obs.export`.
 
-Request-scoped tracing builds on three additions:
+A process traces from one thread, so a request is one ordinary nested
+``with`` tree.  Request-scoped tracing adds two things:
 
-* every span can carry a ``trace_id`` grouping it into one request's
-  tree.  A child opened on the same thread inherits the innermost open
-  span's trace id automatically;
-* :meth:`Tracer.span` accepts an explicit ``parent`` (a :class:`Span`
-  or :class:`TraceContext`), so a span opened on a worker-pool thread
-  can adopt a parent created on the submitting thread instead of being
-  orphaned by the per-thread stack;
+* a span opened with a ``trace_id`` is the root of that request's
+  trace; every span opened inside it inherits the id;
 * :class:`TraceSampler` makes the keep/drop decision per trace id with
   a deterministic hash (same seed + trace id ⇒ same verdict in every
-  process), with a ``force`` escape hatch so failed/timed-out queries
-  and drift exemplars are always kept.
+  process), with a ``force`` escape hatch so failed queries and drift
+  exemplars are always kept.
 
 Span start/end times come from ``time.perf_counter`` by default — they
 measure *real* wall-clock work, not the simulated clock of
@@ -34,22 +30,13 @@ code.
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, Iterator
 
 _span_ids = itertools.count(1)
-
-
-class TraceContext(NamedTuple):
-    """A portable parent reference: pass it across threads or processes
-    to re-anchor child spans under a span opened elsewhere."""
-
-    trace_id: str | None
-    span_id: int
 
 
 @dataclass
@@ -57,9 +44,9 @@ class Span:
     """One traced unit of work.
 
     Spans are context managers: entering records the start time and the
-    parent (the innermost open span on the same thread, unless an
-    explicit parent was given at creation), exiting records the end
-    time and hands the span to the tracer's finished list.
+    parent (the innermost open span, unless the span roots a trace),
+    exiting records the end time and hands the span to the tracer's
+    finished list.
     """
 
     name: str
@@ -69,15 +56,10 @@ class Span:
     trace_id: str | None = None
     start: float = 0.0
     end: float | None = None
-    thread: str = ""
     _tracer: "Tracer | None" = field(default=None, repr=False, compare=False)
-    #: True when the span was created as an explicit trace root (or with
-    #: an explicit parent): the per-thread stack must not re-parent it.
-    _anchored: bool = field(default=False, repr=False, compare=False)
-    #: Detached spans never join a thread stack: they can be entered on
-    #: one thread and exited on another (e.g. a request span opened at
-    #: submission and closed by whichever pool worker finishes it).
-    _detached: bool = field(default=False, repr=False, compare=False)
+    #: True for a span created with a trace id: it roots that trace, so
+    #: the open span beneath it does not become its parent.
+    _root: bool = field(default=False, repr=False, compare=False)
 
     #: Distinguishes a live span from the no-op singleton without an
     #: isinstance check in hot paths.
@@ -89,11 +71,6 @@ class Span:
         if self.end is None:
             return 0.0
         return self.end - self.start
-
-    @property
-    def context(self) -> TraceContext:
-        """A handle other threads can parent to (cheap, immutable)."""
-        return TraceContext(self.trace_id, self.span_id)
 
     def set_attribute(self, name: str, value: Any) -> None:
         self.attributes[name] = value
@@ -120,7 +97,6 @@ class _NoopSpan:
     __slots__ = ()
     recording = False
     trace_id = None
-    context = None
 
     def __enter__(self) -> "_NoopSpan":
         return self
@@ -148,12 +124,7 @@ class NoopTracer:
     enabled = False
 
     def span(
-        self,
-        name: str,
-        parent: "Span | TraceContext | None" = None,
-        trace_id: str | None = None,
-        detached: bool = False,
-        **attributes: Any,
+        self, name: str, trace_id: str | None = None, **attributes: Any
     ) -> _NoopSpan:
         return NOOP_SPAN
 
@@ -162,10 +133,6 @@ class NoopTracer:
 
     def active_trace_id(self) -> None:
         return None
-
-    @contextmanager
-    def suppress(self, trace_id: str | None = None) -> Iterator[None]:
-        yield
 
     def suppress_begin(self, trace_id: str | None = None) -> tuple:
         return (False, None)
@@ -193,11 +160,7 @@ NOOP_TRACER = NoopTracer()
 
 
 class Tracer:
-    """A recording tracer with per-thread span stacks.
-
-    Thread-safe: each thread nests spans on its own stack (so parentage
-    never crosses threads unless an explicit ``parent`` is handed
-    over), and the finished list is lock-protected.
+    """A recording tracer: one stack of open spans, one finished list.
 
     With ``local_ids=True`` the tracer numbers spans from its own
     counter instead of the process-global one, so identically-driven
@@ -217,8 +180,12 @@ class Tracer:
         local_ids: bool = False,
     ) -> None:
         self._clock = clock
-        self._lock = threading.Lock()
-        self._local = threading.local()
+        self._stack: list[Span] = []
+        #: Between :meth:`suppress_begin` and :meth:`suppress_end`: spans
+        #: are not recorded, and :meth:`active_trace_id` answers
+        #: ``_suppress_id``.
+        self._suppressing = False
+        self._suppress_id: str | None = None
         self._finished: list[Span] = []
         self._dropped: set[str] = set()
         self._trace_counts: dict[str, int] = {}
@@ -227,31 +194,16 @@ class Tracer:
     # -- span lifecycle --------------------------------------------------
 
     def span(
-        self,
-        name: str,
-        parent: Span | TraceContext | None = None,
-        trace_id: str | None = None,
-        detached: bool = False,
-        **attributes: Any,
+        self, name: str, trace_id: str | None = None, **attributes: Any
     ) -> "Span | _NoopSpan":
         """Create a span; enter it (``with``) to start the clock.
 
-        *parent* (a :class:`Span` or :class:`TraceContext`) anchors the
-        span under a specific parent regardless of which thread enters
-        it; the trace id is inherited from the parent unless *trace_id*
-        overrides it.  *trace_id* alone starts a new trace root (the
-        per-thread stack will not re-parent it).  With neither, the
-        innermost open span on the entering thread becomes the parent,
-        exactly as before.
-
-        *detached* spans stay off the thread stacks entirely, so they
-        may be entered on one thread and exited on another — the shape
-        of a request-scoped root span that outlives a queue hop.
+        With *trace_id* the span roots that trace; without it, the
+        innermost open span when it is entered becomes its parent.
         """
-        if getattr(self._local, "suppressing", False):
+        if self._suppressing:
             return NOOP_SPAN
         if self._ids is not None:
-            # itertools.count.__next__ is atomic under the GIL.
             span = Span(
                 name=name,
                 attributes=attributes,
@@ -260,30 +212,14 @@ class Tracer:
             )
         else:
             span = Span(name=name, attributes=attributes, _tracer=self)
-        if parent is not None:
-            span.parent_id = parent.span_id
-            span.trace_id = trace_id if trace_id is not None else parent.trace_id
-            span._anchored = True
-        elif trace_id is not None:
+        if trace_id is not None:
             span.trace_id = trace_id
-            span._anchored = True
-        if detached:
-            span._detached = True
+            span._root = True
         return span
 
-    def _stack(self) -> list[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
     def _start(self, span: Span) -> None:
-        span.thread = threading.current_thread().name
-        if span._detached:
-            span.start = self._clock()
-            return
-        stack = self._stack()
-        if stack and not span._anchored:
+        stack = self._stack
+        if stack and not span._root:
             top = stack[-1]
             span.parent_id = top.span_id
             span.trace_id = top.trace_id
@@ -292,103 +228,79 @@ class Tracer:
 
     def _finish(self, span: Span) -> None:
         span.end = self._clock()
-        if not span._detached:
-            stack = self._stack()
-            # Normally a strict LIFO pop; tolerate out-of-order exits.
-            if stack and stack[-1] is span:
-                stack.pop()
-            elif span in stack:
-                stack.remove(span)
-        with self._lock:
-            self._finished.append(span)
-            if span.trace_id is not None:
-                self._trace_counts[span.trace_id] = (
-                    self._trace_counts.get(span.trace_id, 0) + 1
-                )
+        stack = self._stack
+        # Normally a strict LIFO pop; tolerate out-of-order exits.
+        if stack and stack[-1] is span:
+            stack.pop()
+        elif span in stack:
+            stack.remove(span)
+        self._finished.append(span)
+        if span.trace_id is not None:
+            self._trace_counts[span.trace_id] = (
+                self._trace_counts.get(span.trace_id, 0) + 1
+            )
 
     # -- per-request suppression ------------------------------------------
 
     def suppress_begin(self, trace_id: str | None = None) -> tuple:
-        """Enter per-thread suppression without a context manager.
-
-        The serving hot path calls this once per unsampled request;
-        generator-based ``with`` machinery would cost more than the
-        suppressed spans themselves.  Returns the token to hand back to
-        :meth:`suppress_end` (in a ``finally``).
-        """
-        local = self._local
-        token = (
-            getattr(local, "suppressing", False),
-            getattr(local, "suppress_id", None),
-        )
-        local.suppressing = True
-        local.suppress_id = trace_id
-        return token
-
-    def suppress_end(self, token: tuple) -> None:
-        """Restore the suppression state captured by :meth:`suppress_begin`."""
-        local = self._local
-        local.suppressing, local.suppress_id = token
-
-    @contextmanager
-    def suppress(self, trace_id: str | None = None) -> Iterator[None]:
-        """Silence span creation on this thread for the block's duration.
+        """Silence span creation until :meth:`suppress_end`.
 
         The head-sampling fast path: a request whose trace id hashed
         out of the sample runs its pipeline with every ``span()`` call
         returning the no-op singleton, so it pays (almost) the
-        tracing-off price.  *trace_id* keeps
-        :func:`current_trace_id` answering inside the block, so
-        accuracy/exemplar links — the signals that can still force-keep
-        the request's stub trace — survive suppression.
+        tracing-off price.  *trace_id* keeps :func:`current_trace_id`
+        answering meanwhile, so accuracy/exemplar links — the signals
+        that can still force-keep the request's stub trace — survive
+        suppression.  Returns the token to hand back to
+        :meth:`suppress_end` (in a ``finally``); a plain call pair, not
+        a context manager, because this runs once per unsampled request.
         """
-        token = self.suppress_begin(trace_id)
-        try:
-            yield
-        finally:
-            self.suppress_end(token)
+        token = (self._suppressing, self._suppress_id)
+        self._suppressing = True
+        self._suppress_id = trace_id
+        return token
+
+    def suppress_end(self, token: tuple) -> None:
+        """Restore the suppression state captured by :meth:`suppress_begin`."""
+        self._suppressing, self._suppress_id = token
 
     # -- inspection -------------------------------------------------------
 
     def current(self) -> Span | None:
-        """The innermost open span on the calling thread."""
-        stack = self._stack()
+        """The innermost open span."""
+        stack = self._stack
         return stack[-1] if stack else None
 
     def active_trace_id(self) -> str | None:
-        """The calling thread's trace id: the innermost open span's, or
-        the id a :meth:`suppress` block carries for an unsampled
-        request."""
-        stack = getattr(self._local, "stack", None)
+        """The innermost open span's trace id, or the id a
+        suppressed (unsampled) request carries."""
+        stack = self._stack
         if stack:
             return stack[-1].trace_id
-        if getattr(self._local, "suppressing", False):
-            return getattr(self._local, "suppress_id", None)
+        if self._suppressing:
+            return self._suppress_id
         return None
 
     def finished(self) -> list[Span]:
         """A snapshot of all completed, undropped spans (finish order)."""
-        with self._lock:
-            if not self._dropped:
-                return list(self._finished)
-            dropped = self._dropped
-            return [s for s in self._finished if s.trace_id not in dropped]
+        if not self._dropped:
+            return list(self._finished)
+        dropped = self._dropped
+        return [s for s in self._finished if s.trace_id not in dropped]
 
     def trace(self, trace_id: str) -> list[Span]:
         """All finished spans belonging to *trace_id* (finish order)."""
-        with self._lock:
-            if trace_id in self._dropped:
-                return []
-            return [s for s in self._finished if s.trace_id == trace_id]
+        if trace_id in self._dropped:
+            return []
+        return [s for s in self._finished if s.trace_id == trace_id]
 
     def span_count(self, trace_id: str) -> int:
         """Finished-span count for one trace — O(1), for the sampler's
         spans-per-trace histogram (a full scan per resolved request
         would make tail resolution quadratic over a serving run)."""
-        with self._lock:
-            if trace_id in self._dropped:
-                return 0
-            return self._trace_counts.get(trace_id, 0)
+        if trace_id in self._dropped:
+            return 0
+        return self._trace_counts.get(trace_id, 0)
 
     def drop_trace(self, trace_id: str) -> int:
         """Discard every finished span of *trace_id* (the tail half of a
@@ -397,27 +309,21 @@ class Tracer:
         :data:`DROP_COMPACT_THRESHOLD` drops.  Returns 1 if the id was
         newly dropped, else 0.
         """
-        if trace_id is None:
+        if trace_id is None or trace_id in self._dropped:
             return 0
-        with self._lock:
-            if trace_id in self._dropped:
-                return 0
-            self._dropped.add(trace_id)
-            self._trace_counts.pop(trace_id, None)
-            if len(self._dropped) >= self.DROP_COMPACT_THRESHOLD:
-                dropped = self._dropped
-                self._finished = [
-                    s for s in self._finished if s.trace_id not in dropped
-                ]
-                self._dropped = set()
+        self._dropped.add(trace_id)
+        self._trace_counts.pop(trace_id, None)
+        if len(self._dropped) >= self.DROP_COMPACT_THRESHOLD:
+            dropped = self._dropped
+            self._finished = [s for s in self._finished if s.trace_id not in dropped]
+            self._dropped = set()
         return 1
 
     def reset(self) -> None:
         """Drop all recorded spans (open spans keep recording)."""
-        with self._lock:
-            self._finished.clear()
-            self._dropped.clear()
-            self._trace_counts.clear()
+        self._finished.clear()
+        self._dropped.clear()
+        self._trace_counts.clear()
 
 
 class TraceSampler:
@@ -427,13 +333,13 @@ class TraceSampler:
     ``(seed, trace_id)`` — the same in every process at any worker
     count.  The serving front end consults :meth:`keep` at submission:
     sampled requests record their full span tree, unsampled requests
-    run with every span suppressed (:meth:`Tracer.suppress`) and record
+    run with every span suppressed (:meth:`Tracer.suppress_begin`) and record
     nothing, so sampling saves recording cost up front rather than
     discarding spans already paid for.  :meth:`resolve` is called once
     at request completion and either keeps what was recorded (counting
     it sampled) or drops it.  ``force=True`` keeps the trace regardless
-    of the hash — the always-keep path for failed/timed-out/rejected
-    queries and worst-band accuracy exemplars; a forced-but-unsampled
+    of the hash — the always-keep path for failed queries and
+    worst-band accuracy exemplars; a forced-but-unsampled
     request materializes a 1-span root stub at finish, so a postmortem
     at least sees the request and its final status.
     """
@@ -531,30 +437,24 @@ def enabled() -> bool:
 
 
 def span(
-    name: str,
-    parent: Span | TraceContext | None = None,
-    trace_id: str | None = None,
-    detached: bool = False,
-    **attributes: Any,
+    name: str, trace_id: str | None = None, **attributes: Any
 ) -> Span | _NoopSpan:
     """A span from the global tracer (the one instrumentation calls)."""
     if _active_tracer is NOOP_TRACER:
         # Disabled tracing is the common case on every hot path: skip
         # re-forwarding the keyword arguments to a method that ignores them.
         return NOOP_SPAN
-    return _active_tracer.span(
-        name, parent=parent, trace_id=trace_id, detached=detached, **attributes
-    )
+    return _active_tracer.span(name, trace_id=trace_id, **attributes)
 
 
 def current_trace_id() -> str | None:
-    """The trace id of this thread's active trace, if any.
+    """The trace id of the active trace, if any.
 
     Instrumented code that only wants to *link* to the active trace
     (accuracy exemplars, histogram exemplars) calls this instead of
-    threading a context object through every signature.  It answers for
-    the innermost open span — and inside a :meth:`Tracer.suppress`
-    block, for the unsampled request the block carries — so force-keep
+    passing a context object through every signature.  It answers for
+    the innermost open span — and while a :meth:`Tracer.suppress_begin`
+    is in force, for the unsampled request it carries — so force-keep
     signals work whether or not the request records spans.
     """
     return _active_tracer.active_trace_id()

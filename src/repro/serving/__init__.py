@@ -1,34 +1,32 @@
-"""repro.serving — the concurrent serving front end of the MDBS.
+"""repro.serving — the serving front end of the MDBS.
 
-Puts a worker pool, admission control, a model-version-aware plan
-cache, and cross-request probe sharing in front of the synchronous
-:class:`~repro.mdbs.server.MDBSServer`:
+Puts a model-version-aware plan cache and cross-request probe sharing in
+front of the :class:`~repro.mdbs.server.MDBSServer`, on the caller's
+thread:
 
-    requests → admission (bounded queue, block/reject, deadlines)
-             → worker pool
-             → plan cache (keyed on query + contention states,
-                           invalidated on registry events)
-             → global optimizer (shared, TTL-cached, single-flight
-                                 probing through the ProbingService)
-             → per-site-locked execution on the MDBS server
+    request → plan cache (keyed on query + contention states,
+                          invalidated on registry events)
+            → global optimizer (shared, TTL-cached probing through
+                                the ProbingService)
+            → execution on the MDBS server
 
-See DESIGN.md ("Serving") for the architecture diagram; the probe and
-plan-cache work a request may cost is pinned in
+Every submitted request is finished when ``submit`` returns; a process
+serves on one thread, and scale-out is more processes
+(:mod:`repro.loadgen`).  See DESIGN.md ("Serving") for the architecture;
+the probe and plan-cache work a request may cost is pinned in
 ``tests/serving/test_frontend.py``, and ``python -m bench``
 (``serve_hot`` / ``serve_cold``) holds the throughput numbers.
 """
 
-from .config import ADMISSION_POLICIES, ServingConfig
-from .frontend import ServingFrontEnd, ServingStats, ServingTicket, TICKET_STATUSES
+from .config import ServingConfig
+from .frontend import ServingFrontEnd, ServingStats, ServingTicket
 from .plan_cache import PlanCache, query_key
 
 __all__ = [
-    "ADMISSION_POLICIES",
     "PlanCache",
     "ServingConfig",
     "ServingFrontEnd",
     "ServingStats",
     "ServingTicket",
-    "TICKET_STATUSES",
     "query_key",
 ]

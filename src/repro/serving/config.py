@@ -1,57 +1,38 @@
-"""Serving-front-end configuration: pool size, admission, caching.
+"""Serving-front-end configuration: plan cache and trace sampling.
 
-One frozen dataclass carries every serving knob so experiment code can
-sweep configurations declaratively (the throughput bench builds its
-concurrency ladder from ``replace(config, workers=n)``).
-
-Admission control is two bounds and a policy:
-
-* ``queue_depth`` — how many admitted requests may *wait* for a worker;
-* ``max_in_flight`` — total admitted-but-unfinished requests (waiting
-  plus executing); ``None`` leaves only the queue bound;
-* ``admission_policy`` — what happens at a full bound: ``"block"``
-  applies backpressure to the submitter (no request is ever dropped),
-  ``"reject"`` fails the request immediately with a ``rejected`` ticket
-  (load-shedding; the caller sees the drop and can retry).
-
-``deadline_seconds`` bounds how long a request may *wait in the queue*
-(real wall-clock time): a worker that dequeues an expired request marks
-it ``timed_out`` without executing it, so a backed-up pool sheds stale
-work instead of serving answers nobody is waiting for anymore.
+One frozen dataclass carries every serving knob.  A front end serves on
+its caller's thread, one request at a time; a process that wants more
+parallelism runs more processes (:class:`~repro.loadgen.coordinator.
+Coordinator` does, over shards).  ``workers``, ``queue_depth`` and
+``admission_policy`` remain as fields so existing configurations keep
+constructing, and each accepts only what that design means: one worker,
+a positive queue depth that nothing queues into, and ``"block"`` (a
+request is never dropped).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Valid ``admission_policy`` values.
-ADMISSION_POLICIES = ("block", "reject")
-
 
 @dataclass(frozen=True)
 class ServingConfig:
     """Knobs of one :class:`~repro.serving.frontend.ServingFrontEnd`."""
 
-    #: Worker threads executing admitted requests.
-    workers: int = 4
-    #: Admitted requests allowed to wait for a worker.
+    #: Requests run on the caller's thread: always 1.
+    workers: int = 1
+    #: Validated (>= 1); nothing waits in a queue.
     queue_depth: int = 128
-    #: Total admitted-but-unfinished requests; None = queue bound only.
-    max_in_flight: int | None = None
-    #: "block" (backpressure) or "reject" (shed load at the bound).
+    #: Always "block": every submitted request is executed.
     admission_policy: str = "block"
-    #: Max real seconds a request may wait queued before it is dropped
-    #: as ``timed_out``; None disables deadlines (and keeps the serving
-    #: path free of wall-clock reads, which determinism tests rely on).
-    deadline_seconds: float | None = None
     #: Serve repeated optimizations from the plan cache.
     plan_cache: bool = True
     #: Cached plans kept before LRU eviction.
     plan_cache_capacity: int = 1024
     #: Fraction of traces kept by deterministic head sampling (hash of
-    #: the trace id); failed/timed-out/rejected requests and worst-band
-    #: accuracy exemplars are always kept regardless.  Only consulted
-    #: when a real tracer is installed (``obs.enable``/``set_tracer``).
+    #: the trace id); failed requests and worst-band accuracy exemplars
+    #: are always kept regardless.  Only consulted when a real tracer
+    #: is installed (``obs.enable``/``set_tracer``).
     trace_sample_rate: float = 1.0
     #: Seed salting the trace-id hash, so reruns keep the same set.
     trace_seed: int = 0
@@ -60,19 +41,18 @@ class ServingConfig:
     trace_id_prefix: str = ""
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if self.workers != 1:
+            raise ValueError(
+                f"workers must be 1, not {self.workers!r}: a front end serves "
+                "on its caller's thread; run more processes to scale out"
+            )
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
-        if self.max_in_flight is not None and self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1 (or None)")
-        if self.admission_policy not in ADMISSION_POLICIES:
+        if self.admission_policy != "block":
             raise ValueError(
-                f"admission_policy must be one of {ADMISSION_POLICIES}, "
-                f"not {self.admission_policy!r}"
+                f"admission_policy must be 'block', not {self.admission_policy!r}: "
+                "a request submitted on the caller's thread is always executed"
             )
-        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
-            raise ValueError("deadline_seconds must be positive (or None)")
         if self.plan_cache_capacity < 1:
             raise ValueError("plan_cache_capacity must be >= 1")
         if not 0.0 <= self.trace_sample_rate <= 1.0:

@@ -16,17 +16,13 @@ versions behind those estimates.  The cache keys on exactly that:
   numbers in the key but by *invalidation*: the cache subscribes to its
   :class:`~repro.mdbs.registry.CostModelRegistry` and evicts exactly the
   entries depending on a ``(site, class)`` whenever a version is
-  published, activated, rolled back, or dropped — the model-staleness
+  published, activated, or rolled back — the model-staleness
   discipline of the adaptive-cost-model literature (a cached plan must
   never outlive the model that scored it).
-
-Thread-safe throughout; lookups resolve contention states *outside* the
-cache lock (state resolution may execute a probing query).
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from typing import Callable, Iterable, Sequence
 
@@ -61,7 +57,7 @@ class PlanCache:
 
     ``registry`` (a :class:`~repro.mdbs.registry.CostModelRegistry`) is
     optional but is what makes the cache safe to serve from: every
-    publish/activate/rollback/drop event evicts the entries whose
+    publish/activate/rollback event evicts the entries whose
     dependency set contains the touched ``(site, class)`` — and *only*
     those, so plans for untouched classes survive byte-identical.
     """
@@ -83,7 +79,6 @@ class PlanCache:
         #: covers *in-place* form changes (online coefficient updates
         #: republish no event; a version+form mismatch still misses).
         self._model_tag = model_tag
-        self._lock = threading.Lock()
         #: (query_key, state_key) -> plan, in LRU order (oldest first).
         self._plans: "OrderedDict[tuple, GlobalPlan]" = OrderedDict()
         #: query_key -> the (site, class) pairs its plans depend on.
@@ -103,8 +98,7 @@ class PlanCache:
             registry.subscribe(self._on_registry_event)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._plans)
+        return len(self._plans)
 
     # -- the serving API --------------------------------------------------
 
@@ -117,9 +111,8 @@ class PlanCache:
 
         *resolve_state* maps ``(site, class_label)`` to the contention
         state the active model currently resolves to (None when the
-        model is missing or un-resolvable — always a miss).  It runs
-        outside the cache lock: resolving a state may execute a probing
-        query through the probing service.
+        model is missing or un-resolvable — always a miss).  Resolving a
+        state may execute a probing query through the probing service.
         """
         return self.lookup(query, resolve_state)[0]
 
@@ -139,8 +132,7 @@ class PlanCache:
         as plan provenance; counters are identical to :meth:`get`.
         """
         qkey = query_key(query)
-        with self._lock:
-            deps = self._deps.get(qkey)
+        deps = self._deps.get(qkey)
         if deps is None:
             return self._miss(), "cold"
         states: list[tuple] = []
@@ -154,13 +146,12 @@ class PlanCache:
             states.append((site, label, state) + tag)
         full_key = (qkey, tuple(states))
         cause = None
-        with self._lock:
-            plan = self._plans.get(full_key)
-            if plan is not None:
-                self._plans.move_to_end(full_key)
-                self.hits += 1
-            else:
-                cause = self._evicted.get(qkey)
+        plan = self._plans.get(full_key)
+        if plan is not None:
+            self._plans.move_to_end(full_key)
+            self.hits += 1
+        else:
+            cause = self._evicted.get(qkey)
         if plan is None:
             return self._miss(), (cause or "state_changed")
         obs.inc("serving.plan_cache.hits")
@@ -200,16 +191,15 @@ class PlanCache:
         states: StateKey = tuple(states_list)
         qkey = query_key(query)
         full_key = (qkey, states)
-        with self._lock:
-            self._deps[qkey] = deps
-            self._evicted.pop(qkey, None)
-            if full_key not in self._plans:
-                while len(self._plans) >= self.capacity:
-                    self._evict_oldest_locked()
-            self._plans[full_key] = chosen
-            self._plans.move_to_end(full_key)
-            for dep in deps:
-                self._by_model.setdefault(dep, set()).add(full_key)
+        self._deps[qkey] = deps
+        self._evicted.pop(qkey, None)
+        if full_key not in self._plans:
+            while len(self._plans) >= self.capacity:
+                self._evict_oldest()
+        self._plans[full_key] = chosen
+        self._plans.move_to_end(full_key)
+        for dep in deps:
+            self._by_model.setdefault(dep, set()).add(full_key)
 
     # -- invalidation -----------------------------------------------------
 
@@ -220,24 +210,22 @@ class PlanCache:
         kept: which classes a query touches does not change with model
         versions, only the plans scored by them do.
         """
-        with self._lock:
-            keys = self._by_model.pop((site, class_label), set())
-            cause = f"invalidated:{site}/{class_label}"
-            for full_key in keys:
-                self._remove_locked(full_key)
-                self._record_eviction_locked(full_key[0], cause)
-            count = len(keys)
-            self.invalidated += count
+        keys = self._by_model.pop((site, class_label), set())
+        cause = f"invalidated:{site}/{class_label}"
+        for full_key in keys:
+            self._remove(full_key)
+            self._record_eviction(full_key[0], cause)
+        count = len(keys)
+        self.invalidated += count
         if count:
             obs.inc("serving.plan_cache.invalidated", count)
         return count
 
     def clear(self) -> None:
-        with self._lock:
-            self._plans.clear()
-            self._deps.clear()
-            self._by_model.clear()
-            self._evicted.clear()
+        self._plans.clear()
+        self._deps.clear()
+        self._by_model.clear()
+        self._evicted.clear()
 
     def close(self) -> None:
         """Detach from the registry's event stream."""
@@ -258,31 +246,30 @@ class PlanCache:
         return self._model_tag(site, class_label)
 
     def _miss(self) -> None:
-        with self._lock:
-            self.misses += 1
+        self.misses += 1
         obs.inc("serving.plan_cache.misses")
         return None
 
     #: Eviction causes remembered for miss provenance (bounded LRU).
     EVICTION_CAUSES_KEPT = 512
 
-    def _evict_oldest_locked(self) -> None:
+    def _evict_oldest(self) -> None:
         full_key, _ = self._plans.popitem(last=False)
         for dep in self._deps.get(full_key[0], ()):
             holders = self._by_model.get(dep)
             if holders is not None:
                 holders.discard(full_key)
-        self._record_eviction_locked(full_key[0], "capacity")
+        self._record_eviction(full_key[0], "capacity")
         self.evictions += 1
         obs.inc("serving.plan_cache.evictions")
 
-    def _record_eviction_locked(self, qkey: tuple, cause: str) -> None:
+    def _record_eviction(self, qkey: tuple, cause: str) -> None:
         self._evicted[qkey] = cause
         self._evicted.move_to_end(qkey)
         while len(self._evicted) > self.EVICTION_CAUSES_KEPT:
             self._evicted.popitem(last=False)
 
-    def _remove_locked(self, full_key: tuple) -> None:
+    def _remove(self, full_key: tuple) -> None:
         self._plans.pop(full_key, None)
         for dep in self._deps.get(full_key[0], ()):
             holders = self._by_model.get(dep)
@@ -304,5 +291,4 @@ class PlanCache:
 
     def entries(self) -> Iterable[tuple]:
         """Current full keys, LRU-oldest first (testing/inspection)."""
-        with self._lock:
-            return list(self._plans)
+        return list(self._plans)

@@ -22,7 +22,6 @@ load.  Likewise here: a populated catalog is a pure function of its
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Mapping
@@ -146,7 +145,6 @@ def generate_rows(spec: TableSpec, rng: np.random.Generator) -> list[tuple]:
 TEMPLATE_STORE_SIZE = 8
 
 _templates: OrderedDict[tuple[WorkloadSpec, PageLayout], LocalCatalog] = OrderedDict()
-_templates_lock = threading.Lock()
 
 
 def _build_template(workload: WorkloadSpec, layout: PageLayout) -> LocalCatalog:
@@ -182,19 +180,17 @@ def _build_template(workload: WorkloadSpec, layout: PageLayout) -> LocalCatalog:
 def _template_for(workload: WorkloadSpec, layout: PageLayout) -> LocalCatalog:
     """The process's one populated catalog for (*workload*, *layout*).
 
-    Never handed out: callers fork it.  Built under the lock, so racing
-    threads wait for one build instead of each making their own.
+    Never handed out: callers fork it.
     """
     key = (workload, layout)
-    with _templates_lock:
-        template = _templates.get(key)
-        if template is None:
-            template = _templates[key] = _build_template(workload, layout)
-            while len(_templates) > TEMPLATE_STORE_SIZE:
-                _templates.popitem(last=False)
-        else:
-            _templates.move_to_end(key)
-        return template
+    template = _templates.get(key)
+    if template is None:
+        template = _templates[key] = _build_template(workload, layout)
+        while len(_templates) > TEMPLATE_STORE_SIZE:
+            _templates.popitem(last=False)
+    else:
+        _templates.move_to_end(key)
+    return template
 
 
 def populate_database(

@@ -1,4 +1,4 @@
-"""Unit tests for the probing service: cache, coalescing, degradation.
+"""Unit tests for the probing service: cache, sharing, degradation.
 
 Includes the two lifecycle acceptance properties:
 
@@ -432,8 +432,8 @@ class _RecordingTracker:
 
 class TestTrackerFeedIdempotency:
     """One executed probe = exactly one tracker sample, however many
-    requests the reading serves (cache hits and coalesced sharers must
-    not re-feed the accuracy tracker)."""
+    requests the reading serves (cache hits must not re-feed the
+    accuracy tracker)."""
 
     def test_cache_hits_do_not_refeed_the_tracker(self, mini_mdbs):
         server, _ = mini_mdbs
@@ -452,59 +452,3 @@ class TestTrackerFeedIdempotency:
         for _ in range(3):
             service.probe("db2_site")
         assert len(tracker.fed) == 3
-
-
-class TestSingleFlight:
-    """Concurrent cold-cache probes of one site execute exactly one
-    probing query; everyone else blocks on the site lock and shares it
-    (cross-request probe sharing, counted in ``coalesced``)."""
-
-    def test_concurrent_probes_share_one_execution(self, mini_mdbs):
-        import threading
-
-        server, _ = mini_mdbs
-        tracker = _RecordingTracker()
-        service = ProbingService(server.agents, ttl=3600.0, tracker=tracker)
-        agent = server.agents["oracle_site"]
-        real_probe = agent.observed_probing_cost
-        entered = threading.Event()
-        release = threading.Event()
-
-        def slow_probe():
-            entered.set()
-            release.wait(10.0)
-            return real_probe()
-
-        agent.observed_probing_cost = slow_probe
-        try:
-            workers = 6
-            barrier = threading.Barrier(workers)
-            readings = [None] * workers
-
-            def worker(i):
-                barrier.wait()
-                readings[i] = service.probe("oracle_site")
-
-            threads = [
-                threading.Thread(target=worker, args=(i,)) for i in range(workers)
-            ]
-            for t in threads:
-                t.start()
-            assert entered.wait(10.0)  # one worker is inside the probe...
-            # ...give the rest time to block on the site lock, then let
-            # the executor finish so they coalesce onto its reading.
-            release.wait(0.05)
-            release.set()
-            for t in threads:
-                t.join()
-        finally:
-            agent.observed_probing_cost = real_probe
-
-        assert service.probes_executed["oracle_site"] == 1
-        assert len(tracker.fed) == 1
-        assert all(r is readings[0] for r in readings)
-        # Every non-executor was served the shared reading; those that
-        # blocked on the lock are additionally counted as coalesced (a
-        # straggler may instead hit the lock-free fast path).
-        assert service.cache_hits == workers - 1
-        assert 1 <= service.coalesced <= workers - 1

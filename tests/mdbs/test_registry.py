@@ -192,10 +192,3 @@ class TestMisc:
         listing = describe_registry(registry)
         assert "s1/G1" in listing and "s2/G3" in listing
 
-    def test_drop_site(self, registry):
-        registry.publish("s1", make_model("G1"))
-        registry.publish("s2", make_model("G1", seed=2))
-        registry.drop_site("s1")
-        assert registry.keys() == [("s2", "G1")]
-        with pytest.raises(CostModelRegistryError):
-            registry.active_model("s1", "G1")

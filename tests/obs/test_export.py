@@ -43,7 +43,6 @@ class TestJsonl:
                 "start",
                 "end",
                 "duration",
-                "thread",
                 "attributes",
             }
             assert entry["end"] >= entry["start"]
@@ -97,7 +96,6 @@ _spans = st.builds(
     end=st.one_of(
         st.none(), st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
     ),
-    thread=st.text(max_size=20),
 )
 
 

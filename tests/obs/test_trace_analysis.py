@@ -41,17 +41,16 @@ def _span(
         "start": start,
         "end": start + duration,
         "duration": duration,
-        "thread": "main",
         "attributes": attributes,
     }
 
 
 def request_trace(trace_id="t-1", base_id=0, root_duration=10.0, slow=0.0):
-    """One request's spans: root > queue/plan/execute, probes nested.
+    """One request's spans: root > plan/execute, probes nested.
 
-    The plan stage hides a coalesced probe wait, the execute stage a real
-    probe execution — exactly the attribution subtlety the breakdown has
-    to get right.
+    Both stages hide a probe, and the execute stage's probe has a nested
+    agent-level probe — exactly the attribution subtlety the breakdown
+    has to get right.
     """
     b = base_id
     return [
@@ -63,10 +62,9 @@ def request_trace(trace_id="t-1", base_id=0, root_duration=10.0, slow=0.0):
             status="completed",
             query="q",
         ),
-        _span("serving.queue", b + 2, b + 1, trace_id, start=0.0, duration=2.0),
         _span(
             "serving.plan",
-            b + 3,
+            b + 2,
             b + 1,
             trace_id,
             start=2.0,
@@ -74,18 +72,18 @@ def request_trace(trace_id="t-1", base_id=0, root_duration=10.0, slow=0.0):
         ),
         _span(
             "mdbs.probe.service",
-            b + 4,
             b + 3,
+            b + 2,
             trace_id,
             start=2.5,
             duration=1.0,
-            outcome="coalesced",
+            outcome="executed",
         ),
-        _span("serving.execute", b + 5, b + 1, trace_id, start=5.0, duration=4.0),
+        _span("serving.execute", b + 4, b + 1, trace_id, start=5.0, duration=4.0),
         _span(
             "mdbs.probe.service",
-            b + 6,
             b + 5,
+            b + 4,
             trace_id,
             start=5.5,
             duration=0.5,
@@ -94,8 +92,8 @@ def request_trace(trace_id="t-1", base_id=0, root_duration=10.0, slow=0.0):
         # Nested under the outer probe span: must NOT be double-counted.
         _span(
             "mdbs.probe",
-            b + 7,
             b + 6,
+            b + 5,
             trace_id,
             start=5.6,
             duration=0.4,
@@ -107,21 +105,19 @@ def request_trace(trace_id="t-1", base_id=0, root_duration=10.0, slow=0.0):
 class TestStageAttribution:
     def test_probe_time_moves_out_of_its_enclosing_stage(self):
         totals = trace_stage_seconds(request_trace())
-        assert totals["queue"] == pytest.approx(2.0)
-        # plan held a 1.0s coalesced wait: 3.0 raw - 1.0 probe_wait.
+        # plan held a 1.0s probe: 3.0 raw - 1.0.
         assert totals["plan"] == pytest.approx(2.0)
-        assert totals["probe_wait"] == pytest.approx(1.0)
-        # execute held a 0.5s probe execution (outermost span only).
+        # execute held a 0.5s probe (outermost span only).
         assert totals["execute"] == pytest.approx(3.5)
-        assert totals["probe"] == pytest.approx(0.5)
-        # root 10.0 - (queue 2.0 + raw plan 3.0 + raw execute 4.0).
-        assert totals["other"] == pytest.approx(1.0)
+        assert totals["probe"] == pytest.approx(1.5)
+        # root 10.0 - (raw plan 3.0 + raw execute 4.0).
+        assert totals["other"] == pytest.approx(3.0)
         assert sum(totals.values()) == pytest.approx(10.0)
 
     def test_nested_probe_spans_count_once(self):
         totals = trace_stage_seconds(request_trace())
         # The inner mdbs.probe (0.4s) is swallowed by its parent span.
-        assert totals["probe"] == pytest.approx(0.5)
+        assert totals["probe"] == pytest.approx(1.5)
 
     def test_breakdown_sums_over_traces(self):
         groups = group_traces(
@@ -131,10 +127,10 @@ class TestStageAttribution:
         assert set(STAGES) <= {
             line.split()[0] for line in rendered.splitlines()[2:]
         }
-        queue_row = next(
-            line for line in rendered.splitlines() if line.startswith("queue")
+        plan_row = next(
+            line for line in rendered.splitlines() if line.startswith("plan")
         )
-        assert "4.000000" in queue_row  # 2.0s per trace, two traces
+        assert "4.000000" in plan_row  # 2.0s per trace, two traces
 
 
 class TestSlowest:
@@ -152,7 +148,7 @@ class TestSlowest:
         table = render_slowest_table(group_traces(request_trace()), n=5)
         row = table.splitlines()[2]
         assert row.startswith("t-1")
-        assert " 7 " in row  # span count
+        assert " 6 " in row  # span count
         assert "completed" in row
 
     def test_empty_input(self):
@@ -163,7 +159,7 @@ class TestTreeRendering:
     def test_indentation_follows_parentage(self):
         lines = trace_tree_lines(request_trace())
         assert lines[0].startswith("serving.request")
-        assert lines[1].startswith("  serving.queue")
+        assert lines[1].startswith("  serving.plan")
         probe_lines = [l for l in lines if "mdbs.probe.service" in l]
         assert all(l.startswith("    mdbs.probe.service") for l in probe_lines)
         assert any(l.startswith("      mdbs.probe ") for l in lines)
@@ -182,7 +178,7 @@ class TestTreeRendering:
         assert trace_root(spans)["name"] == "serving.request"
         # Without the named root, the earliest orphan wins.
         headless = [s for s in spans if s["name"] != "serving.request"]
-        assert trace_root(headless)["name"] == "serving.queue"
+        assert trace_root(headless)["name"] == "serving.plan"
 
 
 class TestCli:
@@ -201,7 +197,7 @@ class TestCli:
     def test_load_skips_blank_lines(self, trace_file):
         raw = trace_file.read_text()
         trace_file.write_text("\n" + raw + "\n\n")
-        assert len(load_trace_file(trace_file)) == 14
+        assert len(load_trace_file(trace_file)) == 12
 
     def test_report_contains_all_sections(self, trace_file):
         report = render_trace_report(load_trace_file(trace_file), slowest=5)

@@ -1,16 +1,13 @@
-"""Admission control: bounds, policies, deadlines, config validation.
+"""Admission: config validation and the one policy a front end has.
 
-The rejection tests make the pool controllably busy by holding a site's
-execution lock from the test thread: the single worker blocks inside
-``server.execute`` on that lock, so queue and in-flight bounds fill
-deterministically with no sleeps.
+A front end serves on its caller's thread, so ``workers`` and
+``admission_policy`` each accept one value, and every submitted request
+is executed.
 """
-
-import threading
 
 import pytest
 
-from repro.serving import ADMISSION_POLICIES, ServingConfig, ServingFrontEnd
+from repro.serving import ServingConfig, ServingFrontEnd
 
 from .conftest import query_mix
 
@@ -18,18 +15,18 @@ from .conftest import query_mix
 class TestConfigValidation:
     def test_defaults_are_valid(self):
         config = ServingConfig()
-        assert config.workers >= 1
-        assert config.admission_policy in ADMISSION_POLICIES
+        assert config.workers == 1
+        assert config.admission_policy == "block"
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"workers": 0},
             {"queue_depth": 0},
-            {"max_in_flight": 0},
+            {"workers": 2},
             {"admission_policy": "drop"},
-            {"deadline_seconds": 0.0},
-            {"deadline_seconds": -1.0},
+            {"admission_policy": "reject"},
+            {"trace_sample_rate": 1.5},
             {"plan_cache_capacity": 0},
         ],
     )
@@ -38,105 +35,14 @@ class TestConfigValidation:
             ServingConfig(**kwargs)
 
 
-class _HeldSites:
-    """Context manager pinning every site lock the workload touches."""
-
-    def __init__(self, server, queries):
-        self.locks = sorted(
-            {server.site_locks[s] for q in queries for s in (q.left_site, q.right_site)},
-            key=id,
-        )
-
-    def __enter__(self):
-        for lock in self.locks:
-            lock.acquire()
-        return self
-
-    def __exit__(self, *exc_info):
-        for lock in reversed(self.locks):
-            lock.release()
-
-
-class TestRejectPolicy:
-    def test_full_queue_rejects_instead_of_blocking(self, serving_mdbs):
-        server, _ = serving_mdbs
-        query = query_mix()[0]
-        config = ServingConfig(
-            workers=1, queue_depth=1, admission_policy="reject", plan_cache=False
-        )
-        with ServingFrontEnd(server, config) as frontend:
-            with _HeldSites(server, [query]) as _:
-                running = frontend.submit(query)  # picked up, blocks on the site
-                # Give the worker a moment to dequeue the first ticket.
-                while frontend._queue.qsize() > 0:
-                    threading.Event().wait(0.001)
-                queued = frontend.submit(query)  # fills the depth-1 queue
-                rejected = frontend.submit(query)  # nowhere to go
-                assert rejected.status == "rejected"
-                assert rejected.done and not rejected.ok
-                assert rejected.execution is None
-            assert running.wait(30.0) and running.ok
-            assert queued.wait(30.0) and queued.ok
-            stats = frontend.stats()
-        assert stats.submitted == 3
-        assert stats.admitted == 2
-        assert stats.rejected == 1
-        assert stats.dropped == 1
-
-    def test_max_in_flight_bounds_total_admissions(self, serving_mdbs):
-        server, _ = serving_mdbs
-        query = query_mix()[0]
-        config = ServingConfig(
-            workers=2, queue_depth=64, max_in_flight=1,
-            admission_policy="reject", plan_cache=False,
-        )
-        with ServingFrontEnd(server, config) as frontend:
-            with _HeldSites(server, [query]):
-                first = frontend.submit(query)
-                second = frontend.submit(query)  # in-flight slot is taken
-                assert second.status == "rejected"
-            assert first.wait(30.0) and first.ok
-            # The slot freed on completion: admissions work again.
-            third = frontend.serve([query])[0]
-            assert third.ok
-
-
 class TestBlockPolicy:
     def test_backpressure_never_drops(self, serving_mdbs):
         server, _ = serving_mdbs
         queries = query_mix() * 4
-        config = ServingConfig(
-            workers=2, queue_depth=2, max_in_flight=4, admission_policy="block"
-        )
+        config = ServingConfig(queue_depth=2, admission_policy="block")
         with ServingFrontEnd(server, config) as frontend:
             tickets = frontend.serve(queries)
             stats = frontend.stats()
         assert all(t.ok for t in tickets)
-        assert stats.dropped == 0
-        assert stats.admitted == stats.submitted == len(queries)
-
-
-class TestDeadlines:
-    def test_expired_queue_wait_sheds_the_request(self, serving_mdbs):
-        server, _ = serving_mdbs
-        query = query_mix()[0]
-        config = ServingConfig(
-            workers=1, queue_depth=8, deadline_seconds=0.05, plan_cache=False
-        )
-        with ServingFrontEnd(server, config) as frontend:
-            with _HeldSites(server, [query]):
-                running = frontend.submit(query)
-                # Ensure the worker dequeued it (and passed its deadline
-                # check) before the stale request goes in behind it.
-                while frontend._queue.qsize() > 0:
-                    threading.Event().wait(0.001)
-                stale = frontend.submit(query)
-                # Hold the pool past the deadline before releasing it.
-                threading.Event().wait(0.1)
-            assert running.wait(30.0)
-            assert stale.wait(30.0)
-            stats = frontend.stats()
-        assert stale.status == "timed_out"
-        assert stale.execution is None
-        assert stats.timed_out == 1
-        assert stats.dropped == 1
+        assert stats.rejected == stats.timed_out == 0
+        assert stats.completed == stats.submitted == len(queries)

@@ -1,12 +1,12 @@
-"""End-to-end: a concurrent front end riding out a regime shift.
+"""End-to-end: the front end riding out a regime shift.
 
-The full adaptive loop, under real thread concurrency (pool of 4): the
-front end serves batched global joins while the workload's contention
-regime shifts underneath it; the armed drift policy turns the watched
-class's collapsing accuracy window into a targeted re-derivation; the
-registry publish invalidates exactly the stale cached plans; and the
-rebuilt model brings accuracy back into the §5 good band *under the new
-regime* — while every in-flight request keeps completing.
+The full adaptive loop, all through the front end: it serves batched
+global joins while the workload's contention regime shifts underneath
+it; the armed drift policy turns the watched class's collapsing
+accuracy window into a targeted re-derivation; the registry publish
+invalidates exactly the stale cached plans; and the rebuilt model
+brings accuracy back into the §5 good band *under the new regime* —
+while every request keeps completing.
 """
 
 import pytest
@@ -73,12 +73,7 @@ def test_pool_survives_regime_shift_and_recovers(payload):
         )
 
     rng = np.random.default_rng(4242)
-    serving = ServingConfig(
-        workers=4,
-        queue_depth=32,
-        admission_policy="block",
-        plan_cache=True,
-    )
+    serving = ServingConfig(plan_cache=True)
     detect_round = recover_round = None
     completed = failed = 0
     with ServingFrontEnd(server, serving) as frontend:
@@ -89,8 +84,8 @@ def test_pool_survives_regime_shift_and_recovers(payload):
                 # The regime shift: contention pins near saturation.
                 var.load_builder.constant(0.9)
 
-            # The whole round is admitted as one concurrent batch: four
-            # workers race over shared plan cache and probe state.
+            # The whole round is served as one batch over the shared
+            # plan cache and probe state.
             batch = [
                 _round_query(var, steady, tables, rng)
                 for _ in range(QUERIES_PER_ROUND)
@@ -115,7 +110,7 @@ def test_pool_survives_regime_shift_and_recovers(payload):
                 recover_round = r
         front_stats = frontend.stats()
 
-    # Nothing dropped, nothing errored under concurrency.
+    # Nothing dropped, nothing errored.
     assert completed == ROUNDS * QUERIES_PER_ROUND
     assert failed == 0
     assert front_stats.completed == completed

@@ -7,9 +7,6 @@ like a database built from scratch and mutated the same way, shared
 B+-trees cannot be edited, and the store stays bounded.
 """
 
-import sys
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -270,47 +267,6 @@ def test_one_template_per_spec_however_many_databases(template_store):
     for i in range(5):
         populate_database(database(f"db{i}"), SPEC)
     assert list(template_store) == [(SPEC, PageLayout())]
-
-
-def test_racing_threads_share_one_build_per_spec(template_store, monkeypatch):
-    """More threads than cores, all asking at once: one build per spec
-    (a lost update would build twice or hand out a half-built catalog)."""
-    specs = [spec_with_seed(seed) for seed in range(3)]
-    expected = [digest(built_from_scratch(spec).catalog) for spec in specs]
-    builds = []
-    build = tablegen._build_template
-
-    def counting_build(workload, layout):
-        builds.append(workload)
-        return build(workload, layout)
-
-    monkeypatch.setattr(tablegen, "_build_template", counting_build)
-    failures = []
-
-    def worker(offset: int) -> None:
-        try:
-            for step in range(12):
-                which = (offset + step) % len(specs)
-                db = populate_database(database(), specs[which])
-                assert digest(db.catalog) == expected[which]
-        except BaseException as exc:  # reported by the main thread
-            failures.append(exc)
-            raise
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert not failures
-    assert sorted(spec.seed for spec in builds) == [0, 1, 2]
-    assert len(template_store) == 3
 
 
 def test_populating_a_database_that_already_holds_tables(template_store):
