@@ -30,14 +30,6 @@ from .iupma import (
     determine_states,
     determine_states_iupma,
 )
-from .maintenance import (
-    CatalogSnapshot,
-    ChangeDetector,
-    MaintenanceRecord,
-    ModelMaintainer,
-    SignificantChange,
-    TableSnapshot,
-)
 from .merging import (
     DEFAULT_MERGE_THRESHOLD,
     MergeRecord,
@@ -72,7 +64,6 @@ from .strategy import (
     OLSStrategy,
     OnlineSample,
     RLSStrategy,
-    SGDStrategy,
     model_form,
     resolve_strategy,
     strategy_for,
@@ -99,8 +90,6 @@ __all__ = [
     "ALL_CLASSES",
     "BuildOutcome",
     "BuilderConfig",
-    "CatalogSnapshot",
-    "ChangeDetector",
     "Cluster",
     "ContentionStates",
     "CostModelBuilder",
@@ -115,10 +104,8 @@ __all__ = [
     "G6",
     "GC",
     "JOIN_VARIABLES",
-    "MaintenanceRecord",
     "MergeRecord",
     "ModelForm",
-    "ModelMaintainer",
     "MultiStateCostModel",
     "OLSStrategy",
     "Observation",
@@ -129,16 +116,13 @@ __all__ = [
     "QualitativeFit",
     "QueryClass",
     "RLSStrategy",
-    "SGDStrategy",
     "STRATEGY_NAMES",
     "SamplingPlan",
     "SelectionConfig",
     "SelectionResult",
     "SelectionStep",
-    "SignificantChange",
     "StateDeterminationResult",
     "StatesConfig",
-    "TableSnapshot",
     "UNARY_VARIABLES",
     "ValidationReport",
     "VariableSet",

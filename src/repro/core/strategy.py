@@ -1,10 +1,10 @@
-"""Pluggable cost-model strategies: batch OLS and online forms.
+"""Pluggable cost-model strategies: batch OLS and online RLS.
 
 The paper derives every cost model with one *model form* — qualitative
 multiple regression solved by batch OLS and re-derived wholesale when
-the environment drifts.  The lifecycle machinery around it (builder,
-maintainer, registry, drift detection) is model-agnostic in shape, so
-this module makes the form an explicit strategy:
+the environment drifts.  The machinery around it (builder, registry,
+model lifecycle) is model-agnostic in shape, so this module makes the
+form an explicit strategy:
 
 * :class:`OLSStrategy` (``mlr.ols``) — the paper's multi-states method,
   byte-identical to the pre-strategy pipeline.  It is the default and
@@ -15,8 +15,6 @@ this module makes the form an explicit strategy:
   through RLS (converging to the OLS coefficients); at serving time each
   estimate-vs-actual sample updates the coefficients in place, so the
   model tracks regime shifts without a re-derivation.
-* :class:`SGDStrategy` (``mlr.sgd``) — normalized-LMS stochastic
-  gradient descent, warm-started from the batch OLS solution.
 
 Because the qualitative design row (:func:`repro.core.qualitative.design_row`)
 already encodes per-state intercepts and slopes, one coefficient vector
@@ -36,15 +34,7 @@ from typing import ClassVar, Mapping
 
 import numpy as np
 
-from ..mlr.rls import (
-    DEFAULT_DELTA,
-    DEFAULT_LEARNING_RATE,
-    DEFAULT_SGD_EPOCHS,
-    NormalizedSGD,
-    RecursiveLeastSquares,
-    rls_fit,
-    sgd_fit,
-)
+from ..mlr.rls import DEFAULT_DELTA, RecursiveLeastSquares, rls_fit
 from .fitting import QualitativeFit
 from .model import MultiStateCostModel
 from .qualitative import design_row
@@ -58,7 +48,6 @@ __all__ = [
     "OLSStrategy",
     "OnlineSample",
     "RLSStrategy",
-    "SGDStrategy",
     "model_form",
     "resolve_strategy",
     "strategy_for",
@@ -215,52 +204,9 @@ class RLSStrategy(CostModelStrategy):
         )
 
 
-class SGDStrategy(CostModelStrategy):
-    """Normalized-LMS SGD, warm-started from the batch OLS solution."""
-
-    name = "mlr.sgd"
-    supports_online_update = True
-
-    def __init__(
-        self,
-        learning_rate: float = DEFAULT_LEARNING_RATE,
-        epochs: int = DEFAULT_SGD_EPOCHS,
-    ) -> None:
-        self.learning_rate = float(learning_rate)
-        self.epochs = int(epochs)
-
-    def params(self) -> dict:
-        return {"learning_rate": self.learning_rate, "epochs": self.epochs}
-
-    def fit(self, fit: QualitativeFit) -> np.ndarray:
-        theta = np.asarray(fit.ols.coefficients, dtype=float)
-        if fit.response is None:
-            return theta
-        return sgd_fit(
-            fit.design,
-            fit.response,
-            learning_rate=self.learning_rate,
-            epochs=self.epochs,
-            theta=theta,
-        )
-
-    def finalize(
-        self, model: MultiStateCostModel, fit: QualitativeFit
-    ) -> MultiStateCostModel:
-        return self._rework(model, fit, self.fit(fit))
-
-    def make_updater(self, model: MultiStateCostModel) -> NormalizedSGD:
-        return NormalizedSGD(
-            len(model.coefficients),
-            learning_rate=self.learning_rate,
-            theta=np.asarray(model.coefficients, dtype=float),
-        )
-
-
 _STRATEGIES: dict[str, type[CostModelStrategy]] = {
     OLSStrategy.name: OLSStrategy,
     RLSStrategy.name: RLSStrategy,
-    SGDStrategy.name: SGDStrategy,
 }
 
 STRATEGY_NAMES: tuple[str, ...] = tuple(sorted(_STRATEGIES))

@@ -129,7 +129,7 @@ ARTIFACTS: tuple[Artifact, ...] = (
              run_sample_size_ablation, render_sample_size_ablation),
     Artifact("drift_detection", "End-to-end: drift detection -> targeted re-derivation",
              run_drift_detection, render_drift_detection),
-    Artifact("model_race", "Race: multi-states OLS re-derivation vs online RLS/SGD forms",
+    Artifact("model_race", "Race: multi-states OLS re-derivation vs the online RLS form",
              run_model_race, render_model_race),
 )
 

@@ -4,8 +4,9 @@ The §2 maintenance policy reacts to *catalog* changes (cardinality,
 indexes) — but the paper's frequently-changing factor can also drift
 structurally: the contention regime a model was sampled under can leave
 entirely (a batch window opens, a tenant moves in), and nothing in the
-catalog changes.  The model-quality telemetry
-(:mod:`repro.obs.quality`) is built to catch exactly that.
+catalog changes.  The drift rules of the model lifecycle
+(:mod:`repro.mdbs.lifecycle`), reading the model-quality telemetry
+(:mod:`repro.obs.quality`), are built to catch exactly that.
 
 The experiment scripts such a shift and measures the loop end to end:
 
@@ -34,16 +35,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import obs
-from ..core.builder import BuilderConfig, CostModelBuilder
+from ..core.builder import BuilderConfig
 from ..core.classification import G1, G3
 from ..core.iupma import StatesConfig
-from ..engine.predicate import Comparison
+from ..core.strategy import DEFAULT_STRATEGY
 from ..engine.profiles import ORACLE_LIKE
 from ..mdbs.agent import MDBSAgent
-from ..mdbs.gquery import GlobalJoinQuery
+from ..mdbs.lifecycle import DriftPolicy
 from ..mdbs.server import MDBSServer
-from ..obs.quality import AccuracyTracker, DriftEvent, DriftPolicy, WindowStats
-from ..workload.scenarios import make_two_site_universe
+from ..obs.quality import AccuracyTracker, DriftEvent, WindowStats
+from ..workload.scenarios import make_two_site_universe, round_query
 from .config import ExperimentConfig
 from .report import format_table
 
@@ -107,42 +108,31 @@ class DriftDetectionResult:
         return detected - shifted
 
 
-def _register_classes(server: MDBSServer, site, config: ExperimentConfig) -> None:
-    for query_class in (G1, G3):
-        count = config.train_count(query_class.family)
-        server.register_model_class(
-            site.name,
-            query_class,
-            # Bind loop variables now; the maintainer re-calls this
-            # source at every rebuild, sampling under the then-current
-            # environment — which is the whole point of re-derivation.
-            lambda n, s=site, qc=query_class: s.generator.queries_for(
-                qc, n, tables=TABLES
-            ),
-            sample_count=count,
-        )
+def builder_config(strategy: str = DEFAULT_STRATEGY) -> BuilderConfig:
+    """Fewer, better-identified states than the paper's default.
 
-
-def _serve_round(
-    server: MDBSServer, left, right, rng: np.random.Generator, gap_seconds: float
-) -> None:
-    left.environment.advance(gap_seconds)
-    right.environment.advance(gap_seconds)
-    left_table = TABLES[int(rng.integers(0, len(TABLES)))]
-    remaining = [t for t in TABLES if t != left_table]
-    right_table = remaining[int(rng.integers(0, len(remaining)))]
-    query = GlobalJoinQuery(
-        left.name,
-        left_table,
-        right.name,
-        right_table,
-        "a4",
-        "a4",
-        (f"{left_table}.a1", f"{right_table}.a2"),
-        left_predicate=Comparison("a3", "<", int(rng.integers(600, 950))),
-        right_predicate=Comparison("a7", "<", int(rng.integers(35000, 48000))),
+    At experiment sample sizes a 6-state join model leaves ~15
+    observations per state, which overfits and extrapolates wildly on
+    serving-time intermediates.  The model race and the load generator
+    derive with it too; *strategy* picks the model form.
+    """
+    return BuilderConfig(
+        states=StatesConfig(max_states=4, min_obs_per_state=25),
+        strategy=strategy,
     )
-    server.execute(query)
+
+
+def drift_policy(gap_seconds: float) -> DriftPolicy:
+    """The drift rules armed at the site that will shift.
+
+    One maintain() pass can raise events for several classes at once;
+    the cooldown stops the next pass re-flagging a class whose fresh
+    model has barely served yet.  The model race arms its re-deriving
+    arm with the same rules.
+    """
+    return DriftPolicy(
+        recent_window=16, min_samples=8, cooldown_seconds=2 * gap_seconds
+    )
 
 
 def run_drift_detection(
@@ -172,39 +162,27 @@ def run_drift_detection(
     # experiment scale; installed globally so obs snapshots include it.
     tracker = AccuracyTracker(probe_window_size=8)
     obs.set_tracker(tracker)
-    policy = policy or DriftPolicy(
-        recent_window=16,
-        min_samples=8,
-        good_band_floor_pct=50.0,
-        probe_escape_fraction=0.5,
-        probe_min_readings=4,
-        # One maintain() pass can raise events for several classes at
-        # once; the cooldown stops the next pass re-flagging a class
-        # whose fresh model has barely served yet.
-        cooldown_seconds=2 * gap_seconds,
-    )
+    policy = policy or drift_policy(gap_seconds)
 
     server = MDBSServer(accuracy=tracker)
     for site in (left, right):
         server.register_agent(MDBSAgent(site.database))
-    # Fewer, better-identified states: at experiment sample sizes a
-    # 6-state join model leaves ~15 observations per state, which
-    # overfits and extrapolates wildly on serving-time intermediates.
-    builder_config = BuilderConfig(
-        states=StatesConfig(max_states=4, min_obs_per_state=25)
-    )
     for site in (left, right):
-        agent = server.agents[site.name]
-        server.configure_maintenance(
+        server.register_model_classes(
             site.name,
-            builder=CostModelBuilder(
-                agent.database, probe=agent.probe, config=builder_config
+            (G1, G3),
+            # The lifecycle re-calls this source at every rebuild,
+            # sampling under the then-current environment — which is
+            # the whole point of re-derivation.
+            lambda query_class, n, site=site: site.generator.queries_for(
+                query_class, n, tables=TABLES
             ),
+            builder_config=builder_config(),
+            sample_count=lambda query_class: config.train_count(query_class.family),
             # Arm drift detection only at the site that will shift; the
             # steady site is the control.
             drift=policy if site is left else None,
         )
-        _register_classes(server, site, config)
     LAST_MODEL_REGISTRY = server.catalog.registry
 
     # Watch the unary class: the drift site's local selection executes
@@ -218,11 +196,13 @@ def run_drift_detection(
     def run_phase(phase: str, rounds: int, maintain: bool) -> None:
         for _ in range(rounds):
             index = len(result.rounds)
-            before = len(server.drift_events)
-            _serve_round(server, left, right, rng, gap_seconds)
+            before = len(tracker.drift_events)
+            left.environment.advance(gap_seconds)
+            right.environment.advance(gap_seconds)
+            server.execute(round_query(left.name, right.name, TABLES, rng))
             if maintain:
                 server.maintain()
-            fresh = server.drift_events[before:]
+            fresh = tracker.drift_events[before:]
             result.events.extend(fresh)
             result.rounds.append(
                 DriftRound(
@@ -267,7 +247,6 @@ def run_drift_detection(
                 site_name, label
             ).version))
             registry.activate(site_name, label, 1)
-    server.drift_detectors.clear()
     tracker.reset()
     run_phase("stale", stale_rounds, maintain=False)
     result.stale = tracker.stats(left.name, watched)

@@ -1,17 +1,16 @@
-"""The model-form race: multi-states OLS vs online RLS/SGD under a shift.
+"""The model-form race: multi-states OLS vs online RLS under a shift.
 
 The paper's answer to a changed contention regime is *re-derivation*:
-drift detection flags the class, the maintainer samples a fresh batch
+a drift rule flags the class, the model lifecycle samples a fresh batch
 under the new regime, and a new OLS model is published (§2, and the
 ``drift_detection`` experiment).  The pluggable strategy layer
-(:mod:`repro.core.strategy`) adds a second answer: model forms that fold
-every served query's estimate-vs-actual pair straight back into their
-coefficients (recursive least squares with a forgetting factor, and a
-normalized-SGD variant), adapting *while serving* with no sampling batch
-at all.
+(:mod:`repro.core.strategy`) adds a second answer: recursive least
+squares with a forgetting factor, which folds every served query's
+estimate-vs-actual pair straight back into its coefficients, adapting
+*while serving* with no sampling batch at all.
 
-This experiment races the three forms over an identical calm→shift
-ladder and lets the drift telemetry referee the outcome:
+This experiment races the two forms over an identical calm→shift
+ladder and referees the outcome:
 
 1. **Train once** — one observation pass per (site, class); every
    strategy derives its form from the same samples, so the racers differ
@@ -19,17 +18,16 @@ ladder and lets the drift telemetry referee the outcome:
 2. **Cloned universes** — each form serves the same seeded workload in
    its own identically-seeded universe through a single-worker
    :class:`~repro.serving.frontend.ServingFrontEnd` (plan cache on, so
-   the (version, form) cache keying is exercised).  OLS runs with drift
-   detection and the maintainer armed — its recovery path is the
-   paper's re-derivation.  The online forms run with maintenance
-   disarmed: their only recovery path is the per-query update fed by
+   the (version, form) cache keying is exercised).  OLS runs with the
+   drift rules and re-derivation armed — its recovery path is the
+   paper's.  The online form runs with neither: its only recovery path
+   is the per-query update fed by
    :meth:`~repro.mdbs.server.MDBSServer.execute`.
 3. **Shift** — after the calm rounds the variable site's contention pins
    at 0.9, outside every derived [Cmin, Cmax] range.
-4. **Referee** — :meth:`~repro.obs.quality.DriftDetector.score_recovery`
-   scores each form's timeline with the same good-band floor the drift
-   policy uses: how many served queries until the trailing good-band
-   percentage is back over the floor.
+4. **Referee** — :func:`score_recovery` scores each form's timeline
+   against the good-band floor the drift rules use: how many served
+   queries until the trailing good-band percentage is back over it.
 
 The rendered frontier table is deterministic (simulated facts only).
 """
@@ -37,32 +35,27 @@ The rendered frontier table is deterministic (simulated facts only).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from ..core.builder import BuilderConfig, CostModelBuilder
 from ..core.classification import G1, G3
-from ..core.iupma import StatesConfig
 from ..core.strategy import DEFAULT_STRATEGY, resolve_strategy
-from ..engine.predicate import Comparison
 from ..engine.profiles import DB2_LIKE, ORACLE_LIKE
+from ..loadgen.worker import train_model_payloads
 from ..mdbs.agent import MDBSAgent
-from ..mdbs.catalog import GlobalCatalog
 from ..mdbs.gquery import GlobalJoinQuery
+from ..mdbs.lifecycle import GOOD_BAND_FLOOR_PCT
 from ..mdbs.server import MDBSServer
-from ..obs.quality import (
-    AccuracyTracker,
-    DriftDetector,
-    DriftPolicy,
-    RecoveryScore,
-)
+from ..obs.quality import AccuracyTracker
 from ..serving import ServingConfig, ServingFrontEnd
-from ..workload.scenarios import make_two_site_universe
+from ..workload.scenarios import make_two_site_universe, round_query
 from .config import ExperimentConfig
+from .drift_detection import builder_config, drift_policy
 from .report import format_table
 
 #: The racers, in print order.  OLS is the paper's form and the control.
-RACE_STRATEGIES: tuple[str, ...] = ("mlr.ols", "mlr.rls", "mlr.sgd")
+RACE_STRATEGIES: tuple[str, ...] = ("mlr.ols", "mlr.rls")
 
 TABLES = ["R1", "R2", "R3", "R4"]
 
@@ -79,10 +72,8 @@ CALM_RANGE = (0.0, 0.45)
 SHIFTED_LEVEL = 0.9
 
 #: The recovery bar the referee scores against — the same good-band
-#: floor the OLS arm's drift policy rebuilds on.
-FLOOR_PCT = 50.0
-
-_MODEL_CLASSES = (G1, G3)
+#: floor the OLS arm's drift rules rebuild on.
+FLOOR_PCT = GOOD_BAND_FLOOR_PCT
 
 
 @dataclass
@@ -104,6 +95,88 @@ class RaceRound:
             "samples": self.samples,
             "queries": self.queries,
         }
+
+
+@dataclass(frozen=True)
+class RecoveryScore:
+    """How one model form weathered a regime shift (the race verdict).
+
+    ``queries_to_recover`` is the number of served queries from the
+    shift until the trailing good-band percentage climbed back over the
+    floor (None = never recovered).
+    """
+
+    calm_good_pct: float
+    shift_round: int | None
+    degraded_round: int | None
+    recovered_round: int | None
+    queries_to_recover: int | None
+    floor_pct: float
+
+
+def score_recovery(
+    timeline: Iterable[Mapping], floor_pct: float = FLOOR_PCT
+) -> RecoveryScore:
+    """Score one model form's shift recovery from a round timeline.
+
+    *timeline* is a sequence of per-round mappings with keys ``phase``
+    ("calm" before the shift, anything else after), ``good_pct``
+    (trailing good-band percentage after the round), ``samples``
+    (samples behind that percentage) and ``queries`` (queries served in
+    the round).
+
+    A form that never dips under the floor after the shift recovers in
+    0 queries — staying in band through the shift is the best possible
+    outcome, not a scoring gap.
+    """
+    rounds = list(timeline)
+    shift_round: int | None = None
+    degraded_round: int | None = None
+    recovered_round: int | None = None
+    queries_to_recover: int | None = None
+    calm_pcts: list[float] = []
+    served_since_shift = 0
+    for index, entry in enumerate(rounds):
+        phase = entry.get("phase", "calm")
+        good_pct = float(entry.get("good_pct", 0.0))
+        samples = int(entry.get("samples", 0))
+        queries = int(entry.get("queries", 0))
+        if phase == "calm":
+            if samples > 0:
+                calm_pcts.append(good_pct)
+            continue
+        if shift_round is None:
+            shift_round = index
+        if recovered_round is not None:
+            continue
+        served_since_shift += queries
+        if samples <= 0:
+            continue
+        if good_pct < floor_pct:
+            if degraded_round is None:
+                degraded_round = index
+            continue
+        if degraded_round is not None:
+            # Back over the floor with real samples, post-dip.
+            recovered_round = index
+            queries_to_recover = served_since_shift
+    if (
+        shift_round is not None
+        and degraded_round is None
+        and any(int(e.get("samples", 0)) > 0 for e in rounds[shift_round:])
+    ):
+        # Never dipped under the floor after the shift: staying in band
+        # through it is recovery in zero served queries.
+        recovered_round = shift_round
+        queries_to_recover = 0
+    return RecoveryScore(
+        calm_good_pct=sum(calm_pcts) / len(calm_pcts) if calm_pcts else 0.0,
+        shift_round=shift_round,
+        degraded_round=degraded_round,
+        recovered_round=recovered_round,
+        queries_to_recover=queries_to_recover,
+        floor_pct=floor_pct,
+    )
 
 
 @dataclass
@@ -155,26 +228,6 @@ class ModelRaceResult:
         return winners
 
 
-def _builder_config(strategy: str = DEFAULT_STRATEGY) -> BuilderConfig:
-    """The drift experiment's state tuning, with a pluggable form."""
-    return BuilderConfig(
-        states=StatesConfig(max_states=4, min_obs_per_state=25),
-        strategy=strategy,
-    )
-
-
-def _race_policy(gap_seconds: float) -> DriftPolicy:
-    """The OLS arm's drift policy — also supplies the referee's floor."""
-    return DriftPolicy(
-        recent_window=16,
-        min_samples=8,
-        good_band_floor_pct=FLOOR_PCT,
-        probe_escape_fraction=0.5,
-        probe_min_readings=4,
-        cooldown_seconds=2 * gap_seconds,
-    )
-
-
 def _make_universe(config: ExperimentConfig):
     """A fresh, identically seeded pair of race sites (one per call)."""
     return make_two_site_universe(
@@ -186,64 +239,15 @@ def _make_universe(config: ExperimentConfig):
     )
 
 
-def _train_payloads(config: ExperimentConfig) -> dict[str, dict]:
-    """One registry payload per racer, from a single observation pass."""
-    var, steady = _make_universe(config)
-    catalogs = {name: GlobalCatalog() for name in RACE_STRATEGIES}
-    for site in (var, steady):
-        for catalog in catalogs.values():
-            catalog.register_site(site.name)
-        builder = CostModelBuilder(site.database, config=_builder_config())
-        for query_class in _MODEL_CLASSES:
-            queries = site.generator.queries_for(
-                query_class,
-                config.train_count(query_class.family),
-                tables=TABLES,
-            )
-            observations = builder.collect(queries)
-            for name, catalog in catalogs.items():
-                outcome = builder.build_from_observations(
-                    observations, query_class, "iupma", strategy=name
-                )
-                catalog.store_cost_model(site.name, outcome.model)
-    return {name: catalog.export_models() for name, catalog in catalogs.items()}
-
-
 def _make_workload(
     config: ExperimentConfig, rounds: int, per_round: int
 ) -> list[list[GlobalJoinQuery]]:
-    """The identical per-round query batches every racer serves.
-
-    The variable site is always the left side, so its local selection
-    feeds the watched accuracy window every query.
-    """
+    """The identical per-round query batches every racer serves."""
     rng = np.random.default_rng(config.seed + 77)
-    workload = []
-    for _ in range(rounds):
-        batch = []
-        for _ in range(per_round):
-            left_table = TABLES[int(rng.integers(0, len(TABLES)))]
-            remaining = [t for t in TABLES if t != left_table]
-            right_table = remaining[int(rng.integers(0, len(remaining)))]
-            batch.append(
-                GlobalJoinQuery(
-                    VAR_SITE,
-                    left_table,
-                    STEADY_SITE,
-                    right_table,
-                    "a4",
-                    "a4",
-                    (f"{left_table}.a1", f"{right_table}.a2"),
-                    left_predicate=Comparison(
-                        "a3", "<", int(rng.integers(600, 950))
-                    ),
-                    right_predicate=Comparison(
-                        "a7", "<", int(rng.integers(35000, 48000))
-                    ),
-                )
-            )
-        workload.append(batch)
-    return workload
+    return [
+        [round_query(VAR_SITE, STEADY_SITE, TABLES, rng) for _ in range(per_round)]
+        for _ in range(rounds)
+    ]
 
 
 def _run_strategy(
@@ -268,30 +272,21 @@ def _run_strategy(
 
     online = resolve_strategy(strategy).supports_online_update
     if not online:
-        # The paper's arm: drift detection + maintainer re-derivation is
-        # the only recovery path.  Online arms get neither — their only
-        # path is the per-query update inside execute().
-        agent = server.agents[var.name]
-        server.configure_maintenance(
+        # The paper's arm: drift rules + re-derivation are the only
+        # recovery path.  The online arm gets neither — its only path is
+        # the per-query update inside execute().
+        server.register_model_classes(
             var.name,
-            builder=CostModelBuilder(
-                agent.database,
-                probe=agent.probe,
-                config=_builder_config(strategy),
+            (G1, G3),
+            lambda query_class, n: var.generator.queries_for(
+                query_class, n, tables=TABLES
             ),
-            drift=_race_policy(gap_seconds),
+            builder_config=builder_config(strategy),
+            sample_count=lambda query_class: config.train_count(query_class.family),
+            drift=drift_policy(gap_seconds),
+            build_now=False,
+            strategy=strategy,
         )
-        for query_class in _MODEL_CLASSES:
-            server.register_model_class(
-                var.name,
-                query_class,
-                lambda n, s=var, qc=query_class: s.generator.queries_for(
-                    qc, n, tables=TABLES
-                ),
-                sample_count=config.train_count(query_class.family),
-                build_now=False,
-                strategy=strategy,
-            )
 
     per_round = len(workload[0]) if workload else 0
     # ~3 rounds of watched-class samples: long enough to be stable,
@@ -336,10 +331,7 @@ def _run_strategy(
             if entry.provenance.trigger is not None:
                 run.rebuilds += 1
             run.online_updates += entry.provenance.online_updates
-    referee = DriftDetector(_race_policy(gap_seconds))
-    run.score = referee.score_recovery(
-        [r.timeline_entry() for r in rounds], floor_pct=FLOOR_PCT
-    )
+    run.score = score_recovery([r.timeline_entry() for r in rounds])
     return run
 
 
@@ -353,7 +345,9 @@ def run_model_race(
 ) -> ModelRaceResult:
     """Train once, then run every form over the identical ladder."""
     config = config or ExperimentConfig()
-    payloads = _train_payloads(config)
+    payloads = train_model_payloads(
+        config, RACE_STRATEGIES, _make_universe(config), TABLES
+    )
     workload = _make_workload(
         config, calm_rounds + shifted_rounds, queries_per_round
     )

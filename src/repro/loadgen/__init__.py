@@ -39,7 +39,6 @@ from .worker import (
     RoundRecord,
     ShardReport,
     ShardTask,
-    loadgen_builder_config,
     loadgen_drift_policy,
     loadgen_tables,
     make_universe,
@@ -71,7 +70,6 @@ __all__ = [
     "aggregate_reports",
     "default_loadgen_config",
     "deterministic_json",
-    "loadgen_builder_config",
     "loadgen_drift_policy",
     "loadgen_tables",
     "make_universe",

@@ -36,6 +36,7 @@ from .report import aggregate_reports, deterministic_json, percentile
 from .worker import (
     ShardReport,
     ShardTask,
+    loadgen_tables,
     make_universe,
     run_shard,
     train_model_payloads,
@@ -256,8 +257,14 @@ class Coordinator:
         strategies = self.config.strategies()
         missing = tuple(s for s in strategies if s not in self.payloads)
         if missing:
+            experiment = self.config.experiment
             self.payloads.update(
-                train_model_payloads(self.config.experiment, missing)
+                train_model_payloads(
+                    experiment,
+                    missing,
+                    make_universe(experiment),
+                    loadgen_tables(experiment),
+                )
             )
         return self.payloads[strategies[0]]
 

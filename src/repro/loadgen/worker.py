@@ -24,7 +24,7 @@ Per round the shard:
    re-derivations.
 
 The shard's models are **imported, not trained**: classes register with
-``build_now=False`` so the maintainer can rebuild them on drift without
+``build_now=False`` so the lifecycle can rebuild them on drift without
 repeating the coordinator's initial derivation in every worker.
 """
 
@@ -34,24 +34,21 @@ import time
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from .. import obs
 
-from ..core.builder import BuilderConfig, CostModelBuilder
+from ..core.builder import CostModelBuilder
 from ..core.classification import G1, G3
-from ..core.iupma import StatesConfig
 from ..core.strategy import DEFAULT_STRATEGY
-from ..engine.predicate import Comparison
 from ..engine.profiles import DB2_LIKE, ORACLE_LIKE
 from ..env.loadbuilder import LoadBuilder
 from ..experiments.config import ExperimentConfig
+from ..experiments.drift_detection import builder_config
 from ..experiments.harness import stable_rng, stable_seed
 from ..mdbs.agent import MDBSAgent
 from ..mdbs.catalog import GlobalCatalog
-from ..mdbs.gquery import GlobalJoinQuery
+from ..mdbs.lifecycle import DriftPolicy
 from ..mdbs.server import MDBSServer
-from ..obs.quality import AccuracyTracker, DriftPolicy
+from ..obs.quality import AccuracyTracker
 from ..serving.config import ServingConfig
 from ..serving.frontend import ServingFrontEnd
 from ..workload.scenarios import (
@@ -59,6 +56,7 @@ from ..workload.scenarios import (
     Site,
     install_scenario_trace,
     make_two_site_universe,
+    round_query,
     scenario_shift_round,
 )
 from .faults import FaultEvent, FaultInjector
@@ -87,19 +85,6 @@ def loadgen_tables(config: ExperimentConfig) -> list[str]:
     return list(config.join_tables or ("R1", "R2", "R3", "R4"))
 
 
-def loadgen_builder_config(strategy: str = DEFAULT_STRATEGY) -> BuilderConfig:
-    """Fewer, better-identified states (the drift experiment's tuning).
-
-    *strategy* picks the model-form strategy the shard's builds and
-    drift rebuilds go through (``"mlr.ols"`` reproduces the pre-strategy
-    behavior byte for byte).
-    """
-    return BuilderConfig(
-        states=StatesConfig(max_states=4, min_obs_per_state=25),
-        strategy=strategy,
-    )
-
-
 def loadgen_drift_policy(gap_seconds: float) -> DriftPolicy:
     """Drift thresholds tuned to ~2 accuracy samples per served round.
 
@@ -117,10 +102,7 @@ def loadgen_drift_policy(gap_seconds: float) -> DriftPolicy:
     return DriftPolicy(
         recent_window=9,
         min_samples=6,
-        good_band_floor_pct=50.0,
         bias_limit=None,
-        probe_escape_fraction=0.5,
-        probe_min_readings=4,
         # Calm contention dips near zero, and micro training runs leave
         # Cmin well above it; a wide margin keeps those dips from
         # reading as escapes while pinned faults (whose probing costs
@@ -248,11 +230,16 @@ def train_models(config: ExperimentConfig) -> dict:
     Runs once in the coordinator; shards import the payload and register
     their classes with ``build_now=False``.
     """
-    return train_model_payloads(config, (DEFAULT_STRATEGY,))[DEFAULT_STRATEGY]
+    return train_model_payloads(
+        config, (DEFAULT_STRATEGY,), make_universe(config), loadgen_tables(config)
+    )[DEFAULT_STRATEGY]
 
 
 def train_model_payloads(
-    config: ExperimentConfig, strategies: tuple[str, ...]
+    config: ExperimentConfig,
+    strategies: tuple[str, ...],
+    sites: tuple[Site, Site],
+    tables: list[str],
 ) -> dict[str, dict]:
     """One registry payload per model-form strategy, trained on one pass.
 
@@ -261,15 +248,11 @@ def train_model_payloads(
     its form from the same observations — so racing forms differ only in
     how they fit, never in what they saw.
     """
-    var, steady = make_universe(config)
-    tables = loadgen_tables(config)
     catalogs = {name: GlobalCatalog() for name in strategies}
-    for site in (var, steady):
+    for site in sites:
         for catalog in catalogs.values():
             catalog.register_site(site.name)
-        builder = CostModelBuilder(
-            site.database, config=loadgen_builder_config()
-        )
+        builder = CostModelBuilder(site.database, config=builder_config())
         for query_class in _MODEL_CLASSES:
             queries = site.generator.queries_for(
                 query_class,
@@ -288,27 +271,6 @@ def train_model_payloads(
 # ---------------------------------------------------------------------------
 # The shard itself (worker side)
 # ---------------------------------------------------------------------------
-
-
-def _round_query(
-    var: Site, steady: Site, tables: list[str], rng: np.random.Generator
-) -> GlobalJoinQuery:
-    """One global join with the variable site on the left, so its local
-    selection feeds the watched accuracy window every round."""
-    left_table = tables[int(rng.integers(0, len(tables)))]
-    remaining = [t for t in tables if t != left_table]
-    right_table = remaining[int(rng.integers(0, len(remaining)))]
-    return GlobalJoinQuery(
-        var.name,
-        left_table,
-        steady.name,
-        right_table,
-        "a4",
-        "a4",
-        (f"{left_table}.a1", f"{right_table}.a2"),
-        left_predicate=Comparison("a3", "<", int(rng.integers(600, 950))),
-        right_predicate=Comparison("a7", "<", int(rng.integers(35000, 48000))),
-    )
 
 
 def run_shard(task: ShardTask, payload: dict) -> ShardReport:
@@ -332,28 +294,18 @@ def run_shard(task: ShardTask, payload: dict) -> ShardReport:
     imported = server.catalog.import_models(payload)
 
     agent = server.agents[var.name]
-    server.configure_maintenance(
+    server.register_model_classes(
         var.name,
-        # The builder captures the *original* probe object, so drift
-        # rebuilds keep working while an outage has swapped agent.probe.
-        builder=CostModelBuilder(
-            agent.database,
-            probe=agent.probe,
-            config=loadgen_builder_config(task.strategy),
+        _MODEL_CLASSES,
+        lambda query_class, n: var.generator.queries_for(
+            query_class, n, tables=tables
         ),
+        builder_config=builder_config(task.strategy),
+        sample_count=lambda query_class: config.train_count(query_class.family),
         drift=loadgen_drift_policy(task.gap_seconds),
+        build_now=False,
+        strategy=task.strategy,
     )
-    for query_class in _MODEL_CLASSES:
-        server.register_model_class(
-            var.name,
-            query_class,
-            lambda n, s=var, qc=query_class: s.generator.queries_for(
-                qc, n, tables=tables
-            ),
-            sample_count=config.train_count(query_class.family),
-            build_now=False,
-            strategy=task.strategy,
-        )
 
     # Per-shard variety comes from two derived streams only: the query
     # stream and the contention trace (a fresh builder with a per-shard
@@ -418,7 +370,7 @@ def run_shard(task: ShardTask, payload: dict) -> ShardReport:
                     restore_trace()
 
             for _ in range(task.queries_per_round):
-                query = _round_query(var, steady, tables, stream)
+                query = round_query(var.name, steady.name, tables, stream)
                 report.requests += 1
                 ticket = frontend.serve([query])[0]
                 report.wall_latencies.append(ticket.latency_seconds or 0.0)
@@ -432,9 +384,9 @@ def run_shard(task: ShardTask, payload: dict) -> ShardReport:
                 else:
                     report.failed += 1
 
-            before = len(server.drift_events)
+            before = len(tracker.drift_events)
             server.maintain()
-            fresh = [e.to_dict() for e in server.drift_events[before:]]
+            fresh = [e.to_dict() for e in tracker.drift_events[before:]]
             report.drift_events.extend(fresh)
 
             stats = tracker.stats(var.name, WATCHED_CLASS)

@@ -16,10 +16,7 @@ versions underneath them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable
 
 from ..core.model import MultiStateCostModel
 from .registry import (
@@ -29,15 +26,10 @@ from .registry import (
     ModelVersion,
 )
 
-#: Version of the on-disk cost-model payload this code writes.
-#: v3 adds the model-form strategy and its online-update log to each
+#: Version of the cost-model payload this code writes and reads.  v3
+#: added the model-form strategy and its online-update log to each
 #: version's provenance (:class:`~repro.mdbs.registry.ModelProvenance`).
 MODEL_SCHEMA_VERSION = 3
-
-#: Payload versions :meth:`GlobalCatalog.import_models` can read.  v2
-#: predates pluggable model forms; its provenance fields default to the
-#: paper's batch OLS on load.  The legacy flat format is implicit v1.
-SUPPORTED_MODEL_SCHEMA_VERSIONS = (2, 3)
 
 
 class GlobalCatalogError(KeyError):
@@ -93,14 +85,6 @@ class GlobalCatalog:
         except KeyError:
             raise GlobalCatalogError(f"no table {name!r} at site {site!r}") from None
 
-    def tables_at(self, site: str) -> list[TableFacts]:
-        self._require_site(site)
-        return [f for (s, _), f in sorted(self._tables.items()) if s == site]
-
-    def locate(self, table_name: str) -> list[str]:
-        """Sites hosting a table with this name."""
-        return sorted(s for (s, t) in self._tables if t == table_name)
-
     # -- cost models --------------------------------------------------------
 
     def store_cost_model(self, site: str, model: MultiStateCostModel) -> None:
@@ -134,12 +118,6 @@ class GlobalCatalog:
         except CostModelRegistryError as exc:
             raise GlobalCatalogError(str(exc)) from None
 
-    def cost_model_history(self, site: str, class_label: str) -> list[ModelVersion]:
-        return self.registry.history(site, class_label)
-
-    def has_cost_model(self, site: str, class_label: str) -> bool:
-        return self.registry.has_model(site, class_label)
-
     def cost_models_at(self, site: str) -> list[MultiStateCostModel]:
         self._require_site(site)
         return self.registry.active_models_at(site)
@@ -153,54 +131,21 @@ class GlobalCatalog:
             "models": self.registry.export(),
         }
 
-    def import_models(self, payload: dict, sites: Iterable[str] = ()) -> int:
+    def import_models(self, payload: dict) -> int:
         """Load an :meth:`export_models` payload; returns models loaded.
 
-        Accepts the current versioned format (``schema_version`` 3), the
-        previous versioned format (2, read with form defaults), and the
-        legacy flat ``{"site/label": model_dict}`` format (implicit
-        version 1).  Unknown schema versions are rejected — silently
-        misreading a future payload as models would corrupt the serving
-        path.
+        Only the current ``schema_version`` is read.  Anything else —
+        including the flat and v2 formats that predate it, which nothing
+        writes any more — is rejected: silently misreading an unknown
+        payload as models would corrupt the serving path.
         """
-        for site in sites:
-            self.register_site(site)
-        if "schema_version" not in payload:
-            records = payload  # legacy flat v1 payload
-            for key, model_dict in records.items():
-                site, _, _ = key.partition("/")
-                self.register_site(site)
-                self.registry.publish(
-                    site, MultiStateCostModel.from_dict(model_dict)
-                )
-            return len(records)
-        version = payload["schema_version"]
-        if version not in SUPPORTED_MODEL_SCHEMA_VERSIONS:
-            supported = ", ".join(str(v) for v in SUPPORTED_MODEL_SCHEMA_VERSIONS)
+        version = payload.get("schema_version")
+        if version != MODEL_SCHEMA_VERSION:
             raise GlobalCatalogError(
                 f"unsupported cost-model schema_version {version!r} "
-                f"(this build reads {supported} and the legacy flat format)"
+                f"(this build reads {MODEL_SCHEMA_VERSION})"
             )
         records = payload["models"]
         for key in records:
             self.register_site(key.partition("/")[0])
         return self.registry.import_payload(records)
-
-    def save_models(self, path) -> None:
-        """Persist every stored cost-model version as JSON at *path*.
-
-        The derived models are the expensive artifact of the whole
-        method — a production MDBS derives them offline and reloads them
-        at server start, exactly like the paper's "kept in the MDBS
-        catalog and utilized during query optimization".
-        """
-        Path(path).write_text(json.dumps(self.export_models(), indent=2))
-
-    def load_models(self, path) -> int:
-        """Load cost models previously saved with :meth:`save_models`.
-
-        Returns the number of (site, class) models loaded.  Sites named
-        in the file are registered as needed.
-        """
-        payload = json.loads(Path(path).read_text())
-        return self.import_models(payload)

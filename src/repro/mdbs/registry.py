@@ -52,8 +52,8 @@ def config_fingerprint(config: object) -> str:
 class ModelProvenance:
     """How one published model version was derived."""
 
-    #: Simulated time at derivation (None when unknown, e.g. imports
-    #: from a legacy payload).
+    #: Simulated time at derivation (None when unknown, e.g. a model
+    #: stored without provenance).
     derived_at: float | None = None
     #: State-determination algorithm ("iupma" | "icma" | "static").
     algorithm: str = "unknown"
@@ -65,10 +65,10 @@ class ModelProvenance:
     #: Fingerprint of the builder config that produced the model
     #: (:func:`config_fingerprint`); None when not derived in-process.
     config_hash: str | None = None
-    #: What prompted the derivation — None for ordinary §2 maintenance
-    #: and manual publishes, or a :meth:`DriftEvent.describe` string when
-    #: a drift rule forced the re-derivation, so the registry records
-    #: *why* each version exists.
+    #: What prompted the derivation — None for initial builds and
+    #: manual publishes, else the :meth:`DriftEvent.describe` string of
+    #: the lifecycle event (catalog change, period or drift rule) that
+    #: forced it, so the registry records *why* each version exists.
     trigger: str | None = None
     #: Qualitative variables the model conditions on.  Every multi-states
     #: model carries the paper's contention state; sites simulating a
@@ -136,11 +136,9 @@ class ModelProvenance:
             qualitative_variables=tuple(
                 payload.get("qualitative_variables", ("contention_state",))
             ),
-            # Schema v2 payloads predate pluggable forms; default to the
-            # paper's batch OLS (the only form that existed then).
-            model_form=payload.get("model_form", DEFAULT_STRATEGY),
-            online_updates=int(payload.get("online_updates", 0)),
-            update_log=tuple(dict(e) for e in payload.get("update_log", ())),
+            model_form=payload["model_form"],
+            online_updates=int(payload["online_updates"]),
+            update_log=tuple(dict(e) for e in payload["update_log"]),
         )
 
 
@@ -291,8 +289,8 @@ class CostModelRegistry:
     ) -> ModelVersion:
         """Log one served-sample update folded into *version* online.
 
-        Online strategies (``mlr.rls`` / ``mlr.sgd``) mutate the served
-        model's coefficients in place; this records that mutation in the
+        The online strategy (``mlr.rls``) mutates the served model's
+        coefficients in place; this records that mutation in the
         version's provenance so exports (schema v3) carry the form's
         update history.  The log keeps the most recent *max_log* entries;
         ``online_updates`` counts all of them.
@@ -413,33 +411,14 @@ class CostModelRegistry:
         obs.set_gauge("mdbs.registry.versions", len(self))
 
 
-@dataclass(frozen=True)
-class _ProvenanceSummaryRow:
-    """One line of :func:`describe_registry` (kept for tooling reuse)."""
-
-    site: str
-    class_label: str
-    active: int
-    versions: int
-    algorithm: str
-    r_squared: float
-
-
 def describe_registry(registry: CostModelRegistry) -> str:
     """A compact human-readable listing of the registry's contents."""
     lines = ["site/class            active  versions  algorithm  R²"]
     for site, label in registry.keys():
         entry = registry.active_version(site, label)
-        row = _ProvenanceSummaryRow(
-            site=site,
-            class_label=label,
-            active=entry.version,
-            versions=len(registry.history(site, label)),
-            algorithm=entry.provenance.algorithm,
-            r_squared=entry.provenance.r_squared,
-        )
+        versions = len(registry.history(site, label))
         lines.append(
-            f"{row.site}/{row.class_label:<12} v{row.active:<6} {row.versions:<9} "
-            f"{row.algorithm:<10} {row.r_squared:.4f}"
+            f"{site}/{label:<12} v{entry.version:<6} {versions:<9} "
+            f"{entry.provenance.algorithm:<10} {entry.provenance.r_squared:.4f}"
         )
     return "\n".join(lines)

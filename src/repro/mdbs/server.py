@@ -7,25 +7,19 @@ chosen plan for real: local component selections at each site, shipping
 of one intermediate over the modeled network, and the join over
 materialized temporaries at the join site.
 
-The server also owns the two serving-side lifecycle components:
+The server also owns the serving side of the model lifecycle:
 
 * a :class:`~repro.mdbs.probing_service.ProbingService` shared by every
   optimizer it hands out (``probe_ttl`` controls the cache; 0 = always
-  probe afresh, the pre-lifecycle behavior);
-* per-site :class:`~repro.core.maintenance.ModelMaintainer` instances
-  (:meth:`configure_maintenance` / :meth:`register_model_class`), whose
-  re-derived models :meth:`maintain` publishes into the registry as new
-  versions — old versions stay available for :meth:`rollback_model`.
-
-Every execution additionally feeds the model-quality telemetry: each
-plan component's (estimate, observed) pair lands in the server's
-:class:`~repro.obs.quality.AccuracyTracker` keyed by (site, class,
-contention state), and :meth:`configure_maintenance` accepts a
-``drift=`` policy whose :class:`~repro.obs.quality.DriftDetector` can
-force a targeted re-derivation when accuracy degrades or probing costs
-escape a model's partitioned state range — the triggering
-:class:`~repro.obs.quality.DriftEvent` is recorded in the new version's
-provenance.
+  probe afresh);
+* an :class:`~repro.obs.quality.AccuracyTracker` that every execution
+  feeds with each plan component's (estimate, observed) pair, keyed by
+  (site, class, contention state);
+* a :class:`~repro.mdbs.lifecycle.ModelLifecycle`, which decides every
+  re-derivation (:meth:`register_model_classes` puts classes under it).
+  :meth:`maintain` publishes each rebuilt model as a new registry
+  version whose provenance names the triggering event; old versions
+  stay available for :meth:`rollback_model`.
 """
 
 from __future__ import annotations
@@ -34,16 +28,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .. import obs
-from ..core.builder import BuildOutcome, CostModelBuilder
+from ..core.builder import BuildOutcome, BuilderConfig, CostModelBuilder
 from ..core.classification import QueryClass
-from ..core.maintenance import ChangeDetector, ModelMaintainer
 from ..core.model import MultiStateCostModel
 from ..core.strategy import CostModelStrategy, OnlineSample, model_form, strategy_for
-from ..engine.query import JoinQuery, Query
-from ..obs.quality import AccuracyTracker, DriftDetector, DriftEvent, DriftPolicy
+from ..engine.query import JoinQuery
+from ..obs.quality import AccuracyTracker, DriftEvent
 from .agent import MDBSAgent
 from .catalog import GlobalCatalog
 from .gquery import GlobalJoinQuery
+from .lifecycle import MAINTENANCE_RULES, DriftPolicy, ModelLifecycle, QuerySource
 from .network import NetworkModel
 from .optimizer import CostEstimate, GlobalPlan, GlobalQueryOptimizer
 from .probing_service import ProbingService
@@ -126,16 +120,10 @@ class MDBSServer:
         self.probing = ProbingService(
             self.agents, ttl=probe_ttl, tracker=self.accuracy
         )
-        self.maintainers: dict[str, ModelMaintainer] = {}
-        #: Drift policy per site (:meth:`configure_maintenance`'s
-        #: ``drift=``); consulted by :meth:`maintain` after the §2 pass.
-        self.drift_detectors: dict[str, DriftDetector] = {}
-        #: Every drift event ever raised, oldest first.
-        self.drift_events: list[DriftEvent] = []
-        #: Triggers awaiting consumption by :meth:`_publish_outcome`,
-        #: keyed (site, class_label) — how a drift-forced rebuild gets
-        #: its event recorded in the published version's provenance.
-        self._pending_trigger: dict[tuple[str, str], str] = {}
+        self.lifecycle = ModelLifecycle(self.catalog.registry, self.accuracy)
+        #: Fingerprint of each maintained site's builder config, for the
+        #: provenance of the versions the lifecycle derives there.
+        self._config_hashes: dict[str, str] = {}
         #: Serving-time online-form state per (site, class): the warm
         #: estimator that folds each served estimate-vs-actual sample
         #: back into the active model when its form updates online.
@@ -160,106 +148,82 @@ class MDBSServer:
 
     # -- model lifecycle --------------------------------------------------
 
-    def configure_maintenance(
+    def register_model_classes(
         self,
         site: str,
-        builder: CostModelBuilder | None = None,
-        detector: ChangeDetector | None = None,
+        classes: Sequence[QueryClass],
+        queries: QuerySource,
+        *,
+        builder_config: BuilderConfig | None = None,
+        sample_count: Callable[[QueryClass], int] | None = None,
         rebuild_period_seconds: float | None = None,
-        drift: DriftPolicy | DriftDetector | None = None,
-    ) -> ModelMaintainer:
-        """Attach a §2 maintenance policy to *site*.
-
-        Every model the maintainer derives — the initial builds of
-        registered classes and all later rebuilds — is published into
-        the catalog's registry as a new active version, with provenance
-        taken from the builder and the site's simulated clock.
-
-        *drift* additionally arms model-quality drift detection for the
-        site: each :meth:`maintain` run evaluates the policy's rules
-        against the accuracy tracker, and any event raised forces a
-        targeted re-derivation of the offending class, published with
-        the event in its provenance.  Pass a
-        :class:`~repro.obs.quality.DriftPolicy` (thresholds only) or a
-        pre-built :class:`~repro.obs.quality.DriftDetector`.
-        """
-        agent = self.agents[site]
-        builder = builder or CostModelBuilder(agent.database, probe=agent.probe)
-        maintainer = ModelMaintainer(
-            builder,
-            detector,
-            rebuild_period_seconds,
-            on_rebuild=lambda label, outcome: self._publish_outcome(site, outcome),
-        )
-        self.maintainers[site] = maintainer
-        if drift is not None:
-            self.drift_detectors[site] = (
-                drift if isinstance(drift, DriftDetector) else DriftDetector(drift)
-            )
-        return maintainer
-
-    def register_model_class(
-        self,
-        site: str,
-        query_class: QueryClass,
-        query_source: Callable[[int], Sequence[Query]],
-        sample_count: int | None = None,
-        algorithm: str = "iupma",
+        drift: DriftPolicy | None = None,
         build_now: bool = True,
         strategy: str | None = None,
-    ) -> ModelVersion:
-        """Derive + publish the model for *query_class* and keep it maintained.
+    ) -> dict[str, ModelVersion]:
+        """Put *classes* at *site* under the lifecycle; their active versions.
 
-        ``strategy`` pins a model-form strategy (``"mlr.rls"``, ...) for
-        this class's derivations and drift rebuilds; None uses the
-        builder's configured default.
+        Each (re)build runs ``queries(query_class, n)``, with ``n =
+        sample_count(query_class)`` (None sizes the sample by Proposition
+        4.1) and the model-form *strategy* (None = *builder_config*'s).
+        The builder runs over the site's database and its probe as of
+        this call, so a later swap of ``agent.probe`` (an injected
+        outage) does not reach it.  *rebuild_period_seconds* adds §2's
+        periodic rebuilds to the catalog check; *drift* arms the drift
+        rules at the site.  A second call for the same site replaces the
+        first.
 
-        ``build_now=False`` registers the class for future rebuilds
-        without an initial derivation — the load-generation pattern: a
-        worker imports coordinator-trained models through the registry
-        payload and only needs the maintainer wired up so drift events
-        can force re-derivations.  The registry must already hold an
-        active version for the class (e.g. via
-        :meth:`~repro.mdbs.catalog.GlobalCatalog.import_models`).
+        Each initial build is published as a new version without a
+        trigger.  ``build_now=False`` skips them — the load-generation
+        pattern: a worker imports trained models through the registry
+        payload (:meth:`~repro.mdbs.catalog.GlobalCatalog.import_models`),
+        so the registry must already hold an active version per class.
         """
-        maintainer = self.maintainers.get(site) or self.configure_maintenance(site)
-        maintainer.register(
-            query_class,
-            query_source,
-            sample_count=sample_count,
-            algorithm=algorithm,
-            build_now=build_now,
-            strategy=strategy,
-        )
-        return self.catalog.registry.active_version(site, query_class.label)
+        agent = self.agents[site]
+        builder = CostModelBuilder(agent.database, agent.probe, builder_config)
+        self._config_hashes[site] = config_fingerprint(builder.config)
+        self.lifecycle.watch(site, builder, queries, rebuild_period_seconds, drift)
+        versions = {}
+        for query_class in classes:
+            outcome = self.lifecycle.register(
+                site,
+                query_class,
+                sample_count(query_class) if sample_count else None,
+                strategy,
+                build_now,
+            )
+            if outcome is not None:
+                self._publish(site, outcome, None)
+            versions[query_class.label] = self.catalog.registry.active_version(
+                site, query_class.label
+            )
+        return versions
 
     def maintain(self) -> dict[str, dict[str, BuildOutcome]]:
-        """Run §2 maintenance at every configured site.
+        """One lifecycle pass at every maintained site.
 
-        Each site's :class:`~repro.core.maintenance.ChangeDetector` is
-        consulted and every due class re-derived; fresh models are
-        published as new registry versions (the superseded versions stay
-        available for rollback), schema facts are re-imported, and the
-        site's cached probing reading is invalidated so the next
-        optimization sees the post-maintenance environment.
-
-        Sites armed with a ``drift=`` policy get a second pass: the
-        :class:`~repro.obs.quality.DriftDetector` is evaluated against
-        the accuracy tracker and every event raised forces a targeted
-        re-derivation of the offending class (published with the event
-        in its provenance), after which that class's accuracy windows
-        reset so recovery is measured fresh.
+        Each rebuild the lifecycle decides is published as a new active
+        version whose provenance trigger is its event (the superseded
+        versions stay available for rollback).  A rebuild caused by a
+        drift rule also resets that class's accuracy windows, so
+        recovery is measured on the new model alone.  Every site that
+        rebuilt re-imports its schema facts and drops its cached probing
+        reading, so the next optimization sees the environment as it
+        is now.
         """
-        results: dict[str, dict[str, BuildOutcome]] = {}
+        results: dict[str, dict[str, BuildOutcome]] = {
+            site: {} for site in sorted(self._config_hashes)
+        }
         with obs.span("mdbs.maintain") as sp:
-            for site in sorted(self.maintainers):
-                rebuilt = self.maintainers[site].maintain()
-                results[site] = rebuilt
+            for site, event, outcome in self.lifecycle.rebuilds():
+                self._publish(site, outcome, event)
+                results[site][event.class_label] = outcome
+                if event.rule not in MAINTENANCE_RULES:
+                    self.accuracy.reset(site, event.class_label)
+            for site, rebuilt in results.items():
                 if rebuilt:
                     self.refresh_site_facts(site)
                     self.probing.invalidate(site)
-            for site, rebuilt in self._maintain_drift().items():
-                results.setdefault(site, {}).update(rebuilt)
             if sp.recording:
                 sp.set_attribute(
                     "rebuilt",
@@ -268,62 +232,18 @@ class MDBSServer:
         obs.inc("mdbs.maintenance_runs")
         return results
 
-    def _maintain_drift(self) -> dict[str, dict[str, BuildOutcome]]:
-        """Evaluate armed drift policies; rebuild every flagged class."""
-        results: dict[str, dict[str, BuildOutcome]] = {}
-        registry = self.catalog.registry
-        for site in sorted(self.drift_detectors):
-            detector = self.drift_detectors[site]
-            states_by_class = {
-                label: registry.active_model(s, label).states
-                for (s, label) in registry.keys()
-                if s == site and registry.has_model(s, label)
-            }
-            now = self.agents[site].database.environment.now
-            events = detector.check(self.accuracy, site, states_by_class, now=now)
-            if not events:
-                continue
-            maintainer = self.maintainers.get(site)
-            rebuilt: dict[str, BuildOutcome] = {}
-            for event in events:
-                self.drift_events.append(event)
-                self.accuracy.record_drift_event(event)
-                obs.inc("mdbs.drift.events")
-                obs.inc(f"mdbs.drift.rule.{event.rule}")
-                label = event.class_label
-                if (
-                    maintainer is None
-                    or label not in maintainer.registered_labels()
-                ):
-                    # Detected but not repairable here (class derived
-                    # out-of-band); the event still lands in telemetry.
-                    obs.inc("mdbs.drift.events_unhandled")
-                    continue
-                self._pending_trigger[(site, label)] = event.describe()
-                rebuilt[label] = maintainer.rebuild(
-                    label, reasons=(event.describe(),)
-                )
-                # Post-rebuild accuracy measures the *new* model only.
-                self.accuracy.reset(site, label)
-            if rebuilt:
-                results[site] = rebuilt
-                self.refresh_site_facts(site)
-                self.probing.invalidate(site)
-        return results
-
     def rollback_model(self, site: str, class_label: str) -> ModelVersion:
         """Serve the previously active model version again."""
         return self.catalog.rollback_cost_model(site, class_label)
 
-    def _publish_outcome(self, site: str, outcome: BuildOutcome) -> ModelVersion:
-        maintainer = self.maintainers[site]
+    def _publish(
+        self, site: str, outcome: BuildOutcome, event: DriftEvent | None
+    ) -> ModelVersion:
         provenance = ModelProvenance.from_model(
             outcome.model,
             derived_at=self.agents[site].database.environment.now,
-            config_hash=config_fingerprint(maintainer.builder.config),
-            trigger=self._pending_trigger.pop(
-                (site, outcome.model.class_label), None
-            ),
+            config_hash=self._config_hashes[site],
+            trigger=None if event is None else event.describe(),
         )
         return self.catalog.publish_cost_model(site, outcome.model, provenance)
 
@@ -426,7 +346,7 @@ class MDBSServer:
                         )
                     # The same (estimate, observation) pair the tracker
                     # windows is what online model forms learn from:
-                    # RLS/SGD models fold it into their coefficients
+                    # RLS models fold it into their coefficients
                     # right here, per served query.
                     self._online_update(
                         estimate, step.seconds, at_time=agent.database.environment.now
@@ -459,11 +379,10 @@ class MDBSServer:
     ) -> None:
         """Fold one served estimate-vs-actual sample into an online form.
 
-        No-op for the default batch-OLS form.  For ``mlr.rls`` /
-        ``mlr.sgd`` models this updates the *active* model's
-        coefficients in place (every optimizer sees the adapted form on
-        the next estimate) and records the update in the version's
-        provenance log.
+        No-op for the default batch-OLS form.  For ``mlr.rls`` models
+        this updates the *active* model's coefficients in place (every
+        optimizer sees the adapted form on the next estimate) and
+        records the update in the version's provenance log.
         """
         site, label = estimate.site, estimate.class_label
         registry = self.catalog.registry

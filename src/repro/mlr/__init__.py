@@ -18,11 +18,10 @@ from .diagnostics import (
 )
 from .linalg import add_intercept, as_design_matrix, as_response_vector, least_squares
 from .ols import OLSResult, fit_ols
-from .rls import NormalizedSGD, RecursiveLeastSquares, rls_fit, sgd_fit
+from .rls import RecursiveLeastSquares, rls_fit
 
 __all__ = [
     "DEFAULT_VIF_LIMIT",
-    "NormalizedSGD",
     "OLSResult",
     "RecursiveLeastSquares",
     "add_intercept",
@@ -35,7 +34,6 @@ __all__ = [
     "max_state_vifs",
     "per_state_correlations",
     "rls_fit",
-    "sgd_fit",
     "simple_correlation",
     "variance_inflation_factor",
 ]

@@ -1,24 +1,16 @@
-"""Online least-squares estimators: RLS and normalized SGD (LMS).
+"""Online least squares: recursive least squares with forgetting.
 
-Two incremental alternatives to the batch OLS solve in :mod:`repro.mlr.ols`:
-
-* :class:`RecursiveLeastSquares` — the exact recursive form of least
-  squares.  With forgetting factor ``1.0`` and inverse-covariance
-  initialisation ``delta * I`` it computes the ridge solution
-  ``(X'X + I/delta)^-1 X'y`` after seeing the rows one at a time, which
-  converges to the batch OLS coefficients as ``delta`` grows.  A
-  forgetting factor below one exponentially down-weights old samples so
-  the estimate tracks regime shifts.
-* :class:`NormalizedSGD` — stochastic gradient descent with the
-  normalized-LMS step ``theta += mu * err * x / (eps + ||x||^2)``.  The
-  normalisation makes the step size scale-free, which matters here
-  because the paper's cost-model designs mix columns spanning many
-  orders of magnitude (tuple counts vs. result lengths).
-
-Both expose the same surface: ``predict(x)``, ``update(x, y)`` (returns
-the *a priori* residual), ``coefficients``, ``updates`` and dict
-round-tripping, so the strategy layer in :mod:`repro.core.strategy` can
-treat them interchangeably.
+An incremental alternative to the batch OLS solve in :mod:`repro.mlr.ols`.
+:class:`RecursiveLeastSquares` is the exact recursive form of least
+squares.  With forgetting factor ``1.0`` and inverse-covariance
+initialisation ``delta * I`` it computes the ridge solution
+``(X'X + I/delta)^-1 X'y`` after seeing the rows one at a time, which
+converges to the batch OLS coefficients as ``delta`` grows.  A forgetting
+factor below one exponentially down-weights old samples so the estimate
+tracks regime shifts.  It exposes ``predict(x)``, ``update(x, y)``
+(returns the *a priori* residual), ``coefficients``, ``updates`` and
+dict round-tripping; the strategy layer in :mod:`repro.core.strategy`
+drives it.
 """
 
 from __future__ import annotations
@@ -26,16 +18,12 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "NormalizedSGD",
     "RecursiveLeastSquares",
     "rls_fit",
-    "sgd_fit",
 ]
 
 DEFAULT_DELTA = 1e8
 DEFAULT_FORGETTING = 1.0
-DEFAULT_LEARNING_RATE = 0.5
-DEFAULT_SGD_EPOCHS = 40
 
 
 class RecursiveLeastSquares:
@@ -120,70 +108,6 @@ class RecursiveLeastSquares:
         return estimator
 
 
-class NormalizedSGD:
-    """Normalized-LMS stochastic gradient descent on squared error."""
-
-    def __init__(
-        self,
-        n_parameters: int,
-        *,
-        learning_rate: float = DEFAULT_LEARNING_RATE,
-        epsilon: float = 1e-12,
-        theta: np.ndarray | None = None,
-    ) -> None:
-        if n_parameters < 1:
-            raise ValueError("n_parameters must be positive")
-        if not 0.0 < learning_rate <= 2.0:
-            raise ValueError("learning_rate must be in (0, 2] for NLMS stability")
-        self.n_parameters = int(n_parameters)
-        self.learning_rate = float(learning_rate)
-        self.epsilon = float(epsilon)
-        if theta is None:
-            self.theta = np.zeros(self.n_parameters, dtype=float)
-        else:
-            self.theta = np.asarray(theta, dtype=float).copy()
-            if self.theta.shape != (self.n_parameters,):
-                raise ValueError("theta shape does not match n_parameters")
-        self.updates = 0
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return self.theta
-
-    def predict(self, x) -> float:
-        return float(np.asarray(x, dtype=float) @ self.theta)
-
-    def update(self, x, y: float) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_parameters,):
-            raise ValueError("sample shape does not match n_parameters")
-        error = float(y) - float(x @ self.theta)
-        step = self.learning_rate * error / (self.epsilon + float(x @ x))
-        self.theta = self.theta + step * x
-        self.updates += 1
-        return error
-
-    def to_dict(self) -> dict:
-        return {
-            "n_parameters": self.n_parameters,
-            "learning_rate": self.learning_rate,
-            "epsilon": self.epsilon,
-            "theta": self.theta.tolist(),
-            "updates": self.updates,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> NormalizedSGD:
-        estimator = cls(
-            payload["n_parameters"],
-            learning_rate=payload.get("learning_rate", DEFAULT_LEARNING_RATE),
-            epsilon=payload.get("epsilon", 1e-12),
-            theta=np.asarray(payload["theta"], dtype=float),
-        )
-        estimator.updates = int(payload.get("updates", 0))
-        return estimator
-
-
 def rls_fit(
     X,
     y,
@@ -199,31 +123,4 @@ def rls_fit(
     )
     for row, target in zip(X, y):
         estimator.update(row, float(target))
-    return estimator.coefficients
-
-
-def sgd_fit(
-    X,
-    y,
-    *,
-    learning_rate: float = DEFAULT_LEARNING_RATE,
-    epochs: int = DEFAULT_SGD_EPOCHS,
-    theta: np.ndarray | None = None,
-) -> np.ndarray:
-    """Batch-fit by repeated in-order NLMS passes over the rows.
-
-    The step size anneals as ``learning_rate / (1 + epoch)`` so the late
-    passes take vanishing steps and the estimate settles instead of
-    jittering around the least-squares optimum (a constant rate is an
-    online *tracking* choice, wrong for a batch fit).
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    estimator = NormalizedSGD(
-        X.shape[1], learning_rate=learning_rate, theta=theta
-    )
-    for epoch in range(max(1, int(epochs))):
-        estimator.learning_rate = learning_rate / (1.0 + epoch)
-        for row, target in zip(X, y):
-            estimator.update(row, float(target))
     return estimator.coefficients

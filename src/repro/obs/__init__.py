@@ -16,7 +16,7 @@ and the work actually go?*  Three pieces:
   per-metric summary tables;
 * :mod:`repro.obs.quality` — model-quality telemetry: rolling
   estimate-vs-actual accuracy windows (the paper's §5 bands, online)
-  and rule-based drift detection over them;
+  and the log of events that caused re-derivations;
 * :mod:`repro.obs.expose` — Prometheus-style text exposition, combined
   obs snapshots, the one-screen dashboard behind ``python -m repro.obs``,
   and DriftEvent JSONL export.
@@ -67,9 +67,7 @@ from .quality import (
     AccuracySample,
     AccuracyTracker,
     AccuracyWindow,
-    DriftDetector,
     DriftEvent,
-    DriftPolicy,
     WindowStats,
     accuracy_table,
     get_tracker,
@@ -136,9 +134,7 @@ __all__ = [
     "AccuracySample",
     "AccuracyTracker",
     "AccuracyWindow",
-    "DriftDetector",
     "DriftEvent",
-    "DriftPolicy",
     "WindowStats",
     "accuracy_table",
     "get_tracker",

@@ -1,24 +1,24 @@
-"""Model-quality telemetry: estimate-vs-actual accuracy and drift.
+"""Model-quality telemetry: estimate-vs-actual accuracy and its events.
 
 The paper validates derived cost models *offline* with R²/SEE and the
 §5 error bands, but a deployed model rots silently as the local
 environment drifts away from the regime it was sampled under (§1's 30x
-cost swings).  This module closes the loop online:
+cost swings).  This module records and renders what serving sees; it
+decides nothing (the lifecycle rules are :mod:`repro.mdbs.lifecycle`):
 
 * :class:`AccuracyTracker` — rolling windows of
   ``(predicted_seconds, actual_seconds)`` pairs keyed by
   ``(site, query_class, contention_state)``, maintaining the paper's §5
   bands (% of estimates with relative error ≤ 30%, % within a factor of
-  2), mean relative error, and bias (signed mean relative error).
-  Every recording also lands in the global metrics registry, so the
-  numbers show up in snapshots and the exposition surface for free;
+  2), mean relative error, and bias (signed mean relative error), plus
+  per-site probing-cost readings and the log of every
+  :class:`DriftEvent` that caused a re-derivation.  Every recording
+  also lands in the global metrics registry, so the numbers show up in
+  snapshots and the exposition surface for free;
 * :func:`accuracy_table` — a per-key renderer of those windows (the
   online counterpart of the Table-5 validation rows);
-* :class:`DriftDetector` — configurable rules over the tracker
-  (window fraction below the "good" band, sustained bias, probing-cost
-  readings escaping the model's partitioned [Cmin, Cmax] range) that
-  raise structured :class:`DriftEvent`\\ s, which the MDBS maintenance
-  layer turns into targeted re-derivations.
+* :func:`merge_accuracy_snapshots` — one fleet-wide view of several
+  trackers' snapshots.
 
 Band thresholds intentionally mirror
 :mod:`repro.core.validation` (the offline validator); the constants are
@@ -38,10 +38,7 @@ __all__ = [
     "AccuracySample",
     "AccuracyTracker",
     "AccuracyWindow",
-    "DriftDetector",
     "DriftEvent",
-    "DriftPolicy",
-    "RecoveryScore",
     "WindowStats",
     "accuracy_table",
     "get_tracker",
@@ -315,8 +312,8 @@ class AccuracyTracker:
         self._flagged: OrderedDict[str, None] = OrderedDict()
         #: Worst (relative_error, trace_id) links per (site, class).
         self._exemplars: dict[tuple[str, str], list[tuple[float, str]]] = {}
-        #: Structured drift events raised against this tracker's windows
-        #: (appended by the maintenance layer), newest last.
+        #: The event behind every re-derivation (and every drift event
+        #: for a class nobody maintains), oldest first.
         self.drift_events: list[DriftEvent] = []
 
     # -- recording (the serving hot path) --------------------------------
@@ -458,7 +455,7 @@ class AccuracyTracker:
     def reset(self, site: str | None = None, class_label: str | None = None) -> None:
         """Drop windows (all, one site's, or one (site, class)'s).
 
-        The maintenance layer calls this after a drift-triggered rebuild
+        The MDBS server calls this after a drift-triggered rebuild
         so post-rebuild accuracy is measured fresh, not diluted by the
         stale model's misses; the site's probe window resets too, since
         the new model's state ranges re-anchor what "in range" means.
@@ -593,49 +590,24 @@ def accuracy_table(source: AccuracyTracker | dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Drift detection
+# Lifecycle events
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class DriftPolicy:
-    """Configurable drift rules over a tracker's windows.
-
-    Any rule can be disabled by setting its threshold to ``None``.
-    ``recent_window`` bounds how far back the accuracy rules look, so a
-    long healthy history cannot mask a fresh regression.
-    """
-
-    #: Accuracy rules read the most recent this-many class samples.
-    recent_window: int = 32
-    #: Minimum recent samples before accuracy rules may fire.
-    min_samples: int = 12
-    #: Fire when the recent fraction within the "good" (2x) band drops
-    #: below this percentage.
-    good_band_floor_pct: float | None = 50.0
-    #: Fire when |mean signed relative error| exceeds this (sustained
-    #: over/under-estimation even if some estimates still land in band).
-    bias_limit: float | None = 0.75
-    #: Fire when this fraction of recent probe readings falls outside
-    #: the model's partitioned [Cmin, Cmax] contention range.
-    probe_escape_fraction: float | None = 0.5
-    #: Minimum probe readings before the escape rule may fire.
-    probe_min_readings: int = 4
-    #: Relative margin around [Cmin, Cmax] before a probe counts as
-    #: escaped (clamping just past an edge is normal, §3.3).
-    probe_margin: float = 0.10
-    #: Minimum simulated seconds between events for the same
-    #: (site, class) — a rebuild needs time to take effect.
-    cooldown_seconds: float = 0.0
-
-
-@dataclass(frozen=True)
 class DriftEvent:
-    """One detected model-quality regression."""
+    """Why one (site, class) model is re-derived: the cause of one rebuild.
+
+    *rule* is ``catalog`` or ``period`` (§2's occasionally-changing
+    factors) or one of the drift rules over the accuracy windows,
+    ``probe_escape``, ``good_band`` and ``bias``.  The rules themselves
+    live in :mod:`repro.mdbs.lifecycle`; this module records and renders
+    the events.
+    """
 
     site: str
     class_label: str
-    rule: str  # "good_band" | "bias" | "probe_escape"
+    rule: str
     at_time: float
     detail: str
     stats: dict = field(default_factory=dict)
@@ -668,223 +640,6 @@ class DriftEvent:
         )
 
 
-@dataclass(frozen=True)
-class RecoveryScore:
-    """How one model form weathered a regime shift (the race verdict).
-
-    Produced by :meth:`DriftDetector.score_recovery` from a per-round
-    accuracy timeline; ``queries_to_recover`` is the number of served
-    queries from the shift until the trailing good-band percentage
-    climbed back over the referee's floor (None = never recovered).
-    """
-
-    calm_good_pct: float
-    shift_round: int | None
-    degraded_round: int | None
-    recovered_round: int | None
-    queries_to_recover: int | None
-    floor_pct: float
-
-
-class DriftDetector:
-    """Evaluates a :class:`DriftPolicy` against tracker windows.
-
-    Rules run in escalation order — probe-range escape (the earliest
-    signal: the environment left the regime the model was sampled in),
-    then the good-band floor, then sustained bias — and at most one
-    event fires per (site, class) per check, since the remedy (a
-    targeted re-derivation) is the same for all three.
-
-    The detector doubles as the *referee* of model-form races
-    (:meth:`score_recovery`): the same good-band floor that triggers a
-    re-derivation scores how many served queries each form needed to get
-    back over it after a regime shift.
-    """
-
-    def __init__(self, policy: DriftPolicy | None = None) -> None:
-        self.policy = policy or DriftPolicy()
-        self._last_fired: dict[tuple[str, str], float] = {}
-
-    def check(
-        self,
-        tracker: AccuracyTracker,
-        site: str,
-        states_by_class: Mapping[str, object],
-        now: float,
-    ) -> list[DriftEvent]:
-        """Drift events for *site*, one per degraded class at most.
-
-        *states_by_class* maps each class label under watch to the
-        active model's :class:`~repro.core.partition.ContentionStates`
-        (anything with ``cmin``/``cmax`` works); classes absent from the
-        mapping only get the accuracy rules.
-        """
-        policy = self.policy
-        events: list[DriftEvent] = []
-        probes = tracker.probe_readings(site)
-        for label in sorted(states_by_class):
-            key = (site, label)
-            last = self._last_fired.get(key)
-            if last is not None and now - last < policy.cooldown_seconds:
-                continue
-            event = self._check_class(
-                tracker, site, label, states_by_class.get(label), probes, now
-            )
-            if event is not None:
-                # Link the worst recent traces so the postmortem starts
-                # from a concrete span tree, not just window stats.
-                exemplars = tracker.exemplar_trace_ids(site, label)
-                if exemplars:
-                    event.stats["exemplar_traces"] = exemplars
-                self._last_fired[key] = now
-                events.append(event)
-        return events
-
-    def _check_class(
-        self,
-        tracker: AccuracyTracker,
-        site: str,
-        label: str,
-        states: object | None,
-        probes: list[tuple[float, float]],
-        now: float,
-    ) -> DriftEvent | None:
-        policy = self.policy
-
-        if (
-            policy.probe_escape_fraction is not None
-            and states is not None
-            and len(probes) >= policy.probe_min_readings
-        ):
-            low = states.cmin * (1.0 - policy.probe_margin)
-            high = states.cmax * (1.0 + policy.probe_margin)
-            escaped = sum(1 for cost, _ in probes if not low <= cost <= high)
-            fraction = escaped / len(probes)
-            if fraction >= policy.probe_escape_fraction:
-                return DriftEvent(
-                    site=site,
-                    class_label=label,
-                    rule="probe_escape",
-                    at_time=now,
-                    detail=(
-                        f"{escaped}/{len(probes)} recent probes outside "
-                        f"[{states.cmin:.4g}, {states.cmax:.4g}] "
-                        f"(±{policy.probe_margin:.0%})"
-                    ),
-                    stats={"escaped_fraction": fraction, "probes": len(probes)},
-                )
-
-        stats = tracker.recent_stats(site, label, policy.recent_window)
-        if stats.count < policy.min_samples:
-            return None
-        if (
-            policy.good_band_floor_pct is not None
-            and stats.pct_good < policy.good_band_floor_pct
-        ):
-            return DriftEvent(
-                site=site,
-                class_label=label,
-                rule="good_band",
-                at_time=now,
-                detail=(
-                    f"good-band {stats.pct_good:.1f}% < "
-                    f"{policy.good_band_floor_pct:.1f}% floor "
-                    f"over last {stats.count} estimates"
-                ),
-                stats=stats.to_dict(),
-            )
-        if policy.bias_limit is not None and abs(stats.bias) > policy.bias_limit:
-            return DriftEvent(
-                site=site,
-                class_label=label,
-                rule="bias",
-                at_time=now,
-                detail=(
-                    f"sustained bias {stats.bias:+.2f} beyond "
-                    f"±{policy.bias_limit:.2f} over last {stats.count} estimates"
-                ),
-                stats=stats.to_dict(),
-            )
-        return None
-
-    # -- race refereeing ---------------------------------------------------
-
-    def score_recovery(
-        self, timeline: Iterable[Mapping], floor_pct: float | None = None
-    ) -> RecoveryScore:
-        """Score one model form's shift recovery from a round timeline.
-
-        *timeline* is a sequence of per-round mappings with keys
-        ``phase`` ("calm" before the shift, anything else after),
-        ``good_pct`` (trailing good-band percentage after the round),
-        ``samples`` (samples behind that percentage) and ``queries``
-        (queries served in the round).  The recovery bar is the policy's
-        ``good_band_floor_pct`` unless *floor_pct* overrides it.
-
-        A form that never dips under the floor after the shift recovers
-        in 0 queries — staying in band through the shift is the best
-        possible outcome, not a scoring gap.
-        """
-        floor = (
-            floor_pct
-            if floor_pct is not None
-            else (self.policy.good_band_floor_pct or 50.0)
-        )
-        rounds = list(timeline)
-        shift_round: int | None = None
-        degraded_round: int | None = None
-        recovered_round: int | None = None
-        queries_to_recover: int | None = None
-        calm_pcts: list[float] = []
-        served_since_shift = 0
-        for index, entry in enumerate(rounds):
-            phase = entry.get("phase", "calm")
-            good_pct = float(entry.get("good_pct", 0.0))
-            samples = int(entry.get("samples", 0))
-            queries = int(entry.get("queries", 0))
-            if phase == "calm":
-                if samples > 0:
-                    calm_pcts.append(good_pct)
-                continue
-            if shift_round is None:
-                shift_round = index
-            if recovered_round is not None:
-                continue
-            served_since_shift += queries
-            if samples <= 0:
-                continue
-            if good_pct < floor:
-                if degraded_round is None:
-                    degraded_round = index
-                continue
-            if degraded_round is not None:
-                # Back over the floor with real samples, post-dip.
-                recovered_round = index
-                queries_to_recover = served_since_shift
-        if (
-            shift_round is not None
-            and degraded_round is None
-            and any(
-                int(e.get("samples", 0)) > 0 for e in rounds[shift_round:]
-            )
-        ):
-            # Never dipped under the floor after the shift: staying in
-            # band through it is recovery in zero served queries.
-            recovered_round = shift_round
-            queries_to_recover = 0
-        calm_good_pct = (
-            sum(calm_pcts) / len(calm_pcts) if calm_pcts else 0.0
-        )
-        return RecoveryScore(
-            calm_good_pct=calm_good_pct,
-            shift_round=shift_round,
-            degraded_round=degraded_round,
-            recovered_round=recovered_round,
-            queries_to_recover=queries_to_recover,
-            floor_pct=floor,
-        )
-
-
 # ---------------------------------------------------------------------------
 # The global tracker (mirrors the global metrics registry)
 # ---------------------------------------------------------------------------
@@ -904,8 +659,15 @@ def set_tracker(tracker: AccuracyTracker) -> AccuracyTracker:
     return previous
 
 
-def _merge_stats(stats: Iterable[WindowStats]) -> WindowStats:
-    """Sample-weighted merge of several windows (tooling helper)."""
+def merge_window_stats(stats: Iterable[WindowStats]) -> WindowStats:
+    """Sample-weighted merge of several :class:`WindowStats`.
+
+    Exact for every mean-based field; the band percentages are exact too
+    because each window's percentage is re-weighted by its own sample
+    count.  (Windows are *rolling*, so merging two windows that both
+    evicted samples approximates the union — the same caveat any
+    cross-process aggregation of bounded windows carries.)
+    """
     items = [s for s in stats if s.count]
     n = sum(s.count for s in items)
     if n == 0:
@@ -919,18 +681,6 @@ def _merge_stats(stats: Iterable[WindowStats]) -> WindowStats:
         mean_predicted=sum(s.mean_predicted * s.count for s in items) / n,
         mean_actual=sum(s.mean_actual * s.count for s in items) / n,
     )
-
-
-def merge_window_stats(stats: Iterable[WindowStats]) -> WindowStats:
-    """Sample-weighted merge of several :class:`WindowStats`.
-
-    Exact for every mean-based field; the band percentages are exact too
-    because each window's percentage is re-weighted by its own sample
-    count.  (Windows are *rolling*, so merging two windows that both
-    evicted samples approximates the union — the same caveat any
-    cross-process aggregation of bounded windows carries.)
-    """
-    return _merge_stats(stats)
 
 
 def _stats_from_row(row: Mapping) -> WindowStats:

@@ -10,8 +10,12 @@ the factory functions build the standard configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from ..engine.database import LocalDatabase
+from ..engine.predicate import Comparison
 from ..engine.profiles import DBMSProfile, ORACLE_LIKE
 from ..env.environment import (
     Environment,
@@ -21,6 +25,7 @@ from ..env.environment import (
 )
 from ..env.loadbuilder import LoadBuilder
 from ..env.monitor import EnvironmentMonitor
+from ..mdbs.gquery import GlobalJoinQuery
 from .querygen import QueryGenerator
 from .tablegen import WorkloadSpec, paper_workload, populate_database
 
@@ -183,3 +188,29 @@ def make_two_site_universe(
         first.load_builder.uniform(*calm_range)
         second.load_builder.uniform(*calm_range)
     return first, second
+
+
+def round_query(
+    left: str, right: str, tables: Sequence[str], rng: np.random.Generator
+) -> GlobalJoinQuery:
+    """One served global join of the serving experiments.
+
+    *left* is always the left site, so its local selection runs (and
+    feeds its unary class's accuracy window) whichever join site the
+    optimizer picks.  Four draws from *rng*, in this order: the left
+    table, the right table and the two selection constants.
+    """
+    left_table = tables[int(rng.integers(0, len(tables)))]
+    remaining = [t for t in tables if t != left_table]
+    right_table = remaining[int(rng.integers(0, len(remaining)))]
+    return GlobalJoinQuery(
+        left,
+        left_table,
+        right,
+        right_table,
+        "a4",
+        "a4",
+        (f"{left_table}.a1", f"{right_table}.a2"),
+        left_predicate=Comparison("a3", "<", int(rng.integers(600, 950))),
+        right_predicate=Comparison("a7", "<", int(rng.integers(35000, 48000))),
+    )

@@ -20,7 +20,6 @@ from repro.core.strategy import (
     OLSStrategy,
     OnlineSample,
     RLSStrategy,
-    SGDStrategy,
     model_form,
     resolve_strategy,
     strategy_for,
@@ -75,7 +74,7 @@ class TestDefaultPathByteIdentity:
 
 class TestResolve:
     def test_known_names(self):
-        assert set(STRATEGY_NAMES) == {"mlr.ols", "mlr.rls", "mlr.sgd"}
+        assert set(STRATEGY_NAMES) == {"mlr.ols", "mlr.rls"}
         for name in STRATEGY_NAMES:
             assert resolve_strategy(name).name == name
 
@@ -97,24 +96,15 @@ class TestOnlineForms:
         assert isinstance(recovered, RLSStrategy)
         assert recovered.params() == RLSStrategy().params()
 
-    def test_sgd_round_trips_params(self):
-        fit = make_fit()
-        model = MultiStateCostModel.from_fit(fit, "G1", "unary", "iupma")
-        model = SGDStrategy(learning_rate=0.25).finalize(model, fit)
-        recovered = strategy_for(model)
-        assert isinstance(recovered, SGDStrategy)
-        assert recovered.learning_rate == pytest.approx(0.25)
-
     def test_supports_online_update_flags(self):
         assert not OLSStrategy().supports_online_update
         assert RLSStrategy().supports_online_update
-        assert SGDStrategy().supports_online_update
 
-    @pytest.mark.parametrize("name", ["mlr.rls", "mlr.sgd"])
+    @pytest.mark.parametrize("name", ["mlr.rls"])
     def test_online_calm_fit_tracks_ols(self, name):
         ols, _ = finalize(DEFAULT_STRATEGY)
         online, _ = finalize(name)
-        # Same calm data: online forms land near the batch solution.
+        # Same calm data: the online form lands near the batch solution.
         np.testing.assert_allclose(
             online.coefficients, ols.coefficients, rtol=0.15, atol=0.05
         )
@@ -164,7 +154,7 @@ class TestOnlineUpdate:
         assert errors[-1] < 1.0
 
     def test_missing_variable_is_a_noop(self):
-        model, _ = finalize("mlr.sgd")
+        model, _ = finalize("mlr.rls")
         strategy = strategy_for(model)
         updater = strategy.make_updater(model)
         before = model.coefficients.copy()

@@ -7,8 +7,8 @@ from repro.experiments.model_race import (
     RACE_STRATEGIES,
     render_model_race,
     run_model_race,
+    score_recovery,
 )
-from repro.obs.quality import DriftDetector, DriftPolicy
 
 
 @pytest.fixture(scope="module")
@@ -51,9 +51,6 @@ class TestRaceLadder:
 
 
 class TestRecoveryReferee:
-    def detector(self):
-        return DriftDetector(DriftPolicy(good_band_floor_pct=50.0))
-
     def entry(self, phase, good_pct, samples=6, queries=3):
         return {
             "phase": phase,
@@ -71,7 +68,7 @@ class TestRecoveryReferee:
             self.entry("shifted", 40.0),
             self.entry("shifted", 80.0),
         ]
-        score = self.detector().score_recovery(timeline)
+        score = score_recovery(timeline)
         assert score.shift_round == 2
         assert score.degraded_round == 3
         assert score.recovered_round == 5
@@ -85,7 +82,7 @@ class TestRecoveryReferee:
             self.entry("shifted", 75.0),
             self.entry("shifted", 80.0),
         ]
-        score = self.detector().score_recovery(timeline)
+        score = score_recovery(timeline)
         assert score.degraded_round is None
         assert score.recovered_round == 1
         assert score.queries_to_recover == 0
@@ -96,7 +93,7 @@ class TestRecoveryReferee:
             self.entry("shifted", 20.0),
             self.entry("shifted", 10.0),
         ]
-        score = self.detector().score_recovery(timeline)
+        score = score_recovery(timeline)
         assert score.degraded_round == 1
         assert score.recovered_round is None
         assert score.queries_to_recover is None
@@ -108,6 +105,6 @@ class TestRecoveryReferee:
             self.entry("shifted", 20.0),
             self.entry("shifted", 90.0),
         ]
-        score = self.detector().score_recovery(timeline)
+        score = score_recovery(timeline)
         assert score.degraded_round == 2
         assert score.recovered_round == 3

@@ -1,7 +1,7 @@
 """The full MDBS loop under shifting contention.
 
 Derives per-site models through the server's lifecycle wiring
-(``register_model_class``), then steps the load builders across two
+(``register_model_classes``), then steps the load builders across two
 contention levels and checks that
 
 * ``optimize()`` + ``execute()`` estimates stay within a 2x band of the
@@ -21,6 +21,7 @@ TABLES = ["R1", "R2", "R3", "R4"]
 # Mid-range contention levels: the models were derived under a uniform
 # 0..1 load, so the band edges (where the fit extrapolates) are avoided.
 LOW, HIGH = 0.3, 0.8
+SAMPLE_COUNTS = {"G1": 80, "G3": 100}
 
 
 @pytest.fixture(scope="module")
@@ -33,16 +34,14 @@ def loop_mdbs():
         )
         sites[name] = site
         server.register_agent(MDBSAgent(site.database))
-        server.configure_maintenance(name)
-        for query_class, count in ((G1, 80), (G3, 100)):
-            server.register_model_class(
-                name,
-                query_class,
-                lambda n, s=site, qc=query_class: s.generator.queries_for(
-                    qc, n, tables=TABLES
-                ),
-                sample_count=count,
-            )
+        server.register_model_classes(
+            name,
+            (G1, G3),
+            lambda query_class, n, site=site: site.generator.queries_for(
+                query_class, n, tables=TABLES
+            ),
+            sample_count=lambda query_class: SAMPLE_COUNTS[query_class.label],
+        )
     return server, sites
 
 

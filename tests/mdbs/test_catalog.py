@@ -1,5 +1,7 @@
 """Unit tests for the global catalog."""
 
+import json
+
 import pytest
 
 from repro.core.fitting import fit_qualitative
@@ -55,28 +57,14 @@ class TestTables:
         with pytest.raises(GlobalCatalogError):
             catalog.table("s1", "nope")
 
-    def test_locate_across_sites(self, catalog):
-        catalog.register_table(make_facts("s1", "t1"))
-        catalog.register_table(make_facts("s2", "t1"))
-        catalog.register_table(make_facts("s2", "t2"))
-        assert catalog.locate("t1") == ["s1", "s2"]
-        assert catalog.locate("t2") == ["s2"]
-        assert catalog.locate("t9") == []
-
-    def test_tables_at_site(self, catalog):
-        catalog.register_table(make_facts("s1", "t1"))
-        catalog.register_table(make_facts("s1", "t2"))
-        assert [f.name for f in catalog.tables_at("s1")] == ["t1", "t2"]
-        assert catalog.tables_at("s2") == []
-
 
 class TestCostModels:
     def test_store_and_fetch(self, catalog):
         model = make_model()
         catalog.store_cost_model("s1", model)
         assert catalog.cost_model("s1", "G1") is model
-        assert catalog.has_cost_model("s1", "G1")
-        assert not catalog.has_cost_model("s2", "G1")
+        assert catalog.registry.has_model("s1", "G1")
+        assert not catalog.registry.has_model("s2", "G1")
 
     def test_missing_model_rejected(self, catalog):
         with pytest.raises(GlobalCatalogError):
@@ -99,21 +87,31 @@ class TestCostModels:
         )
 
     def test_export_is_json_compatible(self, catalog):
-        import json
-
         catalog.store_cost_model("s1", make_model())
         json.dumps(catalog.export_models())
 
 
+def save(catalog, path):
+    path.write_text(json.dumps(catalog.export_models()))
+
+
+def load(path):
+    fresh = GlobalCatalog()
+    return fresh, fresh.import_models(json.loads(path.read_text()))
+
+
 class TestFilePersistence:
+    """The export payload through a JSON file, as a deployment keeps its
+    derived models (the catalog reads and writes payloads, not files)."""
+
     def test_save_load_round_trip(self, catalog, tmp_path):
         model = make_model()
         catalog.store_cost_model("s1", model)
         path = tmp_path / "models.json"
-        catalog.save_models(path)
+        save(catalog, path)
 
-        fresh = GlobalCatalog()
-        assert fresh.load_models(path) == 1
+        fresh, loaded = load(path)
+        assert loaded == 1
         restored = fresh.cost_model("s1", "G1")
         assert restored.predict({"x": 4.0}, 0.3) == pytest.approx(
             model.predict({"x": 4.0}, 0.3)
@@ -124,33 +122,18 @@ class TestFilePersistence:
         )
 
     def test_saved_file_is_readable_json(self, catalog, tmp_path):
-        import json
-
         catalog.store_cost_model("s2", make_model("G3"))
         path = tmp_path / "models.json"
-        catalog.save_models(path)
+        save(catalog, path)
         payload = json.loads(path.read_text())
         assert payload["schema_version"] == 3
         assert "s2/G3" in payload["models"]
 
-    def test_legacy_flat_payload_still_loads(self, catalog, tmp_path):
-        import json
-
-        model = make_model("G1")
-        path = tmp_path / "legacy.json"
-        path.write_text(json.dumps({"s1/G1": model.to_dict()}))
-        fresh = GlobalCatalog()
-        assert fresh.load_models(path) == 1
-        assert fresh.cost_model("s1", "G1").class_label == "G1"
-
     def test_unknown_schema_version_rejected(self, catalog, tmp_path):
-        import json
-
         path = tmp_path / "future.json"
         path.write_text(json.dumps({"schema_version": 99, "models": {}}))
-        fresh = GlobalCatalog()
         with pytest.raises(GlobalCatalogError, match="schema_version"):
-            fresh.load_models(path)
+            load(path)
 
     def test_versions_round_trip_with_provenance(self, catalog, tmp_path):
         from repro.mdbs.registry import ModelProvenance
@@ -170,11 +153,11 @@ class TestFilePersistence:
         v2 = catalog.publish_cost_model("s1", make_model("G1"))
         assert (v1.version, v2.version) == (1, 2)
         path = tmp_path / "versions.json"
-        catalog.save_models(path)
+        save(catalog, path)
 
-        fresh = GlobalCatalog()
-        assert fresh.load_models(path) == 1
-        history = fresh.cost_model_history("s1", "G1")
+        fresh, loaded = load(path)
+        assert loaded == 1
+        history = fresh.registry.history("s1", "G1")
         assert [v.version for v in history] == [1, 2]
         assert history[0].provenance.derived_at == 120.0
         assert history[0].provenance.config_hash == "abc123"

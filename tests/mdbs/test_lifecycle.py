@@ -2,12 +2,13 @@
 
 Uses its own single-site MDBS (separate from the session-scoped
 ``mini_mdbs``) because maintenance deliberately mutates the site:
-rebuilds advance the simulated clock and rebase the change detector.
+rebuilds advance the simulated clock and move the catalog baseline.
 """
 
 import pytest
 
 from repro import obs
+from repro.core.builder import BuilderConfig
 from repro.core.classification import G1
 from repro.engine.profiles import ORACLE_LIKE
 from repro.mdbs.agent import MDBSAgent
@@ -37,21 +38,20 @@ def test_full_lifecycle(lifecycle):
     try:
         # Derive + publish: registering a class builds the model and
         # publishes it as version 1, with full provenance.
-        maintainer = server.configure_maintenance(
-            site.name, rebuild_period_seconds=REBUILD_PERIOD
-        )
-        v1 = server.register_model_class(
+        (v1,) = server.register_model_classes(
             site.name,
-            G1,
-            lambda n: site.generator.queries_for(G1, n, tables=TABLES),
-            sample_count=40,
-        )
+            (G1,),
+            lambda query_class, n: site.generator.queries_for(
+                query_class, n, tables=TABLES
+            ),
+            sample_count=lambda query_class: 40,
+            rebuild_period_seconds=REBUILD_PERIOD,
+        ).values()
         assert v1.version == 1
         assert v1.provenance.algorithm == "iupma"
         assert v1.provenance.sample_size == 40
-        assert v1.provenance.config_hash == config_fingerprint(
-            maintainer.builder.config
-        )
+        assert v1.provenance.trigger is None
+        assert v1.provenance.config_hash == config_fingerprint(BuilderConfig())
         assert 0.0 <= v1.provenance.derived_at <= site.environment.now
 
         # Serve: the optimizer-facing surface resolves to the active version.
@@ -60,14 +60,14 @@ def test_full_lifecycle(lifecycle):
         # Nothing due yet: the rebuild period hasn't elapsed and the
         # catalog hasn't changed.
         assert server.maintain() == {site.name: {}}
-        assert len(server.catalog.cost_model_history(site.name, "G1")) == 1
+        assert len(server.catalog.registry.history(site.name, "G1")) == 1
 
         # Maintain: once the rebuild period elapses, maintain() re-derives
         # and publishes version 2 — version 1 stays in the history.
         site.environment.advance(REBUILD_PERIOD + 1.0)
         results = server.maintain()
         assert set(results[site.name]) == {"G1"}
-        history = server.catalog.cost_model_history(site.name, "G1")
+        history = server.catalog.registry.history(site.name, "G1")
         assert [v.version for v in history] == [1, 2]
         v2 = server.catalog.registry.active_version(site.name, "G1")
         assert v2.version == 2
@@ -75,6 +75,7 @@ def test_full_lifecycle(lifecycle):
             "G1"
         ].model
         assert v2.provenance.derived_at > v1.provenance.derived_at
+        assert v2.provenance.trigger.startswith("drift[period] lifesite/G1")
 
         # Rollback: the previously active version is served again, and the
         # superseded one is still in the history.
@@ -82,7 +83,7 @@ def test_full_lifecycle(lifecycle):
         assert restored.version == 1
         assert server.catalog.cost_model(site.name, "G1") is v1.model
         assert [
-            v.version for v in server.catalog.cost_model_history(site.name, "G1")
+            v.version for v in server.catalog.registry.history(site.name, "G1")
         ] == [1, 2]
 
         assert registry.counter_value("mdbs.registry.published") == 2.0
@@ -95,7 +96,7 @@ def test_full_lifecycle(lifecycle):
 
 def test_catalog_change_triggers_rebuild(lifecycle):
     server, site = lifecycle
-    before = len(server.catalog.cost_model_history(site.name, "G1"))
+    before = len(server.catalog.registry.history(site.name, "G1"))
 
     # An occasionally-changing factor: a new table appears at the site
     # (R1..R12 exist already; R13 does not).
@@ -108,11 +109,13 @@ def test_catalog_change_triggers_rebuild(lifecycle):
         results = server.maintain()
     finally:
         site.database.catalog.drop_table("R13")
-        server.maintainers[site.name].detector.rebase()
+    # Dropping R13 again is a catalog change of its own.
+    assert "G1" in server.maintain()[site.name]
 
     assert "G1" in results[site.name]
-    history = server.catalog.cost_model_history(site.name, "G1")
-    assert len(history) == before + 1
+    history = server.catalog.registry.history(site.name, "G1")
+    assert len(history) == before + 2
+    assert "R13: table_added" in history[-2].provenance.trigger
     # The fresh version is active (publication re-activates after the
     # rollback in the previous test).
     assert (

@@ -1,10 +1,9 @@
-"""Cost-model export schema versioning: v3 round trip, v2/v1 back-compat.
+"""Cost-model export schema versioning: the v3 round trip and rejection.
 
-Schema v3 adds the pluggable model-form provenance (``model_form``,
-``online_updates``, ``update_log``).  Importers must still read the v2
-payloads shipped before the strategy layer (form defaults to the paper's
-batch OLS) and the legacy flat v1 ``{"site/label": model_dict}`` format,
-and must reject versions they do not understand.
+Schema v3 carries the pluggable model-form provenance (``model_form``,
+``online_updates``, ``update_log``).  Nothing writes the older v2 or flat
+v1 formats, so the importer reads v3 alone and rejects every other
+payload, those two included, with the same error.
 """
 
 import json
@@ -15,17 +14,9 @@ from repro.core.fitting import fit_qualitative
 from repro.core.model import MultiStateCostModel
 from repro.core.partition import uniform_partition
 from repro.core.strategy import DEFAULT_STRATEGY, RLSStrategy
-from repro.mdbs.catalog import (
-    MODEL_SCHEMA_VERSION,
-    SUPPORTED_MODEL_SCHEMA_VERSIONS,
-    GlobalCatalog,
-    GlobalCatalogError,
-)
+from repro.mdbs.catalog import MODEL_SCHEMA_VERSION, GlobalCatalog, GlobalCatalogError
 
 from ..core.synthetic import stepped_sample
-
-V3_ONLY_PROVENANCE_KEYS = ("model_form", "online_updates", "update_log")
-
 
 def make_model(label="G1", strategy=None, seed=1):
     X, y, probing = stepped_sample(true_states=2, n=100, seed=seed)
@@ -49,7 +40,6 @@ def populated_catalog():
 class TestV3RoundTrip:
     def test_constants(self):
         assert MODEL_SCHEMA_VERSION == 3
-        assert SUPPORTED_MODEL_SCHEMA_VERSIONS == (2, 3)
 
     def test_export_import_reexport_is_identical(self):
         catalog = populated_catalog()
@@ -97,55 +87,16 @@ class TestV3RoundTrip:
         assert [e["round"] for e in provenance.update_log] == [6, 7, 8, 9]
 
 
-class TestV2BackCompat:
-    def v2_payload(self):
-        """A faithful pre-strategy export: v3 minus the form fields."""
-        payload = json.loads(json.dumps(populated_catalog().export_models()))
-        payload["schema_version"] = 2
-        for record in payload["models"].values():
-            for version in record["versions"]:
-                for key in V3_ONLY_PROVENANCE_KEYS:
-                    version["provenance"].pop(key, None)
-                version["model"].get("metadata", {}).pop("model_form", None)
-                version["model"].get("metadata", {}).pop("strategy_params", None)
-        return payload
-
-    def test_v2_imports_with_form_defaults(self):
-        fresh = GlobalCatalog()
-        assert fresh.import_models(self.v2_payload()) == 3
-        for site, label in fresh.registry.keys():
-            provenance = fresh.registry.active_version(site, label).provenance
-            assert provenance.model_form == DEFAULT_STRATEGY
-            assert provenance.online_updates == 0
-            assert provenance.update_log == ()
-
-    def test_v2_models_still_predict(self):
-        fresh = GlobalCatalog()
-        fresh.import_models(self.v2_payload())
-        model = fresh.cost_model("s1", "G1")
-        assert model.predict({"x": 10.0}, 0.5) > 0.0
-
-
-class TestV1BackCompat:
-    def test_legacy_flat_payload(self):
-        model = make_model("G1")
-        fresh = GlobalCatalog()
-        loaded = fresh.import_models(
-            json.loads(json.dumps({"s1/G1": model.to_dict()}))
-        )
-        assert loaded == 1
-        assert "s1" in fresh.sites
-        restored = fresh.cost_model("s1", "G1")
-        assert restored.predict({"x": 3.0}, 0.4) == pytest.approx(
-            model.predict({"x": 3.0}, 0.4)
-        )
-        provenance = fresh.registry.active_version("s1", "G1").provenance
-        assert provenance.model_form == DEFAULT_STRATEGY
-
-
 class TestRejection:
-    @pytest.mark.parametrize("version", [0, 1, 4, 99, "3"])
+    @pytest.mark.parametrize("version", [0, 1, 2, 4, 99, "3"])
     def test_unknown_schema_version_rejected(self, version):
         fresh = GlobalCatalog()
         with pytest.raises(GlobalCatalogError, match="schema_version"):
             fresh.import_models({"schema_version": version, "models": {}})
+
+    def test_flat_v1_payload_rejected(self):
+        """The pre-versioning ``{"site/label": model_dict}`` format."""
+        fresh = GlobalCatalog()
+        with pytest.raises(GlobalCatalogError, match="schema_version None"):
+            fresh.import_models({"s1/G1": make_model("G1").to_dict()})
+        assert fresh.sites == ()

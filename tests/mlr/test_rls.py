@@ -4,8 +4,8 @@ The headline law: streaming rows one at a time through
 :class:`~repro.mlr.rls.RecursiveLeastSquares` with no forgetting
 converges to the batch :func:`repro.mlr.ols.fit_ols` coefficients —
 including on rank-deficient designs (same fitted values) and the
-single-parameter edge case.  NLMS is checked for its per-sample error
-contraction and both estimators for resume-identical dict round-trips.
+single-parameter edge case.  The estimator is also checked for
+resume-identical dict round-trips.
 """
 
 import numpy as np
@@ -18,12 +18,7 @@ from repro.core.model import MultiStateCostModel
 from repro.core.partition import uniform_partition
 from repro.core.strategy import RLSStrategy, resolve_strategy
 from repro.mlr.ols import fit_ols
-from repro.mlr.rls import (
-    NormalizedSGD,
-    RecursiveLeastSquares,
-    rls_fit,
-    sgd_fit,
-)
+from repro.mlr.rls import RecursiveLeastSquares, rls_fit
 
 from ..core.synthetic import stepped_sample
 
@@ -131,45 +126,6 @@ class TestForgetting:
             anchored.coefficients - new_regime
         )
         np.testing.assert_allclose(tracking.coefficients, new_regime, atol=0.05)
-
-
-class TestNormalizedSGD:
-    @settings(max_examples=30, deadline=None)
-    @given(seed=SEEDS, p=st.integers(1, 5), mu=st.floats(0.05, 1.0))
-    def test_repeated_update_contracts_the_error(self, seed, p, mu):
-        """NLMS on one fixed sample: |error| shrinks geometrically."""
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=p)
-        assume(float(x @ x) > 1e-6)
-        estimator = NormalizedSGD(p, learning_rate=mu)
-        errors = [abs(estimator.update(x, 10.0)) for _ in range(8)]
-        for before, after in zip(errors, errors[1:]):
-            assert after <= before + 1e-9
-
-    def test_sgd_fit_anneals_toward_least_squares(self):
-        X, y = _random_system(11, 60, 2, noise=0.1)
-        warm = fit_ols(X, y).coefficients
-        theta = sgd_fit(X, y, theta=warm.copy())
-        # Annealed batch passes must stay near the warm-started optimum.
-        np.testing.assert_allclose(theta, warm, rtol=0.05, atol=0.05)
-
-    def test_round_trip_resume(self):
-        X, y = _random_system(3, 30, 2)
-        estimator = NormalizedSGD(3)
-        for row, target in zip(X[:15], y[:15]):
-            estimator.update(row, float(target))
-        clone = NormalizedSGD.from_dict(estimator.to_dict())
-        for row, target in zip(X[15:], y[15:]):
-            estimator.update(row, float(target))
-            clone.update(row, float(target))
-        np.testing.assert_allclose(clone.coefficients, estimator.coefficients)
-        assert clone.updates == estimator.updates
-
-    def test_learning_rate_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            NormalizedSGD(2, learning_rate=0.0)
-        with pytest.raises(ValueError):
-            NormalizedSGD(2, learning_rate=2.5)
 
 
 class TestValidation:

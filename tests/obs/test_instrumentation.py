@@ -1,4 +1,4 @@
-"""Integration: the engine / builder / maintenance layers feed repro.obs.
+"""Integration: the engine / builder / model-lifecycle layers feed repro.obs.
 
 (The MDBS server's per-step trace is covered in tests/mdbs/test_server.py,
 where a populated two-site system is available.)
@@ -10,7 +10,8 @@ import pytest
 
 from repro import obs
 from repro.core import CostModelBuilder, G1, derivation_report
-from repro.core.maintenance import ModelMaintainer
+from repro.mdbs.lifecycle import ModelLifecycle
+from repro.mdbs.registry import CostModelRegistry
 from repro.workload import make_site
 
 
@@ -144,17 +145,21 @@ class TestBuilderInstrumentation:
 
 class TestMaintenanceInstrumentation:
     def test_rebuild_emits_span_and_counter(self, obs_site, fresh_registry):
-        builder = CostModelBuilder(obs_site.database)
-        maintainer = ModelMaintainer(builder)
-        source = lambda n: obs_site.generator.queries_for(G1, n)
+        lifecycle = ModelLifecycle(CostModelRegistry(), obs.AccuracyTracker(export=False))
+        lifecycle.watch(
+            obs_site.name,
+            CostModelBuilder(obs_site.database),
+            lambda query_class, n: obs_site.generator.queries_for(query_class, n),
+        )
         with obs.recording() as tracer:
-            maintainer.register(G1, source, sample_count=40)
+            lifecycle.register(obs_site.name, G1, sample_count=40)
         rebuild_spans = [
             s for s in tracer.finished() if s.name == "maintenance.rebuild"
         ]
         assert len(rebuild_spans) == 1
         assert rebuild_spans[0].attributes["class_label"] == "G1"
-        assert rebuild_spans[0].attributes["reasons"] == ["initial build"]
+        # An initial build has no triggering event.
+        assert rebuild_spans[0].attributes["trigger"] is None
         # The full build pipeline nests under the rebuild span.
         by_id = {s.span_id: s for s in tracer.finished()}
         (build,) = [s for s in tracer.finished() if s.name == "build"]

@@ -1,19 +1,27 @@
-"""Model-quality telemetry: windows, the tracker, drift rules."""
+"""Model-quality telemetry: windows, the tracker, and the drift rules
+that read them."""
 
 import pytest
 
 from repro import obs
 from repro.core import validation
+from repro.core.builder import CostModelBuilder
+from repro.core.fitting import fit_qualitative
+from repro.core.model import MultiStateCostModel
+from repro.core.partition import uniform_partition
+from repro.mdbs.lifecycle import DriftPolicy, ModelLifecycle, drift_event
+from repro.mdbs.registry import CostModelRegistry
 from repro.obs import quality
 from repro.obs.quality import (
     AccuracySample,
     AccuracyTracker,
     AccuracyWindow,
-    DriftDetector,
     DriftEvent,
-    DriftPolicy,
     accuracy_table,
 )
+from repro.workload import make_site
+
+from ..core.synthetic import stepped_sample
 
 
 class FakeStates:
@@ -196,6 +204,8 @@ class TestAccuracyTable:
 
 
 class TestDriftDetector:
+    """The drift rules (:mod:`repro.mdbs.lifecycle`) over these windows."""
+
     def _tracker_with(self, good: int, bad: int) -> AccuracyTracker:
         tracker = AccuracyTracker(export=False)
         for _ in range(good):
@@ -204,89 +214,75 @@ class TestDriftDetector:
             tracker.record("A", "G1", 0, predicted=10.0, actual=1.0)
         return tracker
 
+    def check(self, tracker, policy=None, states=FakeStates(0.1, 0.4), now=0.0):
+        return drift_event(policy or DriftPolicy(), tracker, "A", "G1", states, now)
+
     def test_good_band_rule_fires(self):
-        tracker = self._tracker_with(good=0, bad=16)
-        detector = DriftDetector(DriftPolicy(probe_escape_fraction=None))
-        events = detector.check(tracker, "A", {"G1": None}, now=100.0)
-        assert [e.rule for e in events] == ["good_band"]
-        assert events[0].class_label == "G1"
-        assert "floor" in events[0].detail
+        event = self.check(self._tracker_with(good=0, bad=16), now=100.0)
+        assert event.rule == "good_band"
+        assert event.class_label == "G1"
+        assert "floor" in event.detail
 
     def test_min_samples_gates_accuracy_rules(self):
         tracker = self._tracker_with(good=0, bad=4)
-        detector = DriftDetector(
-            DriftPolicy(min_samples=12, probe_escape_fraction=None)
-        )
-        assert detector.check(tracker, "A", {"G1": None}, now=0.0) == []
+        assert self.check(tracker, DriftPolicy(min_samples=12)) is None
 
     def test_bias_rule_fires_when_band_rule_disabled(self):
         tracker = AccuracyTracker(export=False)
-        # Sustained ~1.9x overestimation: inside the 2x "good" band, but
-        # heavily biased.
+        # Sustained ~1.9x overestimation: inside the 2x "good" band, so
+        # the band rule stays quiet, but heavily biased.
         for _ in range(20):
             tracker.record("A", "G1", 0, predicted=1.9, actual=1.0)
-        detector = DriftDetector(
-            DriftPolicy(
-                good_band_floor_pct=None,
-                bias_limit=0.5,
-                probe_escape_fraction=None,
-            )
-        )
-        events = detector.check(tracker, "A", {"G1": None}, now=0.0)
-        assert [e.rule for e in events] == ["bias"]
-        assert events[0].stats["bias"] == pytest.approx(0.9)
+        event = self.check(tracker, DriftPolicy(bias_limit=0.5))
+        assert event.rule == "bias"
+        assert event.stats["bias"] == pytest.approx(0.9)
+        assert self.check(tracker, DriftPolicy(bias_limit=None)) is None
 
     def test_probe_escape_fires_before_any_accuracy_sample(self):
         tracker = AccuracyTracker(export=False)
         for cost in (0.9, 0.95, 1.0, 1.05):
             tracker.record_probe("A", cost)
-        detector = DriftDetector(DriftPolicy(probe_min_readings=4))
-        events = detector.check(
-            tracker, "A", {"G1": FakeStates(0.1, 0.4)}, now=5.0
-        )
-        assert [e.rule for e in events] == ["probe_escape"]
-        assert events[0].stats["escaped_fraction"] == 1.0
+        event = self.check(tracker, now=5.0)
+        assert event.rule == "probe_escape"
+        assert event.stats["escaped_fraction"] == 1.0
 
     def test_probe_margin_tolerates_edge_clamping(self):
         tracker = AccuracyTracker(export=False)
         for cost in (0.41, 0.42, 0.43, 0.44):  # just past cmax=0.4
             tracker.record_probe("A", cost)
-        detector = DriftDetector(DriftPolicy(probe_margin=0.10))
-        assert (
-            detector.check(tracker, "A", {"G1": FakeStates(0.1, 0.4)}, now=0.0)
-            == []
-        )
+        assert self.check(tracker, DriftPolicy(probe_margin=0.10)) is None
 
     def test_at_most_one_event_per_class_and_rule_priority(self):
         # Both probe_escape and good_band would fire; escape wins.
         tracker = self._tracker_with(good=0, bad=16)
         for cost in (2.0, 2.0, 2.0, 2.0):
             tracker.record_probe("A", cost)
-        detector = DriftDetector(DriftPolicy())
-        events = detector.check(
-            tracker, "A", {"G1": FakeStates(0.1, 0.4)}, now=0.0
-        )
-        assert [e.rule for e in events] == ["probe_escape"]
+        assert self.check(tracker).rule == "probe_escape"
 
     def test_cooldown_suppresses_refire(self):
+        site = make_site("A", environment_kind="uniform", scale=0.008, seed=33)
+        X, y, probing = stepped_sample(true_states=2, n=120, seed=3)
+        fit = fit_qualitative(X, y, probing, uniform_partition(0.0, 1.0, 2), ("x",))
+        registry = CostModelRegistry()
+        registry.publish("A", MultiStateCostModel.from_fit(fit, "G1", "unary", "iupma"))
         tracker = self._tracker_with(good=0, bad=16)
-        detector = DriftDetector(
-            DriftPolicy(probe_escape_fraction=None, cooldown_seconds=100.0)
+        lifecycle = ModelLifecycle(registry, tracker)
+        lifecycle.watch(
+            "A",
+            CostModelBuilder(site.database),
+            lambda query_class, n: [],
+            drift=DriftPolicy(cooldown_seconds=100.0),
         )
-        assert detector.check(tracker, "A", {"G1": None}, now=0.0)
-        assert detector.check(tracker, "A", {"G1": None}, now=50.0) == []
-        assert detector.check(tracker, "A", {"G1": None}, now=150.0)
 
-    def test_all_rules_disabled_never_fires(self):
-        tracker = self._tracker_with(good=0, bad=50)
-        detector = DriftDetector(
-            DriftPolicy(
-                good_band_floor_pct=None,
-                bias_limit=None,
-                probe_escape_fraction=None,
-            )
-        )
-        assert detector.check(tracker, "A", {"G1": None}, now=0.0) == []
+        def events_after(seconds):
+            site.environment.advance(seconds)
+            before = len(tracker.drift_events)
+            assert list(lifecycle.rebuilds()) == []  # G1 is not registered
+            return tracker.drift_events[before:]
+
+        assert events_after(0.0)
+        assert events_after(50.0) == []
+        assert events_after(100.0)
 
 
 class TestDriftEvent:

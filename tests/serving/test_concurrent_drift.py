@@ -11,21 +11,21 @@ while every request keeps completing.
 
 import pytest
 
-from repro.core.builder import CostModelBuilder
+from repro.experiments.drift_detection import builder_config
 from repro.loadgen import (
     VAR_SITE,
     WATCHED_CLASS,
-    loadgen_builder_config,
     loadgen_drift_policy,
     loadgen_tables,
     make_universe,
     train_models,
 )
-from repro.loadgen.worker import _MODEL_CLASSES, _round_query
+from repro.loadgen.worker import _MODEL_CLASSES
 from repro.mdbs.agent import MDBSAgent
 from repro.mdbs.server import MDBSServer
 from repro.obs.quality import AccuracyTracker
 from repro.serving import ServingConfig, ServingFrontEnd
+from repro.workload.scenarios import round_query
 
 from ..loadgen.conftest import MICRO
 
@@ -53,24 +53,17 @@ def test_pool_survives_regime_shift_and_recovers(payload):
         server.register_agent(MDBSAgent(site.database))
     server.catalog.import_models(payload)
 
-    agent = server.agents[var.name]
-    server.configure_maintenance(
+    server.register_model_classes(
         var.name,
-        builder=CostModelBuilder(
-            agent.database, probe=agent.probe, config=loadgen_builder_config()
+        _MODEL_CLASSES,
+        lambda query_class, n: var.generator.queries_for(
+            query_class, n, tables=tables
         ),
+        builder_config=builder_config(),
+        sample_count=lambda query_class: MICRO.train_count(query_class.family),
         drift=loadgen_drift_policy(GAP),
+        build_now=False,
     )
-    for query_class in _MODEL_CLASSES:
-        server.register_model_class(
-            var.name,
-            query_class,
-            lambda n, qc=query_class: var.generator.queries_for(
-                qc, n, tables=tables
-            ),
-            sample_count=MICRO.train_count(query_class.family),
-            build_now=False,
-        )
 
     rng = np.random.default_rng(4242)
     serving = ServingConfig(plan_cache=True)
@@ -87,16 +80,16 @@ def test_pool_survives_regime_shift_and_recovers(payload):
             # The whole round is served as one batch over the shared
             # plan cache and probe state.
             batch = [
-                _round_query(var, steady, tables, rng)
+                round_query(var.name, steady.name, tables, rng)
                 for _ in range(QUERIES_PER_ROUND)
             ]
             tickets = frontend.serve(batch)
             completed += sum(1 for t in tickets if t.ok)
             failed += sum(1 for t in tickets if not t.ok)
 
-            before = len(server.drift_events)
+            before = len(tracker.drift_events)
             server.maintain()
-            if detect_round is None and len(server.drift_events) > before:
+            if detect_round is None and len(tracker.drift_events) > before:
                 if r >= SHIFT_ROUND:
                     detect_round = r
             stats = tracker.stats(var.name, WATCHED_CLASS)

@@ -250,7 +250,7 @@ class TestTracing:
     def test_drift_exemplar_resolves_to_a_full_span_tree(self, serving_mdbs):
         """Integration: the trace id a drift event embeds as an exemplar
         points at a trace the sampler kept — the postmortem handle."""
-        from repro.obs.quality import DriftDetector, DriftPolicy
+        from repro.mdbs.lifecycle import DriftPolicy, drift_event
 
         server, _ = serving_mdbs
         with obs.recording() as tracer:
@@ -268,14 +268,16 @@ class TestTracing:
                     actual=16.0,
                     trace_id=victim.trace_id,
                 )
-            detector = DriftDetector(
-                DriftPolicy(min_samples=12, probe_escape_fraction=None)
+            event = drift_event(
+                DriftPolicy(min_samples=12),
+                server.accuracy,
+                "oracle_site",
+                "G1",
+                server.catalog.cost_model("oracle_site", "G1").states,
+                now=0.0,
             )
-            events = detector.check(
-                server.accuracy, "oracle_site", {"G1": 0}, now=0.0
-            )
-        assert events, "the bad-sample burst raised no drift event"
-        exemplars = events[0].stats.get("exemplar_traces")
+        assert event is not None, "the bad-sample burst raised no drift event"
+        exemplars = event.stats.get("exemplar_traces")
         assert exemplars and victim.trace_id in exemplars
         spans = tracer.trace(victim.trace_id)
         assert {s.name for s in spans} >= {

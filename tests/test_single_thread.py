@@ -1,9 +1,14 @@
-"""Guard: ``src/repro`` starts no thread.
+"""Import guards over ``src/repro``: no thread, and ``obs`` is a leaf.
 
 A process serves and records on one thread; parallelism is processes
 (the loadgen coordinator's ``ProcessPoolExecutor``).  A stdlib ``ast``
 scan of every module fails on any import of a thread API, so a lock or
 a worker pool cannot come back unnoticed.
+
+``repro.obs`` records and renders; what to do about a reading (when to
+rebuild a model, say) is decided above it (``repro.mdbs.lifecycle``).
+The same scan fails if anything under ``obs/`` imports another
+``repro`` package.
 """
 
 import ast
@@ -53,3 +58,32 @@ def test_the_process_pool_is_the_one_allowed_import():
     coordinator = SRC / "loadgen" / "coordinator.py"
     assert thread_imports(coordinator) == []
     assert "ProcessPoolExecutor" in coordinator.read_text()
+
+
+def repro_imports(path: Path) -> list[str]:
+    """The ``repro`` packages one module imports, by name."""
+    package = path.relative_to(SRC).parts[:-1]
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "repro"]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                if node.module and node.module.split(".")[0] == "repro":
+                    found.append(node.module)
+            else:
+                base = ("repro",) + package[: len(package) - node.level + 1]
+                found.append(".".join(base + ((node.module,) if node.module else ())))
+    return found
+
+
+def test_obs_imports_no_other_repro_package():
+    offenders = {
+        path.relative_to(SRC).as_posix(): outside
+        for path in sorted((SRC / "obs").rglob("*.py"))
+        if (outside := [
+            name for name in repro_imports(path)
+            if name != "repro.obs" and not name.startswith("repro.obs.")
+        ])
+    }
+    assert not offenders, f"repro.obs must stay a leaf: {offenders}"
