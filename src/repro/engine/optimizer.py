@@ -24,6 +24,12 @@ Join rules:
    estimated intermediate is below :data:`INLJ_OUTER_FRACTION` of the
    indexed table's cardinality → index nested-loop join probing it;
 3. otherwise → hash join (all joins in this workload are equijoins).
+
+Rule 2 is the only join rule that reads statistics: an operand's
+estimated intermediate is computed only when the other operand's join
+column carries an index.  A join over index-less tables — every join of
+shipped intermediates — is planned without touching
+:attr:`Table.statistics`, so it never triggers a lazy ``analyze``.
 """
 
 from __future__ import annotations
@@ -190,12 +196,17 @@ def choose_join_plan(
     ):
         return JoinPlan("sort_merge_join")
 
-    left_inter = _estimated_intermediate(left, query.left_predicate)
-    right_inter = _estimated_intermediate(right, query.right_predicate)
-
-    if right_join_index is not None and left_inter <= INLJ_OUTER_FRACTION * right.cardinality:
+    if (
+        right_join_index is not None
+        and _estimated_intermediate(left, query.left_predicate)
+        <= INLJ_OUTER_FRACTION * right.cardinality
+    ):
         return JoinPlan("index_nested_loop_join", right_join_index)
-    if left_join_index is not None and right_inter <= INLJ_OUTER_FRACTION * left.cardinality:
+    if (
+        left_join_index is not None
+        and _estimated_intermediate(right, query.right_predicate)
+        <= INLJ_OUTER_FRACTION * left.cardinality
+    ):
         return JoinPlan("index_nested_loop_join", left_join_index, swapped=True)
     return JoinPlan("hash_join")
 

@@ -180,6 +180,14 @@ class MDBSAgent:
         :meth:`Table.bulk_load`).  Incoming values are stored as-is;
         columns are typed from the first row (INT/FLOAT/STR), defaulting
         to FLOAT for empty shipments.
+
+        A temp table carries no statistics.  Its only reader is the join
+        over it, and a temp table has no index, so the local optimizer
+        plans that join without reading any (see
+        :func:`~repro.engine.optimizer.choose_join_plan`); computing them
+        would cost a pass over every shipped column per request.  A
+        caller that does read them gets them lazily from
+        :attr:`Table.statistics`.
         """
         if self.database.catalog.has_table(name):
             self.drop_temp_table(name)
@@ -197,7 +205,6 @@ class MDBSAgent:
                     dtype = DataType.STR
             columns.append(Column(col, dtype, width))
         self.database.create_table(name, columns, rows)
-        self.database.catalog.table(name).analyze()
 
     def drop_temp_table(self, name: str) -> None:
         self.database.catalog.drop_table(name)

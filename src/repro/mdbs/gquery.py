@@ -22,7 +22,9 @@ class GlobalJoinQuery:
     """An equijoin between tables at two (possibly different) sites.
 
     Output columns are ``table.column``-qualified names; an empty tuple
-    selects all columns of both operands.
+    selects all columns of both operands.  Two operands may share a
+    table name (``R1`` at two sites); then only the empty tuple is
+    allowed, since ``R1.a1`` could mean either operand.
     """
 
     left_site: str
@@ -38,6 +40,12 @@ class GlobalJoinQuery:
     def __post_init__(self) -> None:
         if (self.left_site, self.left_table) == (self.right_site, self.right_table):
             raise QueryError("global self-joins are not supported")
+        if self.columns and self.left_table == self.right_table:
+            raise QueryError(
+                f"both operands are named {self.left_table!r}, so a qualified "
+                "output column cannot say which one it means; select all "
+                "columns (columns=()) instead"
+            )
         for qualified in self.columns:
             table, _, column = qualified.partition(".")
             if not column or table not in (self.left_table, self.right_table):

@@ -537,18 +537,25 @@ class MDBSServer:
         obs.observe("mdbs.step_seconds", seconds)
 
     def _project_output(self, query, components, join_result):
-        """Map temp-qualified join output back to the requested columns."""
-        produced = list(join_result.result.column_names)
+        """Map temp-qualified join output back to the requested columns.
+
+        Each column is picked from its operand, not by table name: the
+        all-columns output of two operands that share one (``R1`` at
+        two sites) takes the left operand's columns, then the right's.
+        """
         if query.columns:
-            wanted = list(query.columns)
+            wanted = query.columns
+            sources = []
+            for qualified in wanted:
+                table, _, column = qualified.partition(".")
+                temp = _TEMP_LEFT if table == query.left_table else _TEMP_RIGHT
+                sources.append(f"{temp}.{column}")
         else:
-            wanted = [f"{query.left_table}.{c}" for c in components.left.columns] + [
-                f"{query.right_table}.{c}" for c in components.right.columns
-            ]
-        positions = []
-        for qualified in wanted:
-            table, _, column = qualified.partition(".")
-            temp = _TEMP_LEFT if table == query.left_table else _TEMP_RIGHT
-            positions.append(produced.index(f"{temp}.{column}"))
+            left, right = components.left.columns, components.right.columns
+            wanted = tuple(f"{query.left_table}.{c}" for c in left) + tuple(
+                f"{query.right_table}.{c}" for c in right
+            )
+            sources = [f"{_TEMP_LEFT}.{c}" for c in left] + [f"{_TEMP_RIGHT}.{c}" for c in right]
+        produced = join_result.result.column_names
         columns = join_result.result.columns()
-        return tuple(wanted), list(zip(*[columns[p] for p in positions]))
+        return wanted, list(zip(*[columns[produced.index(s)] for s in sources]))

@@ -32,6 +32,11 @@ class TestGlobalJoinQuery:
         query = make_query(right_table="t1")
         assert query.right_table == "t1"
 
+    def test_same_table_name_with_explicit_columns_rejected(self):
+        """``t1.a`` cannot say which of two operands named t1 it means."""
+        with pytest.raises(QueryError, match="both operands are named 't1'"):
+            make_query(right_table="t1", columns=("t1.a",))
+
     def test_unqualified_output_column_rejected(self):
         with pytest.raises(QueryError):
             make_query(columns=("a",))

@@ -35,6 +35,9 @@ def cross_site_reference(sites, query):
             if not query.right_predicate.evaluate(rrow, right.schema):
                 continue
             if lrow[lpos] == rrow[rpos]:
+                if not query.columns:  # every column, by operand position
+                    out.append(tuple(lrow) + tuple(rrow))
+                    continue
                 values = {}
                 for c in left.schema.column_names:
                     values[f"{query.left_table}.{c}"] = lrow[left.schema.position(c)]
@@ -95,6 +98,21 @@ class TestExecution:
         expected = sorted(cross_site_reference(sites, globalq))
         for plan in server.optimizer().plans(globalq):
             execution = server.execute(globalq, plan)
+            assert sorted(execution.rows) == expected
+
+    def test_same_named_operands_at_two_sites_return_both_halves(self, mini_mdbs):
+        """``R1@oracle_site ⋈ R1@db2_site``: every site has R1-R12, so
+        the operands share a name; the right half of each output row
+        must come from the right operand, on every plan."""
+        server, sites = mini_mdbs
+        query = GlobalJoinQuery(
+            "oracle_site", "R1", "db2_site", "R1", "a4", "a4",
+            left_predicate=Comparison("a3", "<", 600),
+        )
+        expected = sorted(cross_site_reference(sites, query))
+        assert expected
+        for plan in server.optimizer().plans(query):
+            execution = server.execute(query, plan)
             assert sorted(execution.rows) == expected
 
     @pytest.mark.parametrize("left_bound", [600, -1], ids=["rows", "empty_shipment"])

@@ -92,7 +92,7 @@ class TestKeys:
 class TestLRU:
     def test_capacity_evicts_oldest(self):
         cache = PlanCache(capacity=2)
-        queries = [make_query(left_table=t) for t in ("R1", "R2", "R3")]
+        queries = [make_query(left_table=t) for t in ("R1", "R3", "R4")]
         plans = [make_plan(q, {("oracle_site", "G1"): 0}) for q in queries]
         for query, plan in zip(queries, plans):
             cache.put(query, [plan], plan)
@@ -104,13 +104,13 @@ class TestLRU:
 
     def test_hits_refresh_recency(self):
         cache = PlanCache(capacity=2)
-        queries = [make_query(left_table=t) for t in ("R1", "R2", "R3")]
+        queries = [make_query(left_table=t) for t in ("R1", "R3", "R4")]
         plans = [make_plan(q, {("oracle_site", "G1"): 0}) for q in queries]
         states = resolver({("oracle_site", "G1"): 0})
         cache.put(queries[0], [plans[0]], plans[0])
         cache.put(queries[1], [plans[1]], plans[1])
         cache.get(queries[0], states)  # R1 is now the most recent
-        cache.put(queries[2], [plans[2]], plans[2])  # evicts R2
+        cache.put(queries[2], [plans[2]], plans[2])  # evicts R3
         assert cache.get(queries[0], states) is plans[0]
         assert cache.get(queries[1], states) is None
 
