@@ -7,7 +7,6 @@ layer that converts physical work into simulated elapsed time under the
 current environment contention.
 """
 
-from . import vectorize
 from .access import clustered_index_scan, nonclustered_index_scan, seq_scan
 from .btree import BPlusTree
 from .buffer import (
@@ -98,5 +97,4 @@ __all__ = [
     "seq_scan",
     "simulate_elapsed",
     "sort_merge_join",
-    "vectorize",
 ]

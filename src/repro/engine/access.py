@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import vectorize
 from .buffer import (
     BufferPool,
     charge_random_pages,
@@ -50,15 +49,14 @@ def selection_mask(
     One boolean per candidate, in candidate order.  The batched path
     evaluates the predicate over the table's column arrays (already
     there, or needed by the next query anyway) and picks the candidates
-    out; a predicate with no batch form on this data — and every
-    predicate under :func:`vectorize.force_scalar` — is evaluated row
+    out; a predicate with no batch form on this data is evaluated row
     at a time.  The logical work is the same either way and is charged
     by the caller, once per candidate.
     """
     count = len(table) if ids is None else len(ids)
     if isinstance(predicate, TruePredicate):
         return np.ones(count, dtype=bool)
-    if vectorize.enabled() and count:
+    if count:
         mask = predicate.evaluate_batch(table)
         if mask is not None:
             return mask if ids is None else mask[ids]

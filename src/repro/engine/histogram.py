@@ -19,8 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import vectorize
-
 
 @dataclass(frozen=True)
 class EquiDepthHistogram:
@@ -68,56 +66,14 @@ class EquiDepthHistogram:
     def build(cls, values: Sequence, num_buckets: int = 16) -> "EquiDepthHistogram":
         """Build from a column's values (numeric).
 
-        Dispatches to the numpy path unless the engine is in scalar
-        mode; both produce identical histograms (same boundaries,
-        counts, and distinct tuples — pure Python floats/ints).
+        One numpy sort, then one pass over the bucket cuts.  A bucket
+        never splits a run of duplicates: a cut inside a run moves to
+        the run's end (one ``searchsorted``), so boundaries stay honest.
+        Boundaries, counts and distinct counts come out as Python floats
+        and ints.
         """
         if num_buckets < 1:
             raise ValueError("num_buckets must be at least 1")
-        if vectorize.enabled():
-            return cls._build_vectorized(values, num_buckets)
-        return cls._build_scalar(values, num_buckets)
-
-    @classmethod
-    def _build_scalar(cls, values: Sequence, num_buckets: int) -> "EquiDepthHistogram":
-        """Row-at-a-time reference implementation."""
-        data = sorted(float(v) for v in values)
-        if not data:
-            raise ValueError("cannot build a histogram from no values")
-        n = len(data)
-        num_buckets = min(num_buckets, n)
-        boundaries = [data[0]]
-        counts = []
-        distinct = []
-        start = 0
-        for b in range(num_buckets):
-            end = round((b + 1) * n / num_buckets)
-            end = max(end, start + 1)
-            # Never split a run of duplicates across buckets: extend the
-            # bucket to cover the whole run so boundaries stay honest.
-            while end < n and data[end] == data[end - 1]:
-                end += 1
-            bucket = data[start:end]
-            counts.append(len(bucket))
-            distinct.append(len(set(bucket)))
-            boundaries.append(bucket[-1] if end >= n else data[end])
-            start = end
-            if start >= n:
-                break
-        boundaries[-1] = data[-1]
-        return cls(tuple(boundaries), tuple(counts), tuple(distinct))
-
-    @classmethod
-    def _build_vectorized(
-        cls, values: Sequence, num_buckets: int
-    ) -> "EquiDepthHistogram":
-        """numpy-batched build, byte-identical to :meth:`_build_scalar`.
-
-        The sort and the per-bucket distinct counts dominate the scalar
-        cost; both move to numpy.  The duplicate-run extension becomes a
-        ``searchsorted`` for the end of the run instead of a value-at-a-
-        time walk.
-        """
         data = np.sort(np.fromiter((float(v) for v in values), dtype=np.float64))
         if data.size == 0:
             raise ValueError("cannot build a histogram from no values")
@@ -175,26 +131,6 @@ class EquiDepthHistogram:
         in_bucket = within * self.counts[idx]
         atom = self.counts[idx] / max(1, self.distinct[idx])
         return (rows_before + max(in_bucket, atom)) / total
-
-    def estimate_range(
-        self,
-        low: float | None,
-        high: float | None,
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-    ) -> float:
-        """Estimated fraction of rows in the interval.
-
-        Open/closed bounds are treated identically — continuous
-        interpolation cannot distinguish them, and the error is at most
-        one value's frequency.
-        """
-        hi_frac = 1.0 if high is None else self.estimate_le(high)
-        lo_frac = 0.0 if low is None else self.estimate_le(low)
-        if low is not None and low_inclusive:
-            # Re-include the rows exactly at `low` (approximately).
-            lo_frac = max(0.0, lo_frac - self.estimate_eq(low))
-        return min(1.0, max(0.0, hi_frac - lo_frac))
 
     def estimate_eq(self, value: float) -> float:
         """Estimated fraction of rows equal to *value*."""

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import vectorize
 from .access import selection_mask
 from .buffer import (
     BufferPool,
@@ -104,13 +103,12 @@ def _match_pairs(lkeys: np.ndarray, rkeys: np.ndarray) -> tuple[np.ndarray, np.n
     key, whichever branch finds them.  The numpy branch — a stable
     argsort of the right keys plus two ``searchsorted`` calls — is taken
     when the key dtypes allow it; hash buckets over the Python values
-    decide everything else, and everything under
-    :func:`vectorize.force_scalar`.
+    decide everything else.
     """
     empty = np.empty(0, dtype=np.intp)
     if not len(lkeys) or not len(rkeys):
         return empty, empty
-    if not (vectorize.enabled() and _numpy_orders_like_python(lkeys, rkeys)):
+    if not _numpy_orders_like_python(lkeys, rkeys):
         buckets: dict = defaultdict(list)
         for position, key in enumerate(rkeys.tolist()):
             buckets[key].append(position)

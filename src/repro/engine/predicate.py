@@ -25,8 +25,9 @@ from .schema import TableSchema, TableStatistics
 from .types import Row
 
 # Comparison operators, with their evaluation functions.  The same table
-# drives both the scalar path (Python operands) and the vectorized path
-# (a numpy array on the left), since numpy overloads the operators.
+# drives both row-at-a-time evaluation (Python operands) and batch
+# evaluation (a numpy array on the left), since numpy overloads the
+# operators.
 _OPS = {
     "=": lambda a, b: a == b,
     "!=": lambda a, b: a != b,

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.probing import ProbingQuery
-from repro.engine import vectorize
 from repro.engine.database import LocalDatabase
 from repro.engine.errors import CatalogError
 from repro.engine.predicate import Comparison
@@ -31,6 +30,8 @@ from repro.engine.types import DataType
 from repro.env import dynamic_uniform_environment
 from repro.mdbs.agent import MDBSAgent
 from repro.mdbs.probing_service import ProbingService
+
+from ..engine.kernels import row_at_a_time
 
 COLUMNS = [Column("a", DataType.INT), Column("b", DataType.INT), Column("c", DataType.INT)]
 
@@ -205,7 +206,7 @@ steps = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(steps=steps)
 def test_observe_equals_executing_every_time(kernels, probe_name, steps):
-    with vectorize.force_scalar() if kernels == "scalar" else nullcontext():
+    with row_at_a_time() if kernels == "scalar" else nullcontext():
         twins = Twins(PROBES[probe_name])
         twins.observe()
         for name, arg in steps:

@@ -81,11 +81,6 @@ class TestEstimation:
         estimates = [hist.estimate_le(p) for p in points]
         assert estimates == sorted(estimates)
 
-    def test_range_estimate(self, skewed):
-        values, hist = skewed
-        truth = float(np.mean((values >= 2.0) & (values <= 8.0)))
-        assert hist.estimate_range(2.0, 8.0) == pytest.approx(truth, abs=0.06)
-
     def test_eq_estimate_on_duplicates(self):
         # A run of duplicates dominating the column: since runs are never
         # split, the run's bucket has distinct=1 and eq is exact.

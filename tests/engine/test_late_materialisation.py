@@ -2,10 +2,11 @@
 may write to — and two inputs on which the numpy kernels used to return
 wrong rows."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
-from repro.engine import vectorize
 from repro.engine.access import seq_scan
 from repro.engine.database import LocalDatabase
 from repro.engine.joins import hash_join
@@ -14,16 +15,15 @@ from repro.engine.query import JoinQuery, SelectQuery
 from repro.engine.schema import Column
 from repro.engine.types import DataType
 
+from .kernels import row_at_a_time
+
 INT, FLOAT, STR = DataType.INT, DataType.FLOAT, DataType.STR
 
 
 @pytest.fixture(params=["vectorized", "scalar"])
 def mode(request):
-    """Run the test once with the numpy kernels and once without."""
-    switch = (
-        vectorize.force_vectorized if request.param == "vectorized" else vectorize.force_scalar
-    )
-    with switch():
+    """Run the test once on the kernels the data picks and once row at a time."""
+    with nullcontext() if request.param == "vectorized" else row_at_a_time():
         yield request.param
 
 

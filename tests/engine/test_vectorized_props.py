@@ -3,12 +3,14 @@
 Every operator has one implementation that works on selection vectors
 over column arrays; which *kernel* decides a predicate or a key match —
 numpy over typed arrays, or Python over the values — depends on the data
-(object-dtype columns, NaN, integers float64 cannot hold) and on
-:func:`repro.engine.vectorize.force_scalar`.  These tests drive both
-through the toggles and require the same rows — value **and Python
-type**, in the same order — the same metrics and the same access facts,
-for all three scans and all four join methods, on tables loaded by row
-and on tables loaded by column.
+alone (object-dtype columns, NaN, integers float64 cannot hold).  These
+tests run each case as the data picks and again under
+:func:`~tests.engine.kernels.row_at_a_time`, which sends all data down
+the fallback, and require the same rows — value **and Python type**, in
+the same order — the same metrics and the same access facts, for all
+three scans and all four join methods, on tables loaded by row and on
+tables loaded by column.  The one histogram build is held to a
+row-at-a-time reference the same way.
 
 The strategies aim at the places where numpy and Python disagree:
 strings with a trailing NUL or whitespace, ``-0.0`` / ``inf`` / ``nan``,
@@ -21,7 +23,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import vectorize
+from repro.engine import joins
 from repro.engine.access import (
     clustered_index_scan,
     nonclustered_index_scan,
@@ -43,6 +45,8 @@ from repro.engine.query import JoinQuery, SelectQuery
 from repro.engine.schema import Column, TableSchema
 from repro.engine.table import Table
 from repro.engine.types import DataType
+
+from .kernels import reference_histogram, row_at_a_time
 
 # -- values ------------------------------------------------------------------
 
@@ -100,12 +104,10 @@ def make_table(name, rows, by_column=False, clustered=False, columns=None):
 
 
 def both_modes(run):
-    """*run()* under the scalar switch, then with the numpy kernels on."""
-    with vectorize.force_scalar():
+    """*run()* on the row-at-a-time kernels, then on the ones the data picks."""
+    with row_at_a_time():
         scalar = run()
-    with vectorize.force_vectorized():
-        vector = run()
-    return scalar, vector
+    return scalar, run()
 
 
 def comparisons(columns, constants):
@@ -428,37 +430,29 @@ class TestHistogramEquivalence:
     @settings(max_examples=120, deadline=None)
     @given(values=hist_values, num_buckets=st.integers(1, 12))
     def test_build_identical(self, values, num_buckets):
-        with vectorize.force_scalar():
-            scalar = EquiDepthHistogram.build(values, num_buckets)
-        with vectorize.force_vectorized():
-            vector = EquiDepthHistogram.build(values, num_buckets)
-        assert vector == scalar
+        built = EquiDepthHistogram.build(values, num_buckets)
+        assert built == reference_histogram(values, num_buckets)
 
     def test_edge_shapes_identical(self):
         for values in [[5], [3.0] * 50, list(range(7)), [1, 1, 2, 2, 2, 9]]:
-            with vectorize.force_scalar():
-                scalar = EquiDepthHistogram.build(values, 4)
-            with vectorize.force_vectorized():
-                vector = EquiDepthHistogram.build(values, 4)
-            assert vector == scalar
+            assert EquiDepthHistogram.build(values, 4) == reference_histogram(values, 4)
 
     @settings(max_examples=60, deadline=None)
     @given(values=hist_values, probe=st.integers(-1100, 1100))
     def test_estimates_identical(self, values, probe):
-        with vectorize.force_scalar():
-            scalar = EquiDepthHistogram.build(values, 8)
-        with vectorize.force_vectorized():
-            vector = EquiDepthHistogram.build(values, 8)
-        assert vector.estimate_le(probe) == scalar.estimate_le(probe)
-        assert vector.estimate_eq(probe) == scalar.estimate_eq(probe)
+        built = EquiDepthHistogram.build(values, 8)
+        reference = reference_histogram(values, 8)
+        assert built.estimate_le(probe) == reference.estimate_le(probe)
+        assert built.estimate_eq(probe) == reference.estimate_eq(probe)
 
 
-class TestToggle:
-    def test_context_managers_nest_and_restore(self):
-        before = vectorize.enabled()
-        with vectorize.force_scalar():
-            assert not vectorize.enabled()
-            with vectorize.force_vectorized():
-                assert vectorize.enabled()
-            assert not vectorize.enabled()
-        assert vectorize.enabled() == before
+class TestRowAtATime:
+    def test_both_seams_fall_back_inside_and_recover_outside(self):
+        table = make_table("t", [(1, 2, 0.5)])
+        comparison = Comparison("a", "<", 3)
+        keys_ = key_array([1, 2], DataType.INT)
+        with row_at_a_time():
+            assert comparison.evaluate_batch(table) is None
+            assert not joins._numpy_orders_like_python(keys_, keys_)
+        assert comparison.evaluate_batch(table).tolist() == [True]
+        assert joins._numpy_orders_like_python(keys_, keys_)

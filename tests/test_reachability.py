@@ -27,8 +27,6 @@ WRAP_POINT = re.compile(r"repro(\.\w+)+:\w+(\.\w+)*")
 REFERENCES = {
     ("engine.joins", "naive_join"): "tests/engine/test_joins.py",
     ("engine.access", "filter_rows"): "tests/engine/test_access.py",
-    ("engine.vectorize", "force_scalar"): "tests/engine/test_vectorized_props.py",
-    ("engine.vectorize", "force_vectorized"): "tests/engine/test_vectorized_props.py",
 }
 
 
