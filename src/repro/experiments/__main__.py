@@ -6,7 +6,7 @@ Usage::
     python -m repro.experiments --preset full    # paper-sized preset (~20 s)
     python -m repro.experiments --seed 42        # different random universe
     python -m repro.experiments --only table4 --only table5
-    python -m repro.experiments --trace-out trace.jsonl --verbose
+    python -m repro.experiments --trace-out trace.jsonl
 
 Prints each artifact in order — Figure 1, Tables 4–6, Figures 4–10, the
 state-count / model-form / probing-estimation / sample-size ablations,
@@ -17,9 +17,9 @@ so the output can be diffed against EXPERIMENTS.md.  Artifacts go to
 diagnostic (memo summaries, wall time) goes to **stderr**.
 
 ``--trace-out PATH`` records a full observability trace of the run and
-writes it as JSONL at exit; ``--verbose`` prints the per-span summary
-table and the metrics registry at the end.  Performance numbers are not
-this module's job: see ``python -m bench``.
+writes it as JSONL at exit, and ``--snapshot-out PATH`` writes the obs
+snapshot; ``python -m repro.obs`` renders either.  Performance numbers
+are not this module's job: see ``python -m bench``.
 """
 
 from __future__ import annotations
@@ -138,7 +138,6 @@ _OUTPUTS: tuple[tuple[str, str], ...] = (
     ("--trace-out", "enable tracing and write the JSONL trace here at exit"),
     ("--snapshot-out", "write a combined obs snapshot (metrics + accuracy windows + model "
                        "versions) at exit, for `python -m repro.obs`"),
-    ("--drift-out", "write every raised DriftEvent as JSONL at exit"),
 )
 
 
@@ -171,11 +170,6 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
         parser.add_argument(option, metavar="PATH", default=None, help=text)
         for option, text in _OUTPUTS
     ]
-    parser.add_argument(
-        "--verbose",
-        action="store_true",
-        help="print the span summary table and metrics at the end",
-    )
     args = parser.parse_args(argv)
     for output in outputs:
         path = getattr(args, output.dest)
@@ -195,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
     make_config = _PRESETS[args.preset]
     config = make_config(args.seed) if args.seed is not None else make_config()
 
-    tracer = obs.enable() if (args.trace_out or args.verbose) else None
+    tracer = obs.enable() if args.trace_out else None
     started = time.time()
     print(
         f"preset={args.preset} seed={config.seed} "
@@ -218,18 +212,9 @@ def main(argv: list[str] | None = None) -> int:
                 model_registry=drift_detection_mod.LAST_MODEL_REGISTRY,
             )
             _note(f"\nwrote obs snapshot to {args.snapshot_out}")
-        if args.drift_out:
-            count = obs.write_drift_jsonl(obs.get_tracker(), args.drift_out)
-            _note(f"wrote {count} drift events to {args.drift_out}")
         if tracer is not None:
-            if args.trace_out:
-                count = obs.write_jsonl(tracer, args.trace_out)
-                _note(f"\nwrote {count} spans to {args.trace_out}")
-            if args.verbose:
-                _note("\n--- span summary (real seconds) ---")
-                _note(obs.summary_table(tracer))
-                _note("\n--- metrics ---")
-                _note(obs.metrics_table(obs.get_registry()))
+            count = obs.write_jsonl(tracer, args.trace_out)
+            _note(f"\nwrote {count} spans to {args.trace_out}")
             obs.disable()
 
     _note(f"\ntotal wall time: {time.time() - started:.1f}s")

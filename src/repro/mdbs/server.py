@@ -308,8 +308,7 @@ class MDBSServer:
         When the call runs under a traced request, the current trace id
         rides along: each sample lands in the tracker *linked* to its
         trace (so out-of-band samples flag the trace for keeping and the
-        worst exemplars point back at it), and the plan-level error
-        histogram records the trace id as its exemplar.
+        worst exemplars point back at it).
         """
         with obs.span("mdbs.accuracy") as sp:
             trace_id = obs.current_trace_id()
@@ -356,7 +355,6 @@ class MDBSServer:
                 obs.observe(
                     "mdbs.plan.rel_error",
                     abs(execution.estimated_seconds - observed) / observed,
-                    exemplar=trace_id,
                 )
             if sp.recording:
                 sp.set_attributes(samples=recorded, states=",".join(states))

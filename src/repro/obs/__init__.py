@@ -12,14 +12,18 @@ and the work actually go?*  Three pieces:
   is a no-op tracer, so the instrumentation baked into the engine,
   builder, and MDBS layers costs ~nothing until :func:`enable` (or the
   scoped :func:`recording`) installs a real one;
-* :mod:`repro.obs.export` — JSONL trace dumps and per-span-name /
-  per-metric summary tables;
 * :mod:`repro.obs.quality` — model-quality telemetry: rolling
   estimate-vs-actual accuracy windows (the paper's §5 bands, online)
-  and the log of events that caused re-derivations;
-* :mod:`repro.obs.expose` — Prometheus-style text exposition, combined
-  obs snapshots, the one-screen dashboard behind ``python -m repro.obs``,
-  and DriftEvent JSONL export.
+  and the log of events that caused re-derivations.
+
+The system writes two files, and each has one human reader in
+``python -m repro.obs``:
+
+* the obs snapshot (:mod:`repro.obs.expose`) — metrics, accuracy
+  windows, model versions and drift events as one JSON document,
+  rendered by ``python -m repro.obs --snapshot`` as a dashboard;
+* the span file (:mod:`repro.obs.trace_analysis`) — one JSON object per
+  span, rendered by ``python -m repro.obs trace`` as a report.
 
 Typical use::
 
@@ -27,9 +31,8 @@ Typical use::
 
     tracer = obs.enable()
     server.execute(global_query)          # instrumented internally
-    print(obs.summary_table(tracer))      # where did the time go?
     obs.write_jsonl(tracer, "trace.jsonl")
-    print(obs.metrics_table(obs.get_registry()))
+    obs.write_snapshot("obs-snapshot.json")
     obs.disable()
 
 Instrumented call sites use the module-level helpers (:func:`span`,
@@ -39,20 +42,10 @@ currently installed tracer/registry.
 
 from __future__ import annotations
 
-from .export import (
-    metrics_table,
-    span_to_dict,
-    summary_table,
-    to_jsonl,
-    write_jsonl,
-)
 from .expose import (
-    drift_events_to_jsonl,
     read_snapshot,
     render_dashboard,
-    render_text,
     snapshot_payload,
-    write_drift_jsonl,
     write_snapshot,
 )
 from .metrics import (
@@ -79,13 +72,17 @@ from .trace_analysis import (
     group_traces,
     load_trace_file,
     render_slowest_table,
+    render_span_summary,
     render_stage_breakdown,
     render_trace_report,
     render_trace_tree,
     slowest_traces,
+    span_to_dict,
     stage_breakdown,
+    to_jsonl,
     trace_stage_seconds,
     trace_tree_lines,
+    write_jsonl,
 )
 from .tracing import (
     NOOP_SPAN,
@@ -141,16 +138,14 @@ __all__ = [
     "merge_accuracy_snapshots",
     "merge_window_stats",
     "set_tracker",
-    # export
+    # span file
     "span_to_dict",
     "to_jsonl",
     "write_jsonl",
-    "summary_table",
-    "metrics_table",
-    # trace analysis
     "group_traces",
     "load_trace_file",
     "render_slowest_table",
+    "render_span_summary",
     "render_stage_breakdown",
     "render_trace_report",
     "render_trace_tree",
@@ -158,13 +153,10 @@ __all__ = [
     "stage_breakdown",
     "trace_stage_seconds",
     "trace_tree_lines",
-    # expose
-    "drift_events_to_jsonl",
+    # snapshot
     "read_snapshot",
     "render_dashboard",
-    "render_text",
     "snapshot_payload",
-    "write_drift_jsonl",
     "write_snapshot",
 ]
 
@@ -174,13 +166,9 @@ def inc(name: str, amount: float = 1.0) -> None:
     get_registry().inc(name, amount)
 
 
-def observe(name: str, value: float, exemplar: str | None = None) -> None:
-    """Record a value into a histogram in the global registry.
-
-    *exemplar* (a trace id) links the observation to its trace; the
-    histogram keeps the links for its largest-valued observations.
-    """
-    get_registry().observe(name, value, exemplar=exemplar)
+def observe(name: str, value: float) -> None:
+    """Record a value into a histogram in the global registry."""
+    get_registry().observe(name, value)
 
 
 def set_gauge(name: str, value: float) -> None:

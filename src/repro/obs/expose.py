@@ -1,96 +1,30 @@
-"""Exposition surface: Prometheus-style text, snapshots, dashboards.
+"""The obs snapshot: one JSON document and its one-screen dashboard.
 
-Three consumers:
-
-* a scrape-shaped reader — :func:`render_text` turns a metrics registry
-  (or a saved snapshot of one) into the Prometheus text exposition
-  format, with histograms rendered as summaries (``_count`` / ``_sum``
-  plus ``quantile`` labels);
-* offline tooling — :func:`write_snapshot` persists metrics + accuracy
-  windows + model-registry state as one JSON document that
-  ``python -m repro.obs`` renders back (``--watch`` re-reads it live);
-* humans — :func:`render_dashboard` lays the same payload out as a
-  one-screen text dashboard: serving totals, the accuracy table, model
-  versions, and recent drift events.
-
-Drift events additionally export as JSONL (:func:`write_drift_jsonl`),
-one event per line, alongside the span export from :mod:`.export`.
+:func:`write_snapshot` persists metrics + accuracy windows + model
+registry state at the end of a run (``python -m repro.experiments
+--snapshot-out``); :func:`render_dashboard` lays the same payload out
+for ``python -m repro.obs --snapshot``: serving totals, the accuracy
+table (the paper's §5 "very good"/"good" bands, online), model
+versions, and recent drift events.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
-from typing import Iterable
 
 from .metrics import MetricsRegistry, get_registry
 from .quality import AccuracyTracker, DriftEvent, accuracy_table, get_tracker
 
 __all__ = [
-    "drift_events_to_jsonl",
     "read_snapshot",
     "render_dashboard",
-    "render_text",
     "snapshot_payload",
-    "write_drift_jsonl",
     "write_snapshot",
 ]
 
 #: Version stamp of the snapshot payload this module writes.
 SNAPSHOT_VERSION = 1
-
-_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def _prom_name(name: str, prefix: str = "repro_") -> str:
-    """A metric name sanitized to the Prometheus grammar."""
-    sanitized = _NAME_RE.sub("_", name)
-    if sanitized and sanitized[0].isdigit():
-        sanitized = "_" + sanitized
-    return prefix + sanitized
-
-
-def _prom_value(value: float | None) -> str:
-    if value is None:
-        return "NaN"
-    return repr(float(value))
-
-
-def render_text(source: MetricsRegistry | dict | None = None) -> str:
-    """The registry as Prometheus text exposition format.
-
-    Accepts a live :class:`MetricsRegistry`, a
-    :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` dict (as stored
-    in a snapshot file), or ``None`` for the global registry.  Counters
-    and gauges map directly; histograms render as summaries with exact
-    ``_count``/``_sum`` and reservoir-sampled quantiles.
-    """
-    if source is None:
-        source = get_registry()
-    snapshot = source.snapshot() if isinstance(source, MetricsRegistry) else source
-    lines: list[str] = []
-    for name in sorted(snapshot):
-        entry = snapshot[name]
-        kind = entry["kind"]
-        prom = _prom_name(name)
-        if kind == "counter":
-            lines.append(f"# TYPE {prom} counter")
-            lines.append(f"{prom} {_prom_value(entry['value'])}")
-        elif kind == "gauge":
-            lines.append(f"# TYPE {prom} gauge")
-            lines.append(f"{prom} {_prom_value(entry['value'])}")
-        else:
-            lines.append(f"# TYPE {prom} summary")
-            for q_key, q_label in (("p50", "0.5"), ("p95", "0.95")):
-                if q_key in entry:
-                    lines.append(
-                        f'{prom}{{quantile="{q_label}"}} '
-                        f"{_prom_value(entry[q_key])}"
-                    )
-            lines.append(f"{prom}_count {int(entry['count'])}")
-            lines.append(f"{prom}_sum {_prom_value(entry['sum'])}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # ---------------------------------------------------------------------------
@@ -233,23 +167,3 @@ def render_dashboard(payload: dict) -> str:
         lines.append("(none)")
     return "\n".join(lines)
 
-
-# ---------------------------------------------------------------------------
-# Drift-event JSONL export (alongside the span export)
-# ---------------------------------------------------------------------------
-
-
-def drift_events_to_jsonl(events: Iterable[DriftEvent]) -> str:
-    """Drift events as JSON-lines text (one event per line)."""
-    return "".join(json.dumps(event.to_dict()) + "\n" for event in events)
-
-
-def write_drift_jsonl(
-    events: Iterable[DriftEvent] | AccuracyTracker, path: str | Path
-) -> int:
-    """Dump drift events to *path*; returns the number written."""
-    if isinstance(events, AccuracyTracker):
-        events = events.drift_events
-    events = list(events)
-    Path(path).write_text(drift_events_to_jsonl(events), encoding="utf-8")
-    return len(events)

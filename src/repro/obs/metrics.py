@@ -116,11 +116,7 @@ class Histogram:
     """
 
     __slots__ = ("name", "reservoir_size", "_count", "_sum", "_min", "_max",
-                 "_reservoir", "_rng", "_exemplars")
-
-    #: How many (value, exemplar) links a histogram retains — the
-    #: worst-valued observations keep their trace ids for drill-down.
-    EXEMPLAR_SLOTS = 4
+                 "_reservoir", "_rng")
 
     def __init__(self, name: str, reservoir_size: int = 4096) -> None:
         if reservoir_size <= 0:
@@ -133,9 +129,8 @@ class Histogram:
         self._max = -math.inf
         self._reservoir: list[float] = []
         self._rng = random.Random(zlib.crc32(name.encode("utf-8")))
-        self._exemplars: list[tuple[float, str]] = []
 
-    def record(self, value: float, exemplar: str | None = None) -> None:
+    def record(self, value: float) -> None:
         value = float(value)
         count = self._count = self._count + 1
         self._sum += value
@@ -156,25 +151,6 @@ class Histogram:
                 slot = getrandbits(bits)
             if slot < self.reservoir_size:
                 reservoir[slot] = value
-        if exemplar is not None:
-            exemplars = self._exemplars
-            # Fast path: once full, the list is sorted largest
-            # first, so a value at or under the smallest retained
-            # one could never survive the sort-and-truncate (ties
-            # keep the earliest link) — skip the append entirely.
-            if (
-                len(exemplars) < self.EXEMPLAR_SLOTS
-                or value > exemplars[-1][0]
-            ):
-                exemplars.append((value, exemplar))
-                if len(exemplars) > self.EXEMPLAR_SLOTS:
-                    # Keep the largest values; ties keep the earliest.
-                    exemplars.sort(key=lambda pair: -pair[0])
-                    del exemplars[self.EXEMPLAR_SLOTS:]
-
-    def exemplars(self) -> list[tuple[float, str]]:
-        """The retained (value, trace id) links, largest value first."""
-        return sorted(self._exemplars, key=lambda pair: -pair[0])
 
     @property
     def count(self) -> int:
@@ -255,13 +231,11 @@ class MetricsRegistry:
             metric = self.gauge(name)
         metric.set(value)
 
-    def observe(
-        self, name: str, value: float, exemplar: str | None = None
-    ) -> None:
+    def observe(self, name: str, value: float) -> None:
         metric = self._metrics.get(name)
         if type(metric) is not Histogram:
             metric = self.histogram(name)
-        metric.record(value, exemplar)
+        metric.record(value)
 
     # -- inspection -------------------------------------------------------
 
@@ -309,12 +283,6 @@ class MetricsRegistry:
                 }
                 if metric.count:
                     entry["p50"], entry["p95"] = metric.quantiles((0.5, 0.95))
-                links = metric.exemplars()
-                if links:
-                    entry["exemplars"] = [
-                        {"value": value, "trace_id": trace_id}
-                        for value, trace_id in links
-                    ]
                 out[name] = entry
         return out
 

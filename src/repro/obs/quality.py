@@ -14,7 +14,7 @@ decides nothing (the lifecycle rules are :mod:`repro.mdbs.lifecycle`):
   per-site probing-cost readings and the log of every
   :class:`DriftEvent` that caused a re-derivation.  Every recording
   also lands in the global metrics registry, so the numbers show up in
-  snapshots and the exposition surface for free;
+  the obs snapshot for free;
 * :func:`accuracy_table` — a per-key renderer of those windows (the
   online counterpart of the Table-5 validation rows);
 * :func:`merge_accuracy_snapshots` — one fleet-wide view of several

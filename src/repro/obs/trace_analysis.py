@@ -1,22 +1,25 @@
-"""Cross-process trace analytics over merged JSONL trace files.
+"""The span file: its writer, its reader, and the report it renders.
 
-The loadgen coordinator (and any single-process run) dumps spans as
-JSON lines; this module answers the three questions a trace file
+A run (or the loadgen coordinator, merging its workers) dumps spans as
+JSON lines with :func:`write_jsonl`; :func:`load_trace_file` reads them
+back as plain span dicts (the :func:`span_to_dict` shape), so a file
+merged from many worker processes needs no reconstruction beyond
+``json.loads`` per line.  The report answers the questions a trace file
 exists for:
 
-* *what happened to one request?* — :func:`trace_tree_lines` renders a
-  single trace's span tree with durations and provenance attributes;
-* *which requests were slow?* — :func:`slowest_table` ranks traces by
-  their root span's duration;
-* *where does latency come from overall?* — :func:`stage_breakdown`
+* *where did the time go, span by span?* — :func:`render_span_summary`
+  aggregates every span in the file by name, request or not;
+* *where does request latency come from?* — :func:`stage_breakdown`
   attributes every request's time to pipeline stages (plan vs probe vs
   execute vs other), splitting probe time out of the stage it ran
-  under.
+  under;
+* *which requests were slow?* — :func:`render_slowest_table` ranks
+  traces by their root span's duration;
+* *what happened to one request?* — :func:`trace_tree_lines` renders a
+  single trace's span tree with durations and provenance attributes.
 
-Everything operates on plain span dicts (the :func:`~repro.obs.export.
-span_to_dict` shape), so a file merged from many worker processes needs
-no reconstruction beyond ``json.loads`` per line.  All renderings sort
-deterministically (duration desc, then trace id) for golden tests.
+All renderings sort deterministically (by name, or by duration desc
+then trace id) for golden tests.
 """
 
 from __future__ import annotations
@@ -25,11 +28,50 @@ import json
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
+from .metrics import quantile
+from .tracing import Span, Tracer
+
 #: The stages latency is attributed to, in pipeline order.
 STAGES = ("plan", "probe", "execute", "other")
 
 #: The span name a request's root carries (the frontend's ticket span).
 ROOT_SPAN_NAME = "serving.request"
+
+
+def span_to_dict(span: Span) -> dict[str, Any]:
+    """A JSON-serializable view of one span."""
+    return {
+        "name": span.name,
+        "span_id": span.span_id,
+        "parent_id": span.parent_id,
+        "trace_id": span.trace_id,
+        "start": span.start,
+        "end": span.end,
+        "duration": span.duration,
+        "attributes": dict(span.attributes),
+    }
+
+
+def _spans_of(source: Tracer | Iterable[Span]) -> list[Span]:
+    if isinstance(source, Tracer):
+        return source.finished()
+    return list(source)
+
+
+def to_jsonl(source: Tracer | Iterable[Span]) -> str:
+    """The whole trace as JSON-lines text (one span per line)."""
+    return "".join(
+        json.dumps(span_to_dict(span), default=str) + "\n"
+        for span in _spans_of(source)
+    )
+
+
+def write_jsonl(source: Tracer | Iterable[Span], path: str | Path) -> int:
+    """Dump the trace to *path*; returns the number of spans written."""
+    spans = _spans_of(source)
+    Path(path).write_text(to_jsonl(spans), encoding="utf-8")
+    return len(spans)
+
 
 
 def load_trace_file(path: str | Path) -> list[dict[str, Any]]:
@@ -261,17 +303,51 @@ def render_trace_tree(
     return "\n".join([f"trace {trace_id}"] + trace_tree_lines(spans))
 
 
+def render_span_summary(spans: Sequence[dict[str, Any]]) -> str:
+    """Every span aggregated by name: count, total, mean, p50 and p95 of
+    its durations, one row per name in name order.
+
+    Spans outside any request trace (a derivation's engine calls, say)
+    count here too, so the counts sum to the file's span count.
+    """
+    groups: dict[str, list[float]] = {}
+    for span in spans:
+        groups.setdefault(span["name"], []).append(_duration(span))
+    if not groups:
+        return "(no spans recorded)"
+    width = max(len("span"), *map(len, groups))
+    header = (
+        f"{'span':<{width}}  {'count':>7}  {'total_s':>10}  "
+        f"{'mean_s':>10}  {'p50_s':>10}  {'p95_s':>10}"
+    )
+    lines = [header, "-" * len(header)]
+    for name in sorted(groups):
+        durations = sorted(groups[name])
+        total = sum(durations)
+        lines.append(
+            f"{name:<{width}}  {len(durations):>7}  {total:>10.4f}  "
+            f"{total / len(durations):>10.6f}  {quantile(durations, 0.5):>10.6f}  "
+            f"{quantile(durations, 0.95):>10.6f}"
+        )
+    return "\n".join(lines)
+
+
 def render_trace_report(
     spans: Iterable[dict[str, Any]],
     slowest: int = 5,
     tree: str | None = None,
 ) -> str:
-    """The full CLI report: stage breakdown, slowest-N, one span tree.
+    """The full CLI report: spans by name, then the request sections —
+    stage breakdown, slowest-N, one span tree.
 
     *tree* picks the trace to expand; default is the slowest trace.
     """
+    spans = list(spans)
     groups = group_traces(spans)
     sections = [
+        f"Spans by name ({len(spans)} spans)",
+        render_span_summary(spans),
+        "",
         f"traces: {len(groups)}",
         "",
         "Per-stage latency attribution (critical path)",

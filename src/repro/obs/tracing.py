@@ -7,8 +7,8 @@ becomes its child.  The module-level default tracer is a
 do-nothing singleton, so instrumentation left in hot paths costs a
 single function call and an empty ``with`` block when tracing is
 disabled.  Enable recording globally with :func:`enable` (or scoped with
-:func:`recording`), then export the finished spans with
-:mod:`repro.obs.export`.
+:func:`recording`), then write the finished spans to a span file with
+:func:`repro.obs.trace_analysis.write_jsonl`.
 
 A process traces from one thread, so a request is one ordinary nested
 ``with`` tree.  Request-scoped tracing adds two things:
@@ -451,7 +451,7 @@ def current_trace_id() -> str | None:
     """The trace id of the active trace, if any.
 
     Instrumented code that only wants to *link* to the active trace
-    (accuracy exemplars, histogram exemplars) calls this instead of
+    (accuracy exemplars) calls this instead of
     passing a context object through every signature.  It answers for
     the innermost open span — and while a :meth:`Tracer.suppress_begin`
     is in force, for the unsampled request it carries — so force-keep

@@ -29,7 +29,7 @@ synchronous path, byte-identical plan choices included
 Every request is counted in the global metrics registry
 (``serving.{submitted,completed,failed}`` counters, the
 ``serving.latency_seconds`` histogram, ``serving.plan_cache.*``
-counters), all of which surface in the Prometheus/JSON exposition
+counters), all of which surface in the obs snapshot
 (:mod:`repro.obs.expose`).
 
 With a real tracer installed (``obs.enable`` / ``obs.set_tracer``),
@@ -210,9 +210,7 @@ class ServingFrontEnd:
             self._run(ticket)
         else:
             self._run_traced(ticket, tracer)
-        obs.observe(
-            "serving.latency_seconds", ticket.latency_seconds, exemplar=ticket.trace_id
-        )
+        obs.observe("serving.latency_seconds", ticket.latency_seconds)
         return ticket
 
     def serve(self, queries: list[GlobalJoinQuery]) -> list[ServingTicket]:
@@ -271,7 +269,6 @@ class ServingFrontEnd:
         attributes = {
             "index": ticket.index,
             "query": _trace_query_label(ticket.query),
-            "admission_policy": self.config.admission_policy,
         }
         if ticket.trace_sampled:
             with tracer.span("serving.request", trace_id=trace_id, **attributes) as root:

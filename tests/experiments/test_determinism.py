@@ -94,6 +94,8 @@ REMOVED_FLAGS = (
     "--no-cache",
     "--clear-cache",
     "--full",
+    "--drift-out",
+    "--verbose",
 )
 
 
@@ -139,7 +141,11 @@ def test_unknown_or_removed_flag_is_an_argparse_error(flag, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("package", ["repro.experiments", "repro.obs"])
+#: How many ``python -m`` usage examples each CLI's docstring carries.
+USAGE_EXAMPLES = {"repro.experiments": 5, "repro.obs": 3}
+
+
+@pytest.mark.parametrize("package", sorted(USAGE_EXAMPLES))
 def test_help_prints_each_usage_example_on_its_own_line(package, capsys):
     cli = importlib.import_module(package + ".__main__")
     with pytest.raises(SystemExit) as exit_info:
@@ -147,5 +153,5 @@ def test_help_prints_each_usage_example_on_its_own_line(package, capsys):
     assert exit_info.value.code == 0
     help_lines = capsys.readouterr().out.splitlines()
     examples = [line for line in cli.__doc__.splitlines() if line.startswith("    python -m")]
-    assert len(examples) == 5
+    assert len(examples) == USAGE_EXAMPLES[package]
     assert all(example in help_lines for example in examples)

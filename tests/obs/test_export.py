@@ -1,21 +1,18 @@
-"""Unit tests for the trace/metrics exporters."""
+"""Unit tests for the span-file export and its per-span-name summary."""
 
 import json
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.obs.export import (
-    metrics_table,
+from repro.obs.trace_analysis import (
+    load_trace_file,
+    render_span_summary,
     span_to_dict,
-    summary_table,
     to_jsonl,
     write_jsonl,
 )
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace_analysis import load_trace_file
 from repro.obs.tracing import Span
 
 
@@ -112,8 +109,8 @@ class TestJsonlRoundTripProperties:
 
 class TestSummaryTable:
     def test_aggregates_per_name(self, tracer):
-        record_small_trace(tracer)
-        table = summary_table(tracer)
+        spans = [span_to_dict(span) for span in record_small_trace(tracer)]
+        table = render_span_summary(spans)
         assert "span" in table and "count" in table and "p95_s" in table
         inner_row = next(
             line for line in table.splitlines() if line.startswith("inner")
@@ -124,35 +121,6 @@ class TestSummaryTable:
         )
         assert outer_row.split()[1] == "1"
 
-    def test_sort_modes(self, tracer):
-        record_small_trace(tracer)
-        by_name = summary_table(tracer, sort_by="name").splitlines()[2:]
-        assert [row.split()[0] for row in by_name] == ["inner", "outer"]
-        by_count = summary_table(tracer, sort_by="count").splitlines()[2:]
-        assert by_count[0].startswith("inner")
-        # "total": outer contains both inners, so it sorts first.
-        by_total = summary_table(tracer, sort_by="total").splitlines()[2:]
-        assert by_total[0].startswith("outer")
-
-    def test_unknown_sort_rejected(self, tracer):
-        record_small_trace(tracer)
-        with pytest.raises(ValueError):
-            summary_table(tracer, sort_by="zebra")
-
     def test_empty_trace(self):
-        assert summary_table([]) == "(no spans recorded)"
+        assert render_span_summary([]) == "(no spans recorded)"
 
-
-class TestMetricsTable:
-    def test_renders_all_kinds(self):
-        registry = MetricsRegistry()
-        registry.inc("queries", 3)
-        registry.set_gauge("level", 0.5)
-        registry.observe("elapsed", 1.0)
-        table = metrics_table(registry)
-        assert "queries" in table and "counter" in table
-        assert "level" in table and "gauge" in table
-        assert "elapsed" in table and "histogram" in table and "p95=" in table
-
-    def test_empty_registry(self):
-        assert metrics_table(MetricsRegistry()) == "(no metrics recorded)"

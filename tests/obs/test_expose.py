@@ -1,4 +1,4 @@
-"""Exposition surface: prom text, snapshots, dashboard, the CLI."""
+"""The obs snapshot, its dashboard, and the ``--snapshot`` CLI."""
 
 import json
 
@@ -10,7 +10,6 @@ from repro.core.model import MultiStateCostModel
 from repro.core.partition import uniform_partition
 from repro.mdbs.registry import CostModelRegistry, ModelProvenance
 from repro.obs.__main__ import main as obs_main
-from repro.obs.expose import _prom_name
 from repro.obs.quality import AccuracyTracker, DriftEvent
 
 from ..core.synthetic import stepped_sample
@@ -29,37 +28,6 @@ def populated_registry() -> obs.MetricsRegistry:
     for value in (0.1, 0.2, 0.3, 0.4):
         registry.observe("mdbs.step_seconds", value)
     return registry
-
-
-class TestPromNames:
-    def test_dots_become_underscores_with_prefix(self):
-        assert _prom_name("mdbs.global_queries") == "repro_mdbs_global_queries"
-
-    def test_leading_digit_guarded(self):
-        assert _prom_name("9lives", prefix="").startswith("_9")
-
-
-class TestRenderText:
-    def test_counters_gauges_histograms(self):
-        text = obs.render_text(populated_registry())
-        assert "# TYPE repro_mdbs_global_queries counter" in text
-        assert "repro_mdbs_global_queries 5.0" in text
-        assert "# TYPE repro_mdbs_probing_cache_size gauge" in text
-        assert "# TYPE repro_mdbs_step_seconds summary" in text
-        assert 'repro_mdbs_step_seconds{quantile="0.5"}' in text
-        assert "repro_mdbs_step_seconds_count 4" in text
-        assert "repro_mdbs_step_seconds_sum 1.0" in text
-
-    def test_accepts_snapshot_dict_identically(self):
-        registry = populated_registry()
-        assert obs.render_text(registry.snapshot()) == obs.render_text(registry)
-
-    def test_defaults_to_global_registry(self, fresh_registry):
-        fresh_registry.inc("hits")
-        assert "repro_hits 1.0" in obs.render_text()
-
-    def test_empty(self):
-        assert obs.render_text(obs.MetricsRegistry()) == ""
 
 
 def small_payload() -> dict:
@@ -124,22 +92,6 @@ class TestDashboard:
         assert "(none)" in text
 
 
-class TestDriftJsonl:
-    def test_events_and_tracker_sources(self, tmp_path):
-        events = [
-            DriftEvent("A", "G1", "bias", 1.0, "x"),
-            DriftEvent("B", "G3", "probe_escape", 2.0, "y"),
-        ]
-        path = tmp_path / "drift.jsonl"
-        assert obs.write_drift_jsonl(events, path) == 2
-        lines = path.read_text().splitlines()
-        assert [DriftEvent.from_dict(json.loads(s)) for s in lines] == events
-
-        tracker = AccuracyTracker(export=False)
-        tracker.record_drift_event(events[0])
-        assert obs.write_drift_jsonl(tracker, path) == 1
-
-
 class TestCli:
     def _snapshot_file(self, tmp_path):
         path = tmp_path / "snap.json"
@@ -151,20 +103,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "repro.obs dashboard" in out and "A/G1/s0" in out
 
-    def test_prom_format(self, tmp_path, capsys):
-        code = obs_main(
-            ["--snapshot", self._snapshot_file(tmp_path), "--format", "prom"]
-        )
-        assert code == 0
-        assert "# TYPE repro_mdbs_global_queries counter" in capsys.readouterr().out
-
     def test_missing_snapshot_errors(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             obs_main(["--snapshot", str(tmp_path / "absent.json")])
         assert excinfo.value.code == 2
 
-    def test_nonpositive_watch_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
-            obs_main(
-                ["--snapshot", self._snapshot_file(tmp_path), "--watch", "0"]
-            )
+    @pytest.mark.parametrize("flag", [["--format", "prom"], ["--watch", "2"]])
+    def test_removed_flags_rejected(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            obs_main(["--snapshot", self._snapshot_file(tmp_path), *flag])
+        assert excinfo.value.code == 2

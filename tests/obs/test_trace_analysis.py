@@ -1,10 +1,15 @@
 """Cross-process trace analytics: stage attribution, rankings, CLI.
 
-All inputs are hand-built span dicts in the ``span_to_dict`` shape, so
-every expected number is exact — no real serving run, no wall clock.
+Inputs are hand-built span dicts in the ``span_to_dict`` shape, so every
+expected number is exact — no real serving run, no wall clock — except
+:class:`TestSpansByName`'s end-to-end check on a real experiments trace.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +19,7 @@ from repro.obs.trace_analysis import (
     group_traces,
     load_trace_file,
     render_slowest_table,
+    render_span_summary,
     render_stage_breakdown,
     render_trace_report,
     render_trace_tree,
@@ -220,3 +226,97 @@ class TestCli:
     def test_bad_slowest_rejected(self, trace_file):
         with pytest.raises(SystemExit):
             obs_main(["trace", str(trace_file), "--slowest", "0"])
+
+
+#: The request sections of the report on ``TestCli``'s two-trace file,
+#: exactly as the report printed them before it gained the spans-by-name
+#: section; they must follow that section unchanged.
+REQUEST_SECTIONS = """\
+traces: 2
+
+Per-stage latency attribution (critical path)
+stage              seconds    share
+-----------------------------------
+plan              7.000000    30.4%
+probe             3.000000    13.0%
+execute           7.000000    30.4%
+other             6.000000    26.1%
+total            23.000000   100.0%
+
+Slowest 5 traces
+trace       seconds  spans  status     query
+--------------------------------------------
+t-2       13.000000      6  completed  q
+t-1       10.000000      6  completed  q
+
+trace t-2
+serving.request  13.000000s  [query=q status=completed]
+  serving.plan  6.000000s
+    mdbs.probe.service  1.000000s  [outcome=executed]
+  serving.execute  4.000000s
+    mdbs.probe.service  0.500000s  [outcome=executed]
+      mdbs.probe  0.400000s  [outcome=executed]"""
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+def _section_counts(report: str) -> dict[str, int]:
+    """``{span name: count}`` from the report's spans-by-name section."""
+    lines = report.split("\n\ntraces: ")[0].splitlines()
+    assert lines[0].startswith("Spans by name (")
+    return {row.split()[0]: int(row.split()[1]) for row in lines[3:]}
+
+
+def _run(args: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", *args],
+        capture_output=True, text=True, env=env, cwd=REPO_ROOT, timeout=300,
+    )
+
+
+class TestSpansByName:
+    def test_request_sections_follow_unchanged(self):
+        spans = request_trace("t-1", 0) + request_trace("t-2", 100, slow=3.0)
+        assert render_trace_report(spans, slowest=5) == (
+            f"Spans by name (12 spans)\n{render_span_summary(spans)}\n\n"
+            + REQUEST_SECTIONS
+        )
+
+    def test_rows_sorted_by_name_with_exact_aggregates(self):
+        spans = request_trace("t-1", 0) + request_trace("t-2", 100, slow=3.0)
+        rows = render_span_summary(spans).splitlines()[2:]
+        assert [row.split()[0] for row in rows] == sorted(
+            {span["name"] for span in spans}
+        )
+        plan = next(row.split() for row in rows if row.startswith("serving.plan"))
+        # Durations 3.0 and 6.0: count, total, mean, p50, p95.
+        assert plan[1:] == ["2", "9.0000", "4.500000", "4.500000", "5.850000"]
+
+    def test_spans_outside_requests_are_counted(self):
+        spans = request_trace() + [
+            _span("engine.execute", 50 + i, trace_id=None, duration=0.25)
+            for i in range(3)
+        ]
+        counts = _section_counts(render_trace_report(spans))
+        assert counts["engine.execute"] == 3
+        assert sum(counts.values()) == len(spans)
+
+    @pytest.mark.slow
+    def test_trace_without_requests_end_to_end(self, tmp_path):
+        """A derivation-only run writes spans but no request roots; the
+        report still covers every one of them."""
+        path = tmp_path / "table4.jsonl"
+        run = _run(
+            ["repro.experiments", "--preset", "tiny", "--only", "table4",
+             "--trace-out", str(path)]
+        )
+        assert run.returncode == 0, run.stderr
+        report = _run(["repro.obs", "trace", str(path)])
+        assert report.returncode == 0, report.stderr
+        spans = load_trace_file(path)
+        assert spans and all(span["trace_id"] is None for span in spans)
+        counts = _section_counts(report.stdout)
+        assert sum(counts.values()) == len(spans)
+        assert "engine.execute" in counts
+        assert "\n\ntraces: 0\n" in report.stdout
