@@ -52,8 +52,8 @@ class ProbingQuery:
     def observe(self) -> float:
         """Execute the probing query; return its elapsed time.
 
-        The cost is charged afresh each time — contention, noise, clock,
-        metrics — while the work is re-run only when
+        The cost is charged afresh each time — contention, noise, clock —
+        while the work is re-run only when
         :meth:`LocalDatabase.is_current` says the last run no longer is
         (a catalog change, or any site with a buffer pool).
         """

@@ -104,7 +104,6 @@ def collect_observations(
                 result,
                 probing_cost,
                 plan=result.plan,
-                query=str(result.query),
                 **extra,
             )
         )

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .. import obs
 from .metrics import ExecutionMetrics
 from .profiles import DBMSProfile
 
@@ -86,17 +85,6 @@ def simulate_elapsed(
     if noise <= 0:
         raise ValueError("noise must be positive")
     init_time, io_time, cpu_time = base_components(metrics, profile)
-    registry = obs.get_registry()
-    registry.observe("engine.costing.io_seconds", io_time)
-    registry.observe("engine.costing.cpu_seconds", cpu_time)
-    registry.set_gauge("engine.costing.last_slowdown", slowdown)
-    if metrics.logical_page_reads:
-        # Per-query hit rate: the fraction of logical page reads the
-        # buffer pool absorbed (0.0 on the pool-less accounting path,
-        # where physical == logical).
-        registry.set_gauge(
-            "engine.costing.last_buffer_hit_rate", metrics.buffer_hit_rate
-        )
     return ElapsedBreakdown(
         init_time=init_time,
         io_time=io_time,

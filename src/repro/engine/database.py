@@ -204,11 +204,10 @@ class LocalDatabase:
     def run(self, query: Query | str) -> QueryRun:
         """Plan and run *query*: its result and the work it did.
 
-        Reads neither the clock nor the noise generator and records no
-        metric, so the run can be charged (:meth:`charge`) afterwards —
-        once, or again for as long as :meth:`is_current` holds.  With a
-        buffer pool the run touches the pool: what it holds is part of
-        the work.
+        Reads neither the clock nor the noise generator, so the run can
+        be charged (:meth:`charge`) afterwards — once, or again for as
+        long as :meth:`is_current` holds.  With a buffer pool the run
+        touches the pool: what it holds is part of the work.
         """
         if isinstance(query, str):
             query = self.parse(query)
@@ -243,8 +242,10 @@ class LocalDatabase:
         """Charge *run*'s work at the current contention level.
 
         Draws one noise value, converts the work to simulated elapsed
-        time, advances the clock by it and records the execution — all
-        that makes one execution of the same work differ from another.
+        time and advances the clock by it — all that makes one execution
+        of the same work differ from another.  The work and its timing
+        are the returned :class:`QueryResult`'s ``metrics`` and
+        ``breakdown``; nothing else records them.
         """
         with obs.span("engine.execute") as sp:
             started_at = self.environment.now
@@ -253,7 +254,6 @@ class LocalDatabase:
             noise = self._noise()
             breakdown = simulate_elapsed(run.metrics, self.profile, slowdown, noise)
             self.environment.advance(breakdown.elapsed)
-            self._record_execution(run.plan, run.metrics, breakdown)
             if sp.recording:
                 sp.set_attributes(
                     database=self.name,
@@ -288,30 +288,6 @@ class LocalDatabase:
             return False
         table = self.catalog.table
         return all(table(t.name) is t and t.version == version for t, version in run.tables)
-
-    def _record_execution(
-        self, plan_desc: str, metrics: ExecutionMetrics, breakdown: ElapsedBreakdown
-    ) -> None:
-        """Feed the global metrics registry: pages, CPU ops, and the
-        simulated elapsed seconds per access method."""
-        registry = obs.get_registry()
-        registry.inc("engine.queries")
-        registry.inc("engine.pages.sequential", metrics.sequential_page_reads)
-        registry.inc("engine.pages.random", metrics.random_page_reads)
-        registry.inc("engine.pages.logical", metrics.logical_page_reads)
-        registry.inc("engine.pages.buffer_hits", metrics.buffer_hits)
-        if self.buffer_pool is not None:
-            registry.set_gauge("engine.buffer.hit_rate", self.buffer_pool.hit_rate)
-            registry.set_gauge("engine.buffer.resident_pages", len(self.buffer_pool))
-        registry.inc(
-            "engine.cpu_ops",
-            metrics.tuples_read
-            + metrics.tuples_evaluated
-            + metrics.tuples_output
-            + metrics.sort_comparisons
-            + metrics.hash_operations,
-        )
-        registry.observe(f"engine.elapsed_seconds.{plan_desc}", breakdown.elapsed)
 
     def _noise(self) -> float:
         if self.noise_sigma == 0:

@@ -89,7 +89,6 @@ class MDBSAgent:
             cost = self.probe.observe()
             if sp.recording:
                 sp.set_attribute("probing_cost", cost)
-        obs.inc("mdbs.probes.observed")
         return cost
 
     def estimated_probing_cost(self) -> float:
@@ -106,7 +105,6 @@ class MDBSAgent:
             cost = self.estimator.estimate(self.monitor.statistics())
             if sp.recording:
                 sp.set_attribute("probing_cost", cost)
-        obs.inc("mdbs.probes.estimated")
         return cost
 
     def probing_cost(self, prefer_estimated: bool = False) -> float:

@@ -21,8 +21,8 @@ This service centralizes that serving-side concern:
   service falls back, in order: observed probe → monitor-estimated
   probe (paper eq. (2)) → last-known reading → *no reading*
   (``cost=None``), which the optimizer turns into a static one-state
-  prediction.  Every fallback level taken is counted in
-  ``mdbs.probing.source.*``.
+  prediction.  Every reading names the level it came from in
+  :attr:`ProbeReading.source`.
 """
 
 from __future__ import annotations
@@ -71,9 +71,7 @@ class ProbingService:
         #: one tracker sample, however many requests share the reading.
         self.tracker = tracker
         self._cache: dict[str, ProbeReading] = {}
-        #: Probes actually executed (observed or estimated), per site —
-        #: local bookkeeping for experiments; obs counters carry the
-        #: global view.
+        #: Probes actually executed (observed or estimated), per site.
         self.probes_executed: dict[str, int] = {}
         self.cache_hits = 0
         #: Always 0: one caller at a time never waits on another's probe.
@@ -99,10 +97,8 @@ class ProbingService:
         reading = self._fresh(self._cache.get(site), now)
         if reading is not None:
             self.cache_hits += 1
-            obs.inc("mdbs.probing.cache_hits")
             return reading
         with obs.span("mdbs.probe.service", site=site) as sp:
-            obs.inc("mdbs.probing.cache_misses")
             reading = self._acquire(agent, now, prefer_estimated, sp)
             if sp.recording:
                 sp.set_attributes(
@@ -110,7 +106,6 @@ class ProbingService:
                 )
             if reading.cost is not None:
                 self._cache[site] = reading
-            obs.set_gauge("mdbs.probing.cache_size", len(self._cache))
             return reading
 
     def invalidate(self, site: str | None = None) -> None:
@@ -119,7 +114,6 @@ class ProbingService:
             self._cache.clear()
         else:
             self._cache.pop(site, None)
-        obs.set_gauge("mdbs.probing.cache_size", len(self._cache))
 
     # -- acquisition + degradation chain ---------------------------------
 
@@ -155,14 +149,10 @@ class ProbingService:
             self.probes_executed[agent.site] = (
                 self.probes_executed.get(agent.site, 0) + 1
             )
-            obs.inc(f"mdbs.probing.executed.{agent.site}")
-            obs.inc(f"mdbs.probing.source.{mode}")
             if self.tracker is not None:
                 self.tracker.record_probe(agent.site, cost, at_time=now)
             return ProbeReading(cost, mode, now)
         last = self._cache.get(agent.site)
         if last is not None and last.cost is not None:
-            obs.inc("mdbs.probing.source.last_known")
             return ProbeReading(last.cost, "last_known", now)
-        obs.inc("mdbs.probing.source.static")
         return ProbeReading(None, "static", now)

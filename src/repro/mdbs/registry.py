@@ -313,7 +313,6 @@ class CostModelRegistry:
             if candidate.version == version:
                 versions[index] = updated
                 break
-        obs.inc("mdbs.registry.online_updates")
         return updated
 
     # -- read path -------------------------------------------------------

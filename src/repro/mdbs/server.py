@@ -275,17 +275,16 @@ class MDBSServer:
         self, query: GlobalJoinQuery, plan: GlobalPlan | None = None
     ) -> GlobalExecution:
         """Execute *query* (optimizing first unless a plan is supplied)."""
-        with obs.span(
-            "mdbs.execute",
-            left=f"{query.left_site}.{query.left_table}",
-            right=f"{query.right_site}.{query.right_table}",
-        ) as root:
+        with obs.span("mdbs.execute") as root:
+            if root.recording:
+                root.set_attributes(
+                    left=f"{query.left_site}.{query.left_table}",
+                    right=f"{query.right_site}.{query.right_table}",
+                )
             plan = plan or self.optimize(query)
             execution = self._execute_plan(query, plan)
             self._record_accuracy(plan, execution)
             obs.inc("mdbs.global_queries")
-            obs.set_gauge("mdbs.last_estimated_seconds", execution.estimated_seconds)
-            obs.set_gauge("mdbs.last_observed_seconds", execution.observed_seconds)
             if root.recording:
                 root.set_attributes(
                     join_site=plan.join_site,
@@ -301,9 +300,7 @@ class MDBSServer:
         ``plan.estimates`` and ``execution.steps`` are built in the same
         component order (left select, right select, ship, join); the
         ship component carries no cost model (``class_label is None``)
-        and is skipped.  Plan-level error goes to a registry histogram —
-        it aggregates several models, so it has no (site, class, state)
-        window of its own.
+        and is skipped.
 
         When the call runs under a traced request, the current trace id
         rides along: each sample lands in the tracker *linked* to its
@@ -350,12 +347,6 @@ class MDBSServer:
                     self._online_update(
                         estimate, step.seconds, at_time=agent.database.environment.now
                     )
-            observed = execution.observed_seconds
-            if observed > 0.0:
-                obs.observe(
-                    "mdbs.plan.rel_error",
-                    abs(execution.estimated_seconds - observed) / observed,
-                )
             if sp.recording:
                 sp.set_attributes(samples=recorded, states=",".join(states))
 
@@ -426,7 +417,6 @@ class MDBSServer:
                 "error": float(error),
             },
         )
-        obs.inc("mdbs.online.updates")
 
     def _execute_plan(
         self, query: GlobalJoinQuery, plan: GlobalPlan
@@ -516,8 +506,8 @@ class MDBSServer:
         seconds: float,
         estimate: CostEstimate | None = None,
     ) -> None:
-        """One plan step: a StepTiming for callers, span attributes for
-        the trace, and a histogram point for the registry.
+        """One plan step: a StepTiming for callers and span attributes
+        for the trace.
 
         The span's own duration is real wall-clock work; *seconds* is the
         step's *simulated* elapsed time (what the cost models predict).
@@ -532,7 +522,6 @@ class MDBSServer:
                 span.set_attribute("estimated_seconds", estimate.seconds)
                 if estimate.state is not None:
                     span.set_attribute("state", estimate.state)
-        obs.observe("mdbs.step_seconds", seconds)
 
     def _project_output(self, query, components, join_result):
         """Map temp-qualified join output back to the requested columns.

@@ -5,8 +5,8 @@ and the work actually go?*  Three pieces:
 
 * :mod:`repro.obs.metrics` — a global, always-live
   :class:`~repro.obs.metrics.MetricsRegistry` of counters, gauges, and
-  streaming histograms, cheap enough to record from per-query hot
-  paths;
+  streaming histograms; per-query paths record into it only the
+  totals the dashboard prints;
 * :mod:`repro.obs.tracing` — nested, context-managed spans recorded by
   a :class:`~repro.obs.tracing.Tracer`, one request one ``with`` tree.  The global default
   is a no-op tracer, so the instrumentation baked into the engine,

@@ -12,10 +12,12 @@ use so call sites never need registration boilerplate:
   memory stays constant no matter how many values are recorded.
 
 Recording into an existing metric is one ``dict.get`` plus the
-metric's own update — cheap enough for per-query serving paths, and it
-keeps always-useful totals such as cache hit rates available without
-opting in.  A registry belongs to one process and is recorded into
-from that process's one thread.
+metric's own update.  The global registry is always live, so the
+per-execution path records into it only the totals the obs dashboard
+prints (:func:`repro.obs.expose.render_dashboard`); everything else an
+execution produces stays on the object that owns it.  A registry
+belongs to one process and is recorded into from that process's one
+thread.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ class Histogram:
     """
 
     __slots__ = ("name", "reservoir_size", "_count", "_sum", "_min", "_max",
-                 "_reservoir", "_rng")
+                 "_reservoir", "_getrandbits")
 
     def __init__(self, name: str, reservoir_size: int = 4096) -> None:
         if reservoir_size <= 0:
@@ -128,7 +130,7 @@ class Histogram:
         self._min = math.inf
         self._max = -math.inf
         self._reservoir: list[float] = []
-        self._rng = random.Random(zlib.crc32(name.encode("utf-8")))
+        self._getrandbits = random.Random(zlib.crc32(name.encode("utf-8"))).getrandbits
 
     def record(self, value: float) -> None:
         value = float(value)
@@ -138,19 +140,18 @@ class Histogram:
             self._min = value
         if value > self._max:
             self._max = value
-        reservoir = self._reservoir
-        if len(reservoir) < self.reservoir_size:
-            reservoir.append(value)
+        if count <= self.reservoir_size:
+            self._reservoir.append(value)
         else:
-            # ``self._rng.randrange(count)``, draw for draw, without
-            # its two Python-level calls: rejection-sample k-bit ints.
-            getrandbits = self._rng.getrandbits
+            # ``Random.randrange(count)``, draw for draw, without its
+            # two Python-level calls: rejection-sample k-bit ints.
+            getrandbits = self._getrandbits
             bits = count.bit_length()
             slot = getrandbits(bits)
             while slot >= count:
                 slot = getrandbits(bits)
             if slot < self.reservoir_size:
-                reservoir[slot] = value
+                self._reservoir[slot] = value
 
     @property
     def count(self) -> int:

@@ -12,9 +12,10 @@ decides nothing (the lifecycle rules are :mod:`repro.mdbs.lifecycle`):
   bands (% of estimates with relative error ≤ 30%, % within a factor of
   2), mean relative error, and bias (signed mean relative error), plus
   per-site probing-cost readings and the log of every
-  :class:`DriftEvent` that caused a re-derivation.  Every recording
-  also lands in the global metrics registry, so the numbers show up in
-  the obs snapshot for free;
+  :class:`DriftEvent` that caused a re-derivation.  Each recording
+  counts one ``mdbs.accuracy.samples`` in the global metrics registry;
+  the windows reach the obs snapshot through
+  :meth:`AccuracyTracker.snapshot`;
 * :func:`accuracy_table` — a per-key renderer of those windows (the
   online counterpart of the Table-5 validation rows);
 * :func:`merge_accuracy_snapshots` — one fleet-wide view of several
@@ -81,13 +82,34 @@ def _state_label(state) -> str:
     return f"s{state}"
 
 
-class AccuracySample(NamedTuple):
-    """One estimate checked against reality.
+def _classify(predicted: float, actual: float, at_time: float) -> tuple:
+    """One sample's :class:`AccuracySample` fields as a plain tuple.
 
-    A NamedTuple rather than a dataclass: one is built per recorded
-    plan step on the serving path, and tuple construction keeps that
-    hot path inside the <5% overhead budget (tests/obs/test_overhead).
+    The §5 error terms and bands in one straight-line pass.  Windows
+    hold these plain tuples: building the NamedTuple costs a second
+    allocation per recorded plan step (tests/obs/test_overhead), and
+    tests/obs/test_quality pins every field to core.validation.
     """
+    predicted = float(predicted)
+    actual = float(actual)
+    if actual == 0.0:
+        rel = signed = _INF if predicted != 0.0 else 0.0
+    else:
+        # Rounding is sign-symmetric, so |d / m| == |d| / m exactly.
+        signed = (predicted - actual) / abs(actual)
+        rel = abs(signed)
+    if actual <= 0.0:
+        good = predicted == actual
+    elif predicted <= 0.0:
+        good = False
+    else:
+        good = predicted / actual <= GOOD_FACTOR and actual / predicted <= GOOD_FACTOR
+    return (predicted, actual, float(at_time), rel, signed,
+            rel <= VERY_GOOD_RELATIVE_ERROR, good)
+
+
+class AccuracySample(NamedTuple):
+    """One estimate checked against reality."""
 
     predicted: float
     actual: float
@@ -99,31 +121,7 @@ class AccuracySample(NamedTuple):
 
     @classmethod
     def make(cls, predicted: float, actual: float, at_time: float) -> "AccuracySample":
-        # §5 error terms and bands in one straight-line pass — one sample
-        # is built per recorded plan step (tests/obs/test_overhead);
-        # tests/obs/test_quality pins every field to core.validation.
-        predicted = float(predicted)
-        actual = float(actual)
-        if actual == 0.0:
-            rel = signed = _INF if predicted != 0.0 else 0.0
-        else:
-            # Rounding is sign-symmetric, so |d / m| == |d| / m exactly.
-            signed = (predicted - actual) / abs(actual)
-            rel = abs(signed)
-        if actual <= 0.0:
-            good = predicted == actual
-        elif predicted <= 0.0:
-            good = False
-        else:
-            good = (
-                predicted / actual <= GOOD_FACTOR
-                and actual / predicted <= GOOD_FACTOR
-            )
-        return _new_tuple(
-            cls,
-            (predicted, actual, float(at_time), rel, signed,
-             rel <= VERY_GOOD_RELATIVE_ERROR, good),
-        )
+        return _new_tuple(cls, _classify(predicted, actual, at_time))
 
 
 @dataclass(frozen=True)
@@ -153,8 +151,9 @@ class WindowStats:
 _EMPTY_STATS = WindowStats(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def _push(windows: "tuple[AccuracyWindow, ...]", sample: AccuracySample) -> None:
-    """Append *sample* to each window, adjusting its running sums.
+def _push(windows: "tuple[AccuracyWindow, ...]", sample: tuple) -> None:
+    """Append *sample* (:class:`AccuracySample` fields) to each window,
+    adjusting its running sums.
 
     The serving path lands every recorded plan step in two windows, so
     the sample is unpacked once for both and the eviction arithmetic is
@@ -200,7 +199,8 @@ class AccuracyWindow:
         if window_size <= 0:
             raise ValueError("window_size must be positive")
         self.window_size = window_size
-        self._samples: deque[AccuracySample] = deque()
+        #: :class:`AccuracySample` field tuples, oldest first.
+        self._samples: deque[tuple] = deque()
         self._n_very_good = 0
         self._n_good = 0
         self._sum_rel = 0.0
@@ -213,12 +213,8 @@ class AccuracyWindow:
 
     def record(self, predicted: float, actual: float, at_time: float = 0.0) -> AccuracySample:
         sample = AccuracySample.make(predicted, actual, at_time)
-        self.push(sample)
-        return sample
-
-    def push(self, sample: AccuracySample) -> None:
-        """Append an already-classified sample (shared across windows)."""
         _push((self,), sample)
+        return sample
 
     def stats(self) -> WindowStats:
         n = len(self._samples)
@@ -242,14 +238,15 @@ class AccuracyWindow:
         n = len(recent)
         if n == 0:
             return _EMPTY_STATS
+        predicted, actual, _, rel, signed, very_good, good = zip(*recent)
         return WindowStats(
             count=n,
-            pct_very_good=100.0 * sum(s.very_good for s in recent) / n,
-            pct_good=100.0 * sum(s.good for s in recent) / n,
-            mean_relative_error=sum(s.relative_error for s in recent) / n,
-            bias=sum(s.signed_error for s in recent) / n,
-            mean_predicted=sum(s.predicted for s in recent) / n,
-            mean_actual=sum(s.actual for s in recent) / n,
+            pct_very_good=100.0 * sum(very_good) / n,
+            pct_good=100.0 * sum(good) / n,
+            mean_relative_error=sum(rel) / n,
+            bias=sum(signed) / n,
+            mean_predicted=sum(predicted) / n,
+            mean_actual=sum(actual) / n,
         )
 
 
@@ -261,8 +258,8 @@ class AccuracyTracker:
     * a **state** window keyed ``(site, class_label, state)`` — the rows
       of :func:`accuracy_table`, the online Table-5;
     * a **class** window keyed ``(site, class_label)`` — the aggregate
-      the drift rules (and the exported gauges) read, since rebuild
-      decisions are per class, not per state.
+      the drift rules read, since rebuild decisions are per class, not
+      per state.
 
     Probing-cost readings are tracked per site (fed by the
     :class:`~repro.mdbs.probing_service.ProbingService`), so drift rules
@@ -280,9 +277,10 @@ class AccuracyTracker:
     a healthy (or merely *consistently* bad) steady state flags almost
     nothing.
 
-    ``metric_prefix`` names the gauges/histograms exported into the
-    global metrics registry on every recording; pass ``export=False``
-    to keep a tracker private (e.g. inside tests).
+    Each recording counts ``<metric_prefix>.samples`` in the global
+    metrics registry, the dashboard's "accuracy samples" total; the
+    windows reach the dashboard through :meth:`snapshot`.  Pass
+    ``export=False`` to keep a tracker private (e.g. inside tests).
     """
 
     #: Worst (rel_error, trace_id) links retained per (site, class).
@@ -299,8 +297,8 @@ class AccuracyTracker:
     ) -> None:
         self.window_size = window_size
         self.probe_window_size = probe_window_size
-        self.metric_prefix = metric_prefix
         self.export = export
+        self._samples_metric = f"{metric_prefix}.samples"
         #: Third key element is a plain or composite state (see record()).
         #: Each state window is stored beside its class window, so a
         #: recording finds both with one lookup; :meth:`reset` drops a
@@ -327,7 +325,7 @@ class AccuracyTracker:
         actual: float,
         at_time: float = 0.0,
         trace_id: str | None = None,
-    ) -> AccuracySample:
+    ) -> None:
         """Check one cost estimate against its observed outcome.
 
         *state* is the contention-state ordinal, or a composite
@@ -339,8 +337,8 @@ class AccuracyTracker:
         worst per-class out-of-band errors retain their trace ids as
         exemplars and flag the trace so sampling keeps it.
         """
-        # Classify once; both windows share the frozen sample.
-        sample = AccuracySample.make(predicted, actual, at_time)
+        # Classify once; both windows share the sample tuple.
+        sample = _classify(predicted, actual, at_time)
         key = (site, class_label, state)
         windows = self._state_windows.get(key)
         if windows is None:
@@ -351,7 +349,7 @@ class AccuracyTracker:
             windows = (AccuracyWindow(self.window_size), class_window)
             self._state_windows[key] = windows
         _push(windows, sample)
-        if trace_id is not None and not sample.good:
+        if trace_id is not None and not sample[6]:  # outside the good band
             # Out-of-band samples compete for the worst-error
             # exemplar slots; only samples that *win a slot* flag
             # their trace.  In the steady state — even a chronically
@@ -368,18 +366,19 @@ class AccuracyTracker:
             # first, so links[-1] is the cutoff; a trace already
             # holding a slot has err >= cutoff, so a sample at or
             # under the cutoff could never raise it).
+            relative_error = sample[3]  # AccuracySample.relative_error
             if (
                 len(links) < self.EXEMPLAR_SLOTS
-                or sample.relative_error > links[-1][0]
+                or relative_error > links[-1][0]
             ):
                 for i, (err, tid) in enumerate(links):
                     if tid == trace_id:
                         # One slot per trace; keep its worst step.
-                        if sample.relative_error > err:
-                            links[i] = (sample.relative_error, trace_id)
+                        if relative_error > err:
+                            links[i] = (relative_error, trace_id)
                         break
                 else:
-                    links.append((sample.relative_error, trace_id))
+                    links.append((relative_error, trace_id))
                 # Keep the worst errors; ties keep the smaller id.
                 links.sort(key=lambda pair: (-pair[0], pair[1]))
                 del links[self.EXEMPLAR_SLOTS:]
@@ -389,15 +388,7 @@ class AccuracyTracker:
                     while len(self._flagged) > self.FLAGGED_CAPACITY:
                         self._flagged.popitem(last=False)
         if self.export:
-            stats = windows[1].stats()
-            registry = get_registry()
-            registry.inc(f"{self.metric_prefix}.samples")
-            registry.observe(f"{self.metric_prefix}.rel_error", sample.relative_error)
-            prefix = f"{self.metric_prefix}.{site}.{class_label}"
-            registry.set_gauge(f"{prefix}.good_pct", stats.pct_good)
-            registry.set_gauge(f"{prefix}.very_good_pct", stats.pct_very_good)
-            registry.set_gauge(f"{prefix}.bias", stats.bias)
-        return sample
+            get_registry().inc(self._samples_metric)
 
     def record_probe(self, site: str, cost: float, at_time: float = 0.0) -> None:
         """Note one probing-cost reading for *site* (drift rule input)."""

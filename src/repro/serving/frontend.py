@@ -26,11 +26,12 @@ Determinism guard: with ``plan_cache=False`` a request calls
 synchronous path, byte-identical plan choices included
 (tests/serving/test_frontend.py pins this).
 
-Every request is counted in the global metrics registry
-(``serving.{submitted,completed,failed}`` counters, the
-``serving.latency_seconds`` histogram, ``serving.plan_cache.*``
-counters), all of which surface in the obs snapshot
-(:mod:`repro.obs.expose`).
+Every request's outcome is counted in the global metrics registry
+(``serving.completed`` / ``serving.failed``, and ``serving.plan_cache.hits``
+on a cached plan), the totals the obs dashboard reads
+(:mod:`repro.obs.expose`).  Submissions and the rest of the plan
+cache's counts are :meth:`ServingFrontEnd.stats`; each ticket carries
+its own ``latency_seconds``.
 
 With a real tracer installed (``obs.enable`` / ``obs.set_tracer``),
 every ticket additionally carries a **trace id**, and a sampled request
@@ -204,13 +205,11 @@ class ServingFrontEnd:
             query=query, index=self._submitted, submitted_at=time.monotonic()
         )
         self._submitted += 1
-        obs.inc("serving.submitted")
         tracer = obs.get_tracer()
         if not tracer.enabled:
             self._run(ticket)
         else:
             self._run_traced(ticket, tracer)
-        obs.observe("serving.latency_seconds", ticket.latency_seconds)
         return ticket
 
     def serve(self, queries: list[GlobalJoinQuery]) -> list[ServingTicket]:

@@ -247,7 +247,6 @@ class PlanCache:
 
     def _miss(self) -> None:
         self.misses += 1
-        obs.inc("serving.plan_cache.misses")
         return None
 
     #: Eviction causes remembered for miss provenance (bounded LRU).

@@ -4,7 +4,7 @@
 instead of re-running the probe, for as long as
 :meth:`LocalDatabase.is_current` holds.  Everything observable must be
 what executing the probe every time gives: each cost, the clock, the
-noise generator, the buffer pool and every metric.  Each test below
+noise generator, the buffer pool, the work counters and every metric.  Each test below
 drives a database that probes through ``observe`` beside a twin that
 calls ``execute(probe.query)``, applies the same catalog changes to both,
 and requires equality after every step.
@@ -109,14 +109,16 @@ class Twins:
         return tuple(results)
 
     def observe(self):
-        reused, executed = self.both(
-            lambda db: self.probe.observe()
-            if db is self.reusing
-            else db.execute(self.probe.query).elapsed
-        )
+        def observe_or_execute(db):
+            if db is self.reusing:
+                return self.probe.observe(), self.probe._run.metrics
+            result = db.execute(self.probe.query)
+            return result.elapsed, result.metrics
+
+        # Same cost and same work counters as executing every time.
+        reused, executed = self.both(observe_or_execute)
         assert reused == executed
         assert state(self.reusing) == state(self.executing)
-        return reused
 
     def assert_same_metrics(self) -> None:
         assert self.registries[0].snapshot() == self.registries[1].snapshot()

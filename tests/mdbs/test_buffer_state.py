@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from repro import obs
 from repro.core.builder import CostModelBuilder
 from repro.core.classification import G1
 from repro.mdbs.agent import MDBSAgent
@@ -165,18 +164,18 @@ class TestAgentSurface:
 
 class TestTelemetry:
     def test_execution_exports_buffer_gauges(self):
-        registry = obs.MetricsRegistry()
-        previous = obs.set_registry(registry)
-        try:
-            site = make_site(
-                "gauge_site", scale=0.008, seed=96, buffer_pages=64
-            )
+        """The pool's own counters and each result's metrics carry the
+        buffer facts, and they agree with each other."""
+        site = make_site("gauge_site", scale=0.008, seed=96, buffer_pages=64)
+        pool = site.database.buffer_pool
+        results = [
             site.database.execute("select a1 from R1 where a1 >= 0")
-            site.database.execute("select a1 from R1 where a1 >= 0")
-            counters = registry.counters()
-            assert counters["engine.pages.logical"] > 0
-            assert counters["engine.pages.buffer_hits"] > 0
-            assert 0.0 <= registry.gauge_value("engine.buffer.hit_rate") <= 1.0
-            assert registry.gauge_value("engine.buffer.resident_pages") >= 1
-        finally:
-            obs.set_registry(previous)
+            for _ in range(2)
+        ]
+        assert pool.stats.logical_reads == sum(
+            r.metrics.logical_page_reads for r in results
+        ) > 0
+        assert pool.stats.hits == sum(r.metrics.buffer_hits for r in results) > 0
+        assert 0.0 <= results[-1].metrics.buffer_hit_rate <= 1.0
+        assert 0.0 <= pool.hit_rate <= 1.0
+        assert len(pool) >= 1

@@ -3,7 +3,8 @@
 Includes the two lifecycle acceptance properties:
 
 * one ``optimizer.choose()`` on a two-site join executes at most one
-  probing query per site (proved via obs counters);
+  probing query per site (proved by the service's ``probes_executed``
+  and by counting the agents' observed probes);
 * with the cache disabled (``ttl=0``) plan choices are byte-identical
   to the pre-lifecycle behavior (probe each site once through the
   agents, in left-then-right order, and share the readings across the
@@ -62,6 +63,28 @@ def _hermetic_mdbs(mini_mdbs):
     server.probing.invalidate()
 
 
+def count_observed_probes(server, monkeypatch):
+    """Wrap every agent's observed probe; returns the live per-site counts."""
+    counts = {}
+    for site, agent in server.agents.items():
+
+        def counted(original=agent.observed_probing_cost, site=site):
+            counts[site] = counts.get(site, 0) + 1
+            return original()
+
+        monkeypatch.setattr(agent, "observed_probing_cost", counted)
+    return counts
+
+
+def executed_since(service, before):
+    """Per-site probes *service* executed since the *before* copy."""
+    return {
+        site: count - before.get(site, 0)
+        for site, count in service.probes_executed.items()
+        if count != before.get(site, 0)
+    }
+
+
 def seed_reference_choose(server, query):
     """The pre-lifecycle optimizer, re-implemented independently.
 
@@ -114,21 +137,21 @@ def seed_reference_choose(server, query):
 
 
 class TestCoalescing:
-    def test_choose_probes_each_site_at_most_once(self, mini_mdbs, globalq):
-        """Acceptance: obs counters prove ≤1 probing query per site per
-        choose(), for the server's shared service and a fresh one."""
+    def test_choose_probes_each_site_at_most_once(
+        self, mini_mdbs, globalq, monkeypatch
+    ):
+        """Acceptance: ≤1 probing query per site per choose(), counted by
+        the server's shared service and by the agents themselves."""
         server, _ = mini_mdbs
-        registry = obs.MetricsRegistry()
-        previous = obs.set_registry(registry)
-        try:
-            server.optimizer().choose(globalq)
-        finally:
-            obs.set_registry(previous)
+        observed = count_observed_probes(server, monkeypatch)
+        before = dict(server.probing.probes_executed)
+        server.optimizer().choose(globalq)
+        executed = executed_since(server.probing, before)
         for site in ("oracle_site", "db2_site"):
-            assert registry.counter_value(f"mdbs.probing.executed.{site}") <= 1.0
+            assert executed.get(site, 0) <= 1
         # Exactly one observed probe per involved site, none anywhere else.
-        assert registry.counter_value("mdbs.probes.observed") == 2.0
-        assert registry.counter_value("mdbs.probing.source.observed") == 2.0
+        assert observed == {"oracle_site": 1, "db2_site": 1}
+        assert executed == observed
 
     def test_same_site_join_probes_once(self, mini_mdbs):
         server, _ = mini_mdbs
@@ -142,13 +165,9 @@ class TestCoalescing:
             ("R1.a1", "R2.a2"),
             left_predicate=Comparison("a3", "<", 500),
         )
-        registry = obs.MetricsRegistry()
-        previous = obs.set_registry(registry)
-        try:
-            server.optimizer().choose(query)
-        finally:
-            obs.set_registry(previous)
-        assert registry.counter_value("mdbs.probing.executed.oracle_site") == 1.0
+        before = dict(server.probing.probes_executed)
+        server.optimizer().choose(query)
+        assert executed_since(server.probing, before) == {"oracle_site": 1}
 
 
 class TestTTLZeroMatchesSeed:
@@ -241,71 +260,53 @@ class TestTTLCache:
 
 
 class TestSourceCounterInvariant:
-    """Every acquisition lands on exactly one ``mdbs.probing.source.*``
-    level — so the four level counters always sum to the cache-miss
-    count, through invalidation, degradation, and clock expiry alike."""
-
-    SOURCES = ("observed", "estimated", "last_known", "static")
-
-    def _source_total(self, registry):
-        return sum(
-            registry.counter_value(f"mdbs.probing.source.{s}") for s in self.SOURCES
-        )
+    """Every acquisition names exactly one fallback level in its
+    reading's ``source``; only the observed and estimated levels execute
+    a probe, and a cache hit serves the cached reading without one —
+    through invalidation, degradation, and clock expiry alike."""
 
     def test_one_level_counter_per_acquisition(self, mini_mdbs, monkeypatch):
         server, sites = mini_mdbs
         oracle = server.agents["oracle_site"]
         db2 = server.agents["db2_site"]
         oracle.calibrate_estimator(samples=40, interval_seconds=45.0)
+        service = ProbingService(server.agents, ttl=600.0)
 
-        registry = obs.MetricsRegistry()
-        previous = obs.set_registry(registry)
-        try:
-            service = ProbingService(server.agents, ttl=600.0)
+        first = service.probe("oracle_site")  # miss -> observed
+        assert first.source == "observed"
+        assert service.probes_executed == {"oracle_site": 1}
 
-            service.probe("oracle_site")  # miss -> observed
-            assert self._source_total(registry) == 1.0
+        assert service.probe("oracle_site") is first  # hit -> no probe
+        assert service.cache_hits == 1
+        assert service.probes_executed == {"oracle_site": 1}
 
-            service.probe("oracle_site")  # hit -> no source counter
-            assert self._source_total(registry) == 1.0
+        service.invalidate("oracle_site")
+        assert service.probe("oracle_site").source == "observed"  # miss again
+        assert service.probes_executed == {"oracle_site": 2}
 
-            service.invalidate("oracle_site")
-            service.probe("oracle_site")  # miss again -> observed
-            assert self._source_total(registry) == 2.0
-            assert registry.counter_value("mdbs.probing.source.observed") == 2.0
+        def boom():
+            raise RuntimeError("probe table is gone")
 
-            def boom():
-                raise RuntimeError("probe table is gone")
+        monkeypatch.setattr(oracle, "observed_probing_cost", boom)
+        service.invalidate("oracle_site")
+        assert service.probe("oracle_site").source == "estimated"  # degrade
+        assert service.probes_executed == {"oracle_site": 3}
 
-            monkeypatch.setattr(oracle, "observed_probing_cost", boom)
-            service.invalidate("oracle_site")
-            service.probe("oracle_site")  # degrade -> estimated
-            assert self._source_total(registry) == 3.0
-            assert registry.counter_value("mdbs.probing.source.estimated") == 1.0
+        assert service.probe("db2_site").source == "observed"  # healthy
+        assert service.probes_executed == {"oracle_site": 3, "db2_site": 1}
 
-            service.probe("db2_site")  # healthy -> observed
-            assert self._source_total(registry) == 4.0
+        monkeypatch.setattr(db2, "observed_probing_cost", boom)
+        monkeypatch.setattr(db2, "estimator", None)
+        # Expire (not invalidate) the entry: the stale reading stays
+        # available as the last_known fallback.
+        sites["db2_site"].environment.advance(1200.0)
+        assert service.probe("db2_site").source == "last_known"  # degrade
+        assert service.probes_executed == {"oracle_site": 3, "db2_site": 1}
 
-            monkeypatch.setattr(db2, "observed_probing_cost", boom)
-            monkeypatch.setattr(db2, "estimator", None)
-            # Expire (not invalidate) the entry: the stale reading stays
-            # available as the last_known fallback.
-            sites["db2_site"].environment.advance(1200.0)
-            service.probe("db2_site")  # degrade -> last_known
-            assert self._source_total(registry) == 5.0
-            assert registry.counter_value("mdbs.probing.source.last_known") == 1.0
-
-            service.invalidate("db2_site")
-            service.probe("db2_site")  # nothing left -> static
-            assert self._source_total(registry) == 6.0
-            assert registry.counter_value("mdbs.probing.source.static") == 1.0
-
-            assert (
-                self._source_total(registry)
-                == registry.counter_value("mdbs.probing.cache_misses")
-            )
-        finally:
-            obs.set_registry(previous)
+        service.invalidate("db2_site")
+        assert service.probe("db2_site").source == "static"  # nothing left
+        assert service.probes_executed == {"oracle_site": 3, "db2_site": 1}
+        assert service.cache_hits == 1
 
 
 class TestFallbackChain:
@@ -320,16 +321,11 @@ class TestFallbackChain:
         agent = server.agents["oracle_site"]
         agent.calibrate_estimator(samples=40, interval_seconds=45.0)
         self._broken(agent, monkeypatch)
-        registry = obs.MetricsRegistry()
-        previous = obs.set_registry(registry)
-        try:
-            service = ProbingService(server.agents)
-            reading = service.probe("oracle_site")
-        finally:
-            obs.set_registry(previous)
+        service = ProbingService(server.agents)
+        reading = service.probe("oracle_site")
         assert reading.source == "estimated"
         assert reading.cost is not None
-        assert registry.counter_value("mdbs.probing.source.estimated") == 1.0
+        assert service.probes_executed == {"oracle_site": 1}
 
     def test_last_known_when_no_estimator(self, mini_mdbs, monkeypatch):
         server, _ = mini_mdbs
@@ -338,30 +334,21 @@ class TestFallbackChain:
         healthy = service.probe("db2_site")
         self._broken(agent, monkeypatch)
         monkeypatch.setattr(agent, "estimator", None)
-        registry = obs.MetricsRegistry()
-        previous = obs.set_registry(registry)
-        try:
-            reading = service.probe("db2_site")
-        finally:
-            obs.set_registry(previous)
+        reading = service.probe("db2_site")
         assert reading.source == "last_known"
         assert reading.cost == healthy.cost
-        assert registry.counter_value("mdbs.probing.source.last_known") == 1.0
+        # Only the healthy reading executed a probe.
+        assert service.probes_executed == {"db2_site": 1}
 
     def test_static_when_nothing_available(self, mini_mdbs, monkeypatch):
         server, _ = mini_mdbs
         agent = server.agents["db2_site"]
         self._broken(agent, monkeypatch)
         monkeypatch.setattr(agent, "estimator", None)
-        registry = obs.MetricsRegistry()
-        previous = obs.set_registry(registry)
-        try:
-            service = ProbingService(server.agents)
-            reading = service.probe("db2_site")
-        finally:
-            obs.set_registry(previous)
+        service = ProbingService(server.agents)
+        reading = service.probe("db2_site")
         assert reading == ProbeReading(None, "static", reading.at_time)
-        assert registry.counter_value("mdbs.probing.source.static") == 1.0
+        assert service.probes_executed == {}
 
     def test_optimizer_degrades_to_static_prediction(
         self, mini_mdbs, globalq, monkeypatch
@@ -371,14 +358,12 @@ class TestFallbackChain:
         for site in ("oracle_site", "db2_site"):
             self._broken(server.agents[site], monkeypatch)
             monkeypatch.setattr(server.agents[site], "estimator", None)
+        probing = ProbingService(server.agents)
         registry = obs.MetricsRegistry()
         previous = obs.set_registry(registry)
         try:
             optimizer = GlobalQueryOptimizer(
-                server.catalog,
-                server.agents,
-                server.network,
-                probing=ProbingService(server.agents),
+                server.catalog, server.agents, server.network, probing=probing
             )
             plan = optimizer.choose(globalq)
         finally:
@@ -386,7 +371,9 @@ class TestFallbackChain:
         assert plan.join_site in ("left", "right")
         assert plan.estimated_seconds >= 0.0
         assert registry.counter_value("mdbs.optimizer.static_predictions") > 0
-        assert registry.counter_value("mdbs.probing.source.static") > 0
+        # No probe executed anywhere, so every reading was static.
+        assert probing.probes_executed == {}
+        assert probing.probe("oracle_site").source == "static"
 
 
 class TestTTLBoundary:

@@ -179,6 +179,8 @@ class TestObservability:
 
         (root,) = [s for s in spans if s.name == "mdbs.execute"]
         assert root.parent_id is None
+        assert root.attributes["left"] == "oracle_site.R1"
+        assert root.attributes["right"] == "db2_site.R2"
         assert root.attributes["join_site"] == execution.plan.join_site
         assert root.attributes["observed_seconds"] == pytest.approx(
             execution.observed_seconds
@@ -248,9 +250,12 @@ class TestObservability:
         assert all(e["parent_id"] is None or e["parent_id"] in ids for e in decoded)
 
     def test_counters_and_gauges(self, mini_mdbs, globalq):
+        """The dashboard's one per-query total is counted; the rest of an
+        execution's facts live on the execution and the probing service."""
         from repro import obs
 
         server, _ = mini_mdbs
+        probes_before = sum(server.probing.probes_executed.values())
         registry = obs.MetricsRegistry()
         previous = obs.set_registry(registry)
         try:
@@ -258,15 +263,15 @@ class TestObservability:
         finally:
             obs.set_registry(previous)
         assert registry.counter_value("mdbs.global_queries") == 1.0
-        assert registry.counter_value("mdbs.probes.observed") > 0
-        snapshot = registry.snapshot()
-        assert snapshot["mdbs.last_observed_seconds"]["value"] == pytest.approx(
-            execution.observed_seconds
+        assert sum(server.probing.probes_executed.values()) > probes_before
+        # One step per plan component: two selects, the ship, the join.
+        assert len(execution.steps) == len(execution.plan.estimates) == 4
+        assert execution.observed_seconds == pytest.approx(
+            sum(step.seconds for step in execution.steps)
         )
-        assert snapshot["mdbs.last_estimated_seconds"]["value"] == pytest.approx(
-            execution.estimated_seconds
+        assert execution.estimated_seconds == pytest.approx(
+            sum(estimate.seconds for estimate in execution.plan.estimates)
         )
-        assert snapshot["mdbs.step_seconds"]["count"] == len(execution.steps)
 
     def test_untraced_execution_records_nothing(self, mini_mdbs, globalq):
         from repro import obs

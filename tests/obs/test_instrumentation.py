@@ -21,23 +21,24 @@ def obs_site():
 
 
 class TestEngineInstrumentation:
-    def test_execute_records_counters_and_histograms(
+    def test_execute_result_carries_its_work(
         self, small_database, fresh_registry
     ):
+        """An execution's pages, CPU work and simulated-time breakdown
+        are on its result; the metrics registry records none of it."""
         result = small_database.execute("select a, b from t1 where a < 500")
-        snap = fresh_registry.snapshot()
-        assert snap["engine.queries"]["value"] == 1.0
-        pages = (
-            snap["engine.pages.sequential"]["value"]
-            + snap["engine.pages.random"]["value"]
+        metrics = result.metrics
+        assert (
+            metrics.sequential_page_reads + metrics.random_page_reads
+            == metrics.total_page_reads
+            > 0
         )
-        assert pages == result.metrics.total_page_reads
-        assert snap["engine.cpu_ops"]["value"] > 0
-        # Per-access-method simulated seconds, and the costing breakdown.
-        assert snap[f"engine.elapsed_seconds.{result.plan}"]["count"] == 1
-        assert snap["engine.costing.io_seconds"]["count"] == 1
-        assert snap["engine.costing.cpu_seconds"]["count"] == 1
-        assert snap["engine.costing.last_slowdown"]["value"] >= 1.0
+        assert metrics.tuples_read + metrics.tuples_output > 0
+        breakdown = result.breakdown
+        assert breakdown.io_time > 0.0 and breakdown.cpu_time > 0.0
+        assert breakdown.slowdown >= 1.0
+        assert result.elapsed == breakdown.elapsed
+        assert fresh_registry.names() == []
 
     def test_execute_span_attributes(self, small_database, tracer):
         result = small_database.execute("select a from t1 where a < 100")

@@ -17,12 +17,11 @@ class TestNoopOverhead:
     def test_disabled_tracer_under_5pct_of_tight_engine_loop(self, small_database):
         """The no-op span machinery must cost < 5% of one engine query.
 
-        ``LocalDatabase.execute`` contains a single span call site (plus
-        always-on counter updates that exist regardless of tracing), so
-        the disabled-tracer overhead per query is one no-op ``with``
-        block.  We budget for 3 of them: headroom for denser future
-        instrumentation without making the bound so tight that scheduler
-        noise under a full-suite run can trip it.
+        ``LocalDatabase.execute`` contains a single span call site and
+        records no metric, so the disabled-tracer overhead per query is
+        one no-op ``with`` block.  We budget for 3 of them: headroom for
+        denser future instrumentation without making the bound so tight
+        that scheduler noise under a full-suite run can trip it.
         """
         assert not obs.enabled()
         query = small_database.parse("select a from t1 where a < 100")

@@ -132,12 +132,14 @@ class TestAccuracyTracker:
         assert tracker.probe_readings("nowhere") == []
 
     def test_export_feeds_global_registry(self, fresh_registry):
+        """Recording exports one name, the dashboard's samples total;
+        the windows themselves stay on the tracker."""
         tracker = AccuracyTracker(metric_prefix="t.acc")
         tracker.record("A", "G1", 0, predicted=1.0, actual=1.0)
         tracker.record("A", "G1", 0, predicted=9.0, actual=1.0)
         assert fresh_registry.counter_value("t.acc.samples") == 2
-        assert fresh_registry.gauge_value("t.acc.A.G1.good_pct") == 50.0
-        assert fresh_registry.histogram("t.acc.rel_error").count == 2
+        assert fresh_registry.names() == ["t.acc.samples"]
+        assert tracker.stats("A", "G1").pct_good == 50.0
 
     def test_export_false_stays_private(self, fresh_registry):
         tracker = AccuracyTracker(export=False)
