@@ -58,12 +58,11 @@ def main() -> None:
     )
     print(f"\nglobal query: {query}\n")
 
-    optimizer = server.optimizer()
-    for plan in optimizer.plans(query):
+    for plan in server.optimizer.plans(query):
         print(plan.describe())
         print()
 
-    chosen = server.optimize(query)
+    chosen, _ = server.optimize(query)
     print(f"optimizer chose: join at the {chosen.join_site} site\n")
 
     execution = server.execute(query, chosen)

@@ -247,7 +247,6 @@ class CostModelBuilder:
             # the same selected design.
             model = form_strategy.finalize(model, selection.fit)
         timings["fitting"] = time.perf_counter() - phase_started
-        obs.inc("build.models_built")
         return BuildOutcome(
             model=model,
             observations=observations,

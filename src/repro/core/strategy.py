@@ -92,14 +92,6 @@ class CostModelStrategy(abc.ABC):
         """
         return model
 
-    # -- prediction --------------------------------------------------------
-
-    def predict_with_state(
-        self, model: MultiStateCostModel, values: Mapping[str, float], state: int
-    ) -> float:
-        """Estimated cost for *values* assuming contention state *state*."""
-        return model.predict_in_state(values, state)
-
     # -- online updates ----------------------------------------------------
 
     def make_updater(self, model: MultiStateCostModel):

@@ -268,10 +268,8 @@ def cached_class_experiment(
     result = _cache._memory.get(key)
     if result is not None:
         _cache.hits += 1
-        obs.inc("experiments.cache.hits")
         return result
     _cache.misses += 1
-    obs.inc("experiments.cache.misses")
     result = run_class_experiment(
         profile, query_class, config, environment_kind, algorithm
     )

@@ -292,7 +292,9 @@ def _run_strategy(
     # ~3 rounds of watched-class samples: long enough to be stable,
     # short enough that recovery shows while the shift is still serving.
     window = max(6, 3 * per_round)
-    serving = ServingConfig(plan_cache=True)
+    # Racers share one process: a per-strategy prefix keeps their
+    # requests' trace ids apart in one span file.
+    serving = ServingConfig(plan_cache=True, trace_id_prefix=f"{strategy}-")
     rounds: list[RaceRound] = []
     run = StrategyRun(strategy=strategy, rounds=rounds, score=None)
     with ServingFrontEnd(server, serving) as frontend:

@@ -187,7 +187,7 @@ def _run_rounds(
         for approach, optimizer in optimizers.items():
             for site in (left, right):
                 site.database.restore_state(snapshot[site.name])
-            chosen[approach] = optimizer.choose(query).join_site
+            chosen[approach] = optimizer.choose(query)[0].join_site
         for site in (left, right):
             site.database.restore_state(snapshot[site.name])
 
@@ -226,7 +226,7 @@ def run_plan_quality(
                 catalog.register_table(facts)
             for (label, model_approach), model in site_models[site.name].items():
                 if model_approach == approach:
-                    catalog.store_cost_model(site.name, model)
+                    catalog.registry.publish(site.name, model)
         catalogs[approach] = catalog
 
     optimizers = {

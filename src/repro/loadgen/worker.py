@@ -264,7 +264,7 @@ def train_model_payloads(
                 outcome = builder.build_from_observations(
                     observations, query_class, "iupma", strategy=name
                 )
-                catalog.store_cost_model(site.name, outcome.model)
+                catalog.registry.publish(site.name, outcome.model)
     return {name: catalog.export_models() for name, catalog in catalogs.items()}
 
 

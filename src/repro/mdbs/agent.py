@@ -9,8 +9,8 @@ for estimating the probing query costs".
 
 The agent is the only path from the global level into a local DBS: it
 executes queries, reports globally visible schema facts, runs the probing
-query, and (optionally) estimates the probing cost from monitor
-statistics instead of executing the probe.
+query, and (given a calibrated estimator) estimates the probing cost
+from monitor statistics instead of executing the probe.
 """
 
 from __future__ import annotations
@@ -106,29 +106,6 @@ class MDBSAgent:
             if sp.recording:
                 sp.set_attribute("probing_cost", cost)
         return cost
-
-    def probing_cost(self, prefer_estimated: bool = False) -> float:
-        """Current probing cost, estimated when requested and possible."""
-        if (
-            prefer_estimated
-            and self.estimator is not None
-            and self.estimator.is_calibrated
-        ):
-            return self.estimated_probing_cost()
-        return self.observed_probing_cost()
-
-    def calibrate_estimator(
-        self,
-        samples: int = 60,
-        interval_seconds: float = 20.0,
-        estimator: ProbingCostEstimator | None = None,
-    ) -> ProbingCostEstimator:
-        """Calibrate (or re-calibrate) the probing-cost estimator."""
-        self.estimator = estimator or self.estimator or ProbingCostEstimator()
-        self.estimator.calibrate(
-            self.probe, self.monitor, samples=samples, interval_seconds=interval_seconds
-        )
-        return self.estimator
 
     # -- globally visible schema facts -----------------------------------------
 

@@ -1,30 +1,22 @@
 """The MDBS global catalog.
 
 "The cost model parameters are kept in the MDBS catalog and utilized
-during query optimization" (§1).  The global catalog stores, per local
-site: the globally visible schema facts (table cardinalities, tuple
-lengths, column statistics, index definitions) and the derived
-multi-states cost models, keyed by query class.
-
-Cost models are held in a versioned
-:class:`~repro.mdbs.registry.CostModelRegistry`; the flat
-``store_cost_model`` / ``cost_model`` surface below serves the *active*
-version of each ``(site, class)``, so pre-lifecycle callers keep working
-unchanged while maintenance can publish, activate, and roll back
-versions underneath them.
+during query optimization" (§1).  The global catalog is the registered
+sites, their globally visible schema facts (table cardinalities, tuple
+lengths, column statistics, index definitions), and
+:attr:`GlobalCatalog.registry`: the versioned
+:class:`~repro.mdbs.registry.CostModelRegistry` holding the derived
+multi-states cost models per ``(site, class)``.  The registry is the
+only model surface; a missing model raises its
+:class:`~repro.mdbs.registry.CostModelRegistryError`.  The catalog adds
+the export/import payload around it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.model import MultiStateCostModel
-from .registry import (
-    CostModelRegistry,
-    CostModelRegistryError,
-    ModelProvenance,
-    ModelVersion,
-)
+from .registry import CostModelRegistry
 
 #: Version of the cost-model payload this code writes and reads.  v3
 #: added the model-form strategy and its online-update log to each
@@ -33,7 +25,7 @@ MODEL_SCHEMA_VERSION = 3
 
 
 class GlobalCatalogError(KeyError):
-    """A requested site, table, or cost model is not in the catalog."""
+    """An unknown site or table, or an unreadable model payload."""
 
 
 @dataclass
@@ -52,7 +44,7 @@ class TableFacts:
 
 
 class GlobalCatalog:
-    """Site registry + schema facts + versioned cost-model store."""
+    """Site registry + schema facts + the versioned cost-model registry."""
 
     def __init__(self) -> None:
         self._sites: list[str] = []
@@ -69,14 +61,14 @@ class GlobalCatalog:
     def sites(self) -> tuple[str, ...]:
         return tuple(self._sites)
 
-    def _require_site(self, site: str) -> None:
+    def require_site(self, site: str) -> None:
         if site not in self._sites:
             raise GlobalCatalogError(f"unknown site {site!r}")
 
     # -- schema facts ------------------------------------------------------
 
     def register_table(self, facts: TableFacts) -> None:
-        self._require_site(facts.site)
+        self.require_site(facts.site)
         self._tables[(facts.site, facts.name)] = facts
 
     def table(self, site: str, name: str) -> TableFacts:
@@ -84,43 +76,6 @@ class GlobalCatalog:
             return self._tables[(site, name)]
         except KeyError:
             raise GlobalCatalogError(f"no table {name!r} at site {site!r}") from None
-
-    # -- cost models --------------------------------------------------------
-
-    def store_cost_model(self, site: str, model: MultiStateCostModel) -> None:
-        """Publish *model* as a new active version (legacy flat surface)."""
-        self.publish_cost_model(site, model)
-
-    def publish_cost_model(
-        self,
-        site: str,
-        model: MultiStateCostModel,
-        provenance: ModelProvenance | None = None,
-        activate: bool = True,
-    ) -> ModelVersion:
-        """Publish *model* into the registry; returns the new version."""
-        self._require_site(site)
-        return self.registry.publish(site, model, provenance, activate=activate)
-
-    def cost_model(self, site: str, class_label: str) -> MultiStateCostModel:
-        """The *active* model version for (site, class)."""
-        try:
-            return self.registry.active_model(site, class_label)
-        except CostModelRegistryError:
-            raise GlobalCatalogError(
-                f"no cost model for class {class_label!r} at site {site!r}"
-            ) from None
-
-    def rollback_cost_model(self, site: str, class_label: str) -> ModelVersion:
-        """Re-activate the previously active version for (site, class)."""
-        try:
-            return self.registry.rollback(site, class_label)
-        except CostModelRegistryError as exc:
-            raise GlobalCatalogError(str(exc)) from None
-
-    def cost_models_at(self, site: str) -> list[MultiStateCostModel]:
-        self._require_site(site)
-        return self.registry.active_models_at(site)
 
     # -- persistence ---------------------------------------------------------
 

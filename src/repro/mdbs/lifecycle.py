@@ -309,7 +309,6 @@ class ModelLifecycle:
                 if registration is None:
                     # Detected but not repairable here (the class was
                     # derived out-of-band); the event is still logged.
-                    obs.inc("mdbs.drift.events_unhandled")
                     continue
                 yield site, event, self._build(watch, registration, event)
 
@@ -359,7 +358,6 @@ class ModelLifecycle:
     def _log(self, event: DriftEvent) -> None:
         self.tracker.record_drift_event(event)
         obs.inc("mdbs.drift.events")
-        obs.inc(f"mdbs.drift.rule.{event.rule}")
 
     @staticmethod
     def _build(
@@ -378,5 +376,4 @@ class ModelLifecycle:
             )
         obs.inc("maintenance.rebuilds")
         registration.last_built_at = watch.now
-        obs.set_gauge("maintenance.last_rebuild_at", registration.last_built_at)
         return outcome

@@ -16,23 +16,27 @@ contention state by a probing cost obtained through the
 per optimization; cached within the service's TTL).  Explanatory-variable
 values come from global-catalog statistics only (cardinalities, tuple
 lengths, selectivity estimates) — nothing that local autonomy would hide.
+
+Both decisions on the request path live here once:
+:func:`state_for_reading` is the (model, probing reading) → state rule,
+and :meth:`GlobalQueryOptimizer.choose` the plan choice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .. import obs
 from ..core.classification import QueryClass, class_by_label
 from ..core.model import MultiStateCostModel
 from ..engine.predicate import Comparison, extract_key_range
 from ..engine.query import SelectQuery
 from ..engine.schema import ColumnStatistics, TableStatistics
 from .agent import MDBSAgent
-from .catalog import GlobalCatalog, GlobalCatalogError, TableFacts
+from .catalog import GlobalCatalog, TableFacts
 from .gquery import ComponentQueries, GlobalJoinQuery, decompose
 from .network import NetworkModel
 from .probing_service import ProbingService
+from .registry import CostModelRegistryError
 
 
 def facts_to_statistics(facts: TableFacts) -> TableStatistics:
@@ -171,6 +175,18 @@ class GlobalPlan:
         return "\n".join(lines)
 
 
+def state_for_reading(model: MultiStateCostModel, probing_cost: float | None) -> int:
+    """The contention state a probing reading resolves *model* to (§3.3).
+
+    The static middle state when no probing cost could be determined
+    (the probing chain's last fallback).  The optimizer's estimates and
+    the plan cache's lookups both resolve states here.
+    """
+    if probing_cost is None:
+        return model.num_states // 2
+    return model.state_for(probing_cost)
+
+
 class GlobalQueryOptimizer:
     """Chooses where to execute the inter-site join."""
 
@@ -179,13 +195,11 @@ class GlobalQueryOptimizer:
         catalog: GlobalCatalog,
         agents: dict[str, MDBSAgent],
         network: NetworkModel | None = None,
-        prefer_estimated_probing: bool = False,
         probing: ProbingService | None = None,
     ) -> None:
         self.catalog = catalog
         self.agents = agents
         self.network = network or NetworkModel()
-        self.prefer_estimated_probing = prefer_estimated_probing
         # A private ttl=0 service reproduces the pre-lifecycle behavior
         # exactly: every optimization probes each involved site afresh.
         self.probing = probing or ProbingService(agents)
@@ -194,9 +208,19 @@ class GlobalQueryOptimizer:
 
     def probing_cost(self, site: str) -> float | None:
         """This optimization's probing cost for *site* (None = degraded)."""
-        return self.probing.probing_cost(
-            site, prefer_estimated=self.prefer_estimated_probing
-        )
+        return self.probing.probing_cost(site)
+
+    def current_state(self, site: str, class_label: str) -> int | None:
+        """The state the active model of exactly this class resolves to now.
+
+        None when (site, class) has no active model, decided before any
+        probe runs.  The plan cache's state resolver.
+        """
+        registry = self.catalog.registry
+        if not registry.has_model(site, class_label):
+            return None
+        model = registry.active_model(site, class_label)
+        return state_for_reading(model, self.probing_cost(site))
 
     def _model_for(self, site: str, query_class: QueryClass) -> MultiStateCostModel:
         """The active model for the class — or a same-family stand-in.
@@ -207,29 +231,15 @@ class GlobalQueryOptimizer:
         can still produce an order-of-magnitude estimate; that beats
         aborting the whole plan enumeration.
         """
-        try:
-            return self.catalog.cost_model(site, query_class.label)
-        except GlobalCatalogError:
-            for model in self.catalog.cost_models_at(site):
-                if model.family == query_class.family:
-                    obs.inc("mdbs.optimizer.class_fallback")
-                    return model
-            raise
-
-    @staticmethod
-    def _resolve(
-        model: MultiStateCostModel,
-        values: dict[str, float],
-        probing_cost: float | None,
-    ) -> tuple[int, float]:
-        """(state, seconds) — static middle-state prediction when no
-        probing cost could be determined (the chain's last fallback)."""
-        if probing_cost is None:
-            obs.inc("mdbs.optimizer.static_predictions")
-            state = model.num_states // 2
-        else:
-            state = model.state_for(probing_cost)
-        return state, max(0.0, model.predict_in_state(values, state))
+        registry = self.catalog.registry
+        if registry.has_model(site, query_class.label):
+            return registry.active_model(site, query_class.label)
+        for model in registry.active_models_at(site):
+            if model.family == query_class.family:
+                return model
+        raise CostModelRegistryError(
+            f"no cost model for class {query_class.label!r} at site {site!r}"
+        )
 
     # -- local estimation ----------------------------------------------------
 
@@ -244,11 +254,11 @@ class GlobalQueryOptimizer:
         model = self._model_for(site, query_class)
         if probing_cost is None:
             probing_cost = self.probing_cost(site)
-        state, seconds = self._resolve(model, values, probing_cost)
+        state = state_for_reading(model, probing_cost)
         return (
             CostEstimate(
                 f"select {query.table} at {site} ({query_class.label}, s{state})",
-                seconds,
+                max(0.0, model.predict_in_state(values, state)),
                 query_class.label,
                 state,
                 site,
@@ -266,10 +276,10 @@ class GlobalQueryOptimizer:
     ) -> CostEstimate:
         """Estimated cost of an intermediate-by-intermediate join at *site*."""
         model = self._model_for(site, class_by_label(join_class_label))
-        state, seconds = self._resolve(model, values, probing_cost)
+        state = state_for_reading(model, probing_cost)
         return CostEstimate(
             f"join at {site} ({join_class_label}, s{state})",
-            seconds,
+            max(0.0, model.predict_in_state(values, state)),
             join_class_label,
             state,
             site,
@@ -337,7 +347,8 @@ class GlobalQueryOptimizer:
             )
         return plans
 
-    def choose(self, query: GlobalJoinQuery) -> GlobalPlan:
-        """The minimum-estimated-cost plan."""
+    def choose(self, query: GlobalJoinQuery) -> tuple[GlobalPlan, list[GlobalPlan]]:
+        """The minimum-estimated-cost plan, and every candidate it was
+        chosen from (a plan cache keys the decision on all of them)."""
         candidates = self.plans(query)
-        return min(candidates, key=lambda p: p.estimated_seconds)
+        return min(candidates, key=lambda p: p.estimated_seconds), candidates

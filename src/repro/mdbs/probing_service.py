@@ -54,7 +54,6 @@ class ProbingService:
         self,
         agents: dict[str, MDBSAgent],
         ttl: float = 0.0,
-        prefer_estimated: bool = False,
         tracker=None,
     ) -> None:
         if ttl < 0:
@@ -63,7 +62,6 @@ class ProbingService:
         #: sites registered later are immediately probe-able.
         self.agents = agents
         self.ttl = float(ttl)
-        self.prefer_estimated = prefer_estimated
         #: Optional :class:`~repro.obs.quality.AccuracyTracker` fed every
         #: executed reading, so drift rules can watch the probing-cost
         #: distribution against the models' partitioned state ranges.
@@ -79,11 +77,11 @@ class ProbingService:
 
     # -- the serving API -------------------------------------------------
 
-    def probing_cost(self, site: str, prefer_estimated: bool | None = None) -> float | None:
+    def probing_cost(self, site: str) -> float | None:
         """Current probing cost for *site* (None = degrade to static)."""
-        return self.probe(site, prefer_estimated).cost
+        return self.probe(site).cost
 
-    def probe(self, site: str, prefer_estimated: bool | None = None) -> ProbeReading:
+    def probe(self, site: str) -> ProbeReading:
         """Current :class:`ProbeReading` for *site*, cached within the TTL.
 
         A cached reading is served while ``0 <= now - at_time <= ttl``
@@ -99,7 +97,7 @@ class ProbingService:
             self.cache_hits += 1
             return reading
         with obs.span("mdbs.probe.service", site=site) as sp:
-            reading = self._acquire(agent, now, prefer_estimated, sp)
+            reading = self._acquire(agent, now, sp)
             if sp.recording:
                 sp.set_attributes(
                     outcome="executed", source=reading.source, cost=reading.cost
@@ -127,17 +125,13 @@ class ProbingService:
             return cached
         return None
 
-    def _acquire(
-        self, agent: MDBSAgent, now: float, prefer_estimated: bool | None, sp
-    ) -> ProbeReading:
-        prefer = self.prefer_estimated if prefer_estimated is None else prefer_estimated
-        modes = ("estimated", "observed") if prefer else ("observed", "estimated")
-        for mode in modes:
+    def _acquire(self, agent: MDBSAgent, now: float, sp) -> ProbeReading:
+        for mode, read in (
+            ("observed", agent.observed_probing_cost),
+            ("estimated", agent.estimated_probing_cost),
+        ):
             try:
-                if mode == "observed":
-                    cost = agent.observed_probing_cost()
-                else:
-                    cost = agent.estimated_probing_cost()
+                cost = read()
             except Exception as exc:
                 # Degradation is the contract here: a failed probe (the
                 # probe table vanished, the estimator is uncalibrated)

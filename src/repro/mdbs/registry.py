@@ -17,9 +17,9 @@ its predecessor.  This module supplies that lifecycle layer:
   ``publish`` / ``activate`` / ``rollback`` / ``history`` operations,
   plus a JSON payload format that round-trips every version.
 
-:class:`~repro.mdbs.catalog.GlobalCatalog` delegates its cost-model
-surface here, so every existing caller transparently serves the active
-version.
+The registry is the MDBS's only cost-model surface:
+:attr:`~repro.mdbs.catalog.GlobalCatalog.registry` is the catalog's
+model store, and every reader and writer goes to it directly.
 """
 
 from __future__ import annotations
@@ -236,7 +236,6 @@ class CostModelRegistry:
         self._notify("publish", site, model.class_label, number)
         if activate:
             self.activate(site, model.class_label, number)
-        self._update_gauges()
         return entry
 
     def activate(self, site: str, class_label: str, version: int) -> ModelVersion:
@@ -247,7 +246,6 @@ class CostModelRegistry:
         if current is not None and current != version:
             self._previous.setdefault(key, []).append(current)
         self._active[key] = version
-        obs.inc("mdbs.registry.activations")
         self._notify("activate", site, class_label, version)
         return entry
 
@@ -275,7 +273,6 @@ class CostModelRegistry:
                 )
             target = max(older)
         self._active[key] = target
-        obs.inc("mdbs.registry.rollbacks")
         self._notify("rollback", site, class_label, target)
         return self.version(site, class_label, target)
 
@@ -400,14 +397,7 @@ class CostModelRegistry:
                 self._active[(site, label)] = int(active)
                 self._notify("activate", site, label, int(active))
             self._previous.pop((site, label), None)
-        self._update_gauges()
         return len(payload)
-
-    # -- observability ---------------------------------------------------
-
-    def _update_gauges(self) -> None:
-        obs.set_gauge("mdbs.registry.models", len(self._versions))
-        obs.set_gauge("mdbs.registry.versions", len(self))
 
 
 def describe_registry(registry: CostModelRegistry) -> str:

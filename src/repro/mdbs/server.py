@@ -9,9 +9,10 @@ materialized temporaries at the join site.
 
 The server also owns the serving side of the model lifecycle:
 
-* a :class:`~repro.mdbs.probing_service.ProbingService` shared by every
-  optimizer it hands out (``probe_ttl`` controls the cache; 0 = always
-  probe afresh);
+* one :class:`~repro.mdbs.optimizer.GlobalQueryOptimizer`, and the
+  :class:`~repro.mdbs.probing_service.ProbingService` it probes through
+  (``probe_ttl`` controls the cache; 0 = always probe afresh);
+  :meth:`optimize` is the one place a global plan is chosen;
 * an :class:`~repro.obs.quality.AccuracyTracker` that every execution
   feeds with each plan component's (estimate, observed) pair, keyed by
   (site, class, contention state);
@@ -115,10 +116,13 @@ class MDBSServer:
         #: (and every executed probe, via the probing service).  Defaults
         #: to the process-global tracker so obs snapshots include it.
         self.accuracy = accuracy if accuracy is not None else obs.get_tracker()
-        #: Shared by every optimizer this server hands out; ttl=0 keeps
+        #: The probing service every state resolution reads; ttl=0 keeps
         #: the pre-lifecycle always-fresh-probe behavior.
         self.probing = ProbingService(
             self.agents, ttl=probe_ttl, tracker=self.accuracy
+        )
+        self.optimizer = GlobalQueryOptimizer(
+            self.catalog, self.agents, self.network, probing=self.probing
         )
         self.lifecycle = ModelLifecycle(self.catalog.registry, self.accuracy)
         #: Fingerprint of each maintained site's builder config, for the
@@ -144,7 +148,9 @@ class MDBSServer:
             self.catalog.register_table(facts)
 
     def store_cost_model(self, site: str, model: MultiStateCostModel) -> None:
-        self.catalog.store_cost_model(site, model)
+        """Publish *model* as the active version for its (site, class)."""
+        self.catalog.require_site(site)
+        self.catalog.registry.publish(site, model)
 
     # -- model lifecycle --------------------------------------------------
 
@@ -234,7 +240,7 @@ class MDBSServer:
 
     def rollback_model(self, site: str, class_label: str) -> ModelVersion:
         """Serve the previously active model version again."""
-        return self.catalog.rollback_cost_model(site, class_label)
+        return self.catalog.registry.rollback(site, class_label)
 
     def _publish(
         self, site: str, outcome: BuildOutcome, event: DriftEvent | None
@@ -245,29 +251,21 @@ class MDBSServer:
             config_hash=self._config_hashes[site],
             trigger=None if event is None else event.describe(),
         )
-        return self.catalog.publish_cost_model(site, outcome.model, provenance)
+        return self.catalog.registry.publish(site, outcome.model, provenance)
 
     # -- optimization -----------------------------------------------------------
 
-    def optimizer(self, prefer_estimated_probing: bool = False) -> GlobalQueryOptimizer:
-        return GlobalQueryOptimizer(
-            self.catalog,
-            self.agents,
-            self.network,
-            prefer_estimated_probing=prefer_estimated_probing,
-            probing=self.probing,
-        )
-
-    def optimize(self, query: GlobalJoinQuery) -> GlobalPlan:
-        """Pick the cheapest join site for *query*."""
+    def optimize(self, query: GlobalJoinQuery) -> tuple[GlobalPlan, list[GlobalPlan]]:
+        """The cheapest join site for *query*, and every candidate scored."""
         with obs.span("mdbs.optimize") as sp:
-            plan = self.optimizer().choose(query)
+            plan, candidates = self.optimizer.choose(query)
             if sp.recording:
                 sp.set_attributes(
                     join_site=plan.join_site,
                     estimated_seconds=plan.estimated_seconds,
+                    candidates=len(candidates),
                 )
-        return plan
+        return plan, candidates
 
     # -- execution -----------------------------------------------------------------
 
@@ -281,7 +279,8 @@ class MDBSServer:
                     left=f"{query.left_site}.{query.left_table}",
                     right=f"{query.right_site}.{query.right_table}",
                 )
-            plan = plan or self.optimize(query)
+            if plan is None:
+                plan, _ = self.optimize(query)
             execution = self._execute_plan(query, plan)
             self._record_accuracy(plan, execution)
             obs.inc("mdbs.global_queries")

@@ -102,6 +102,7 @@ def read_snapshot(path: str | Path) -> dict:
 _DASH_COUNTERS = (
     ("mdbs.global_queries", "global queries"),
     ("serving.completed", "served requests"),
+    ("serving.failed", "failed requests"),
     ("serving.plan_cache.hits", "plan-cache hits"),
     ("mdbs.accuracy.samples", "accuracy samples"),
     ("mdbs.maintenance_runs", "maintenance runs"),

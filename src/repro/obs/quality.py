@@ -277,7 +277,7 @@ class AccuracyTracker:
     a healthy (or merely *consistently* bad) steady state flags almost
     nothing.
 
-    Each recording counts ``<metric_prefix>.samples`` in the global
+    Each recording counts ``mdbs.accuracy.samples`` in the global
     metrics registry, the dashboard's "accuracy samples" total; the
     windows reach the dashboard through :meth:`snapshot`.  Pass
     ``export=False`` to keep a tracker private (e.g. inside tests).
@@ -292,13 +292,11 @@ class AccuracyTracker:
         self,
         window_size: int = 128,
         probe_window_size: int = 64,
-        metric_prefix: str = "mdbs.accuracy",
         export: bool = True,
     ) -> None:
         self.window_size = window_size
         self.probe_window_size = probe_window_size
         self.export = export
-        self._samples_metric = f"{metric_prefix}.samples"
         #: Third key element is a plain or composite state (see record()).
         #: Each state window is stored beside its class window, so a
         #: recording finds both with one lookup; :meth:`reset` drops a
@@ -388,7 +386,7 @@ class AccuracyTracker:
                     while len(self._flagged) > self.FLAGGED_CAPACITY:
                         self._flagged.popitem(last=False)
         if self.export:
-            get_registry().inc(self._samples_metric)
+            get_registry().inc("mdbs.accuracy.samples")
 
     def record_probe(self, site: str, cost: float, at_time: float = 0.0) -> None:
         """Note one probing-cost reading for *site* (drift rule input)."""

@@ -1,13 +1,14 @@
 """repro.serving — the serving front end of the MDBS.
 
-Puts a model-version-aware plan cache and cross-request probe sharing in
-front of the :class:`~repro.mdbs.server.MDBSServer`, on the caller's
-thread:
+Puts a model-version-aware plan cache and request bookkeeping (tickets,
+stats, trace sampling) in front of the
+:class:`~repro.mdbs.server.MDBSServer`, on the caller's thread.  Every
+decision is the server's:
 
-    request → plan cache (keyed on query + contention states,
-                          invalidated on registry events)
-            → global optimizer (shared, TTL-cached probing through
-                                the ProbingService)
+    request → plan cache (keyed on query + the contention states the
+                          server's optimizer resolves now, invalidated
+                          on registry events)
+            → on a miss: MDBSServer.optimize (the one plan choice)
             → execution on the MDBS server
 
 Every submitted request is finished when ``submit`` returns; a process

@@ -1,4 +1,4 @@
-"""The serving front end: plan cache → server, on the caller's thread.
+"""The serving front end: plan cache and request bookkeeping.
 
 :class:`ServingFrontEnd` sits in front of an
 :class:`~repro.mdbs.server.MDBSServer` and serves
@@ -7,24 +7,27 @@
 before it returns, so every ticket it hands back is terminal
 (``completed`` or ``failed``).
 
-1. **plan cache** — repeated optimizations within the same contention
-   states are served from :class:`~repro.serving.plan_cache.PlanCache`
-   without re-running the optimizer; registry events (publish /
-   activate / rollback) evict exactly the dependent entries;
-2. **probe sharing** — state resolution and optimizer probing both go
-   through the server's :class:`~repro.mdbs.probing_service.
-   ProbingService`, whose TTL cache lets requests within one window
-   share a site's probing query;
-3. **execution** — ``server.execute`` with the chosen plan.
+Every decision is the server's; the front end only keeps plans:
+
+1. **plan cache** — a request first asks
+   :class:`~repro.serving.plan_cache.PlanCache` for a plan scored in the
+   contention states the server's optimizer resolves right now
+   (:meth:`~repro.mdbs.optimizer.GlobalQueryOptimizer.current_state`,
+   probing through the server's TTL-cached
+   :class:`~repro.mdbs.probing_service.ProbingService`); registry events
+   (publish / activate / rollback) evict exactly the dependent entries;
+2. **planning** — on a miss, or with the cache off, the plan is
+   :meth:`~repro.mdbs.server.MDBSServer.optimize`'s choice, and a miss
+   caches it under every candidate's states;
+3. **execution** — ``server.execute`` with that plan.
+
+With the cache off a request is ``server.execute(query,
+server.optimize(query)[0])``, which is what ``server.execute(query)``
+does on its own: same probes, same plan, same result.
 
 A process serves on one thread; parallelism is more processes
 (:class:`~repro.loadgen.coordinator.Coordinator` runs shards over a
 process pool), never more threads.
-
-Determinism guard: with ``plan_cache=False`` a request calls
-``server.execute(query)`` with no plan argument — the exact
-synchronous path, byte-identical plan choices included
-(tests/serving/test_frontend.py pins this).
 
 Every request's outcome is counted in the global metrics registry
 (``serving.completed`` / ``serving.failed``, and ``serving.plan_cache.hits``
@@ -56,7 +59,6 @@ from dataclasses import dataclass
 from .. import obs
 from ..mdbs.gquery import GlobalJoinQuery
 from ..mdbs.optimizer import GlobalPlan
-from ..mdbs.registry import CostModelRegistryError
 from ..mdbs.server import GlobalExecution, MDBSServer
 from .config import ServingConfig
 from .plan_cache import PlanCache
@@ -140,17 +142,11 @@ class ServingStats:
 class ServingFrontEnd:
     """Plans, executes and traces global queries on the caller's thread."""
 
-    def __init__(
-        self,
-        server: MDBSServer,
-        config: ServingConfig | None = None,
-        plan_cache: PlanCache | None = None,
-    ) -> None:
+    def __init__(self, server: MDBSServer, config: ServingConfig | None = None) -> None:
         self.server = server
         self.config = config or ServingConfig()
-        if plan_cache is not None:
-            self.plan_cache: PlanCache | None = plan_cache
-        elif self.config.plan_cache:
+        self.plan_cache: PlanCache | None = None
+        if self.config.plan_cache:
             # Keys carry the active (version, form) per dependency so a
             # strategy deployment never serves a plan scored by a
             # different model form (see PlanCache's model_tag doc).
@@ -159,8 +155,6 @@ class ServingFrontEnd:
                 capacity=self.config.plan_cache_capacity,
                 model_tag=server.model_tag,
             )
-        else:
-            self.plan_cache = None
         self._submitted = 0
         self._completed = 0
         self._failed = 0
@@ -295,47 +289,34 @@ class ServingFrontEnd:
 
     def _plan_for(
         self, query: GlobalJoinQuery, span: "obs.Span | None" = None
-    ) -> tuple[GlobalPlan | None, str]:
-        """(plan, source) — None defers to ``server.execute``'s own
-        optimize call, keeping the cache-off path byte-identical to the
-        synchronous server.  *span* (the enclosing ``serving.plan``
-        span, when recording) receives the decision provenance: cache
-        hit or the concrete miss reason, the chosen join site, the
-        estimate, and the model version/form tags behind it."""
-        span = span if span is not None else obs.NOOP_SPAN
-        if self.plan_cache is None:
-            return None, "optimizer"
-        cached, reason = self.plan_cache.lookup(query, self._resolve_state)
-        if cached is not None:
-            if span.recording:
-                span.set_attributes(
-                    source="cache",
-                    cache="hit",
-                    join_site=cached.join_site,
-                    estimated_seconds=cached.estimated_seconds,
-                    models=self._model_attr(cached),
-                )
-            return cached, "cache"
-        with obs.span("mdbs.optimize") as opt_span:
-            candidates = self.server.optimizer().plans(query)
-            chosen = min(candidates, key=lambda p: p.estimated_seconds)
-            if opt_span.recording:
-                opt_span.set_attribute("candidates", len(candidates))
-        self.plan_cache.put(query, candidates, chosen)
-        if span.recording:
-            span.set_attributes(
-                source="optimizer",
-                cache=reason,
-                join_site=chosen.join_site,
-                estimated_seconds=chosen.estimated_seconds,
-                models=self._model_attr(chosen),
-            )
-        return chosen, "optimizer"
-
-    def _model_attr(self, plan: GlobalPlan | None) -> str:
-        """The plan's model dependencies as ``site/class=vN:form`` tags."""
+    ) -> tuple[GlobalPlan, str]:
+        """(plan, source): the cached plan for the states the optimizer
+        resolves now, else the server's choice (cached on a miss).
+        *span* (the enclosing ``serving.plan`` span, when recording)
+        receives the decision provenance: cache hit or the concrete miss
+        reason, the chosen join site, the estimate, and the model
+        version/form tags behind it."""
+        cache = self.plan_cache
+        plan, reason = None, "off"
+        if cache is not None:
+            plan, reason = cache.lookup(query, self.server.optimizer.current_state)
+        source = "optimizer" if plan is None else "cache"
         if plan is None:
-            return ""
+            plan, candidates = self.server.optimize(query)
+            if cache is not None:
+                cache.put(query, candidates, plan)
+        if span is not None and span.recording:
+            span.set_attributes(
+                source=source,
+                cache=reason,
+                join_site=plan.join_site,
+                estimated_seconds=plan.estimated_seconds,
+                models=self._model_attr(plan),
+            )
+        return plan, source
+
+    def _model_attr(self, plan: GlobalPlan) -> str:
+        """The plan's model dependencies as ``site/class=vN:form`` tags."""
         tags: list[str] = []
         seen: set[tuple[str, str]] = set()
         for estimate in plan.estimates:
@@ -350,22 +331,6 @@ class ServingFrontEnd:
                 version, form = tag[0], tag[1]
                 tags.append(f"{key[0]}/{key[1]}=v{version}:{form}")
         return ",".join(sorted(tags))
-
-    def _resolve_state(self, site: str, class_label: str) -> int | None:
-        """The contention state the active model resolves to right now.
-
-        Mirrors the optimizer's ``_resolve``: probing cost through the
-        shared service (cached within its TTL), middle state when
-        probing degraded to ``None``.
-        """
-        try:
-            model = self.server.catalog.registry.active_model(site, class_label)
-        except CostModelRegistryError:
-            return None
-        cost = self.server.probing.probing_cost(site)
-        if cost is None:
-            return model.num_states // 2
-        return model.state_for(cost)
 
     # -- stats -------------------------------------------------------------
 

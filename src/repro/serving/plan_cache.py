@@ -102,26 +102,19 @@ class PlanCache:
 
     # -- the serving API --------------------------------------------------
 
-    def get(
-        self,
-        query: GlobalJoinQuery,
-        resolve_state: Callable[[str, str], int | None],
-    ) -> GlobalPlan | None:
-        """The cached plan for *query* under the current states, or None.
-
-        *resolve_state* maps ``(site, class_label)`` to the contention
-        state the active model currently resolves to (None when the
-        model is missing or un-resolvable — always a miss).  Resolving a
-        state may execute a probing query through the probing service.
-        """
-        return self.lookup(query, resolve_state)[0]
-
     def lookup(
         self,
         query: GlobalJoinQuery,
         resolve_state: Callable[[str, str], int | None],
     ) -> tuple[GlobalPlan | None, str]:
-        """:meth:`get` plus *why*: ``(plan, reason)``.
+        """The cached plan for *query* under the current states, and why:
+        ``(plan, reason)``, *plan* None on a miss.
+
+        *resolve_state* maps ``(site, class_label)`` to the contention
+        state the active model currently resolves to (None when the
+        model is missing — always a miss); the front end passes
+        :meth:`~repro.mdbs.optimizer.GlobalQueryOptimizer.current_state`,
+        which may execute a probing query through the probing service.
 
         Reasons: ``"hit"``; ``"cold"`` (query never planned here);
         ``"unresolved"`` (a dependency's contention state would not
@@ -129,7 +122,7 @@ class PlanCache:
         ``"capacity"`` / ``"invalidated:<site>/<class>"`` (the entry was
         evicted and why); ``"state_changed"`` (cached, but under other
         contention states / model tags).  Trace spans record the reason
-        as plan provenance; counters are identical to :meth:`get`.
+        as plan provenance.
         """
         qkey = query_key(query)
         deps = self._deps.get(qkey)
@@ -217,8 +210,6 @@ class PlanCache:
             self._record_eviction(full_key[0], cause)
         count = len(keys)
         self.invalidated += count
-        if count:
-            obs.inc("serving.plan_cache.invalidated", count)
         return count
 
     def clear(self) -> None:
@@ -260,7 +251,6 @@ class PlanCache:
                 holders.discard(full_key)
         self._record_eviction(full_key[0], "capacity")
         self.evictions += 1
-        obs.inc("serving.plan_cache.evictions")
 
     def _record_eviction(self, qkey: tuple, cause: str) -> None:
         self._evicted[qkey] = cause
@@ -281,12 +271,6 @@ class PlanCache:
         self.invalidate_model(site, class_label)
 
     # -- inspection -------------------------------------------------------
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups so far (0.0 before any lookup)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def entries(self) -> Iterable[tuple]:
         """Current full keys, LRU-oldest first (testing/inspection)."""

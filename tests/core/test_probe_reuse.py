@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.core.probing import ProbingQuery
+from repro.core.probing import ProbingCostEstimator, ProbingQuery
 from repro.engine.database import LocalDatabase
 from repro.engine.errors import CatalogError
 from repro.engine.predicate import Comparison
@@ -330,7 +330,8 @@ def test_dropped_probe_table_degrades_as_when_executing(calibrated):
         db = make_site()
         agent = MDBSAgent(db, probe=probe_class(db, PROBES["select"]))
         if calibrated:
-            agent.calibrate_estimator(samples=20)
+            agent.estimator = ProbingCostEstimator()
+            agent.estimator.calibrate(agent.probe, agent.monitor, samples=20)
         service = ProbingService({db.name: agent})
         seen = [service.probe(db.name) for _ in range(3)]
         db.catalog.drop_table("t1")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.experiments.config import tiny
 from repro.experiments.model_race import (
     RACE_STRATEGIES,
@@ -16,6 +17,23 @@ def race_result():
     return run_model_race(
         tiny(), calm_rounds=3, shifted_rounds=5, queries_per_round=2
     )
+
+
+def test_traced_race_mints_one_trace_id_per_request():
+    """The racers' front ends share one process and one span file, so
+    each served request must root its own trace: no two strategies may
+    mint the same id."""
+    with obs.recording() as tracer:
+        result = run_model_race(
+            tiny(), calm_rounds=1, shifted_rounds=1, queries_per_round=2
+        )
+    roots = [
+        span for span in tracer.finished()
+        if span.name == "serving.request" and span.parent_id is None
+    ]
+    served = sum(run.requests for run in result.runs)
+    assert len(roots) == served == 2 * 2 * len(RACE_STRATEGIES)
+    assert len({span.trace_id for span in roots}) == served
 
 
 class TestRaceLadder:

@@ -63,7 +63,7 @@ def globalq():
 def run_at(server, sites, query, level):
     for site in sites.values():
         site.load_builder.constant(level)
-    plan = server.optimize(query)
+    plan, _ = server.optimize(query)
     execution = server.execute(query, plan)
     return plan, execution
 

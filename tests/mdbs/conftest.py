@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.builder import CostModelBuilder
 from repro.core.classification import G1, G3
+from repro.core.probing import ProbingCostEstimator
 from repro.engine.profiles import DB2_LIKE, ORACLE_LIKE
 from repro.mdbs.agent import MDBSAgent
 from repro.mdbs.server import MDBSServer
@@ -33,3 +34,12 @@ def mini_mdbs():
             outcome = builder.build(query_class, queries, algorithm="iupma")
             server.store_cost_model(site.name, outcome.model)
     return server, sites
+
+
+def calibrate(agent, samples=40, interval_seconds=45.0):
+    """Give *agent* an eq.-(2) estimator calibrated on its own probe."""
+    estimator = ProbingCostEstimator()
+    estimator.calibrate(
+        agent.probe, agent.monitor, samples=samples, interval_seconds=interval_seconds
+    )
+    agent.estimator = estimator

@@ -38,20 +38,14 @@ class TestProbing:
             agent.estimated_probing_cost()
 
     def test_calibrate_then_estimate(self, agent):
-        estimator = agent.calibrate_estimator(samples=40, interval_seconds=45.0)
-        assert isinstance(estimator, ProbingCostEstimator)
-        assert agent.estimated_probing_cost() >= 0 or True  # numeric, no raise
-        assert isinstance(agent.estimated_probing_cost(), float)
-
-    def test_probing_cost_prefers_estimated_when_asked(self, agent):
-        agent.calibrate_estimator(samples=40, interval_seconds=45.0)
-        # Both paths produce plausible costs for the same environment.
-        estimated = agent.probing_cost(prefer_estimated=True)
-        observed = agent.probing_cost(prefer_estimated=False)
+        estimator = ProbingCostEstimator()
+        estimator.calibrate(agent.probe, agent.monitor, samples=40, interval_seconds=45.0)
+        calibrated = MDBSAgent(agent.database, agent.probe, estimator=estimator)
+        estimated = calibrated.estimated_probing_cost()
+        assert isinstance(estimated, float)
+        # Eq. (2) and the executed probe agree on the same environment.
+        observed = calibrated.observed_probing_cost()
         assert estimated == pytest.approx(observed, abs=max(1.0, observed))
-
-    def test_prefer_estimated_falls_back_without_estimator(self, agent):
-        assert agent.probing_cost(prefer_estimated=True) > 0
 
 
 class TestFactsExport:

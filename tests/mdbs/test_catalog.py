@@ -8,6 +8,7 @@ from repro.core.fitting import fit_qualitative
 from repro.core.model import MultiStateCostModel
 from repro.core.partition import uniform_partition
 from repro.mdbs.catalog import GlobalCatalog, GlobalCatalogError, TableFacts
+from repro.mdbs.registry import CostModelRegistryError
 
 from ..core.synthetic import stepped_sample
 
@@ -61,33 +62,35 @@ class TestTables:
 class TestCostModels:
     def test_store_and_fetch(self, catalog):
         model = make_model()
-        catalog.store_cost_model("s1", model)
-        assert catalog.cost_model("s1", "G1") is model
+        catalog.registry.publish("s1", model)
+        assert catalog.registry.active_model("s1", "G1") is model
         assert catalog.registry.has_model("s1", "G1")
         assert not catalog.registry.has_model("s2", "G1")
 
     def test_missing_model_rejected(self, catalog):
-        with pytest.raises(GlobalCatalogError):
-            catalog.cost_model("s1", "G1")
+        # The registry is the one model store: a missing model is its
+        # error, not the catalog's (which covers sites and tables).
+        with pytest.raises(CostModelRegistryError):
+            catalog.registry.active_model("s1", "G1")
 
     def test_models_at_site(self, catalog):
-        catalog.store_cost_model("s1", make_model("G1"))
-        catalog.store_cost_model("s1", make_model("G3"))
-        assert [m.class_label for m in catalog.cost_models_at("s1")] == ["G1", "G3"]
+        catalog.registry.publish("s1", make_model("G1"))
+        catalog.registry.publish("s1", make_model("G3"))
+        assert [m.class_label for m in catalog.registry.active_models_at("s1")] == ["G1", "G3"]
 
     def test_export_import_round_trip(self, catalog):
         model = make_model()
-        catalog.store_cost_model("s1", model)
+        catalog.registry.publish("s1", model)
         payload = catalog.export_models()
         fresh = GlobalCatalog()
         fresh.import_models(payload)
-        restored = fresh.cost_model("s1", "G1")
+        restored = fresh.registry.active_model("s1", "G1")
         assert restored.predict({"x": 10.0}, 0.5) == pytest.approx(
             model.predict({"x": 10.0}, 0.5)
         )
 
     def test_export_is_json_compatible(self, catalog):
-        catalog.store_cost_model("s1", make_model())
+        catalog.registry.publish("s1", make_model())
         json.dumps(catalog.export_models())
 
 
@@ -106,13 +109,13 @@ class TestFilePersistence:
 
     def test_save_load_round_trip(self, catalog, tmp_path):
         model = make_model()
-        catalog.store_cost_model("s1", model)
+        catalog.registry.publish("s1", model)
         path = tmp_path / "models.json"
         save(catalog, path)
 
         fresh, loaded = load(path)
         assert loaded == 1
-        restored = fresh.cost_model("s1", "G1")
+        restored = fresh.registry.active_model("s1", "G1")
         assert restored.predict({"x": 4.0}, 0.3) == pytest.approx(
             model.predict({"x": 4.0}, 0.3)
         )
@@ -122,7 +125,7 @@ class TestFilePersistence:
         )
 
     def test_saved_file_is_readable_json(self, catalog, tmp_path):
-        catalog.store_cost_model("s2", make_model("G3"))
+        catalog.registry.publish("s2", make_model("G3"))
         path = tmp_path / "models.json"
         save(catalog, path)
         payload = json.loads(path.read_text())
@@ -138,7 +141,7 @@ class TestFilePersistence:
     def test_versions_round_trip_with_provenance(self, catalog, tmp_path):
         from repro.mdbs.registry import ModelProvenance
 
-        v1 = catalog.publish_cost_model(
+        v1 = catalog.registry.publish(
             "s1",
             make_model("G1"),
             ModelProvenance(
@@ -150,7 +153,7 @@ class TestFilePersistence:
                 config_hash="abc123",
             ),
         )
-        v2 = catalog.publish_cost_model("s1", make_model("G1"))
+        v2 = catalog.registry.publish("s1", make_model("G1"))
         assert (v1.version, v2.version) == (1, 2)
         path = tmp_path / "versions.json"
         save(catalog, path)
@@ -165,5 +168,5 @@ class TestFilePersistence:
         # The active pointer round-trips: v2 is served.
         assert fresh.registry.active_version("s1", "G1").version == 2
         # Rollback after a reload still finds the earlier version.
-        fresh.rollback_cost_model("s1", "G1")
+        fresh.registry.rollback("s1", "G1")
         assert fresh.registry.active_version("s1", "G1").version == 1

@@ -54,8 +54,8 @@ def test_full_lifecycle(lifecycle):
         assert v1.provenance.config_hash == config_fingerprint(BuilderConfig())
         assert 0.0 <= v1.provenance.derived_at <= site.environment.now
 
-        # Serve: the optimizer-facing surface resolves to the active version.
-        assert server.catalog.cost_model(site.name, "G1") is v1.model
+        # Serve: the registry resolves to the active version.
+        assert server.catalog.registry.active_model(site.name, "G1") is v1.model
 
         # Nothing due yet: the rebuild period hasn't elapsed and the
         # catalog hasn't changed.
@@ -71,7 +71,7 @@ def test_full_lifecycle(lifecycle):
         assert [v.version for v in history] == [1, 2]
         v2 = server.catalog.registry.active_version(site.name, "G1")
         assert v2.version == 2
-        assert server.catalog.cost_model(site.name, "G1") is results[site.name][
+        assert server.catalog.registry.active_model(site.name, "G1") is results[site.name][
             "G1"
         ].model
         assert v2.provenance.derived_at > v1.provenance.derived_at
@@ -81,15 +81,16 @@ def test_full_lifecycle(lifecycle):
         # superseded one is still in the history.
         restored = server.rollback_model(site.name, "G1")
         assert restored.version == 1
-        assert server.catalog.cost_model(site.name, "G1") is v1.model
+        assert server.catalog.registry.active_model(site.name, "G1") is v1.model
         assert [
             v.version for v in server.catalog.registry.history(site.name, "G1")
         ] == [1, 2]
 
         assert registry.counter_value("mdbs.registry.published") == 2.0
-        assert registry.counter_value("mdbs.registry.rollbacks") == 1.0
         assert registry.counter_value("mdbs.maintenance_runs") == 2.0
-        assert registry.gauge_value("mdbs.registry.versions") == 2
+        # The rollback and the version count live on the registry itself.
+        assert server.catalog.registry.active_version(site.name, "G1").version == 1
+        assert len(server.catalog.registry) == 2
     finally:
         obs.set_registry(previous)
 

@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro import obs
 from repro.core.classification import class_by_label, classify
 from repro.engine.predicate import Comparison
 from repro.engine.query import SelectQuery
-from repro.mdbs.catalog import GlobalCatalog, GlobalCatalogError
+from repro.mdbs.catalog import GlobalCatalog
 from repro.mdbs.gquery import GlobalJoinQuery
 from repro.mdbs.optimizer import (
     GlobalQueryOptimizer,
@@ -14,6 +13,9 @@ from repro.mdbs.optimizer import (
     estimate_unary_variables,
     facts_to_statistics,
 )
+from repro.mdbs.registry import CostModelRegistryError
+
+from .conftest import calibrate
 
 
 @pytest.fixture
@@ -86,26 +88,26 @@ class TestVariableEstimation:
 class TestPlans:
     def test_two_candidates_enumerated(self, mini_mdbs, globalq):
         server, _ = mini_mdbs
-        plans = server.optimizer().plans(globalq)
+        plans = server.optimizer.plans(globalq)
         assert {p.join_site for p in plans} == {"left", "right"}
 
     def test_each_plan_has_four_estimates(self, mini_mdbs, globalq):
         server, _ = mini_mdbs
-        for plan in server.optimizer().plans(globalq):
+        for plan in server.optimizer.plans(globalq):
             assert len(plan.estimates) == 4
             assert plan.estimated_seconds >= 0.0
             assert plan.describe()
 
     def test_choose_picks_minimum(self, mini_mdbs, globalq):
         server, _ = mini_mdbs
-        optimizer = server.optimizer()
-        plans = optimizer.plans(globalq)
-        chosen = optimizer.choose(globalq)
-        assert chosen.estimated_seconds <= min(p.estimated_seconds for p in plans) * 1.5
+        chosen, candidates = server.optimizer.choose(globalq)
+        assert {p.join_site for p in candidates} == {"left", "right"}
+        assert chosen in candidates
+        assert chosen.estimated_seconds == min(p.estimated_seconds for p in candidates)
 
     def test_estimates_cite_cost_models(self, mini_mdbs, globalq):
         server, _ = mini_mdbs
-        plan = server.optimize(globalq)
+        plan, _ = server.optimize(globalq)
         labels = {e.class_label for e in plan.estimates if e.class_label}
         assert labels <= {"G1", "G2", "G3", "GC"}
         assert any(e.class_label == "G3" for e in plan.estimates)  # the join
@@ -121,39 +123,47 @@ class TestClassFallback:
         cut = int(table.statistics.column("a1").maximum * 0.05)
         query = SelectQuery("R2", ("a1",), Comparison("a1", "<", cut))
         assert classify(site.database, query).label == "G2"
-        registry = obs.MetricsRegistry()
-        previous = obs.set_registry(registry)
-        try:
-            estimate, _ = server.optimizer().estimate_select("oracle_site", query)
-        finally:
-            obs.set_registry(previous)
+        estimate, values = server.optimizer.estimate_select("oracle_site", query)
         assert estimate.class_label == "G2"  # reported as classified
         assert estimate.seconds >= 0.0
-        assert registry.counter_value("mdbs.optimizer.class_fallback") == 1.0
+        # The G1 model stood in: the estimate is its prediction.
+        stand_in = server.catalog.registry.active_model("oracle_site", "G1")
+        assert estimate.seconds == max(
+            0.0, stand_in.predict_in_state(values, estimate.state)
+        )
 
     def test_no_same_family_candidate_reraises(self, mini_mdbs):
         server, _ = mini_mdbs
         catalog = GlobalCatalog()
         catalog.register_site("oracle_site")
-        catalog.store_cost_model(
-            "oracle_site", server.catalog.cost_model("oracle_site", "G1")
+        catalog.registry.publish(
+            "oracle_site", server.catalog.registry.active_model("oracle_site", "G1")
         )
         optimizer = GlobalQueryOptimizer(catalog, server.agents, server.network)
         # Only a unary model exists; a join-family class has no stand-in.
-        with pytest.raises(GlobalCatalogError):
+        with pytest.raises(CostModelRegistryError):
             optimizer._model_for("oracle_site", class_by_label("G3"))
 
 
 class TestEstimatedProbingPath:
-    def test_optimizer_with_estimated_probing(self, mini_mdbs, globalq):
-        """End-to-end: the optimizer can resolve contention states from
-        eq.-(2)-estimated probing costs instead of executing the probe."""
-        server, sites = mini_mdbs
+    def test_optimizer_with_estimated_probing(self, mini_mdbs, globalq, monkeypatch):
+        """End-to-end: with the probing query unavailable, the optimizer
+        resolves contention states from eq.-(2)-estimated probing costs
+        (the chain's second level) and its plan still holds up."""
+        server, _ = mini_mdbs
+
+        def unavailable():
+            raise RuntimeError("probe table is gone")
+
         for agent in server.agents.values():
-            agent.calibrate_estimator(samples=40, interval_seconds=45.0)
-        optimizer = server.optimizer(prefer_estimated_probing=True)
-        plan = optimizer.choose(globalq)
+            # Registered first so the undo restores the uncalibrated agent.
+            monkeypatch.setattr(agent, "estimator", agent.estimator)
+            calibrate(agent)
+            monkeypatch.setattr(agent, "observed_probing_cost", unavailable)
+        plan, _ = server.optimizer.choose(globalq)
         assert plan.join_site in ("left", "right")
+        for site in server.agents:
+            assert server.probing.probe(site).source == "estimated"
         execution = server.execute(globalq, plan)
         ratio = max(
             execution.observed_seconds / max(execution.estimated_seconds, 1e-9),

@@ -88,7 +88,7 @@ def universes():
     """A pool-less and a pooled universe over the same tables and models."""
     plain = universe(None)
     models = {
-        name: [plain[0].catalog.cost_model(name, c.label) for c in (G1, G3)]
+        name: [plain[0].catalog.registry.active_model(name, c.label) for c in (G1, G3)]
         for name in SITES
     }
     return {"pool-less": plain, "pooled": universe(BUFFER_PAGES, models)}
@@ -218,7 +218,7 @@ def test_every_plan_returns_the_nested_loop_rows_and_reads_no_statistics(
     )
     for (server, sites), kernels in product(universes.values(), KERNELS.values()):
         with kernels():
-            plans = server.optimizer().plans(query)
+            plans = server.optimizer.plans(query)
             assert {plan.join_site for plan in plans} == {"left", "right"}
             for plan in plans:
                 before = site_states(sites)
@@ -249,7 +249,7 @@ def test_execute_makes_no_analyze_call_over_analyzed_base_tables(universes):
         left_predicate=Comparison("a3", "<", 500),
     )
     for server, _ in universes.values():
-        for plan in server.optimizer().plans(query):
+        for plan in server.optimizer.plans(query):
             _, _, analyzed = execute(server, query, plan)
             assert analyzed == []
 

@@ -13,7 +13,6 @@ Includes the two lifecycle acceptance properties:
 
 import pytest
 
-from repro import obs
 from repro.engine.predicate import Comparison
 from repro.mdbs.gquery import GlobalJoinQuery, decompose
 from repro.mdbs.optimizer import (
@@ -23,6 +22,8 @@ from repro.mdbs.optimizer import (
     estimate_join_variables,
 )
 from repro.mdbs.probing_service import ProbeReading, ProbingService
+
+from .conftest import calibrate
 
 
 @pytest.fixture
@@ -99,8 +100,8 @@ def seed_reference_choose(server, query):
     components = decompose(
         query, tuple(left_facts.column_widths), tuple(right_facts.column_widths)
     )
-    left_probe = server.agents[query.left_site].probing_cost()
-    right_probe = server.agents[query.right_site].probing_cost()
+    left_probe = server.agents[query.left_site].observed_probing_cost()
+    right_probe = server.agents[query.right_site].observed_probing_cost()
     left_est, left_vars = optimizer.estimate_select(
         query.left_site, components.left, left_probe
     )
@@ -145,7 +146,7 @@ class TestCoalescing:
         server, _ = mini_mdbs
         observed = count_observed_probes(server, monkeypatch)
         before = dict(server.probing.probes_executed)
-        server.optimizer().choose(globalq)
+        server.optimizer.choose(globalq)
         executed = executed_since(server.probing, before)
         for site in ("oracle_site", "db2_site"):
             assert executed.get(site, 0) <= 1
@@ -166,7 +167,7 @@ class TestCoalescing:
             left_predicate=Comparison("a3", "<", 500),
         )
         before = dict(server.probing.probes_executed)
-        server.optimizer().choose(query)
+        server.optimizer.choose(query)
         assert executed_since(server.probing, before) == {"oracle_site": 1}
 
 
@@ -184,7 +185,7 @@ class TestTTLZeroMatchesSeed:
             server.network,
             probing=ProbingService(server.agents, ttl=0.0),
         )
-        lifecycle_plan = optimizer.choose(globalq)
+        lifecycle_plan, _ = optimizer.choose(globalq)
 
         restore_sites(sites, snapshot)
         reference_plan = seed_reference_choose(server, globalq)
@@ -269,7 +270,7 @@ class TestSourceCounterInvariant:
         server, sites = mini_mdbs
         oracle = server.agents["oracle_site"]
         db2 = server.agents["db2_site"]
-        oracle.calibrate_estimator(samples=40, interval_seconds=45.0)
+        calibrate(oracle)
         service = ProbingService(server.agents, ttl=600.0)
 
         first = service.probe("oracle_site")  # miss -> observed
@@ -319,7 +320,7 @@ class TestFallbackChain:
     def test_estimated_when_observed_fails(self, mini_mdbs, monkeypatch):
         server, _ = mini_mdbs
         agent = server.agents["oracle_site"]
-        agent.calibrate_estimator(samples=40, interval_seconds=45.0)
+        calibrate(agent)
         self._broken(agent, monkeypatch)
         service = ProbingService(server.agents)
         reading = service.probe("oracle_site")
@@ -359,18 +360,19 @@ class TestFallbackChain:
             self._broken(server.agents[site], monkeypatch)
             monkeypatch.setattr(server.agents[site], "estimator", None)
         probing = ProbingService(server.agents)
-        registry = obs.MetricsRegistry()
-        previous = obs.set_registry(registry)
-        try:
-            optimizer = GlobalQueryOptimizer(
-                server.catalog, server.agents, server.network, probing=probing
-            )
-            plan = optimizer.choose(globalq)
-        finally:
-            obs.set_registry(previous)
+        optimizer = GlobalQueryOptimizer(
+            server.catalog, server.agents, server.network, probing=probing
+        )
+        plan, _ = optimizer.choose(globalq)
         assert plan.join_site in ("left", "right")
         assert plan.estimated_seconds >= 0.0
-        assert registry.counter_value("mdbs.optimizer.static_predictions") > 0
+        # Every model-backed estimate sits in its model's static middle state.
+        registry = server.catalog.registry
+        model_backed = [e for e in plan.estimates if e.class_label is not None]
+        assert len(model_backed) == 3
+        for estimate in model_backed:
+            model = registry.active_model(estimate.site, estimate.class_label)
+            assert estimate.state == model.num_states // 2
         # No probe executed anywhere, so every reading was static.
         assert probing.probes_executed == {}
         assert probing.probe("oracle_site").source == "static"

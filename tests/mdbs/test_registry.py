@@ -162,7 +162,7 @@ class TestPersistence:
 
 
 class TestObservability:
-    def test_gauges_track_registry_size(self, registry):
+    def test_publishes_are_counted_and_sized_on_the_registry(self, registry):
         reg = obs.MetricsRegistry()
         previous = obs.set_registry(reg)
         try:
@@ -171,9 +171,11 @@ class TestObservability:
             registry.publish("s1", make_model("G3"))
         finally:
             obs.set_registry(previous)
-        assert reg.gauge_value("mdbs.registry.models") == 2
-        assert reg.gauge_value("mdbs.registry.versions") == 3
+        # The dashboard's one registry metric; its size is the registry's.
+        assert reg.names() == ["mdbs.registry.published"]
         assert reg.counter_value("mdbs.registry.published") == 3
+        assert registry.keys() == [("s1", "G1"), ("s1", "G3")]
+        assert len(registry) == 3
 
 
 class TestMisc:

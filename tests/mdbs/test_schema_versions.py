@@ -31,9 +31,9 @@ def populated_catalog():
     catalog = GlobalCatalog()
     catalog.register_site("s1")
     catalog.register_site("s2")
-    catalog.store_cost_model("s1", make_model("G1"))
-    catalog.store_cost_model("s1", make_model("G3", seed=4))
-    catalog.store_cost_model("s2", make_model("G1", strategy=RLSStrategy(), seed=2))
+    catalog.registry.publish("s1", make_model("G1"))
+    catalog.registry.publish("s1", make_model("G3", seed=4))
+    catalog.registry.publish("s2", make_model("G1", strategy=RLSStrategy(), seed=2))
     return catalog
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine.predicate import Comparison
+from repro.mdbs.catalog import GlobalCatalogError
 from repro.mdbs.gquery import GlobalJoinQuery
 
 
@@ -60,6 +61,14 @@ class TestRegistration:
         ].database.catalog.table("R1").cardinality
 
 
+    def test_publishing_at_an_unknown_site_is_rejected(self, mini_mdbs):
+        server, _ = mini_mdbs
+        model = server.catalog.registry.active_model("oracle_site", "G1")
+        with pytest.raises(GlobalCatalogError, match="unknown site"):
+            server.store_cost_model("nowhere", model)
+        assert not server.catalog.registry.has_model("nowhere", "G1")
+
+
 class TestExecution:
     def test_result_matches_cross_site_reference(self, mini_mdbs, globalq):
         server, sites = mini_mdbs
@@ -96,7 +105,7 @@ class TestExecution:
     def test_forced_join_site_still_correct(self, mini_mdbs, globalq):
         server, sites = mini_mdbs
         expected = sorted(cross_site_reference(sites, globalq))
-        for plan in server.optimizer().plans(globalq):
+        for plan in server.optimizer.plans(globalq):
             execution = server.execute(globalq, plan)
             assert sorted(execution.rows) == expected
 
@@ -111,7 +120,7 @@ class TestExecution:
         )
         expected = sorted(cross_site_reference(sites, query))
         assert expected
-        for plan in server.optimizer().plans(query):
+        for plan in server.optimizer.plans(query):
             execution = server.execute(query, plan)
             assert sorted(execution.rows) == expected
 
@@ -129,7 +138,7 @@ class TestExecution:
 
         server, sites = mini_mdbs
         query = replace(globalq, left_predicate=Comparison("a3", "<", left_bound))
-        plan = server.optimizer().plans(query)[0]
+        plan = server.optimizer.plans(query)[0]
         states = {name: site.database.save_state() for name, site in sites.items()}
         loaded_by_column = []
         drop = MDBSAgent.drop_temp_table

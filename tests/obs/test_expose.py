@@ -80,6 +80,20 @@ class TestDashboard:
         assert "drift[good_band] A/G1" in text
         assert "(no model registry in snapshot)" in text
 
+    def test_failed_requests_show_on_the_totals_line(self):
+        """A run with failed requests reads differently from one without."""
+        registry = populated_registry()
+
+        def totals():
+            payload = obs.snapshot_payload(
+                registry=registry, accuracy=AccuracyTracker(export=False)
+            )
+            return obs.render_dashboard(payload).splitlines()[1]
+
+        assert "failed requests" not in totals()
+        registry.inc("serving.failed", 2)
+        assert "failed requests=2" in totals()
+
     def test_empty_payload(self):
         text = obs.render_dashboard(
             obs.snapshot_payload(

@@ -134,11 +134,11 @@ class TestAccuracyTracker:
     def test_export_feeds_global_registry(self, fresh_registry):
         """Recording exports one name, the dashboard's samples total;
         the windows themselves stay on the tracker."""
-        tracker = AccuracyTracker(metric_prefix="t.acc")
+        tracker = AccuracyTracker()
         tracker.record("A", "G1", 0, predicted=1.0, actual=1.0)
         tracker.record("A", "G1", 0, predicted=9.0, actual=1.0)
-        assert fresh_registry.counter_value("t.acc.samples") == 2
-        assert fresh_registry.names() == ["t.acc.samples"]
+        assert fresh_registry.counter_value("mdbs.accuracy.samples") == 2
+        assert fresh_registry.names() == ["mdbs.accuracy.samples"]
         assert tracker.stats("A", "G1").pct_good == 50.0
 
     def test_export_false_stays_private(self, fresh_registry):

@@ -12,6 +12,7 @@ from collections import Counter
 import pytest
 
 from repro import obs
+from repro.engine.predicate import Comparison
 from repro.mdbs.gquery import GlobalJoinQuery
 from repro.serving import ServingConfig, ServingFrontEnd
 
@@ -126,6 +127,49 @@ class TestConcurrentServing:
         assert ticket.finished_at >= ticket.submitted_at
 
 
+class TestMissingModel:
+    def test_stand_in_request_is_served_uncached_and_probes_as_cache_off(
+        self, serving_mdbs, monkeypatch
+    ):
+        """The left selection classifies as G2, which has no model: the
+        optimizer estimates it with the same-family G1 stand-in.  The
+        cached front end completes every request, caches nothing (an
+        uncacheable plan has no dependency set, so every lookup misses
+        cold, before resolving any state) and runs exactly the probes of
+        the cache-off run."""
+        server, sites = serving_mdbs
+        table = sites["oracle_site"].database.catalog.table("R2")
+        cut = int(table.statistics.column("a1").maximum * 0.05)
+        query = GlobalJoinQuery(
+            "oracle_site", "R2", "db2_site", "R3", "a4", "a4",
+            ("R2.a1", "R3.a2"),
+            left_predicate=Comparison("a1", "<", cut),
+        )
+        assert not server.catalog.registry.has_model("oracle_site", "G2")
+        start = {n: s.database.save_state() for n, s in sites.items()}
+        monkeypatch.setattr(server.probing, "ttl", 0.0)  # every state read probes
+        probes = server.probing.probes_executed
+
+        def serve(config):
+            for name, site in sites.items():
+                site.database.restore_state(start[name])
+            before = sum(probes.values())
+            with ServingFrontEnd(server, config) as frontend:
+                tickets = frontend.serve([query] * 3)
+            return tickets, sum(probes.values()) - before, frontend.plan_cache
+
+        cached, cached_probes, cache = serve(ServingConfig())
+        fresh, fresh_probes, _ = serve(ServingConfig(plan_cache=False))
+        assert all(t.ok for t in cached + fresh)
+        assert cached[0].execution.plan.estimates[0].class_label == "G2"
+        assert [t.plan_source for t in cached] == ["optimizer"] * 3
+        assert len(cache) == 0 and cache.hits == 0 and cache.misses == 3
+        assert cached_probes == fresh_probes == 2 * 3
+        assert [t.execution.plan.describe() for t in cached] == [
+            t.execution.plan.describe() for t in fresh
+        ]
+
+
 class TestTracing:
     def test_each_request_yields_one_connected_tree(self, serving_mdbs):
         """Every ticket's spans form a single tree rooted at its
@@ -155,6 +199,21 @@ class TestTracing:
             assert "serving.queue" not in names
             root = roots[0]
             assert root.attributes["status"] == "completed"
+
+    def test_cache_off_plans_under_the_plan_span(self, serving_mdbs):
+        """With the cache off the front end plans through
+        ``server.optimize`` as well: the request's one ``mdbs.optimize``
+        span sits under ``serving.plan``, not under ``mdbs.execute``."""
+        server, _ = serving_mdbs
+        with obs.recording() as tracer:
+            with ServingFrontEnd(server, ServingConfig(plan_cache=False)) as frontend:
+                [ticket] = frontend.serve(query_mix()[:1])
+        spans = tracer.trace(ticket.trace_id)
+        by_id = {s.span_id: s for s in spans}
+        (optimize,) = [s for s in spans if s.name == "mdbs.optimize"]
+        assert by_id[optimize.parent_id].name == "serving.plan"
+        assert optimize.attributes["candidates"] == 2
+        assert optimize.attributes["join_site"] == ticket.execution.plan.join_site
 
     def test_plan_spans_carry_decision_provenance(self, serving_mdbs):
         server, _ = serving_mdbs
@@ -273,7 +332,7 @@ class TestTracing:
                 server.accuracy,
                 "oracle_site",
                 "G1",
-                server.catalog.cost_model("oracle_site", "G1").states,
+                server.catalog.registry.active_model("oracle_site", "G1").states,
                 now=0.0,
             )
         assert event is not None, "the bad-sample burst raised no drift event"

@@ -54,9 +54,9 @@ class TestKeys:
         high = make_plan(query, {("oracle_site", "G1"): 2})
         cache.put(query, [low], low)
         cache.put(query, [high], high)
-        assert cache.get(query, resolver({("oracle_site", "G1"): 0})) is low
-        assert cache.get(query, resolver({("oracle_site", "G1"): 2})) is high
-        assert cache.get(query, resolver({("oracle_site", "G1"): 1})) is None
+        assert cache.lookup(query, resolver({("oracle_site", "G1"): 0}))[0] is low
+        assert cache.lookup(query, resolver({("oracle_site", "G1"): 2}))[0] is high
+        assert cache.lookup(query, resolver({("oracle_site", "G1"): 1}))[0] is None
         assert cache.hits == 2 and cache.misses == 1
 
     def test_unresolvable_state_is_a_miss(self):
@@ -64,7 +64,7 @@ class TestKeys:
         query = make_query()
         plan = make_plan(query, {("oracle_site", "G1"): 0})
         cache.put(query, [plan], plan)
-        assert cache.get(query, resolver({})) is None  # model gone -> None
+        assert cache.lookup(query, resolver({}))[0] is None  # model gone -> None
 
     def test_model_less_plan_is_not_cached(self):
         cache = PlanCache()
@@ -84,9 +84,9 @@ class TestKeys:
         loser = make_plan(query, {("db2_site", "G3"): 1})
         cache.put(query, [winner, loser], winner)
         full = resolver({("oracle_site", "G1"): 0, ("db2_site", "G3"): 1})
-        assert cache.get(query, full) is winner
+        assert cache.lookup(query, full)[0] is winner
         # Missing either dependency's state -> miss, never a wrong hit.
-        assert cache.get(query, resolver({("oracle_site", "G1"): 0})) is None
+        assert cache.lookup(query, resolver({("oracle_site", "G1"): 0}))[0] is None
 
 
 class TestLRU:
@@ -97,9 +97,9 @@ class TestLRU:
         for query, plan in zip(queries, plans):
             cache.put(query, [plan], plan)
         states = resolver({("oracle_site", "G1"): 0})
-        assert cache.get(queries[0], states) is None  # oldest evicted
-        assert cache.get(queries[1], states) is plans[1]
-        assert cache.get(queries[2], states) is plans[2]
+        assert cache.lookup(queries[0], states)[0] is None  # oldest evicted
+        assert cache.lookup(queries[1], states)[0] is plans[1]
+        assert cache.lookup(queries[2], states)[0] is plans[2]
         assert cache.evictions == 1
 
     def test_hits_refresh_recency(self):
@@ -109,10 +109,10 @@ class TestLRU:
         states = resolver({("oracle_site", "G1"): 0})
         cache.put(queries[0], [plans[0]], plans[0])
         cache.put(queries[1], [plans[1]], plans[1])
-        cache.get(queries[0], states)  # R1 is now the most recent
+        cache.lookup(queries[0], states)[0]  # R1 is now the most recent
         cache.put(queries[2], [plans[2]], plans[2])  # evicts R3
-        assert cache.get(queries[0], states) is plans[0]
-        assert cache.get(queries[1], states) is None
+        assert cache.lookup(queries[0], states)[0] is plans[0]
+        assert cache.lookup(queries[1], states)[0] is None
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -133,12 +133,12 @@ class TestExactInvalidation:
         (q1, p1), (q2, p2) = self.put_two(cache)
         assert cache.invalidate_model("db2_site", "G3") == 1
         assert cache.invalidated == 1
-        survivor = cache.get(q2, resolver({("oracle_site", "G3"): 2}))
+        survivor = cache.lookup(q2, resolver({("oracle_site", "G3"): 2}))[0]
         assert survivor is p2  # byte-identical: the very same object
         assert survivor.describe() == p2.describe()
-        gone = cache.get(
+        gone = cache.lookup(
             q1, resolver({("oracle_site", "G1"): 0, ("db2_site", "G3"): 1})
-        )
+        )[0]
         assert gone is None
 
     def test_untouched_pair_evicts_nothing(self):
@@ -154,7 +154,7 @@ class TestExactInvalidation:
         fresh = make_plan(q1, {("oracle_site", "G1"): 1, ("db2_site", "G3"): 1})
         cache.put(q1, [fresh], fresh)
         states = resolver({("oracle_site", "G1"): 1, ("db2_site", "G3"): 1})
-        assert cache.get(q1, states) is fresh
+        assert cache.lookup(q1, states)[0] is fresh
 
 
 class TestRegistryEvents:
@@ -162,22 +162,12 @@ class TestRegistryEvents:
 
     def fill(self, server, cache, mix=None):
         """Optimize the whole mix once and cache every decision."""
-        optimizer = server.optimizer()
         entries = {}
         for query in mix if mix is not None else query_mix():
-            candidates = optimizer.plans(query)
-            chosen = min(candidates, key=lambda p: p.estimated_seconds)
+            chosen, candidates = server.optimizer.choose(query)
             cache.put(query, candidates, chosen)
             entries[query] = chosen
         return entries
-
-    def current_states(self, server):
-        """Resolver mirroring the front end, from live registry + probes."""
-        def resolve(site, label):
-            model = server.catalog.registry.active_model(site, label)
-            cost = server.probing.probing_cost(site)
-            return model.num_states // 2 if cost is None else model.state_for(cost)
-        return resolve
 
     def test_publish_activate_rollback_evict_dependents(self, serving_mdbs):
         server, _ = serving_mdbs
@@ -193,7 +183,7 @@ class TestRegistryEvents:
                 )
             ]
             entries = self.fill(server, cache, mix)
-            resolve = self.current_states(server)
+            resolve = server.optimizer.current_state
             # Partition the mix by dependence on some oracle-side model.
             target = next(
                 (e.site, e.class_label)
@@ -213,17 +203,17 @@ class TestRegistryEvents:
             model = server.catalog.registry.active_model(*target)
             server.store_cost_model(target[0], model)
             for query in dependent:
-                assert cache.get(query, resolve) is None
+                assert cache.lookup(query, resolve)[0] is None
             for query in untouched:
-                assert cache.get(query, resolve) is entries[query]
+                assert cache.lookup(query, resolve)[0] is entries[query]
 
             # Roll back to the previous version: evicts dependents again.
             refreshed = self.fill(server, cache, mix)
             server.rollback_model(*target)
             for query in dependent:
-                assert cache.get(query, resolve) is None
+                assert cache.lookup(query, resolve)[0] is None
             for query in untouched:
-                assert cache.get(query, resolve) is refreshed[query]
+                assert cache.lookup(query, resolve)[0] is refreshed[query]
         finally:
             cache.close()
 
@@ -249,14 +239,14 @@ class TestModelTagKeying:
         plan = make_plan(query, {("oracle_site", "G1"): 0})
         cache.put(query, [plan], plan)
         states = resolver({("oracle_site", "G1"): 0})
-        assert cache.get(query, states) is plan
+        assert cache.lookup(query, states)[0] is plan
 
         tags[("oracle_site", "G1")] = (2, "mlr.ols")  # new version
-        assert cache.get(query, states) is None
+        assert cache.lookup(query, states)[0] is None
         tags[("oracle_site", "G1")] = (1, "mlr.rls")  # same version, new form
-        assert cache.get(query, states) is None
+        assert cache.lookup(query, states)[0] is None
         tags[("oracle_site", "G1")] = (1, "mlr.ols")  # original tag again
-        assert cache.get(query, states) is plan
+        assert cache.lookup(query, states)[0] is plan
 
     def test_plans_per_tag_coexist(self):
         tags = {("oracle_site", "G1"): (1, "mlr.ols")}
@@ -268,9 +258,9 @@ class TestModelTagKeying:
         tags[("oracle_site", "G1")] = (1, "mlr.rls")
         cache.put(query, [rls_plan], rls_plan)
         states = resolver({("oracle_site", "G1"): 0})
-        assert cache.get(query, states) is rls_plan
+        assert cache.lookup(query, states)[0] is rls_plan
         tags[("oracle_site", "G1")] = (1, "mlr.ols")
-        assert cache.get(query, states) is ols_plan
+        assert cache.lookup(query, states)[0] is ols_plan
 
     def test_missing_tag_is_uncacheable(self):
         cache = PlanCache(model_tag=lambda site, label: None)
@@ -278,7 +268,7 @@ class TestModelTagKeying:
         plan = make_plan(query, {("oracle_site", "G1"): 0})
         cache.put(query, [plan], plan)  # model vanished mid-flight
         assert len(cache) == 0
-        assert cache.get(query, resolver({("oracle_site", "G1"): 0})) is None
+        assert cache.lookup(query, resolver({("oracle_site", "G1"): 0}))[0] is None
 
     def test_no_resolver_keeps_pure_state_keying(self):
         cache = PlanCache()

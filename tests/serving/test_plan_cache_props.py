@@ -145,12 +145,12 @@ def test_lookup_misses_only_after_dependent_event(dep_set, touched, state):
     def resolve(site, label):
         return state
 
-    assert cache.get(query, resolve) is plan
+    assert cache.lookup(query, resolve)[0] is plan
 
     site, label = touched
     registry.publish(site, StubModel(label), provenance=ModelProvenance())
     if touched in deps:
-        assert cache.get(query, resolve) is None
+        assert cache.lookup(query, resolve)[0] is None
         assert cache.invalidated >= 1
     else:
-        assert cache.get(query, resolve) is plan
+        assert cache.lookup(query, resolve)[0] is plan
