@@ -67,10 +67,10 @@ class LoadGenConfig:
     #: training); a mix like ``("mlr.ols", "mlr.rls")`` races forms
     #: across the fleet.
     strategy_mix: tuple[str, ...] = (DEFAULT_STRATEGY,)
-    #: Per-shard trace sampling rate (0 = tracing off, the pre-tracing
-    #: behavior).  Sampling is deterministic per trace id, so the merged
-    #: trace is byte-identical at any worker count.
-    trace_sample_rate: float = 0.0
+    #: Record every served request's span tree in each shard.  Spans
+    #: clock on simulated time with shard-local ids, so the merged trace
+    #: is byte-identical at any worker count.
+    trace: bool = False
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -81,8 +81,6 @@ class LoadGenConfig:
             raise ValueError("scenario_mix must name at least one scenario")
         if not self.strategy_mix:
             raise ValueError("strategy_mix must name at least one strategy")
-        if not 0.0 <= self.trace_sample_rate <= 1.0:
-            raise ValueError("trace_sample_rate must be within [0, 1]")
 
     def scenario_for(self, shard: int) -> str:
         return self.scenario_mix[shard % len(self.scenario_mix)]
@@ -110,7 +108,7 @@ class LoadGenConfig:
                 faults=self.faults.for_shard(index),
                 queries_per_round=self.queries_per_round,
                 strategy=self.strategy_for(index),
-                trace_sample_rate=self.trace_sample_rate,
+                trace=self.trace,
             )
             for index in range(self.shards)
         ]
@@ -180,7 +178,7 @@ class LoadGenReport:
         return deterministic_json(self.aggregate())
 
     def merged_trace(self) -> str:
-        """Every shard's sampled spans as one JSONL document.
+        """Every shard's spans as one JSONL document.
 
         Shards merge in index order and each span renders as canonical
         JSON (sorted keys, compact separators), so the merged trace is
@@ -197,14 +195,6 @@ class LoadGenReport:
         """Write :meth:`merged_trace` to *path*; returns the span count."""
         Path(path).write_text(self.merged_trace(), encoding="utf-8")
         return sum(len(r.trace_spans) for r in self.shard_reports)
-
-    def trace_stats(self) -> dict:
-        """Fleet-wide tracing health (deterministic)."""
-        return {
-            "sampled": sum(r.trace_sampled for r in self.shard_reports),
-            "dropped": sum(r.trace_dropped for r in self.shard_reports),
-            "spans": sum(len(r.trace_spans) for r in self.shard_reports),
-        }
 
     def wall_stats(self) -> dict:
         """Real wall-clock throughput/latency (NOT deterministic)."""

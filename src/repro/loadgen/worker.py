@@ -125,9 +125,8 @@ class ShardTask:
     queries_per_round: int = 3
     #: Model-form strategy this shard serves and rebuilds with.
     strategy: str = DEFAULT_STRATEGY
-    #: Fraction of traces kept by the shard's deterministic sampler;
-    #: 0 (the default) disables tracing entirely — the pre-tracing path.
-    trace_sample_rate: float = 0.0
+    #: Record every served request's span tree (off by default).
+    trace: bool = False
 
 
 @dataclass
@@ -182,13 +181,11 @@ class ShardReport:
     fault_log: list[tuple] = field(default_factory=list)
     models_imported: int = 0
     wall_seconds: float = 0.0
-    #: Sampled span dicts (simulated-clock, shard-local span ids) —
+    #: Span dicts (simulated-clock, shard-local span ids) —
     #: a pure function of the task, like the rest of the report, but
     #: excluded from ``deterministic_dict`` so committed bench payloads
     #: predating tracing stay schema-identical.
     trace_spans: list[dict] = field(default_factory=list)
-    trace_sampled: int = 0
-    trace_dropped: int = 0
 
     def deterministic_dict(self) -> dict:
         """The shard's report minus every wall-clock field."""
@@ -196,8 +193,6 @@ class ShardReport:
         payload.pop("wall_latencies")
         payload.pop("wall_seconds")
         payload.pop("trace_spans")
-        payload.pop("trace_sampled")
-        payload.pop("trace_dropped")
         return payload
 
 
@@ -336,15 +331,10 @@ def run_shard(task: ShardTask, payload: dict) -> ShardReport:
     shift_round = scenario_shift_round(task.rounds)
     shift_seen = False
 
-    serving = ServingConfig(
-        plan_cache=True,
-        trace_sample_rate=task.trace_sample_rate,
-        trace_seed=stable_seed(config.seed, "loadgen/trace"),
-        trace_id_prefix=f"s{task.index:03d}-",
-    )
+    serving = ServingConfig(plan_cache=True, trace_id_prefix=f"s{task.index:03d}-")
     tracer: obs.Tracer | None = None
     scope = ExitStack()
-    if task.trace_sample_rate > 0.0:
+    if task.trace:
         # Spans clock on the shard's *simulated* time with shard-local
         # span ids, so the exported spans — like the rest of the report
         # — are a pure function of (task, payload), whatever process or
@@ -427,8 +417,6 @@ def run_shard(task: ShardTask, payload: dict) -> ShardReport:
             for s in sorted(tracer.finished(), key=lambda s: s.span_id)
             if s.trace_id is not None
         ]
-        report.trace_sampled = frontend.sampler.sampled
-        report.trace_dropped = frontend.sampler.dropped
     report.fault_log = [
         (round(at, 6), note) for at, note in injector.transitions
     ]

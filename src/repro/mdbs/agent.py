@@ -71,7 +71,9 @@ class MDBSAgent:
 
     def execute(self, query: Query | str) -> QueryResult:
         """Run a local query and return rows + observed elapsed time."""
-        with obs.span("mdbs.agent.execute", site=self.site) as sp:
+        with obs.span("mdbs.agent.execute") as sp:
+            if sp.recording:
+                sp.set_attribute("site", self.site)
             result = self.database.execute(query)
             if sp.recording:
                 sp.set_attribute("simulated_seconds", result.elapsed)
@@ -85,7 +87,9 @@ class MDBSAgent:
 
     def observed_probing_cost(self) -> float:
         """Execute the probing query; its cost gauges the contention level."""
-        with obs.span("mdbs.probe", site=self.site, mode="observed") as sp:
+        with obs.span("mdbs.probe") as sp:
+            if sp.recording:
+                sp.set_attributes(site=self.site, mode="observed")
             cost = self.probe.observe()
             if sp.recording:
                 sp.set_attribute("probing_cost", cost)
@@ -101,7 +105,9 @@ class MDBSAgent:
             raise RuntimeError(
                 f"agent for {self.site} has no calibrated probing-cost estimator"
             )
-        with obs.span("mdbs.probe", site=self.site, mode="estimated") as sp:
+        with obs.span("mdbs.probe") as sp:
+            if sp.recording:
+                sp.set_attributes(site=self.site, mode="estimated")
             cost = self.estimator.estimate(self.monitor.statistics())
             if sp.recording:
                 sp.set_attribute("probing_cost", cost)

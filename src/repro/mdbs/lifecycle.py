@@ -162,10 +162,6 @@ def drift_event(
     then the good-band floor, then sustained bias.  One event at most,
     since the remedy (a targeted re-derivation) is the same for all.
     """
-    # Link the worst recent traces so the postmortem starts from a
-    # concrete span tree, not just window stats.
-    exemplars = tracker.exemplar_trace_ids(site, label)
-    linked = {"exemplar_traces": exemplars} if exemplars else {}
     probes = tracker.probe_readings(site)
     if len(probes) >= PROBE_MIN_READINGS:
         low = states.cmin * (1.0 - policy.probe_margin)
@@ -178,7 +174,7 @@ def drift_event(
                 f"{escaped}/{len(probes)} recent probes outside "
                 f"[{states.cmin:.4g}, {states.cmax:.4g}] "
                 f"(±{policy.probe_margin:.0%})",
-                {"escaped_fraction": fraction, "probes": len(probes)} | linked,
+                {"escaped_fraction": fraction, "probes": len(probes)},
             )
     stats = tracker.recent_stats(site, label, policy.recent_window)
     if stats.count < policy.min_samples:
@@ -188,14 +184,14 @@ def drift_event(
             site, label, "good_band", now,
             f"good-band {stats.pct_good:.1f}% < {GOOD_BAND_FLOOR_PCT:.1f}% "
             f"floor over last {stats.count} estimates",
-            stats.to_dict() | linked,
+            stats.to_dict(),
         )
     if policy.bias_limit is not None and abs(stats.bias) > policy.bias_limit:
         return DriftEvent(
             site, label, "bias", now,
             f"sustained bias {stats.bias:+.2f} beyond ±{policy.bias_limit:.2f} "
             f"over last {stats.count} estimates",
-            stats.to_dict() | linked,
+            stats.to_dict(),
         )
     return None
 

@@ -96,7 +96,9 @@ class ProbingService:
         if reading is not None:
             self.cache_hits += 1
             return reading
-        with obs.span("mdbs.probe.service", site=site) as sp:
+        with obs.span("mdbs.probe.service") as sp:
+            if sp.recording:
+                sp.set_attribute("site", site)
             reading = self._acquire(agent, now, sp)
             if sp.recording:
                 sp.set_attributes(

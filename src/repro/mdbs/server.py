@@ -300,14 +300,8 @@ class MDBSServer:
         component order (left select, right select, ship, join); the
         ship component carries no cost model (``class_label is None``)
         and is skipped.
-
-        When the call runs under a traced request, the current trace id
-        rides along: each sample lands in the tracker *linked* to its
-        trace (so out-of-band samples flag the trace for keeping and the
-        worst exemplars point back at it).
         """
         with obs.span("mdbs.accuracy") as sp:
-            trace_id = obs.current_trace_id()
             recorded = 0
             states: list[str] = []
             if len(plan.estimates) == len(execution.steps):
@@ -332,7 +326,6 @@ class MDBSServer:
                         predicted=estimate.seconds,
                         actual=step.seconds,
                         at_time=agent.database.environment.now,
-                        trace_id=trace_id,
                     )
                     recorded += 1
                     if sp.recording:
@@ -425,7 +418,9 @@ class MDBSServer:
         right_agent = self.agents[query.right_site]
 
         steps: list[StepTiming] = []
-        with obs.span("mdbs.step.select", site=query.left_site) as sp:
+        with obs.span("mdbs.step.select") as sp:
+            if sp.recording:
+                sp.set_attribute("site", query.left_site)
             left_result = left_agent.execute(components.left)
             self._record_step(
                 steps,
@@ -434,7 +429,9 @@ class MDBSServer:
                 left_result.elapsed,
                 _estimate_at(plan, 0),
             )
-        with obs.span("mdbs.step.select", site=query.right_site) as sp:
+        with obs.span("mdbs.step.select") as sp:
+            if sp.recording:
+                sp.set_attribute("site", query.right_site)
             right_result = right_agent.execute(components.right)
             self._record_step(
                 steps,
@@ -448,7 +445,9 @@ class MDBSServer:
             join_agent, shipped, local = right_agent, left_result, right_result
         else:
             join_agent, shipped, local = left_agent, right_result, left_result
-        with obs.span("mdbs.step.ship", to_site=join_agent.site) as sp:
+        with obs.span("mdbs.step.ship") as sp:
+            if sp.recording:
+                sp.set_attribute("to_site", join_agent.site)
             transfer = self.network.transfer_seconds(shipped.result.table_length)
             self._record_step(
                 steps,
@@ -477,7 +476,9 @@ class MDBSServer:
                 components.left.columns[components.left_join_position],
                 components.right.columns[components.right_join_position],
             )
-            with obs.span("mdbs.step.join", site=join_agent.site) as sp:
+            with obs.span("mdbs.step.join") as sp:
+                if sp.recording:
+                    sp.set_attribute("site", join_agent.site)
                 join_result = join_agent.execute(join_query)
                 self._record_step(
                     steps,

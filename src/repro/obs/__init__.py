@@ -90,8 +90,6 @@ from .tracing import (
     NoopTracer,
     Span,
     Tracer,
-    TraceSampler,
-    current_trace_id,
     disable,
     enable,
     enabled,
@@ -105,12 +103,10 @@ __all__ = [
     # tracing
     "Span",
     "Tracer",
-    "TraceSampler",
     "NoopTracer",
     "NOOP_SPAN",
     "NOOP_TRACER",
     "span",
-    "current_trace_id",
     "get_tracer",
     "set_tracer",
     "enable",

@@ -109,8 +109,6 @@ _DASH_COUNTERS = (
     ("maintenance.rebuilds", "model rebuilds"),
     ("mdbs.drift.events", "drift events"),
     ("mdbs.registry.published", "versions published"),
-    ("obs.trace.sampled", "traces sampled"),
-    ("obs.trace.dropped", "traces dropped"),
 )
 
 
@@ -129,16 +127,6 @@ def render_dashboard(payload: dict) -> str:
         if entry is not None and entry.get("value"):
             totals.append(f"{label}={int(entry['value'])}")
     lines.append("  ".join(totals) if totals else "(no serving activity recorded)")
-
-    spans_entry = metrics.get("obs.trace.spans")
-    if spans_entry and spans_entry.get("count"):
-        mean = spans_entry.get("mean") or 0.0
-        p95 = spans_entry.get("p95")
-        p95_text = f"  p95={p95:.0f}" if p95 is not None else ""
-        lines.append(
-            f"spans/trace: mean={mean:.1f}{p95_text}  "
-            f"(over {int(spans_entry['count'])} sampled traces)"
-        )
 
     lines.append("")
     lines.append(_rule("estimate accuracy (rolling windows)"))

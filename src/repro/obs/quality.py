@@ -29,7 +29,7 @@ test pins the two modules together.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
@@ -266,27 +266,11 @@ class AccuracyTracker:
     can notice the probing distribution escaping a model's partitioned
     [Cmin, Cmax] range before the accuracy windows fill with misses.
 
-    When recordings carry a *trace_id*, the tracker keeps two kinds of
-    exemplar links back into the tracing layer: the **worst** few
-    (relative error, trace id) pairs per (site, class), which drift
-    events embed so a postmortem starts from a concrete span tree, and a
-    bounded set of **flagged** trace ids — traces whose out-of-band
-    sample won one of those worst-error slots, which the serving front
-    end force-keeps through sampling.  A sample flags exactly when it
-    wins a slot, so every exemplar's trace was kept by the sampler, and
-    a healthy (or merely *consistently* bad) steady state flags almost
-    nothing.
-
     Each recording counts ``mdbs.accuracy.samples`` in the global
     metrics registry, the dashboard's "accuracy samples" total; the
     windows reach the dashboard through :meth:`snapshot`.  Pass
     ``export=False`` to keep a tracker private (e.g. inside tests).
     """
-
-    #: Worst (rel_error, trace_id) links retained per (site, class).
-    EXEMPLAR_SLOTS = 4
-    #: Bound on the flagged-trace set (oldest flags age out first).
-    FLAGGED_CAPACITY = 256
 
     def __init__(
         self,
@@ -304,10 +288,6 @@ class AccuracyTracker:
         self._state_windows: dict[tuple, tuple[AccuracyWindow, AccuracyWindow]] = {}
         self._class_windows: dict[tuple[str, str], AccuracyWindow] = {}
         self._probes: dict[str, deque[tuple[float, float]]] = {}
-        #: Trace ids of recent exemplar-slot winners (insertion-ordered).
-        self._flagged: OrderedDict[str, None] = OrderedDict()
-        #: Worst (relative_error, trace_id) links per (site, class).
-        self._exemplars: dict[tuple[str, str], list[tuple[float, str]]] = {}
         #: The event behind every re-derivation (and every drift event
         #: for a class nobody maintains), oldest first.
         self.drift_events: list[DriftEvent] = []
@@ -322,7 +302,6 @@ class AccuracyTracker:
         predicted: float,
         actual: float,
         at_time: float = 0.0,
-        trace_id: str | None = None,
     ) -> None:
         """Check one cost estimate against its observed outcome.
 
@@ -330,10 +309,6 @@ class AccuracyTracker:
         ``(contention_state, buffer_hit_state)`` tuple at sites that
         track the buffer-hit qualitative variable — any hashable key
         works; rendering and sorting handle both shapes.
-
-        *trace_id* links the sample back to its request trace: the
-        worst per-class out-of-band errors retain their trace ids as
-        exemplars and flag the trace so sampling keeps it.
         """
         # Classify once; both windows share the sample tuple.
         sample = _classify(predicted, actual, at_time)
@@ -347,44 +322,6 @@ class AccuracyTracker:
             windows = (AccuracyWindow(self.window_size), class_window)
             self._state_windows[key] = windows
         _push(windows, sample)
-        if trace_id is not None and not sample[6]:  # outside the good band
-            # Out-of-band samples compete for the worst-error
-            # exemplar slots; only samples that *win a slot* flag
-            # their trace.  In the steady state — even a chronically
-            # misestimated workload — the slots converge and almost
-            # nothing flags, so force-keeps stay rare instead of
-            # flooding the sampler with stub traces; and because
-            # every exemplar's trace was flagged at the moment it
-            # won its slot, exemplar links always resolve to
-            # retained spans.
-            links = self._exemplars.setdefault((site, class_label), [])
-            # Fast path for the serving flood: a full exemplar list
-            # whose smallest retained error already beats this
-            # sample needs no scan/sort (links stay sorted worst
-            # first, so links[-1] is the cutoff; a trace already
-            # holding a slot has err >= cutoff, so a sample at or
-            # under the cutoff could never raise it).
-            relative_error = sample[3]  # AccuracySample.relative_error
-            if (
-                len(links) < self.EXEMPLAR_SLOTS
-                or relative_error > links[-1][0]
-            ):
-                for i, (err, tid) in enumerate(links):
-                    if tid == trace_id:
-                        # One slot per trace; keep its worst step.
-                        if relative_error > err:
-                            links[i] = (relative_error, trace_id)
-                        break
-                else:
-                    links.append((relative_error, trace_id))
-                # Keep the worst errors; ties keep the smaller id.
-                links.sort(key=lambda pair: (-pair[0], pair[1]))
-                del links[self.EXEMPLAR_SLOTS:]
-                if trace_id not in self._flagged:
-                    # Eviction is insertion-ordered (oldest first).
-                    self._flagged[trace_id] = None
-                    while len(self._flagged) > self.FLAGGED_CAPACITY:
-                        self._flagged.popitem(last=False)
         if self.export:
             get_registry().inc("mdbs.accuracy.samples")
 
@@ -407,9 +344,6 @@ class AccuracyTracker:
             key=lambda k: (k[0], k[1], _state_sort_key(k[2])),
         )
 
-    def class_keys(self) -> list[tuple[str, str]]:
-        return sorted(self._class_windows)
-
     def stats(self, site: str, class_label: str, state=None) -> WindowStats:
         """Window stats for one key; ``state=None`` = the class aggregate."""
         if state is None:
@@ -426,17 +360,6 @@ class AccuracyTracker:
     def probe_readings(self, site: str) -> list[tuple[float, float]]:
         """Recent (cost, at_time) probing readings for *site*."""
         return list(self._probes.get(site, ()))
-
-    def is_flagged(self, trace_id: str | None) -> bool:
-        """Did any recent out-of-band sample come from *trace_id*?"""
-        if trace_id is None:
-            return False
-        return trace_id in self._flagged
-
-    def exemplar_trace_ids(self, site: str, class_label: str) -> list[str]:
-        """Worst-error trace ids for one (site, class), worst first."""
-        links = self._exemplars.get((site, class_label), ())
-        return [trace_id for _, trace_id in links]
 
     def sample_count(self) -> int:
         return sum(len(w) for w in self._class_windows.values())
@@ -462,11 +385,6 @@ class AccuracyTracker:
         self._class_windows = {
             k: w for k, w in self._class_windows.items() if keep(k[0], k[1])
         }
-        self._exemplars = {
-            k: links
-            for k, links in self._exemplars.items()
-            if keep(k[0], k[1])
-        }
         if site is None:
             self._probes.clear()
         else:
@@ -481,9 +399,6 @@ class AccuracyTracker:
         class_items = sorted(self._class_windows.items())
         probe_items = sorted(self._probes.items())
         events = list(self.drift_events)
-        exemplar_items = sorted(
-            (key, list(links)) for key, links in self._exemplars.items()
-        )
         rows = []
         for (site, label, state), (window, _) in state_items:
             rows.append(
@@ -504,22 +419,11 @@ class AccuracyTracker:
             }
             for site, readings in probe_items
         }
-        payload = {
+        return {
             "rows": rows,
             "probes": probes,
             "drift_events": [event.to_dict() for event in events],
         }
-        if exemplar_items:
-            # Only present when tracing linked samples to traces, so
-            # trace-free snapshots keep their pre-tracing shape.
-            payload["exemplars"] = {
-                f"{site}/{label}": [
-                    {"rel_err": err, "trace_id": trace_id}
-                    for err, trace_id in links
-                ]
-                for (site, label), links in exemplar_items
-            }
-        return payload
 
 
 def accuracy_table(source: AccuracyTracker | dict) -> str:
@@ -718,15 +622,7 @@ def merge_accuracy_snapshots(snapshots: Iterable[dict]) -> dict:
     meta: dict[tuple, tuple] = {}
     probes: dict[str, dict] = {}
     events: list[dict] = []
-    exemplars: dict[str, dict[str, float]] = {}
     for snapshot in snapshots:
-        for key, links in snapshot.get("exemplars", {}).items():
-            best = exemplars.setdefault(key, {})
-            for link in links:
-                err = float(link["rel_err"])
-                trace_id = link["trace_id"]
-                if trace_id not in best or err > best[trace_id]:
-                    best[trace_id] = err
         for row in snapshot.get("rows", ()):
             state = row["state"]
             if isinstance(state, list):
@@ -757,21 +653,8 @@ def merge_accuracy_snapshots(snapshots: Iterable[dict]) -> dict:
             {"site": site, "class": label, "state": state}
             | merge_window_stats(grouped[key]).to_dict()
         )
-    merged = {
+    return {
         "rows": rows,
         "probes": {site: probes[site] for site in sorted(probes)},
         "drift_events": events,
     }
-    if exemplars:
-        # Same worst-first, capacity-bounded shape as a live snapshot.
-        merged["exemplars"] = {
-            key: [
-                {"rel_err": err, "trace_id": trace_id}
-                for err, trace_id in sorted(
-                    ((err, tid) for tid, err in exemplars[key].items()),
-                    key=lambda pair: (-pair[0], pair[1]),
-                )[: AccuracyTracker.EXEMPLAR_SLOTS]
-            ]
-            for key in sorted(exemplars)
-        }
-    return merged

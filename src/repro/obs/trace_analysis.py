@@ -253,9 +253,9 @@ def render_slowest_table(
         f"{'status':<9}  query"
     )
     lines = [header, "-" * len(header)]
-    for trace_id, seconds, span_count, status, query in rows:
+    for trace_id, seconds, spans, status, query in rows:
         lines.append(
-            f"{trace_id:<{id_width}}  {seconds:>12.6f}  {span_count:>5}  "
+            f"{trace_id:<{id_width}}  {seconds:>12.6f}  {spans:>5}  "
             f"{status:<9}  {query}"
         )
     return "\n".join(lines)

@@ -1,7 +1,7 @@
 """repro.serving — the serving front end of the MDBS.
 
 Puts a model-version-aware plan cache and request bookkeeping (tickets,
-stats, trace sampling) in front of the
+stats, trace ids) in front of the
 :class:`~repro.mdbs.server.MDBSServer`, on the caller's thread.  Every
 decision is the server's:
 

@@ -1,4 +1,4 @@
-"""Serving-front-end configuration: plan cache and trace sampling.
+"""Serving-front-end configuration: plan cache and trace ids.
 
 One frozen dataclass carries every serving knob.  A front end serves on
 its caller's thread, one request at a time; a process that wants more
@@ -29,13 +29,6 @@ class ServingConfig:
     plan_cache: bool = True
     #: Cached plans kept before LRU eviction.
     plan_cache_capacity: int = 1024
-    #: Fraction of traces kept by deterministic head sampling (hash of
-    #: the trace id); failed requests and worst-band accuracy exemplars
-    #: are always kept regardless.  Only consulted when a real tracer
-    #: is installed (``obs.enable``/``set_tracer``).
-    trace_sample_rate: float = 1.0
-    #: Seed salting the trace-id hash, so reruns keep the same set.
-    trace_seed: int = 0
     #: Prefix for generated trace ids (loadgen shards use ``s{index}-``
     #: so coordinator-merged traces stay globally unique).
     trace_id_prefix: str = ""
@@ -55,5 +48,3 @@ class ServingConfig:
             )
         if self.plan_cache_capacity < 1:
             raise ValueError("plan_cache_capacity must be >= 1")
-        if not 0.0 <= self.trace_sample_rate <= 1.0:
-            raise ValueError("trace_sample_rate must be within [0, 1]")

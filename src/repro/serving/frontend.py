@@ -37,18 +37,13 @@ cache's counts are :meth:`ServingFrontEnd.stats`; each ticket carries
 its own ``latency_seconds``.
 
 With a real tracer installed (``obs.enable`` / ``obs.set_tracer``),
-every ticket additionally carries a **trace id**, and a sampled request
-is one nested span tree: ``serving.request`` → ``serving.plan`` /
+every ticket additionally carries a **trace id**, and every request is
+one nested span tree: ``serving.request`` → ``serving.plan`` /
 ``serving.execute``, with the ``mdbs.*`` spans beneath carrying
 decision provenance — plan-cache hit/miss reason (eviction cause
 included), active model ``version:form`` tags, estimate vs actual
-seconds.  A deterministic :class:`~repro.obs.tracing.TraceSampler`
-(``trace_sample_rate`` / ``trace_seed``) makes the head decision at
-submission: unsampled requests run with all spans suppressed and record
-nothing, so sampling saves recording cost rather than discarding
-recorded spans.  Failed requests and requests flagged by the accuracy
-tracker are always kept — fully when sampled; as a 1-span root stub,
-materialized at finish, otherwise.
+seconds.  The root carries the request's final ``status`` (and
+``error``, the exception type, when it failed).
 """
 
 from __future__ import annotations
@@ -91,10 +86,6 @@ class ServingTicket:
     plan_source: str | None = None
     #: The request's trace id (None when tracing was off at submission).
     trace_id: str | None = None
-    #: Head-sampling verdict made at submission: True = record the full
-    #: span tree, False = record nothing while running (a 1-span root
-    #: stub materializes at finish if the request fails or gets flagged).
-    trace_sampled: bool = True
     submitted_at: float = 0.0
     finished_at: float = 0.0
 
@@ -133,11 +124,6 @@ class ServingStats:
     rejected: int = 0
     timed_out: int = 0
 
-    @property
-    def plan_cache_hit_rate(self) -> float:
-        total = self.plan_cache_hits + self.plan_cache_misses
-        return self.plan_cache_hits / total if total else 0.0
-
 
 class ServingFrontEnd:
     """Plans, executes and traces global queries on the caller's thread."""
@@ -160,11 +146,6 @@ class ServingFrontEnd:
         self._failed = 0
         self._started = False
         self._closed = False
-        #: Deterministic head sampler resolving keep/drop per finished
-        #: trace; failures and flagged requests bypass it (always kept).
-        self.sampler = obs.TraceSampler(
-            rate=self.config.trace_sample_rate, seed=self.config.trace_seed
-        )
 
     # -- lifecycle --------------------------------------------------------
 
@@ -248,42 +229,18 @@ class ServingFrontEnd:
         ticket.finished_at = time.monotonic()
 
     def _run_traced(self, ticket: ServingTicket, tracer: obs.Tracer) -> None:
-        """:meth:`_run` under the request's trace, then keep or drop it.
-
-        The head decision happens before the request runs: an unsampled
-        request records nothing at all (spans suppressed; a root stub is
-        made only if the request must be force-kept), so sampling saves
-        the recording cost instead of discarding spans already paid for
-        (tests/serving/test_frontend.py::TestTracing::
-        test_unsampled_requests_record_nothing guards this).
-        """
+        """:meth:`_run` under the request's ``serving.request`` root span."""
         trace_id = ticket.trace_id = f"{self.config.trace_id_prefix}q{ticket.index:06d}"
-        ticket.trace_sampled = self.sampler.keep(trace_id)
-        attributes = {
-            "index": ticket.index,
-            "query": _trace_query_label(ticket.query),
-        }
-        if ticket.trace_sampled:
-            with tracer.span("serving.request", trace_id=trace_id, **attributes) as root:
-                self._run(ticket)
-                if ticket.error is not None:
-                    root.set_attribute("error", type(ticket.error).__name__)
-                root.set_attribute("status", ticket.status)
-        else:
-            # Plain begin/end (not a context manager): this is the
-            # per-request fast path the sampled-overhead guard budgets.
-            token = tracer.suppress_begin(trace_id)
-            try:
-                self._run(ticket)
-            finally:
-                tracer.suppress_end(token)
-        force = not ticket.ok or self.server.accuracy.is_flagged(trace_id)
-        if force and not ticket.trace_sampled:
-            with tracer.span(
-                "serving.request", trace_id=trace_id, status=ticket.status, **attributes
-            ):
-                pass
-        self.sampler.resolve(tracer, trace_id, force=force)
+        with tracer.span(
+            "serving.request",
+            trace_id=trace_id,
+            index=ticket.index,
+            query=_trace_query_label(ticket.query),
+        ) as root:
+            self._run(ticket)
+            if ticket.error is not None:
+                root.set_attribute("error", type(ticket.error).__name__)
+            root.set_attribute("status", ticket.status)
 
     # -- planning ----------------------------------------------------------
 

@@ -113,13 +113,18 @@ class TestAccuracyWindow:
             window.recent_stats(0)
 
 
+def class_keys(tracker):
+    """The (site, class) pairs holding windows, sorted."""
+    return sorted({key[:2] for key in tracker.keys()})
+
+
 class TestAccuracyTracker:
     def test_state_and_class_windows(self):
         tracker = AccuracyTracker(export=False)
         tracker.record("A", "G1", 0, predicted=1.0, actual=1.0)
         tracker.record("A", "G1", 2, predicted=9.0, actual=1.0)
         assert tracker.keys() == [("A", "G1", 0), ("A", "G1", 2)]
-        assert tracker.class_keys() == [("A", "G1")]
+        assert class_keys(tracker) == [("A", "G1")]
         assert tracker.stats("A", "G1", 0).pct_good == 100.0
         assert tracker.stats("A", "G1", 2).pct_good == 0.0
         assert tracker.stats("A", "G1").count == 2
@@ -160,14 +165,14 @@ class TestAccuracyTracker:
             tracker.record(site, "G3", 0, predicted=1.0, actual=1.0)
             tracker.record_probe(site, 0.5)
         tracker.reset("A", "G1")
-        assert ("A", "G1") not in tracker.class_keys()
-        assert ("A", "G3") in tracker.class_keys()
+        assert ("A", "G1") not in class_keys(tracker)
+        assert ("A", "G3") in class_keys(tracker)
         assert tracker.probe_readings("A") == []  # site probes re-anchor
         assert tracker.probe_readings("B") != []
         tracker.reset("B")
-        assert tracker.class_keys() == [("A", "G3")]
+        assert class_keys(tracker) == [("A", "G3")]
         tracker.reset()
-        assert tracker.class_keys() == []
+        assert class_keys(tracker) == []
 
     def test_snapshot_round_trips_through_table(self):
         tracker = AccuracyTracker(export=False)

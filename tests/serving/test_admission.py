@@ -26,7 +26,6 @@ class TestConfigValidation:
             {"workers": 2},
             {"admission_policy": "drop"},
             {"admission_policy": "reject"},
-            {"trace_sample_rate": 1.5},
             {"plan_cache_capacity": 0},
         ],
     )
