@@ -55,9 +55,6 @@ class BuilderConfig:
     secondary_allowance: int = 2
     #: Anticipated maximum state count used for sizing the sample.
     sizing_states: int = 6
-    #: Model-form strategy the final fit ships as (see
-    #: :mod:`repro.core.strategy`); ``mlr.ols`` is the paper's method.
-    strategy: str = DEFAULT_STRATEGY
 
 
 @dataclass
@@ -120,12 +117,12 @@ class CostModelBuilder:
         observations: Sequence[Observation],
         query_class: QueryClass,
         algorithm: str = "iupma",
-        strategy: str | None = None,
+        strategy: str = DEFAULT_STRATEGY,
     ) -> BuildOutcome:
         """Steps 4–6 of the pipeline over pre-collected observations.
 
-        *strategy* overrides the configured model-form strategy for this
-        one derivation (the maintainer uses this for per-class forms).
+        *strategy* names the model form the fit ships as (see
+        :mod:`repro.core.strategy`); ``mlr.ols`` is the paper's method.
         """
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
@@ -139,9 +136,9 @@ class CostModelBuilder:
         observations: Sequence[Observation],
         query_class: QueryClass,
         algorithm: str,
-        strategy: str | None = None,
+        strategy: str,
     ) -> BuildOutcome:
-        form_strategy = resolve_strategy(strategy or self.config.strategy)
+        form_strategy = resolve_strategy(strategy)
         timings: dict[str, float] = {}
         observations = list(observations)
         variables = query_class.variables
@@ -260,7 +257,6 @@ class CostModelBuilder:
         query_class: QueryClass,
         queries: Sequence[Query | str],
         algorithm: str = "iupma",
-        strategy: str | None = None,
     ) -> BuildOutcome:
         """The full pipeline: collect observations, then derive the model."""
         with obs.span(
@@ -273,7 +269,7 @@ class CostModelBuilder:
             observations = self.collect(queries)
             sampling_seconds = time.perf_counter() - sampling_started
             outcome = self.build_from_observations(
-                observations, query_class, algorithm, strategy
+                observations, query_class, algorithm
             )
         outcome.timings = {"sampling": sampling_seconds, **outcome.timings}
         return outcome

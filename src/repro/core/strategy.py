@@ -28,7 +28,6 @@ surfaced by the registry as provenance (schema_version 3).
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 from typing import ClassVar, Mapping
 
@@ -43,7 +42,6 @@ __all__ = [
     "DEFAULT_STRATEGY",
     "MODEL_FORM_KEY",
     "STRATEGY_NAMES",
-    "STRATEGY_PARAMS_KEY",
     "CostModelStrategy",
     "OLSStrategy",
     "OnlineSample",
@@ -55,7 +53,6 @@ __all__ = [
 
 DEFAULT_STRATEGY = "mlr.ols"
 MODEL_FORM_KEY = "model_form"
-STRATEGY_PARAMS_KEY = "strategy_params"
 
 
 @dataclass(frozen=True)
@@ -65,10 +62,9 @@ class OnlineSample:
     values: Mapping[str, float]
     state: int
     actual: float
-    predicted: float | None = None
 
 
-class CostModelStrategy(abc.ABC):
+class CostModelStrategy:
     """How cost-model coefficients are derived and (optionally) updated."""
 
     name: ClassVar[str]
@@ -118,12 +114,6 @@ class CostModelStrategy(abc.ABC):
         model.coefficients[:] = updater.coefficients
         return error
 
-    # -- serialization -----------------------------------------------------
-
-    @abc.abstractmethod
-    def params(self) -> dict:
-        """JSON-serializable hyperparameters (round-trips via metadata)."""
-
     # -- shared helpers ----------------------------------------------------
 
     def _rework(
@@ -145,7 +135,6 @@ class CostModelStrategy(abc.ABC):
                 float(np.sqrt(sse / df_error)) if df_error > 0 else float("nan")
             )
         model.metadata[MODEL_FORM_KEY] = self.name
-        model.metadata[STRATEGY_PARAMS_KEY] = self.params()
         return model
 
 
@@ -155,26 +144,16 @@ class OLSStrategy(CostModelStrategy):
     name = "mlr.ols"
     supports_online_update = False
 
-    def params(self) -> dict:
-        return {}
-
 
 class RLSStrategy(CostModelStrategy):
     """Recursive least squares with forgetting, per qualitative state."""
 
     name = "mlr.rls"
     supports_online_update = True
-
-    def __init__(
-        self,
-        forgetting: float = 0.98,
-        delta: float = DEFAULT_DELTA,
-    ) -> None:
-        self.forgetting = float(forgetting)
-        self.delta = float(delta)
-
-    def params(self) -> dict:
-        return {"forgetting": self.forgetting, "delta": self.delta}
+    #: Serving-time forgetting factor: old samples fade by 2% per update.
+    forgetting: ClassVar[float] = 0.98
+    #: Inverse-covariance initialisation (``delta * I``).
+    delta: ClassVar[float] = DEFAULT_DELTA
 
     def fit(self, fit: QualitativeFit) -> np.ndarray:
         if fit.response is None:
@@ -204,16 +183,14 @@ _STRATEGIES: dict[str, type[CostModelStrategy]] = {
 STRATEGY_NAMES: tuple[str, ...] = tuple(sorted(_STRATEGIES))
 
 
-def resolve_strategy(
-    name: str, params: Mapping | None = None
-) -> CostModelStrategy:
+def resolve_strategy(name: str) -> CostModelStrategy:
     """Instantiate the strategy registered under *name*."""
     try:
         cls = _STRATEGIES[name]
     except KeyError:
         known = ", ".join(STRATEGY_NAMES)
         raise ValueError(f"unknown cost-model strategy {name!r} (known: {known})")
-    return cls(**dict(params or {}))
+    return cls()
 
 
 def model_form(model: MultiStateCostModel) -> str:
@@ -223,6 +200,4 @@ def model_form(model: MultiStateCostModel) -> str:
 
 def strategy_for(model: MultiStateCostModel) -> CostModelStrategy:
     """Reconstruct a model's strategy from its metadata."""
-    return resolve_strategy(
-        model_form(model), model.metadata.get(STRATEGY_PARAMS_KEY)
-    )
+    return resolve_strategy(model_form(model))

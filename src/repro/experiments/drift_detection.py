@@ -38,7 +38,6 @@ from .. import obs
 from ..core.builder import BuilderConfig
 from ..core.classification import G1, G3
 from ..core.iupma import StatesConfig
-from ..core.strategy import DEFAULT_STRATEGY
 from ..engine.profiles import ORACLE_LIKE
 from ..mdbs.agent import MDBSAgent
 from ..mdbs.lifecycle import DriftPolicy
@@ -108,18 +107,15 @@ class DriftDetectionResult:
         return detected - shifted
 
 
-def builder_config(strategy: str = DEFAULT_STRATEGY) -> BuilderConfig:
+def builder_config() -> BuilderConfig:
     """Fewer, better-identified states than the paper's default.
 
     At experiment sample sizes a 6-state join model leaves ~15
     observations per state, which overfits and extrapolates wildly on
     serving-time intermediates.  The model race and the load generator
-    derive with it too; *strategy* picks the model form.
+    derive with it too.
     """
-    return BuilderConfig(
-        states=StatesConfig(max_states=4, min_obs_per_state=25),
-        strategy=strategy,
-    )
+    return BuilderConfig(states=StatesConfig(max_states=4, min_obs_per_state=25))
 
 
 def drift_policy(gap_seconds: float) -> DriftPolicy:

@@ -216,9 +216,8 @@ def _run_class_experiment(
 class ExperimentCache:
     """In-process memo of class-experiment results.
 
-    Hit/miss counts live on the cache object itself — the source of
-    truth for :func:`cache_stats` — and are only *mirrored* into the
-    :mod:`repro.obs` registry, so they survive a registry reset.
+    Hit/miss counts live on the cache object itself, the source of
+    truth for :func:`cache_stats`.
     """
 
     def __init__(self) -> None:

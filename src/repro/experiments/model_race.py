@@ -17,11 +17,10 @@ ladder and referees the outcome:
    only in how they fit, never in what they saw.
 2. **Cloned universes** — each form serves the same seeded workload in
    its own identically-seeded universe through a single-worker
-   :class:`~repro.serving.frontend.ServingFrontEnd` (plan cache on, so
-   the (version, form) cache keying is exercised).  OLS runs with the
-   drift rules and re-derivation armed — its recovery path is the
-   paper's.  The online form runs with neither: its only recovery path
-   is the per-query update fed by
+   :class:`~repro.serving.frontend.ServingFrontEnd` (plan cache on).
+   OLS runs with the drift rules and re-derivation armed — its recovery
+   path is the paper's.  The online form runs with neither: its only
+   recovery path is the per-query update fed by
    :meth:`~repro.mdbs.server.MDBSServer.execute`.
 3. **Shift** — after the calm rounds the variable site's contention pins
    at 0.9, outside every derived [Cmin, Cmax] range.
@@ -281,11 +280,10 @@ def _run_strategy(
             lambda query_class, n: var.generator.queries_for(
                 query_class, n, tables=TABLES
             ),
-            builder_config=builder_config(strategy),
+            builder_config=builder_config(),
             sample_count=lambda query_class: config.train_count(query_class.family),
             drift=drift_policy(gap_seconds),
             build_now=False,
-            strategy=strategy,
         )
 
     per_round = len(workload[0]) if workload else 0

@@ -28,19 +28,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .. import obs
-from ..core.strategy import DEFAULT_STRATEGY
 from ..experiments.config import ExperimentConfig
 from ..workload.scenarios import SCENARIO_KINDS
 from .faults import FaultSchedule, named_fault_plan
 from .report import aggregate_reports, deterministic_json, percentile
-from .worker import (
-    ShardReport,
-    ShardTask,
-    loadgen_tables,
-    make_universe,
-    run_shard,
-    train_model_payloads,
-)
+from .worker import ShardReport, ShardTask, make_universe, run_shard, train_models
 
 #: Default simulated seconds between served rounds (matches the
 #: drift-detection experiment's cadence).
@@ -62,11 +54,6 @@ class LoadGenConfig:
     #: Recovery criterion fed to the drift-loop measurement.
     recover_floor_pct: float = 50.0
     recover_min_samples: int = 3
-    #: Model-form strategy per shard, cycled like ``scenario_mix``.  The
-    #: default keeps every shard on the paper's OLS form (zero extra
-    #: training); a mix like ``("mlr.ols", "mlr.rls")`` races forms
-    #: across the fleet.
-    strategy_mix: tuple[str, ...] = (DEFAULT_STRATEGY,)
     #: Record every served request's span tree in each shard.  Spans
     #: clock on simulated time with shard-local ids, so the merged trace
     #: is byte-identical at any worker count.
@@ -79,23 +66,9 @@ class LoadGenConfig:
             raise ValueError("rounds must be >= 1")
         if not self.scenario_mix:
             raise ValueError("scenario_mix must name at least one scenario")
-        if not self.strategy_mix:
-            raise ValueError("strategy_mix must name at least one strategy")
 
     def scenario_for(self, shard: int) -> str:
         return self.scenario_mix[shard % len(self.scenario_mix)]
-
-    def strategy_for(self, shard: int) -> str:
-        return self.strategy_mix[shard % len(self.strategy_mix)]
-
-    def strategies(self) -> tuple[str, ...]:
-        """Distinct strategies the fleet needs, in first-use order."""
-        seen: list[str] = []
-        for index in range(self.shards):
-            name = self.strategy_for(index)
-            if name not in seen:
-                seen.append(name)
-        return tuple(seen)
 
     def tasks(self) -> list[ShardTask]:
         return [
@@ -107,7 +80,6 @@ class LoadGenConfig:
                 config=self.experiment,
                 faults=self.faults.for_shard(index),
                 queries_per_round=self.queries_per_round,
-                strategy=self.strategy_for(index),
                 trace=self.trace,
             )
             for index in range(self.shards)
@@ -224,39 +196,15 @@ class Coordinator:
 
     def __init__(self, config: LoadGenConfig, payload: dict | None = None) -> None:
         self.config = config
-        #: Trained registry payloads, one per model-form strategy in the
-        #: mix.  Pass ``payload`` (a single registry export) to share
-        #: training across runs (train once, then compare worker
-        #: counts); it seeds the default-strategy slot.
-        self.payloads: dict[str, dict] = {}
-        if payload is not None:
-            self.payloads[DEFAULT_STRATEGY] = payload
-
-    @property
-    def payload(self) -> dict | None:
-        """The default-strategy payload (back-compat accessor)."""
-        return self.payloads.get(DEFAULT_STRATEGY)
+        #: The trained registry payload.  Pass one to share training
+        #: across runs (train once, then compare worker counts).
+        self.payload = payload
 
     def train(self) -> dict:
-        """Derive the shared models (idempotent; cached on the instance).
-
-        One derivation pass per *distinct* strategy in the mix — the
-        default single-strategy mix trains exactly once, as before.
-        Returns the first strategy's payload.
-        """
-        strategies = self.config.strategies()
-        missing = tuple(s for s in strategies if s not in self.payloads)
-        if missing:
-            experiment = self.config.experiment
-            self.payloads.update(
-                train_model_payloads(
-                    experiment,
-                    missing,
-                    make_universe(experiment),
-                    loadgen_tables(experiment),
-                )
-            )
-        return self.payloads[strategies[0]]
+        """Derive the shared models (idempotent; cached on the instance)."""
+        if self.payload is None:
+            self.payload = train_models(self.config.experiment)
+        return self.payload
 
     def run(self, workers: int = 1) -> LoadGenReport:
         """Execute every shard with up to *workers* processes and merge.
@@ -266,15 +214,13 @@ class Coordinator:
         """
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self.train()
+        payload = self.train()
         tasks = self.config.tasks()
         cpus = available_cpus()
         pool_size = min(workers, len(tasks), cpus)
         started = time.perf_counter()
         if pool_size == 1:
-            reports = [
-                run_shard(task, self.payloads[task.strategy]) for task in tasks
-            ]
+            reports = [run_shard(task, payload) for task in tasks]
         else:
             # Build the universe's templates here, before the pool forks:
             # workers started by fork() inherit them (spawned ones build
@@ -286,9 +232,7 @@ class Coordinator:
                 initializer=hermetic_worker_obs,
             ) as pool:
                 futures = {
-                    pool.submit(
-                        run_shard, task, self.payloads[task.strategy]
-                    ): task.index
+                    pool.submit(run_shard, task, payload): task.index
                     for task in tasks
                 }
                 for future, index in futures.items():

@@ -123,8 +123,6 @@ class ShardTask:
     config: ExperimentConfig
     faults: tuple[FaultEvent, ...] = ()
     queries_per_round: int = 3
-    #: Model-form strategy this shard serves and rebuilds with.
-    strategy: str = DEFAULT_STRATEGY
     #: Record every served request's span tree (off by default).
     trace: bool = False
 
@@ -162,8 +160,6 @@ class ShardReport:
     index: int
     scenario: str
     rounds: list[RoundRecord]
-    #: Model-form strategy the shard served with (see ShardTask).
-    strategy: str = DEFAULT_STRATEGY
     requests: int = 0
     completed: int = 0
     failed: int = 0
@@ -181,10 +177,10 @@ class ShardReport:
     fault_log: list[tuple] = field(default_factory=list)
     models_imported: int = 0
     wall_seconds: float = 0.0
-    #: Span dicts (simulated-clock, shard-local span ids) —
-    #: a pure function of the task, like the rest of the report, but
-    #: excluded from ``deterministic_dict`` so committed bench payloads
-    #: predating tracing stay schema-identical.
+    #: Span dicts (simulated-clock, shard-local span ids) — a pure
+    #: function of the task, like the rest of the report, but excluded
+    #: from ``deterministic_dict``: a traced and an untraced run of one
+    #: task aggregate to the same payload.
     trace_spans: list[dict] = field(default_factory=list)
 
     def deterministic_dict(self) -> dict:
@@ -295,11 +291,10 @@ def run_shard(task: ShardTask, payload: dict) -> ShardReport:
         lambda query_class, n: var.generator.queries_for(
             query_class, n, tables=tables
         ),
-        builder_config=builder_config(task.strategy),
+        builder_config=builder_config(),
         sample_count=lambda query_class: config.train_count(query_class.family),
         drift=loadgen_drift_policy(task.gap_seconds),
         build_now=False,
-        strategy=task.strategy,
     )
 
     # Per-shard variety comes from two derived streams only: the query
@@ -324,7 +319,6 @@ def run_shard(task: ShardTask, payload: dict) -> ShardReport:
         index=task.index,
         scenario=task.scenario,
         rounds=[],
-        strategy=task.strategy,
         models_imported=imported,
     )
     registry = server.catalog.registry

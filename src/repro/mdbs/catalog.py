@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .registry import CostModelRegistry
 
 #: Version of the cost-model payload this code writes and reads.  v3
-#: added the model-form strategy and its online-update log to each
+#: added the model-form strategy and its online-update count to each
 #: version's provenance (:class:`~repro.mdbs.registry.ModelProvenance`).
 MODEL_SCHEMA_VERSION = 3
 

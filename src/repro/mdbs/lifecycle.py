@@ -202,8 +202,6 @@ class _Registration:
 
     query_class: QueryClass
     sample_count: int
-    #: Model-form strategy; None = the builder's configured one.
-    strategy: str | None
     last_built_at: float = float("-inf")
 
 
@@ -262,7 +260,6 @@ class ModelLifecycle:
         site: str,
         query_class: QueryClass,
         sample_count: int | None = None,
-        strategy: str | None = None,
         build_now: bool = True,
     ) -> BuildOutcome | None:
         """Maintain *query_class* at a watched *site*; the initial build
@@ -272,7 +269,6 @@ class ModelLifecycle:
         registration = _Registration(
             query_class=query_class,
             sample_count=sample_count or watch.builder.sample_size(query_class),
-            strategy=strategy,
         )
         watch.classes[query_class.label] = registration
         return self._build(watch, registration, None) if build_now else None
@@ -368,7 +364,6 @@ class ModelLifecycle:
             outcome = watch.builder.build(
                 query_class,
                 watch.queries(query_class, registration.sample_count),
-                strategy=registration.strategy,
             )
         obs.inc("maintenance.rebuilds")
         registration.last_built_at = watch.now

@@ -79,9 +79,6 @@ class ModelProvenance:
     model_form: str = DEFAULT_STRATEGY
     #: Total served-sample updates folded into this version online.
     online_updates: int = 0
-    #: Recent online-update summaries, oldest first (capped; the count
-    #: above is authoritative).  Each entry is a JSON-compatible dict.
-    update_log: tuple = ()
 
     @classmethod
     def from_model(
@@ -120,7 +117,6 @@ class ModelProvenance:
             "qualitative_variables": list(self.qualitative_variables),
             "model_form": self.model_form,
             "online_updates": self.online_updates,
-            "update_log": [dict(entry) for entry in self.update_log],
         }
 
     @classmethod
@@ -138,7 +134,6 @@ class ModelProvenance:
             ),
             model_form=payload["model_form"],
             online_updates=int(payload["online_updates"]),
-            update_log=tuple(dict(e) for e in payload["update_log"]),
         )
 
 
@@ -277,32 +272,21 @@ class CostModelRegistry:
         return self.version(site, class_label, target)
 
     def record_online_update(
-        self,
-        site: str,
-        class_label: str,
-        version: int,
-        entry: dict,
-        max_log: int = 64,
+        self, site: str, class_label: str, version: int
     ) -> ModelVersion:
-        """Log one served-sample update folded into *version* online.
+        """Count one served-sample update folded into *version* online.
 
         The online strategy (``mlr.rls``) mutates the served model's
-        coefficients in place; this records that mutation in the
-        version's provenance so exports (schema v3) carry the form's
-        update history.  The log keeps the most recent *max_log* entries;
-        ``online_updates`` counts all of them.
+        coefficients in place; the version's provenance counts those
+        updates, and exports (schema v3) carry the count.  Counting
+        fires no registry event: the version and form stay the same.
         """
         current = self.version(site, class_label, version)
         provenance = current.provenance
-        log = provenance.update_log + (dict(entry),)
-        if len(log) > max_log:
-            log = log[-max_log:]
         updated = replace(
             current,
             provenance=replace(
-                provenance,
-                update_log=log,
-                online_updates=provenance.online_updates + 1,
+                provenance, online_updates=provenance.online_updates + 1
             ),
         )
         versions = self._versions[(site, class_label)]

@@ -165,19 +165,17 @@ class MDBSServer:
         rebuild_period_seconds: float | None = None,
         drift: DriftPolicy | None = None,
         build_now: bool = True,
-        strategy: str | None = None,
     ) -> dict[str, ModelVersion]:
         """Put *classes* at *site* under the lifecycle; their active versions.
 
         Each (re)build runs ``queries(query_class, n)``, with ``n =
         sample_count(query_class)`` (None sizes the sample by Proposition
-        4.1) and the model-form *strategy* (None = *builder_config*'s).
-        The builder runs over the site's database and its probe as of
-        this call, so a later swap of ``agent.probe`` (an injected
-        outage) does not reach it.  *rebuild_period_seconds* adds §2's
-        periodic rebuilds to the catalog check; *drift* arms the drift
-        rules at the site.  A second call for the same site replaces the
-        first.
+        4.1), in the paper's form (``mlr.ols``).  The builder runs over
+        the site's database and its probe as of this call, so a later
+        swap of ``agent.probe`` (an injected outage) does not reach it.
+        *rebuild_period_seconds* adds §2's periodic rebuilds to the
+        catalog check; *drift* arms the drift rules at the site.  A
+        second call for the same site replaces the first.
 
         Each initial build is published as a new version without a
         trigger.  ``build_now=False`` skips them — the load-generation
@@ -195,7 +193,6 @@ class MDBSServer:
                 site,
                 query_class,
                 sample_count(query_class) if sample_count else None,
-                strategy,
                 build_now,
             )
             if outcome is not None:
@@ -336,34 +333,26 @@ class MDBSServer:
                     # windows is what online model forms learn from:
                     # RLS models fold it into their coefficients
                     # right here, per served query.
-                    self._online_update(
-                        estimate, step.seconds, at_time=agent.database.environment.now
-                    )
+                    self._online_update(estimate, step.seconds)
             if sp.recording:
                 sp.set_attributes(samples=recorded, states=",".join(states))
 
     def model_tag(self, site: str, class_label: str) -> tuple | None:
-        """(version, model form) of the active model for (site, class).
-
-        The plan cache folds this into its keys so plans scored by one
-        model form or version are never served against another — racing
-        strategy deployments cannot cross-contaminate through the cache.
-        """
+        """(version, model form) of the active model for (site, class),
+        None when it has none; the plan span's ``models`` attribute."""
         try:
             entry = self.catalog.registry.active_version(site, class_label)
         except CostModelRegistryError:
             return None
         return (entry.version, model_form(entry.model))
 
-    def _online_update(
-        self, estimate: CostEstimate, actual: float, at_time: float
-    ) -> None:
+    def _online_update(self, estimate: CostEstimate, actual: float) -> None:
         """Fold one served estimate-vs-actual sample into an online form.
 
         No-op for the default batch-OLS form.  For ``mlr.rls`` models
         this updates the *active* model's coefficients in place (every
         optimizer sees the adapted form on the next estimate) and
-        records the update in the version's provenance log.
+        counts the update in the version's provenance.
         """
         site, label = estimate.site, estimate.class_label
         registry = self.catalog.registry
@@ -389,26 +378,10 @@ class MDBSServer:
         if state.updater is None:
             return
         sample = OnlineSample(
-            values=estimate.values,
-            state=estimate.state,
-            actual=actual,
-            predicted=estimate.seconds,
+            values=estimate.values, state=estimate.state, actual=actual
         )
-        error = state.strategy.update(entry.model, sample, state.updater)
-        if error is None:
-            return
-        registry.record_online_update(
-            site,
-            label,
-            entry.version,
-            {
-                "at_time": float(at_time),
-                "state": int(estimate.state),
-                "predicted": float(estimate.seconds),
-                "actual": float(actual),
-                "error": float(error),
-            },
-        )
+        if state.strategy.update(entry.model, sample, state.updater) is not None:
+            registry.record_online_update(site, label, entry.version)
 
     def _execute_plan(
         self, query: GlobalJoinQuery, plan: GlobalPlan

@@ -7,10 +7,9 @@ initialisation ``delta * I`` it computes the ridge solution
 ``(X'X + I/delta)^-1 X'y`` after seeing the rows one at a time, which
 converges to the batch OLS coefficients as ``delta`` grows.  A forgetting
 factor below one exponentially down-weights old samples so the estimate
-tracks regime shifts.  It exposes ``predict(x)``, ``update(x, y)``
-(returns the *a priori* residual), ``coefficients``, ``updates`` and
-dict round-tripping; the strategy layer in :mod:`repro.core.strategy`
-drives it.
+tracks regime shifts.  It exposes ``update(x, y)`` (returns the
+*a priori* residual) and ``coefficients``; the strategy layer in
+:mod:`repro.core.strategy` drives it.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ class RecursiveLeastSquares:
         forgetting: float = DEFAULT_FORGETTING,
         delta: float = DEFAULT_DELTA,
         theta: np.ndarray | None = None,
-        covariance: np.ndarray | None = None,
     ) -> None:
         if n_parameters < 1:
             raise ValueError("n_parameters must be positive")
@@ -53,20 +51,11 @@ class RecursiveLeastSquares:
             self.theta = np.asarray(theta, dtype=float).copy()
             if self.theta.shape != (self.n_parameters,):
                 raise ValueError("theta shape does not match n_parameters")
-        if covariance is None:
-            self.covariance = self.delta * np.eye(self.n_parameters)
-        else:
-            self.covariance = np.asarray(covariance, dtype=float).copy()
-            if self.covariance.shape != (self.n_parameters, self.n_parameters):
-                raise ValueError("covariance shape does not match n_parameters")
-        self.updates = 0
+        self.covariance = self.delta * np.eye(self.n_parameters)
 
     @property
     def coefficients(self) -> np.ndarray:
         return self.theta
-
-    def predict(self, x) -> float:
-        return float(np.asarray(x, dtype=float) @ self.theta)
 
     def update(self, x, y: float) -> float:
         """Fold one ``(x, y)`` sample in; returns the a-priori residual."""
@@ -82,30 +71,7 @@ class RecursiveLeastSquares:
         # Symmetrise: the update is symmetric in exact arithmetic, and
         # drifting off the symmetric manifold destabilises long runs.
         self.covariance = (cov + cov.T) / 2.0
-        self.updates += 1
         return error
-
-    def to_dict(self) -> dict:
-        return {
-            "n_parameters": self.n_parameters,
-            "forgetting": self.forgetting,
-            "delta": self.delta,
-            "theta": self.theta.tolist(),
-            "covariance": self.covariance.tolist(),
-            "updates": self.updates,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> RecursiveLeastSquares:
-        estimator = cls(
-            payload["n_parameters"],
-            forgetting=payload.get("forgetting", DEFAULT_FORGETTING),
-            delta=payload.get("delta", DEFAULT_DELTA),
-            theta=np.asarray(payload["theta"], dtype=float),
-            covariance=np.asarray(payload["covariance"], dtype=float),
-        )
-        estimator.updates = int(payload.get("updates", 0))
-        return estimator
 
 
 def rls_fit(

@@ -27,8 +27,6 @@ class ServingConfig:
     admission_policy: str = "block"
     #: Serve repeated optimizations from the plan cache.
     plan_cache: bool = True
-    #: Cached plans kept before LRU eviction.
-    plan_cache_capacity: int = 1024
     #: Prefix for generated trace ids (loadgen shards use ``s{index}-``
     #: so coordinator-merged traces stay globally unique).
     trace_id_prefix: str = ""
@@ -46,5 +44,3 @@ class ServingConfig:
                 f"admission_policy must be 'block', not {self.admission_policy!r}: "
                 "a request submitted on the caller's thread is always executed"
             )
-        if self.plan_cache_capacity < 1:
-            raise ValueError("plan_cache_capacity must be >= 1")

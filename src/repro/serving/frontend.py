@@ -133,14 +133,7 @@ class ServingFrontEnd:
         self.config = config or ServingConfig()
         self.plan_cache: PlanCache | None = None
         if self.config.plan_cache:
-            # Keys carry the active (version, form) per dependency so a
-            # strategy deployment never serves a plan scored by a
-            # different model form (see PlanCache's model_tag doc).
-            self.plan_cache = PlanCache(
-                server.catalog.registry,
-                capacity=self.config.plan_cache_capacity,
-                model_tag=server.model_tag,
-            )
+            self.plan_cache = PlanCache(server.catalog.registry)
         self._submitted = 0
         self._completed = 0
         self._failed = 0

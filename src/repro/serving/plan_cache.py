@@ -16,9 +16,13 @@ versions behind those estimates.  The cache keys on exactly that:
   numbers in the key but by *invalidation*: the cache subscribes to its
   :class:`~repro.mdbs.registry.CostModelRegistry` and evicts exactly the
   entries depending on a ``(site, class)`` whenever a version is
-  published, activated, or rolled back — the model-staleness
+  published, activated, rolled back or imported — the model-staleness
   discipline of the adaptive-cost-model literature (a cached plan must
-  never outlive the model that scored it).
+  never outlive the model that scored it).  Those four writes are the
+  only ways the active (version, model form) changes, so the key needs
+  neither.  An online model form (``mlr.rls``) updates the active
+  model's coefficients in place and fires no event: its cached plans
+  stay until the next registry write.
 """
 
 from __future__ import annotations
@@ -30,8 +34,7 @@ from .. import obs
 from ..mdbs.gquery import GlobalJoinQuery
 from ..mdbs.optimizer import GlobalPlan
 
-#: One resolved dependency: (site, class_label, contention state) plus,
-#: when a model-tag resolver is configured, the active (version, form).
+#: The resolved dependencies: (site, class_label, contention state) each.
 StateKey = tuple[tuple, ...]
 #: The (site, class_label) pairs a cached plan's estimates read.
 DepKey = tuple[tuple[str, str], ...]
@@ -59,26 +62,15 @@ class PlanCache:
     optional but is what makes the cache safe to serve from: every
     publish/activate/rollback event evicts the entries whose
     dependency set contains the touched ``(site, class)`` — and *only*
-    those, so plans for untouched classes survive byte-identical.
+    those, so plans for untouched classes survive byte-identical.  With
+    a registry, a plan is cached only while every dependency has an
+    active model there.
     """
 
-    def __init__(
-        self,
-        registry=None,
-        capacity: int = 1024,
-        model_tag: Callable[[str, str], tuple | None] | None = None,
-    ) -> None:
+    def __init__(self, registry=None, capacity: int = 1024) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        #: Optional ``(site, class_label) -> (version, form)`` resolver
-        #: (:meth:`~repro.mdbs.server.MDBSServer.model_tag`).  When set,
-        #: the tag joins every state key, so plans scored by one model
-        #: version/form are never served for another — belt on top of the
-        #: event-driven invalidation, and the only safeguard that also
-        #: covers *in-place* form changes (online coefficient updates
-        #: republish no event; a version+form mismatch still misses).
-        self._model_tag = model_tag
         #: (query_key, state_key) -> plan, in LRU order (oldest first).
         self._plans: "OrderedDict[tuple, GlobalPlan]" = OrderedDict()
         #: query_key -> the (site, class) pairs its plans depend on.
@@ -118,10 +110,9 @@ class PlanCache:
 
         Reasons: ``"hit"``; ``"cold"`` (query never planned here);
         ``"unresolved"`` (a dependency's contention state would not
-        resolve); ``"model_missing"`` (a dependency's model is gone);
-        ``"capacity"`` / ``"invalidated:<site>/<class>"`` (the entry was
-        evicted and why); ``"state_changed"`` (cached, but under other
-        contention states / model tags).  Trace spans record the reason
+        resolve); ``"capacity"`` / ``"invalidated:<site>/<class>"`` (the
+        entry was evicted and why); ``"state_changed"`` (cached, but
+        under other contention states).  Trace spans record the reason
         as plan provenance.
         """
         qkey = query_key(query)
@@ -133,10 +124,7 @@ class PlanCache:
             state = resolve_state(site, label)
             if state is None:
                 return self._miss(), "unresolved"
-            tag = self._tag_for(site, label)
-            if tag is None:
-                return self._miss(), "model_missing"
-            states.append((site, label, state) + tag)
+            states.append((site, label, state))
         full_key = (qkey, tuple(states))
         cause = None
         plan = self._plans.get(full_key)
@@ -175,13 +163,11 @@ class PlanCache:
         if not state_by_dep:
             return  # nothing model-backed to key on; not cacheable
         deps: DepKey = tuple(sorted(state_by_dep))
-        states_list: list[tuple] = []
-        for s, c in deps:
-            tag = self._tag_for(s, c)
-            if tag is None:
-                return  # model vanished mid-flight; not cacheable
-            states_list.append((s, c, state_by_dep[(s, c)]) + tag)
-        states: StateKey = tuple(states_list)
+        registry = self._registry
+        if registry is not None and not all(registry.has_model(*dep) for dep in deps):
+            # A same-family stand-in scored it; not cacheable.
+            return
+        states: StateKey = tuple((s, c, state_by_dep[(s, c)]) for s, c in deps)
         qkey = query_key(query)
         full_key = (qkey, states)
         self._deps[qkey] = deps
@@ -225,16 +211,6 @@ class PlanCache:
             self._registry = None
 
     # -- internals --------------------------------------------------------
-
-    def _tag_for(self, site: str, class_label: str) -> tuple | None:
-        """The (version, form) key component for one dependency.
-
-        ``()`` when no tag resolver is configured (pure state keying);
-        None when the resolver reports the model gone (uncacheable).
-        """
-        if self._model_tag is None:
-            return ()
-        return self._model_tag(site, class_label)
 
     def _miss(self) -> None:
         self.misses += 1

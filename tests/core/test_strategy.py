@@ -16,7 +16,6 @@ from repro.core.strategy import (
     DEFAULT_STRATEGY,
     MODEL_FORM_KEY,
     STRATEGY_NAMES,
-    STRATEGY_PARAMS_KEY,
     OLSStrategy,
     OnlineSample,
     RLSStrategy,
@@ -52,7 +51,6 @@ class TestDefaultPathByteIdentity:
         )
         assert finalized.to_dict() == raw.to_dict()
         assert MODEL_FORM_KEY not in finalized.metadata
-        assert STRATEGY_PARAMS_KEY not in finalized.metadata
 
     def test_default_form_name(self):
         model, _ = finalize(DEFAULT_STRATEGY)
@@ -82,19 +80,12 @@ class TestResolve:
         with pytest.raises(ValueError, match="unknown"):
             resolve_strategy("mlr.kalman")
 
-    def test_params_forwarded(self):
-        strategy = resolve_strategy("mlr.rls", {"forgetting": 0.9})
-        assert isinstance(strategy, RLSStrategy)
-        assert strategy.forgetting == pytest.approx(0.9)
-
 
 class TestOnlineForms:
     def test_finalize_stamps_metadata(self):
         model, _ = finalize("mlr.rls")
         assert model.metadata[MODEL_FORM_KEY] == "mlr.rls"
-        recovered = strategy_for(model)
-        assert isinstance(recovered, RLSStrategy)
-        assert recovered.params() == RLSStrategy().params()
+        assert isinstance(strategy_for(model), RLSStrategy)
 
     def test_supports_online_update_flags(self):
         assert not OLSStrategy().supports_online_update
@@ -115,7 +106,6 @@ class TestOnlineForms:
             outcome.observations, G1, strategy="mlr.rls"
         )
         assert model_form(built.model) == "mlr.rls"
-        assert built.model.metadata[STRATEGY_PARAMS_KEY] == RLSStrategy().params()
 
 
 class TestOnlineUpdate:

@@ -151,62 +151,3 @@ class TestCoordinator:
         stats = capped.wall_stats()
         assert (stats["workers"], stats["cpu_count"], stats["pool_size"]) == (8, 1, 1)
         assert capped.deterministic_payload() == serial.deterministic_payload()
-
-
-class TestStrategyMix:
-    def test_validation_rejects_empty_mix(self, micro_config):
-        with pytest.raises(ValueError, match="strategy_mix"):
-            LoadGenConfig(
-                experiment=micro_config, shards=2, rounds=4, strategy_mix=()
-            )
-
-    def test_default_mix_is_pure_ols(self, micro_config):
-        config = micro_loadgen(micro_config)
-        assert config.strategies() == ("mlr.ols",)
-        assert all(t.strategy == "mlr.ols" for t in config.tasks())
-
-    def test_strategy_cycling_and_distinct_order(self, micro_config):
-        config = LoadGenConfig(
-            experiment=micro_config,
-            shards=5,
-            rounds=4,
-            strategy_mix=("mlr.ols", "mlr.rls"),
-        )
-        assert [config.strategy_for(i) for i in range(5)] == [
-            "mlr.ols",
-            "mlr.rls",
-            "mlr.ols",
-            "mlr.rls",
-            "mlr.ols",
-        ]
-        assert config.strategies() == ("mlr.ols", "mlr.rls")
-        assert [t.strategy for t in config.tasks()][:2] == ["mlr.ols", "mlr.rls"]
-
-    def test_seed_payload_only_covers_default_strategy(
-        self, micro_config, trained_payload
-    ):
-        config = micro_loadgen(
-            micro_config, strategy_mix=("mlr.ols", "mlr.rls")
-        )
-        coordinator = Coordinator(config, payload=trained_payload)
-        coordinator.train()
-        # The seeded OLS payload is reused verbatim; only RLS trains.
-        assert coordinator.payloads["mlr.ols"] is trained_payload
-        assert set(coordinator.payloads) == {"mlr.ols", "mlr.rls"}
-        assert coordinator.payload is trained_payload
-
-    @pytest.mark.slow
-    def test_online_shard_runs_clean(self, micro_config):
-        """One RLS shard end to end: trains its own payload, zero failures."""
-        config = micro_loadgen(
-            micro_config,
-            shards=1,
-            rounds=4,
-            faults=FaultSchedule(),
-            strategy_mix=("mlr.rls",),
-        )
-        report = Coordinator(config).run(workers=1)
-        (shard,) = report.shard_reports
-        assert shard.strategy == "mlr.rls"
-        assert shard.failed == 0
-        assert shard.completed == shard.requests

@@ -1,7 +1,7 @@
 """Cost-model export schema versioning: the v3 round trip and rejection.
 
-Schema v3 carries the pluggable model-form provenance (``model_form``,
-``online_updates``, ``update_log``).  Nothing writes the older v2 or flat
+Schema v3 carries the pluggable model-form provenance (``model_form``
+and ``online_updates``).  Nothing writes the older v2 or flat
 v1 formats, so the importer reads v3 alone and rejects every other
 payload, those two included, with the same error.
 """
@@ -54,37 +54,18 @@ class TestV3RoundTrip:
     def test_form_provenance_round_trips(self):
         catalog = populated_catalog()
         version = catalog.registry.active_version("s2", "G1")
-        catalog.registry.record_online_update(
-            "s2", "G1", version.version, {"round": 1, "error": 0.5}
-        )
-        catalog.registry.record_online_update(
-            "s2", "G1", version.version, {"round": 2, "error": 0.25}
-        )
+        catalog.registry.record_online_update("s2", "G1", version.version)
+        catalog.registry.record_online_update("s2", "G1", version.version)
 
         fresh = GlobalCatalog()
         fresh.import_models(json.loads(json.dumps(catalog.export_models())))
         restored = fresh.registry.active_version("s2", "G1").provenance
         assert restored.model_form == "mlr.rls"
         assert restored.online_updates == 2
-        assert restored.update_log == (
-            {"round": 1, "error": 0.5},
-            {"round": 2, "error": 0.25},
-        )
         # The OLS models carry the default form without metadata noise.
         assert fresh.registry.active_version("s1", "G1").provenance.model_form == (
             DEFAULT_STRATEGY
         )
-
-    def test_update_log_is_capped_but_count_is_not(self):
-        catalog = populated_catalog()
-        version = catalog.registry.active_version("s2", "G1").version
-        for i in range(10):
-            catalog.registry.record_online_update(
-                "s2", "G1", version, {"round": i}, max_log=4
-            )
-        provenance = catalog.registry.active_version("s2", "G1").provenance
-        assert provenance.online_updates == 10
-        assert [e["round"] for e in provenance.update_log] == [6, 7, 8, 9]
 
 
 class TestRejection:

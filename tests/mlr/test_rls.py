@@ -4,8 +4,7 @@ The headline law: streaming rows one at a time through
 :class:`~repro.mlr.rls.RecursiveLeastSquares` with no forgetting
 converges to the batch :func:`repro.mlr.ols.fit_ols` coefficients —
 including on rank-deficient designs (same fitted values) and the
-single-parameter edge case.  The estimator is also checked for
-resume-identical dict round-trips.
+single-parameter edge case.
 """
 
 import numpy as np
@@ -88,25 +87,6 @@ class TestRLSConvergesToOLS:
         np.testing.assert_allclose(
             rls_model.coefficients, ols_model.coefficients, rtol=1e-4, atol=1e-6
         )
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=SEEDS, n=st.integers(12, 50), p=st.integers(1, 4))
-    def test_resume_from_dict_is_identical(self, seed, n, p):
-        X, y = _random_system(seed, n, p)
-        split = n // 2
-        straight = RecursiveLeastSquares(p + 1)
-        resumed = RecursiveLeastSquares(p + 1)
-        for row, target in zip(X[:split], y[:split]):
-            straight.update(row, float(target))
-            resumed.update(row, float(target))
-        resumed = RecursiveLeastSquares.from_dict(resumed.to_dict())
-        for row, target in zip(X[split:], y[split:]):
-            straight.update(row, float(target))
-            resumed.update(row, float(target))
-        np.testing.assert_allclose(
-            resumed.coefficients, straight.coefficients, rtol=1e-12, atol=1e-12
-        )
-        assert resumed.updates == straight.updates == n
 
 
 class TestForgetting:

@@ -26,7 +26,6 @@ class TestConfigValidation:
             {"workers": 2},
             {"admission_policy": "drop"},
             {"admission_policy": "reject"},
-            {"plan_cache_capacity": 0},
         ],
     )
     def test_bad_values_rejected(self, kwargs):

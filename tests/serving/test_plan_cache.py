@@ -11,6 +11,7 @@ import pytest
 from repro.engine.predicate import Comparison
 from repro.mdbs.gquery import GlobalJoinQuery
 from repro.mdbs.optimizer import CostEstimate, GlobalPlan
+from repro.mdbs.registry import CostModelRegistry, ModelProvenance
 from repro.serving import PlanCache, query_key
 
 from .conftest import query_mix
@@ -75,6 +76,14 @@ class TestKeys:
         )
         cache.put(query, [plan], plan)
         assert len(cache) == 0
+
+    def test_keys_are_site_class_state(self):
+        cache = PlanCache()
+        query = make_query()
+        plan = make_plan(query, {("oracle_site", "G1"): 0})
+        cache.put(query, [plan], plan)
+        ((qkey, states),) = cache.entries()
+        assert states == (("oracle_site", "G1", 0),)
 
     def test_dependencies_union_all_candidates(self):
         """The dep set covers both candidate plans, not just the winner."""
@@ -217,6 +226,24 @@ class TestRegistryEvents:
         finally:
             cache.close()
 
+    def test_plan_without_active_model_is_not_cached(self):
+        """A plan scored through a same-family stand-in depends on a
+        (site, class) with no active model: no registry event would ever
+        evict it, so it is never cached."""
+
+        class Model:
+            class_label = "G1"
+
+        registry = CostModelRegistry()
+        registry.publish("oracle_site", Model(), ModelProvenance())
+        cache = PlanCache(registry)
+        query = make_query()
+        plan = make_plan(query, {("oracle_site", "G1"): 0, ("db2_site", "G3"): 1})
+        cache.put(query, [plan], plan)
+        assert len(cache) == 0
+        states = resolver({("oracle_site", "G1"): 0, ("db2_site", "G3"): 1})
+        assert cache.lookup(query, states) == (None, "cold")
+
     def test_close_detaches_from_registry(self, serving_mdbs):
         server, _ = serving_mdbs
         cache = PlanCache(server.catalog.registry)
@@ -225,57 +252,3 @@ class TestRegistryEvents:
         model = server.catalog.registry.active_model("db2_site", "G3")
         server.store_cost_model("db2_site", model)  # no longer observed
         assert len(cache) == len(entries)
-
-
-class TestModelTagKeying:
-    """The (version, form) tag: online forms change coefficients with no
-    registry event, so the tag is the only safeguard keying cached plans
-    to the exact model that scored them."""
-
-    def test_version_and_form_join_the_key(self):
-        tags = {("oracle_site", "G1"): (1, "mlr.ols")}
-        cache = PlanCache(model_tag=lambda site, label: tags.get((site, label)))
-        query = make_query()
-        plan = make_plan(query, {("oracle_site", "G1"): 0})
-        cache.put(query, [plan], plan)
-        states = resolver({("oracle_site", "G1"): 0})
-        assert cache.lookup(query, states)[0] is plan
-
-        tags[("oracle_site", "G1")] = (2, "mlr.ols")  # new version
-        assert cache.lookup(query, states)[0] is None
-        tags[("oracle_site", "G1")] = (1, "mlr.rls")  # same version, new form
-        assert cache.lookup(query, states)[0] is None
-        tags[("oracle_site", "G1")] = (1, "mlr.ols")  # original tag again
-        assert cache.lookup(query, states)[0] is plan
-
-    def test_plans_per_tag_coexist(self):
-        tags = {("oracle_site", "G1"): (1, "mlr.ols")}
-        cache = PlanCache(model_tag=lambda site, label: tags.get((site, label)))
-        query = make_query()
-        ols_plan = make_plan(query, {("oracle_site", "G1"): 0})
-        rls_plan = make_plan(query, {("oracle_site", "G1"): 0})
-        cache.put(query, [ols_plan], ols_plan)
-        tags[("oracle_site", "G1")] = (1, "mlr.rls")
-        cache.put(query, [rls_plan], rls_plan)
-        states = resolver({("oracle_site", "G1"): 0})
-        assert cache.lookup(query, states)[0] is rls_plan
-        tags[("oracle_site", "G1")] = (1, "mlr.ols")
-        assert cache.lookup(query, states)[0] is ols_plan
-
-    def test_missing_tag_is_uncacheable(self):
-        cache = PlanCache(model_tag=lambda site, label: None)
-        query = make_query()
-        plan = make_plan(query, {("oracle_site", "G1"): 0})
-        cache.put(query, [plan], plan)  # model vanished mid-flight
-        assert len(cache) == 0
-        assert cache.lookup(query, resolver({("oracle_site", "G1"): 0}))[0] is None
-
-    def test_no_resolver_keeps_pure_state_keying(self):
-        cache = PlanCache()
-        query = make_query()
-        plan = make_plan(query, {("oracle_site", "G1"): 0})
-        cache.put(query, [plan], plan)
-        ((qkey, states),) = cache.entries()
-        # Default keys are exactly (site, label, state) — byte-identical
-        # to the pre-strategy cache.
-        assert states == (("oracle_site", "G1", 0),)

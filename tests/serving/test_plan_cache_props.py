@@ -6,11 +6,23 @@ registry publishes, activates, or rolls back a version for one
 contains that pair — and ONLY those.  Hypothesis drives randomized
 interleavings of plan installs and registry lifecycle events against a
 mirror model of the expected surviving entries.
+
+The cache keys carry no model version or form: the registry writes
+(publish, activate, rollback, import) are the only ways the active
+(version, form) of a ``(site, class)`` changes, and each one evicts the
+dependent plans.  ``test_every_hit_was_put_under_the_active_models``
+checks exactly that over scripts mixing all four writes with puts and
+lookups.  An online model form's in-place coefficient update changes
+neither the version nor the form, and fires no event.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.fitting import fit_qualitative
+from repro.core.model import MultiStateCostModel
+from repro.core.partition import uniform_partition
+from repro.core.strategy import model_form, resolve_strategy
 from repro.mdbs.gquery import GlobalJoinQuery
 from repro.mdbs.optimizer import CostEstimate, GlobalPlan
 from repro.mdbs.registry import (
@@ -19,6 +31,8 @@ from repro.mdbs.registry import (
     ModelProvenance,
 )
 from repro.serving.plan_cache import PlanCache, query_key
+
+from ..core.synthetic import stepped_sample
 
 SITES = ("site_a", "site_b")
 CLASSES = ("G1", "G3")
@@ -154,3 +168,104 @@ def test_lookup_misses_only_after_dependent_event(dep_set, touched, state):
         assert cache.invalidated >= 1
     else:
         assert cache.lookup(query, resolve)[0] is plan
+
+
+FORMS = ("mlr.ols", "mlr.rls")
+
+
+def _derived_models():
+    """One real model per (class, form): the import path needs payloads."""
+    X, y, probing = stepped_sample(true_states=2, n=60, seed=11)
+    fit = fit_qualitative(X, y, probing, uniform_partition(0.0, 1.0, 2), ("x",))
+    return {
+        (label, form): resolve_strategy(form).finalize(
+            MultiStateCostModel.from_fit(fit, label, "unary", "iupma"), fit
+        )
+        for label in CLASSES
+        for form in FORMS
+    }
+
+
+MODELS = _derived_models()
+
+#: Steps of the tag-free cache against a real registry.  Two queries and
+#: two states keep hits frequent enough to catch a stale one.
+query_index = st.integers(0, 1)
+plan_puts = st.tuples(
+    st.just("put"), query_index, st.sets(st.sampled_from(DEPS), min_size=1, max_size=2)
+)
+lookups = st.tuples(st.just("lookup"), query_index)
+shifts = st.tuples(st.just("shift"), st.sampled_from(DEPS), st.integers(0, 1))
+publishes = st.tuples(st.just("publish"), st.sampled_from(DEPS), st.sampled_from(FORMS))
+activates = st.tuples(st.just("activate"), st.sampled_from(DEPS), st.integers(0, 5))
+rollbacks = st.tuples(st.just("rollback"), st.sampled_from(DEPS))
+#: Replace a (site, class)'s history with 1-3 versions of chosen forms.
+imports = st.tuples(
+    st.just("import"),
+    st.sampled_from(DEPS),
+    st.lists(st.sampled_from(FORMS), min_size=1, max_size=3),
+    st.integers(0, 2),
+)
+full_scripts = st.lists(
+    st.one_of(
+        plan_puts, lookups, lookups, shifts, publishes, activates, rollbacks, imports
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(script=full_scripts)
+def test_every_hit_was_put_under_the_active_models(script):
+    registry = CostModelRegistry()
+    for site, label in DEPS:
+        registry.publish(site, MODELS[label, "mlr.ols"])
+    cache = PlanCache(registry=registry)
+    states = {dep: 0 for dep in DEPS}
+    #: id(plan) -> the (version, form) of each dependency when it was put.
+    put_under = {}
+
+    def active(dep):
+        entry = registry.active_version(*dep)
+        return entry.version, model_form(entry.model)
+
+    for step in script:
+        kind = step[0]
+        if kind == "put":
+            _, qidx, dep_set = step
+            deps = tuple(sorted(dep_set))
+            query = QUERIES[qidx]
+            plan = make_plan(query, deps, [states[dep] for dep in deps])
+            cache.put(query, [plan], plan)
+            put_under[id(plan)] = (plan, {dep: active(dep) for dep in deps})
+        elif kind == "lookup":
+            query = QUERIES[step[1]]
+            plan, reason = cache.lookup(query, lambda site, label: states[site, label])
+            if plan is not None:
+                assert reason == "hit"
+                stored, tags = put_under[id(plan)]
+                assert stored is plan
+                assert tags == {dep: active(dep) for dep in tags}
+                assert all(e.state == states[e.site, e.class_label] for e in plan.estimates)
+        elif kind == "shift":
+            states[step[1]] = step[2]
+        elif kind == "publish":
+            (site, label), form = step[1], step[2]
+            registry.publish(site, MODELS[label, form])
+        elif kind == "activate":
+            (site, label), pick = step[1], step[2]
+            history = registry.history(site, label)
+            registry.activate(site, label, history[pick % len(history)].version)
+        elif kind == "rollback":
+            try:
+                registry.rollback(*step[1])
+            except CostModelRegistryError:
+                pass  # nothing older to serve; no event fired
+        else:
+            (site, label), forms, pick = step[1], step[2], step[3]
+            source = CostModelRegistry()
+            for form in forms:
+                source.publish(site, MODELS[label, form])
+            record = source.export()[f"{site}/{label}"]
+            record["active"] = record["versions"][pick % len(forms)]["version"]
+            registry.import_payload({f"{site}/{label}": record})

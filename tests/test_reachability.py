@@ -9,7 +9,12 @@ lists are not references: imports inside ``src/`` never count and
 toward keeping.  Granularity is the top-level function, class and module;
 methods ride with their class.
 
-``python tests/test_reachability.py`` prints the one-line summary CI logs.
+``python tests/test_reachability.py`` prints the summary CI logs: the
+symbol line the tests gate, and a method line that is information only.
+The method line reruns the closure over the same graph with each class
+body split into its methods: a method is reached once its class is and
+some reached code (or a root) mentions its name; dunders ride with their
+class.
 """
 
 import ast
@@ -47,10 +52,12 @@ def _names(tree: ast.AST, root: bool = False) -> set[str]:
 
 
 @cache
-def _source_graph():
+def _source_graph(split_classes: bool = False):
     """``{(module, name): names the definition mentions}`` and the public keys.
 
-    ``(module, None)`` holds a module's loose top-level statements.
+    ``(module, None)`` holds a module's loose top-level statements.  With
+    *split_classes*, each method is its own ``(module, "Class.method")``
+    key and the class key keeps only the rest of the class body.
     """
     graph, public = {}, []
     for path in sorted(SRC.rglob("*.py")):
@@ -61,6 +68,14 @@ def _source_graph():
                 graph[module, node.name] = _names(node)
                 if not node.name.startswith("_"):
                     public.append((module, node.name))
+                if split_classes and isinstance(node, ast.ClassDef):
+                    methods = [m for m in node.body if isinstance(m, ast.FunctionDef)]
+                    rest = [m for m in node.body if m not in methods]
+                    graph[module, node.name] = set().union(
+                        *map(_names, rest + node.bases + node.decorator_list)
+                    )
+                    for method in methods:
+                        graph[module, f"{node.name}.{method.name}"] = _names(method)
             elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 for name in set().union(*map(_names, targets)):
@@ -80,18 +95,25 @@ def _root_names() -> set[str]:
     return set().union(*(_names(tree, root=True) for tree in trees))
 
 
+def _reached(key, live: set, seen: set[str]) -> bool:
+    module, name = key
+    owner, _, method = (name or "").rpartition(".")
+    if owner:
+        return (module, owner) in live and (method in seen or method.startswith("__"))
+    return (
+        name in seen
+        or module.endswith("__main__")
+        or (name is None and any(m == module for m, _ in live))
+    )
+
+
 def _closure(graph, seen: set[str]) -> set:
     """Keys of *graph* reachable from the names in *seen*."""
     live, grew = set(), True
     while grew:
         grew = False
         for key, mentions in graph.items():
-            module, name = key
-            if key not in live and (
-                name in seen
-                or module.endswith("__main__")
-                or (name is None and any(m == module for m, _ in live))
-            ):
+            if key not in live and _reached(key, live, seen):
                 live.add(key)
                 seen |= mentions
                 grew = True
@@ -109,6 +131,19 @@ def audit():
     modules = {module for module, _ in graph if not module.endswith(("__init__", "__main__"))}
     dead_modules = sorted(modules - {module for module, name in live if name is not None})
     return public, bare, live, dead_modules
+
+
+def unreached_methods():
+    """(method count, ``module.Class.method`` keys unreached) over the split
+    graph, from the roots plus the references' bodies; dunders not counted."""
+    graph, _ = _source_graph(split_classes=True)
+    roots = _root_names()
+    live = _closure(graph, roots.union(*(graph.get(key, ()) for key in REFERENCES)))
+    methods = [
+        key for key in graph
+        if key[1] and "." in key[1] and not key[1].rpartition(".")[2].startswith("__")
+    ]
+    return len(methods), sorted(".".join(key) for key in methods if key not in live)
 
 
 def test_every_public_symbol_is_reached_or_a_named_reference():
@@ -164,4 +199,9 @@ if __name__ == "__main__":
         f"reachability: {sum(key in reached for key in symbols)} reached"
         f" + {len(REFERENCES)} reference of {len(symbols)} public symbols;"
         f" src/repro is {lines} lines"
+    )
+    total, unreached = unreached_methods()
+    print(
+        f"methods reached {total - len(unreached)} of {total};"
+        f" unreached: {', '.join(unreached) or 'none'}"
     )
