@@ -159,8 +159,9 @@ def clustered_index_scan(
             ),
         )
     else:
+        base = pool.page_space("I", index.name)
         charge_random_pages(
-            metrics, pool, keys=index.traversal_page_keys(key_range.low)
+            metrics, pool, keys=[base + node for node in index.traversal_path(key_range.low)]
         )
         if row_ids:
             # Clustered rows are physically contiguous: the qualifying
@@ -219,17 +220,12 @@ def nonclustered_index_scan(
         tuple_fetch_ios = math.ceil(k * (1.0 - ratio) + k * ratio / rows_per_page)
         charge_random_pages(metrics, None, count=index.height + tuple_fetch_ios)
     else:
-        charge_random_pages(
-            metrics, pool, keys=index.traversal_page_keys(key_range.low)
-        )
-        charge_random_pages(
-            metrics,
-            pool,
-            keys=(
-                ("T", table.name, data_page_of(rid, rows_per_page))
-                for rid in row_ids
-            ),
-        )
+        # One pass: the traversal, then each fetched tuple's data page.
+        base = pool.page_space("I", index.name)
+        pages = [base + node for node in index.traversal_path(key_range.low)]
+        data_pages = np.asarray(row_ids, dtype=np.int64) // rows_per_page
+        pages += (data_pages + pool.page_space("T", table.name)).tolist()
+        charge_random_pages(metrics, pool, keys=pages)
     metrics.tuples_read = k
 
     matching = _filter_row_ids(table, row_ids, residual, metrics)

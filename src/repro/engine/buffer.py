@@ -20,11 +20,20 @@ pure function of the access sequence (no clocks, no randomness, no
 ``id()``): two pools fed the same sequence always hold the same pages,
 which is what makes parallel experiment runs byte-identical.
 
-Page identity is a plain tuple key:
-
-* ``("T", table_name, page_no)`` — heap/data pages;
-* ``("I", index_name, node_id)`` — B+-tree nodes (node ids are assigned
-  in creation order by the tree, so they too are deterministic).
+Page identity is an integer.  Each page *space* — a table's data pages
+(``("T", table_name)``) or an index's B+-tree nodes (``("I",
+index_name)``) — is interned on first use to a base ``k << 32``
+(:meth:`BufferPool.page_space`), and a page's id is its space's base
+plus its number: the data page number for a table, the node id for an
+index (node ids are assigned in creation order by the tree, so they too
+are deterministic).  The key is the *name*, never the object: a table
+dropped and re-created under the same name lands in the same space, so
+its pages hit whatever its predecessor left resident, exactly as tuple
+keys ``("T", name, page)`` would.  Hashing those tuples was most of
+the pool loop's time; an integer hashes to itself, and a sequential
+sweep is a plain ``range``.  Spaces are never forgotten (:meth:`clear`,
+:meth:`snapshot` and :meth:`restore` leave them alone); the policy loop
+itself takes any hashable keys.
 """
 
 from __future__ import annotations
@@ -37,6 +46,9 @@ from typing import Hashable, Iterable
 
 #: Pages examined from the cold end of the LRU chain at eviction time.
 EVICT_SCAN = 8
+
+#: Bits of a page id below its space's base: room for 2**32 pages per space.
+PAGE_SPACE_BITS = 32
 
 #: Default pool capacity in pages (4 MiB at the 8 KiB default page size).
 DEFAULT_CAPACITY_PAGES = 512
@@ -104,9 +116,22 @@ class BufferPool:
         self._recent: deque[PageKey] = deque()
         #: Reference counts of pages inside the window.
         self._refcounts: dict[PageKey, int] = {}
+        #: Base page id of each (kind, name) page space, in first-use order.
+        self._spaces: dict[tuple[str, str], int] = {}
         self.stats = BufferPoolStats()
 
     # -- core access --------------------------------------------------------
+
+    def page_space(self, kind: str, name: str) -> int:
+        """The id of page 0 of *name*'s pages (*kind* ``"T"`` or ``"I"``).
+
+        Page ``p`` of the space is ``page_space(kind, name) + p``.
+        """
+        key = (kind, name)
+        base = self._spaces.get(key)
+        if base is None:
+            base = self._spaces[key] = len(self._spaces) << PAGE_SPACE_BITS
+        return base
 
     def __len__(self) -> int:
         return len(self._pages)
@@ -212,11 +237,6 @@ class BufferPool:
         )
 
 
-def table_page_keys(table_name: str, page_numbers: Iterable[int]):
-    """Page keys for the numbered data pages of *table_name*."""
-    return (("T", table_name, p) for p in page_numbers)
-
-
 def data_page_of(row_id: int, rows_per_page: int) -> int:
     """The data page holding *row_id* under a dense packing."""
     return row_id // rows_per_page
@@ -227,7 +247,7 @@ def data_page_of(row_id: int, rows_per_page: int) -> int:
 #
 # Access methods charge their page work through these two helpers so the
 # pool-off path stays byte-identical to the pre-buffer-pool accounting
-# (a plain count) while the pool-on path plays concrete page keys
+# (a plain count) while the pool-on path plays concrete page ids
 # through the cache and charges I/O only for misses.
 # ---------------------------------------------------------------------------
 
@@ -244,9 +264,8 @@ def charge_sequential_pages(
     if pool is None:
         metrics.sequential_page_reads += num_pages
         return
-    hits, misses = pool.access_many(
-        table_page_keys(table_name, range(start_page, start_page + num_pages))
-    )
+    first = pool.page_space("T", table_name) + start_page
+    hits, misses = pool.access_many(range(first, first + num_pages))
     metrics.buffer_hits += hits
     metrics.sequential_page_reads += misses
 
@@ -260,9 +279,10 @@ def charge_random_pages(
     """Charge random page reads.
 
     Without a pool, ``count`` pages are charged directly (the classic
-    amortized formulas).  With a pool, the concrete *keys* are played
-    through the cache instead — repeat touches of a resident page become
-    buffer hits, which subsumes the formulas' amortization.
+    amortized formulas).  With a pool, the concrete *keys* (page ids, see
+    :meth:`BufferPool.page_space`) are played through the cache instead —
+    repeat touches of a resident page become buffer hits, which subsumes
+    the formulas' amortization.
     """
     if pool is None:
         metrics.random_page_reads += count

@@ -123,9 +123,30 @@ class LocalDatabase:
         return table
 
     def insert(self, table_name: str, row: Sequence[Any]) -> None:
-        """Insert one row, maintaining any indexes by rebuild."""
+        """Insert one row, keeping the table's clustering and indexes."""
+        self.catalog.table(table_name).insert(row)
+        self._after_new_rows(table_name)
+
+    def bulk_load(self, table_name: str, rows: Iterable[Sequence[Any]]) -> int:
+        """Load many rows (:meth:`Table.bulk_load`), keeping clustering and indexes.
+
+        Returns the number of rows loaded.  A batch that fails
+        validation loads nothing and leaves the indexes as they were.
+        """
+        loaded = self.catalog.table(table_name).bulk_load(rows)
+        self._after_new_rows(table_name)
+        return loaded
+
+    def _after_new_rows(self, table_name: str) -> None:
+        """Re-sort a clustered table, then rebuild the table's indexes.
+
+        New rows land at the end of the heap; a clustered table must be
+        sorted again on its key before its indexes, which name rows by
+        position, are rebuilt.
+        """
         table = self.catalog.table(table_name)
-        table.insert(row)
+        if table.clustered_on is not None:
+            table.cluster_on(table.clustered_on)
         self._rebuild_indexes(table_name)
 
     def create_index(

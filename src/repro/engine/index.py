@@ -102,14 +102,15 @@ class Index:
         """Row ids with key in the given interval, in key order."""
         return self._tree.range_search(low, high, low_inclusive, high_inclusive)
 
-    def traversal_page_keys(self, key: Any = None) -> list[tuple]:
-        """Buffer-pool page keys of one root→leaf traversal toward *key*.
+    def traversal_path(self, key: Any = None) -> list[int]:
+        """Node ids of one root→leaf traversal toward *key*.
 
-        One key per tree level (``len == height``); repeated traversals
+        One id per tree level (``len == height``); repeated traversals
         share the upper levels, which is why a warm pool makes index
-        probes nearly free.
+        probes nearly free.  A node's buffer-pool page id is its id plus
+        the index's page space (:meth:`BufferPool.page_space`).
         """
-        return [("I", self.name, node) for node in self._tree.traversal_path(key)]
+        return self._tree.traversal_path(key)
 
     # -- physical statistics -----------------------------------------------------
 

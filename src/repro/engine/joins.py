@@ -242,11 +242,17 @@ def index_nested_loop_join(
     rows_per_page = right.layout.rows_per_page(right.tuple_length)
     kind_is_clustered = inner_index.kind is IndexKind.CLUSTERED
 
-    # One index probe per outer tuple, in outer order (the pool sees the
-    # probes in that order); the fetched ids are collected and the right
-    # local selection is applied to all of them afterwards.
+    # One index probe per outer tuple, in outer order; with a pool the
+    # probes' pages (each traversal, then its matches' data pages) are
+    # collected in that order and played through the pool in one pass.
+    # The fetched ids are collected and the right local selection is
+    # applied to all of them afterwards.
     fanout: list[int] = []
     fetched: list[int] = []
+    pages: list[int] = []
+    if pool is not None:
+        index_base = pool.page_space("I", inner_index.name)
+        table_base = pool.page_space("T", right.name)
     for key in left.column_array(query.left_column)[li].tolist():
         row_ids = inner_index.lookup(key)
         k = len(row_ids)
@@ -261,19 +267,12 @@ def index_nested_loop_join(
                 fetch = math.ceil(k * (1.0 - ratio) + k * ratio / rows_per_page)
                 charge_random_pages(metrics, None, count=fetch)
         else:
-            charge_random_pages(
-                metrics, pool, keys=inner_index.traversal_page_keys(key)
-            )
-            charge_random_pages(
-                metrics,
-                pool,
-                keys=[
-                    ("T", right.name, data_page_of(rid, rows_per_page))
-                    for rid in row_ids
-                ],
-            )
+            pages += [index_base + node for node in inner_index.traversal_path(key)]
+            pages += [table_base + data_page_of(rid, rows_per_page) for rid in row_ids]
         fanout.append(k)
         fetched.extend(row_ids)
+    if pool is not None:
+        charge_random_pages(metrics, pool, keys=pages)
     metrics.tuples_read += len(fetched)
     metrics.tuples_evaluated += len(fetched)
     rids = np.asarray(fetched, dtype=np.intp)

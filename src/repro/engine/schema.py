@@ -9,9 +9,10 @@ single source of truth for tuple length.
 from __future__ import annotations
 
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import SchemaError
 from .types import DataType, Row
@@ -201,18 +202,71 @@ class ColumnStatistics:
         )
 
 
+class ColumnStatisticsMap(Mapping[str, ColumnStatistics]):
+    """Statistics of a fixed list of columns, each computed on first read.
+
+    Iteration, length and membership are the column list's, so every
+    reader sees a complete mapping (and two maps, or a map and a dict,
+    compare by content).  ``compute(name)`` runs once per column, the
+    first time its value is read; a plan that reads one column of a
+    nine-column table pays for one.
+    """
+
+    def __init__(
+        self, names: Iterable[str], compute: Callable[[str], ColumnStatistics]
+    ) -> None:
+        self._names = tuple(names)
+        self._compute: Callable[[str], ColumnStatistics] | None = compute
+        self._computed: dict[str, ColumnStatistics] = {}
+
+    def __getitem__(self, name: str) -> ColumnStatistics:
+        stats = self._computed.get(name)
+        if stats is None:
+            if name not in self._names:
+                raise KeyError(name)
+            assert self._compute is not None
+            stats = self._computed[name] = self._compute(name)
+            if len(self._computed) == len(self._names):
+                # Nothing is pending: let go of what computing needed.
+                self._compute = None
+        return stats
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._names
+
+    def __repr__(self) -> str:
+        return f"ColumnStatisticsMap({dict(self)!r})"
+
+
 @dataclass
 class TableStatistics:
-    """Per-table statistics: cardinality plus per-column stats."""
+    """Per-table statistics: cardinality plus per-column stats.
+
+    ``columns`` is a plain dict for statistics assembled by hand (the
+    global optimizer's, from exported facts) and a
+    :class:`ColumnStatisticsMap` for a table's own (see
+    :meth:`repro.engine.table.Table.analyze`).
+    """
 
     cardinality: int = 0
-    columns: dict[str, ColumnStatistics] = field(default_factory=dict)
+    columns: Mapping[str, ColumnStatistics] = field(default_factory=dict)
 
     def copy(self) -> "TableStatistics":
-        """Independent statistics objects over the same (immutable) values."""
+        """Independent statistics objects over the same (immutable) values.
+
+        Each column's copy is made on its first read, so copying leaves
+        unread columns unread on both sides.
+        """
+        source = self.columns
         return TableStatistics(
             self.cardinality,
-            {name: replace(stats) for name, stats in self.columns.items()},
+            ColumnStatisticsMap(source, lambda name: replace(source[name])),
         )
 
     def column(self, name: str) -> ColumnStatistics:

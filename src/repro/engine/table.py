@@ -8,7 +8,9 @@ and build their own tuples on first read (:class:`ResultTable`).
 
 from __future__ import annotations
 
+import copy
 import numbers
+from functools import partial
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -17,7 +19,7 @@ import numpy as np
 from .errors import SchemaError
 from .histogram import EquiDepthHistogram
 from .pages import PageLayout
-from .schema import ColumnStatistics, TableSchema, TableStatistics
+from .schema import ColumnStatistics, ColumnStatisticsMap, TableSchema, TableStatistics
 from .types import DataType, Row
 
 #: Array dtype of each column type.  Values these cannot hold exactly
@@ -131,18 +133,28 @@ class Table:
     # -- mutation -------------------------------------------------------------
 
     def _invalidate_caches(self) -> None:
-        """Drop every derived view after a mutation of the row list."""
+        """Drop every derived view; call it *before* the row list changes.
+
+        Statistics somebody may hold are settled first (see
+        :meth:`_settle_statistics`).
+        """
+        self._settle_statistics()
         self.version += 1
-        self._stats = None
         self._column_arrays = {}
         self._histograms = {}
 
     def insert(self, row: Sequence[Any]) -> int:
-        """Validate and append one row; returns its row id."""
+        """Validate and append one row; returns its row id.
+
+        The table knows nothing of its indexes or of keeping its
+        clustering: :meth:`repro.engine.database.LocalDatabase.insert`
+        restores both.
+        """
         validated = self.schema.validate_row(row)
-        self.rows().append(validated)
-        self._cardinality += 1
+        content = self.rows()
         self._invalidate_caches()
+        content.append(validated)
+        self._cardinality += 1
         return self._cardinality - 1
 
     def bulk_load(self, rows: Iterable[Sequence[Any]] | ResultTable) -> int:
@@ -158,6 +170,9 @@ class Table:
         content: the table adopts them as its column view and derives
         row tuples only if something asks.  Any other result is loaded
         through its rows.
+
+        Like :meth:`insert`, this appends to the heap and leaves indexes
+        and clustering to :meth:`repro.engine.database.LocalDatabase.bulk_load`.
         """
         if isinstance(rows, ResultTable):
             arrays = rows.column_arrays()
@@ -171,9 +186,10 @@ class Table:
                 return len(rows)
             rows = rows.rows
         validated = self.schema.validate_rows(rows)
-        self.rows().extend(validated)
-        self._cardinality += len(validated)
+        content = self.rows()
         self._invalidate_caches()
+        content.extend(validated)
+        self._cardinality += len(validated)
         return len(validated)
 
     def _adoptable(self, arrays: list[np.ndarray] | None) -> bool:
@@ -195,34 +211,66 @@ class Table:
         that ordering for callers.
         """
         pos = self.schema.position(column_name)
-        self.rows().sort(key=lambda r: r[pos])
-        self.clustered_on = column_name
+        content = self.rows()
         self._invalidate_caches()
+        content.sort(key=lambda r: r[pos])
+        self.clustered_on = column_name
 
     # -- statistics ---------------------------------------------------------
 
     def analyze(
         self, build_histograms: bool = False, histogram_buckets: int = 16
     ) -> TableStatistics:
-        """(Re)compute and cache catalog statistics for all columns.
+        """Restart catalog statistics; each column's are computed on first read.
 
-        With ``build_histograms=True``, numeric columns additionally get
-        equi-depth histograms for sharper selectivity estimation.
-        Histograms come from the per-table cache, so re-analyzing an
-        unchanged table never re-sorts its columns.
+        The returned statistics cover every column, but a column's
+        minimum, maximum and distinct count — and, with
+        ``build_histograms=True``, a numeric column's equi-depth
+        histogram — are computed only when something reads that column
+        (:class:`~repro.engine.schema.ColumnStatisticsMap`).  They
+        describe the content at this call whenever they are read: a
+        mutation, or the next ``analyze``, first computes the columns
+        still unread.  They read a shallow copy of the table, which
+        shares its content and caches but not its statistics, so they
+        hold no reference back to the table.  Histograms come from the
+        per-table cache, so re-analyzing an unchanged table never
+        re-sorts its columns.
         """
-        stats = TableStatistics(cardinality=self.cardinality)
-        for col in self.schema.columns:
-            col_stats = ColumnStatistics.from_values(self.column_values(col.name))
-            if (
-                build_histograms
-                and isinstance(col_stats.minimum, numbers.Real)
-                and not isinstance(col_stats.minimum, bool)
-            ):
-                col_stats.histogram = self.histogram_for(col.name, histogram_buckets)
-            stats.columns[col.name] = col_stats
-        self._stats = stats
+        self._settle_statistics()
+        content = copy.copy(self)
+        self._stats = TableStatistics(
+            self.cardinality,
+            ColumnStatisticsMap(
+                self.schema.column_names,
+                partial(content._column_statistics, build_histograms, histogram_buckets),
+            ),
+        )
         self.version += 1
+        return self._stats
+
+    def _settle_statistics(self) -> None:
+        """Compute the columns the current statistics have not read yet.
+
+        Called before the table lets go of its statistics: whoever holds
+        them keeps reading the content they were analyzed on, because
+        nothing is left to compute from a content about to change.  A
+        table whose statistics were dropped or never made pays nothing.
+        """
+        if self._stats is not None:
+            dict(self._stats.columns)
+            self._stats = None
+
+    def _column_statistics(
+        self, build_histograms: bool, histogram_buckets: int, column_name: str
+    ) -> ColumnStatistics:
+        """One column's catalog statistics over the current content."""
+        stats = ColumnStatistics.from_values(self.column_values(column_name))
+        if (
+            build_histograms
+            and isinstance(stats.minimum, numbers.Real)
+            and not isinstance(stats.minimum, bool)
+        ):
+            stats.histogram = self.histogram_for(column_name, histogram_buckets)
         return stats
 
     def histogram_for(self, column_name: str, num_buckets: int = 16) -> EquiDepthHistogram:
@@ -242,7 +290,7 @@ class Table:
 
     @property
     def statistics(self) -> TableStatistics:
-        """Cached statistics, computing them on first access."""
+        """Cached statistics, restarted by :meth:`analyze` on first access."""
         if self._stats is None:
             self.analyze()
         assert self._stats is not None

@@ -11,7 +11,6 @@ from repro.engine.buffer import (
     charge_sequential_pages,
     data_page_of,
     hit_state_label,
-    table_page_keys,
 )
 from repro.engine.database import LocalDatabase
 from repro.engine.metrics import ExecutionMetrics
@@ -119,7 +118,11 @@ class TestBufferPool:
         assert pool.stats.logical_reads == 0
 
     def test_page_key_helpers(self):
-        assert list(table_page_keys("r", range(2))) == [("T", "r", 0), ("T", "r", 1)]
+        pool = BufferPool(capacity_pages=4)
+        table, index = pool.page_space("T", "r"), pool.page_space("I", "r")
+        assert table != index  # a table and an index may share a name
+        assert pool.page_space("T", "r") == table  # interned by name
+        assert abs(pool.page_space("T", "s") - table) >= 2**32
         assert data_page_of(0, 10) == 0
         assert data_page_of(19, 10) == 1
 

@@ -1,5 +1,6 @@
-"""Property tests for the buffer pool: snapshot/restore round-trips, and
-the one policy loop (``access_many``) against the policy written out.
+"""Property tests for the buffer pool: snapshot/restore round-trips, the
+one policy loop (``access_many``) against the policy written out, and
+integer page ids against the ``(kind, name, page)`` tuples they replaced.
 
 The engine-hotpaths bench and the hermetic serving fixtures both lean on
 ``snapshot()``/``restore()`` rewinding a pool *exactly*: after a rewind,
@@ -13,7 +14,10 @@ import dataclasses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.buffer import BufferPool
+from repro.engine.buffer import BufferPool, PAGE_SPACE_BITS
+from repro.engine.database import LocalDatabase
+from repro.engine.schema import Column
+from repro.engine.types import DataType
 
 #: A tiny key universe forces evictions and window churn at small sizes.
 keys = st.integers(0, 30)
@@ -140,3 +144,106 @@ def test_access_many_is_access_key_by_key(pool, batches):
     assert pool.snapshot() == one_by_one.snapshot()
     assert pool.snapshot()["recent"] == reference.recent
     assert pool.snapshot()["refcounts"] == reference.refcounts
+
+
+#: (kind, name, page) touches over a few page spaces; a table and an index
+#: may share a name.
+page_touches = st.lists(
+    st.tuples(st.sampled_from("TI"), st.sampled_from(["r", "s", "_w"]), st.integers(0, 9)),
+    max_size=60,
+)
+
+
+def decoder(pool: BufferPool, names):
+    """Map the pool's integer page ids over *names*' spaces back to the
+    ``(kind, name, page)`` tuples they stand for."""
+    spaces = {pool.page_space(kind, name): (kind, name) for kind in "TI" for name in names}
+
+    def decode(key: int) -> tuple:
+        page = key & (2**PAGE_SPACE_BITS - 1)
+        return (*spaces[key - page], page)
+
+    return decode
+
+
+@settings(max_examples=150, deadline=None)
+@given(pool=pools, batches=st.lists(page_touches, max_size=5))
+def test_integer_page_ids_behave_as_tuple_keys(pool, batches):
+    """Keying pages by ``page_space(kind, name) + page`` instead of by the
+    tuple ``(kind, name, page)`` changes no per-call hit/miss count, no
+    eviction and no resident order: the ids are a one-to-one renaming."""
+    config = (pool.capacity_pages, pool.window, pool.evict_scan)
+    by_tuple = BufferPool(*config)
+    for batch in batches:
+        ids = [pool.page_space(kind, name) + page for kind, name, page in batch]
+        assert pool.access_many(ids) == by_tuple.access_many(batch)
+    assert pool.stats == by_tuple.stats
+    decode = decoder(pool, ["r", "s", "_w"])
+    assert list(map(decode, pool.resident_keys())) == by_tuple.resident_keys()
+
+
+class RecordingPool(BufferPool):
+    """A pool that keeps every ``access_many`` call and its answer."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.calls: list[tuple[list, tuple[int, int]]] = []
+
+    def access_many(self, keys):
+        keys = list(keys)
+        answer = super().access_many(keys)
+        self.calls.append((keys, answer))
+        return answer
+
+
+COLUMNS = [Column(name, DataType.INT) for name in ("a", "b")]
+write_rows = st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)), max_size=120)
+engine_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("recreate"), write_rows),
+        st.tuples(st.just("scan"), st.integers(0, 60)),
+        st.tuples(st.just("join"), st.integers(0, 60)),
+        st.tuples(st.just("index_scan"), st.integers(0, 60)),
+        st.tuples(st.just("clustered_scan"), st.integers(0, 60)),
+    ),
+    max_size=10,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(capacity=st.integers(2, 24), ops=engine_ops)
+def test_engine_page_ids_replay_as_tuple_keys(capacity, ops):
+    """Every page the engine plays through its pool — sequential sweeps,
+    index traversals, non-clustered fetches, index nested-loop probes,
+    over a write table dropped and re-created under one name — decodes
+    to a (kind, name, page) sequence that a tuple-keyed pool answers
+    call for call, ending with the same evictions and resident order.
+    A re-created table lands in its predecessor's page space, so it hits
+    the pages its predecessor left resident, as tuple keys did."""
+    db = LocalDatabase("ids", noise_sigma=0.0)
+    db.buffer_pool = pool = RecordingPool(capacity)
+    rows = [(i % 61, (i * 7) % 61) for i in range(400)]
+    db.create_table("r", COLUMNS, rows)
+    db.create_index("r_a", "r", "a")
+    db.create_table("c", COLUMNS, rows)
+    db.create_index("c_b", "c", "b", clustered=True)
+    for kind, arg in ops:
+        if kind == "recreate":
+            if db.catalog.has_table("_w"):
+                db.catalog.drop_table("_w")
+            db.create_table("_w", COLUMNS, arg)
+        elif kind == "scan" and db.catalog.has_table("_w"):
+            db.execute(f"select a from _w where b < {arg}")
+        elif kind == "join" and db.catalog.has_table("_w"):
+            db.execute(f"select _w.b, r.b from _w join r on _w.a = r.a where _w.b < {arg}")
+        elif kind == "index_scan":
+            db.execute(f"select b from r where a >= {arg} and a <= {arg + 2}")
+        elif kind == "clustered_scan":
+            db.execute(f"select a from c where b > {arg} and b < {arg + 9}")
+
+    decode = decoder(pool, ["r", "c", "_w", "r_a", "c_b"])
+    by_tuple = BufferPool(capacity)
+    for keys, answer in pool.calls:
+        assert by_tuple.access_many(map(decode, keys)) == answer
+    assert pool.stats == by_tuple.stats
+    assert list(map(decode, pool.resident_keys())) == by_tuple.resident_keys()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine.database import LocalDatabase
-from repro.engine.errors import CatalogError
+from repro.engine.errors import CatalogError, SchemaError
 from repro.engine.optimizer import JoinPlan, UnaryPlan
 from repro.engine.predicate import Comparison
 from repro.engine.query import JoinQuery, SelectQuery
@@ -21,6 +21,31 @@ class TestDDL:
         index = small_database.catalog.index("t1_a")
         rids = index.lookup(5)
         assert any(small_database.catalog.table("t1").row(r) == (5, 6, 7) for r in rids)
+
+    @pytest.mark.parametrize("load", ["insert", "bulk_load"])
+    def test_new_rows_keep_clustering_and_indexes(self, small_database, load):
+        """Rows added to a clustered, indexed table: the heap is sorted on
+        the clustered key again and every index finds every row."""
+        rows = [(5, 7, 1), (999, 0, 2), (6, 99, 3)]
+        if load == "insert":
+            for row in rows:
+                small_database.insert("t2", row)
+        else:
+            assert small_database.bulk_load("t2", rows) == len(rows)
+        table = small_database.catalog.table("t2")
+        assert table.cardinality == 403
+        assert table.column_values("b") == sorted(table.column_values("b"))
+        for index in small_database.catalog.indexes_for("t2"):
+            position = table.schema.position(index.column_name)
+            for row in rows:
+                assert row in [table.row(r) for r in index.lookup(row[position])]
+            assert sorted(index.range_lookup()) == list(range(403))
+
+    def test_failed_bulk_load_keeps_indexes(self, small_database):
+        indexes = small_database.catalog.indexes_for("t2")
+        with pytest.raises(SchemaError):
+            small_database.bulk_load("t2", [(1, 2, 3), (1, 2)])
+        assert small_database.catalog.indexes_for("t2") == indexes
 
     def test_clustered_index_sorts_table(self, small_database):
         values = small_database.catalog.table("t2").column_values("b")

@@ -190,3 +190,64 @@ def test_analyze_equals_per_column_scan(rows, buckets):
             assert got.histogram is None
         assert table.column_values(column.name) == values
         assert table.column_array(column.name).tolist() == values
+
+
+#: Mutation scripts over one three-column table: the last analyze's
+#: histogram setting is what a lazy read must reproduce.
+int_rows = st.lists(st.tuples(*[st.integers(-3, 3)] * 3), max_size=6)
+table_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.tuples(*[st.integers(-3, 3)] * 3)),
+        st.tuples(st.just("bulk_load"), int_rows),
+        st.tuples(st.just("cluster_on"), st.sampled_from(["a", "b", "c"])),
+        st.tuples(st.just("fork")),
+        st.tuples(st.just("analyze"), st.booleans(), st.integers(1, 4)),
+        st.tuples(st.just("read"), st.sampled_from(["a", "b", "c"])),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=table_ops)
+def test_lazy_statistics_equal_from_values_after_any_mutations(ops):
+    """Statistics computed on first read equal ``from_values`` over the
+    content they were analyzed on: through the table after any script of
+    insert / bulk_load / cluster_on / fork, and through statistics held
+    from before later mutations (which must still read the old content)."""
+    schema = TableSchema("t", [Column(name, DataType.INT) for name in "abc"])
+    table = Table(schema)
+    table.bulk_load([(1, 2, 3), (3, 2, 1)])
+    config = (False, 16)  # what Table.statistics analyzes with
+
+    def expected(table, build_histograms, buckets):
+        return {
+            name: ColumnStatistics.from_values(
+                table.column_values(name), build_histogram=build_histograms, buckets=buckets
+            )
+            for name in schema.column_names
+        }
+
+    held = []
+    for kind, *args in ops:
+        if kind == "insert":
+            table.insert(args[0])
+            config = (False, 16)
+        elif kind == "bulk_load":
+            table.bulk_load(args[0])
+            config = (False, 16)
+        elif kind == "cluster_on":
+            table.cluster_on(args[0])
+            config = (False, 16)
+        elif kind == "fork":
+            table = table.fork()
+        elif kind == "analyze":
+            config = tuple(args)
+            held.append((table.analyze(*config), expected(table, *config)))
+        else:
+            table.statistics.column(args[0])  # leave the other columns unread
+    stats = table.statistics
+    assert stats.cardinality == table.cardinality
+    assert dict(stats.columns) == expected(table, *config)
+    for old, at_analyze in held:
+        assert dict(old.columns) == at_analyze

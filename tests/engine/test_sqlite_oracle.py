@@ -77,20 +77,6 @@ def to_sqlite(db: LocalDatabase) -> sqlite3.Connection:
     return conn
 
 
-def reload(db: LocalDatabase, name: str, rows) -> None:
-    """Bulk-load *rows* into table *name* and rebuild its indexes."""
-    indexes = sorted(
-        db.catalog.indexes_for(name), key=lambda index: index.kind is not IndexKind.CLUSTERED
-    )
-    for index in indexes:
-        db.catalog.drop_index(index.name)
-    db.catalog.table(name).bulk_load(rows)
-    for index in indexes:
-        db.create_index(
-            index.name, name, index.column_name, clustered=index.kind is IndexKind.CLUSTERED
-        )
-
-
 def mutated_fork(db: LocalDatabase) -> LocalDatabase:
     """A fork of *db*: a few rows inserted into half its tables, a batch
     bulk-loaded into the other half."""
@@ -100,7 +86,7 @@ def mutated_fork(db: LocalDatabase) -> LocalDatabase:
     rng = np.random.default_rng(17)
     for position, name in enumerate(fork.catalog.table_names):
         if position % 2:
-            reload(fork, name, generate_rows(TableSpec(name, 40), rng))
+            fork.bulk_load(name, generate_rows(TableSpec(name, 40), rng))
         else:
             for row in generate_rows(TableSpec(name, 3), rng):
                 fork.insert(name, row)

@@ -41,10 +41,12 @@ def test_universe_is_reproducible(micro_config):
     assert universe_seed(micro_config) == universe_seed(micro_config)
 
 
-#: sha256 of every index's height, clustering ratio and root-to-leaf page
-#: keys (toward each distinct key), taken at the commit before the B+-tree
-#: insert became iterative.  Page keys are buffer-pool identities and the
-#: height is a simulated cost: a faster build may not move either.
+#: sha256 of every index's height, clustering ratio and root-to-leaf node
+#: paths (toward each distinct key), taken at the commit before the B+-tree
+#: insert became iterative.  Each node is recorded as the ``("I", index,
+#: node)`` triple the buffer pool keyed pages by then, so the digest still
+#: holds.  Node ids are buffer-pool identities and the height is a
+#: simulated cost: a faster build may not move either.
 INDEX_DIGESTS = {
     VAR_SITE: "c8c5e5682ee6d3389613acde2fd61920f484d3f7439c600842e6a3983d505639",
     STEADY_SITE: "6b93c14e66cd200afaf0da3c151c8959b2bde904acc6d93c7dd0a1eb5139e963",
@@ -62,7 +64,10 @@ def index_digest(site) -> str:
                     index.name,
                     index.height,
                     repr(index.clustering_ratio()),
-                    [index.traversal_page_keys(key) for key in [None, *keys]],
+                    [
+                        [("I", index.name, node) for node in index.traversal_path(key)]
+                        for key in [None, *keys]
+                    ],
                 ]
             )
     assert len(records) == 16

@@ -89,7 +89,7 @@ def digest(catalog) -> list:
                     index.column_name,
                     index.height,
                     index.clustering_ratio(),
-                    [index.traversal_page_keys(k) for k in [None, *keys[::7]]],
+                    [index.traversal_path(k) for k in [None, *keys[::7]]],
                     index.range_lookup(),
                 )
             )
@@ -155,9 +155,7 @@ def apply(db: LocalDatabase, op: tuple) -> list:
         for row in args[0]:
             db.insert(name, row)
     elif kind == "bulk_load":
-        # Table-level load, then one insert so the indexes follow.
-        table.bulk_load(args[0][:-1])
-        db.insert(name, args[0][-1])
+        db.bulk_load(name, args[0])
     elif kind == "cluster_on":
         if not has_clustered_index(db, name):
             table.cluster_on(args[0])
