@@ -52,12 +52,10 @@ def main() -> None:
     from repro.core import extract_variables
 
     estimate = model.predict(extract_variables(result), probing_cost)
-    point, lower, upper = model.predict_with_interval(
-        extract_variables(result), probing_cost
-    )
+    error = abs(estimate - result.elapsed) / result.elapsed
     print(f"  observed {result.elapsed:.2f}s vs estimated {estimate:.2f}s "
           f"(state s{model.state_for(probing_cost)}, "
-          f"95% interval [{lower:.2f}, {upper:.2f}]s)")
+          f"relative error {error:.0%})")
 
     # For the full story of how the model was derived (state search,
     # merges, variable selection), render the derivation report:

@@ -41,9 +41,6 @@ class MultiStateCostModel:
     n_observations: int
     algorithm: str = "iupma"
     metadata: dict = field(default_factory=dict)
-    #: Coefficient covariance s^2 (X'X)^-1 from the training fit; enables
-    #: prediction intervals (None for degenerate fits).
-    coef_covariance: np.ndarray | None = field(default=None, repr=False)
 
     # -- prediction -------------------------------------------------------
 
@@ -68,35 +65,6 @@ class MultiStateCostModel:
             raise KeyError(f"missing variable {exc.args[0]!r}") from None
         row = design_row(x, state, self.num_states, self.form)
         return float(row @ self.coefficients)
-
-    def predict_with_interval(
-        self,
-        values: Mapping[str, float],
-        probing_cost: float,
-        confidence: float = 0.95,
-    ) -> tuple[float, float, float]:
-        """(estimate, lower, upper) prediction interval for one query.
-
-        Lets the global optimizer hedge between plans whose cost
-        intervals overlap.  Requires the training fit's coefficient
-        covariance (kept by default).
-        """
-        if self.coef_covariance is None:
-            raise ValueError("model carries no coefficient covariance")
-        from ..mlr.intervals import interval_from_covariance
-
-        state = self.state_for(probing_cost)
-        x = [float(values[n]) for n in self.variable_names]
-        row = design_row(x, state, self.num_states, self.form).reshape(1, -1)
-        point, lower, upper = interval_from_covariance(
-            self.coefficients,
-            self.coef_covariance,
-            self.standard_error,
-            self.n_observations - len(self.coefficients),
-            row,
-            confidence,
-        )
-        return float(point[0]), float(lower[0]), float(upper[0])
 
     def is_significant(self, alpha: float = 0.01) -> bool:
         """Overall F-test on the training fit."""
@@ -160,11 +128,6 @@ class MultiStateCostModel:
             "n_observations": self.n_observations,
             "algorithm": self.algorithm,
             "metadata": dict(self.metadata),
-            "coef_covariance": (
-                None
-                if self.coef_covariance is None
-                else [[float(v) for v in row] for row in self.coef_covariance]
-            ),
         }
 
     @classmethod
@@ -189,11 +152,6 @@ class MultiStateCostModel:
             n_observations=payload["n_observations"],
             algorithm=payload.get("algorithm", "iupma"),
             metadata=dict(payload.get("metadata", {})),
-            coef_covariance=(
-                None
-                if payload.get("coef_covariance") is None
-                else np.asarray(payload["coef_covariance"], dtype=float)
-            ),
         )
 
     @classmethod
@@ -221,5 +179,4 @@ class MultiStateCostModel:
             n_observations=fit.ols.n_observations,
             algorithm=algorithm,
             metadata=dict(metadata),
-            coef_covariance=fit.ols.coef_covariance,
         )

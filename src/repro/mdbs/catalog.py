@@ -16,11 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .registry import CostModelRegistry
+from .registry import CostModelRegistry, CostModelRegistryError
 
 #: Version of the cost-model payload this code writes and reads.  v3
 #: added the model-form strategy and its online-update count to each
 #: version's provenance (:class:`~repro.mdbs.registry.ModelProvenance`).
+#: Older v3 payloads also carry each model's coefficient covariance, which
+#: nothing reads any more; the importer ignores it.
 MODEL_SCHEMA_VERSION = 3
 
 
@@ -92,7 +94,10 @@ class GlobalCatalog:
         Only the current ``schema_version`` is read.  Anything else —
         including the flat and v2 formats that predate it, which nothing
         writes any more — is rejected: silently misreading an unknown
-        payload as models would corrupt the serving path.
+        payload as models would corrupt the serving path.  So is a
+        record with a missing field, a non-finite coefficient or an
+        ``active`` pointer naming no stored version; the error names the
+        ``site/class`` and the field, and nothing is installed.
         """
         version = payload.get("schema_version")
         if version != MODEL_SCHEMA_VERSION:
@@ -101,6 +106,10 @@ class GlobalCatalog:
                 f"(this build reads {MODEL_SCHEMA_VERSION})"
             )
         records = payload["models"]
+        try:
+            loaded = self.registry.import_payload(records)
+        except CostModelRegistryError as exc:
+            raise GlobalCatalogError(f"unreadable cost-model payload: {exc.args[0]}") from None
         for key in records:
             self.register_site(key.partition("/")[0])
-        return self.registry.import_payload(records)
+        return loaded

@@ -28,13 +28,16 @@ import hashlib
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
+import numpy as np
+
 from .. import obs
 from ..core.model import MultiStateCostModel
 from ..core.strategy import DEFAULT_STRATEGY, model_form as _model_form
 
 
 class CostModelRegistryError(KeyError):
-    """A requested model, version, or rollback target does not exist."""
+    """A requested model, version, or rollback target does not exist, or
+    an imported record is unreadable."""
 
 
 def config_fingerprint(config: object) -> str:
@@ -362,26 +365,48 @@ class CostModelRegistry:
     def import_payload(self, payload: dict) -> int:
         """Load an :meth:`export` payload; returns the number of keys loaded.
 
+        Every record is read and checked before anything is installed, so
+        a bad record (a missing field, a non-finite coefficient, an
+        ``active`` pointer naming no stored version) raises
+        :class:`CostModelRegistryError` and leaves the registry as it was.
         Versions and active pointers round-trip; the rollback stack does
         not (after an import, :meth:`rollback` falls back to the
         next-lower version number).
         """
-        for key, record in payload.items():
-            site, _, label = key.partition("/")
-            versions = [
-                ModelVersion.from_dict(site, label, entry)
-                for entry in record["versions"]
-            ]
-            versions.sort(key=lambda entry: entry.version)
+        staged = [_read_record(key, record) for key, record in payload.items()]
+        for site, label, versions, active in staged:
             self._versions[(site, label)] = versions
-            active = record.get("active")
-            if active is None and versions:
-                active = versions[-1].version
             if active is not None:
-                self._active[(site, label)] = int(active)
-                self._notify("activate", site, label, int(active))
+                self._active[(site, label)] = active
+                self._notify("activate", site, label, active)
             self._previous.pop((site, label), None)
-        return len(payload)
+        return len(staged)
+
+
+def _read_record(
+    key: str, record: dict
+) -> tuple[str, str, list[ModelVersion], int | None]:
+    """One exported ``site/class`` record as (site, class, versions, active);
+    the active pointer defaults to the newest version."""
+    site, _, label = key.partition("/")
+    try:
+        versions = [
+            ModelVersion.from_dict(site, label, entry) for entry in record["versions"]
+        ]
+    except KeyError as exc:
+        raise CostModelRegistryError(f"{key}: missing field {exc.args[0]!r}") from None
+    versions.sort(key=lambda entry: entry.version)
+    for entry in versions:
+        if not np.all(np.isfinite(entry.model.coefficients)):
+            raise CostModelRegistryError(
+                f"{key}: version {entry.version} has non-finite 'coefficients'"
+            )
+    active = record.get("active")
+    if active is None:
+        return site, label, versions, versions[-1].version if versions else None
+    if int(active) not in {entry.version for entry in versions}:
+        raise CostModelRegistryError(f"{key}: 'active' names no stored version {active!r}")
+    return site, label, versions, int(active)
 
 
 def describe_registry(registry: CostModelRegistry) -> str:

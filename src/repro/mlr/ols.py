@@ -3,21 +3,20 @@
 The paper validates cost models with the coefficient of (total/multiple)
 determination R², the standard error of estimation (its eq. (3)), and
 the overall F-test at significance level alpha = 0.01.  All three are
-computed here, along with per-coefficient standard errors and t tests
-(used by the probing-cost estimator's significance screen and by
-diagnostics).
+computed here, along with per-coefficient t tests (the probing-cost
+estimator's significance screen, footnote 7).
 
 Deriving one cost model solves dozens of regressions (IUPMA/ICMA
 candidates, merge refits, selection steps, VIF auxiliaries) and ships
 one.  :func:`fit_ols` therefore computes what those loops compare; the
-p-values and coefficient covariance are evaluated when first read.
+two p-value reads are each evaluated when first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import stats
@@ -30,25 +29,14 @@ from .linalg import (
 )
 
 
-class _Inference(NamedTuple):
-    """The significance tests and coefficient inference of one fit."""
-
-    f_pvalue: Optional[float]
-    coef_covariance: Optional[np.ndarray]
-    coef_std_errors: np.ndarray
-    t_statistics: np.ndarray
-    t_pvalues: np.ndarray
-
-
 @dataclass
 class OLSResult:
     """A fitted least-squares model plus its goodness-of-fit statistics.
 
     :func:`fit_ols` computes the solve — everything the determination and
-    selection loops compare.  The significance tests and coefficient
-    inference (``f_pvalue``, ``coef_covariance``, ``coef_std_errors``,
-    ``t_statistics``, ``t_pvalues``) are evaluated together from the kept
-    design matrix on first read of any of them, then cached.
+    selection loops compare.  ``f_pvalue`` and ``t_pvalues`` are each
+    evaluated from the solve (the latter from the kept design matrix) on
+    first read, then cached.
     """
 
     coefficients: np.ndarray
@@ -77,32 +65,27 @@ class OLSResult:
         return self.n_observations - self.n_parameters
 
     @cached_property
-    def _inference(self) -> _Inference:
-        return _infer(self)
-
-    @property
     def f_pvalue(self) -> Optional[float]:
         """p-value of the overall F test (None when ``f_statistic`` is)."""
-        return self._inference.f_pvalue
+        if self.f_statistic is None:
+            return None
+        df_model = self.n_parameters - 1 if self.has_intercept else self.n_parameters
+        return float(stats.f.sf(self.f_statistic, df_model, self.degrees_of_freedom))
 
-    @property
-    def coef_covariance(self) -> Optional[np.ndarray]:
-        """Coefficient covariance matrix s^2 (X'X)^-1 (None when df <= 0),
-        used for prediction intervals."""
-        return self._inference.coef_covariance
-
-    @property
-    def coef_std_errors(self) -> np.ndarray:
-        """Per-coefficient standard errors (NaN when df <= 0)."""
-        return self._inference.coef_std_errors
-
-    @property
-    def t_statistics(self) -> np.ndarray:
-        return self._inference.t_statistics
-
-    @property
+    @cached_property
     def t_pvalues(self) -> np.ndarray:
-        return self._inference.t_pvalues
+        """Two-sided per-coefficient t-test p-values (NaN when df <= 0 or
+        the fit is exact)."""
+        df_error = self.degrees_of_freedom
+        mse = self.sse / df_error if df_error > 0 else 0.0
+        if mse <= 0:
+            return np.full(self.n_parameters, np.nan)
+        beta = self.coefficients
+        variances = np.clip(mse * np.diag(xtx_inverse(self.design)), 0.0, None)
+        std_errors = np.sqrt(variances)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_stats = np.where(std_errors > 0, beta / std_errors, np.inf * np.sign(beta))
+        return 2.0 * stats.t.sf(np.abs(t_stats), df_error)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predict responses for new design-matrix rows."""
@@ -114,37 +97,11 @@ class OLSResult:
             )
         return X @ self.coefficients
 
-    def coefficient(self, name: str) -> float:
-        """Coefficient value by term name."""
-        try:
-            return float(self.coefficients[self.term_names.index(name)])
-        except ValueError:
-            raise KeyError(f"no term named {name!r}") from None
-
     def is_significant(self, alpha: float = 0.01) -> bool:
         """Overall F-test at level *alpha* (paper §5 uses alpha = 0.01)."""
         if self.f_pvalue is None:
             return False
         return self.f_pvalue < alpha
-
-    def summary(self) -> str:
-        """Human-readable fit summary (for examples and reports)."""
-        lines = [
-            f"OLS: n={self.n_observations}, p={self.n_parameters}, "
-            f"R^2={self.r_squared:.4f}, adj R^2={self.adjusted_r_squared:.4f}, "
-            f"SEE={self.standard_error:.4g}",
-        ]
-        if self.f_statistic is not None:
-            lines.append(
-                f"F={self.f_statistic:.2f} (p={self.f_pvalue:.3g})"
-            )
-        width = max((len(n) for n in self.term_names), default=4)
-        for i, name in enumerate(self.term_names):
-            se = self.coef_std_errors[i]
-            lines.append(
-                f"  {name:<{width}}  coef={self.coefficients[i]: .6g}  se={se:.3g}"
-            )
-        return "\n".join(lines)
 
 
 def fit_ols(
@@ -227,30 +184,3 @@ def fit_ols(
         design=X,
         has_intercept=has_intercept,
     )
-
-
-def _infer(result: OLSResult) -> _Inference:
-    """F-test p-value and coefficient inference of a solved fit."""
-    beta = result.coefficients
-    p = result.n_parameters
-    df_error = result.degrees_of_freedom
-    df_model = p - 1 if result.has_intercept else p
-    mse = result.sse / df_error if df_error > 0 else 0.0
-
-    f_pvalue: Optional[float] = None
-    if result.f_statistic is not None:
-        f_pvalue = float(stats.f.sf(result.f_statistic, df_model, df_error))
-
-    cov = None
-    if df_error > 0 and mse > 0:
-        cov = mse * xtx_inverse(result.design)
-        variances = np.clip(np.diag(cov), 0.0, None)
-        std_errors = np.sqrt(variances)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_stats = np.where(std_errors > 0, beta / std_errors, np.inf * np.sign(beta))
-        t_pvals = 2.0 * stats.t.sf(np.abs(t_stats), df_error)
-    else:
-        std_errors = np.full(p, np.nan)
-        t_stats = np.full(p, np.nan)
-        t_pvals = np.full(p, np.nan)
-    return _Inference(f_pvalue, cov, std_errors, t_stats, t_pvals)

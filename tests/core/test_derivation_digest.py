@@ -3,17 +3,20 @@
 **Digest.**  A sha256 over every derived model's ``to_dict()``, its
 selection steps and its state-determination history, for all six query
 classes under IUPMA and ICMA, on one pool-less site and one with a
-buffer pool.  The pinned values were taken on the commit *before* the
+buffer pool.  The digests were first taken on the commit *before* the
 derivation fast path (solve-only regression kernel, one dendrogram per
 ICMA run, hoisted per-query invariants), so they prove that path changed
 no coefficient, no statistic, no selection decision and no simulated
 cost — floats enter the digest through ``repr``, which round-trips them
-exactly.
+exactly.  They were re-pinned once, when the payload dropped the
+coefficient covariance: each pin equals the earlier commit's digest with
+only ``coef_covariance`` popped from ``to_dict()``.
 
 **Work budget.**  Deterministic call counts via monkeypatch: one build
-evaluates OLS inference exactly once (for the model it ships), one ICMA
-determination builds one dendrogram, and planning never re-sorts a
-table's index list while the index set is unchanged.
+inverts X'X never and evaluates the F-test p-value exactly once (for the
+model it ships), one ICMA determination builds one dendrogram, and
+planning never re-sorts a table's index list while the index set is
+unchanged.
 """
 
 import hashlib
@@ -41,12 +44,13 @@ SITES = {
     ),
 }
 
-#: sha256 per (site, algorithm), taken on the parent commit.
+#: sha256 per (site, algorithm): the parent commit's, with
+#: ``coef_covariance`` popped from every ``to_dict()``.
 PINNED = {
-    ("plain", "iupma"): "a1193740482a125b701cd80d89d8a033597cb7d62aa2caf8dd269515ccbbde9e",
-    ("plain", "icma"): "10dec1c45ed5258fb63590f198e29a30434f5e9d911ea9de15b6f1c23ed09589",
-    ("pooled", "iupma"): "675971816368489bb48c0369c210822a60786a69af5f402cd600e89ce84ee9e5",
-    ("pooled", "icma"): "6f46b03b9ebb130dc4e6582a57344ecb88d7a4f074ad424030a0e2d01b58b82c",
+    ("plain", "iupma"): "8bfdee8f19e09af5ebfff45f9c7d95d771378dc717e53b36633deda380935da3",
+    ("plain", "icma"): "39e9d80bd0306defd96a04d1f5a2e53395a2cfcae796c81b02d32d3d43c37928",
+    ("pooled", "iupma"): "281758e360a507af4b7ee46624429f46405dde39c5715c7dc57fcb1e10525cb6",
+    ("pooled", "icma"): "941c9e60e91cebca134574f172bef366ee4faf5239db8f4f5db148058e573229",
 }
 
 
@@ -105,20 +109,32 @@ class TestWorkBudget:
     def test_one_build_evaluates_inference_once(self, monkeypatch):
         from repro.mlr import ols
 
-        inferred = []
-        infer = ols._infer
-        monkeypatch.setattr(
-            ols, "_infer", lambda result: inferred.append(result) or infer(result)
-        )
+        inverted, f_tests = [], []
+        f_sf = ols.stats.f.sf
+
+        class CountingStats:
+            t = ols.stats.t
+
+            class f:
+                @staticmethod
+                def sf(*args):
+                    f_tests.append(args[0])
+                    return f_sf(*args)
+
+        monkeypatch.setattr(ols, "stats", CountingStats)
+        monkeypatch.setattr(ols, "xtx_inverse", lambda X: inverted.append(X))
         site = _site("plain")
         builder = CostModelBuilder(site.database)
         for algorithm in ALGORITHMS:
-            del inferred[:]
+            del f_tests[:]
             outcome = builder.build(G2, _queries(site, G2), algorithm=algorithm)
             # Thousands of regressions were solved; only the shipped one
-            # had its p-values and covariance computed (by from_fit).
-            assert inferred == [outcome.selection.fit.ols]
-            assert outcome.model.f_pvalue == outcome.selection.fit.ols.f_pvalue
+            # had its F-test p-value computed (by from_fit), and no fit's
+            # t-tests were.
+            shipped = outcome.selection.fit.ols
+            assert f_tests == [shipped.f_statistic]
+            assert vars(shipped)["f_pvalue"] == outcome.model.f_pvalue
+        assert inverted == []
 
     def test_one_icma_determination_builds_one_dendrogram(self, monkeypatch):
         from repro.core import icma

@@ -1,5 +1,8 @@
 """Unit tests for probing queries and eq. (2) estimation."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.core.probing import (
@@ -13,6 +16,8 @@ from repro.env.contention import ConstantContention
 from repro.env.environment import Environment
 from repro.env.loadbuilder import LoadBuilder
 from repro.env.monitor import EnvironmentMonitor
+from repro.mlr.linalg import add_intercept
+from repro.mlr.ols import fit_ols
 
 
 class TestProbingQuery:
@@ -101,6 +106,32 @@ class TestProbingCostEstimator:
         loads.constant(0.9)
         high = estimator.estimate(monitor.statistics())
         assert high > low
+
+    def test_screen_drops_the_noise_parameter_and_keeps_the_signal(self):
+        # Hand-made calibration pairs: the probe's cost follows load and
+        # used memory, and disk utilisation is pure noise.
+        rng = np.random.default_rng(3)
+        load = rng.uniform(0.0, 8.0, 60)
+        disk = rng.uniform(0.0, 100.0, 60)
+        memory = rng.uniform(200.0, 900.0, 60)
+        costs = 0.4 + 0.75 * load + 0.002 * memory + rng.normal(0.0, 0.05, 60)
+        base = Environment(trace=ConstantContention(0.5)).snapshot()
+        snapshots = [
+            dataclasses.replace(
+                base, load_avg_1=lo, pct_disk_utilization=di, used_memory_mb=me
+            )
+            for lo, di, me in zip(load, disk, memory)
+        ]
+        estimator = ProbingCostEstimator()
+        full = fit_ols(add_intercept(np.column_stack([load, disk, memory])), costs)
+        assert full.t_pvalues[2] > estimator.alpha > max(full.t_pvalues[[1, 3]])
+
+        result = estimator.fit_pairs(snapshots, costs)
+        assert estimator.selected_parameters == ("load_avg_1", "used_memory_mb")
+        assert result.term_names == ("b0", "load_avg_1", "used_memory_mb")
+        kept = fit_ols(add_intercept(np.column_stack([load, memory])), costs)
+        assert result.coefficients.tobytes() == kept.coefficients.tobytes()
+        assert result.coefficients == pytest.approx([0.4, 0.75, 0.002], rel=0.05)
 
     def test_uncalibrated_estimate_rejected(self, small_database):
         estimator = ProbingCostEstimator()

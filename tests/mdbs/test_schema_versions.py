@@ -4,10 +4,17 @@ Schema v3 carries the pluggable model-form provenance (``model_form``
 and ``online_updates``).  Nothing writes the older v2 or flat
 v1 formats, so the importer reads v3 alone and rejects every other
 payload, those two included, with the same error.
+
+``golden/models_v3_parent.json`` is ``populated_catalog().export_models()``
+as written by the last commit whose models carried a ``coef_covariance``
+(a v3 payload still; the key was dropped without a schema bump).  This
+code must read it and keep every other field.
 """
 
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.fitting import fit_qualitative
@@ -17,6 +24,10 @@ from repro.core.strategy import DEFAULT_STRATEGY, RLSStrategy
 from repro.mdbs.catalog import MODEL_SCHEMA_VERSION, GlobalCatalog, GlobalCatalogError
 
 from ..core.synthetic import stepped_sample
+from ..core.test_derivation_digest import LSTSQ_CANARY, _lstsq_canary
+
+PARENT_PAYLOAD = Path(__file__).parent / "golden" / "models_v3_parent.json"
+
 
 def make_model(label="G1", strategy=None, seed=1):
     X, y, probing = stepped_sample(true_states=2, n=100, seed=seed)
@@ -81,3 +92,43 @@ class TestRejection:
         with pytest.raises(GlobalCatalogError, match="schema_version None"):
             fresh.import_models({"s1/G1": make_model("G1").to_dict()})
         assert fresh.sites == ()
+
+
+class TestPayloadWithCovariance:
+    """The v3 payloads written before the covariance was dropped."""
+
+    @staticmethod
+    def parent_payload():
+        return json.loads(PARENT_PAYLOAD.read_text())
+
+    @staticmethod
+    def without_covariance(payload):
+        for record in payload["models"].values():
+            for entry in record["versions"]:
+                del entry["model"]["coef_covariance"]
+        return payload
+
+    def test_imports_with_every_other_field_kept(self):
+        fresh = GlobalCatalog()
+        assert fresh.import_models(self.parent_payload()) == 3
+        assert fresh.export_models() == self.without_covariance(self.parent_payload())
+
+    def test_predictions_and_provenance_equal_todays_build(self):
+        if _lstsq_canary() != LSTSQ_CANARY:
+            pytest.skip("this platform's LAPACK rounds lstsq differently from the file's")
+        fresh = GlobalCatalog()
+        fresh.import_models(self.parent_payload())
+        today = populated_catalog().registry
+        assert fresh.registry.keys() == today.keys()
+        for site, label in today.keys():
+            restored = fresh.registry.active_version(site, label)
+            built = today.active_version(site, label)
+            assert restored.provenance == built.provenance
+            for x in np.linspace(0.0, 20.0, 9):
+                for probing in np.linspace(0.0, 1.0, 7):
+                    assert restored.model.predict({"x": x}, probing) == (
+                        built.model.predict({"x": x}, probing)
+                    )
+
+    def test_todays_export_has_no_covariance(self):
+        assert "coef_covariance" not in json.dumps(populated_catalog().export_models())

@@ -35,10 +35,7 @@ class EagerOLS:
     standard_error: float
     f_statistic: Optional[float]
     f_pvalue: Optional[float]
-    coef_std_errors: np.ndarray
-    t_statistics: np.ndarray
     t_pvalues: np.ndarray
-    coef_covariance: Optional[np.ndarray]
 
 
 def eager_fit_ols(X: np.ndarray, y: np.ndarray, has_intercept: bool = True) -> EagerOLS:
@@ -82,7 +79,6 @@ def eager_fit_ols(X: np.ndarray, y: np.ndarray, has_intercept: bool = True) -> E
         f_statistic = max(0.0, (ssr / df_model) / mse)
         f_pvalue = float(stats.f.sf(f_statistic, df_model, df_error))
 
-    cov = None
     if df_error > 0 and mse > 0:
         cov = mse * xtx_inverse(X)
         variances = np.clip(np.diag(cov), 0.0, None)
@@ -91,8 +87,6 @@ def eager_fit_ols(X: np.ndarray, y: np.ndarray, has_intercept: bool = True) -> E
             t_stats = np.where(std_errors > 0, beta / std_errors, np.inf * np.sign(beta))
         t_pvals = 2.0 * stats.t.sf(np.abs(t_stats), df_error)
     else:
-        std_errors = np.full(p, np.nan)
-        t_stats = np.full(p, np.nan)
         t_pvals = np.full(p, np.nan)
 
     return EagerOLS(
@@ -105,10 +99,7 @@ def eager_fit_ols(X: np.ndarray, y: np.ndarray, has_intercept: bool = True) -> E
         standard_error=see,
         f_statistic=f_statistic,
         f_pvalue=f_pvalue,
-        coef_std_errors=std_errors,
-        t_statistics=t_stats,
         t_pvalues=t_pvals,
-        coef_covariance=cov,
     )
 
 

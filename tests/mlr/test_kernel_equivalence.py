@@ -1,7 +1,7 @@
 """The solve-only regression kernel is the eager reference, bit for bit.
 
-``fit_ols`` defers the p-values and the coefficient covariance until
-they are read; the VIF screen slices each state once per round.  Both
+``fit_ols`` defers the F-test p-value and the t-test p-values until
+each is read; the VIF screen slices each state once per round.  Both
 must leave every number exactly as the eager implementations in
 :mod:`tests.mlr.reference` compute it — ``==`` on the bytes, not
 ``approx`` — because Tables 4–6 and the registry payloads are pinned
@@ -27,9 +27,7 @@ SOLVED = (
     "coefficients", "fitted", "residuals", "sse", "r_squared",
     "adjusted_r_squared", "standard_error", "f_statistic",
 )
-DEFERRED = (
-    "f_pvalue", "coef_covariance", "coef_std_errors", "t_statistics", "t_pvalues",
-)
+DEFERRED = ("f_pvalue", "t_pvalues")
 
 
 def _bits(value):
@@ -73,14 +71,25 @@ class TestFitOlsIsTheEagerFit:
         for _ in range(2):  # evaluated on the first read, cached for the second
             for name in DEFERRED:
                 assert _bits(getattr(result, name)) == _bits(getattr(expected, name)), name
-        assert result.coef_std_errors is result.coef_std_errors
+        assert result.t_pvalues is result.t_pvalues
 
     def test_deferred_reads_do_not_disturb_the_solve(self):
         X, y, _ = _design("well_conditioned", 3, 30, 3)
         result = fit_ols(X, y)
         before = {name: _bits(getattr(result, name)) for name in SOLVED}
-        assert result.f_pvalue is not None and result.coef_covariance is not None
+        assert result.f_pvalue is not None and result.t_pvalues is not None
         assert {name: _bits(getattr(result, name)) for name in SOLVED} == before
+
+    def test_the_f_pvalue_never_inverts_the_design(self, monkeypatch):
+        from repro.mlr import ols
+
+        X, y, _ = _design("well_conditioned", 4, 30, 3)
+        expected = eager_fit_ols(X, y)
+        monkeypatch.setattr(ols, "xtx_inverse", None)  # calling it would raise
+        result = fit_ols(X, y)
+        assert result.f_pvalue == expected.f_pvalue
+        with pytest.raises(TypeError):
+            result.t_pvalues
 
 
 def _state_sample(seed: int, n: int, p: int, num_states: int):
