@@ -2,8 +2,11 @@
 
 A table's content has two views — a list of row tuples and one numpy
 array per column — each derivable from the other and each built only
-when something asks for it.  Query results reference the column arrays
-and build their own tuples on first read (:class:`ResultTable`).
+when something asks for it.  A table loaded by column (a generated base
+table, a shipped temp table) holds only its arrays: clustering permutes
+them, and row tuples appear only when a row reader (``insert``, a
+row-at-a-time predicate) asks.  Query results reference the column
+arrays and build their own tuples on first read (:class:`ResultTable`).
 """
 
 from __future__ import annotations
@@ -113,13 +116,15 @@ class Table:
     def fork(self) -> "Table":
         """A table with the same contents that shares nothing mutable.
 
-        The fork owns its row *list* and its statistics; it shares the
-        schema, the layout, the row tuples, the column arrays and the
-        histograms, all immutable.  The two cache dicts are shared as
-        objects, so an array or histogram any fork builds serves all of
-        them; every mutator rebinds them (and edits only the row list
-        the fork owns), so neither side can observe the other's
-        inserts, loads or re-clustering.
+        The fork owns its row *list* (if the table has a row view) and
+        its statistics; it shares the schema, the layout, the row
+        tuples, the column arrays and the histograms, all immutable.
+        The two cache dicts are shared as objects, so an array or
+        histogram any fork builds serves all of them; every mutator
+        rebinds them (and edits only the row list the fork owns), so
+        neither side can observe the other's inserts, loads or
+        re-clustering.  A table with no row view forks into one with
+        none: each fork builds its own only if a row reader asks.
         """
         fork = Table(self.schema, self.layout)
         fork._rows = None if self._rows is None else list(self._rows)
@@ -206,14 +211,27 @@ class Table:
     def cluster_on(self, column_name: str) -> None:
         """Physically sort rows on *column_name* (clustered-index order).
 
+        The permutation is Python's stable sort over the key column's
+        values — ties keep their current order, and NaN and mixed types
+        order as a row sort on that key would — applied to whichever
+        views exist, so a table held by column builds no rows.
+
         Row ids change; any existing index must be rebuilt afterwards —
         :meth:`repro.engine.database.LocalDatabase.create_index` handles
         that ordering for callers.
         """
-        pos = self.schema.position(column_name)
-        content = self.rows()
+        keys = self.column_values(column_name)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        rows, arrays = self._rows, self._column_arrays
         self._invalidate_caches()
-        content.sort(key=lambda r: r[pos])
+        if rows is not None:
+            self._rows = list(map(rows.__getitem__, order))
+        if arrays:
+            ids = np.array(order, dtype=np.intp)
+            for name, array in arrays.items():
+                permuted = array[ids]
+                permuted.setflags(write=False)
+                self._column_arrays[name] = permuted
         self.clustered_on = column_name
 
     # -- statistics ---------------------------------------------------------
@@ -298,9 +316,10 @@ class Table:
 
     def column_values(self, column_name: str) -> list[Any]:
         """All values of one column, in physical row order."""
+        pos = self.schema.position(column_name)
         if self._rows is None:
             return self._column_arrays[column_name].tolist()
-        return list(map(itemgetter(self.schema.position(column_name)), self._rows))
+        return list(map(itemgetter(pos), self._rows))
 
     def column_array(self, column_name: str) -> np.ndarray:
         """Read-only numpy view of one column, cached until mutation.

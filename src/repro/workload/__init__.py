@@ -23,7 +23,6 @@ from .tablegen import (
     PAPER_CARDINALITIES,
     TableSpec,
     WorkloadSpec,
-    generate_rows,
     paper_workload,
     populate_database,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "Site",
     "TableSpec",
     "WorkloadSpec",
-    "generate_rows",
     "install_scenario_trace",
     "make_environment",
     "make_site",

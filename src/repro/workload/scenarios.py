@@ -129,8 +129,8 @@ def make_site(
     pipelines stay laptop-fast; experiments record the scale used.
     ``buffer_pages`` enables the simulated buffer pool (sized in pages);
     sites with a pool expose the buffer-hit state as an extra
-    qualitative variable.  Sites with equal workloads share their row
-    tuples and built indexes (:func:`~.tablegen.populate_database`
+    qualitative variable.  Sites with equal workloads share their column
+    arrays and built indexes (:func:`~.tablegen.populate_database`
     forks one template per spec) and nothing else.
     """
     environment = make_environment(environment_kind, seed=seed)

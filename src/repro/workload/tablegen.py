@@ -32,6 +32,7 @@ from ..engine.catalog import LocalCatalog
 from ..engine.database import LocalDatabase
 from ..engine.pages import PageLayout
 from ..engine.schema import Column
+from ..engine.table import ResultTable
 from ..engine.types import DataType
 
 #: Paper-scale cardinalities for R1..R12 (3,000 – 250,000).
@@ -128,19 +129,17 @@ def paper_workload(scale: float = 1.0, seed: int = 0) -> WorkloadSpec:
     return WorkloadSpec(tables=tuple(tables), seed=seed)
 
 
-def generate_rows(spec: TableSpec, rng: np.random.Generator) -> list[tuple]:
-    """Random rows for *spec* (uniform integers per column range)."""
+def generate_columns(spec: TableSpec, rng: np.random.Generator) -> list[np.ndarray]:
+    """Random int64 columns for *spec*, in :data:`COLUMN_NAMES` order
+    (uniform integers per column range)."""
     ranges = spec.resolved_ranges()
-    columns = [
-        rng.integers(0, ranges[col], size=spec.cardinality).tolist()
-        for col in COLUMN_NAMES
-    ]
-    return list(zip(*columns))
+    return [rng.integers(0, ranges[col], size=spec.cardinality) for col in COLUMN_NAMES]
 
 
 #: Most templates a process keeps; the least recently used goes first.
-#: A template costs one catalog's rows, statistics and B+-trees, a fork
-#: one more pointer list per table (see DESIGN.md, "Site templates and
+#: A template costs one catalog's column arrays, statistics and
+#: B+-trees; a fork shares the arrays and trees and owns its table and
+#: index objects and its statistics (see DESIGN.md, "Site templates and
 #: forks").
 TEMPLATE_STORE_SIZE = 8
 
@@ -157,8 +156,17 @@ def _build_template(workload: WorkloadSpec, layout: PageLayout) -> LocalCatalog:
     scratch = LocalDatabase("template", layout=layout)
     rng = np.random.default_rng(workload.seed)
     columns = [Column(name, DataType.INT) for name in COLUMN_NAMES]
+    tuple_length = sum(column.width for column in columns)
     for spec in workload.tables:
-        scratch.create_table(spec.name, columns, generate_rows(spec, rng))
+        # A batch that arrives by column: the empty table adopts the
+        # arrays and never builds row tuples (Table.bulk_load).
+        ids = np.arange(spec.cardinality)
+        batch = ResultTable(
+            COLUMN_NAMES,
+            tuple_length,
+            gathers=[(array, ids) for array in generate_columns(spec, rng)],
+        )
+        scratch.create_table(spec.name, columns, batch)
         if spec.clustered_index_on:
             scratch.create_index(
                 f"{spec.name}_c_{spec.clustered_index_on}",
@@ -200,7 +208,7 @@ def populate_database(
 
     The tables are a fork of the process-wide template for the spec —
     the first request builds it — so identically specified databases
-    share their row tuples and built B+-trees yet stay fully
+    share their column arrays and built B+-trees yet stay fully
     independent under every mutation (see :meth:`LocalCatalog.fork_into`).
     """
     _template_for(workload, database.layout).fork_into(database.catalog)

@@ -5,18 +5,22 @@ to ``TableSchema.validate_row`` for anything not already canonical;
 ``Table.analyze`` computes statistics with builtins over extracted
 columns.  Both are pinned here against the loops they replaced: same
 stored rows (values *and* types), same count, same exception type and
-message, same minimum/maximum object on ties.
+message, same minimum/maximum object on ties.  A table loaded by column
+(adopted arrays, no row view) is pinned against the same content loaded
+by rows, through every reader and through clustering.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.errors import EngineError
 from repro.engine.histogram import EquiDepthHistogram
+from repro.engine.index import Index, IndexKind
+from repro.engine.pages import PageLayout
 from repro.engine.schema import Column, ColumnStatistics, TableSchema
-from repro.engine.table import Table
+from repro.engine.table import ResultTable, Table
 from repro.engine.types import DataType
 
 
@@ -251,3 +255,130 @@ def test_lazy_statistics_equal_from_values_after_any_mutations(ops):
     assert dict(stats.columns) == expected(table, *config)
     for old, at_analyze in held:
         assert dict(old.columns) == at_analyze
+
+
+COLUMNAR = TableSchema(
+    "t",
+    [Column("i", DataType.INT), Column("f", DataType.FLOAT), Column("j", DataType.INT)],
+)
+#: A few rows per page, so clustering ratios land between 0 and 1.
+SMALL_PAGES = PageLayout(page_size=128)
+
+#: Few distinct keys (ties) in i and f, NaN and -0.0 among the floats,
+#: and a mostly distinct j that shows any row out of place.
+columnar_rows = st.lists(
+    st.tuples(
+        st.integers(-3, 3),
+        st.one_of(
+            st.sampled_from([-0.0, 0.0, 0.5, float("nan"), float("inf")]),
+            st.integers(-2, 2).map(float),
+        ),
+        st.integers(0, 999),
+    ),
+    max_size=60,
+)
+
+
+def as_columns(rows) -> list[np.ndarray]:
+    return [
+        np.array([row[pos] for row in rows], dtype=dtype)
+        for pos, dtype in enumerate((np.int64, np.float64, np.int64))
+    ]
+
+
+def loaded_by_columns(arrays) -> Table:
+    """*arrays* as a batch that arrives by column, adopted by an empty table."""
+    ids = np.arange(len(arrays[0]))
+    batch = ResultTable(
+        COLUMNAR.column_names,
+        COLUMNAR.tuple_length,
+        gathers=[(array, ids) for array in arrays],
+    )
+    table = Table(COLUMNAR, SMALL_PAGES)
+    table.bulk_load(batch)
+    return table
+
+
+def index_shape(table: Table, column: str, kind: IndexKind) -> tuple:
+    """Height, clustering ratio, entries and node paths of a fresh index."""
+    index = Index("x", table, column, kind)
+    return (
+        index.height,
+        index.clustering_ratio(),
+        index.range_lookup(),
+        [index.traversal_path(key) for key in [None, *table.column_values(column)]],
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=columnar_rows,
+    key=st.sampled_from([None, "i", "f", "j"]),
+    cached=st.sets(st.sampled_from(COLUMNAR.column_names)),
+    buckets=st.integers(1, 5),
+    indexed=st.sampled_from(COLUMNAR.column_names),
+)
+@example(
+    rows=[(1, float("nan"), 5), (0, 1.0, 4), (1, -0.0, 3), (0, 0.0, 2)] * 6,
+    key="f",
+    cached=set(),
+    buckets=2,
+    indexed="i",
+)
+@example(
+    rows=[(pos % 3, 0.0, pos) for pos in range(40)],
+    key="i",
+    cached={"j"},
+    buckets=3,
+    indexed="j",
+)
+def test_a_table_loaded_by_column_equals_one_loaded_by_rows(
+    rows, key, cached, buckets, indexed
+):
+    """Same content, two views: every reader agrees, before and after
+    ``cluster_on``, and clustering the column-only table builds no rows.
+
+    The row batch is what the arrays' ``tolist()`` gives, as a generated
+    table's rows were: a NaN is then its own object in both tables, and
+    the distinct count (which sees NaN by identity) is comparable.
+    """
+    arrays = as_columns(rows)
+    rows = list(zip(*(array.tolist() for array in arrays)))
+    by_rows = Table(COLUMNAR, SMALL_PAGES)
+    by_rows.bulk_load(rows)
+    by_columns = loaded_by_columns(arrays)
+    assert by_columns._rows is None
+    for name in cached:  # arrays a row table already holds are permuted too
+        by_rows.column_array(name)
+    tables = (by_rows, by_columns)
+    held = [table.analyze(build_histograms=True, histogram_buckets=buckets) for table in tables]
+
+    expected = list(rows)
+    if key is not None:
+        for table in tables:
+            table.cluster_on(key)
+        pos = COLUMNAR.position(key)
+        expected.sort(key=lambda row: row[pos])
+    assert by_columns._rows is None
+
+    expected_columns = [[row[pos] for row in expected] for pos in range(3)]
+    for table in tables:
+        values = [table.column_values(name) for name in COLUMNAR.column_names]
+        arrays = [table.column_array(name) for name in COLUMNAR.column_names]
+        assert typed(values) == typed(expected_columns)
+        assert [array.dtype for array in arrays] == ["int64", "float64", "int64"]
+        assert typed([array.tolist() for array in arrays]) == typed(expected_columns)
+    # Statistics held from before the clustering, and fresh ones after it.
+    assert repr(dict(held[0].columns)) == repr(dict(held[1].columns))
+    fresh = [table.analyze(build_histograms=True, histogram_buckets=buckets) for table in tables]
+    assert repr(dict(fresh[0].columns)) == repr(dict(fresh[1].columns))
+    assert index_shape(by_rows, indexed, IndexKind.NONCLUSTERED) == (
+        index_shape(by_columns, indexed, IndexKind.NONCLUSTERED)
+    )
+    if key is not None:
+        assert index_shape(by_rows, key, IndexKind.CLUSTERED) == (
+            index_shape(by_columns, key, IndexKind.CLUSTERED)
+        )
+    assert by_columns._rows is None
+
+    assert typed(by_columns.rows()) == typed(by_rows.rows()) == typed(expected)

@@ -51,7 +51,7 @@ from repro.engine.predicate import And, Comparison, Not, Or, TRUE, extract_key_r
 from repro.engine.query import JoinQuery, SelectQuery
 from repro.engine.types import DataType
 from repro.workload import TableSpec, make_site
-from repro.workload.tablegen import COLUMN_NAMES, COLUMN_RANGES, generate_rows
+from repro.workload.tablegen import COLUMN_NAMES, COLUMN_RANGES, generate_columns
 
 from .kernels import KERNELS
 
@@ -84,11 +84,16 @@ def mutated_fork(db: LocalDatabase) -> LocalDatabase:
     fork = LocalDatabase(f"{db.name}_fork", noise_sigma=0.0, buffer_pages=pages)
     db.catalog.fork_into(fork.catalog)
     rng = np.random.default_rng(17)
+
+    def rows(name, count):
+        columns = generate_columns(TableSpec(name, count), rng)
+        return list(zip(*(array.tolist() for array in columns)))
+
     for position, name in enumerate(fork.catalog.table_names):
         if position % 2:
-            fork.bulk_load(name, generate_rows(TableSpec(name, 40), rng))
+            fork.bulk_load(name, rows(name, 40))
         else:
-            for row in generate_rows(TableSpec(name, 3), rng):
+            for row in rows(name, 3):
                 fork.insert(name, row)
     return fork
 

@@ -3,9 +3,12 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from repro.core import G1, CostModelBuilder
 from repro.engine import LocalDatabase
+from repro.experiments.drift_detection import builder_config
 from repro.loadgen import (
     STEADY_SITE,
     VAR_SITE,
@@ -15,7 +18,12 @@ from repro.loadgen import (
     run_shard,
     universe_seed,
 )
+from repro.loadgen.worker import loadgen_tables
+from repro.mdbs.agent import MDBSAgent
+from repro.mdbs.server import MDBSServer
+from repro.obs.quality import AccuracyTracker
 from repro.workload import tablegen
+from repro.workload.scenarios import round_query
 
 GAP = 600.0
 
@@ -166,3 +174,38 @@ def test_deterministic_dict_drops_wall_fields(micro_config, trained_payload):
     assert "wall_latencies" not in payload
     assert "wall_seconds" not in payload
     assert report.wall_seconds > 0.0
+
+
+@pytest.mark.slow
+def test_serving_deriving_and_a_shard_build_no_row_view_of_a_base_table(
+    micro_config, trained_payload, template_store
+):
+    """Base tables are read by column only on every measured path.
+
+    A row view is a tuple per row, and each fork builds its own: one
+    stray ``Table.rows()`` on a base table would bring back, once per
+    site, the memory that column-only templates save.
+    """
+    var, steady = make_universe(micro_config)
+    tables = loadgen_tables(micro_config)
+    server = MDBSServer(accuracy=AccuracyTracker(export=False))
+    for site in (var, steady):
+        server.register_agent(MDBSAgent(site.database))
+    server.catalog.import_models(trained_payload)
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        server.execute(round_query(var.name, steady.name, tables, rng))
+    CostModelBuilder(var.database, config=builder_config()).build(
+        G1, var.generator.queries_for(G1, 20, tables=tables)
+    )
+    run_shard(calm_task(micro_config, rounds=2), trained_payload)
+
+    catalogs = [var.database.catalog, steady.database.catalog, *template_store.values()]
+    assert len(catalogs) == 4
+    viewed = [
+        (catalog_no, table.name)
+        for catalog_no, catalog in enumerate(catalogs)
+        for table in catalog.tables()
+        if table._rows is not None
+    ]
+    assert viewed == []

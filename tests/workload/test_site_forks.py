@@ -21,7 +21,7 @@ from repro.workload.tablegen import (
     COLUMN_NAMES,
     TableSpec,
     WorkloadSpec,
-    generate_rows,
+    generate_columns,
     populate_database,
 )
 
@@ -54,7 +54,8 @@ def built_from_scratch(spec: WorkloadSpec) -> LocalDatabase:
     db = database("scratch")
     rng = np.random.default_rng(spec.seed)
     for table in spec.tables:
-        db.create_table(table.name, COLUMNS, generate_rows(table, rng))
+        columns = generate_columns(table, rng)
+        db.create_table(table.name, COLUMNS, zip(*(array.tolist() for array in columns)))
         if table.clustered_index_on:
             db.create_index(
                 f"{table.name}_c_{table.clustered_index_on}",
@@ -208,7 +209,7 @@ def test_mutating_one_fork_is_invisible_to_template_and_siblings(ops):
 # -- identity ---------------------------------------------------------------------
 
 
-def test_fork_owns_tables_and_indexes_but_shares_rows_and_trees(template_store):
+def test_fork_owns_tables_and_indexes_but_shares_columns_and_trees(template_store):
     first = populate_database(database("a"), SPEC)
     second = populate_database(database("b"), SPEC)
     (template,) = template_store.values()
@@ -217,14 +218,22 @@ def test_fork_owns_tables_and_indexes_but_shares_rows_and_trees(template_store):
         for table in catalog.tables():
             origin = template.table(table.name)
             assert table is not origin
-            assert table.rows() is not origin.rows()
-            assert all(map(lambda a, b: a is b, table.rows(), origin.rows()))
+            assert table._rows is None and origin._rows is None
+            for name in COLUMN_NAMES:
+                assert table.column_array(name) is origin.column_array(name)
             assert table.statistics is not origin.statistics
             for index in catalog.indexes_for(table.name):
                 shared = template.index(index.name)
                 assert index is not shared
                 assert index.table is table
                 assert index._tree is shared._tree
+    # A row view is built only when a row reader asks, and only for the
+    # table that asked.
+    asked = first.catalog.table("R1")
+    assert asked.rows() == list(zip(*(asked.column_values(c) for c in COLUMN_NAMES)))
+    assert asked._rows is not None
+    assert template.table("R1")._rows is None
+    assert second.catalog.table("R1")._rows is None
 
 
 def test_a_built_tree_cannot_be_edited():
@@ -311,4 +320,7 @@ def test_differing_specs_never_share_a_template(template_store, other, layout):
     assert len(template_store) == 2
     base_table, changed_table = base.catalog.table("R1"), changed.catalog.table("R1")
     assert changed_table.layout == layout
-    assert not any(a is b for a, b in zip(base_table.rows(), changed_table.rows()))
+    assert not any(
+        base_table.column_array(name) is changed_table.column_array(name)
+        for name in COLUMN_NAMES
+    )

@@ -9,7 +9,7 @@ from repro.workload.tablegen import (
     COLUMN_NAMES,
     PAPER_CARDINALITIES,
     TableSpec,
-    generate_rows,
+    generate_columns,
     paper_workload,
     populate_database,
 )
@@ -50,11 +50,18 @@ class TestSpecs:
         assert spec.resolved_ranges()["a4"] == 7
 
 
+def generated_rows(spec: TableSpec, rng: np.random.Generator) -> list[tuple]:
+    """The generated columns of *spec* as row tuples."""
+    return list(zip(*(array.tolist() for array in generate_columns(spec, rng))))
+
+
 class TestRowGeneration:
     def test_rows_respect_ranges(self):
         spec = TableSpec("T", 500)
         rng = np.random.default_rng(1)
-        rows = generate_rows(spec, rng)
+        columns = generate_columns(spec, rng)
+        assert [array.dtype for array in columns] == [np.dtype(np.int64)] * 9
+        rows = generated_rows(spec, np.random.default_rng(1))
         ranges = spec.resolved_ranges()
         assert len(rows) == 500
         for row in rows:
@@ -63,8 +70,8 @@ class TestRowGeneration:
 
     def test_deterministic_given_seed(self):
         spec = TableSpec("T", 100)
-        a = generate_rows(spec, np.random.default_rng(5))
-        b = generate_rows(spec, np.random.default_rng(5))
+        a = generated_rows(spec, np.random.default_rng(5))
+        b = generated_rows(spec, np.random.default_rng(5))
         assert a == b
 
 
