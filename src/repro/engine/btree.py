@@ -1,9 +1,10 @@
 """A B+-tree keyed on scalar values, mapping keys to lists of row ids.
 
 This backs both clustered and non-clustered indexes.  Duplicate keys are
-supported (each leaf entry carries a list of row ids).  The tree exposes
-its height so index access methods can charge one random page read per
-level traversed, as real DBMS cost models do.
+supported (each leaf entry carries a list of row ids), and one insert
+takes a key with all its row ids: an index inserts each distinct key
+once.  The tree exposes its height so index access methods can charge
+one random page read per level traversed, as real DBMS cost models do.
 
 The implementation favours clarity over raw speed — node splits keep all
 invariants explicit — but remains O(log n) per operation, which is plenty
@@ -110,18 +111,25 @@ class BPlusTree:
 
     # -- mutation -----------------------------------------------------------
 
-    def insert(self, key: Any, row_id: int) -> None:
-        """Insert one (key, row_id) entry; duplicate keys are appended."""
+    def insert(self, key: Any, row_ids: list[int]) -> None:
+        """Insert *key* with the row ids *row_ids* (one or more, in row order).
+
+        A new key's entry is *row_ids* itself, not a copy: the caller
+        hands the list over.  A key already present gets *row_ids*
+        appended to its list, which never splits a node, so inserting
+        each distinct key once with all its row ids builds, node for
+        node, the tree that one insert per (key, row id) entry would.
+        """
         if self._frozen:
             raise RuntimeError("insert into a frozen B+-tree")
         leaf, pos = self._find_leaf(key)
         keys = leaf.keys
-        self._num_entries += 1
+        self._num_entries += len(row_ids)
         if pos < len(keys) and keys[pos] == key:
-            leaf.values[pos].append(row_id)
+            leaf.values[pos].extend(row_ids)
             return
         keys.insert(pos, key)
-        leaf.values.insert(pos, [row_id])
+        leaf.values.insert(pos, row_ids)
         self._num_keys += 1
         if len(keys) > self.order:
             self._split_toward(key)

@@ -9,6 +9,11 @@ An index is a B+-tree on one column.  Two kinds exist:
   *clustering ratio* (fraction of index-order-adjacent rows that happen to
   share a page).  The paper lists the index clustering ratio among the
   occasionally-changing factors; it is measured, not assumed.
+
+The tree is built by inserting each distinct key once, in order of
+first occurrence, with its row ids in row order: node for node the
+tree one insert per row builds, with one descent per distinct key
+instead of one per row.
 """
 
 from __future__ import annotations
@@ -65,9 +70,26 @@ class Index:
         self._clustering_ratio = self._measure_clustering_ratio()
 
     def _build(self) -> None:
-        insert = self._tree.insert
+        """Group the row ids by key, then insert each group (module
+        docstring).  NaN equals nothing, itself included, so a NaN row is
+        a group of its own, whatever NaN object it holds.
+        """
+        keys: list[Any] = []
+        groups: list[list[int]] = []
+        by_key: dict[Any, list[int]] = {}
         for row_id, key in enumerate(self.table.column_values(self.column_name)):
-            insert(key, row_id)
+            row_ids = by_key.get(key)
+            if row_ids is not None:
+                row_ids.append(row_id)
+                continue
+            row_ids = [row_id]
+            keys.append(key)
+            groups.append(row_ids)
+            if key == key:  # a NaN never joins a group
+                by_key[key] = row_ids
+        insert = self._tree.insert
+        for key, row_ids in zip(keys, groups):
+            insert(key, row_ids)
         self._tree.freeze()
 
     def fork(self, table: Table) -> "Index":

@@ -176,7 +176,10 @@ class ColumnStatistics:
 
         Minimum, maximum and distinct count come from the ``min`` /
         ``max`` / ``set`` builtins, which keep the first of equal values
-        (``1`` before ``1.0``) just as a one-pass scan would.  With
+        (``1`` before ``1.0``) just as a one-pass scan would.  A set tells
+        NaNs apart by object identity, so every NaN is folded into one
+        distinct value (as ``np.unique`` counts them): the count then
+        depends on the values, not on how the rows were loaded.  With
         ``build_histogram=True`` (numeric columns only), an equi-depth
         histogram is attached as well.
         """
@@ -194,10 +197,12 @@ class ColumnStatistics:
             from .histogram import EquiDepthHistogram
 
             histogram = EquiDepthHistogram.build(values, num_buckets=buckets)
+        distinct = set(values)
+        nans = [value for value in distinct if value != value]
         return cls(
             minimum=minimum,
             maximum=max(values),
-            distinct_count=len(set(values)),
+            distinct_count=len(distinct) - len(nans) + (1 if nans else 0),
             histogram=histogram,
         )
 

@@ -1,8 +1,10 @@
-"""Multiple linear regression substrate (from scratch, numpy + scipy.stats).
+"""Multiple linear regression substrate (from scratch, numpy + scipy.special).
 
 Implements exactly the statistical machinery the paper leans on: OLS with
 R², standard error of estimation, F-test, coefficient inference, simple
 (per-state) correlation coefficients, and variance inflation factors.
+The two p-values take the F and t survival kernels from
+``scipy.special`` when first read; nothing here imports ``scipy.stats``.
 """
 
 from .correlation import (

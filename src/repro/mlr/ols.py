@@ -9,7 +9,11 @@ estimator's significance screen, footnote 7).
 Deriving one cost model solves dozens of regressions (IUPMA/ICMA
 candidates, merge refits, selection steps, VIF auxiliaries) and ships
 one.  :func:`fit_ols` therefore computes what those loops compare; the
-two p-value reads are each evaluated when first read.
+two p-value reads are each evaluated when first read.  They call the
+``scipy.special`` kernels that ``scipy.stats.f.sf`` and ``t.sf`` call
+(``fdtrc`` and ``stdtr``), imported on that first read: importing
+``scipy.stats`` would cost every process about a second and 44 MB for
+two survival functions.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .linalg import (
     as_design_matrix,
@@ -69,8 +72,10 @@ class OLSResult:
         """p-value of the overall F test (None when ``f_statistic`` is)."""
         if self.f_statistic is None:
             return None
+        from scipy import special
+
         df_model = self.n_parameters - 1 if self.has_intercept else self.n_parameters
-        return float(stats.f.sf(self.f_statistic, df_model, self.degrees_of_freedom))
+        return float(special.fdtrc(df_model, self.degrees_of_freedom, self.f_statistic))
 
     @cached_property
     def t_pvalues(self) -> np.ndarray:
@@ -85,7 +90,9 @@ class OLSResult:
         std_errors = np.sqrt(variances)
         with np.errstate(divide="ignore", invalid="ignore"):
             t_stats = np.where(std_errors > 0, beta / std_errors, np.inf * np.sign(beta))
-        return 2.0 * stats.t.sf(np.abs(t_stats), df_error)
+        from scipy import special
+
+        return 2.0 * special.stdtr(df_error, -np.abs(t_stats))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predict responses for new design-matrix rows."""

@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.btree import BPlusTree, _Internal
+from repro.engine.index import Index, IndexKind
+from repro.engine.schema import Column, DataType, TableSchema
+from repro.engine.table import Table
 
 
 class TestBasics:
@@ -20,14 +23,14 @@ class TestBasics:
 
     def test_single_insert(self):
         tree = BPlusTree()
-        tree.insert(10, 0)
+        tree.insert(10, [0])
         assert tree.search(10) == [0]
         assert len(tree) == 1
 
     def test_duplicate_keys_accumulate(self):
         tree = BPlusTree()
         for rid in range(5):
-            tree.insert(7, rid)
+            tree.insert(7, [rid])
         assert tree.search(7) == [0, 1, 2, 3, 4]
         assert tree.num_keys == 1
         assert len(tree) == 5
@@ -39,7 +42,7 @@ class TestBasics:
     def test_height_grows_with_inserts(self):
         tree = BPlusTree(order=4)
         for i in range(100):
-            tree.insert(i, i)
+            tree.insert(i, [i])
         assert tree.height > 1
         tree.check_invariants()
 
@@ -47,7 +50,7 @@ class TestBasics:
         tree = BPlusTree(order=4)
         keys = [5, 3, 8, 1, 9, 2, 7, 0, 6, 4]
         for i, k in enumerate(keys):
-            tree.insert(k, i)
+            tree.insert(k, [i])
         assert [k for k, _ in tree.items()] == sorted(keys)
 
 
@@ -56,7 +59,7 @@ class TestRangeSearch:
     def tree(self):
         t = BPlusTree(order=4)
         for i in range(0, 100, 2):  # even keys 0..98
-            t.insert(i, i)
+            t.insert(i, [i])
         return t
 
     def test_closed_range(self, tree):
@@ -96,7 +99,7 @@ def test_property_tree_matches_sorted_reference(keys, order):
     """Invariants + search/range agreement with a sorted reference."""
     tree = BPlusTree(order=order)
     for rid, key in enumerate(keys):
-        tree.insert(key, rid)
+        tree.insert(key, [rid])
     tree.check_invariants()
     assert len(tree) == len(keys)
     assert tree.num_keys == len(set(keys))
@@ -130,7 +133,7 @@ def test_property_range_search_is_the_item_stream(
     intervals, duplicates, bounds on leaf edges."""
     tree = BPlusTree(order=order)
     for rid, key in enumerate(keys):
-        tree.insert(key, rid)
+        tree.insert(key, [rid])
     bounds = (low, high, low_inclusive, high_inclusive)
     assert tree.range_search(*bounds) == [rid for _, rid in tree.range_items(*bounds)]
     assert tree.range_search(*bounds) == [
@@ -146,7 +149,7 @@ def test_property_range_search_is_the_item_stream(
 def test_property_point_lookup(keys):
     tree = BPlusTree(order=5)
     for rid, key in enumerate(keys):
-        tree.insert(key, rid)
+        tree.insert(key, [rid])
     for probe in set(keys):
         assert tree.search(probe) == [i for i, k in enumerate(keys) if k == probe]
     assert tree.search(max(keys) + 1) == []
@@ -205,10 +208,12 @@ def tree_shape(tree):
     frontier = [tree._root]
     while frontier:
         node = frontier.pop(0)
+        # Keys by exact type and repr: 1 vs 1.0 and 0.0 vs -0.0 stay apart.
+        keys = [(type(k), repr(k)) for k in node.keys]
         if node.is_leaf:
-            nodes.append((node.node_id, list(node.keys), [list(v) for v in node.values]))
+            nodes.append((node.node_id, keys, [list(v) for v in node.values]))
         else:
-            nodes.append((node.node_id, list(node.keys), [c.node_id for c in node.children]))
+            nodes.append((node.node_id, keys, [c.node_id for c in node.children]))
             frontier.extend(node.children)
     chain = []
     leaf = tree._leftmost_leaf()
@@ -243,7 +248,7 @@ def test_iterative_insert_builds_the_recursive_tree(kind, order, n):
     keys = key_sequence(kind, n)
     tree, reference = BPlusTree(order=order), RecursiveTree(order=order)
     for rid, key in enumerate(keys):
-        tree.insert(key, rid)
+        tree.insert(key, [rid])
         reference.insert(key, rid)
     assert tree_shape(tree) == tree_shape(reference)
     assert tree.height >= 2
@@ -261,8 +266,108 @@ def test_iterative_insert_builds_the_recursive_tree(kind, order, n):
 def test_property_same_shape_after_every_insert(keys, order):
     tree, reference = BPlusTree(order=order), RecursiveTree(order=order)
     for rid, key in enumerate(keys):
-        tree.insert(key, rid)
+        tree.insert(key, [rid])
         reference.insert(key, rid)
         assert tree._next_node_id == reference._next_node_id
     assert tree_shape(tree) == tree_shape(reference)
     tree.check_invariants()
+
+
+# -- the index's grouped build: one insert per distinct key ---------------------
+
+
+def grouped_index(keys, order):
+    """An index built by ``Index._build`` over a column reading *keys*."""
+    table = Table(TableSchema("t", [Column("k", DataType.FLOAT)]))
+    table.column_values = lambda name: list(keys)
+    return Index("i", table, "k", IndexKind.NONCLUSTERED, order=order)
+
+
+def per_row_reference(keys, order):
+    reference = RecursiveTree(order=order)
+    for rid, key in enumerate(keys):
+        reference.insert(key, rid)
+    return reference
+
+
+def assert_same_tree(tree, reference, probes):
+    assert tree_shape(tree) == tree_shape(reference)
+    for key in [None, *probes]:
+        assert tree.traversal_path(key) == reference.traversal_path(key)
+
+
+def mixed_sequence(kind, n, seed=5):
+    """Ints and floats where equal keys differ in type or sign: 1 and 1.0,
+    0.0 and -0.0.  The first occurrence's object is the tree's key."""
+    rng = np.random.default_rng(seed)
+    keys = key_sequence(kind, n, seed)
+    return [
+        (float(k) if rng.random() < 0.5 else k) if k else (-0.0 if rng.random() < 0.5 else 0.0)
+        for k in keys
+    ]
+
+
+@pytest.mark.parametrize("order, n", [(3, 400), (4, 700), (64, 9000)])
+@pytest.mark.parametrize("kind", ["random", "ascending", "descending", "duplicates"])
+@pytest.mark.parametrize("mixed", [False, True], ids=["ints", "mixed"])
+def test_grouped_build_is_the_per_row_tree(kind, order, n, mixed):
+    keys = mixed_sequence(kind, n) if mixed else key_sequence(kind, n)
+    index = grouped_index(keys, order)
+    reference = per_row_reference(keys, order)
+    assert_same_tree(index._tree, reference, [*set(keys), -1, max(keys) + 1])
+    assert index.height == reference.height >= 2
+    index._tree.check_invariants()
+
+
+@pytest.mark.parametrize("order", [3, 4, 64])
+@pytest.mark.parametrize("pair", [(1.0, 1), (1, 1.0), (-0.0, 0.0)], ids=repr)
+def test_grouped_build_of_all_duplicate_keys(order, pair):
+    keys = list(pair) * 100
+    index = grouped_index(keys, order)
+    assert_same_tree(index._tree, per_row_reference(keys, order), [-1, 0, 1, 2])
+    assert (index._tree.num_keys, len(index._tree), index.height) == (1, 200, 1)
+    assert index.lookup(pair[1]) == list(range(200))
+    assert [(type(k), repr(k)) for k, _ in index._tree.items()][:1] == [
+        (type(pair[0]), repr(pair[0]))
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    keys=st.lists(
+        st.one_of(
+            st.integers(-30, 30),
+            st.integers(-30, 30).map(float),
+            st.sampled_from([0.0, -0.0, 0.5, -2.5]),
+        ),
+        max_size=300,
+    ),
+    order=st.sampled_from([3, 4, 64]),
+)
+def test_property_grouped_build_is_the_per_row_tree(keys, order):
+    index = grouped_index(keys, order)
+    reference = per_row_reference(keys, order)
+    assert_same_tree(index._tree, reference, [*keys, -31, 31])
+    index._tree.check_invariants()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    keys=st.lists(
+        st.one_of(st.integers(-5, 5).map(float), st.just(None)),
+        max_size=120,
+    ),
+    order=st.sampled_from([3, 4, 64]),
+)
+def test_property_nan_rows_build_alike_whatever_their_objects(keys, order):
+    """``None`` marks a NaN row: one NaN object repeated, or a new NaN
+    object per row, builds the same index."""
+    shared = float("nan")
+    one_object = [shared if k is None else k for k in keys]
+    own_objects = [float("nan") if k is None else k for k in keys]
+    first, second = grouped_index(one_object, order), grouped_index(own_objects, order)
+    assert tree_shape(first._tree) == tree_shape(second._tree)
+    probes = [None, *own_objects]
+    assert [first.traversal_path(k) for k in probes] == [second.traversal_path(k) for k in probes]
+    assert first.range_lookup() == second.range_lookup()
+    assert first.clustering_ratio() == second.clustering_ratio()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from repro.mlr.linalg import add_intercept
-from repro.mlr.ols import fit_ols
+from repro.mlr.ols import OLSResult, fit_ols
 
 
 def make_data(n=60, noise=0.5, seed=0):
@@ -86,6 +86,64 @@ class TestInference:
         y = 2.0 * x1 + rng.normal(0, 0.5, 80)
         result = fit_ols(add_intercept(np.column_stack([x1, junk])), y)
         assert result.t_pvalues[2] > 0.05
+
+
+#: Statistic values and degrees of freedom at the edges of the kernels'
+#: domains: zeros of both signs, the smallest subnormal, overflow, NaN.
+EDGE_STATISTICS = (0.0, -0.0, 5e-324, 1.0, 1e300, np.inf, np.nan)
+EDGE_DFS = (1, 2, 7, 10**6)
+
+
+def inference_result(df_model, df_error, f_statistic=None, coefficients=None):
+    """An OLSResult whose F statistic is *f_statistic* and whose t
+    statistics are *coefficients* (identity design, unit mean square)."""
+    p = df_model if coefficients is None else len(coefficients)
+    return OLSResult(
+        coefficients=np.zeros(p) if coefficients is None else np.array(coefficients),
+        term_names=tuple(f"x{i}" for i in range(p)) if coefficients is not None else (),
+        fitted=np.zeros(0),
+        residuals=np.zeros(0),
+        n_observations=p + df_error,
+        n_parameters=p,
+        sse=float(df_error),
+        r_squared=0.0,
+        adjusted_r_squared=0.0,
+        standard_error=1.0,
+        f_statistic=f_statistic,
+        design=np.eye(p) if coefficients is not None else np.zeros((0, 0)),
+        has_intercept=False,
+    )
+
+
+def assert_bitwise_equal(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+class TestPValuesAreScipyStats:
+    """The p-values come from the ``scipy.special`` kernels behind
+    ``scipy.stats.f.sf`` / ``t.sf``, bit for bit, edges included."""
+
+    @pytest.mark.parametrize("df_error", EDGE_DFS)
+    @pytest.mark.parametrize("df_model", EDGE_DFS)
+    def test_f_pvalue(self, df_model, df_error):
+        for statistic in EDGE_STATISTICS:
+            result = inference_result(df_model, df_error, f_statistic=statistic)
+            want = scipy_stats.f.sf(statistic, df_model, df_error)
+            assert_bitwise_equal(result.f_pvalue, want)
+            assert isinstance(result.f_pvalue, float)
+
+    @pytest.mark.parametrize("df_error", EDGE_DFS)
+    def test_t_pvalues(self, df_error):
+        result = inference_result(0, df_error, coefficients=EDGE_STATISTICS)
+        statistics = np.array(EDGE_STATISTICS)
+        want = 2.0 * scipy_stats.t.sf(np.abs(statistics), df_error)
+        assert_bitwise_equal(result.t_pvalues, want)
+        negated = inference_result(0, df_error, coefficients=-statistics)
+        assert_bitwise_equal(negated.t_pvalues, want)
 
 
 class TestPrediction:

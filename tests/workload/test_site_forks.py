@@ -240,7 +240,7 @@ def test_a_built_tree_cannot_be_edited():
     db = populate_database(database(), SPEC)
     for index in db.catalog.indexes_for("R2"):
         with pytest.raises(RuntimeError, match="frozen"):
-            index._tree.insert(1, 1)
+            index._tree.insert(1, [1])
 
 
 def test_template_equals_the_plain_ddl_build(template_store):
