@@ -16,7 +16,6 @@ from .classification import (
     G6,
     GC,
     QueryClass,
-    class_by_label,
     class_for_method,
     classify,
 )
@@ -129,7 +128,6 @@ __all__ = [
     "adjusted_coefficients",
     "agglomerate",
     "build_design",
-    "class_by_label",
     "class_for_method",
     "classify",
     "cluster_extents",

@@ -78,7 +78,6 @@ G6 = QueryClass(
 ALL_CLASSES = (G1, G2, GC, G3, G4, G5, G6)
 
 _BY_METHOD = {(c.family, c.access_method): c for c in ALL_CLASSES}
-_BY_LABEL = {c.label: c for c in ALL_CLASSES}
 
 
 def class_for_method(family: str, access_method: str) -> QueryClass:
@@ -89,14 +88,6 @@ def class_for_method(family: str, access_method: str) -> QueryClass:
         raise KeyError(
             f"no query class for {family}/{access_method}"
         ) from None
-
-
-def class_by_label(label: str) -> QueryClass:
-    """Look up a class by its paper label (G1, G2, G3, ...)."""
-    try:
-        return _BY_LABEL[label]
-    except KeyError:
-        raise KeyError(f"unknown query class label {label!r}") from None
 
 
 def classify(database: LocalDatabase, query: Query | str) -> QueryClass:

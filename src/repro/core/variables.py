@@ -89,13 +89,6 @@ class Observation:
     contention_level: float = float("nan")
     metadata: dict = field(default_factory=dict)
 
-    def vector(self, names: tuple[str, ...]) -> list[float]:
-        """Values of the named variables, in order."""
-        try:
-            return [self.values[n] for n in names]
-        except KeyError as exc:
-            raise KeyError(f"observation lacks variable {exc.args[0]!r}") from None
-
 
 def extract_variables(result: QueryResult) -> dict[str, float]:
     """Compute the Table-3 variable values from one execution's results."""

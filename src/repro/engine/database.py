@@ -184,14 +184,10 @@ class LocalDatabase:
             self.catalog.drop_index(index.name)
             self.catalog.add_index(rebuilt)
 
-    def analyze(self, build_histograms: bool = False) -> None:
-        """Refresh statistics for every table.
-
-        With ``build_histograms=True``, columns get equi-depth histograms
-        for sharper selectivity estimates on skewed data.
-        """
+    def analyze(self) -> None:
+        """Refresh statistics for every table."""
         for table in self.catalog.tables():
-            table.analyze(build_histograms=build_histograms)
+            table.analyze()
 
     # -- planning --------------------------------------------------------------
 

@@ -149,10 +149,6 @@ class Comparison(Predicate):
         col = stats.column(self.column)
         if col.minimum is None or stats.cardinality == 0:
             return _DEFAULT_SELECTIVITY[self.op]
-        if col.histogram is not None and isinstance(self.value, numbers.Real):
-            estimate = self._histogram_selectivity(col.histogram)
-            if estimate is not None:
-                return estimate
         if self.op == "=":
             if col.distinct_count <= 0:
                 return _DEFAULT_SELECTIVITY["="]
@@ -176,24 +172,6 @@ class Comparison(Predicate):
         else:
             frac = (hi - self.value) / span
         return min(1.0, max(0.0, frac))
-
-    def _histogram_selectivity(self, histogram) -> Optional[float]:
-        """Histogram-based estimate, or None when the op has no mapping."""
-        if self.op == "=":
-            return histogram.estimate_eq(float(self.value))
-        if self.op == "!=":
-            return max(0.0, 1.0 - histogram.estimate_eq(float(self.value)))
-        if self.op in ("<", "<="):
-            frac = histogram.estimate_le(float(self.value))
-            if self.op == "<":
-                frac = max(0.0, frac - histogram.estimate_eq(float(self.value)))
-            return min(1.0, frac)
-        if self.op in (">", ">="):
-            frac = 1.0 - histogram.estimate_le(float(self.value))
-            if self.op == ">=":
-                frac = min(1.0, frac + histogram.estimate_eq(float(self.value)))
-            return max(0.0, frac)
-        return None
 
     def __str__(self) -> str:
         return f"{self.column} {self.op} {self.value!r}"

@@ -8,7 +8,6 @@ single source of truth for tuple length.
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
@@ -143,10 +142,6 @@ class TableSchema:
             return batch
         return [self.validate_row(row) for row in batch]
 
-    def project(self, column_names: Sequence[str]) -> "TableSchema":
-        """Schema of the projection of this table onto *column_names*."""
-        return TableSchema(self.name, [self.column(n) for n in column_names])
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cols = ", ".join(f"{c.name} {c.dtype.value}({c.width})" for c in self.columns)
         return f"TableSchema({self.name}: {cols})"
@@ -157,21 +152,16 @@ class ColumnStatistics:
     """Per-column statistics kept in the local catalog.
 
     Used for selectivity estimation — the local optimizer needs these to
-    pick access paths, exactly as a real DBMS would.  An optional
-    equi-depth histogram (see :mod:`repro.engine.histogram`) refines
-    range/equality estimates on skewed columns; when absent, estimation
-    falls back to uniform interpolation over [minimum, maximum].
+    pick access paths, exactly as a real DBMS would.  Estimation assumes
+    values spread uniformly over [minimum, maximum].
     """
 
     minimum: Any = None
     maximum: Any = None
     distinct_count: int = 0
-    histogram: Any = None  # Optional[EquiDepthHistogram]
 
     @classmethod
-    def from_values(
-        cls, values: Iterable[Any], build_histogram: bool = False, buckets: int = 16
-    ) -> "ColumnStatistics":
+    def from_values(cls, values: Iterable[Any]) -> "ColumnStatistics":
         """Compute statistics over *values*.
 
         Minimum, maximum and distinct count come from the ``min`` /
@@ -179,31 +169,18 @@ class ColumnStatistics:
         (``1`` before ``1.0``) just as a one-pass scan would.  A set tells
         NaNs apart by object identity, so every NaN is folded into one
         distinct value (as ``np.unique`` counts them): the count then
-        depends on the values, not on how the rows were loaded.  With
-        ``build_histogram=True`` (numeric columns only), an equi-depth
-        histogram is attached as well.
+        depends on the values, not on how the rows were loaded.
         """
         if not isinstance(values, (list, tuple)):
             values = list(values)
         if not values:
             return cls()
-        minimum = min(values)
-        histogram = None
-        if (
-            build_histogram
-            and isinstance(minimum, numbers.Real)
-            and not isinstance(minimum, bool)
-        ):
-            from .histogram import EquiDepthHistogram
-
-            histogram = EquiDepthHistogram.build(values, num_buckets=buckets)
         distinct = set(values)
         nans = [value for value in distinct if value != value]
         return cls(
-            minimum=minimum,
+            minimum=min(values),
             maximum=max(values),
             distinct_count=len(distinct) - len(nans) + (1 if nans else 0),
-            histogram=histogram,
         )
 
 

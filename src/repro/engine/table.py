@@ -12,15 +12,12 @@ arrays and build their own tuples on first read (:class:`ResultTable`).
 from __future__ import annotations
 
 import copy
-import numbers
-from functools import partial
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import SchemaError
-from .histogram import EquiDepthHistogram
 from .pages import PageLayout
 from .schema import ColumnStatistics, ColumnStatisticsMap, TableSchema, TableStatistics
 from .types import DataType, Row
@@ -56,11 +53,6 @@ class Table:
         #: read-only and results and forks hold references to them, so a
         #: mutation rebinds this dict and never writes into an array.
         self._column_arrays: dict[str, np.ndarray] = {}
-        #: Built equi-depth histograms keyed by (column, num_buckets),
-        #: rebound on any mutation — building one re-sorts the column,
-        #: so repeated ``analyze(build_histograms=True)`` calls must not
-        #: pay it twice for unchanged data.
-        self._histograms: dict[tuple[str, int], EquiDepthHistogram] = {}
         #: Name of the column the rows are physically sorted on, if any.
         self.clustered_on: str | None = None
         #: Bumped by every change that can alter what a query over this
@@ -118,20 +110,18 @@ class Table:
 
         The fork owns its row *list* (if the table has a row view) and
         its statistics; it shares the schema, the layout, the row
-        tuples, the column arrays and the histograms, all immutable.
-        The two cache dicts are shared as objects, so an array or
-        histogram any fork builds serves all of them; every mutator
-        rebinds them (and edits only the row list the fork owns), so
-        neither side can observe the other's inserts, loads or
-        re-clustering.  A table with no row view forks into one with
-        none: each fork builds its own only if a row reader asks.
+        tuples and the column arrays, all immutable.  The array dict is
+        shared as an object, so an array any fork builds serves all of
+        them; every mutator rebinds it (and edits only the row list the
+        fork owns), so neither side can observe the other's inserts,
+        loads or re-clustering.  A table with no row view forks into one
+        with none: each fork builds its own only if a row reader asks.
         """
         fork = Table(self.schema, self.layout)
         fork._rows = None if self._rows is None else list(self._rows)
         fork._cardinality = self._cardinality
         fork._stats = None if self._stats is None else self._stats.copy()
         fork._column_arrays = self._column_arrays
-        fork._histograms = self._histograms
         fork.clustered_on = self.clustered_on
         return fork
 
@@ -146,7 +136,6 @@ class Table:
         self._settle_statistics()
         self.version += 1
         self._column_arrays = {}
-        self._histograms = {}
 
     def insert(self, row: Sequence[Any]) -> int:
         """Validate and append one row; returns its row id.
@@ -236,32 +225,24 @@ class Table:
 
     # -- statistics ---------------------------------------------------------
 
-    def analyze(
-        self, build_histograms: bool = False, histogram_buckets: int = 16
-    ) -> TableStatistics:
+    def analyze(self) -> TableStatistics:
         """Restart catalog statistics; each column's are computed on first read.
 
         The returned statistics cover every column, but a column's
-        minimum, maximum and distinct count — and, with
-        ``build_histograms=True``, a numeric column's equi-depth
-        histogram — are computed only when something reads that column
-        (:class:`~repro.engine.schema.ColumnStatisticsMap`).  They
+        minimum, maximum and distinct count are computed only when
+        something reads that column (see
+        :class:`~repro.engine.schema.ColumnStatisticsMap`).  They
         describe the content at this call whenever they are read: a
         mutation, or the next ``analyze``, first computes the columns
         still unread.  They read a shallow copy of the table, which
         shares its content and caches but not its statistics, so they
-        hold no reference back to the table.  Histograms come from the
-        per-table cache, so re-analyzing an unchanged table never
-        re-sorts its columns.
+        hold no reference back to the table.
         """
         self._settle_statistics()
         content = copy.copy(self)
         self._stats = TableStatistics(
             self.cardinality,
-            ColumnStatisticsMap(
-                self.schema.column_names,
-                partial(content._column_statistics, build_histograms, histogram_buckets),
-            ),
+            ColumnStatisticsMap(self.schema.column_names, content._column_statistics),
         )
         self.version += 1
         return self._stats
@@ -278,33 +259,9 @@ class Table:
             dict(self._stats.columns)
             self._stats = None
 
-    def _column_statistics(
-        self, build_histograms: bool, histogram_buckets: int, column_name: str
-    ) -> ColumnStatistics:
+    def _column_statistics(self, column_name: str) -> ColumnStatistics:
         """One column's catalog statistics over the current content."""
-        stats = ColumnStatistics.from_values(self.column_values(column_name))
-        if (
-            build_histograms
-            and isinstance(stats.minimum, numbers.Real)
-            and not isinstance(stats.minimum, bool)
-        ):
-            stats.histogram = self.histogram_for(column_name, histogram_buckets)
-        return stats
-
-    def histogram_for(self, column_name: str, num_buckets: int = 16) -> EquiDepthHistogram:
-        """The column's equi-depth histogram, built once per (column, buckets).
-
-        Cached until the table mutates; building sorts the full column,
-        so every call site shares the same built artifact.
-        """
-        key = (column_name, num_buckets)
-        hist = self._histograms.get(key)
-        if hist is None:
-            hist = EquiDepthHistogram.build(
-                self.column_values(column_name), num_buckets=num_buckets
-            )
-            self._histograms[key] = hist
-        return hist
+        return ColumnStatistics.from_values(self.column_values(column_name))
 
     @property
     def statistics(self) -> TableStatistics:

@@ -20,7 +20,6 @@ a seeded generator, so re-running an experiment replays the same load.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -198,18 +197,6 @@ class SlowdownModel:
         if not 0.0 <= level <= 1.0:
             raise ValueError("level must be in [0, 1]")
         return 1.0 + self.linear * level + self.quadratic * level * level
-
-    def level_for_slowdown(self, multiplier: float) -> float:
-        """Inverse mapping (for tests and calibration)."""
-        if multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
-        if self.quadratic == 0.0:
-            if self.linear == 0.0:
-                return 0.0
-            return min(1.0, (multiplier - 1.0) / self.linear)
-        a, b, c = self.quadratic, self.linear, 1.0 - multiplier
-        root = (-b + math.sqrt(b * b - 4 * a * c)) / (2 * a)
-        return min(1.0, max(0.0, root))
 
 
 #: Mapping between contention level and the paper's "number of concurrent

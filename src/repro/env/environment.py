@@ -16,7 +16,6 @@ from .contention import (
     ContentionTrace,
     SlowdownModel,
     UniformContention,
-    level_to_processes,
 )
 from .stats import StatisticsModel, SystemStatistics
 
@@ -56,10 +55,6 @@ class Environment:
     def slowdown(self) -> float:
         """Query slowdown multiplier right now (>= 1)."""
         return self.slowdown_model.slowdown(self.level())
-
-    def concurrent_processes(self) -> int:
-        """The paper's Figure-1 x-axis: simulated concurrent process count."""
-        return level_to_processes(self.level())
 
     # -- observation ------------------------------------------------------------
 

@@ -29,10 +29,6 @@ class LoadBuilder:
         self.environment = environment
         self.seed = seed
 
-    def idle(self) -> Environment:
-        """Remove all load (static environment)."""
-        return self.constant(0.0)
-
     def constant(self, level: float) -> Environment:
         """Hold the contention level fixed at *level*."""
         self.environment.trace = ConstantContention(level)

@@ -11,7 +11,7 @@ from its environment, optionally spacing observations in simulated time.
 from __future__ import annotations
 
 from .environment import Environment
-from .processes import ProcessTable, SimProcess
+from .processes import ProcessTable
 from .stats import SystemStatistics
 
 
@@ -27,12 +27,6 @@ class EnvironmentMonitor:
     def statistics(self) -> SystemStatistics:
         """One snapshot at the current simulated time."""
         return self.environment.snapshot()
-
-    def process_table(self) -> list[SimProcess]:
-        """The simulated process population right now (`ps`-style)."""
-        return self._processes.snapshot(
-            self.environment.level(), at_time=self.environment.now
-        )
 
     def top(self, n: int = 10) -> str:
         """A `top`-style rendering of the busiest processes right now."""

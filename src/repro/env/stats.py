@@ -16,7 +16,7 @@ the reproduction consume these snapshots:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,10 +62,6 @@ class SystemStatistics:
     def as_vector(self, names: tuple[str, ...]) -> np.ndarray:
         """Extract the named fields as a float vector (for regression)."""
         return np.array([float(getattr(self, n)) for n in names])
-
-    @classmethod
-    def field_names(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(cls))
 
 
 #: The "major system contention parameters" used by default when

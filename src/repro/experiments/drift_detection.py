@@ -53,6 +53,9 @@ TABLES = ["R1", "R2", "R3", "R4", "R5"]
 CALM_LOW, CALM_HIGH = 0.0, 0.45
 #: The shifted regime — outside every derived [Cmin, Cmax] range.
 SHIFTED_LEVEL = 0.9
+#: Served rounds per phase, and simulated seconds between rounds.
+BASELINE_ROUNDS, SHIFTED_ROUNDS, RECOVERY_ROUNDS, STALE_ROUNDS = 8, 10, 8, 10
+GAP_SECONDS = 600.0
 
 #: The model registry behind the most recent run, for obs snapshots
 #: (``python -m repro.experiments --snapshot-out``).  None until a run
@@ -131,15 +134,7 @@ def drift_policy(gap_seconds: float) -> DriftPolicy:
     )
 
 
-def run_drift_detection(
-    config: ExperimentConfig | None = None,
-    baseline_rounds: int = 8,
-    shifted_rounds: int = 10,
-    recovery_rounds: int = 8,
-    stale_rounds: int = 10,
-    gap_seconds: float = 600.0,
-    policy: DriftPolicy | None = None,
-) -> DriftDetectionResult:
+def run_drift_detection(config: ExperimentConfig | None = None) -> DriftDetectionResult:
     """Run the experiment; see the module docstring."""
     global LAST_MODEL_REGISTRY
     config = config or ExperimentConfig()
@@ -158,7 +153,7 @@ def run_drift_detection(
     # experiment scale; installed globally so obs snapshots include it.
     tracker = AccuracyTracker(probe_window_size=8)
     obs.set_tracker(tracker)
-    policy = policy or drift_policy(gap_seconds)
+    policy = drift_policy(GAP_SECONDS)
 
     server = MDBSServer(accuracy=tracker)
     for site in (left, right):
@@ -193,8 +188,8 @@ def run_drift_detection(
         for _ in range(rounds):
             index = len(result.rounds)
             before = len(tracker.drift_events)
-            left.environment.advance(gap_seconds)
-            right.environment.advance(gap_seconds)
+            left.environment.advance(GAP_SECONDS)
+            right.environment.advance(GAP_SECONDS)
             server.execute(round_query(left.name, right.name, TABLES, rng))
             if maintain:
                 server.maintain()
@@ -213,15 +208,15 @@ def run_drift_detection(
             )
 
     # Phase 1+2: baseline under the calm load, detection armed.
-    run_phase("baseline", baseline_rounds, maintain=True)
+    run_phase("baseline", BASELINE_ROUNDS, maintain=True)
     result.baseline = tracker.stats(left.name, watched)
 
     # Phase 3: the regime shift, detection armed -> targeted rebuilds.
     left.load_builder.constant(SHIFTED_LEVEL)
-    run_phase("shifted", shifted_rounds, maintain=True)
+    run_phase("shifted", SHIFTED_ROUNDS, maintain=True)
 
     # Phase 4: keep serving the shifted load on the rebuilt models.
-    run_phase("recovery", recovery_rounds, maintain=True)
+    run_phase("recovery", RECOVERY_ROUNDS, maintain=True)
     result.recovered = tracker.stats(left.name, watched)
 
     registry = server.catalog.registry
@@ -244,7 +239,7 @@ def run_drift_detection(
             ).version))
             registry.activate(site_name, label, 1)
     tracker.reset()
-    run_phase("stale", stale_rounds, maintain=False)
+    run_phase("stale", STALE_ROUNDS, maintain=False)
     result.stale = tracker.stats(left.name, watched)
     for site_name, label, version in restored:
         registry.activate(site_name, label, version)

@@ -341,7 +341,6 @@ def run_model_race(
     shifted_rounds: int = 14,
     queries_per_round: int = 3,
     gap_seconds: float = 600.0,
-    strategies: tuple[str, ...] = RACE_STRATEGIES,
 ) -> ModelRaceResult:
     """Train once, then run every form over the identical ladder."""
     config = config or ExperimentConfig()
@@ -357,7 +356,7 @@ def run_model_race(
         queries_per_round=queries_per_round,
         floor_pct=FLOOR_PCT,
     )
-    for strategy in strategies:
+    for strategy in RACE_STRATEGIES:
         result.runs.append(
             _run_strategy(
                 strategy,

@@ -28,6 +28,9 @@ from ..workload.scenarios import make_site
 from .config import ExperimentConfig
 from .report import format_table
 
+#: (statistics snapshot, observed probing cost) pairs eq. (2) is fitted on.
+CALIBRATION_SAMPLES = 80
+
 
 @dataclass
 class ProbingEstimationResult:
@@ -45,7 +48,6 @@ def run_probing_estimation(
     config: ExperimentConfig | None = None,
     profile: DBMSProfile = ORACLE_LIKE,
     query_class: QueryClass = G1,
-    calibration_samples: int = 80,
 ) -> ProbingEstimationResult:
     config = config or ExperimentConfig()
     site = make_site(
@@ -60,7 +62,7 @@ def run_probing_estimation(
     # Calibrate eq. (2) on (statistics snapshot, observed probe cost) pairs.
     estimator = ProbingCostEstimator()
     monitor = EnvironmentMonitor(site.environment)
-    estimator.calibrate(builder.probe, monitor, samples=calibration_samples)
+    estimator.calibrate(builder.probe, monitor, samples=CALIBRATION_SAMPLES)
 
     # Train the multi-states model as usual (observed probing costs).
     train = builder.collect(

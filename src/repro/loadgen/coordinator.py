@@ -51,9 +51,6 @@ class LoadGenConfig:
     scenario_mix: tuple[str, ...] = SCENARIO_KINDS
     faults: FaultSchedule = field(default_factory=FaultSchedule)
     queries_per_round: int = 3
-    #: Recovery criterion fed to the drift-loop measurement.
-    recover_floor_pct: float = 50.0
-    recover_min_samples: int = 3
     #: Record every served request's span tree in each shard.  Spans
     #: clock on simulated time with shard-local ids, so the merged trace
     #: is byte-identical at any worker count.
@@ -139,12 +136,7 @@ class LoadGenReport:
 
     def aggregate(self) -> dict:
         """The deterministic cross-shard payload (worker-count invariant)."""
-        return aggregate_reports(
-            self.shard_reports,
-            self.config.gap_seconds,
-            floor_pct=self.config.recover_floor_pct,
-            min_samples=self.config.recover_min_samples,
-        )
+        return aggregate_reports(self.shard_reports, self.config.gap_seconds)
 
     def deterministic_payload(self) -> str:
         return deterministic_json(self.aggregate())

@@ -24,6 +24,11 @@ from ..obs.quality import merge_accuracy_snapshots
 #: Aggregate-payload schema version.
 REPORT_SCHEMA_VERSION = 1
 
+#: Recovery criterion of the drift loop: the watched class's window holds
+#: at least RECOVER_MIN_SAMPLES samples, RECOVER_FLOOR_PCT % or more good.
+RECOVER_FLOOR_PCT = 50.0
+RECOVER_MIN_SAMPLES = 3
+
 
 def _field(record, name, default=None):
     """Read *name* from a RoundRecord or its asdict() form."""
@@ -85,17 +90,13 @@ class DriftLoopStats:
         }
 
 
-def measure_drift_loop(
-    rounds,
-    gap_seconds: float,
-    floor_pct: float = 50.0,
-    min_samples: int = 3,
-) -> DriftLoopStats:
+def measure_drift_loop(rounds, gap_seconds: float) -> DriftLoopStats:
     """Extract one shard's drift-loop timeline from its round records.
 
     Recovery means the watched class's *post-rebuild* accuracy window
     (the server resets it at each drift rebuild) holds at least
-    *min_samples* samples with the good fraction at/above *floor_pct*,
+    :data:`RECOVER_MIN_SAMPLES` samples with the good fraction at/above
+    :data:`RECOVER_FLOOR_PCT`,
     at a round no earlier than detection and no earlier than the clear
     (disturbances that never clear — regime shifts — anchor recovery at
     detection instead: the rebuilt model must be good *under* the new
@@ -130,8 +131,8 @@ def measure_drift_loop(
             if index < anchor:
                 continue
             if (
-                _field(record, "samples", 0) >= min_samples
-                and _field(record, "good_pct", 0.0) >= floor_pct
+                _field(record, "samples", 0) >= RECOVER_MIN_SAMPLES
+                and _field(record, "good_pct", 0.0) >= RECOVER_FLOOR_PCT
             ):
                 recover = index
                 break
@@ -151,12 +152,7 @@ def percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[min(len(sorted_values) - 1, int(q * len(sorted_values)))]
 
 
-def aggregate_reports(
-    reports,
-    gap_seconds: float,
-    floor_pct: float = 50.0,
-    min_samples: int = 3,
-) -> dict:
+def aggregate_reports(reports, gap_seconds: float) -> dict:
     """Merge shard reports (sorted by index) into one deterministic dict.
 
     Only simulated facts enter: counts, simulated latencies, drift
@@ -178,9 +174,7 @@ def aggregate_reports(
             plan_cache[key] += report.plan_cache.get(key, 0)
     drift_loops = {}
     for report in reports:
-        stats = measure_drift_loop(
-            report.rounds, gap_seconds, floor_pct, min_samples
-        )
+        stats = measure_drift_loop(report.rounds, gap_seconds)
         if stats.onset_round is not None:
             drift_loops[str(report.index)] = stats.to_dict()
     return {

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.classification import QueryClass, class_by_label
+from ..core.classification import G3, QueryClass
 from ..core.model import MultiStateCostModel
 from ..engine.predicate import Comparison, extract_key_range
 from ..engine.query import SelectQuery
@@ -268,19 +268,15 @@ class GlobalQueryOptimizer:
         )
 
     def estimate_join(
-        self,
-        site: str,
-        values: dict[str, float],
-        probing_cost: float | None,
-        join_class_label: str = "G3",
+        self, site: str, values: dict[str, float], probing_cost: float | None
     ) -> CostEstimate:
-        """Estimated cost of an intermediate-by-intermediate join at *site*."""
-        model = self._model_for(site, class_by_label(join_class_label))
+        """Estimated cost of an intermediate-by-intermediate (G3) join at *site*."""
+        model = self._model_for(site, G3)
         state = state_for_reading(model, probing_cost)
         return CostEstimate(
-            f"join at {site} ({join_class_label}, s{state})",
+            f"join at {site} ({G3.label}, s{state})",
             max(0.0, model.predict_in_state(values, state)),
-            join_class_label,
+            G3.label,
             state,
             site,
             values=values,

@@ -67,16 +67,16 @@ INDEXED_COLUMN = "a1"
 JOIN_COLUMN = "a4"
 CLUSTERED_COLUMN = "a2"
 
+#: Draws per requested query before the generator gives up on a class.
+MAX_ATTEMPTS = 200
+
 
 class QueryGenerator:
     """Draws random queries of a requested class from one local database."""
 
-    def __init__(
-        self, database: LocalDatabase, seed: int = 0, max_attempts: int = 200
-    ) -> None:
+    def __init__(self, database: LocalDatabase, seed: int = 0) -> None:
         self.database = database
         self.rng = np.random.default_rng(seed)
-        self.max_attempts = max_attempts
 
     # -- public API --------------------------------------------------------
 
@@ -132,13 +132,13 @@ class QueryGenerator:
         return tables
 
     def _rejection_sample(self, maker, pool, query_class) -> Query:
-        for _ in range(self.max_attempts):
+        for _ in range(MAX_ATTEMPTS):
             query = maker(pool)
             if classify(self.database, query) == query_class:
                 return query
         raise GenerationError(
             f"could not generate a {query_class.label} query in "
-            f"{self.max_attempts} attempts"
+            f"{MAX_ATTEMPTS} attempts"
         )
 
     def _pick_table(self, pool: list[Table]) -> Table:

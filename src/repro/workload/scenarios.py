@@ -42,20 +42,17 @@ SCENARIO_CALM_RANGE = (0.0, 0.45)
 #: Where the ``regime_shift`` scenario pins contention: outside every
 #: calm-derived [Cmin, Cmax] range, so the drift loop must react.
 SCENARIO_SHIFTED_LEVEL = 0.9
+#: Share of a shard's rounds served before ``regime_shift`` leaves the calm regime.
+SCENARIO_SHIFT_FRACTION = 1.0 / 3.0
 
 
-def scenario_shift_round(total_rounds: int, fraction: float = 1.0 / 3.0) -> int:
+def scenario_shift_round(total_rounds: int) -> int:
     """The served round at which ``regime_shift`` leaves the calm regime."""
-    return max(1, int(total_rounds * fraction))
+    return max(1, int(total_rounds * SCENARIO_SHIFT_FRACTION))
 
 
 def install_scenario_trace(
-    load_builder: LoadBuilder,
-    kind: str,
-    round_index: int,
-    total_rounds: int,
-    calm: tuple[float, float] = SCENARIO_CALM_RANGE,
-    shifted_level: float = SCENARIO_SHIFTED_LEVEL,
+    load_builder: LoadBuilder, kind: str, round_index: int, total_rounds: int
 ) -> bool:
     """Install the contention trace *kind* prescribes at *round_index*.
 
@@ -68,7 +65,7 @@ def install_scenario_trace(
     against).
     """
     if kind == "calm":
-        load_builder.uniform(*calm)
+        load_builder.uniform(*SCENARIO_CALM_RANGE)
         return False
     if kind == "random_walk":
         load_builder.random_walk(step=0.08, start=0.35)
@@ -78,9 +75,9 @@ def install_scenario_trace(
         return False
     if kind == "regime_shift":
         if round_index >= scenario_shift_round(total_rounds):
-            load_builder.constant(shifted_level)
+            load_builder.constant(SCENARIO_SHIFTED_LEVEL)
             return True
-        load_builder.uniform(*calm)
+        load_builder.uniform(*SCENARIO_CALM_RANGE)
         return False
     raise ValueError(
         f"unknown scenario kind {kind!r}; pick from {SCENARIO_KINDS}"

@@ -7,7 +7,6 @@ from repro.core.classification import (
     G1,
     G2,
     G3,
-    class_by_label,
     class_for_method,
     classify,
 )
@@ -22,9 +21,9 @@ class TestRegistry:
         assert len(set(labels)) == len(labels)
 
     def test_paper_classes_present(self):
-        assert class_by_label("G1").access_method == "seq_scan"
-        assert class_by_label("G2").access_method == "nonclustered_index_scan"
-        assert class_by_label("G3").access_method == "hash_join"
+        assert G1.access_method == "seq_scan"
+        assert G2.access_method == "nonclustered_index_scan"
+        assert G3.access_method == "hash_join"
 
     def test_class_for_method(self):
         assert class_for_method("unary", "seq_scan") is G1
@@ -33,8 +32,6 @@ class TestRegistry:
     def test_unknown_lookups_rejected(self):
         with pytest.raises(KeyError):
             class_for_method("unary", "warp_drive")
-        with pytest.raises(KeyError):
-            class_by_label("G99")
 
     def test_variables_by_family(self):
         assert G1.variables is UNARY_VARIABLES

@@ -150,7 +150,7 @@ def _drop_index(db, arg):
 
 
 def _analyze(db, arg):
-    db.analyze(build_histograms=True)
+    db.analyze()
 
 
 def _drop(db, arg):
@@ -176,7 +176,7 @@ def _fork(db, arg):
     db.catalog.fork_into(fork.catalog)
     fork.insert("t1", (1, 2, 3))
     fork.create_index("fork_c", "t1", "c")
-    fork.analyze(build_histograms=True)
+    fork.analyze()
 
 
 def _advance(db, arg):

@@ -71,14 +71,6 @@ class TestObservationHelpers:
     def make_obs(self, cost=1.0, probing=0.1, **values):
         return Observation(cost=cost, probing_cost=probing, values=values)
 
-    def test_vector_order(self):
-        obs = self.make_obs(no=1.0, nr=2.0)
-        assert obs.vector(("nr", "no")) == [2.0, 1.0]
-
-    def test_vector_missing_variable(self):
-        with pytest.raises(KeyError):
-            self.make_obs(no=1.0).vector(("nr",))
-
     def test_probing_costs(self):
         observations = [self.make_obs(cost=float(i), no=float(i)) for i in range(3)]
         assert probing_costs(observations) == [0.1, 0.1, 0.1]

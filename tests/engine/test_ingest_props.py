@@ -16,7 +16,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.errors import EngineError
-from repro.engine.histogram import EquiDepthHistogram
 from repro.engine.index import Index, IndexKind
 from repro.engine.pages import PageLayout
 from repro.engine.schema import Column, ColumnStatistics, TableSchema
@@ -166,9 +165,8 @@ def test_from_values_equals_one_pass_scan(values, container):
         ),
         max_size=40,
     ),
-    buckets=st.integers(1, 6),
 )
-def test_analyze_equals_per_column_scan(rows, buckets):
+def test_analyze_equals_per_column_scan(rows):
     schema = TableSchema(
         "t",
         [
@@ -179,7 +177,7 @@ def test_analyze_equals_per_column_scan(rows, buckets):
     )
     table = Table(schema)
     table.bulk_load(rows)
-    stats = table.analyze(build_histograms=True, histogram_buckets=buckets)
+    stats = table.analyze()
     assert stats.cardinality == len(rows)
     for pos, column in enumerate(schema.columns):
         values = [row[pos] for row in rows]
@@ -187,17 +185,11 @@ def test_analyze_equals_per_column_scan(rows, buckets):
         assert (got.minimum, got.maximum, got.distinct_count) == one_pass_statistics(
             values
         )
-        if rows and column.dtype is not DataType.STR:
-            assert got.histogram == EquiDepthHistogram.build(values, buckets)
-            assert got.histogram is table.histogram_for(column.name, buckets)
-        else:
-            assert got.histogram is None
         assert table.column_values(column.name) == values
         assert table.column_array(column.name).tolist() == values
 
 
-#: Mutation scripts over one three-column table: the last analyze's
-#: histogram setting is what a lazy read must reproduce.
+#: Mutation scripts over one three-column table.
 int_rows = st.lists(st.tuples(*[st.integers(-3, 3)] * 3), max_size=6)
 table_ops = st.lists(
     st.one_of(
@@ -205,7 +197,7 @@ table_ops = st.lists(
         st.tuples(st.just("bulk_load"), int_rows),
         st.tuples(st.just("cluster_on"), st.sampled_from(["a", "b", "c"])),
         st.tuples(st.just("fork")),
-        st.tuples(st.just("analyze"), st.booleans(), st.integers(1, 4)),
+        st.tuples(st.just("analyze")),
         st.tuples(st.just("read"), st.sampled_from(["a", "b", "c"])),
     ),
     max_size=12,
@@ -222,13 +214,10 @@ def test_lazy_statistics_equal_from_values_after_any_mutations(ops):
     schema = TableSchema("t", [Column(name, DataType.INT) for name in "abc"])
     table = Table(schema)
     table.bulk_load([(1, 2, 3), (3, 2, 1)])
-    config = (False, 16)  # what Table.statistics analyzes with
 
-    def expected(table, build_histograms, buckets):
+    def expected(table):
         return {
-            name: ColumnStatistics.from_values(
-                table.column_values(name), build_histogram=build_histograms, buckets=buckets
-            )
+            name: ColumnStatistics.from_values(table.column_values(name))
             for name in schema.column_names
         }
 
@@ -236,23 +225,19 @@ def test_lazy_statistics_equal_from_values_after_any_mutations(ops):
     for kind, *args in ops:
         if kind == "insert":
             table.insert(args[0])
-            config = (False, 16)
         elif kind == "bulk_load":
             table.bulk_load(args[0])
-            config = (False, 16)
         elif kind == "cluster_on":
             table.cluster_on(args[0])
-            config = (False, 16)
         elif kind == "fork":
             table = table.fork()
         elif kind == "analyze":
-            config = tuple(args)
-            held.append((table.analyze(*config), expected(table, *config)))
+            held.append((table.analyze(), expected(table)))
         else:
             table.statistics.column(args[0])  # leave the other columns unread
     stats = table.statistics
     assert stats.cardinality == table.cardinality
-    assert dict(stats.columns) == expected(table, *config)
+    assert dict(stats.columns) == expected(table)
     for old, at_analyze in held:
         assert dict(old.columns) == at_analyze
 
@@ -315,7 +300,6 @@ def index_shape(table: Table, column: str, kind: IndexKind) -> tuple:
     rows=columnar_rows,
     key=st.sampled_from([None, "i", "f", "j"]),
     cached=st.sets(st.sampled_from(COLUMNAR.column_names)),
-    buckets=st.integers(1, 5),
     indexed=st.sampled_from(COLUMNAR.column_names),
     one_nan=st.booleans(),
 )
@@ -323,7 +307,6 @@ def index_shape(table: Table, column: str, kind: IndexKind) -> tuple:
     rows=[(1, float("nan"), 5), (0, 1.0, 4), (1, -0.0, 3), (0, 0.0, 2)] * 6,
     key="f",
     cached=set(),
-    buckets=2,
     indexed="i",
     one_nan=True,
 )
@@ -331,7 +314,6 @@ def index_shape(table: Table, column: str, kind: IndexKind) -> tuple:
     rows=[(0, float("nan"), 7), (1, 2.0, 6), (0, float("nan"), 5), (1, 2.0, 4)] * 5,
     key=None,
     cached=set(),
-    buckets=2,
     indexed="f",
     one_nan=True,
 )
@@ -339,13 +321,10 @@ def index_shape(table: Table, column: str, kind: IndexKind) -> tuple:
     rows=[(pos % 3, 0.0, pos) for pos in range(40)],
     key="i",
     cached={"j"},
-    buckets=3,
     indexed="j",
     one_nan=False,
 )
-def test_a_table_loaded_by_column_equals_one_loaded_by_rows(
-    rows, key, cached, buckets, indexed, one_nan
-):
+def test_a_table_loaded_by_column_equals_one_loaded_by_rows(rows, key, cached, indexed, one_nan):
     """Same content, two views: every reader agrees, before and after
     ``cluster_on``, and clustering the column-only table builds no rows.
 
@@ -366,7 +345,7 @@ def test_a_table_loaded_by_column_equals_one_loaded_by_rows(
     for name in cached:  # arrays a row table already holds are permuted too
         by_rows.column_array(name)
     tables = (by_rows, by_columns)
-    held = [table.analyze(build_histograms=True, histogram_buckets=buckets) for table in tables]
+    held = [table.analyze() for table in tables]
 
     expected = list(rows)
     if key is not None:
@@ -385,7 +364,7 @@ def test_a_table_loaded_by_column_equals_one_loaded_by_rows(
         assert typed([array.tolist() for array in arrays]) == typed(expected_columns)
     # Statistics held from before the clustering, and fresh ones after it.
     assert repr(dict(held[0].columns)) == repr(dict(held[1].columns))
-    fresh = [table.analyze(build_histograms=True, histogram_buckets=buckets) for table in tables]
+    fresh = [table.analyze() for table in tables]
     assert repr(dict(fresh[0].columns)) == repr(dict(fresh[1].columns))
     assert index_shape(by_rows, indexed, IndexKind.NONCLUSTERED) == (
         index_shape(by_columns, indexed, IndexKind.NONCLUSTERED)

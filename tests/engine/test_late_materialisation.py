@@ -168,16 +168,15 @@ class TestColumnArraysAreImmutable:
 
 
 class TestForksShareColumnArrays:
-    def test_forks_share_arrays_and_histograms_until_they_mutate(self):
+    def test_forks_share_arrays_until_they_mutate(self):
         template = database(
             t=([Column("a", INT), Column("b", INT)], [(1, 10), (2, 20)])
         ).catalog.table("t")
         first, second = template.fork(), template.fork()
-        # Whichever side builds an array or a histogram builds it for all.
+        # Whichever side builds an array builds it for all.
         array = first.column_array("a")
         assert second.column_array("a") is array
         assert template.column_array("a") is array
-        assert second.histogram_for("b") is first.histogram_for("b")
 
         first.insert((3, 30))
         assert first.column_array("a").tolist() == [1, 2, 3]

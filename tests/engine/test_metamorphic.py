@@ -11,7 +11,7 @@ pooled site, and all of those must agree before a relation is checked:
   its rows with ``a>=k``;
 * ``R ⋈ S`` returns the rows of ``S ⋈ R`` with the two halves swapped;
 * estimated selectivity is monotone in the constant for ``<``, ``<=``,
-  ``>`` and ``>=``, with and without equi-depth histograms;
+  ``>`` and ``>=``;
 * a conjunction's estimated selectivity is no more than either conjunct's.
 """
 
@@ -22,7 +22,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.database import LocalDatabase
 from repro.engine.predicate import And, Comparison
 from repro.engine.query import JoinQuery, SelectQuery
 from repro.workload import make_site
@@ -46,14 +45,8 @@ def sites():
 
 @pytest.fixture(scope="module")
 def statistics(sites):
-    """{"uniform" | "histogram": {table: its statistics}}."""
-    with_histograms = LocalDatabase("meta_histograms")
-    sites[0].catalog.fork_into(with_histograms.catalog)
-    with_histograms.analyze(build_histograms=True)
-    return {
-        kind: {table.name: table.statistics for table in db.catalog.tables()}
-        for kind, db in (("uniform", sites[0]), ("histogram", with_histograms))
-    }
+    """{table: its statistics}."""
+    return {table.name: table.statistics for table in sites[0].catalog.tables()}
 
 
 def every_result(sites, query):
@@ -157,28 +150,24 @@ def test_a_commuted_join_returns_the_rows_with_their_halves_swapped(
 
 
 def constants(column_stats) -> list[float]:
-    """A sweep past both ends of the column, plus both sides of each histogram
-    boundary when there is one."""
+    """A sweep past both ends of the column, plus both sides of each end."""
     lo, hi = column_stats.minimum, column_stats.maximum
     grid = np.linspace(lo - 3, hi + 3, 97).tolist()
-    edges = column_stats.histogram.boundaries if column_stats.histogram else (lo, hi)
-    grid += [edge + delta for edge in edges for delta in (-1, -0.5, 0, 0.5, 1)]
+    grid += [edge + delta for edge in (lo, hi) for delta in (-1, -0.5, 0, 0.5, 1)]
     return sorted(set(grid) | {int(v) for v in grid})
 
 
-@pytest.mark.parametrize("kind", ["uniform", "histogram"])
-def test_range_selectivity_is_monotone_in_the_constant(statistics, kind):
+def test_range_selectivity_is_monotone_in_the_constant(statistics):
     swept = 0
-    for table, stats in statistics[kind].items():
+    for table, stats in statistics.items():
         for column in COLUMN_NAMES:
             column_stats = stats.column(column)
-            assert (column_stats.histogram is not None) == (kind == "histogram")
             points = constants(column_stats)
             for op, direction in (("<", 1), ("<=", 1), (">", -1), (">=", -1)):
                 estimates = [Comparison(column, op, k).selectivity(stats) for k in points]
                 steps = np.diff(estimates) * direction
                 assert (steps >= 0).all(), (
-                    f"{kind} {table}.{column} {op}: falls at "
+                    f"{table}.{column} {op}: falls at "
                     f"{points[int(np.argmin(steps)) + 1]}"
                 )
                 assert 0.0 <= min(estimates) and max(estimates) <= 1.0
@@ -191,12 +180,9 @@ def test_range_selectivity_is_monotone_in_the_constant(statistics, kind):
     table=st.sampled_from(TABLES),
     left=predicates,
     right=predicates,
-    kind=st.sampled_from(("uniform", "histogram")),
 )
-def test_a_conjunction_is_no_more_selective_than_either_conjunct(
-    statistics, table, left, right, kind
-):
-    stats = statistics[kind][table]
+def test_a_conjunction_is_no_more_selective_than_either_conjunct(statistics, table, left, right):
+    stats = statistics[table]
     both = And(left, right).selectivity(stats)
     assert both <= left.selectivity(stats)
     assert both <= right.selectivity(stats)

@@ -83,11 +83,6 @@ class TestTableSchema:
         with pytest.raises(SchemaError):
             schema.validate_row([1, 2.5])
 
-    def test_project(self, schema):
-        projected = schema.project(["c", "a"])
-        assert projected.column_names == ("c", "a")
-        assert projected.tuple_length == 28
-
     def test_duplicate_columns_rejected(self):
         with pytest.raises(SchemaError):
             TableSchema("t", [Column("a", DataType.INT), Column("a", DataType.INT)])

@@ -46,14 +46,12 @@ class TestTableBasics:
         table.bulk_load([(1, 10), (2, 20)])
         stats = table.statistics
         array = table.column_array("a")
-        histogram = table.histogram_for("a", 4)
         with pytest.raises(error):
             table.bulk_load([(7, 70), bad_row, (8, 80)])
         assert table.cardinality == 2
         assert list(table) == [(1, 10), (2, 20)]
         assert table.statistics is stats
         assert table.column_array("a") is array
-        assert table.histogram_for("a", 4) is histogram
 
     def test_bulk_load_consumes_a_generator_once(self):
         table = simple_table()

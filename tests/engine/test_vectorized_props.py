@@ -9,8 +9,7 @@ tests run each case as the data picks and again under
 the fallback, and require the same rows — value **and Python type**, in
 the same order — the same metrics and the same access facts, for all
 three scans and all four join methods, on tables loaded by row and on
-tables loaded by column.  The one histogram build is held to a
-row-at-a-time reference the same way.
+tables loaded by column.
 
 The strategies aim at the places where numpy and Python disagree:
 strings with a trailing NUL or whitespace, ``-0.0`` / ``inf`` / ``nan``,
@@ -29,7 +28,6 @@ from repro.engine.access import (
     nonclustered_index_scan,
     seq_scan,
 )
-from repro.engine.histogram import EquiDepthHistogram
 from repro.engine.index import Index, IndexKind
 from repro.engine.joins import (
     _match_pairs,
@@ -46,7 +44,7 @@ from repro.engine.schema import Column, TableSchema
 from repro.engine.table import Table
 from repro.engine.types import DataType
 
-from .kernels import reference_histogram, row_at_a_time
+from .kernels import row_at_a_time
 
 # -- values ------------------------------------------------------------------
 
@@ -417,33 +415,6 @@ class TestColumnBornTables:
         by_column = make_table("t", rows, by_column=True, columns=COLUMNS)
         assert by_column._rows is not None  # STR column: validated row by row
         assert typed(by_column.rows()) == typed(by_row.rows())
-
-
-# -- histograms --------------------------------------------------------------
-
-hist_values = st.lists(
-    st.integers(-1000, 1000).map(float) | st.integers(-1000, 1000), min_size=1, max_size=200
-)
-
-
-class TestHistogramEquivalence:
-    @settings(max_examples=120, deadline=None)
-    @given(values=hist_values, num_buckets=st.integers(1, 12))
-    def test_build_identical(self, values, num_buckets):
-        built = EquiDepthHistogram.build(values, num_buckets)
-        assert built == reference_histogram(values, num_buckets)
-
-    def test_edge_shapes_identical(self):
-        for values in [[5], [3.0] * 50, list(range(7)), [1, 1, 2, 2, 2, 9]]:
-            assert EquiDepthHistogram.build(values, 4) == reference_histogram(values, 4)
-
-    @settings(max_examples=60, deadline=None)
-    @given(values=hist_values, probe=st.integers(-1100, 1100))
-    def test_estimates_identical(self, values, probe):
-        built = EquiDepthHistogram.build(values, 8)
-        reference = reference_histogram(values, 8)
-        assert built.estimate_le(probe) == reference.estimate_le(probe)
-        assert built.estimate_eq(probe) == reference.estimate_eq(probe)
 
 
 class TestRowAtATime:

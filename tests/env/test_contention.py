@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.env.contention import (
     ClusteredContention,
@@ -132,17 +130,6 @@ class TestSlowdownModel:
     def test_out_of_range_level_rejected(self):
         with pytest.raises(ValueError):
             SlowdownModel().slowdown(1.2)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.floats(0.0, 1.0))
-    def test_property_inverse_roundtrip(self, level):
-        model = SlowdownModel()
-        recovered = model.level_for_slowdown(model.slowdown(level))
-        assert recovered == pytest.approx(level, abs=1e-9)
-
-    def test_linear_only_inverse(self):
-        model = SlowdownModel(linear=5.0, quadratic=0.0)
-        assert model.level_for_slowdown(model.slowdown(0.4)) == pytest.approx(0.4)
 
 
 class TestProcessMapping:

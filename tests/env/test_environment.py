@@ -40,10 +40,6 @@ class TestEnvironment:
         assert env.level() == 0.6
         assert env.slowdown() > 1.0
 
-    def test_concurrent_processes_in_range(self):
-        env = Environment(trace=ConstantContention(0.5))
-        assert 50 <= env.concurrent_processes() <= 130
-
     def test_snapshot_reflects_level(self):
         low = Environment(trace=ConstantContention(0.0)).snapshot()
         high = Environment(trace=ConstantContention(1.0)).snapshot()
@@ -55,13 +51,6 @@ class TestLoadBuilder:
         env = static_environment()
         LoadBuilder(env).constant(0.8)
         assert env.level() == 0.8
-
-    def test_idle_removes_load(self):
-        env = static_environment()
-        builder = LoadBuilder(env)
-        builder.constant(0.8)
-        builder.idle()
-        assert env.level() == 0.0
 
     def test_uniform_installs_uniform_trace(self):
         env = static_environment()
@@ -98,14 +87,6 @@ class TestMonitor:
 
 
 class TestMonitorProcessView:
-    def test_process_table_reflects_level(self):
-        env = Environment(trace=ConstantContention(0.8))
-        monitor = EnvironmentMonitor(env)
-        heavy = monitor.process_table()
-        env.trace = ConstantContention(0.0)
-        light = monitor.process_table()
-        assert len(heavy) > len(light)
-
     def test_top_renders(self):
         env = Environment(trace=ConstantContention(0.5))
         text = EnvironmentMonitor(env).top(n=5)

@@ -1,5 +1,7 @@
 """Unit tests for the system-statistics simulator (Table 1 fields)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,7 +53,8 @@ class TestSnapshotFields:
             assert hasattr(snap, field)
 
     def test_major_parameters_are_real_fields(self):
-        assert set(MAJOR_CONTENTION_PARAMETERS) <= set(SystemStatistics.field_names())
+        names = {field.name for field in dataclasses.fields(SystemStatistics)}
+        assert set(MAJOR_CONTENTION_PARAMETERS) <= names
 
     def test_cpu_percentages_sum_to_100(self, model):
         snap = model.snapshot(0.3)

@@ -10,8 +10,10 @@ outcome: a significant multi-states model that beats its one-state twin.
 
 import pytest
 
-from repro.core import CostModelBuilder, class_by_label, validate_model
+from repro.core import ALL_CLASSES, CostModelBuilder, validate_model
 from repro.workload import make_site
+
+BY_LABEL = {query_class.label: query_class for query_class in ALL_CLASSES}
 
 CLASS_CASES = [
     ("GC", 110, None),
@@ -27,7 +29,7 @@ def coverage_site():
 
 @pytest.mark.parametrize("label,count,tables", CLASS_CASES)
 def test_full_pipeline_for_class(coverage_site, label, count, tables):
-    query_class = class_by_label(label)
+    query_class = BY_LABEL[label]
     builder = CostModelBuilder(coverage_site.database)
     train = builder.collect(
         coverage_site.generator.queries_for(query_class, count, tables=tables)
@@ -55,7 +57,7 @@ def test_sampled_plans_match_class_method(coverage_site):
     class's access method (homogeneity of the sample)."""
     builder = CostModelBuilder(coverage_site.database)
     for label, count, tables in CLASS_CASES:
-        query_class = class_by_label(label)
+        query_class = BY_LABEL[label]
         queries = coverage_site.generator.queries_for(
             query_class, 6, tables=tables
         )

@@ -46,7 +46,7 @@ class TestMeasureDriftLoop:
             ([], False, 0, 4, 85.0),                  # back in the band
             GOOD,
         ]
-        stats = measure_drift_loop(rounds_from(spec), GAP, min_samples=3)
+        stats = measure_drift_loop(rounds_from(spec), GAP)
         assert stats.onset_round == 2
         assert stats.detect_round == 3
         assert stats.cleared_round == 5
@@ -68,7 +68,7 @@ class TestMeasureDriftLoop:
             ([], False, 1, 0, 0.0),                   # late rebuild event
             ([], False, 0, 5, 90.0),
         ]
-        stats = measure_drift_loop(rounds_from(spec), GAP, min_samples=3)
+        stats = measure_drift_loop(rounds_from(spec), GAP)
         assert stats.detect_round == 2
         assert stats.cleared_round == 3
         assert stats.recover_round == 5
@@ -82,7 +82,7 @@ class TestMeasureDriftLoop:
             BAD,
             ([], False, 0, 6, 75.0),
         ]
-        stats = measure_drift_loop(rounds_from(spec), GAP, min_samples=3)
+        stats = measure_drift_loop(rounds_from(spec), GAP)
         assert stats.onset_round == 1
         assert stats.detect_round == 2
         assert stats.cleared_round is None
@@ -94,7 +94,7 @@ class TestMeasureDriftLoop:
             (["slowdown:cleared"], False, 0, 2, 100.0),  # window too thin
             ([], False, 0, 3, 100.0),
         ]
-        stats = measure_drift_loop(rounds_from(spec), GAP, min_samples=3)
+        stats = measure_drift_loop(rounds_from(spec), GAP)
         assert stats.recover_round == 2
 
     def test_detection_without_recovery(self):
@@ -130,7 +130,7 @@ class TestMeasureDriftLoop:
                 good_pct=80.0,
             ),
         ]
-        stats = measure_drift_loop(rounds, GAP, min_samples=3)
+        stats = measure_drift_loop(rounds, GAP)
         assert (stats.onset_round, stats.detect_round) == (1, 1)
         assert stats.recover_round == 2
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.classification import class_by_label, classify
+from repro.core.classification import G3, classify
 from repro.engine.predicate import Comparison
 from repro.engine.query import SelectQuery
 from repro.mdbs.catalog import GlobalCatalog
@@ -142,7 +142,7 @@ class TestClassFallback:
         optimizer = GlobalQueryOptimizer(catalog, server.agents, server.network)
         # Only a unary model exists; a join-family class has no stand-in.
         with pytest.raises(CostModelRegistryError):
-            optimizer._model_for("oracle_site", class_by_label("G3"))
+            optimizer._model_for("oracle_site", G3)
 
 
 class TestEstimatedProbingPath:

@@ -101,7 +101,7 @@ def digest(catalog) -> list:
                 table.clustered_on,
                 stats.cardinality,
                 {
-                    name: (c.minimum, c.maximum, c.distinct_count, c.histogram)
+                    name: (c.minimum, c.maximum, c.distinct_count)
                     for name, c in stats.columns.items()
                 },
                 indexes,

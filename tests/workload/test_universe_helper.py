@@ -11,6 +11,7 @@ output.
 
 from repro.core.classification import G1, G3
 from repro.engine.profiles import DB2_LIKE, ORACLE_LIKE
+from repro.env.contention import level_to_processes
 from repro.workload.scenarios import make_site, make_two_site_universe
 
 SCALE = 0.01
@@ -55,7 +56,7 @@ def site_fingerprint(site, steps=12, gap=600.0):
     for _ in range(steps):
         site.environment.advance(gap)
         trace.append(
-            (site.environment.level(), site.environment.concurrent_processes())
+            (site.environment.level(), level_to_processes(site.environment.level()))
         )
     return {
         "name": site.name,
