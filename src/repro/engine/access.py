@@ -119,12 +119,11 @@ def seq_scan(
 
 
 def _filter_row_ids(
-    table: Table, row_ids: list[int], residual: Predicate, metrics: ExecutionMetrics
+    table: Table, row_ids: np.ndarray, residual: Predicate, metrics: ExecutionMetrics
 ) -> np.ndarray:
     """The fetched row ids that pass the residual, charged per fetched id."""
     metrics.tuples_evaluated += len(row_ids)
-    ids = np.asarray(row_ids, dtype=np.intp)
-    return ids[selection_mask(table, residual, ids)]
+    return row_ids[selection_mask(table, residual, row_ids)]
 
 
 def clustered_index_scan(
@@ -163,13 +162,13 @@ def clustered_index_scan(
         charge_random_pages(
             metrics, pool, keys=[base + node for node in index.traversal_path(key_range.low)]
         )
-        if row_ids:
+        if len(row_ids):
             # Clustered rows are physically contiguous: the qualifying
             # pages are exactly the run from the first id's page to the
             # last id's page.
             rows_per_page = table.layout.rows_per_page(table.tuple_length)
-            first = data_page_of(row_ids[0], rows_per_page)
-            last = data_page_of(row_ids[-1], rows_per_page)
+            first = data_page_of(int(row_ids[0]), rows_per_page)
+            last = data_page_of(int(row_ids[-1]), rows_per_page)
             charge_sequential_pages(
                 metrics, pool, table.name, last - first + 1, start_page=first
             )
@@ -223,8 +222,7 @@ def nonclustered_index_scan(
         # One pass: the traversal, then each fetched tuple's data page.
         base = pool.page_space("I", index.name)
         pages = [base + node for node in index.traversal_path(key_range.low)]
-        data_pages = np.asarray(row_ids, dtype=np.int64) // rows_per_page
-        pages += (data_pages + pool.page_space("T", table.name)).tolist()
+        pages += (row_ids // rows_per_page + pool.page_space("T", table.name)).tolist()
         charge_random_pages(metrics, pool, keys=pages)
     metrics.tuples_read = k
 

@@ -223,8 +223,14 @@ class BufferPool:
         return self.stats.hit_rate
 
     def hit_state(self) -> str:
-        """The pool's current qualitative buffer-hit state label."""
-        return hit_state_label(self.hit_rate)
+        """The pool's current qualitative buffer-hit state label.
+
+        Read beside every recorded plan step, so the hit rate is taken
+        from the counters here rather than through :attr:`hit_rate`.
+        """
+        stats = self.stats
+        reads = stats.logical_reads
+        return hit_state_label(stats.hits / reads if reads else 0.0)
 
     def resident_keys(self) -> list[PageKey]:
         """Resident page keys in LRU order (coldest first) — for tests."""

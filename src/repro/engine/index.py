@@ -10,16 +10,26 @@ An index is a B+-tree on one column.  Two kinds exist:
   share a page).  The paper lists the index clustering ratio among the
   occasionally-changing factors; it is measured, not assumed.
 
-The tree is built by inserting each distinct key once, in order of
-first occurrence, with its row ids in row order: node for node the
-tree one insert per row builds, with one descent per distinct key
-instead of one per row.
+The tree is a build-time shape (:mod:`repro.engine.btree`): each
+distinct key inserted once, in order of first occurrence, which fixes
+the height and the node ids a descent visits.  What the index keeps are
+read-only arrays — the sorted distinct keys, the row ids grouped by key
+(each group in row order, ``starts`` marking where each begins), each
+leaf's first key (as a position among the keys) and each leaf's
+root-to-leaf node ids — shared by every fork.
+
+Every read is a ``searchsorted`` over the keys that answers as Python's
+comparison would (:func:`_position`): int64 and float64 keys (a column
+holds no NaN) and object arrays (strings, integers beyond int64) compare
+as Python does, and a bound of the other numeric kind is first replaced
+exactly by the key that splits the keys where it does.
 """
 
 from __future__ import annotations
 
 import copy
 import enum
+import math
 from typing import Any
 
 import numpy as np
@@ -27,6 +37,66 @@ import numpy as np
 from .btree import BPlusTree
 from .errors import CatalogError
 from .table import Table
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _int_split(value: Any, side: str) -> Any:
+    """An integer at which int keys split where they split around *value*."""
+    if isinstance(value, int) or math.isinf(value):
+        return value
+    return math.ceil(value) if side == "left" else math.floor(value)
+
+
+def _float_split(value: Any, side: str) -> float:
+    """A float at which float keys split where they split around *value*.
+
+    An integer float64 cannot hold lies between two adjacent floats; the
+    upper one bounds ``key < value`` and the lower one ``key <= value``.
+    """
+    if isinstance(value, float):
+        return value
+    try:
+        near = float(value)
+    except OverflowError:
+        near = math.copysign(math.inf, value)
+    if side == "left" and near < value:
+        return math.nextafter(near, math.inf)
+    if side == "right" and near > value:
+        return math.nextafter(near, -math.inf)
+    return near
+
+
+def _position(keys: np.ndarray, value: Any, side: str) -> int:
+    """``bisect_left`` / ``bisect_right`` (*side*) of *value* in *keys*,
+    under Python's comparison.
+
+    Object keys compare as Python does.  For int64 and float64 keys,
+    *value* is first replaced exactly by the key-dtype value that splits
+    the keys where it does; an integer beyond int64 splits int keys at
+    an end.
+    """
+    kind = keys.dtype.kind
+    if kind == "i":
+        value = _int_split(value, side)
+        if value > _INT64.max:
+            return len(keys)
+        if value < _INT64.min:
+            return 0
+    elif kind == "f":
+        value = _float_split(value, side)
+    return int(keys.searchsorted(value, side))
+
+
+def _search(keys: np.ndarray, probes: np.ndarray, side: str) -> np.ndarray:
+    """:func:`_position` of each of *probes*, at once where numpy can.
+
+    Probes of the keys' own dtype, and any probes against object keys,
+    compare exactly as Python does; any others go one at a time.
+    """
+    if keys.dtype.kind == "O" or probes.dtype == keys.dtype:
+        return keys.searchsorted(probes, side)
+    return np.array([_position(keys, v, side) for v in probes.tolist()], dtype=np.intp)
 
 
 class IndexKind(enum.Enum):
@@ -37,12 +107,11 @@ class IndexKind(enum.Enum):
 class Index:
     """A single-column B+-tree index.
 
-    Immutable once constructed: the tree is built and frozen and the
-    clustering ratio measured in ``__init__``; nothing edits either
-    afterwards.  A table change is followed by
-    ``LocalDatabase._rebuild_indexes``, which constructs new ``Index``
-    objects — which is what lets :meth:`fork` share the built tree
-    between any number of catalogs.
+    Immutable once constructed: the arrays are built and the clustering
+    ratio measured in ``__init__``; nothing edits either afterwards.  A
+    table change is followed by ``LocalDatabase._rebuild_indexes``, which
+    constructs new ``Index`` objects — which is what lets :meth:`fork`
+    share the arrays between any number of catalogs.
     """
 
     def __init__(
@@ -65,39 +134,43 @@ class Index:
         self.table = table
         self.column_name = column_name
         self.kind = kind
-        self._tree = BPlusTree(order=order)
-        self._build()
+        self._build(table.column_array(column_name), order)
         self._clustering_ratio = self._measure_clustering_ratio()
 
-    def _build(self) -> None:
-        """Group the row ids by key, then insert each group (module
-        docstring).  NaN equals nothing, itself included, so a NaN row is
-        a group of its own, whatever NaN object it holds.
+    def _build(self, column: np.ndarray, order: int) -> None:
+        """Group the row ids by key, then insert each key's rank once,
+        in order of first occurrence, and keep the tree's shape.
+
+        A stable sort groups equal keys with their row ids in row order,
+        so each group's first row id is the key's first occurrence.
+        Strings are kept as Python objects: fixed-width unicode drops a
+        trailing NUL, from a bound as from a column.
         """
-        keys: list[Any] = []
-        groups: list[list[int]] = []
-        by_key: dict[Any, list[int]] = {}
-        for row_id, key in enumerate(self.table.column_values(self.column_name)):
-            row_ids = by_key.get(key)
-            if row_ids is not None:
-                row_ids.append(row_id)
-                continue
-            row_ids = [row_id]
-            keys.append(key)
-            groups.append(row_ids)
-            if key == key:  # a NaN never joins a group
-                by_key[key] = row_ids
-        insert = self._tree.insert
-        for key, row_ids in zip(keys, groups):
-            insert(key, row_ids)
-        self._tree.freeze()
+        row_ids = np.argsort(column, kind="stable")
+        ordered = column[row_ids]
+        new_key = np.ones(len(ordered), dtype=bool)
+        new_key[1:] = ordered[1:] != ordered[:-1]
+        starts = np.flatnonzero(new_key)
+        keys = ordered[starts]
+        tree = BPlusTree(order=order)
+        for rank in np.argsort(row_ids[starts]).tolist():
+            tree.insert(rank)
+        leaf_starts, leaf_paths = tree.leaves()
+        self.height = tree.height
+        self._keys = keys.astype(object) if keys.dtype.kind == "U" else keys
+        self._starts = np.append(starts, len(ordered))
+        self._row_ids = row_ids
+        self._leaf_starts = leaf_starts
+        self._leaf_paths = leaf_paths
+        for array in (self._keys, self._starts, row_ids, leaf_starts, leaf_paths):
+            array.setflags(write=False)
 
     def fork(self, table: Table) -> "Index":
         """This index over *table*, a fork of the table it was built on.
 
-        The fork's ``table`` is *table*; the frozen B+-tree (node ids and
-        all) and the measured clustering ratio are shared, since equal
-        rows in equal physical order index identically.
+        The fork's ``table`` is *table*; the read-only arrays (node ids
+        and all) and the measured clustering ratio are shared, since
+        equal rows in equal physical order index identically.
         """
         fork = copy.copy(self)
         fork.table = table
@@ -105,14 +178,33 @@ class Index:
 
     # -- lookups ------------------------------------------------------------
 
-    @property
-    def height(self) -> int:
-        """B+-tree height — charged as random I/Os per traversal."""
-        return self._tree.height
+    def probe(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One exact-match descent per key of *keys*, in their order.
 
-    def lookup(self, key: Any) -> list[int]:
-        """Row ids matching *key* exactly."""
-        return self._tree.search(key)
+        Returns the matching row ids of all keys, concatenated (each
+        key's in row order), how many each key matched, and the node ids
+        each descent visits (one row per key, root first).
+        """
+        first = self._starts[_search(self._keys, keys, "left")]
+        below = _search(self._keys, keys, "right")
+        counts = self._starts[below] - first
+        ends = counts.cumsum()
+        # Each key's range of row ids, concatenated: position t of the
+        # output lies in key i's range at first[i] + t - (ends[i] - counts[i]).
+        offsets = (first - ends + counts).repeat(counts)
+        row_ids = self._row_ids[offsets + np.arange(len(offsets))]
+        return row_ids, counts, self._leaf_paths[self._leaf_of(below)]
+
+    def _leaf_of(self, below):
+        """The leaf a descent reaches, given how many keys are <= its target:
+        the last leaf whose first key is among them (or the first leaf)."""
+        return np.maximum(self._leaf_starts.searchsorted(below - 1, "right") - 1, 0)
+
+    def lookup(self, key: Any) -> np.ndarray:
+        """Row ids matching *key* exactly, in row order (a read-only slice)."""
+        first = _position(self._keys, key, "left")
+        end = _position(self._keys, key, "right")
+        return self._row_ids[self._starts[first] : self._starts[end]]
 
     def range_lookup(
         self,
@@ -120,19 +212,28 @@ class Index:
         high: Any = None,
         low_inclusive: bool = True,
         high_inclusive: bool = True,
-    ) -> list[int]:
-        """Row ids with key in the given interval, in key order."""
-        return self._tree.range_search(low, high, low_inclusive, high_inclusive)
+    ) -> np.ndarray:
+        """Row ids with key in the given interval, in key order (a read-only slice)."""
+        first = 0
+        if low is not None:
+            first = _position(self._keys, low, "left" if low_inclusive else "right")
+        end = len(self._keys)
+        if high is not None:
+            end = _position(self._keys, high, "right" if high_inclusive else "left")
+        return self._row_ids[self._starts[first] : self._starts[max(first, end)]]
 
     def traversal_path(self, key: Any = None) -> list[int]:
         """Node ids of one root→leaf traversal toward *key*.
 
-        One id per tree level (``len == height``); repeated traversals
-        share the upper levels, which is why a warm pool makes index
-        probes nearly free.  A node's buffer-pool page id is its id plus
-        the index's page space (:meth:`BufferPool.page_space`).
+        One id per tree level (``len == height``); ``key=None`` descends
+        to the leftmost leaf (the entry point of a full-range scan).
+        Repeated traversals share the upper levels, which is why a warm
+        pool makes index probes nearly free.  A node's buffer-pool page
+        id is its id plus the index's page space
+        (:meth:`BufferPool.page_space`).
         """
-        return self._tree.traversal_path(key)
+        leaf = 0 if key is None else self._leaf_of(_position(self._keys, key, "right"))
+        return self._leaf_paths[leaf].tolist()
 
     # -- physical statistics -----------------------------------------------------
 
@@ -148,11 +249,11 @@ class Index:
     def _measure_clustering_ratio(self) -> float:
         if self.kind is IndexKind.CLUSTERED:
             return 1.0
-        ids = self._tree.range_search()
+        ids = self._row_ids
         if len(ids) < 2:
             return 1.0
         rows_per_page = self.table.layout.rows_per_page(self.table.tuple_length)
-        pages = np.array(ids) // rows_per_page
+        pages = ids // rows_per_page
         return int(np.count_nonzero(pages[1:] == pages[:-1])) / (len(ids) - 1)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

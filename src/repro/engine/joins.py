@@ -21,12 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .access import selection_mask
-from .buffer import (
-    BufferPool,
-    charge_random_pages,
-    charge_sequential_pages,
-    data_page_of,
-)
+from .buffer import BufferPool, charge_random_pages, charge_sequential_pages
 from .errors import ExecutionError
 from .index import Index, IndexKind
 from .metrics import AccessInfo, ExecutionMetrics, sort_comparisons_for
@@ -77,23 +72,18 @@ def _numpy_orders_like_python(lkeys: np.ndarray, rkeys: np.ndarray) -> bool:
     Unicode against unicode and same-kind numbers do.  Mixed int/float
     keys are compared as float64, which is exact only while every
     integer is within ±2**53 (the rule ``Comparison`` applies to its
-    constant).  NaN equals nothing in Python but sorts as one value, and
-    object arrays hold whatever the typed arrays could not.
+    constant).  A column holds no NaN.  Object arrays hold whatever the
+    typed arrays could not.
     """
     kinds = {lkeys.dtype.kind, rkeys.dtype.kind}
     if kinds == {"U"}:
         return True
     if not kinds <= {"i", "f"}:
         return False
-    for keys in (lkeys, rkeys):
-        if keys.dtype.kind == "f":
-            if np.isnan(keys).any():
-                return False
-        elif len(kinds) == 2 and not (
-            -FLOAT_EXACT_INT < keys.min() and keys.max() < FLOAT_EXACT_INT
-        ):
-            return False
-    return True
+    if len(kinds) == 1:
+        return True
+    ints = lkeys if lkeys.dtype.kind == "i" else rkeys
+    return -FLOAT_EXACT_INT < ints.min() and ints.max() < FLOAT_EXACT_INT
 
 
 def _match_pairs(lkeys: np.ndarray, rkeys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,46 +228,37 @@ def index_nested_loop_join(
     metrics = ExecutionMetrics()
     li = _reduce_operand(left, query.left_predicate, metrics, pool)
 
-    ratio = inner_index.clustering_ratio()
+    # One exact-match descent per outer tuple, in outer order, all in one
+    # pass over the index's arrays.  With a pool, each descent's pages
+    # (its traversal, then its matches' data pages) are laid out in that
+    # order and played through the pool at once.  The right local
+    # selection is applied to all fetched ids afterwards.
+    fetched, fanout, paths = inner_index.probe(left.column_array(query.left_column)[li])
     rows_per_page = right.layout.rows_per_page(right.tuple_length)
-    kind_is_clustered = inner_index.kind is IndexKind.CLUSTERED
-
-    # One index probe per outer tuple, in outer order; with a pool the
-    # probes' pages (each traversal, then its matches' data pages) are
-    # collected in that order and played through the pool in one pass.
-    # The fetched ids are collected and the right local selection is
-    # applied to all of them afterwards.
-    fanout: list[int] = []
-    fetched: list[int] = []
-    pages: list[int] = []
-    if pool is not None:
-        index_base = pool.page_space("I", inner_index.name)
-        table_base = pool.page_space("T", right.name)
-    for key in left.column_array(query.left_column)[li].tolist():
-        row_ids = inner_index.lookup(key)
-        k = len(row_ids)
-        if pool is None:
-            charge_random_pages(metrics, None, count=inner_index.height)
-            if kind_is_clustered:
-                metrics.sequential_page_reads += (
-                    math.ceil(k / rows_per_page) if k else 0
-                )
-                metrics.logical_page_reads += math.ceil(k / rows_per_page) if k else 0
-            else:
-                fetch = math.ceil(k * (1.0 - ratio) + k * ratio / rows_per_page)
-                charge_random_pages(metrics, None, count=fetch)
+    if pool is None:
+        descents = len(li) * inner_index.height
+        if inner_index.kind is IndexKind.CLUSTERED:
+            runs = int(np.ceil(fanout / rows_per_page).sum())
+            metrics.sequential_page_reads += runs
+            metrics.logical_page_reads += runs
+            charge_random_pages(metrics, None, count=descents)
         else:
-            pages += [index_base + node for node in inner_index.traversal_path(key)]
-            pages += [table_base + data_page_of(rid, rows_per_page) for rid in row_ids]
-        fanout.append(k)
-        fetched.extend(row_ids)
-    if pool is not None:
-        charge_random_pages(metrics, pool, keys=pages)
+            ratio = inner_index.clustering_ratio()
+            fetches = np.ceil(fanout * (1.0 - ratio) + fanout * ratio / rows_per_page)
+            charge_random_pages(metrics, None, count=descents + int(fetches.sum()))
+    else:
+        height = inner_index.height
+        ends = np.cumsum(fanout + height)
+        is_node = np.zeros(int(ends[-1]) if len(ends) else 0, dtype=bool)
+        is_node[((ends - fanout - height)[:, None] + np.arange(height)).ravel()] = True
+        pages = np.empty(len(is_node), dtype=np.int64)
+        pages[is_node] = (paths + pool.page_space("I", inner_index.name)).ravel()
+        pages[~is_node] = fetched // rows_per_page + pool.page_space("T", right.name)
+        charge_random_pages(metrics, pool, keys=pages.tolist())
     metrics.tuples_read += len(fetched)
     metrics.tuples_evaluated += len(fetched)
-    rids = np.asarray(fetched, dtype=np.intp)
-    keep = selection_mask(right, query.right_predicate, rids)
-    lids, rids = np.repeat(li, fanout)[keep], rids[keep]
+    keep = selection_mask(right, query.right_predicate, fetched)
+    lids, rids = np.repeat(li, fanout)[keep], fetched[keep]
     matched_inner = len(np.unique(rids))
     metrics.intermediate_tuples += matched_inner
 

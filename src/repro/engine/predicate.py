@@ -109,6 +109,9 @@ class Comparison(Predicate):
     def __post_init__(self) -> None:
         if self.op not in _OPS:
             raise QueryError(f"unknown comparison operator: {self.op!r}")
+        if isinstance(self.value, float) and self.value != self.value:
+            # NaN satisfies no comparison; an index range would read it as +inf.
+            raise QueryError(f"comparison with NaN: {self.column} {self.op} nan")
 
     def evaluate(self, row: Row, schema: TableSchema) -> bool:
         return _OPS[self.op](row[schema.position(self.column)], self.value)

@@ -8,6 +8,7 @@ single source of truth for tuple length.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
@@ -48,6 +49,19 @@ class Column:
     def validate(self, value: Any) -> Any:
         """Validate and coerce *value* for this column."""
         return self.dtype.validate(value)
+
+
+def _exactly_valid(dtype: DataType, values: Iterable[Any]) -> bool:
+    """Whether ``dtype.validate`` returns every one of *values* unchanged.
+
+    Each must have exactly the column's Python type, and a FLOAT value
+    must not be NaN.  A NaN makes the sum NaN; so do ``inf`` and ``-inf``
+    together, which the row-by-row check then accepts.
+    """
+    if dtype is not DataType.FLOAT:
+        return set(map(type, values)) == {dtype.python_type}
+    values = list(values)
+    return set(map(type, values)) == {float} and not math.isnan(sum(values))
 
 
 class TableSchema:
@@ -126,7 +140,7 @@ class TableSchema:
         exact Python type, :meth:`validate_row` would return each row
         unchanged, so the rows are taken as they are.  Any other batch
         (lists as rows, ints into FLOAT, ``None``, ``bool``, subclasses,
-        wrong arity) goes through :meth:`validate_row` row by row, which
+        NaN, wrong arity) goes through :meth:`validate_row` row by row, which
         coerces or raises exactly as a single insert would.  Nothing is
         returned unless every row is valid.
         """
@@ -135,7 +149,7 @@ class TableSchema:
             set(map(type, batch)) == {tuple}
             and set(map(len, batch)) == {len(self.columns)}
             and all(
-                set(map(type, map(itemgetter(pos), batch))) == {column.dtype.python_type}
+                _exactly_valid(column.dtype, map(itemgetter(pos), batch))
                 for pos, column in enumerate(self.columns)
             )
         ):
@@ -166,21 +180,14 @@ class ColumnStatistics:
 
         Minimum, maximum and distinct count come from the ``min`` /
         ``max`` / ``set`` builtins, which keep the first of equal values
-        (``1`` before ``1.0``) just as a one-pass scan would.  A set tells
-        NaNs apart by object identity, so every NaN is folded into one
-        distinct value (as ``np.unique`` counts them): the count then
-        depends on the values, not on how the rows were loaded.
+        (``1`` before ``1.0``) just as a one-pass scan would.
         """
         if not isinstance(values, (list, tuple)):
             values = list(values)
         if not values:
             return cls()
-        distinct = set(values)
-        nans = [value for value in distinct if value != value]
         return cls(
-            minimum=min(values),
-            maximum=max(values),
-            distinct_count=len(distinct) - len(nans) + (1 if nans else 0),
+            minimum=min(values), maximum=max(values), distinct_count=len(set(values))
         )
 
 

@@ -160,10 +160,10 @@ class Table:
 
         A :class:`ResultTable` is a batch that arrives by column.  When
         the table is empty and every gathered array has exactly its
-        column's numeric dtype, the arrays already are the validated
-        content: the table adopts them as its column view and derives
-        row tuples only if something asks.  Any other result is loaded
-        through its rows.
+        column's numeric dtype and holds no NaN, the arrays already are
+        the validated content: the table adopts them as its column view
+        and derives row tuples only if something asks.  Any other result
+        is loaded through its rows.
 
         Like :meth:`insert`, this appends to the heap and leaves indexes
         and clustering to :meth:`repro.engine.database.LocalDatabase.bulk_load`.
@@ -192,7 +192,9 @@ class Table:
             arrays is not None
             and len(arrays) == len(columns)
             and all(
-                array.dtype.kind in "if" and array.dtype == _ARRAY_DTYPES[column.dtype]
+                array.dtype.kind in "if"
+                and array.dtype == _ARRAY_DTYPES[column.dtype]
+                and not (array.dtype.kind == "f" and np.isnan(array).any())
                 for array, column in zip(arrays, columns)
             )
         )
@@ -200,25 +202,26 @@ class Table:
     def cluster_on(self, column_name: str) -> None:
         """Physically sort rows on *column_name* (clustered-index order).
 
-        The permutation is Python's stable sort over the key column's
-        values — ties keep their current order, and NaN and mixed types
-        order as a row sort on that key would — applied to whichever
-        views exist, so a table held by column builds no rows.
+        The permutation is a stable argsort of the key column — ties
+        keep their current order — applied to whichever views exist, so
+        a table held by column builds no rows.  A column holds no NaN
+        and one type, so its array sorts as Python sorts its values;
+        strings are sorted as Python objects, since fixed-width unicode
+        drops a trailing NUL.
 
         Row ids change; any existing index must be rebuilt afterwards —
         :meth:`repro.engine.database.LocalDatabase.create_index` handles
         that ordering for callers.
         """
-        keys = self.column_values(column_name)
-        order = sorted(range(len(keys)), key=keys.__getitem__)
+        keys = self.column_array(column_name)
+        order = np.argsort(keys.astype(object) if keys.dtype.kind == "U" else keys, kind="stable")
         rows, arrays = self._rows, self._column_arrays
         self._invalidate_caches()
         if rows is not None:
-            self._rows = list(map(rows.__getitem__, order))
+            self._rows = list(map(rows.__getitem__, order.tolist()))
         if arrays:
-            ids = np.array(order, dtype=np.intp)
             for name, array in arrays.items():
-                permuted = array[ids]
+                permuted = array[order]
                 permuted.setflags(write=False)
                 self._column_arrays[name] = permuted
         self.clustered_on = column_name

@@ -37,7 +37,9 @@ class DataType(enum.Enum):
         """Coerce *value* to this type, raising :class:`TypeError_` on mismatch.
 
         Integers are accepted for FLOAT columns (widening), but floats are
-        rejected for INT columns to catch accidental truncation.
+        rejected for INT columns to catch accidental truncation.  NaN is
+        rejected like NULL: it equals nothing, so it has no place in a
+        column's order (DESIGN.md §7).
         """
         if value is None:
             raise TypeError_(f"NULL values are not supported (type {self.value})")
@@ -48,6 +50,8 @@ class DataType(enum.Enum):
         if self is DataType.FLOAT:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TypeError_(f"expected float, got {type(value).__name__}: {value!r}")
+            if value != value:
+                raise TypeError_("NaN values are not supported (type float)")
             return float(value)
         if isinstance(value, str):
             return value

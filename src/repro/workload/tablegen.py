@@ -137,9 +137,9 @@ def generate_columns(spec: TableSpec, rng: np.random.Generator) -> list[np.ndarr
 
 
 #: Most templates a process keeps; the least recently used goes first.
-#: A template costs one catalog's column arrays, statistics and
-#: B+-trees; a fork shares the arrays and trees and owns its table and
-#: index objects and its statistics (see DESIGN.md, "Site templates and
+#: A template costs one catalog's column arrays, statistics and index
+#: arrays; a fork shares the arrays and owns its table and index
+#: objects and its statistics (see DESIGN.md, "Site templates and
 #: forks").
 TEMPLATE_STORE_SIZE = 8
 
@@ -208,7 +208,7 @@ def populate_database(
 
     The tables are a fork of the process-wide template for the spec —
     the first request builds it — so identically specified databases
-    share their column arrays and built B+-trees yet stay fully
+    share their column and index arrays yet stay fully
     independent under every mutation (see :meth:`LocalCatalog.fork_into`).
     """
     _template_for(workload, database.layout).fork_into(database.catalog)

@@ -9,13 +9,13 @@ decide, and both say "numpy" only where numpy agrees with Python exactly:
   predicate row at a time.  ``And`` / ``Or`` / ``Not`` compose it;
   ``TruePredicate`` is answered without a kernel.
 * ``joins._numpy_orders_like_python`` returns ``False`` for join keys numpy
-  would order differently from ``==`` (NaN, mixed INT/FLOAT beyond
-  ±2**53, object arrays), and ``joins._match_pairs`` then matches through
+  would order differently from ``==`` (mixed INT/FLOAT beyond ±2**53,
+  object arrays), and ``joins._match_pairs`` then matches through
   hash buckets over the Python values.
 
 :func:`row_at_a_time` patches both to their fallback answers, so every
 predicate and every key match takes the path the data reaches for object
-columns, NaN keys and integers float64 cannot hold.
+columns and integers float64 cannot hold.
 """
 
 from contextlib import contextmanager, nullcontext

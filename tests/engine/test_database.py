@@ -1,9 +1,12 @@
 """Unit tests for LocalDatabase: DDL, planning, timed execution."""
 
+import numpy as np
 import pytest
 
+from repro.engine.access import clustered_index_scan, nonclustered_index_scan
 from repro.engine.database import LocalDatabase
-from repro.engine.errors import CatalogError, SchemaError
+from repro.engine.errors import CatalogError, SchemaError, TypeError_
+from repro.engine.joins import index_nested_loop_join, naive_join
 from repro.engine.optimizer import JoinPlan, UnaryPlan
 from repro.engine.predicate import Comparison
 from repro.engine.query import JoinQuery, SelectQuery
@@ -201,3 +204,56 @@ class TestSimulationForking:
         assert clock.now == 3.0
         with pytest.raises(ValueError):
             clock.reset(-1.0)
+
+
+class TestNaNNeverReachesAColumn:
+    """The cases that once returned wrong rows through every index path: a
+    400-row FLOAT column drawn from {NaN, 1.0 … 6.0}.  Loading it now
+    fails; the same rows without NaN return the true rows on each path."""
+
+    COLUMNS = [Column("id", DataType.INT), Column("x", DataType.FLOAT)]
+
+    @staticmethod
+    def values(count, seed):
+        rng = np.random.default_rng(seed)
+        return [float("nan") if v == 0 else float(v) for v in rng.integers(0, 7, size=count)]
+
+    def database(self, values, clustered):
+        db = LocalDatabase("nan", noise_sigma=0.0)
+        db.create_table("t", self.COLUMNS, list(enumerate(values)))
+        db.create_index("t_x", "t", "x", clustered=clustered)
+        return db
+
+    @pytest.mark.parametrize(
+        "kind, sql",
+        [
+            ("nonclustered", "select id, x from t where x = 5.0"),
+            ("clustered", "select id, x from t where x = 5.0"),
+            ("clustered", "select id, x from t where x >= 4.0 and x <= 6.0"),
+            ("clustered", "select id, x from t where x < 3.0"),
+        ],
+    )
+    def test_index_scans(self, kind, sql):
+        values = self.values(400, seed=21)
+        with pytest.raises(TypeError_, match="NaN"):
+            self.database(values, kind == "clustered")
+        db = self.database([v for v in values if v == v], kind == "clustered")
+        query = db.parse(sql)
+        table, index = db.catalog.table("t"), db.catalog.index("t_x")
+        scan = clustered_index_scan if kind == "clustered" else nonclustered_index_scan
+        got = sorted(scan(table, index, query).result.rows)
+        truth = sorted(row for row in table.rows() if query.predicate.evaluate(row, table.schema))
+        assert got == truth and truth
+
+    def test_index_nested_loop_join(self):
+        outer = self.values(400, seed=21)
+        with pytest.raises(TypeError_, match="NaN"):
+            self.database(self.values(300, seed=22), clustered=False)
+        db = self.database([v for v in self.values(300, seed=22) if v == v], clustered=False)
+        db.create_table("o", self.COLUMNS, [(i, v) for i, v in enumerate(outer) if v == v])
+        query = JoinQuery("o", "t", "x", "x", ("o.id", "t.id"))
+        left, right = db.catalog.table("o"), db.catalog.table("t")
+        got = index_nested_loop_join(left, right, query, db.catalog.index("t_x"))
+        truth = naive_join(left, right, query)
+        assert sorted(got.result.rows) == sorted(truth.result.rows)
+        assert got.result.cardinality > 0

@@ -25,7 +25,9 @@ size.  Each query runs
 
 The queries are the paper's six classes from ``QueryGenerator`` and a
 hypothesis strategy of ``AND`` / ``OR`` / ``NOT`` comparisons over the
-paper columns with ``ORDER BY`` and ``LIMIT``.
+paper columns with ``ORDER BY`` and ``LIMIT``; a second strategy does the
+same over tables with a FLOAT column holding ±0.0 and int-valued floats,
+compared with INT and FLOAT constants and joined to INT keys.
 """
 
 import sqlite3
@@ -49,6 +51,7 @@ from repro.engine.joins import (
 )
 from repro.engine.predicate import And, Comparison, Not, Or, TRUE, extract_key_range
 from repro.engine.query import JoinQuery, SelectQuery
+from repro.engine.schema import Column
 from repro.engine.types import DataType
 from repro.workload import TableSpec, make_site
 from repro.workload.tablegen import COLUMN_NAMES, COLUMN_RANGES, generate_columns
@@ -279,5 +282,91 @@ def join_queries(draw):
 @given(query=st.one_of(select_queries(), join_queries()), kernels=st.sampled_from(sorted(KERNELS)))
 def test_drawn_queries_match_sqlite(universes, query, kernels):
     dbs, conn = universes[SEEDS[0]][0]["template"]
+    with KERNELS[kernels]():
+        check_everywhere(dbs, conn, query)
+
+
+# -- FLOAT columns: ±0.0, and int-valued floats beside INT constants -------------
+
+#: The FLOAT column's values: both zeros, halves and int-valued floats.
+FLOATS = (-0.0, 0.0, 0.5, -1.0, 1.0, 2.0, 2.5, 3.0)
+#: Constants: ints, the same values as floats, both zeros and halves.
+NUMBERS = st.integers(-2, 4) | st.integers(-2, 4).map(float) | st.sampled_from([-0.0, 0.5, 2.5])
+FLOAT_COLUMNS = ("i", "f")
+
+
+def float_database(buffer_pages):
+    """Tables of an INT column ``i`` and a FLOAT column ``f``: F1 clustered
+    on ``f`` with an index on ``i``, F2 clustered on ``i`` with one on ``f``."""
+    db = LocalDatabase("floats", noise_sigma=0.0, buffer_pages=buffer_pages)
+    rng = np.random.default_rng(29)
+    columns = [Column("i", DataType.INT), Column("f", DataType.FLOAT)]
+    for name, clustered, other, count in (("F1", "f", "i", 300), ("F2", "i", "f", 200)):
+        ints = rng.integers(-2, 5, size=count).tolist()
+        floats = [FLOATS[pos] for pos in rng.integers(0, len(FLOATS), size=count).tolist()]
+        db.create_table(name, columns, list(zip(ints, floats)))
+        db.create_index(f"{name}_c", name, clustered, clustered=True)
+        db.create_index(f"{name}_nc", name, other)
+    return db
+
+
+@pytest.fixture(scope="module")
+def float_universe():
+    dbs = (float_database(None), float_database(BUFFER_PAGES))
+    conn = to_sqlite(dbs[0])
+    yield dbs, conn
+    conn.close()
+
+
+float_predicates = st.just(TRUE) | st.recursive(
+    st.builds(
+        Comparison,
+        st.sampled_from(FLOAT_COLUMNS),
+        st.sampled_from(("=", "!=", "<", "<=", ">", ">=")),
+        NUMBERS,
+    ),
+    lambda sub: st.one_of(st.builds(And, sub, sub), st.builds(Or, sub, sub), st.builds(Not, sub)),
+    max_leaves=3,
+)
+
+
+@st.composite
+def float_selects(draw):
+    order_by = draw(
+        st.lists(
+            st.tuples(st.sampled_from(FLOAT_COLUMNS), st.booleans()),
+            max_size=2,
+            unique_by=lambda pair: pair[0],
+        )
+    )
+    return SelectQuery(
+        draw(st.sampled_from(("F1", "F2"))),
+        [],
+        draw(float_predicates),
+        order_by,
+        draw(st.none() | st.integers(0, 25)),
+    )
+
+
+@st.composite
+def float_joins(draw):
+    left, right = draw(st.permutations(("F1", "F2")))
+    return JoinQuery(
+        left,
+        right,
+        draw(st.sampled_from(FLOAT_COLUMNS)),
+        draw(st.sampled_from(FLOAT_COLUMNS)),
+        (),
+        draw(float_predicates),
+        draw(float_predicates),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(query=st.one_of(float_selects(), float_joins()), kernels=st.sampled_from(sorted(KERNELS)))
+def test_float_columns_match_sqlite(float_universe, query, kernels):
+    """INT and FLOAT keys, ±0.0 and int-valued constants: every access path
+    and join method, pool-less and pooled, agrees with sqlite3."""
+    dbs, conn = float_universe
     with KERNELS[kernels]():
         check_everywhere(dbs, conn, query)

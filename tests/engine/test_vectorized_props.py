@@ -3,7 +3,7 @@
 Every operator has one implementation that works on selection vectors
 over column arrays; which *kernel* decides a predicate or a key match —
 numpy over typed arrays, or Python over the values — depends on the data
-alone (object-dtype columns, NaN, integers float64 cannot hold).  These
+alone (object-dtype columns, integers float64 cannot hold).  These
 tests run each case as the data picks and again under
 :func:`~tests.engine.kernels.row_at_a_time`, which sends all data down
 the fallback, and require the same rows — value **and Python type**, in
@@ -12,13 +12,15 @@ three scans and all four join methods, on tables loaded by row and on
 tables loaded by column.
 
 The strategies aim at the places where numpy and Python disagree:
-strings with a trailing NUL or whitespace, ``-0.0`` / ``inf`` / ``nan``,
-integers at and beyond ±2**53 and ±2**63, INT keys joined to FLOAT keys.
+strings with a trailing NUL or whitespace, ``-0.0`` / ``inf``, integers at
+and beyond ±2**53 and ±2**63, INT keys joined to FLOAT keys.  No column
+holds NaN and no comparison takes it (DESIGN.md §7).
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +30,7 @@ from repro.engine.access import (
     nonclustered_index_scan,
     seq_scan,
 )
+from repro.engine.errors import TypeError_
 from repro.engine.index import Index, IndexKind
 from repro.engine.joins import (
     _match_pairs,
@@ -53,7 +56,7 @@ EDGE_INTS = [
     2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64, -(2**80),
 ]
 EDGE_FLOATS = [
-    -0.0, 0.5, math.inf, -math.inf, math.nan,
+    -0.0, 0.5, math.inf, -math.inf,
     2.0**53, 2.0**53 + 2, -(2.0**53), 2.0**63, 1e300,
 ]
 EDGE_STRINGS = ["", "a", "a\x00", "a\x00\x00", "a ", " a", "a\x00b", "ab", "b", "é"]
@@ -79,8 +82,8 @@ numeric_rows = st.lists(st.tuples(small_ints, keys, floats), max_size=30)
 
 
 def typed(rows):
-    """Rows as comparable (type, repr) pairs: ``nan`` equals itself,
-    ``-0.0`` differs from ``0.0`` and ``1`` from ``1.0``."""
+    """Rows as comparable (type, repr) pairs: ``-0.0`` differs from ``0.0``
+    and ``1`` from ``1.0``."""
     return [tuple((type(v), repr(v)) for v in row) for row in rows]
 
 
@@ -340,9 +343,12 @@ class TestJoinEquivalence:
         assert vector == scalar == [(1, 1)]
 
     def test_nan_keys_match_nothing(self):
-        keys_ = key_array([math.nan, 1.0], DataType.FLOAT)
-        scalar, vector = both_modes(lambda: matched(keys_, keys_))
-        assert vector == scalar == [(1, 1)]
+        """A NaN key never reaches a join: no column can hold one."""
+        with pytest.raises(TypeError_, match="NaN"):
+            key_array([math.nan, 1.0], DataType.FLOAT)
+        keys_ = key_array([1.0, -0.0], DataType.FLOAT)
+        scalar, vector = both_modes(lambda: matched(keys_, key_array([0.0], DataType.FLOAT)))
+        assert vector == scalar == [(1, 0)]
 
     @settings(max_examples=150, deadline=None)
     @given(case=join_cases, method=st.sampled_from(["hash", "merge", "nested", "index"]))
@@ -389,10 +395,8 @@ class TestJoinEquivalence:
 
 
 class TestColumnBornTables:
-    # No NaN here: ``len(set(values))`` counts NaN *objects*, so how many
-    # distinct NaNs a column has depends on who built the floats.
     @settings(max_examples=60, deadline=None)
-    @given(rows=numeric_rows.filter(lambda rows: all(r[2] == r[2] for r in rows)))
+    @given(rows=numeric_rows)
     def test_loading_by_column_keeps_rows_and_statistics(self, rows):
         by_row = make_table("t", rows)
         by_column = make_table("t", rows, by_column=True)

@@ -45,9 +45,6 @@ REFERENCES = {
 #: reason given.  A ratchet: a newly unreached method fails the suite,
 #: and one that becomes reached (or is deleted) must leave this list.
 UNREACHED_METHODS = {
-    "engine.btree.BPlusTree._check_node": "invariant check",
-    "engine.btree.BPlusTree.check_invariants": "invariant check",
-    "engine.btree.BPlusTree.num_keys": "inspection hook",
     "engine.buffer.BufferPool.access": "test seam",
     "engine.buffer.BufferPool.reset_stats": "test seam",
     "engine.buffer.BufferPool.resident_keys": "inspection hook",
@@ -67,11 +64,6 @@ UNPASSED_PARAMETERS = {
     "core.probing.ProbingCostEstimator.calibrate(interval_seconds=)": "test seam",
     "core.report.derivation_report(test_observations=)": "test seam",
     "core.validation.validate_model(alpha=)": "experiment knob",
-    "engine.btree.BPlusTree._check_node(is_root=)": "invariant check",
-    "engine.btree.BPlusTree.range_items(high=)": "test seam",
-    "engine.btree.BPlusTree.range_items(high_inclusive=)": "test seam",
-    "engine.btree.BPlusTree.range_items(low=)": "test seam",
-    "engine.btree.BPlusTree.range_items(low_inclusive=)": "test seam",
     "engine.buffer.BufferPool(evict_scan=)": "test seam",
     "engine.index.Index(order=)": "test seam",
     "engine.joins.naive_join(pool=)": "test seam",
