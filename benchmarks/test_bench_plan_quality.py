@@ -9,7 +9,11 @@ the truly cheaper plan more often and accumulates far less regret, and
 its chosen plans land close to the per-round oracle.
 """
 
-from repro.experiments.plan_quality import render_plan_quality, run_plan_quality
+from repro.experiments.plan_quality import (
+    plan_quality_violations,
+    render_plan_quality,
+    run_plan_quality,
+)
 
 
 def test_bench_plan_quality(config):
@@ -18,17 +22,8 @@ def test_bench_plan_quality(config):
     print()
     print(render_plan_quality(result))
 
-    multi_regret = result.total_regret("multi-states")
-    one_regret = result.total_regret("one-state")
-    assert result.pct_optimal("multi-states") > result.pct_optimal("one-state")
-    assert multi_regret < 0.5 * one_regret
-    # Multi-states lands within 10% of the oracle's total.
-    assert (
-        result.total_chosen_seconds("multi-states")
-        <= 1.10 * result.total_best_seconds
-    )
-    # Sanity: the experiment really had rounds where the sites disagreed.
-    flips = {
-        min(r.observed_by_site, key=r.observed_by_site.get) for r in result.rounds
-    }
-    assert flips == {"left", "right"}
+    # Multi-states picks the optimal plan more often, with under half the
+    # one-state regret, lands within 10% of the oracle's total, and the
+    # rounds really had both sites as the cheaper one.
+    violations = plan_quality_violations(result)
+    assert not violations, "\n".join(violations)

@@ -9,6 +9,7 @@ curve where the first split buys more than all later splits combined.
 from repro.experiments.states_ablation import (
     render_states_ablation,
     run_states_ablation,
+    states_ablation_violations,
 )
 
 
@@ -19,14 +20,9 @@ def test_bench_states_ablation(config):
     print(render_states_ablation(result))
     print("paper (G2/Oracle): 0.7788 0.9636 0.9674 0.9899 0.9922")
 
-    r2 = result.r_squared_series
-    see = [p.standard_error for p in result.points]
-    assert len(r2) == 6
-    # Broad improvement from 1 state to 6.
-    assert r2[-1] > r2[0] + 0.15
-    assert see[-1] < see[0]
-    # Saturation: the 1->2 jump dominates the 5->6 jump.
-    assert (r2[1] - r2[0]) > 3 * max(0.0, r2[5] - r2[4])
-    # Weak monotonicity (allow tiny numerical dips).
-    for a, b in zip(r2, r2[1:]):
-        assert b >= a - 0.02
+    assert len(result.r_squared_series) == 6
+    # Broad improvement from 1 state to 6 (R2 up 0.15, SEE down),
+    # saturation (the 1->2 jump is over 3x the 5->6 jump) and weak
+    # monotonicity (dips of at most 0.02).
+    violations = states_ablation_violations(result)
+    assert not violations, "\n".join(violations)

@@ -200,12 +200,6 @@ class Index:
         the last leaf whose first key is among them (or the first leaf)."""
         return np.maximum(self._leaf_starts.searchsorted(below - 1, "right") - 1, 0)
 
-    def lookup(self, key: Any) -> np.ndarray:
-        """Row ids matching *key* exactly, in row order (a read-only slice)."""
-        first = _position(self._keys, key, "left")
-        end = _position(self._keys, key, "right")
-        return self._row_ids[self._starts[first] : self._starts[end]]
-
     def range_lookup(
         self,
         low: Any = None,

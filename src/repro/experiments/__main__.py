@@ -2,8 +2,8 @@
 
 Usage::
 
-    python -m repro.experiments                  # quick preset (~4 s)
-    python -m repro.experiments --preset full    # paper-sized preset (~20 s)
+    python -m repro.experiments                  # quick preset (~2 s)
+    python -m repro.experiments --preset full    # paper-sized preset (~4 s)
     python -m repro.experiments --seed 42        # different random universe
     python -m repro.experiments --only table4 --only table5
     python -m repro.experiments --trace-out trace.jsonl

@@ -303,6 +303,24 @@ def run_probe_cache_quality(
     return result
 
 
+def plan_quality_violations(result: PlanQualityResult) -> list[str]:
+    """§1's loop, checked: multi-states models pick the cheaper plan more
+    often than one-state models, with under half their regret and within
+    10% of the per-round oracle, on rounds where the best site varies."""
+    multi_regret = result.total_regret("multi-states")
+    violations = []
+    if not result.pct_optimal("multi-states") > result.pct_optimal("one-state"):
+        violations.append("multi-states picks the optimal plan no more often")
+    if not multi_regret < 0.5 * result.total_regret("one-state"):
+        violations.append("multi-states regret is not under half of one-state's")
+    if result.total_chosen_seconds("multi-states") > 1.10 * result.total_best_seconds:
+        violations.append("multi-states plans cost over 110% of the oracle's")
+    best_sites = {min(r.observed_by_site, key=r.observed_by_site.get) for r in result.rounds}
+    if best_sites != {"left", "right"}:
+        violations.append("the best join site never changes")
+    return violations
+
+
 def render_plan_quality(
     result: PlanQualityResult,
     approaches: tuple[str, ...] = APPROACHES,

@@ -92,6 +92,27 @@ def run_sample_size_ablation(
     )
 
 
+def sample_size_violations(result: SampleSizeAblationResult) -> list[str]:
+    """Proposition 4.1's sizing rule, checked: quality climbs while the
+    sample is small, then flattens, and a Prop.-4.1-sized sample is
+    within 10 %good points of the largest."""
+    points = sorted(result.points, key=lambda p: p.sample_size)
+    smallest, largest = points[0], points[-1]
+    violations = []
+    if smallest.num_states > largest.num_states:
+        violations.append("the smallest sample finds more states than the largest")
+    if largest.report.pct_good < smallest.report.pct_good:
+        violations.append("the largest sample's %good is below the smallest's")
+    early_gain = points[2].report.pct_good - smallest.report.pct_good
+    late_gain = largest.report.pct_good - points[3].report.pct_good
+    if early_gain < late_gain - 5.0:
+        violations.append("the last doubling buys 5+ points more %good than the first")
+    near = result.nearest_to_recommended()
+    if near.report.pct_good < largest.report.pct_good - 10.0:
+        violations.append("the recommended size is 10+ %good points below the largest")
+    return violations
+
+
 def render_sample_size_ablation(result: SampleSizeAblationResult) -> str:
     headers = ("# samples", "# states", "R2", "very good %", "good %")
     rows = [

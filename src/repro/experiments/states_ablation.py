@@ -83,6 +83,23 @@ def run_states_ablation(
     )
 
 
+def states_ablation_violations(result: StatesAblationResult) -> list[str]:
+    """§5 observation 4, checked: R² rises with the state count, and
+    saturates — the first split buys more than three times the last."""
+    r2 = result.r_squared_series
+    see = [p.standard_error for p in result.points]
+    violations = []
+    if not r2[-1] > r2[0] + 0.15:
+        violations.append("R2 gains 0.15 or less from 1 state to the most")
+    if not see[-1] < see[0]:
+        violations.append("SEE does not fall from 1 state to the most")
+    if not (r2[1] - r2[0]) > 3 * max(0.0, r2[-1] - r2[-2]):
+        violations.append("the first split buys at most 3x the last")
+    if any(b < a - 0.02 for a, b in zip(r2, r2[1:])):
+        violations.append("R2 dips by more than 0.02 as a state is added")
+    return violations
+
+
 def render_states_ablation(result: StatesAblationResult) -> str:
     headers = ("# states", "R2", "SEE")
     rows = [(p.num_states, p.r_squared, p.standard_error) for p in result.points]

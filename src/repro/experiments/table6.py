@@ -68,6 +68,28 @@ def run_table6(
     return Table6Result(rows=rows, probing_costs=probing)
 
 
+def table6_violations(result: Table6Result) -> list[str]:
+    """The paper's Table-6 claim, checked; returns human-readable failures.
+
+    ICMA's partition is at least as good as IUPMA's when contention is
+    clustered (R² within 0.01, %good no lower, %very-good within 5
+    points), both models pass the F-test, and ICMA finds 2–6 states.
+    """
+    iupma, icma = result.row("IUPMA"), result.row("ICMA")
+    violations = []
+    if icma.report.r_squared < iupma.report.r_squared - 0.01:
+        violations.append("ICMA R2 below IUPMA's by more than 0.01")
+    if icma.report.pct_good < iupma.report.pct_good:
+        violations.append("ICMA %good below IUPMA")
+    if icma.report.pct_very_good < iupma.report.pct_very_good - 5.0:
+        violations.append("ICMA %very-good more than 5 points below IUPMA")
+    if not (iupma.report.f_significant and icma.report.f_significant):
+        violations.append("a model fails the F-test")
+    if not 2 <= icma.num_states <= 6:
+        violations.append("ICMA's state count is outside 2-6")
+    return violations
+
+
 def render_table6(result: Table6Result) -> str:
     headers = ("algorithm", "# states", "R2", "SEE", "very good %", "good %")
     rows = [

@@ -1,10 +1,10 @@
-"""Multiple linear regression substrate (from scratch, numpy + scipy.special).
+"""Multiple linear regression substrate (from scratch, numpy only).
 
 Implements exactly the statistical machinery the paper leans on: OLS with
 R², standard error of estimation, F-test, coefficient inference, simple
 (per-state) correlation coefficients, and variance inflation factors.
-The two p-values take the F and t survival kernels from
-``scipy.special`` when first read; nothing here imports ``scipy.stats``.
+The F and t p-values are tails of one regularized incomplete beta
+function (``ols.incomplete_beta``), so nothing here imports scipy.
 """
 
 from .correlation import (

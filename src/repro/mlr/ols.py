@@ -9,17 +9,18 @@ estimator's significance screen, footnote 7).
 Deriving one cost model solves dozens of regressions (IUPMA/ICMA
 candidates, merge refits, selection steps, VIF auxiliaries) and ships
 one.  :func:`fit_ols` therefore computes what those loops compare; the
-two p-value reads are each evaluated when first read.  They call the
-``scipy.special`` kernels that ``scipy.stats.f.sf`` and ``t.sf`` call
-(``fdtrc`` and ``stdtr``), imported on that first read: importing
-``scipy.stats`` would cost every process about a second and 44 MB for
-two survival functions.
+two p-value reads are each evaluated when first read.  Both are tails of
+one regularized incomplete beta function, :func:`incomplete_beta`, so
+nothing here imports scipy: ``scipy.special`` alone costs a process a
+quarter of a second and 11 MB, and every deriving process paid it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import exp, gamma, inf, isnan, lgamma, log, nan
+from sys import float_info
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,6 +31,83 @@ from .linalg import (
     least_squares,
     xtx_inverse,
 )
+
+#: Lentz's stand-in for a zero denominator, its convergence test, and the
+#: most terms it takes before giving up (df = 10**6 needs under a thousand).
+_TINY = 1e-300
+_CONVERGED = 1e-16
+_MAX_TERMS = 10_000
+#: ``math.gamma`` overflows past 171.6; beyond it the prefactor is taken
+#: in logarithms.
+_GAMMA_LIMIT = 171.0
+
+
+def incomplete_beta(a: float, b: float, x: float, y: float) -> float:
+    """The regularized incomplete beta function I_x(a, b), for a, b > 0.
+
+    *y* is 1 − x, computed by the caller as its own quotient: a far upper
+    tail has x near 1, and only y then keeps its relative precision.
+    Below the mean of the beta distribution the continued fraction
+    converges fast for I_x(a, b); above it, for I_y(b, a) = 1 − I_x(a, b).
+    """
+    if x <= 0.0:
+        return 0.0
+    if y <= 0.0:
+        return 1.0
+    if x < (a + 1.0) / (a + b + 2.0):
+        return _beta_tail(a, b, x, y)
+    return 1.0 - _beta_tail(b, a, y, x)
+
+
+def _beta_tail(a: float, b: float, x: float, y: float) -> float:
+    """I_x(a, b) as x^a y^b / (a B(a, b)) times its continued fraction."""
+    power = x**a * y**b
+    if a + b < _GAMMA_LIMIT and power >= float_info.min:
+        # Powers and gamma functions each within a few ulp; taken in
+        # logarithms, a power x^a would carry a·|log x| ulp.
+        front = power * (gamma(a + b) / gamma(a)) / (gamma(b) * a)
+    else:
+        front = exp(a * log(x) + b * log(y) + lgamma(a + b) - lgamma(a) - lgamma(b)) / a
+    return front * _continued_fraction(a, b, x)
+
+
+def _continued_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction 1/(1 + d1/(1 + d2/(1 + ...))) of I_x(a, b).
+
+    The modified Lentz method runs forward until the partial values stop
+    changing; the fraction is then summed back up from that depth, which
+    rounds each term once instead of compounding a running product's
+    rounding over every term.
+    """
+    terms = [-(a + b) * x / (a + 1.0)]
+    c, d = 1.0, 1.0 + terms[0]
+    d = 1.0 / (d if abs(d) > _TINY else _TINY)
+    for m in range(1, _MAX_TERMS):
+        for term in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            terms.append(term)
+            d = 1.0 + term * d
+            d = 1.0 / (d if abs(d) > _TINY else _TINY)
+            c = 1.0 + term / c
+            c = c if abs(c) > _TINY else _TINY
+        if abs(d * c - 1.0) < _CONVERGED:
+            value = 1.0
+            for term in reversed(terms):
+                value = 1.0 + term / value
+            return 1.0 / value
+    raise ArithmeticError(f"incomplete beta fraction did not converge (a={a}, b={b}, x={x})")
+
+
+def _t_pvalue(t: float, df: int) -> float:
+    """Two-sided p-value of a t statistic with *df* degrees of freedom."""
+    t2 = t * t
+    if isnan(t2):
+        return nan
+    if t2 == inf:  # also |t| past 1.3e154, where the p-value is below 1e-154
+        return 0.0
+    return incomplete_beta(df / 2, 0.5, df / (df + t2), t2 / (df + t2))
 
 
 @dataclass
@@ -70,12 +148,22 @@ class OLSResult:
     @cached_property
     def f_pvalue(self) -> Optional[float]:
         """p-value of the overall F test (None when ``f_statistic`` is)."""
-        if self.f_statistic is None:
+        statistic = self.f_statistic
+        if statistic is None:
             return None
-        from scipy import special
-
+        if isnan(statistic):
+            return nan
+        if statistic == inf:
+            return 0.0
         df_model = self.n_parameters - 1 if self.has_intercept else self.n_parameters
-        return float(special.fdtrc(df_model, self.degrees_of_freedom, self.f_statistic))
+        df_error = self.degrees_of_freedom
+        explained = df_model * statistic
+        return incomplete_beta(
+            df_error / 2,
+            df_model / 2,
+            df_error / (df_error + explained),
+            explained / (df_error + explained),
+        )
 
     @cached_property
     def t_pvalues(self) -> np.ndarray:
@@ -90,9 +178,7 @@ class OLSResult:
         std_errors = np.sqrt(variances)
         with np.errstate(divide="ignore", invalid="ignore"):
             t_stats = np.where(std_errors > 0, beta / std_errors, np.inf * np.sign(beta))
-        from scipy import special
-
-        return 2.0 * special.stdtr(df_error, -np.abs(t_stats))
+        return np.array([_t_pvalue(t, df_error) for t in t_stats.tolist()])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predict responses for new design-matrix rows."""

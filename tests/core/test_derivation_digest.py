@@ -8,9 +8,13 @@ derivation fast path (solve-only regression kernel, one dendrogram per
 ICMA run, hoisted per-query invariants), so they prove that path changed
 no coefficient, no statistic, no selection decision and no simulated
 cost — floats enter the digest through ``repr``, which round-trips them
-exactly.  They were re-pinned once, when the payload dropped the
-coefficient covariance: each pin equals the earlier commit's digest with
-only ``coef_covariance`` popped from ``to_dict()``.
+exactly.  They were re-pinned twice, each time after checking that the
+earlier commit's digest equals the new one with one key popped from
+``to_dict()`` on both sides: ``coef_covariance`` when the payload dropped
+the coefficient covariance, and ``f_pvalue`` when the p-values moved from
+``scipy.special`` to ``repro.mlr.ols.incomplete_beta`` (each of the 24
+models' p-value moved by at most 5e-15 relative, and every one is still
+significant at 0.01).
 
 **Work budget.**  Deterministic call counts via monkeypatch: one build
 inverts X'X never and evaluates the F-test p-value exactly once (for the
@@ -44,13 +48,14 @@ SITES = {
     ),
 }
 
-#: sha256 per (site, algorithm): the parent commit's, with
-#: ``coef_covariance`` popped from every ``to_dict()``.
+#: sha256 per (site, algorithm).  With ``f_pvalue`` popped from every
+#: ``to_dict()`` they read 9abb1572…, d72de537… (plain) and 0fa2e852…,
+#: a2489208… (pooled) both here and with the ``scipy.special`` p-values.
 PINNED = {
-    ("plain", "iupma"): "8bfdee8f19e09af5ebfff45f9c7d95d771378dc717e53b36633deda380935da3",
-    ("plain", "icma"): "39e9d80bd0306defd96a04d1f5a2e53395a2cfcae796c81b02d32d3d43c37928",
-    ("pooled", "iupma"): "281758e360a507af4b7ee46624429f46405dde39c5715c7dc57fcb1e10525cb6",
-    ("pooled", "icma"): "941c9e60e91cebca134574f172bef366ee4faf5239db8f4f5db148058e573229",
+    ("plain", "iupma"): "0dab4b48368e657bf4ce970acabda2dc60d705e9f31db50da2cd70855eb2a1f1",
+    ("plain", "icma"): "cdad22d3e14b15b7b39534b1cf889b5751b5d6e9f0e8cecde6fd2d37e750e14a",
+    ("pooled", "iupma"): "5f7ee860f7e9ba85c469e9ee30935ee3e5c0cfaaeaf73f70230942fa80330939",
+    ("pooled", "icma"): "b15b53a087fc7d7f1b2273cdf9e8a4930ef62d299a9ca0431ccd668775514968",
 }
 
 
@@ -107,18 +112,16 @@ def test_derivations_are_bit_identical_to_the_parent_commit(kind):
 
 class TestWorkBudget:
     def test_one_build_evaluates_inference_once(self, monkeypatch):
-        from scipy import special
-
         from repro.mlr import ols
 
         inverted, f_tests = [], []
-        fdtrc = special.fdtrc
+        incomplete_beta = ols.incomplete_beta
 
-        def counting_fdtrc(df_model, df_error, f_statistic):
-            f_tests.append(f_statistic)
-            return fdtrc(df_model, df_error, f_statistic)
+        def counting_incomplete_beta(a, b, x, y):
+            f_tests.append(incomplete_beta(a, b, x, y))
+            return f_tests[-1]
 
-        monkeypatch.setattr(special, "fdtrc", counting_fdtrc)
+        monkeypatch.setattr(ols, "incomplete_beta", counting_incomplete_beta)
         monkeypatch.setattr(ols, "xtx_inverse", lambda X: inverted.append(X))
         site = _site("plain")
         builder = CostModelBuilder(site.database)
@@ -129,7 +132,7 @@ class TestWorkBudget:
             # had its F-test p-value computed (by from_fit), and no fit's
             # t-tests were.
             shipped = outcome.selection.fit.ols
-            assert f_tests == [shipped.f_statistic]
+            assert f_tests == [vars(shipped)["f_pvalue"]]
             assert vars(shipped)["f_pvalue"] == outcome.model.f_pvalue
         assert inverted == []
 

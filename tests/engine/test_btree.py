@@ -186,7 +186,7 @@ def assert_same_tree(index, reference, probes):
         assert index.traversal_path(key) == reference.traversal_path(key)
         assert len(index.traversal_path(key)) == index.height
         if key is not None:
-            assert index.lookup(key).tolist() == reference.search(key)
+            assert index.range_lookup(key, key).tolist() == reference.search(key)
     assert_array_invariants(index)
 
 
@@ -217,18 +217,18 @@ class TestBasics:
     def test_empty_tree(self):
         index = index_over([])
         assert index.height == 1
-        assert index.lookup(5).tolist() == []
+        assert index.range_lookup(5, 5).tolist() == []
         assert index.range_lookup().tolist() == []
         assert index.traversal_path() == index.traversal_path(5) == [0]
 
     def test_single_insert(self):
         index = index_over([10])
-        assert index.lookup(10).tolist() == [0]
+        assert index.range_lookup(10, 10).tolist() == [0]
         assert index.range_lookup().tolist() == [0]
 
     def test_duplicate_keys_accumulate(self):
         index = index_over([7] * 5)
-        assert index.lookup(7).tolist() == [0, 1, 2, 3, 4]
+        assert index.range_lookup(7, 7).tolist() == [0, 1, 2, 3, 4]
         assert index._keys.tolist() == [7]
 
     def test_order_too_small_rejected(self):
@@ -328,8 +328,9 @@ def test_property_range_search_is_the_item_stream(
 def test_property_point_lookup(keys):
     index = index_over(keys, order=5)
     for probe in set(keys):
-        assert index.lookup(probe).tolist() == [i for i, k in enumerate(keys) if k == probe]
-    assert index.lookup(max(keys) + 1).tolist() == []
+        want = [i for i, k in enumerate(keys) if k == probe]
+        assert index.range_lookup(probe, probe).tolist() == want
+    assert index.range_lookup(max(keys) + 1, max(keys) + 1).tolist() == []
 
 
 # -- the build: one insert per distinct key, on ranks --------------------------
@@ -390,7 +391,7 @@ def test_grouped_build_of_all_duplicate_keys(order, pair):
     index = index_over(keys, DataType.FLOAT, order)
     assert_same_tree(index, per_row_reference(keys, order), [-1, 0, 1, 2])
     assert (len(index._keys), len(index.range_lookup()), index.height) == (1, 200, 1)
-    assert index.lookup(pair[1]).tolist() == list(range(200))
+    assert index.range_lookup(pair[1], pair[1]).tolist() == list(range(200))
     # The first occurrence's value is the key: -0.0 stays -0.0.
     assert [repr(k) for k in index._keys.tolist()] == [repr(float(pair[0]))]
 

@@ -22,7 +22,7 @@ class TestDDL:
     def test_insert_maintains_indexes(self, small_database):
         small_database.insert("t1", (5, 6, 7))
         index = small_database.catalog.index("t1_a")
-        rids = index.lookup(5)
+        rids = index.range_lookup(5, 5)
         assert any(small_database.catalog.table("t1").row(r) == (5, 6, 7) for r in rids)
 
     @pytest.mark.parametrize("load", ["insert", "bulk_load"])
@@ -41,7 +41,8 @@ class TestDDL:
         for index in small_database.catalog.indexes_for("t2"):
             position = table.schema.position(index.column_name)
             for row in rows:
-                assert row in [table.row(r) for r in index.lookup(row[position])]
+                key = row[position]
+                assert row in [table.row(r) for r in index.range_lookup(key, key)]
             assert sorted(index.range_lookup()) == list(range(403))
 
     def test_failed_bulk_load_keeps_indexes(self, small_database):
@@ -69,7 +70,7 @@ class TestDDL:
         db.create_index("t_b", "t", "b", clustered=True)
         # After clustering on b, the a-index must map to the new row ids.
         index = db.catalog.index("t_a")
-        (rid,) = index.lookup(3)
+        (rid,) = index.range_lookup(3, 3)
         assert db.catalog.table("t").row(rid) == (3, 30)
 
 

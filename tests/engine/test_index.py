@@ -13,7 +13,7 @@ class TestIndexBuild:
         table = make_test_table(rows=300)
         index = Index("i", table, "a", IndexKind.NONCLUSTERED)
         value = table.row(17)[0]
-        rids = index.lookup(value)
+        rids = index.range_lookup(value, value)
         assert 17 in rids
         assert all(table.row(r)[0] == value for r in rids)
 

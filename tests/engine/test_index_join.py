@@ -45,7 +45,7 @@ def per_key_index_nested_loop_join(left, right, query, inner_index, pool=None):
         index_base = pool.page_space("I", inner_index.name)
         table_base = pool.page_space("T", right.name)
     for key in left.column_array(query.left_column)[li].tolist():
-        row_ids = inner_index.lookup(key).tolist()
+        row_ids = inner_index.range_lookup(key, key).tolist()
         k = len(row_ids)
         if pool is None:
             charge_random_pages(metrics, None, count=inner_index.height)

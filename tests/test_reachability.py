@@ -1,7 +1,8 @@
 """Reachability guard: nothing public in ``src/repro`` lives for its own test.
 
 A name-based reference graph (stdlib ``ast``) is closed from the real
-entry points — the two ``__main__`` modules, ``bench/`` (with its
+entry points — the three command-line modules (the two ``__main__``
+modules and ``experiments/seed_sweep.py``), ``bench/`` (with its
 ``"repro.x.y:Class.method"`` wrap points), ``benchmarks/``, ``examples/``
 and the README's ``python`` blocks (parsed, not run).  Package re-export
 lists are not references: imports inside ``src/`` never count and
@@ -186,7 +187,8 @@ def _source_graph(split_classes: bool = False):
 
 @cache
 def _root_trees() -> tuple:
-    files = [SRC / "experiments" / "__main__.py", SRC / "obs" / "__main__.py"]
+    files = [SRC / "experiments" / name for name in ("__main__.py", "seed_sweep.py")]
+    files.append(SRC / "obs" / "__main__.py")
     for folder in ("bench", "benchmarks", "examples"):
         files += sorted((ROOT / folder).rglob("*.py"))
     trees = [ast.parse(path.read_text()) for path in files]
