@@ -46,25 +46,16 @@ def selection_mask(
 ) -> np.ndarray:
     """Which of the rows *ids* (default: every row) satisfy *predicate*.
 
-    One boolean per candidate, in candidate order.  The batched path
-    evaluates the predicate over the table's column arrays (already
-    there, or needed by the next query anyway) and picks the candidates
-    out; a predicate with no batch form on this data is evaluated row
-    at a time.  The logical work is the same either way and is charged
-    by the caller, once per candidate.
+    One boolean per candidate, in candidate order: the predicate is
+    evaluated over the table's column arrays and the candidates are
+    picked out.  The logical work is charged by the caller, once per
+    candidate.
     """
     count = len(table) if ids is None else len(ids)
-    if isinstance(predicate, TruePredicate):
+    if isinstance(predicate, TruePredicate) or not count:
         return np.ones(count, dtype=bool)
-    if count:
-        mask = predicate.evaluate_batch(table)
-        if mask is not None:
-            return mask if ids is None else mask[ids]
-    rows, schema = table.rows(), table.schema
-    candidates = rows if ids is None else map(rows.__getitem__, ids.tolist())
-    return np.fromiter(
-        (predicate.evaluate(row, schema) for row in candidates), dtype=bool, count=count
-    )
+    mask = predicate.evaluate_batch(table)
+    return mask if ids is None else mask[ids]
 
 
 def _finalize(
@@ -236,7 +227,3 @@ def nonclustered_index_scan(
     )
     return UnaryExecution(result, metrics, info)
 
-
-def filter_rows(table: Table, predicate: Predicate) -> list:
-    """Naive full filter — reference implementation used in tests and joins."""
-    return [row for row in table if predicate.evaluate(row, table.schema)]

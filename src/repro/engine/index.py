@@ -19,17 +19,17 @@ leaf's first key (as a position among the keys) and each leaf's
 root-to-leaf node ids — shared by every fork.
 
 Every read is a ``searchsorted`` over the keys that answers as Python's
-comparison would (:func:`_position`): int64 and float64 keys (a column
-holds no NaN) and object arrays (strings, integers beyond int64) compare
-as Python does, and a bound of the other numeric kind is first replaced
-exactly by the key that splits the keys where it does.
+comparison would (:func:`_position`): int64, float64 (a column holds no
+NaN) and object (string) keys compare as Python does, and a bound of the
+other numeric kind is first replaced exactly by the key that splits the
+keys where it does (:func:`~repro.engine.types.key_split`, the rule
+predicates apply to their constants).
 """
 
 from __future__ import annotations
 
 import copy
 import enum
-import math
 from typing import Any
 
 import numpy as np
@@ -37,64 +37,35 @@ import numpy as np
 from .btree import BPlusTree
 from .errors import CatalogError
 from .table import Table
+from .types import key_split
 
 _INT64 = np.iinfo(np.int64)
-
-
-def _int_split(value: Any, side: str) -> Any:
-    """An integer at which int keys split where they split around *value*."""
-    if isinstance(value, int) or math.isinf(value):
-        return value
-    return math.ceil(value) if side == "left" else math.floor(value)
-
-
-def _float_split(value: Any, side: str) -> float:
-    """A float at which float keys split where they split around *value*.
-
-    An integer float64 cannot hold lies between two adjacent floats; the
-    upper one bounds ``key < value`` and the lower one ``key <= value``.
-    """
-    if isinstance(value, float):
-        return value
-    try:
-        near = float(value)
-    except OverflowError:
-        near = math.copysign(math.inf, value)
-    if side == "left" and near < value:
-        return math.nextafter(near, math.inf)
-    if side == "right" and near > value:
-        return math.nextafter(near, -math.inf)
-    return near
 
 
 def _position(keys: np.ndarray, value: Any, side: str) -> int:
     """``bisect_left`` / ``bisect_right`` (*side*) of *value* in *keys*,
     under Python's comparison.
 
-    Object keys compare as Python does.  For int64 and float64 keys,
     *value* is first replaced exactly by the key-dtype value that splits
-    the keys where it does; an integer beyond int64 splits int keys at
-    an end.
+    the keys where it does (:func:`~repro.engine.types.key_split`); a
+    split beyond int64 splits int keys at an end.
     """
-    kind = keys.dtype.kind
-    if kind == "i":
-        value = _int_split(value, side)
+    value = key_split(keys.dtype.kind, value, side)
+    if keys.dtype.kind == "i":
         if value > _INT64.max:
             return len(keys)
         if value < _INT64.min:
             return 0
-    elif kind == "f":
-        value = _float_split(value, side)
     return int(keys.searchsorted(value, side))
 
 
 def _search(keys: np.ndarray, probes: np.ndarray, side: str) -> np.ndarray:
     """:func:`_position` of each of *probes*, at once where numpy can.
 
-    Probes of the keys' own dtype, and any probes against object keys,
-    compare exactly as Python does; any others go one at a time.
+    Probes of the keys' own dtype compare exactly as Python does; probes
+    of the other numeric kind go one at a time.
     """
-    if keys.dtype.kind == "O" or probes.dtype == keys.dtype:
+    if probes.dtype == keys.dtype:
         return keys.searchsorted(probes, side)
     return np.array([_position(keys, v, side) for v in probes.tolist()], dtype=np.intp)
 
@@ -143,8 +114,6 @@ class Index:
 
         A stable sort groups equal keys with their row ids in row order,
         so each group's first row id is the key's first occurrence.
-        Strings are kept as Python objects: fixed-width unicode drops a
-        trailing NUL, from a bound as from a column.
         """
         row_ids = np.argsort(column, kind="stable")
         ordered = column[row_ids]
@@ -157,7 +126,7 @@ class Index:
             tree.insert(rank)
         leaf_starts, leaf_paths = tree.leaves()
         self.height = tree.height
-        self._keys = keys.astype(object) if keys.dtype.kind == "U" else keys
+        self._keys = keys
         self._starts = np.append(starts, len(ordered))
         self._row_ids = row_ids
         self._leaf_starts = leaf_starts

@@ -3,9 +3,10 @@
 Every method produces the identical (bag-equivalent) result; they differ
 in the physical work they report, which is what drives the simulated
 elapsed times the cost models are trained on.  To keep large joins fast,
-the actual matching is one shared matcher over the operands' key arrays
-(:func:`_match_pairs`) — the *metrics* are what model each algorithm, and
-correctness tests verify all methods agree with a naive reference join.
+the actual matching is one shared numpy matcher over the operands' key
+arrays (:func:`_match_pairs`) — the *metrics* are what model each
+algorithm, and correctness tests verify all methods agree with a
+tuple-at-a-time reference join.
 
 Per the paper's Table 3, each operand's *intermediate table* is the
 operand reduced by its local selection; join variables include both
@@ -15,7 +16,6 @@ intermediate cardinalities and the size of their Cartesian product.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +25,6 @@ from .buffer import BufferPool, charge_random_pages, charge_sequential_pages
 from .errors import ExecutionError
 from .index import Index, IndexKind
 from .metrics import AccessInfo, ExecutionMetrics, sort_comparisons_for
-from .predicate import FLOAT_EXACT_INT
 from .query import JoinQuery
 from .table import ResultTable, Table
 
@@ -66,49 +65,39 @@ def _reduce_operand(
     return selected
 
 
-def _numpy_orders_like_python(lkeys: np.ndarray, rkeys: np.ndarray) -> bool:
-    """Whether sorting and searching these keys in numpy matches ``==``.
+def _int_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float *keys* an int64 key can equal, as (positions, int64 keys).
 
-    Unicode against unicode and same-kind numbers do.  Mixed int/float
-    keys are compared as float64, which is exact only while every
-    integer is within ±2**53 (the rule ``Comparison`` applies to its
-    constant).  A column holds no NaN.  Object arrays hold whatever the
-    typed arrays could not.
+    Those are the integral floats within int64; any other float equals
+    no int64 value, so it matches nothing.
     """
-    kinds = {lkeys.dtype.kind, rkeys.dtype.kind}
-    if kinds == {"U"}:
-        return True
-    if not kinds <= {"i", "f"}:
-        return False
-    if len(kinds) == 1:
-        return True
-    ints = lkeys if lkeys.dtype.kind == "i" else rkeys
-    return -FLOAT_EXACT_INT < ints.min() and ints.max() < FLOAT_EXACT_INT
+    positions = np.flatnonzero(
+        (keys == np.floor(keys)) & (keys >= -(2.0**63)) & (keys < 2.0**63)
+    )
+    return positions, keys[positions].astype(np.int64)
 
 
 def _match_pairs(lkeys: np.ndarray, rkeys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All pairs of equal join keys, as positions into *lkeys* and *rkeys*.
 
     Pairs come left-position major, right positions ascending within a
-    key, whichever branch finds them.  The numpy branch — a stable
-    argsort of the right keys plus two ``searchsorted`` calls — is taken
-    when the key dtypes allow it; hash buckets over the Python values
-    decide everything else.
+    key: a stable argsort of the right keys plus two ``searchsorted``
+    calls.  Keys of one dtype order in numpy as in Python (a column
+    holds no NaN, strings are Python objects); INT keys joined to FLOAT
+    keys are matched against the float side mapped exactly to int64
+    (:func:`_int_keys`), which keeps the pairs' order.
     """
     empty = np.empty(0, dtype=np.intp)
     if not len(lkeys) or not len(rkeys):
         return empty, empty
-    if not _numpy_orders_like_python(lkeys, rkeys):
-        buckets: dict = defaultdict(list)
-        for position, key in enumerate(rkeys.tolist()):
-            buckets[key].append(position)
-        lpos: list[int] = []
-        rpos: list[int] = []
-        for position, key in enumerate(lkeys.tolist()):
-            matches = buckets.get(key, ())
-            lpos.extend([position] * len(matches))
-            rpos.extend(matches)
-        return np.asarray(lpos, dtype=np.intp), np.asarray(rpos, dtype=np.intp)
+    if lkeys.dtype.kind == "f" and rkeys.dtype.kind == "i":
+        kept, lkeys = _int_keys(lkeys)
+        lpos, rpos = _match_pairs(lkeys, rkeys)
+        return kept[lpos], rpos
+    if lkeys.dtype.kind == "i" and rkeys.dtype.kind == "f":
+        kept, rkeys = _int_keys(rkeys)
+        lpos, rpos = _match_pairs(lkeys, rkeys)
+        return lpos, kept[rpos]
     order = np.argsort(rkeys, kind="stable")
     rsorted = rkeys[order]
     starts = np.searchsorted(rsorted, lkeys, side="left")
@@ -330,58 +319,3 @@ def hash_join(
         "hash_join",
     )
 
-
-def naive_join(
-    left: Table,
-    right: Table,
-    query: JoinQuery,
-    pool: BufferPool | None = None,
-) -> JoinExecution:
-    """Reference tuple-at-a-time nested-loops join.
-
-    Scans the left operand once and rescans the right operand for every
-    qualifying left tuple — the textbook worst case.  It reports through
-    the same :class:`ExecutionMetrics` page accounting as the other join
-    methods (and replays its rescans through the buffer pool when one is
-    supplied), so tests can pin all five methods to identical result
-    sets *and* comparable physical-work ledgers.
-    """
-    query.validate(left.schema, right.schema)
-    lpos = left.schema.position(query.left_column)
-    rpos = right.schema.position(query.right_column)
-    metrics = ExecutionMetrics()
-    charge_sequential_pages(metrics, pool, left.name, left.num_pages)
-    metrics.tuples_read += left.cardinality
-
-    pairs: list[tuple[int, int]] = []
-    left_qualifying = 0
-    right_qualifying = 0
-    first_rescan = True
-    for lid, lrow in enumerate(left):
-        metrics.tuples_evaluated += 1
-        if not query.left_predicate.evaluate(lrow, left.schema):
-            continue
-        left_qualifying += 1
-        charge_sequential_pages(metrics, pool, right.name, right.num_pages)
-        metrics.tuples_read += right.cardinality
-        for rid, rrow in enumerate(right):
-            metrics.tuples_evaluated += 1
-            if not query.right_predicate.evaluate(rrow, right.schema):
-                continue
-            if first_rescan:
-                right_qualifying += 1
-            if lrow[lpos] == rrow[rpos]:
-                pairs.append((lid, rid))
-        first_rescan = False
-    metrics.intermediate_tuples += left_qualifying + right_qualifying
-
-    ids = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-    result = _join_result(left, right, query, ids[:, 0], ids[:, 1])
-    metrics.tuples_output = result.cardinality
-    return JoinExecution(
-        result,
-        metrics,
-        _operand_info(left, left_qualifying, "naive_join"),
-        _operand_info(right, right_qualifying, "naive_join"),
-        "naive_join",
-    )

@@ -1,8 +1,14 @@
 """Predicate expressions: evaluation, analysis, and selectivity estimation.
 
-Predicates are trees of comparisons joined by AND/OR/NOT.  Besides
-row-at-a-time evaluation, the module supports the two analyses the engine
-(and the paper's query classification) needs:
+Predicates are trees of comparisons joined by AND/OR/NOT.  A predicate
+is evaluated over a table's column arrays at once, as one boolean mask
+(:meth:`Predicate.evaluate_batch`): validation against the schema types
+each constant with its column (:meth:`Predicate.validate`), and a
+constant of the other numeric kind is replaced by its exact split in the
+column's dtype (:func:`~repro.engine.types.key_split`), so numpy decides
+every comparison as Python would.  Besides evaluation, the module
+supports the two analyses the engine (and the paper's query
+classification) needs:
 
 * extracting *sargable* terms — ``column <op> constant`` comparisons that
   an index on that column could serve, together with the residual
@@ -16,18 +22,18 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 import numpy as np
 
 from .errors import QueryError
 from .schema import TableSchema, TableStatistics
-from .types import Row
+from .types import DataType, key_split
 
 # Comparison operators, with their evaluation functions.  The same table
-# drives both row-at-a-time evaluation (Python operands) and batch
-# evaluation (a numpy array on the left), since numpy overloads the
-# operators.
+# drives batch evaluation (a numpy array on the left) and the
+# single-value cases of selectivity estimation, since numpy overloads
+# the operators.
 _OPS = {
     "=": lambda a, b: a == b,
     "!=": lambda a, b: a != b,
@@ -37,9 +43,10 @@ _OPS = {
     ">=": lambda a, b: a >= b,
 }
 
-#: Integers of smaller magnitude convert to float64 exactly, so numpy may
-#: compare them with floats; beyond it only Python's exact comparison will do.
-FLOAT_EXACT_INT = 2**53
+#: The side of :func:`~repro.engine.types.key_split` each range operator
+#: compares against: ``key < v`` is ``key < split``, ``key <= v`` is
+#: ``key <= split``, and ``>=`` / ``>`` are their negations.
+_SIDES = {"<": "left", ">=": "left", "<=": "right", ">": "right"}
 
 #: Default selectivity guesses when statistics are unavailable
 #: (System R's classic magic numbers).
@@ -56,20 +63,10 @@ _DEFAULT_SELECTIVITY = {
 class Predicate:
     """Abstract base for predicate nodes."""
 
-    def evaluate(self, row: Row, schema: TableSchema) -> bool:
+    def evaluate_batch(self, table) -> np.ndarray:
+        """A boolean mask over a validated :class:`Table`'s rows, in
+        physical row order: which rows satisfy this predicate."""
         raise NotImplementedError
-
-    def evaluate_batch(self, table) -> Optional[np.ndarray]:
-        """Vectorized evaluation over a :class:`Table`'s columnar views.
-
-        Returns a boolean mask aligned with physical row order, or
-        ``None`` when this predicate (or any subtree) cannot be
-        evaluated in batch — e.g. a comparison whose constant's type
-        does not match the column's numpy dtype.  Callers falling back
-        to row-at-a-time :meth:`evaluate` get identical results; the
-        two paths are pinned together by property tests.
-        """
-        return None
 
     def columns(self) -> set[str]:
         """Names of all columns referenced anywhere in the tree."""
@@ -80,12 +77,25 @@ class Predicate:
         raise NotImplementedError
 
     def validate(self, schema: TableSchema) -> None:
-        """Raise :class:`QueryError` if a referenced column is missing."""
+        """Raise :class:`QueryError` if a referenced column is missing, or
+        if a comparison's constant cannot compare with its column.
+
+        A constant compares with an INT or FLOAT column if it is an
+        ``int`` or ``float``, and with a STR column if it is a ``str``;
+        a ``bool`` compares with none.
+        """
         missing = {name for name in self.columns() if name not in schema}
         if missing:
             raise QueryError(
                 f"predicate references unknown column(s): {sorted(missing)}"
             )
+        for term in _comparisons(self):
+            dtype = schema.column(term.column).dtype
+            types = str if dtype is DataType.STR else (int, float)
+            if isinstance(term.value, bool) or not isinstance(term.value, types):
+                raise QueryError(
+                    f"cannot compare {dtype.value} column {term.column} with {term.value!r}"
+                )
 
     # Conjunction convenience: ``p & q`` builds And(p, q).
     def __and__(self, other: "Predicate") -> "Predicate":
@@ -113,37 +123,20 @@ class Comparison(Predicate):
             # NaN satisfies no comparison; an index range would read it as +inf.
             raise QueryError(f"comparison with NaN: {self.column} {self.op} nan")
 
-    def evaluate(self, row: Row, schema: TableSchema) -> bool:
-        return _OPS[self.op](row[schema.position(self.column)], self.value)
-
-    def evaluate_batch(self, table) -> Optional[np.ndarray]:
-        if len(table) == 0:
-            return np.zeros(0, dtype=bool)
-        array = table.column_array(self.column)
-        if not self._batch_compatible(array.dtype.kind, self.value):
-            return None
-        return _OPS[self.op](array, self.value)
-
-    @staticmethod
-    def _batch_compatible(dtype_kind: str, value: Any) -> bool:
-        """Whether numpy comparison semantics match Python's exactly.
-
-        An int compared with a float — column against constant, either
-        way round — is compared as float64, which is exact only while
-        the integer side stays within ±2**53: an out-of-range constant
-        forces the scalar path.
-        """
-        if dtype_kind in "iuf":
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                return False
-            if isinstance(value, numbers.Integral):
-                return -FLOAT_EXACT_INT < int(value) < FLOAT_EXACT_INT
-            return dtype_kind == "f" or abs(float(value)) < FLOAT_EXACT_INT
-        if dtype_kind == "U":
-            # Fixed-width unicode drops a trailing NUL, on the constant
-            # as on a column (see Table.column_array).
-            return isinstance(value, str) and not value.endswith("\x00")
-        return False
+    def evaluate_batch(self, table) -> np.ndarray:
+        keys = table.column_array(self.column)
+        kind = keys.dtype.kind
+        if kind == "O":
+            # Strings: a bare str operand would be compared as fixed-width
+            # unicode, which drops a trailing NUL; an object scalar is not.
+            return _OPS[self.op](keys, np.array(self.value, dtype=object))
+        if self.op in _SIDES:
+            return _OPS[self.op](keys, key_split(kind, self.value, _SIDES[self.op]))
+        # key == v is key >= left split and key <= right split: when the
+        # two differ, no key of this dtype equals the constant.
+        low, high = key_split(kind, self.value, "left"), key_split(kind, self.value, "right")
+        equal = keys == low if low == high else np.zeros(len(keys), dtype=bool)
+        return equal if self.op == "=" else ~equal
 
     def columns(self) -> set[str]:
         return {self.column}
@@ -185,17 +178,8 @@ class And(Predicate):
     left: Predicate
     right: Predicate
 
-    def evaluate(self, row: Row, schema: TableSchema) -> bool:
-        return self.left.evaluate(row, schema) and self.right.evaluate(row, schema)
-
-    def evaluate_batch(self, table) -> Optional[np.ndarray]:
-        left = self.left.evaluate_batch(table)
-        if left is None:
-            return None
-        right = self.right.evaluate_batch(table)
-        if right is None:
-            return None
-        return left & right
+    def evaluate_batch(self, table) -> np.ndarray:
+        return self.left.evaluate_batch(table) & self.right.evaluate_batch(table)
 
     def columns(self) -> set[str]:
         return self.left.columns() | self.right.columns()
@@ -212,17 +196,8 @@ class Or(Predicate):
     left: Predicate
     right: Predicate
 
-    def evaluate(self, row: Row, schema: TableSchema) -> bool:
-        return self.left.evaluate(row, schema) or self.right.evaluate(row, schema)
-
-    def evaluate_batch(self, table) -> Optional[np.ndarray]:
-        left = self.left.evaluate_batch(table)
-        if left is None:
-            return None
-        right = self.right.evaluate_batch(table)
-        if right is None:
-            return None
-        return left | right
+    def evaluate_batch(self, table) -> np.ndarray:
+        return self.left.evaluate_batch(table) | self.right.evaluate_batch(table)
 
     def columns(self) -> set[str]:
         return self.left.columns() | self.right.columns()
@@ -240,14 +215,8 @@ class Or(Predicate):
 class Not(Predicate):
     operand: Predicate
 
-    def evaluate(self, row: Row, schema: TableSchema) -> bool:
-        return not self.operand.evaluate(row, schema)
-
-    def evaluate_batch(self, table) -> Optional[np.ndarray]:
-        mask = self.operand.evaluate_batch(table)
-        if mask is None:
-            return None
-        return ~mask
+    def evaluate_batch(self, table) -> np.ndarray:
+        return ~self.operand.evaluate_batch(table)
 
     def columns(self) -> set[str]:
         return self.operand.columns()
@@ -262,10 +231,7 @@ class Not(Predicate):
 class TruePredicate(Predicate):
     """Always-true predicate: a query with no WHERE clause."""
 
-    def evaluate(self, row: Row, schema: TableSchema) -> bool:
-        return True
-
-    def evaluate_batch(self, table) -> Optional[np.ndarray]:
+    def evaluate_batch(self, table) -> np.ndarray:
         return np.ones(len(table), dtype=bool)
 
     def columns(self) -> set[str]:
@@ -321,6 +287,17 @@ def conjuncts(pred: Predicate) -> list[Predicate]:
     if isinstance(pred, TruePredicate):
         return []
     return [pred]
+
+
+def _comparisons(pred: Predicate) -> Iterator[Comparison]:
+    """Every comparison in the tree, left to right."""
+    if isinstance(pred, Comparison):
+        yield pred
+    elif isinstance(pred, (And, Or)):
+        yield from _comparisons(pred.left)
+        yield from _comparisons(pred.right)
+    elif isinstance(pred, Not):
+        yield from _comparisons(pred.operand)
 
 
 def map_columns(pred: Predicate, rename) -> Predicate:

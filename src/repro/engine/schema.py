@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import SchemaError
 from .types import DataType, Row
@@ -51,17 +52,28 @@ class Column:
         return self.dtype.validate(value)
 
 
-def _exactly_valid(dtype: DataType, values: Iterable[Any]) -> bool:
-    """Whether ``dtype.validate`` returns every one of *values* unchanged.
+#: Array dtype of each column type: each holds its type's values exactly
+#: (INT is bounded to int64 at ingest) and compares, sorts and searches
+#: them as Python does — strings as Python objects, since fixed-width
+#: unicode would drop a trailing NUL.
+ARRAY_DTYPES = {
+    DataType.INT: np.dtype(np.int64),
+    DataType.FLOAT: np.dtype(np.float64),
+    DataType.STR: np.dtype(object),
+}
+
+
+def _exactly_valid(dtype: DataType, values: Sequence[Any]) -> bool:
+    """Whether ``dtype.validate`` returns every one of *values* unchanged,
+    an INT value beyond int64 aside (its array refuses it).
 
     Each must have exactly the column's Python type, and a FLOAT value
     must not be NaN.  A NaN makes the sum NaN; so do ``inf`` and ``-inf``
     together, which the row-by-row check then accepts.
     """
     if dtype is not DataType.FLOAT:
-        return set(map(type, values)) == {dtype.python_type}
-    values = list(values)
-    return set(map(type, values)) == {float} and not math.isnan(sum(values))
+        return set(map(type, values)) <= {dtype.python_type}
+    return set(map(type, values)) <= {float} and not math.isnan(sum(values))
 
 
 class TableSchema:
@@ -132,29 +144,33 @@ class TableSchema:
             )
         return tuple(c.validate(v) for c, v in zip(self.columns, row))
 
-    def validate_rows(self, rows: Iterable[Sequence[Any]]) -> list[Row]:
-        """Validate a whole batch, returning canonical tuples.
+    def validate_rows(self, rows: Iterable[Sequence[Any]]) -> list[np.ndarray]:
+        """Validate a whole batch, returning it as one array per column.
 
-        The batch is verified by column: when every row is a plain tuple
-        of the schema's arity and every value already has its column's
-        exact Python type, :meth:`validate_row` would return each row
-        unchanged, so the rows are taken as they are.  Any other batch
-        (lists as rows, ints into FLOAT, ``None``, ``bool``, subclasses,
-        NaN, wrong arity) goes through :meth:`validate_row` row by row, which
-        coerces or raises exactly as a single insert would.  Nothing is
-        returned unless every row is valid.
+        The batch is transposed once and verified by column: when every
+        row has the schema's arity and every value already has its
+        column's exact Python type (and an INT value fits int64), each
+        column becomes its array as it is.  Any other batch (ints into
+        FLOAT, ``None``, ``bool``, subclasses, NaN, wrong arity, an
+        integer beyond int64) goes through :meth:`validate_row` row by
+        row, which coerces or raises exactly as a single insert would.
+        Nothing is returned unless every row is valid.
         """
         batch = rows if isinstance(rows, list) else list(rows)
-        if (
-            set(map(type, batch)) == {tuple}
-            and set(map(len, batch)) == {len(self.columns)}
-            and all(
-                _exactly_valid(column.dtype, map(itemgetter(pos), batch))
-                for pos, column in enumerate(self.columns)
-            )
-        ):
-            return batch
-        return [self.validate_row(row) for row in batch]
+        if set(map(len, batch)) <= {len(self.columns)}:
+            columns = list(zip(*batch)) or [()] * len(self.columns)
+            if all(map(_exactly_valid, (c.dtype for c in self.columns), columns)):
+                try:
+                    return self._arrays(columns)
+                except OverflowError:
+                    pass  # an integer beyond int64: validate_row names it
+        return self._arrays(list(zip(*map(self.validate_row, batch))) or [()] * len(self.columns))
+
+    def _arrays(self, columns: Sequence[Sequence[Any]]) -> list[np.ndarray]:
+        return [
+            np.array(values, dtype=ARRAY_DTYPES[column.dtype])
+            for column, values in zip(self.columns, columns)
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cols = ", ".join(f"{c.name} {c.dtype.value}({c.width})" for c in self.columns)

@@ -112,8 +112,8 @@ _DASH_COUNTERS = (
 )
 
 
-def _rule(title: str, width: int = 72) -> str:
-    return f"--- {title} " + "-" * max(0, width - len(title) - 5)
+def _rule(title: str) -> str:
+    return f"--- {title} " + "-" * max(0, 67 - len(title))
 
 
 def render_dashboard(payload: dict) -> str:

@@ -52,6 +52,8 @@ __all__ = [
 VERY_GOOD_RELATIVE_ERROR = 0.30
 #: "Good" (§5): within one time larger or smaller (a factor of 2).
 GOOD_FACTOR = 2.0
+#: Samples an :class:`AccuracyTracker` window holds, per state and per class.
+WINDOW_SIZE = 128
 
 _INF = float("inf")
 _new_tuple = tuple.__new__
@@ -195,7 +197,7 @@ class AccuracyWindow:
         "_sum_rel", "_sum_signed", "_sum_predicted", "_sum_actual",
     )
 
-    def __init__(self, window_size: int = 128) -> None:
+    def __init__(self, window_size: int = WINDOW_SIZE) -> None:
         if window_size <= 0:
             raise ValueError("window_size must be positive")
         self.window_size = window_size
@@ -272,13 +274,7 @@ class AccuracyTracker:
     ``export=False`` to keep a tracker private (e.g. inside tests).
     """
 
-    def __init__(
-        self,
-        window_size: int = 128,
-        probe_window_size: int = 64,
-        export: bool = True,
-    ) -> None:
-        self.window_size = window_size
+    def __init__(self, probe_window_size: int = 64, export: bool = True) -> None:
         self.probe_window_size = probe_window_size
         self.export = export
         #: Third key element is a plain or composite state (see record()).
@@ -317,9 +313,9 @@ class AccuracyTracker:
         if windows is None:
             class_window = self._class_windows.get((site, class_label))
             if class_window is None:
-                class_window = AccuracyWindow(self.window_size)
+                class_window = AccuracyWindow()
                 self._class_windows[(site, class_label)] = class_window
-            windows = (AccuracyWindow(self.window_size), class_window)
+            windows = (AccuracyWindow(), class_window)
             self._state_windows[key] = windows
         _push(windows, sample)
         if self.export:

@@ -242,9 +242,9 @@ def set_tracer(tracer: Tracer | NoopTracer) -> Tracer | NoopTracer:
     return previous
 
 
-def enable(clock: Callable[[], float] = time.perf_counter) -> Tracer:
-    """Install (and return) a fresh recording tracer."""
-    tracer = Tracer(clock)
+def enable() -> Tracer:
+    """Install (and return) a fresh recording tracer on ``time.perf_counter``."""
+    tracer = Tracer()
     set_tracer(tracer)
     return tracer
 

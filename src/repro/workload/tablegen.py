@@ -158,8 +158,8 @@ def _build_template(workload: WorkloadSpec, layout: PageLayout) -> LocalCatalog:
     columns = [Column(name, DataType.INT) for name in COLUMN_NAMES]
     tuple_length = sum(column.width for column in columns)
     for spec in workload.tables:
-        # A batch that arrives by column: the empty table adopts the
-        # arrays and never builds row tuples (Table.bulk_load).
+        # A batch that arrives by column: the table takes the int64
+        # arrays as they are and never builds row tuples (Table.bulk_load).
         ids = np.arange(spec.cardinality)
         batch = ResultTable(
             COLUMN_NAMES,

@@ -34,7 +34,7 @@ class TestChangeDetector:
     def test_small_growth_not_significant(self, site):
         baseline = catalog_snapshot(site.database)
         table = site.database.catalog.table("R1")
-        row = table.row(0)
+        row = table.rows()[0]
         for _ in range(int(table.cardinality * 0.05)):
             table.insert(row)
         assert changes_since(baseline, site) == []
@@ -42,7 +42,7 @@ class TestChangeDetector:
     def test_accumulated_growth_detected(self, site):
         baseline = catalog_snapshot(site.database)
         table = site.database.catalog.table("R1")
-        row = table.row(0)
+        row = table.rows()[0]
         for _ in range(int(table.cardinality * 0.5)):
             table.insert(row)
         assert any(c.startswith("R1: cardinality") for c in changes_since(baseline, site))

@@ -12,8 +12,6 @@ and requires equality after every step.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +29,6 @@ from repro.env import dynamic_uniform_environment
 from repro.mdbs.agent import MDBSAgent
 from repro.mdbs.probing_service import ProbingService
 
-from ..engine.kernels import row_at_a_time
 
 COLUMNS = [Column("a", DataType.INT), Column("b", DataType.INT), Column("c", DataType.INT)]
 
@@ -203,23 +200,21 @@ steps = st.lists(
 )
 
 
-@pytest.mark.parametrize("kernels", ["default", "scalar"])
 @pytest.mark.parametrize("probe_name", sorted(PROBES))
 @settings(max_examples=60, deadline=None)
 @given(steps=steps)
-def test_observe_equals_executing_every_time(kernels, probe_name, steps):
-    with row_at_a_time() if kernels == "scalar" else nullcontext():
-        twins = Twins(PROBES[probe_name])
-        twins.observe()
-        for name, arg in steps:
-            if name == "observe":
-                twins.observe()
-            else:
-                mutation = MUTATIONS[name]
-                first, second = twins.both(lambda db: mutation(db, arg))
-                assert first == second
-        twins.observe()
-        twins.assert_same_metrics()
+def test_observe_equals_executing_every_time(probe_name, steps):
+    twins = Twins(PROBES[probe_name])
+    twins.observe()
+    for name, arg in steps:
+        if name == "observe":
+            twins.observe()
+        else:
+            mutation = MUTATIONS[name]
+            first, second = twins.both(lambda db: mutation(db, arg))
+            assert first == second
+    twins.observe()
+    twins.assert_same_metrics()
 
 
 def test_unchanged_site_runs_the_probe_once():

@@ -5,7 +5,6 @@ import pytest
 
 from repro.engine.access import (
     clustered_index_scan,
-    filter_rows,
     nonclustered_index_scan,
     seq_scan,
 )
@@ -15,6 +14,7 @@ from repro.engine.predicate import And, Comparison
 from repro.engine.query import SelectQuery
 
 from ..conftest import make_test_table
+from .reference import filter_rows
 
 
 def reference_result(table, query):
@@ -79,7 +79,7 @@ class TestClusteredIndexScan:
 
     def test_intermediate_is_range_count(self, table, clustered):
         execution = clustered_index_scan(table, clustered, QUERY)
-        expected = len([r for r in table if 200 <= r[0] < 600])
+        expected = len([r for r in table.rows() if 200 <= r[0] < 600])
         assert execution.info.intermediate_cardinality == expected
 
     def test_requires_clustered_index(self, table):

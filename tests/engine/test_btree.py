@@ -423,10 +423,9 @@ EDGE_BOUNDS = [
     0.5, -0.5, 0, -0.0,
 ]
 EDGE_INTS = [2**53 - 1, 2**53, 2**53 + 1, -(2**53) - 1, 2**62, -(2**63), 2**63 - 1]
-BIG_INTS = [2**63, 2**64 + 1, -(2**63) - 1, -(2**80)]
 STRINGS = ["", "a", "a\x00", "a\x00\x00", "a ", "a\x00b", "ab", "b", "é"]
 
-#: (column type, key values, extra bounds) — INT beyond int64 is an object array.
+#: (column type, key values, extra bounds); EDGE_BOUNDS reach beyond int64.
 KEY_KINDS = {
     "int": (DataType.INT, st.integers(-6, 6) | st.sampled_from(EDGE_INTS), EDGE_BOUNDS),
     "float": (
@@ -436,21 +435,17 @@ KEY_KINDS = {
         EDGE_BOUNDS,
     ),
     "str": (DataType.STR, st.sampled_from(STRINGS), STRINGS + ["a\x00\x00\x00", "c"]),
-    "bigint": (DataType.INT, st.integers(-6, 6) | st.sampled_from(BIG_INTS), EDGE_BOUNDS),
 }
 
-#: What the index holds its keys as: strings and integers beyond int64 as
-#: Python objects.
-KEY_DTYPES = {"int": np.int64, "float": np.float64, "str": object, "bigint": object}
+#: What the index holds its keys as: strings as Python objects.
+KEY_DTYPES = {"int": np.int64, "float": np.float64, "str": object}
 
 
 @st.composite
 def indexed_columns(draw):
     kind = draw(st.sampled_from(sorted(KEY_KINDS)))
     dtype, values, bounds = KEY_KINDS[kind]
-    keys = draw(st.lists(values, min_size=kind == "bigint", max_size=120))
-    if kind == "bigint":  # at least one key int64 cannot hold
-        keys[draw(st.integers(0, len(keys) - 1))] = draw(st.sampled_from(BIG_INTS))
+    keys = draw(st.lists(values, max_size=120))
     return kind, dtype, keys, bounds
 
 

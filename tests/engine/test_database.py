@@ -6,13 +6,15 @@ import pytest
 from repro.engine.access import clustered_index_scan, nonclustered_index_scan
 from repro.engine.database import LocalDatabase
 from repro.engine.errors import CatalogError, SchemaError, TypeError_
-from repro.engine.joins import index_nested_loop_join, naive_join
+from repro.engine.joins import index_nested_loop_join
 from repro.engine.optimizer import JoinPlan, UnaryPlan
 from repro.engine.predicate import Comparison
 from repro.engine.query import JoinQuery, SelectQuery
 from repro.engine.schema import Column
 from repro.engine.types import DataType
 from repro.env.environment import dynamic_uniform_environment
+
+from .reference import filter_rows, naive_join
 
 
 class TestDDL:
@@ -23,7 +25,7 @@ class TestDDL:
         small_database.insert("t1", (5, 6, 7))
         index = small_database.catalog.index("t1_a")
         rids = index.range_lookup(5, 5)
-        assert any(small_database.catalog.table("t1").row(r) == (5, 6, 7) for r in rids)
+        assert any(small_database.catalog.table("t1").rows()[r] == (5, 6, 7) for r in rids)
 
     @pytest.mark.parametrize("load", ["insert", "bulk_load"])
     def test_new_rows_keep_clustering_and_indexes(self, small_database, load):
@@ -42,7 +44,7 @@ class TestDDL:
             position = table.schema.position(index.column_name)
             for row in rows:
                 key = row[position]
-                assert row in [table.row(r) for r in index.range_lookup(key, key)]
+                assert row in [table.rows()[r] for r in index.range_lookup(key, key)]
             assert sorted(index.range_lookup()) == list(range(403))
 
     def test_failed_bulk_load_keeps_indexes(self, small_database):
@@ -71,7 +73,7 @@ class TestDDL:
         # After clustering on b, the a-index must map to the new row ids.
         index = db.catalog.index("t_a")
         (rid,) = index.range_lookup(3, 3)
-        assert db.catalog.table("t").row(rid) == (3, 30)
+        assert db.catalog.table("t").rows()[rid] == (3, 30)
 
 
 class TestPlanning:
@@ -105,12 +107,10 @@ class TestExecution:
     def test_execute_unary_rows_correct(self, small_database):
         result = small_database.execute("select a, b from t1 where b < 10")
         table = small_database.catalog.table("t1")
-        expected = sorted((r[0], r[1]) for r in table if r[1] < 10)
+        expected = sorted((r[0], r[1]) for r in table.rows() if r[1] < 10)
         assert sorted(result.result.rows) == expected
 
     def test_execute_join_rows_correct(self, small_database):
-        from repro.engine.joins import naive_join
-
         query = JoinQuery(
             "t1", "t2", "c", "c", ("t1.a", "t2.b"), Comparison("a", "<", 100)
         )
@@ -243,7 +243,7 @@ class TestNaNNeverReachesAColumn:
         table, index = db.catalog.table("t"), db.catalog.index("t_x")
         scan = clustered_index_scan if kind == "clustered" else nonclustered_index_scan
         got = sorted(scan(table, index, query).result.rows)
-        truth = sorted(row for row in table.rows() if query.predicate.evaluate(row, table.schema))
+        truth = sorted(filter_rows(table, query.predicate))
         assert got == truth and truth
 
     def test_index_nested_loop_join(self):

@@ -7,12 +7,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.access import filter_rows
 from repro.engine.database import LocalDatabase
 from repro.engine.predicate import And, Comparison, Not, Or
 from repro.engine.query import SelectQuery
 from repro.engine.schema import Column
 from repro.engine.types import DataType
+
+from .reference import filter_rows
 
 
 def build_db() -> LocalDatabase:

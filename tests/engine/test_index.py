@@ -12,10 +12,10 @@ class TestIndexBuild:
     def test_nonclustered_lookup(self):
         table = make_test_table(rows=300)
         index = Index("i", table, "a", IndexKind.NONCLUSTERED)
-        value = table.row(17)[0]
+        value = table.rows()[17][0]
         rids = index.range_lookup(value, value)
         assert 17 in rids
-        assert all(table.row(r)[0] == value for r in rids)
+        assert all(table.rows()[r][0] == value for r in rids)
 
     def test_missing_column_rejected(self):
         table = make_test_table(rows=10)
@@ -45,7 +45,7 @@ class TestRangeLookup:
         index = Index("i", table, "b", IndexKind.NONCLUSTERED)
         rids = index.range_lookup(20, 40)
         expected = sorted(
-            i for i, row in enumerate(table) if 20 <= row[1] <= 40
+            i for i, row in enumerate(table.rows()) if 20 <= row[1] <= 40
         )
         assert sorted(rids) == expected
 
@@ -53,7 +53,7 @@ class TestRangeLookup:
         table = make_test_table(rows=400)
         index = Index("i", table, "b", IndexKind.NONCLUSTERED)
         rids = index.range_lookup(10, 90)
-        keys = [table.row(r)[1] for r in rids]
+        keys = [table.rows()[r][1] for r in rids]
         assert keys == sorted(keys)
 
 

@@ -8,7 +8,6 @@ from repro.engine.index import Index, IndexKind
 from repro.engine.joins import (
     hash_join,
     index_nested_loop_join,
-    naive_join,
     nested_loop_join,
     sort_merge_join,
 )
@@ -16,6 +15,7 @@ from repro.engine.predicate import Comparison
 from repro.engine.query import JoinQuery
 
 from ..conftest import make_test_table
+from .reference import naive_join
 
 
 @pytest.fixture
@@ -92,7 +92,7 @@ class TestFiveWayAgreement:
 
     def test_naive_join_uses_shared_page_accounting(self, left, right, query):
         execution = naive_join(left, right, query)
-        qualifying_left = len([r for r in left if r[0] < 700])
+        qualifying_left = len([r for r in left.rows() if r[0] < 700])
         expected_pages = left.num_pages + qualifying_left * right.num_pages
         assert execution.metrics.sequential_page_reads == expected_pages
         assert execution.metrics.logical_page_reads == expected_pages
@@ -153,8 +153,8 @@ class TestWorkAccounting:
 
     def test_intermediate_cardinalities_reported(self, left, right, query):
         hj = hash_join(left, right, query)
-        expected_left = len([r for r in left if r[0] < 700])
-        expected_right = len([r for r in right if r[2] > 2])
+        expected_left = len([r for r in left.rows() if r[0] < 700])
+        expected_right = len([r for r in right.rows() if r[2] > 2])
         assert hj.left_info.intermediate_cardinality == expected_left
         assert hj.right_info.intermediate_cardinality == expected_right
 

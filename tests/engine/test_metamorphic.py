@@ -27,7 +27,6 @@ from repro.engine.query import JoinQuery, SelectQuery
 from repro.workload import make_site
 from repro.workload.tablegen import COLUMN_NAMES
 
-from .kernels import KERNELS
 from .test_sqlite_oracle import JOIN_COLUMNS, TABLES, forced_runs, predicates
 
 SEED = 4
@@ -66,7 +65,6 @@ def one_answer(sites, query) -> Counter:
     return answers[0][1]
 
 
-kernel_names = st.sampled_from(sorted(KERNELS))
 
 
 def column_probes(columns=COLUMN_NAMES):
@@ -92,25 +90,22 @@ def probe_value(sites, table, column, position, offset):
 @given(
     probe=column_probes(("a1", "a2", "a3", "a9")),
     strict=st.sampled_from(("<", ">")),
-    kernels=kernel_names,
 )
-def test_strictly_below_and_equal_to_k_is_empty_on_every_path(sites, probe, strict, kernels):
+def test_strictly_below_and_equal_to_k_is_empty_on_every_path(sites, probe, strict):
     table, column = probe[:2]
     k = probe_value(sites, *probe)
     strict_term, equal_term = Comparison(column, strict, k), Comparison(column, "=", k)
-    with KERNELS[kernels]():
-        for predicate in (And(strict_term, equal_term), And(equal_term, strict_term)):
-            for how, rows in every_result(sites, SelectQuery(table, (), predicate)):
-                assert rows == [], f"{how}: {predicate}"
+    for predicate in (And(strict_term, equal_term), And(equal_term, strict_term)):
+        for how, rows in every_result(sites, SelectQuery(table, (), predicate)):
+            assert rows == [], f"{how}: {predicate}"
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     probe=column_probes(),
     predicate=predicates,
-    kernels=kernel_names,
 )
-def test_splitting_on_a_constant_partitions_the_rows(sites, probe, predicate, kernels):
+def test_splitting_on_a_constant_partitions_the_rows(sites, probe, predicate):
     table, column = probe[:2]
     k = probe_value(sites, *probe)
     whole, below, above = (
@@ -121,8 +116,7 @@ def test_splitting_on_a_constant_partitions_the_rows(sites, probe, predicate, ke
             And(predicate, Comparison(column, ">=", k)),
         )
     )
-    with KERNELS[kernels]():
-        rows, low, high = (one_answer(sites, query) for query in (whole, below, above))
+    rows, low, high = (one_answer(sites, query) for query in (whole, below, above))
     assert rows == low + high, f"{predicate} split at {column} = {k}"
 
 
@@ -131,17 +125,13 @@ def test_splitting_on_a_constant_partitions_the_rows(sites, probe, predicate, ke
     tables=st.lists(st.sampled_from(TABLES), min_size=2, max_size=2, unique=True),
     columns=st.tuples(st.sampled_from(JOIN_COLUMNS), st.sampled_from(JOIN_COLUMNS)),
     local=st.tuples(predicates, predicates),
-    kernels=kernel_names,
 )
-def test_a_commuted_join_returns_the_rows_with_their_halves_swapped(
-    sites, tables, columns, local, kernels
-):
+def test_a_commuted_join_returns_the_rows_with_their_halves_swapped(sites, tables, columns, local):
     (left, right), (lcol, rcol), (lpred, rpred) = tables, columns, local
     query = JoinQuery(left, right, lcol, rcol, (), lpred, rpred)
     commuted = JoinQuery(right, left, rcol, lcol, (), rpred, lpred)
     width = len(COLUMN_NAMES)
-    with KERNELS[kernels]():
-        rows, mirrored = one_answer(sites, query), one_answer(sites, commuted)
+    rows, mirrored = one_answer(sites, query), one_answer(sites, commuted)
     swapped = Counter({row[width:] + row[:width]: count for row, count in mirrored.items()})
     assert rows == swapped, str(query)
 

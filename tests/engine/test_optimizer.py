@@ -3,7 +3,6 @@
 import pytest
 
 from repro.engine.index import Index, IndexKind
-from repro.engine.joins import naive_join
 from repro.engine.optimizer import (
     NONCLUSTERED_SELECTIVITY_LIMIT,
     choose_join_plan,
@@ -13,6 +12,7 @@ from repro.engine.predicate import Comparison
 from repro.engine.query import JoinQuery, SelectQuery
 
 from ..conftest import make_test_table
+from .reference import naive_join
 
 
 @pytest.fixture

@@ -113,7 +113,7 @@ class TestExecution:
         query = SelectQuery("t", ("a",), Comparison("a", "<", 5), limit=10_000)
         execution = seq_scan(table, query)
         assert execution.result.cardinality == len(
-            [r for r in table if r[0] < 5]
+            [r for r in table.rows() if r[0] < 5]
         )
 
     def test_sort_charged_in_metrics(self, table):

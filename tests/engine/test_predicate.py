@@ -18,9 +18,19 @@ from repro.engine.predicate import (
     extract_key_range,
 )
 from repro.engine.schema import Column, ColumnStatistics, TableSchema, TableStatistics
+from repro.engine.table import Table
 from repro.engine.types import DataType
 
+from .reference import holds
+
 SCHEMA = TableSchema("t", [Column("a", DataType.INT), Column("b", DataType.INT)])
+
+
+def evaluate(predicate, row):
+    """*predicate* on a one-row table, through the engine's kernel."""
+    table = Table(SCHEMA)
+    table.bulk_load([row])
+    return predicate.evaluate_batch(table).tolist() == [True]
 
 
 def stats(minimum=0, maximum=100, distinct=50, cardinality=1000):
@@ -46,7 +56,7 @@ class TestEvaluation:
         ],
     )
     def test_comparison_ops(self, op, value, expected):
-        assert Comparison("a", op, value).evaluate((5, 0), SCHEMA) is expected
+        assert evaluate(Comparison("a", op, value), (5, 0)) is expected
 
     def test_unknown_op_rejected(self):
         with pytest.raises(QueryError):
@@ -54,16 +64,16 @@ class TestEvaluation:
 
     def test_and_or_not(self):
         p = And(Comparison("a", ">", 1), Comparison("b", "<", 10))
-        assert p.evaluate((5, 5), SCHEMA)
-        assert not p.evaluate((0, 5), SCHEMA)
+        assert evaluate(p, (5, 5))
+        assert not evaluate(p, (0, 5))
         q = Or(Comparison("a", "=", 9), Comparison("b", "=", 9))
-        assert q.evaluate((9, 0), SCHEMA)
-        assert q.evaluate((0, 9), SCHEMA)
-        assert not q.evaluate((0, 0), SCHEMA)
-        assert Not(q).evaluate((0, 0), SCHEMA)
+        assert evaluate(q, (9, 0))
+        assert evaluate(q, (0, 9))
+        assert not evaluate(q, (0, 0))
+        assert evaluate(Not(q), (0, 0))
 
     def test_true_predicate(self):
-        assert TRUE.evaluate((1, 2), SCHEMA)
+        assert evaluate(TRUE, (1, 2))
         assert TRUE.columns() == set()
 
     def test_operator_sugar(self):
@@ -239,5 +249,5 @@ def test_property_extracted_range_equivalent_to_predicate(low, width, rows):
         in_range = (key_range.low is None or row[0] >= key_range.low) and (
             key_range.high is None or row[0] <= key_range.high
         )
-        reconstructed = in_range and residual.evaluate(row, SCHEMA)
-        assert reconstructed == predicate.evaluate(row, SCHEMA)
+        reconstructed = in_range and holds(residual, row, SCHEMA)
+        assert reconstructed == holds(predicate, row, SCHEMA)

@@ -15,6 +15,8 @@ from repro.engine.schema import Column, TableSchema
 from repro.engine.sql import parse_query
 from repro.engine.types import DataType
 
+from .reference import holds
+
 SCHEMA = TableSchema(
     "t", [Column("a", DataType.INT), Column("b", DataType.INT), Column("c", DataType.INT)]
 )
@@ -56,9 +58,7 @@ def test_rendered_query_reparses_equivalently(predicate, columns, rows):
     assert reparsed.table == "t"
     assert reparsed.columns == query.columns
     for row in rows:
-        assert reparsed.predicate.evaluate(row, SCHEMA) == predicate.evaluate(
-            row, SCHEMA
-        )
+        assert holds(reparsed.predicate, row, SCHEMA) == holds(predicate, row, SCHEMA)
 
 
 @settings(max_examples=30, deadline=None)
@@ -69,7 +69,7 @@ def test_predicate_free_query_roundtrip(columns):
     assert reparsed.columns == query.columns
     assert isinstance(reparsed.predicate, Predicate)
     row = (1, 2, 3)
-    assert reparsed.predicate.evaluate(row, SCHEMA)
+    assert holds(reparsed.predicate, row, SCHEMA)
 
 
 @settings(max_examples=120, deadline=None)

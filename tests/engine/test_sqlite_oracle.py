@@ -20,8 +20,7 @@ size.  Each query runs
   with its SQL text;
 * on a pool-less site and on a pooled one, cold and then warm;
 * on the template site and on a fork mutated by ``insert`` and
-  ``bulk_load``;
-* on both engine kernels (:mod:`tests.engine.kernels`).
+  ``bulk_load``.
 
 The queries are the paper's six classes from ``QueryGenerator`` and a
 hypothesis strategy of ``AND`` / ``OR`` / ``NOT`` comparisons over the
@@ -56,7 +55,6 @@ from repro.engine.types import DataType
 from repro.workload import TableSpec, make_site
 from repro.workload.tablegen import COLUMN_NAMES, COLUMN_RANGES, generate_columns
 
-from .kernels import KERNELS
 
 SEEDS = (3, 11)
 SCALE = 0.01
@@ -191,15 +189,13 @@ def check_everywhere(dbs, conn: sqlite3.Connection, query) -> None:
             assert_matches_sqlite(conn, query, run.result, f"{db.name} planner {run.plan}")
 
 
-@pytest.mark.parametrize("kernels", sorted(KERNELS))
 @pytest.mark.parametrize("variant", ["template", "mutated_fork"])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_generated_queries_match_sqlite(universes, seed, variant, kernels):
+def test_generated_queries_match_sqlite(universes, seed, variant):
     variants, queries = universes[seed]
     dbs, conn = variants[variant]
-    with KERNELS[kernels]():
-        for query in queries:
-            check_everywhere(dbs, conn, query)
+    for query in queries:
+        check_everywhere(dbs, conn, query)
 
 
 def test_the_mutated_fork_differs_from_its_template(universes):
@@ -279,11 +275,10 @@ def join_queries(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(query=st.one_of(select_queries(), join_queries()), kernels=st.sampled_from(sorted(KERNELS)))
-def test_drawn_queries_match_sqlite(universes, query, kernels):
+@given(query=st.one_of(select_queries(), join_queries()))
+def test_drawn_queries_match_sqlite(universes, query):
     dbs, conn = universes[SEEDS[0]][0]["template"]
-    with KERNELS[kernels]():
-        check_everywhere(dbs, conn, query)
+    check_everywhere(dbs, conn, query)
 
 
 # -- FLOAT columns: ±0.0, and int-valued floats beside INT constants -------------
@@ -363,10 +358,9 @@ def float_joins(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(query=st.one_of(float_selects(), float_joins()), kernels=st.sampled_from(sorted(KERNELS)))
-def test_float_columns_match_sqlite(float_universe, query, kernels):
+@given(query=st.one_of(float_selects(), float_joins()))
+def test_float_columns_match_sqlite(float_universe, query):
     """INT and FLOAT keys, ±0.0 and int-valued constants: every access path
     and join method, pool-less and pooled, agrees with sqlite3."""
     dbs, conn = float_universe
-    with KERNELS[kernels]():
-        check_everywhere(dbs, conn, query)
+    check_everywhere(dbs, conn, query)

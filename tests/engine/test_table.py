@@ -1,5 +1,6 @@
 """Unit tests for repro.engine.table."""
 
+import numpy as np
 import pytest
 
 from repro.engine.errors import SchemaError, TypeError_
@@ -26,7 +27,7 @@ class TestTableBasics:
         table = simple_table()
         assert table.insert((1, 2)) == 0
         assert table.insert((3, 4)) == 1
-        assert table.row(1) == (3, 4)
+        assert table.rows()[1] == (3, 4)
 
     def test_insert_validates(self):
         table = simple_table()
@@ -49,7 +50,7 @@ class TestTableBasics:
         with pytest.raises(error):
             table.bulk_load([(7, 70), bad_row, (8, 80)])
         assert table.cardinality == 2
-        assert list(table) == [(1, 10), (2, 20)]
+        assert table.rows() == [(1, 10), (2, 20)]
         assert table.statistics is stats
         assert table.column_array("a") is array
 
@@ -64,13 +65,13 @@ class TestTableBasics:
 
         assert table.bulk_load(rows()) == 4
         assert pulled == [0, 1, 2, 3]
-        assert list(table) == [(0, 0), (1, 10), (2, 20), (3, 30)]
+        assert table.rows() == [(0, 0), (1, 10), (2, 20), (3, 30)]
 
     def test_iteration_order(self):
         table = simple_table()
         rows = [(3, 0), (1, 1), (2, 2)]
         table.bulk_load(rows)
-        assert list(table) == rows
+        assert table.rows() == rows
 
     def test_table_length(self):
         table = simple_table()
@@ -93,7 +94,7 @@ class TestClustering:
         table = simple_table()
         table.bulk_load([(3, 0), (1, 1), (2, 2)])
         table.cluster_on("a")
-        assert [r[0] for r in table] == [1, 2, 3]
+        assert [r[0] for r in table.rows()] == [1, 2, 3]
         assert table.clustered_on == "a"
 
     def test_cluster_on_missing_column(self):
@@ -124,7 +125,8 @@ class TestStatistics:
 
 class TestResultTable:
     def test_cardinality_and_length(self):
-        result = ResultTable(("x", "y"), 12, [(1, 2), (3, 4)])
+        ids = np.arange(2)
+        result = ResultTable(("x", "y"), 12, [(np.array([1, 3]), ids), (np.array([2, 4]), ids)])
         assert result.cardinality == 2
         assert result.table_length == 24
         assert list(result) == [(1, 2), (3, 4)]

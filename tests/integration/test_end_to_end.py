@@ -85,7 +85,7 @@ class TestGlobalFlow:
         t3 = right.database.catalog.table("R3")
         a4_left = t2.schema.position("a4")
         a3_left = t2.schema.position("a3")
-        keys_left = {r[a4_left] for r in t2 if r[a3_left] < 700}
-        keys_right = {r[t3.schema.position("a4")] for r in t3}
+        keys_left = {r[a4_left] for r in t2.rows() if r[a3_left] < 700}
+        keys_right = {r[t3.schema.position("a4")] for r in t3.rows()}
         assert execution.cardinality > 0
         assert len(keys_left & keys_right) > 0

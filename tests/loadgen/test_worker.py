@@ -8,6 +8,7 @@ import pytest
 
 from repro.core import G1, CostModelBuilder
 from repro.engine import LocalDatabase
+from repro.engine.table import Table
 from repro.experiments.drift_detection import builder_config
 from repro.loadgen import (
     STEADY_SITE,
@@ -178,14 +179,23 @@ def test_deterministic_dict_drops_wall_fields(micro_config, trained_payload):
 
 @pytest.mark.slow
 def test_serving_deriving_and_a_shard_build_no_row_view_of_a_base_table(
-    micro_config, trained_payload, template_store
+    micro_config, trained_payload, template_store, monkeypatch
 ):
-    """Base tables are read by column only on every measured path.
+    """Tables are read by column only on every measured path.
 
-    A row view is a tuple per row, and each fork builds its own: one
-    stray ``Table.rows()`` on a base table would bring back, once per
-    site, the memory that column-only templates save.
+    ``Table.rows()`` builds a tuple per row on every call: one stray call
+    on a base table would cost, per call, the memory and time that
+    column-only tables save.  Serving, deriving and a shard (template
+    builds included, on a cold store) make none.
     """
+    calls = []
+    rows = Table.rows
+
+    def counting(table):
+        calls.append(table.name)
+        return rows(table)
+
+    monkeypatch.setattr(Table, "rows", counting)
     var, steady = make_universe(micro_config)
     tables = loadgen_tables(micro_config)
     server = MDBSServer(accuracy=AccuracyTracker(export=False))
@@ -199,13 +209,5 @@ def test_serving_deriving_and_a_shard_build_no_row_view_of_a_base_table(
         G1, var.generator.queries_for(G1, 20, tables=tables)
     )
     run_shard(calm_task(micro_config, rounds=2), trained_payload)
-
-    catalogs = [var.database.catalog, steady.database.catalog, *template_store.values()]
-    assert len(catalogs) == 4
-    viewed = [
-        (catalog_no, table.name)
-        for catalog_no, catalog in enumerate(catalogs)
-        for table in catalog.tables()
-        if table._rows is not None
-    ]
-    assert viewed == []
+    assert len(template_store) == 2
+    assert calls == []

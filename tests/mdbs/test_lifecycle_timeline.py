@@ -181,7 +181,7 @@ def test_lifecycle_timeline(metrics):
     # 6. Cardinality drift: 10% growth is not significant; another 15%
     #    takes the accumulated drift past 20%.
     r1 = site.database.catalog.table("R1")
-    row = r1.row(0)
+    row = r1.rows()[0]
     base = r1.cardinality
     for _ in range(base // 10):
         r1.insert(row)

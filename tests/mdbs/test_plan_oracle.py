@@ -2,9 +2,8 @@
 
 The oracle: for a drawn two-site join, *each* candidate the global
 optimizer enumerates (:meth:`GlobalQueryOptimizer.plans`) is executed
-through :meth:`MDBSServer.execute`, on pool-less and on pooled sites and
-on both engine kernels (as the data picks, and row at a time), and its
-row multiset must equal a nested-loop join over the base tables.
+through :meth:`MDBSServer.execute`, on pool-less and on pooled sites,
+and its row multiset must equal a nested-loop join over the base tables.
 Operands may share a table name (``R1`` at both sites), local selections
 may be empty, and the output is a column subset or all of both operands.
 
@@ -16,7 +15,6 @@ plan, the same clock, noise-RNG state and buffer-pool snapshot.
 """
 
 from collections import Counter
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +37,8 @@ from repro.obs.quality import AccuracyTracker
 from repro.workload import TableSpec, WorkloadSpec, make_site
 from repro.workload.tablegen import COLUMN_NAMES
 
-from ..engine.kernels import KERNELS
+from ..engine.reference import filter_rows
+
 
 SITES = ("site_a", "site_b")
 TABLES = ("R1", "R2", "R3")
@@ -152,11 +151,9 @@ def nested_loop(sites, query):
     for table, _, column in (c.partition(".") for c in query.columns):
         side = 0 if table == query.left_table else 1
         picks.append((side, (left, right)[side].schema.position(column)))
-    right_rows = [r for r in right if query.right_predicate.evaluate(r, right.schema)]
+    right_rows = filter_rows(right, query.right_predicate)
     out = []
-    for lrow in left:
-        if not query.left_predicate.evaluate(lrow, left.schema):
-            continue
+    for lrow in filter_rows(left, query.left_predicate):
         for rrow in right_rows:
             if lrow[lj] == rrow[rj]:
                 pair = (lrow, rrow)
@@ -216,27 +213,26 @@ def test_every_plan_returns_the_nested_loop_rows_and_reads_no_statistics(
     names = query.columns or tuple(
         f"{t}.{c}" for t in (query.left_table, query.right_table) for c in COLUMN_NAMES
     )
-    for (server, sites), kernels in product(universes.values(), KERNELS.values()):
-        with kernels():
-            plans = server.optimizer.plans(query)
-            assert {plan.join_site for plan in plans} == {"left", "right"}
-            for plan in plans:
-                before = site_states(sites)
-                execution, join, analyzed = execute(server, query, plan)
-                after = site_states(sites)
-                assert Counter(execution.rows) == expected
-                assert execution.column_names == names
-                assert analyzed == []
+    for server, sites in universes.values():
+        plans = server.optimizer.plans(query)
+        assert {plan.join_site for plan in plans} == {"left", "right"}
+        for plan in plans:
+            before = site_states(sites)
+            execution, join, analyzed = execute(server, query, plan)
+            after = site_states(sites)
+            assert Counter(execution.rows) == expected
+            assert execution.column_names == names
+            assert analyzed == []
 
-                for name, site in sites.items():
-                    site.database.restore_state(before[name])
-                reference, reference_join, _ = execute(
-                    server, query, plan, analyzing(MDBSAgent.create_temp_table)
-                )
-                assert execution.steps == reference.steps
-                assert (join.plan, join.metrics) == (reference_join.plan, reference_join.metrics)
-                assert site_states(sites) == after
-                assert reference.rows == execution.rows
+            for name, site in sites.items():
+                site.database.restore_state(before[name])
+            reference, reference_join, _ = execute(
+                server, query, plan, analyzing(MDBSAgent.create_temp_table)
+            )
+            assert execution.steps == reference.steps
+            assert (join.plan, join.metrics) == (reference_join.plan, reference_join.metrics)
+            assert site_states(sites) == after
+            assert reference.rows == execution.rows
 
 
 # -- exact guards ---------------------------------------------------------------

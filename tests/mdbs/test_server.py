@@ -6,6 +6,8 @@ from repro.engine.predicate import Comparison
 from repro.mdbs.catalog import GlobalCatalogError
 from repro.mdbs.gquery import GlobalJoinQuery
 
+from ..engine.reference import holds
+
 
 @pytest.fixture
 def globalq():
@@ -29,11 +31,11 @@ def cross_site_reference(sites, query):
     lpos = left.schema.position(query.left_join_column)
     rpos = right.schema.position(query.right_join_column)
     out = []
-    for lrow in left:
-        if not query.left_predicate.evaluate(lrow, left.schema):
+    for lrow in left.rows():
+        if not holds(query.left_predicate, lrow, left.schema):
             continue
-        for rrow in right:
-            if not query.right_predicate.evaluate(rrow, right.schema):
+        for rrow in right.rows():
+            if not holds(query.right_predicate, rrow, right.schema):
                 continue
             if lrow[lpos] == rrow[rpos]:
                 if not query.columns:  # every column, by operand position
@@ -128,34 +130,25 @@ class TestExecution:
     def test_column_born_temp_tables_serve_what_row_born_ones_do(
         self, mini_mdbs, globalq, monkeypatch, left_bound
     ):
-        """The shipped results load by column (all-INT tables); refusing
-        the adoption makes the same request load them by row.  Same
-        rows, same Python types, same order, same step times."""
+        """The shipped results load by column (their gathered INT arrays
+        are taken as they are); refusing them makes the same request
+        validate them through their rows.  Same rows, same Python types,
+        same order, same step times.  (An empty shipment is typed FLOAT,
+        so its INT arrays always go through the rows.)"""
         from dataclasses import replace
 
-        from repro.engine.table import Table
-        from repro.mdbs.agent import MDBSAgent
+        from repro.engine import table
 
         server, sites = mini_mdbs
         query = replace(globalq, left_predicate=Comparison("a3", "<", left_bound))
         plan = server.optimizer.plans(query)[0]
         states = {name: site.database.save_state() for name, site in sites.items()}
-        loaded_by_column = []
-        drop = MDBSAgent.drop_temp_table
-
-        def recording_drop(agent, name):
-            loaded_by_column.append(agent.database.catalog.table(name)._rows is None)
-            drop(agent, name)
-
-        monkeypatch.setattr(MDBSAgent, "drop_temp_table", recording_drop)
         by_column = server.execute(query, plan)
         for name, site in sites.items():
             site.database.restore_state(states[name])
-        monkeypatch.setattr(Table, "_adoptable", lambda table, arrays: False)
+        monkeypatch.setattr(table, "_typed", lambda array, column: False)
         by_row = server.execute(query, plan)
 
-        # An empty shipment is typed FLOAT, so its INT arrays are not adopted.
-        assert loaded_by_column == [left_bound > 0, True, False, False]
         assert by_column.column_names == by_row.column_names
         assert by_column.steps == by_row.steps
         assert isinstance(by_column.rows, list)

@@ -77,44 +77,59 @@ class TestAccuracyTrackingOverhead:
         from repro.mdbs.agent import MDBSAgent
         from repro.obs.quality import AccuracyTracker
 
-        query = small_database.parse("select a from t1 where a < 100")
-        for _ in range(10):  # warmup
-            small_database.execute(query)
-
-        def time_engine():
-            n = 60
-            started = time.perf_counter()
-            for _ in range(n):
-                small_database.execute(query)
-            return (time.perf_counter() - started) / n
-
         tracker = AccuracyTracker(export=False)
         pooled = LocalDatabase("pooled", buffer_pages=8)
         pooled.create_table("t", [Column("a", DataType.INT)], [(1,)])
         agent = MDBSAgent(pooled)
         assert agent.buffer_hit_state() is not None
+        query = small_database.parse("select a from t1 where a < 100")
 
-        def time_record():
-            n = 20_000
+        def time_engine(n=60):
             started = time.perf_counter()
-            for i in range(n):
-                agent.buffer_hit_state()
-                tracker.record(
-                    "site", "G1", i % 3, predicted=1.0, actual=1.1, at_time=float(i)
-                )
+            for _ in range(n):
+                small_database.execute(query)
             return (time.perf_counter() - started) / n
 
-        def time_count():
-            n = 20_000
+        def time_record(n=20_000):
+            started = time.perf_counter()
+            for i in range(n):
+                tracker.record("site", "G1", i % 3, predicted=1.0, actual=1.1, at_time=float(i))
+            return (time.perf_counter() - started) / n
+
+        def time_hit_state(n=20_000):
+            started = time.perf_counter()
+            for _ in range(n):
+                agent.buffer_hit_state()
+            return (time.perf_counter() - started) / n
+
+        def time_count(n=20_000):
             started = time.perf_counter()
             for _ in range(n):
                 obs.inc("mdbs.global_queries")
             return (time.perf_counter() - started) / n
 
-        engine_seconds = best_of(3, time_engine)
-        per_plan = 3 * best_of(3, time_record) + best_of(3, time_count)
-        floor = 4 * engine_seconds
+        terms = {
+            "select": time_engine,
+            "record": time_record,
+            "hit state": time_hit_state,
+            "inc": time_count,
+        }
+        for timer in terms.values():  # warmup
+            timer(10)
+        # Every term is timed once per round, in the same rounds, and each
+        # keeps its best round: a slow stretch of the machine slows the
+        # engine loop and the recording loops alike.
+        best = dict.fromkeys(terms, float("inf"))
+        for _ in range(5):
+            for name, timer in terms.items():
+                best[name] = min(best[name], timer())
+
+        per_plan = 3 * (best["record"] + best["hit state"]) + best["inc"]
+        floor = 4 * best["select"]
         assert per_plan < 0.05 * floor, (
-            f"per-plan accuracy recording costs {per_plan * 1e6:.2f}us; the "
-            f"plan-execution floor is {floor * 1e6:.1f}us — budget exceeded"
+            f"per-plan accuracy recording costs {per_plan * 1e6:.2f}us "
+            f"(3 x (record {best['record'] * 1e6:.2f}us + hit state "
+            f"{best['hit state'] * 1e6:.2f}us) + inc {best['inc'] * 1e6:.2f}us); "
+            f"5% of the plan-execution floor (4 x select) is {0.05 * floor * 1e6:.2f}us "
+            "— budget exceeded"
         )

@@ -35,13 +35,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
 WRAP_POINT = re.compile(r"repro(\.\w+)+:\w+(\.\w+)*")
 
-#: Reference implementations, each with the test that compares production
-#: output against it.  Nothing else may be unreached.
-REFERENCES = {
-    ("engine.joins", "naive_join"): "tests/engine/test_joins.py",
-    ("engine.access", "filter_rows"): "tests/engine/test_access.py",
-}
-
 #: The methods no entry point reaches, each kept on purpose for the
 #: reason given.  A ratchet: a newly unreached method fails the suite,
 #: and one that becomes reached (or is deleted) must leave this list.
@@ -67,8 +60,6 @@ UNPASSED_PARAMETERS = {
     "core.validation.validate_model(alpha=)": "experiment knob",
     "engine.buffer.BufferPool(evict_scan=)": "test seam",
     "engine.index.Index(order=)": "test seam",
-    "engine.joins.naive_join(pool=)": "test seam",
-    "engine.table.ResultTable(rows=)": "test seam",
     "env.clock.SimulationClock(start=)": "test seam",
     "env.environment.Environment(clock=)": "simulator knob",
     "env.environment.Environment(slowdown_model=)": "simulator knob",
@@ -114,16 +105,14 @@ UNPASSED_PARAMETERS = {
     "mdbs.registry.CostModelRegistry.publish(activate=)": "test seam",
     "mdbs.server.MDBSServer(network=)": "simulator knob",
     "obs.__main__.main(argv=)": "test seam",
-    "obs.expose._rule(width=)": "unused",
     "obs.expose.write_snapshot(accuracy=)": "test seam",
     "obs.expose.write_snapshot(registry=)": "test seam",
     "obs.metrics.Histogram(reservoir_size=)": "test seam",
     "obs.metrics.MetricsRegistry.counter_value(default=)": "inspection hook",
     "obs.metrics.MetricsRegistry.gauge_value(default=)": "inspection hook",
     "obs.metrics.MetricsRegistry.histogram(reservoir_size=)": "unused",
-    "obs.quality.AccuracyTracker(window_size=)": "unused",
     "obs.quality.AccuracyTracker.stats(state=)": "test seam",
-    "obs.tracing.enable(clock=)": "unused",
+    "obs.quality.AccuracyWindow(window_size=)": "test seam",
     "serving.plan_cache.PlanCache(capacity=)": "test seam",
     "workload.scenarios.make_site(workload=)": "test seam",
     "workload.scenarios.make_two_site_universe(environment_kind=)": "experiment knob",
@@ -228,27 +217,24 @@ def _closure(graph, seen: set[str]) -> set:
 
 @cache
 def audit():
-    """(public symbols, keys reached from the roots alone, keys reached with the
-    references' bodies as roots too, modules with nothing reached)."""
+    """(public symbols, keys reached from the roots, modules with nothing reached)."""
     graph, public, _ = _source_graph()
-    roots = _root_names()
-    bare = _closure(graph, set(roots))
-    live = _closure(graph, roots.union(*(graph.get(key, ()) for key in REFERENCES)))
+    live = _closure(graph, _root_names())
     modules = {module for module, _ in graph if not module.endswith(("__init__", "__main__"))}
     dead_modules = sorted(modules - {module for module, name in live if name is not None})
-    return public, bare, live, dead_modules
+    return public, live, dead_modules
 
 
 @cache
 def _split_live() -> set:
-    """Keys of the split graph reached from the roots plus the references' bodies."""
+    """Keys of the split graph reached from the roots."""
     graph, _, _ = _source_graph(split_classes=True)
-    return _closure(graph, _root_names().union(*(graph.get(key, ()) for key in REFERENCES)))
+    return _closure(graph, _root_names())
 
 
 def unreached_methods():
     """(method count, ``module.Class.method`` keys unreached) over the split
-    graph, from the roots plus the references' bodies; dunders not counted."""
+    graph, from the roots; dunders not counted."""
     graph, _, _ = _source_graph(split_classes=True)
     live = _split_live()
     methods = [
@@ -312,28 +298,16 @@ def unpassed_parameters():
 
 
 def test_every_public_symbol_is_reached_or_a_named_reference():
-    public, _, live, dead_modules = audit()
-    unreached = sorted(
-        ".".join(key) for key in public if key not in live and key not in REFERENCES
-    )
+    public, live, dead_modules = audit()
+    unreached = sorted(".".join(key) for key in public if key not in live)
     assert not unreached and not dead_modules, (
-        f"no entry point reaches {unreached} or anything in {dead_modules}: wire it in, delete "
-        "it with its test and re-export, or (a reference implementation only) list it in REFERENCES"
+        f"no entry point reaches {unreached} or anything in {dead_modules}: wire it in, or "
+        "delete it with its test and re-export (a reference implementation lives in tests/)"
     )
-
-
-def test_references_are_needed_and_named_by_their_test():
-    public, bare, _, _ = audit()
-    for key, test_file in REFERENCES.items():
-        assert key in public, f"{key} is not a public symbol"
-        assert key not in bare, f"{key} is reached from an entry point: drop the exemption"
-        mentioned = _names(ast.parse((ROOT / test_file).read_text()), root=True)
-        assert key[1] in mentioned, f"{test_file} never mentions {key}"
 
 
 def test_every_all_entry_resolves_and_none_is_an_exemption():
     graph, _, _ = _source_graph()
-    exempt = {name for _, name in REFERENCES}
     for module, name in graph:
         if name != "__all__" or module.endswith("__main__"):
             continue
@@ -341,7 +315,6 @@ def test_every_all_entry_resolves_and_none_is_an_exemption():
         loaded = importlib.import_module(dotted)
         missing = [entry for entry in loaded.__all__ if not hasattr(loaded, entry)]
         assert not missing, f"{dotted}.__all__ names {missing}, which it does not bind"
-        assert not exempt & set(loaded.__all__), f"{dotted}.__all__ re-exports an exemption"
 
 
 def test_unreached_methods_are_exactly_the_pinned_ones():
@@ -380,12 +353,11 @@ def test_design_inventory_lists_exactly_the_source_tree():
 
 
 if __name__ == "__main__":
-    symbols, _, reached, _ = audit()
+    symbols, reached, _ = audit()
     lines = sum(len(path.read_text().splitlines()) for path in SRC.rglob("*.py"))
     print(
         f"reachability: {sum(key in reached for key in symbols)} reached"
-        f" + {len(REFERENCES)} reference of {len(symbols)} public symbols;"
-        f" src/repro is {lines} lines"
+        f" of {len(symbols)} public symbols; src/repro is {lines} lines"
     )
     total, unreached = unreached_methods()
     print(

@@ -220,7 +220,6 @@ def test_fork_owns_tables_and_indexes_but_shares_columns_and_trees(template_stor
         for table in catalog.tables():
             origin = template.table(table.name)
             assert table is not origin
-            assert table._rows is None and origin._rows is None
             for name in COLUMN_NAMES:
                 assert table.column_array(name) is origin.column_array(name)
             assert table.statistics is not origin.statistics
@@ -230,13 +229,10 @@ def test_fork_owns_tables_and_indexes_but_shares_columns_and_trees(template_stor
                 assert index.table is table
                 for name in INDEX_ARRAYS:
                     assert getattr(index, name) is getattr(shared, name)
-    # A row view is built only when a row reader asks, and only for the
-    # table that asked.
+    # Rows are built from the shared arrays, per call, and kept by nobody.
     asked = first.catalog.table("R1")
     assert asked.rows() == list(zip(*(asked.column_values(c) for c in COLUMN_NAMES)))
-    assert asked._rows is not None
-    assert template.table("R1")._rows is None
-    assert second.catalog.table("R1")._rows is None
+    assert asked.rows() is not asked.rows()
 
 
 def test_a_built_tree_cannot_be_edited():
