@@ -78,10 +78,12 @@ from .validation import (
 from .variables import (
     JOIN_VARIABLES,
     Observation,
+    Sample,
+    SampleRecorder,
     UNARY_VARIABLES,
     VariableSet,
     extract_variables,
-    observation_from_result,
+    variable_values,
 )
 
 __all__ = [
@@ -116,6 +118,8 @@ __all__ = [
     "QueryClass",
     "RLSStrategy",
     "STRATEGY_NAMES",
+    "Sample",
+    "SampleRecorder",
     "SamplingPlan",
     "SelectionConfig",
     "SelectionResult",
@@ -152,7 +156,6 @@ __all__ = [
     "minimum_observations",
     "model_form",
     "num_parameters",
-    "observation_from_result",
     "partition_from_intervals",
     "recommended_sample_size",
     "relative_error",
@@ -162,4 +165,5 @@ __all__ = [
     "term_names",
     "uniform_partition",
     "validate_model",
+    "variable_values",
 ]

@@ -39,7 +39,7 @@ from .probing import ProbingQuery, default_probing_query
 from .sampling import SamplingPlan, collect_observations, recommended_sample_size
 from .selection import SelectionConfig, SelectionResult, select_variables
 from .strategy import DEFAULT_STRATEGY, resolve_strategy
-from .variables import Observation, check_observations
+from .variables import Sample, check_observations
 
 ALGORITHMS = ("iupma", "icma", "static")
 
@@ -67,7 +67,7 @@ class BuildOutcome:
     """
 
     model: MultiStateCostModel
-    observations: list[Observation]
+    observations: Sample
     selection: SelectionResult
     determination: StateDeterminationResult | None
     #: Real (wall-clock) seconds spent in each pipeline phase, in
@@ -100,7 +100,7 @@ class CostModelBuilder:
 
     # -- collection ---------------------------------------------------------
 
-    def collect(self, queries: Sequence[Query | str]) -> list[Observation]:
+    def collect(self, queries: Sequence[Query | str]) -> Sample:
         """Run sample queries, pairing each with a probing cost."""
         with obs.span("build.sampling", database=self.database.name) as sp:
             observations = collect_observations(
@@ -114,7 +114,7 @@ class CostModelBuilder:
 
     def build_from_observations(
         self,
-        observations: Sequence[Observation],
+        observations: Sample,
         query_class: QueryClass,
         algorithm: str = "iupma",
         strategy: str = DEFAULT_STRATEGY,
@@ -133,23 +133,18 @@ class CostModelBuilder:
 
     def _derive(
         self,
-        observations: Sequence[Observation],
+        observations: Sample,
         query_class: QueryClass,
         algorithm: str,
         strategy: str,
     ) -> BuildOutcome:
         form_strategy = resolve_strategy(strategy)
         timings: dict[str, float] = {}
-        observations = list(observations)
         variables = query_class.variables
         check_observations(observations, variables.all_names)
-
-        columns = {
-            name: np.array([o.values[name] for o in observations])
-            for name in variables.all_names
-        }
-        y = np.array([o.cost for o in observations])
-        probing = np.array([o.probing_cost for o in observations])
+        columns = observations.values
+        y = observations.cost
+        probing = observations.probing_cost
 
         phase_started = time.perf_counter()
         determination: StateDeterminationResult | None = None
@@ -157,7 +152,7 @@ class CostModelBuilder:
             if algorithm == "static":
                 states = ContentionStates(float(probing.min()), float(probing.max()))
             else:
-                X_basic = np.column_stack([columns[n] for n in variables.basic])
+                X_basic = observations.matrix(variables.basic)
                 determine = (
                     determine_states_iupma
                     if algorithm == "iupma"
@@ -191,14 +186,12 @@ class CostModelBuilder:
         # contention state; when the site simulates a memory hierarchy,
         # the observed buffer-hit state is a second qualitative variable
         # (it reaches the fit through the probing costs — the probe runs
-        # through the same pool — and is recorded per-observation).
+        # through the same pool — and is recorded per sample query).
         qualitative = ["contention_state"]
-        hit_states = sorted(
-            {
-                str(o.metadata["buffer_hit_state"])
-                for o in observations
-                if "buffer_hit_state" in o.metadata
-            }
+        hit_states = (
+            []
+            if observations.buffer_hit_state is None
+            else sorted(set(observations.buffer_hit_state.tolist()))
         )
         if self.database.buffer_pool is not None or hit_states:
             qualitative.append("buffer_hit_state")

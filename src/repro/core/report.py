@@ -10,11 +10,9 @@ variables?" without spelunking through metadata dicts.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .builder import BuildOutcome
 from .validation import ValidationReport
-from .variables import Observation
+from .variables import Sample
 
 
 def _section(title: str) -> list[str]:
@@ -23,7 +21,7 @@ def _section(title: str) -> list[str]:
 
 def derivation_report(
     outcome: BuildOutcome,
-    test_observations: Sequence[Observation] | None = None,
+    test_observations: Sample | None = None,
 ) -> str:
     """Render the full derivation story of one cost model.
 
@@ -106,8 +104,8 @@ def _state_counts(outcome: BuildOutcome) -> list[int] | None:
     try:
         states = outcome.model.states
         counts = [0] * states.num_states
-        for obs in outcome.observations:
-            counts[states.state_of(obs.probing_cost)] += 1
+        for state in states.assign(outcome.observations.probing_cost.tolist()):
+            counts[state] += 1
         return counts
     except Exception:  # pragma: no cover - defensive
         return None

@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..engine.buffer import hit_state_label
 from ..engine.database import LocalDatabase
 from ..engine.query import Query
 from .probing import ProbingQuery
-from .variables import Observation, VariableSet, observation_from_result
+from .variables import Sample, SampleRecorder, VariableSet
 
 #: Observations required per estimated parameter (textbook rule).
 OBSERVATIONS_PER_PARAMETER = 10
@@ -64,8 +63,6 @@ class SamplingPlan:
     #: Simulated seconds to let pass between consecutive sample queries,
     #: so the contention trace moves through its epochs.
     pause_seconds: float = 20.0
-    #: Whether to record the ground-truth contention level for analysis.
-    record_level: bool = True
 
 
 def collect_observations(
@@ -73,39 +70,27 @@ def collect_observations(
     queries: Sequence[Query | str],
     probe: ProbingQuery,
     plan: SamplingPlan | None = None,
-) -> list[Observation]:
+) -> Sample:
     """Run sample *queries*, pairing each with a fresh probing cost.
 
     For each sample query the probing query runs first in the same
-    environment; its cost is the observation's *sampled probing cost*,
-    used later to determine the contention state the sample executed in.
+    environment; its cost is the row's *sampled probing cost*, used
+    later to determine the contention state the sample executed in.
+    The queries must all be unary or all joins (one sample holds one
+    class family's variables); a query of the other family raises
+    ``ValueError`` once it has run.
     """
     plan = plan or SamplingPlan()
     if plan.pause_seconds < 0:
         raise ValueError("pause_seconds must be non-negative")
-    observations: list[Observation] = []
+    # Observed buffer-hit behaviour is a qualitative variable in its own
+    # right: the probing query already ran through the same pool
+    # (absorbing cache state into probing_cost, the paper's §3.3
+    # mechanism), and the per-query hit rate is recorded so derived
+    # models carry explicit provenance.
+    recorder = SampleRecorder(pooled=database.buffer_pool is not None)
     for query in queries:
         probing_cost = probe.observe()
-        result = database.execute(query)
-        extra: dict = {}
-        if database.buffer_pool is not None:
-            # Observed buffer-hit behaviour is a qualitative variable in
-            # its own right: the probing query already ran through the
-            # same pool (absorbing cache state into probing_cost, the
-            # paper's §3.3 mechanism), and the per-query hit rate is
-            # recorded so derived models carry explicit provenance.
-            hit_rate = result.metrics.buffer_hit_rate
-            extra = {
-                "buffer_hit_rate": hit_rate,
-                "buffer_hit_state": hit_state_label(hit_rate),
-            }
-        observations.append(
-            observation_from_result(
-                result,
-                probing_cost,
-                plan=result.plan,
-                **extra,
-            )
-        )
+        recorder.record(database.execute(query), probing_cost)
         database.environment.advance(plan.pause_seconds)
-    return observations
+    return recorder.sample()

@@ -12,12 +12,12 @@ with the observed costs (e.g., 2 minutes vs 3 hours) are not acceptable."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .model import MultiStateCostModel
-from .variables import Observation
+from .qualitative import build_design
+from .variables import Sample
 
 #: "Very good": relative error within 30%.
 VERY_GOOD_RELATIVE_ERROR = 0.30
@@ -25,6 +25,8 @@ VERY_GOOD_RELATIVE_ERROR = 0.30
 GOOD_FACTOR = 2.0
 #: "Acceptable": same order of magnitude (a factor of 10).
 ACCEPTABLE_FACTOR = 10.0
+#: Level of the overall F test a report reads (§5: alpha = 0.01).
+SIGNIFICANCE_LEVEL = 0.01
 
 
 def relative_error(estimated: float, observed: float) -> float:
@@ -88,17 +90,16 @@ class ValidationReport:
 
 
 def validate_model(
-    model: MultiStateCostModel,
-    test_observations: Sequence[Observation],
-    alpha: float = 0.01,
+    model: MultiStateCostModel, test_observations: Sample
 ) -> ValidationReport:
-    """Score *model* against held-out observations.
+    """Score *model* against a held-out sample.
 
-    Each test observation supplies both the variable values and the
-    sampled probing cost that resolves its contention state — exactly the
-    information the optimizer would have at estimation time.
+    Each test row supplies both the variable values and the sampled
+    probing cost that resolves its contention state — exactly the
+    information the optimizer would have at estimation time.  The F test
+    is read at the paper's :data:`SIGNIFICANCE_LEVEL`.
     """
-    if not test_observations:
+    if not len(test_observations):
         raise ValueError("at least one test observation is required")
     from ..obs import span as _obs_span
 
@@ -107,33 +108,44 @@ def validate_model(
         class_label=model.class_label,
         n_queries=len(test_observations),
     ):
-        return _validate(model, test_observations, alpha)
+        return _validate(model, test_observations)
 
 
-def _validate(
-    model: MultiStateCostModel,
-    test_observations: Sequence[Observation],
-    alpha: float,
-) -> ValidationReport:
-    estimates = np.array(
-        [model.predict(obs.values, obs.probing_cost) for obs in test_observations]
+def _estimates(model: MultiStateCostModel, sample: Sample) -> list[float]:
+    """``model.predict`` of every row, from the columns.
+
+    Each estimate is one design row's dot product with the coefficients,
+    as :meth:`MultiStateCostModel.predict_in_state` takes it, so the
+    floats are the same.
+    """
+    design = build_design(
+        sample.matrix(model.variable_names),
+        model.states.assign(sample.probing_cost.tolist()),
+        model.num_states,
+        model.form,
     )
-    observed = np.array([obs.cost for obs in test_observations])
+    coefficients = model.coefficients
+    return [float(row @ coefficients) for row in design]
+
+
+def _validate(model: MultiStateCostModel, sample: Sample) -> ValidationReport:
+    estimates = _estimates(model, sample)
+    observed = sample.cost.tolist()
     very_good = sum(is_very_good(e, o) for e, o in zip(estimates, observed))
     good = sum(is_good(e, o) for e, o in zip(estimates, observed))
     acceptable = sum(is_acceptable(e, o) for e, o in zip(estimates, observed))
     rel_errors = [
         relative_error(e, o) for e, o in zip(estimates, observed) if o > 0
     ]
-    n = len(test_observations)
+    n = len(sample)
     return ValidationReport(
         n_queries=n,
-        average_observed_cost=float(observed.mean()),
+        average_observed_cost=float(sample.cost.mean()),
         pct_very_good=100.0 * very_good / n,
         pct_good=100.0 * good / n,
         pct_acceptable=100.0 * acceptable / n,
         mean_relative_error=float(np.mean(rel_errors)) if rel_errors else 0.0,
         r_squared=model.r_squared,
         standard_error=model.standard_error,
-        f_significant=model.is_significant(alpha),
+        f_significant=model.is_significant(SIGNIFICANCE_LEVEL),
     )

@@ -26,7 +26,7 @@ from ..core.builder import BuildOutcome, CostModelBuilder
 from ..core.classification import QueryClass
 from ..core.model import MultiStateCostModel
 from ..core.validation import ValidationReport, validate_model
-from ..core.variables import Observation
+from ..core.variables import Sample
 from ..engine.profiles import DBMSProfile
 from ..workload.scenarios import make_site
 from .config import ExperimentConfig
@@ -298,7 +298,7 @@ def collect_for_algorithm(
     config: ExperimentConfig,
     environment_kind: str,
     algorithm: str,
-) -> tuple[BuildOutcome, ValidationReport, list[Observation]]:
+) -> tuple[BuildOutcome, ValidationReport, Sample]:
     """Train one model with *algorithm* and validate it (Table 6 helper)."""
     seed = stable_seed(config.seed, profile.name)
     site = make_site(

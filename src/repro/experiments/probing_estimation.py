@@ -21,7 +21,7 @@ from ..core.builder import CostModelBuilder
 from ..core.classification import G1, QueryClass
 from ..core.probing import ProbingCostEstimator
 from ..core.validation import ValidationReport, validate_model
-from ..core.variables import Observation, extract_variables
+from ..core.variables import SampleRecorder
 from ..engine.profiles import DBMSProfile, ORACLE_LIKE
 from ..env.monitor import EnvironmentMonitor
 from ..workload.scenarios import make_site
@@ -72,22 +72,18 @@ def run_probing_estimation(
     )
     outcome = builder.build_from_observations(train, query_class, "iupma")
 
-    # Test twice: states from observed probes vs from estimated probes.
+    # Test twice: states from observed probes vs from estimated probes,
+    # each estimate taken just before the probe it stands in for.
     test_queries = site.generator.queries_for(query_class, config.test_count)
-    test_observed: list[Observation] = []
-    test_estimated: list[Observation] = []
+    recorder = SampleRecorder(pooled=site.database.buffer_pool is not None)
+    estimated_probes = []
     for query in test_queries:
-        estimated_probe = estimator.estimate(monitor.statistics())
+        estimated_probes.append(estimator.estimate(monitor.statistics()))
         observed_probe = builder.probe.observe()
-        result = site.database.execute(query)
-        base = dict(
-            cost=result.elapsed,
-            values=extract_variables(result),
-            contention_level=result.contention_level,
-        )
-        test_observed.append(Observation(probing_cost=observed_probe, **base))
-        test_estimated.append(Observation(probing_cost=estimated_probe, **base))
+        recorder.record(site.database.execute(query), observed_probe)
         site.environment.advance(config.builder.sampling.pause_seconds)
+    test_observed = recorder.sample()
+    test_estimated = test_observed.with_probing_cost(estimated_probes)
 
     return ProbingEstimationResult(
         profile=profile.name,

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..core.builder import CostModelBuilder
 from ..core.classification import G2, QueryClass
 from ..core.fitting import fit_qualitative
@@ -68,9 +66,9 @@ def run_states_ablation(
     observations = builder.collect(queries)
 
     names = query_class.variables.basic
-    X = np.array([[obs.values[n] for n in names] for obs in observations])
-    y = np.array([obs.cost for obs in observations])
-    probing = np.array([obs.probing_cost for obs in observations])
+    X = observations.matrix(names)
+    y = observations.cost
+    probing = observations.probing_cost
     cmin, cmax = float(probing.min()), float(probing.max())
 
     points = []

@@ -64,7 +64,7 @@ def run_table6(
             )
         )
         if not probing:
-            probing = [obs.probing_cost for obs in outcome.observations]
+            probing = outcome.observations.probing_cost.tolist()
     return Table6Result(rows=rows, probing_costs=probing)
 
 

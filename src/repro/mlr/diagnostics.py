@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import add_intercept, as_design_matrix
-from .ols import fit_ols
+from .ols import coefficient_of_determination, solve
 
 #: Conventional VIF threshold (Neter et al. recommend ~10).
 DEFAULT_VIF_LIMIT = 10.0
@@ -40,8 +40,10 @@ def variance_inflation_factor(X: np.ndarray, column: int) -> float:
         # is for the auxiliary regression to judge.
         return float("inf")
     others = np.delete(X, column, axis=1)
-    # Only R² is read, so the fit's deferred inference never runs.
-    r2 = fit_ols(add_intercept(others), target, has_intercept=True).r_squared
+    # Only R² is read: the solve and sums of squares fit_ols takes, on
+    # the same arrays, without the rest of an OLSResult.
+    _, _, _, sse, sst = solve(add_intercept(others), target, True)
+    r2 = coefficient_of_determination(sse, sst)
     if r2 >= 1.0 - 1e-12:
         return float("inf")
     return 1.0 / (1.0 - r2)

@@ -230,19 +230,8 @@ def fit_ols(
         if len(term_names) != p:
             raise ValueError("term_names length must match design-matrix columns")
 
-    beta = least_squares(X, y)
-    fitted = X @ beta
-    residuals = y - fitted
-    sse = float(np.sum(residuals**2))
-    if has_intercept:
-        sst = float(np.sum((y - y.mean()) ** 2))
-    else:
-        sst = float(np.sum(y**2))
-
-    if sst <= 0.0:
-        r_squared = 1.0 if sse <= 1e-12 else 0.0
-    else:
-        r_squared = max(0.0, min(1.0, 1.0 - sse / sst))
+    beta, fitted, residuals, sse, sst = solve(X, y, has_intercept)
+    r_squared = coefficient_of_determination(sse, sst)
 
     df_error = n - p
     df_model = p - 1 if has_intercept else p
@@ -277,3 +266,28 @@ def fit_ols(
         design=X,
         has_intercept=has_intercept,
     )
+
+
+def solve(
+    X: np.ndarray, y: np.ndarray, has_intercept: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+    """The least-squares solve of y ~ X on validated arrays: coefficients,
+    fitted values, residuals, SSE and SST (around the mean when the
+    column span includes the constant, around zero otherwise)."""
+    beta = least_squares(X, y)
+    fitted = X @ beta
+    residuals = y - fitted
+    sse = float(np.sum(residuals**2))
+    if has_intercept:
+        sst = float(np.sum((y - y.mean()) ** 2))
+    else:
+        sst = float(np.sum(y**2))
+    return beta, fitted, residuals, sse, sst
+
+
+def coefficient_of_determination(sse: float, sst: float) -> float:
+    """R² = 1 − SSE/SST, clipped to [0, 1]; a degenerate SST reads 1
+    for an exact fit and 0 otherwise."""
+    if sst <= 0.0:
+        return 1.0 if sse <= 1e-12 else 0.0
+    return max(0.0, min(1.0, 1.0 - sse / sst))

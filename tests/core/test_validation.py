@@ -17,7 +17,7 @@ from repro.core.validation import (
     relative_error,
     validate_model,
 )
-from repro.core.variables import Observation
+from repro.core.variables import Sample
 
 from .synthetic import stepped_sample
 
@@ -79,17 +79,19 @@ class TestValidateModel:
         fit = fit_qualitative(X, y, probing, uniform_partition(0, 1, 2), ("x",))
         return MultiStateCostModel.from_fit(fit, "G1", "unary", "iupma")
 
-    def make_obs(self, x, probing, cost):
-        return Observation(cost=cost, probing_cost=probing, values={"x": x})
+    def make_sample(self, *rows):
+        """A hand-made test sample of (x, probing cost, cost) rows."""
+        x, probing, cost = zip(*rows) if rows else ((), (), ())
+        return Sample(cost=cost, probing_cost=probing, values={"x": x})
 
     def test_accurate_model_scores_high(self, model):
         # Ground truth: state0 y=1+0.5x, state1 y=3+x.
-        observations = [
-            self.make_obs(10.0, 0.2, 6.0),
-            self.make_obs(20.0, 0.2, 11.0),
-            self.make_obs(10.0, 0.8, 13.0),
-            self.make_obs(20.0, 0.8, 23.0),
-        ]
+        observations = self.make_sample(
+            (10.0, 0.2, 6.0),
+            (20.0, 0.2, 11.0),
+            (10.0, 0.8, 13.0),
+            (20.0, 0.8, 23.0),
+        )
         report = validate_model(model, observations)
         assert report.pct_very_good == 100.0
         assert report.pct_good == 100.0
@@ -97,30 +99,27 @@ class TestValidateModel:
 
     def test_wrong_state_estimates_score_low(self, model):
         # Costs from the loaded state, probes claiming the idle state.
-        observations = [self.make_obs(100.0, 0.1, 103.0) for _ in range(4)]
+        observations = self.make_sample(*[(100.0, 0.1, 103.0)] * 4)
         report = validate_model(model, observations)
         assert report.pct_very_good < 100.0
 
     def test_average_cost_reported(self, model):
-        observations = [
-            self.make_obs(10.0, 0.2, 4.0),
-            self.make_obs(10.0, 0.2, 8.0),
-        ]
+        observations = self.make_sample((10.0, 0.2, 4.0), (10.0, 0.2, 8.0))
         report = validate_model(model, observations)
         assert report.average_observed_cost == pytest.approx(6.0)
 
     def test_training_stats_carried(self, model):
-        observations = [self.make_obs(10.0, 0.2, 6.0)]
+        observations = self.make_sample((10.0, 0.2, 6.0))
         report = validate_model(model, observations)
         assert report.r_squared == model.r_squared
         assert report.standard_error == model.standard_error
         assert report.f_significant
 
     def test_row_is_flat_dict(self, model):
-        report = validate_model(model, [self.make_obs(10.0, 0.2, 6.0)])
+        report = validate_model(model, self.make_sample((10.0, 0.2, 6.0)))
         row = report.row()
         assert set(row) >= {"R2", "SEE", "very_good_pct", "good_pct"}
 
     def test_empty_test_set_rejected(self, model):
         with pytest.raises(ValueError):
-            validate_model(model, [])
+            validate_model(model, self.make_sample())

@@ -2,17 +2,19 @@
 
 import pytest
 
+from repro.core.probing import ProbingQuery
+from repro.core.sampling import collect_observations
 from repro.core.variables import (
     JOIN_VARIABLES,
-    Observation,
+    Sample,
     UNARY_VARIABLES,
     check_observations,
     extract_variables,
-    observation_from_result,
-    probing_costs,
 )
 from repro.engine.predicate import Comparison
 from repro.engine.query import JoinQuery, SelectQuery
+
+from .reference import observation_from_result
 
 
 class TestVariableSets:
@@ -59,36 +61,42 @@ class TestExtraction:
         assert values["lr"] == result.result.tuple_length
 
     def test_observation_from_result(self, small_database):
+        """A sample's row is what the reference builds from the same
+        execution and probing cost."""
+        probe = ProbingQuery(small_database, SelectQuery("t2", ("a",)))
+        saved = small_database.save_state()
+        (row,) = collect_observations(small_database, [SelectQuery("t1", ("a",))], probe)
+        small_database.restore_state(saved)
+        probing_cost = probe.observe()
         result = small_database.execute(SelectQuery("t1", ("a",)))
-        obs = observation_from_result(result, probing_cost=0.5, plan=result.plan)
+        obs = observation_from_result(result, probing_cost, plan=result.plan)
+        assert row == obs
         assert obs.cost == result.elapsed
-        assert obs.probing_cost == 0.5
         assert obs.metadata["plan"] == result.plan
         assert obs.contention_level == result.contention_level
 
 
 class TestObservationHelpers:
-    def make_obs(self, cost=1.0, probing=0.1, **values):
-        return Observation(cost=cost, probing_cost=probing, values=values)
+    def make_sample(self, cost=(1.0,), probing=(0.1,), **values):
+        return Sample(cost=cost, probing_cost=probing, values=values)
 
     def test_probing_costs(self):
-        observations = [self.make_obs(cost=float(i), no=float(i)) for i in range(3)]
-        assert probing_costs(observations) == [0.1, 0.1, 0.1]
+        sample = self.make_sample(cost=(0.0, 1.0, 2.0), probing=(0.1,) * 3, no=(0.0, 1.0, 2.0))
+        assert sample.probing_cost.tolist() == [0.1, 0.1, 0.1]
 
     def test_check_observations_passes(self):
-        check_observations([self.make_obs(no=1.0)], ("no",))
+        check_observations(self.make_sample(no=(1.0,)), ("no",))
 
     def test_check_observations_missing_variable(self):
-        with pytest.raises(ValueError):
-            check_observations([self.make_obs(no=1.0)], ("no", "nr"))
+        with pytest.raises(ValueError, match="lacks variables"):
+            check_observations(self.make_sample(no=(1.0,)), ("no", "nr"))
 
     def test_check_observations_negative_cost(self):
-        with pytest.raises(ValueError):
-            check_observations([self.make_obs(cost=-1.0, no=1.0)], ("no",))
+        with pytest.raises(ValueError, match="observation 1: negative or NaN cost"):
+            check_observations(
+                self.make_sample(cost=(1.0, -1.0), probing=(0.1, 0.1), no=(1.0, 2.0)), ("no",)
+            )
 
     def test_check_observations_nan_probing(self):
-        with pytest.raises(ValueError):
-            check_observations(
-                [Observation(cost=1.0, probing_cost=float("nan"), values={"no": 1.0})],
-                ("no",),
-            )
+        with pytest.raises(ValueError, match="NaN probing cost"):
+            check_observations(self.make_sample(probing=(float("nan"),), no=(1.0,)), ("no",))

@@ -54,7 +54,7 @@ EDGE_INTS = [
 #: Integer constants no INT column holds.
 BEYOND_INT64 = [2**63, -(2**63) - 1, 2**64, -(2**80)]
 EDGE_FLOATS = [
-    -0.0, 0.5, math.inf, -math.inf,
+    -0.0, 0.5, 2.5, -1.5, math.inf, -math.inf,
     2.0**53, 2.0**53 + 2, -(2.0**53), 2.0**63, -(2.0**63), 1e300,
 ]
 EDGE_STRINGS = ["", "a", "a\x00", "a\x00\x00", "a ", " a", "a\x00b", "ab", "b", "é"]

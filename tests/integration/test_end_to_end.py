@@ -1,5 +1,6 @@
 """Integration tests: the full pipeline, cross-checked end to end."""
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -19,7 +20,7 @@ class TestPipeline:
     def test_derived_model_beats_one_state_on_holdout(self, session_g1_build):
         builder, outcome = session_g1_build
         test = outcome.observations[::4]
-        train = [o for i, o in enumerate(outcome.observations) if i % 4]
+        train = outcome.observations[np.arange(len(outcome.observations)) % 4 != 0]
         multi = builder.build_from_observations(train, G1, "iupma").model
         one = builder.build_from_observations(train, G1, "static").model
         report_multi = validate_model(multi, test)

@@ -20,6 +20,7 @@ from repro.mlr.diagnostics import (
     max_state_vifs,
     variance_inflation_factor,
 )
+from repro.mlr.linalg import add_intercept
 from repro.mlr.ols import fit_ols
 
 from .reference import eager_fit_ols, eager_max_state_vif, eager_vif
@@ -166,3 +167,45 @@ class TestNearConstantColumns:
         X = np.column_stack([base, 2_500_000.0 + base])
         assert np.allclose(X[:, 1], X[0, 1], rtol=1e-5)
         assert variance_inflation_factor(X, 1) == float("inf")
+
+
+def fit_ols_vif(X: np.ndarray, column: int) -> float:
+    """The VIF with its auxiliary R² read from a whole :func:`fit_ols`."""
+    n, p = X.shape
+    if p == 1 or n < 3:
+        return 1.0
+    target = X[:, column]
+    if target.min() == target.max():
+        return float("inf")
+    r2 = fit_ols(add_intercept(np.delete(X, column, axis=1)), target).r_squared
+    return float("inf") if r2 >= 1.0 - 1e-12 else 1.0 / (1.0 - r2)
+
+
+class TestVifAuxiliaryIsTheFitOlsRSquared:
+    """The VIF solves its auxiliary regression without an ``OLSResult``;
+    every VIF must be the one ``fit_ols``'s R² gives, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, n=st.integers(4, 50), p=st.integers(2, 5))
+    def test_random_blocks(self, seed, n, p):
+        assume(n >= p + 1)
+        X, _ = _state_sample(seed, n, p, 1)
+        for j in range(p):
+            want = 1.0 / (1.0 - fit_ols(add_intercept(np.delete(X, j, axis=1)), X[:, j]).r_squared)
+            assert variance_inflation_factor(X, j) == want == fit_ols_vif(X, j)
+
+    @pytest.mark.parametrize(
+        "X",
+        [
+            np.column_stack([np.arange(10.0), np.full(10, 7.0), np.arange(10.0) ** 2]),
+            np.column_stack(
+                [np.arange(12.0), 3.0 * np.arange(12.0) - 5.0, np.sin(np.arange(12.0))]
+            ),
+            np.array([[1.0, 2.0], [3.0, 5.0]]),
+            np.arange(8.0).reshape(-1, 1),
+        ],
+        ids=["constant", "exactly_collinear", "n_below_3", "p_1"],
+    )
+    def test_degenerate_blocks(self, X):
+        for j in range(X.shape[1]):
+            assert variance_inflation_factor(X, j) == fit_ols_vif(X, j)

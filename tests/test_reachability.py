@@ -57,7 +57,6 @@ UNREACHED_METHODS = {
 UNPASSED_PARAMETERS = {
     "core.probing.ProbingCostEstimator.calibrate(interval_seconds=)": "test seam",
     "core.report.derivation_report(test_observations=)": "test seam",
-    "core.validation.validate_model(alpha=)": "experiment knob",
     "engine.buffer.BufferPool(evict_scan=)": "test seam",
     "engine.index.Index(order=)": "test seam",
     "env.clock.SimulationClock(start=)": "test seam",
