@@ -25,6 +25,7 @@ from .icma import clustered_partitioner, determine_states_icma
 from .iupma import (
     PhaseRecord,
     StateDeterminationResult,
+    StateHistory,
     StatesConfig,
     determine_states,
     determine_states_iupma,
@@ -125,6 +126,7 @@ __all__ = [
     "SelectionResult",
     "SelectionStep",
     "StateDeterminationResult",
+    "StateHistory",
     "StatesConfig",
     "UNARY_VARIABLES",
     "ValidationReport",

@@ -32,7 +32,7 @@ from ..engine.database import LocalDatabase
 from ..engine.query import Query
 from .classification import QueryClass
 from .icma import determine_states_icma
-from .iupma import StateDeterminationResult, StatesConfig, determine_states_iupma
+from .iupma import StateHistory, StatesConfig, determine_states_iupma
 from .model import MultiStateCostModel
 from .partition import ContentionStates
 from .probing import ProbingQuery, default_probing_query
@@ -63,13 +63,15 @@ class BuildOutcome:
 
     ``selection`` and ``determination`` are derivation provenance;
     ``determination`` is ``None`` for the static algorithm, which has
-    one state and nothing to partition.
+    one state and nothing to partition.  It is the state search's
+    history only: the fit it ended with is superseded by
+    ``selection.fit``, so its arrays are not kept.
     """
 
     model: MultiStateCostModel
     observations: Sample
     selection: SelectionResult
-    determination: StateDeterminationResult | None
+    determination: StateHistory | None
     #: Real (wall-clock) seconds spent in each pipeline phase, in
     #: pipeline order — the model's derivation cost.
     timings: dict[str, float] = field(default_factory=dict)
@@ -147,7 +149,7 @@ class CostModelBuilder:
         probing = observations.probing_cost
 
         phase_started = time.perf_counter()
-        determination: StateDeterminationResult | None = None
+        determination: StateHistory | None = None
         with obs.span("build.partitioning", algorithm=algorithm) as sp:
             if algorithm == "static":
                 states = ContentionStates(float(probing.min()), float(probing.max()))
@@ -158,10 +160,10 @@ class CostModelBuilder:
                     if algorithm == "iupma"
                     else determine_states_icma
                 )
-                determination = determine(
+                result = determine(
                     X_basic, y, probing, variables.basic, self.config.states
                 )
-                states = determination.states
+                states, determination = result.states, result.history()
             if sp.recording:
                 sp.set_attribute("num_states", states.num_states)
         timings["partitioning"] = time.perf_counter() - phase_started

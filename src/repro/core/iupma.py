@@ -77,6 +77,19 @@ class StateDeterminationResult:
     def num_states(self) -> int:
         return self.fit.num_states
 
+    def history(self) -> StateHistory:
+        """How the states were found, without the final fit's arrays."""
+        return StateHistory(phase1=self.phase1, merges=self.merges)
+
+
+@dataclass
+class StateHistory:
+    """What a derived model keeps of its state determination: how the
+    states were found (the final states are the model's own)."""
+
+    phase1: list[PhaseRecord]
+    merges: list[MergeRecord]
+
 
 #: A partitioner maps a desired state count to a candidate partition,
 #: or None when that count is infeasible for the sample.

@@ -9,7 +9,7 @@ Two ways to obtain a probing cost are implemented, mirroring the paper:
 * **observed** — actually execute the probing query and time it
   (:meth:`ProbingQuery.observe`; the probe's work is re-run only when
   the catalog changed, its cost is charged at the current contention
-  on every call);
+  on every call — :class:`~repro.engine.database.KeptRuns`);
 * **estimated** — regress the probing cost once on a few major system
   statistics (CPU load, I/O utilization, used memory — paper eq. (2)),
   then *estimate* it from a cheap statistics snapshot instead of
@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..engine.database import LocalDatabase, QueryRun
+from ..engine.database import KeptRuns, LocalDatabase
 from ..engine.query import Query, SelectQuery
 from ..env.monitor import EnvironmentMonitor
 from ..env.stats import MAJOR_CONTENTION_PARAMETERS, SystemStatistics
@@ -43,11 +43,8 @@ class ProbingQuery:
     def __init__(self, database: LocalDatabase, query: Query | str) -> None:
         self.database = database
         self.query = database.parse(query) if isinstance(query, str) else query
-        #: The probe's last run.  Its work depends on the catalog, not on
-        #: the contention level, so it is charged again for as long as
-        #: the database says it is current — the one query whose run is
-        #: ever kept.
-        self._run: QueryRun | None = None
+        self._runs = KeptRuns(database)
+        self._runs.expect(self.query)
 
     def observe(self) -> float:
         """Execute the probing query; return its elapsed time.
@@ -57,11 +54,7 @@ class ProbingQuery:
         :meth:`LocalDatabase.is_current` says the last run no longer is
         (a catalog change, or any site with a buffer pool).
         """
-        database = self.database
-        run = self._run
-        if run is None or not database.is_current(run):
-            run = self._run = database.run(self.query)
-        return database.charge(run).elapsed
+        return self._runs.execute(self.query).elapsed
 
     def describe(self) -> str:
         return f"{self.database.name}: {self.query}"

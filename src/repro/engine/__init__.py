@@ -17,7 +17,7 @@ from .buffer import (
 )
 from .catalog import LocalCatalog
 from .costing import ElapsedBreakdown, simulate_elapsed
-from .database import LocalDatabase, QueryResult, QueryRun
+from .database import KeptRuns, LocalDatabase, QueryResult, QueryRun
 from .errors import (
     CatalogError,
     EngineError,
@@ -65,6 +65,7 @@ __all__ = [
     "IndexKind",
     "JoinPlan",
     "JoinQuery",
+    "KeptRuns",
     "KeyRange",
     "LocalCatalog",
     "LocalDatabase",

@@ -10,10 +10,15 @@ a simulated elapsed time under the contention level *at execution time*,
 advancing the simulated clock.  The elapsed time is all the global level
 ever observes — local cost constants stay hidden behind local autonomy,
 which is precisely the problem the paper's method addresses.
+
+Because only step (3) depends on the contention level, a caller that
+executes the same query object again may charge its last run again for
+as long as the catalog says that run is current: :class:`KeptRuns`.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
@@ -265,12 +270,13 @@ class LocalDatabase:
         ``breakdown``; nothing else records them.
         """
         with obs.span("engine.execute") as sp:
-            started_at = self.environment.now
-            level = self.environment.level()
-            slowdown = self.environment.slowdown()
+            environment = self.environment
+            started_at = environment.now
+            level = environment.level()
+            slowdown = environment.slowdown_model.slowdown(level)
             noise = self._noise()
             breakdown = simulate_elapsed(run.metrics, self.profile, slowdown, noise)
-            self.environment.advance(breakdown.elapsed)
+            environment.advance(breakdown.elapsed)
             if sp.recording:
                 sp.set_attributes(
                     database=self.name,
@@ -340,3 +346,78 @@ class LocalDatabase:
             f"LocalDatabase({self.name}, profile={self.profile.name}, "
             f"{len(self.catalog.table_names)} tables)"
         )
+
+
+class KeptRuns:
+    """The last run of each repeating query object, charged again while current.
+
+    A run's work depends on its query and the catalog alone (see
+    :class:`QueryRun`), so executing the same query *object* again need
+    not run it again: :meth:`execute` charges the kept run
+    (:meth:`LocalDatabase.charge`) for as long as
+    :meth:`LocalDatabase.is_current` holds, and otherwise runs the query.
+    Cost, clock, noise and metrics are what ``database.execute(query)``
+    gives every time.
+
+    A run is kept once its query object repeats: from the object's
+    second execution on, or from its first for a query its owner
+    executes again by design (:meth:`expect`).  A query executed once —
+    a fresh plan's selection, a request's join — leaves only a weak
+    marker, so no run is held for a query that is not executed again,
+    however long its object lives.  Entries are keyed on the object's
+    identity through a weak reference — never on its value or SQL text
+    — and die with the object; the kept work does not refer to the
+    query.  No run is current on a site with a buffer pool, so there
+    nothing is kept.
+    """
+
+    def __init__(self, database: LocalDatabase) -> None:
+        self.database = database
+        queries: dict[int, _Entry] = {}
+        self._queries = queries
+        self._forget = lambda entry: queries.pop(entry.key, None)
+
+    def __len__(self) -> int:
+        """The number of runs kept."""
+        return sum(entry.work is not None for entry in self._queries.values())
+
+    def expect(self, query: Query) -> None:
+        """Keep *query*'s run from its first execution on: its owner
+        executes it again by design."""
+        if id(query) not in self._queries:
+            self._queries[id(query)] = _Entry(query, self._forget)
+
+    def execute(self, query: Query | str) -> QueryResult:
+        """Charge *query*'s kept run if it is current, else run it.
+
+        SQL text is parsed into a new query object on every call, so it
+        is executed and nothing is kept.
+        """
+        database = self.database
+        if isinstance(query, str):
+            return database.execute(query)
+        entry = self._queries.get(id(query))
+        if entry is not None and entry.work is not None:
+            run = QueryRun(query, *entry.work)
+            if database.is_current(run):
+                return database.charge(run)
+        run = database.run(query)
+        if database.is_current(run):
+            if entry is None:
+                self._queries[id(query)] = _Entry(query, self._forget)
+            else:
+                entry.work = (run.result, run.metrics, run.plan, run.infos, run.tables)
+        return database.charge(run)
+
+
+class _Entry(weakref.ref):
+    """A weak reference to a query object, under its ``id``, with the
+    fields of its kept run but the query (``None`` until it repeats)."""
+
+    __slots__ = ("key", "work")
+
+    def __new__(cls, query: Query, callback) -> _Entry:
+        self = super().__new__(cls, query, callback)
+        self.key = id(query)
+        self.work = None
+        return self

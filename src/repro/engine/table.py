@@ -48,7 +48,10 @@ class Table:
         #: One read-only array per column.  Results and forks hold
         #: references to them, so a mutation rebinds this dict and never
         #: writes into an array.
-        self._column_arrays = dict(zip(schema.column_names, schema.validate_rows([])))
+        self._column_arrays = {
+            column.name: np.empty(0, dtype=ARRAY_DTYPES[column.dtype])
+            for column in schema.columns
+        }
         #: Bumped by every change that can alter what a query over this
         #: table reads or how it is planned: a content mutation, an
         #: :meth:`analyze`, and (through the catalog) an index added or

@@ -20,7 +20,7 @@ from typing import Any, Sequence
 from .. import obs
 from ..core.classification import QueryClass, classify
 from ..core.probing import ProbingCostEstimator, ProbingQuery, default_probing_query
-from ..engine.database import LocalDatabase, QueryResult
+from ..engine.database import KeptRuns, LocalDatabase, QueryResult
 from ..engine.query import Query
 from ..engine.schema import Column
 from ..engine.table import ResultTable
@@ -44,6 +44,9 @@ class MDBSAgent:
         self.monitor = EnvironmentMonitor(database.environment)
         self.probe = probe or default_probing_query(database)
         self.estimator = estimator
+        #: The last run of each query object this agent serves, charged
+        #: again while current — a cached plan's selections are not re-run.
+        self.runs = KeptRuns(database)
 
     @property
     def site(self) -> str:
@@ -70,11 +73,16 @@ class MDBSAgent:
     # -- the "ODBC" surface ------------------------------------------------
 
     def execute(self, query: Query | str) -> QueryResult:
-        """Run a local query and return rows + observed elapsed time."""
+        """Run a local query and return rows + observed elapsed time.
+
+        The work of a query object served before is charged again while
+        the site's catalog keeps it current (:class:`KeptRuns`); the
+        elapsed time is always charged afresh.
+        """
         with obs.span("mdbs.agent.execute") as sp:
             if sp.recording:
                 sp.set_attribute("site", self.site)
-            result = self.database.execute(query)
+            result = self.runs.execute(query)
             if sp.recording:
                 sp.set_attribute("simulated_seconds", result.elapsed)
         return result

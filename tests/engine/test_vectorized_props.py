@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.access import (
@@ -319,6 +319,17 @@ join_cases = st.one_of(
 )
 
 
+#: Join cases whose INT and FLOAT keys a rounding of the float would match.
+NON_INTEGRAL_JOIN = (
+    NUMERIC, [(2, 0, 0.0), (-2, 1, 0.0)], [(0, 0, 2.5), (0, 1, -1.5)], ("a", "f"),
+    TruePredicate(), TruePredicate(), False,
+)
+NON_INTEGRAL_JOIN_REVERSED = (
+    NUMERIC, [(0, 0, 2.5), (0, 1, 0.5)], [(0, 2, 0.0), (0, 0, 1.0)], ("f", "b"),
+    TruePredicate(), TruePredicate(), True,
+)
+
+
 def join_operands(case):
     """(left, right, query) of one drawn join case."""
     columns, left_rows, right_rows, (lcol, rcol), lpred, rpred, by_column = case
@@ -335,6 +346,9 @@ def bag(rows):
 class TestJoinEquivalence:
     @settings(max_examples=200, deadline=None)
     @given(left=key_columns, right=key_columns)
+    # A non-integral float equals no int, whatever rounding would make it.
+    @example(left=([2, 3], DataType.INT), right=([2.5, -1.5], DataType.FLOAT))
+    @example(left=([2.5, 2.0], DataType.FLOAT), right=([2], DataType.INT))
     def test_match_pairs_identical_order(self, left, right):
         (left_keys, left_type), (right_keys, right_type) = left, right
         if DataType.STR in (left_type, right_type) and left_type is not right_type:
@@ -387,6 +401,9 @@ class TestJoinEquivalence:
 
     @settings(max_examples=150, deadline=None)
     @given(case=join_cases, method=st.sampled_from(["hash", "merge", "nested", "index"]))
+    # INT keys joined to non-integral FLOAT keys, from either side.
+    @example(case=NON_INTEGRAL_JOIN, method="hash")
+    @example(case=NON_INTEGRAL_JOIN_REVERSED, method="merge")
     def test_join_methods_rows_identical(self, case, method):
         left, right, query = join_operands(case)
         if method == "hash":
